@@ -15,22 +15,27 @@ a `.timings.json` sidecar next to it.
 
 Formats: datasets are CSV with a fixed header; models, graphs, and reports
 are JSON.  Floats are serialized as the shortest decimal that parses back to
-the identical double, so files round-trip without loss.  Model files carry a
-format version and a sha256 checksum over the canonical payload, verified on
-load.  The payload holds the ridge model (weights, inverse Gram, lambda,
-noise scale, tau) and the feature draw: `frequencies`, `phases` and
-`bandwidths` of the joint kind's inner embedding (or of the product kind's
-two sides), and for the joint kind, whose spec is a TwoStageSpec, an `outer`
-section with the embedding centre, the projection, and the outer
-frequencies, phases and bandwidth.  `num_features` is the width the ridge
-model regresses on.  Format version 2 introduced the `outer` section; other
-versions are refused.
+the identical double, so files round-trip without loss.  Model files are
+compact JSON carrying a format version and a sha256 checksum over the
+canonical payload, verified on load.  The payload holds the ridge model
+(weights, inverse Gram, lambda, noise scale, tau) and the feature draw:
+`frequencies`, `phases` and `bandwidths` of the joint kind's inner embedding
+(or of the product kind's two sides), and for the joint kind, whose spec is
+a TwoStageSpec, an `outer` section with the embedding centre, the
+projection, and the outer frequencies, phases and bandwidth.  `num_features`
+is the width the ridge model regresses on.  Scalars and `metadata` are plain
+JSON; every array is stored as its raw bytes,
+`{"dtype": "<f8", "shape": [...], "data": "<base64>"}` (little-endian
+float64, C order), so the checksum covers every scalar and every array's
+bytes.  Format version 3 introduced the raw arrays; files of versions 1 and
+2 (decimal arrays) and any other version are refused.
 Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import json
 import math
@@ -364,7 +369,35 @@ def load_dataset(path) -> list:
 # ---------------------------------------------------------------------------
 # Model files
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
+
+_ARRAY_KEYS = {"dtype", "shape", "data"}
+
+
+def _encode_arrays(node):
+    """Payload tree with every ndarray replaced by its raw-bytes record:
+    little-endian float64, C order, base64 text."""
+    if isinstance(node, np.ndarray):
+        return {
+            "dtype": "<f8",
+            "shape": list(node.shape),
+            "data": base64.b64encode(np.asarray(node, dtype="<f8").tobytes()).decode("ascii"),
+        }
+    if isinstance(node, dict):
+        return {key: _encode_arrays(value) for key, value in node.items()}
+    return node
+
+
+def _decode_arrays(node):
+    """Inverse of _encode_arrays; decoded arrays are read-only views of the bytes."""
+    if isinstance(node, dict):
+        if set(node) == _ARRAY_KEYS:
+            if node["dtype"] != "<f8":
+                raise ValueError(f"unsupported array dtype {node['dtype']!r}")
+            raw = base64.b64decode(node["data"], validate=True)
+            return np.frombuffer(raw, dtype="<f8").reshape(node["shape"])
+        return {key: _decode_arrays(value) for key, value in node.items()}
+    return node
 
 
 def _payload_checksum(payload: dict) -> str:
@@ -392,30 +425,28 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
         "num_features": int(op.model.num_features),
         "noise_scale": float(op.model.noise_scale),
         "n_train": int(op.model.n_train),
-        "weights": op.model.W.tolist(),
-        "a_inv": op.model.A_inv.tolist(),
+        "weights": op.model.W,
+        "a_inv": op.model.A_inv,
     }
     if op.feature_kind == "joint":
         inner, outer = op.spec.inner, op.spec.outer
-        payload["bandwidths"] = inner.bandwidth.tolist()
-        payload["frequencies"] = inner.frequencies.tolist()
-        payload["phases"] = inner.phases.tolist()
+        payload["bandwidths"] = inner.bandwidth
+        payload["frequencies"] = inner.frequencies
+        payload["phases"] = inner.phases
         payload["outer"] = {
-            "center": op.spec.center.tolist(),
-            "projection": op.spec.projection.tolist(),
-            "frequencies": outer.frequencies.tolist(),
-            "phases": outer.phases.tolist(),
-            "bandwidth": outer.bandwidth.tolist(),
+            "center": op.spec.center,
+            "projection": op.spec.projection,
+            "frequencies": outer.frequencies,
+            "phases": outer.phases,
+            "bandwidth": outer.bandwidth,
         }
     else:
         spec_x, spec_z = op.spec
-        payload["bandwidths"] = [spec_x.bandwidth.tolist()[0], spec_z.bandwidth.tolist()[0]]
-        payload["frequencies"] = {
-            "x": spec_x.frequencies.tolist(),
-            "z": spec_z.frequencies.tolist(),
-        }
-        payload["phases"] = {"x": spec_x.phases.tolist(), "z": spec_z.phases.tolist()}
+        payload["bandwidths"] = np.concatenate([spec_x.bandwidth, spec_z.bandwidth])
+        payload["frequencies"] = {"x": spec_x.frequencies, "z": spec_z.frequencies}
+        payload["phases"] = {"x": spec_x.phases, "z": spec_z.phases}
     payload["metadata"] = extra or {}
+    payload = _encode_arrays(payload)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "checksum": _payload_checksum(payload),
@@ -427,8 +458,9 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
 def load_model(path) -> SavedModel:
     """Load and integrity-check a model file.
 
-    Reloaded operators predict bit-identically to the saved ones: floats are
-    stored as exact decimal round-trips.
+    Reloaded operators predict bit-identically to the saved ones: arrays are
+    stored as their raw bytes and scalars as exact decimal round-trips.  The
+    returned payload holds the arrays decoded back to (read-only) ndarrays.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -439,45 +471,45 @@ def load_model(path) -> SavedModel:
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version!r}")
-    payload = doc["payload"]
-    if _payload_checksum(payload) != doc.get("checksum"):
+    if _payload_checksum(doc["payload"]) != doc.get("checksum"):
         raise ModelFormatError("checksum mismatch: model file corrupted or edited")
     try:
+        payload = _decode_arrays(doc["payload"])
         kind = payload["feature_kind"]
         if kind == "joint":
             outer = payload["outer"]
             spec = TwoStageSpec(
                 RffSpec(
-                    np.array(payload["frequencies"], dtype=float),
-                    np.array(payload["phases"], dtype=float),
-                    np.array(payload["bandwidths"], dtype=float),
+                    np.asarray(payload["frequencies"], dtype=float),
+                    np.asarray(payload["phases"], dtype=float),
+                    np.asarray(payload["bandwidths"], dtype=float),
                 ),
-                np.array(outer["center"], dtype=float),
-                np.array(outer["projection"], dtype=float),
+                np.asarray(outer["center"], dtype=float),
+                np.asarray(outer["projection"], dtype=float),
                 RffSpec(
-                    np.array(outer["frequencies"], dtype=float),
-                    np.array(outer["phases"], dtype=float),
-                    np.array(outer["bandwidth"], dtype=float),
+                    np.asarray(outer["frequencies"], dtype=float),
+                    np.asarray(outer["phases"], dtype=float),
+                    np.asarray(outer["bandwidth"], dtype=float),
                 ),
             )
         else:
-            bw = payload["bandwidths"]
+            bw = np.asarray(payload["bandwidths"], dtype=float)
             spec = (
                 RffSpec(
-                    np.array(payload["frequencies"]["x"], dtype=float),
-                    np.array(payload["phases"]["x"], dtype=float),
-                    np.array([bw[0]], dtype=float),
+                    np.asarray(payload["frequencies"]["x"], dtype=float),
+                    np.asarray(payload["phases"]["x"], dtype=float),
+                    bw[:1],
                 ),
                 RffSpec(
-                    np.array(payload["frequencies"]["z"], dtype=float),
-                    np.array(payload["phases"]["z"], dtype=float),
-                    np.array([bw[1]], dtype=float),
+                    np.asarray(payload["frequencies"]["z"], dtype=float),
+                    np.asarray(payload["phases"]["z"], dtype=float),
+                    bw[1:],
                 ),
             )
         model = RidgeModel(
-            np.array(payload["weights"], dtype=float),
+            np.asarray(payload["weights"], dtype=float),
             float(payload["lambda"]),
-            np.array(payload["a_inv"], dtype=float),
+            np.asarray(payload["a_inv"], dtype=float),
             float(payload["noise_scale"]),
             int(payload["n_train"]),
         )
@@ -569,10 +601,12 @@ def _timing_json(res, runtime: float) -> dict:
     per = {}
     for kind in sorted(res.timings):
         total, count = res.timings[kind]
+        durations = res.message_seconds.get(kind)
         per[kind] = {
             "total_seconds": total,
             "messages": count,
             "per_message_ms": (1000.0 * total / count) if count else None,
+            "per_message_ms_p50": 1000.0 * float(np.median(durations)) if durations else None,
         }
     return {"runtime_seconds": runtime, "per_kind": per}
 
@@ -767,7 +801,9 @@ def cmd_ep_run(config: RunConfig) -> Path:
 
     The primary output holds both sets of marginals, their per-variable KL,
     and convergence status.  Per-message wall-clock numbers go to the
-    `.timings.json` sidecar.
+    `.timings.json` sidecar: per source kind the mean and the median
+    (`per_message_ms_p50`) message time, and the logistic-factor speedup,
+    the ratio of the oracle's median to the operator's.
     """
     out = Path(config.out or "ep_run.json")
     loaded = load_model(config.model)
@@ -808,8 +844,11 @@ def cmd_ep_run(config: RunConfig) -> Path:
     }
     o = side["oracle"]["per_kind"].get("oracle")
     p = side["operator"]["per_kind"].get("operator")
+    # medians, so a burst of load from elsewhere on the host moves neither side
     side["logistic_per_message_speedup"] = (
-        o["per_message_ms"] / p["per_message_ms"] if o and p and p["per_message_ms"] else None
+        o["per_message_ms_p50"] / p["per_message_ms_p50"]
+        if o and p and p["per_message_ms_p50"]
+        else None
     )
     _write_json(_derived_path(out, ".timings.json"), side)
     return out

@@ -441,9 +441,9 @@ def ep_sweep(
         dt = time.perf_counter() - t0
         if timings is not None:
             kind = getattr(source, "kind", factor.kind)
-            bucket = timings.setdefault(kind, [0.0, 0])
-            bucket[0] += dt
-            bucket[1] += max(len(proposals), 1)
+            # a call's time is split evenly over the messages it proposed
+            count = max(len(proposals), 1)
+            timings.setdefault(kind, []).extend([dt / count] * count)
         for vid, candidate in proposals.items():
             if vid not in factor.neighbors:
                 raise EpSourceError(
@@ -479,6 +479,7 @@ class EpResult:
     skipped: int
     queries: int
     timings: dict  # source kind -> (total_seconds, message_count)
+    message_seconds: dict  # source kind -> per-message seconds, in call order
 
 
 def run_ep(
@@ -521,7 +522,8 @@ def run_ep(
         iterations=state.iteration,
         skipped=state.skipped,
         queries=queries,
-        timings={k: (v[0], v[1]) for k, v in timings.items()},
+        timings={k: (math.fsum(v), len(v)) for k, v in timings.items()},
+        message_seconds={k: tuple(v) for k, v in timings.items()},
     )
 
 

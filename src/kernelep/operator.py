@@ -242,9 +242,13 @@ def absorb(op: MessageOperator, inc: IncomingTuple, oracle_result) -> MessageOpe
 
 
 def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
-    """Calibrated threshold: 90th percentile of training predictive variances."""
-    variances = [predictive_variance(model, Phi[:, i]) for i in range(Phi.shape[1])]
-    return float(np.percentile(variances, 90.0))
+    """Calibrated threshold: 90th percentile of training predictive variances.
+
+    The variances are predictive_variance's noise_scale * phi^T A_inv phi
+    for every column of Phi at once, clipped at 0 the same way.
+    """
+    variances = model.noise_scale * np.sum((model.A_inv @ Phi) * Phi, axis=0)
+    return float(np.percentile(np.maximum(variances, 0.0), 90.0))
 
 
 def train_operator(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .errors import DomainError
 
@@ -96,18 +96,23 @@ class CvReport:
         return self.grid[self.chosen]
 
 
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive definite system, escalating jitter on failure."""
+def _spd_factor(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of a symmetric positive definite matrix,
+    escalating diagonal jitter on failure (cho_factor's (c, lower) pair)."""
     for jitter in _JITTERS:
         try:
-            factor = cho_factor(
+            return cho_factor(
                 mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0]),
                 lower=True,
             )
         except LinAlgError:
             continue
-        return cho_solve(factor, rhs)
     raise DomainError("normal equations singular to working precision")
+
+
+def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive definite system, escalating jitter on failure."""
+    return cho_solve(_spd_factor(mat), rhs)
 
 
 def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
@@ -207,6 +212,13 @@ def cross_validate(
     (same case order).  Fold assignment is a seeded permutation, so the
     report is deterministic per rng state.  Ties in mean error prefer the
     larger lambda, then the larger multiplier.
+
+    Each grid point costs one Cholesky factorization, of the full-data
+    G = Phi Phi^T + lambda I (D x D, so no N x N matrix appears).  A fold's
+    held-out residuals follow from the full-data fit by the leave-group-out
+    identity: with G = L L^T, B = L^{-1} Phi and the hat matrix H = B^T B,
+    refitting without fold g leaves residuals (Y_g - Yhat_g)(I - H_gg)^{-1},
+    a |g| x |g| solve per fold.
     """
     if grid is None:
         grid = default_grid()
@@ -228,6 +240,10 @@ def cross_validate(
     order = rng.permutation(N)
     fold_of = np.empty(N, dtype=int)
     fold_of[order] = np.arange(N) % folds
+    # cases sorted by fold, so every fold is a contiguous block of columns
+    by_fold = np.argsort(fold_of, kind="stable")
+    bounds = np.searchsorted(fold_of[by_fold], np.arange(folds + 1))
+    Y_sorted = Y[:, by_fold]
 
     mults = sorted({m for m, _ in grid})
     lams_by_mult = {m: sorted({lam for mm, lam in grid if mm == m}) for m in mults}
@@ -238,18 +254,19 @@ def cross_validate(
             raise DomainError(
                 f"feature matrix for multiplier {mult} has {Phi.shape[1]} cases, expected {N}"
             )
-        D = Phi.shape[0]
-        gram_full = Phi @ Phi.T
-        cross_full = Y @ Phi.T
-        for k in range(folds):
-            out = fold_of == k
-            Phi_out, Y_out = Phi[:, out], Y[:, out]
-            gram = gram_full - Phi_out @ Phi_out.T
-            cross = cross_full - Y_out @ Phi_out.T
-            for lam in lams_by_mult[mult]:
-                shifted = gram + lam * np.eye(D)
-                W = _spd_solve(shifted, cross.T).T
-                errors[(mult, lam, k)] = float(np.mean((W @ Phi_out - Y_out) ** 2))
+        Phi = Phi[:, by_fold]
+        gram = Phi @ Phi.T
+        for lam in lams_by_mult[mult]:
+            shifted = gram.copy()
+            shifted[np.diag_indices_from(shifted)] += lam
+            L, _ = _spd_factor(shifted)
+            B = solve_triangular(L, Phi, lower=True, check_finite=False)
+            residual = Y_sorted - (Y_sorted @ B.T) @ B
+            for k in range(folds):
+                lo, hi = bounds[k], bounds[k + 1]
+                B_k = B[:, lo:hi]
+                held_out = np.linalg.solve(np.eye(hi - lo) - B_k.T @ B_k, residual[:, lo:hi].T)
+                errors[(mult, lam, k)] = float(np.mean(held_out**2))
 
     fold_errors = np.array(
         [[errors[(m, lam, k)] for k in range(folds)] for m, lam in grid]

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface and its file formats."""
 
+import base64
 import json
 import math
 
@@ -183,13 +184,37 @@ def test_model_payload_stores_outer_layer(ws):
 
 
 def test_model_format_version_one_refused(ws, tmp_path):
+    # versions 1 and 2 held decimal arrays; no loader for them remains
     _, data = ws
     doc = json.loads(open(data["model"]).read())
-    doc["format_version"] = 1
-    old = tmp_path / "v1.json"
-    old.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="version"):
-        load_model(old)
+    for version in (1, 2):
+        doc["format_version"] = version
+        old = tmp_path / f"v{version}.json"
+        old.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="version"):
+            load_model(old)
+
+
+def test_model_arrays_stored_raw_and_checksummed(ws, tmp_path):
+    _, data = ws
+    text = open(data["model"]).read()
+    record = json.loads(text)["payload"]["a_inv"]
+    assert record["dtype"] == "<f8"
+    assert record["shape"] == [BASE["num_features"], BASE["num_features"]]
+    raw = base64.b64decode(record["data"])
+    np.testing.assert_array_equal(
+        np.frombuffer(raw, dtype="<f8").reshape(record["shape"]),
+        load_model(data["model"]).op.model.A_inv,
+    )
+
+    # flip one base64 character in the middle of the array's data
+    start = text.index(record["data"])
+    pos = start + len(record["data"]) // 2
+    flipped = "B" if text[pos] == "A" else "A"
+    edited = tmp_path / "flipped.json"
+    edited.write_text(text[:pos] + flipped + text[pos + 1 :])
+    with pytest.raises(ModelFormatError, match="checksum"):
+        load_model(edited)
 
 
 def test_model_corruption_detected(ws, tmp_path):
@@ -288,7 +313,9 @@ def test_ep_run_demo_graph(ws, ep_doc):
     side = json.loads((root / "ep.timings.json").read_text())
     assert "oracle" in side["oracle"]["per_kind"]
     assert "operator" in side["operator"]["per_kind"]
-    assert side["logistic_per_message_speedup"] > 0
+    oracle_p50 = side["oracle"]["per_kind"]["oracle"]["per_message_ms_p50"]
+    operator_p50 = side["operator"]["per_kind"]["operator"]["per_message_ms_p50"]
+    assert side["logistic_per_message_speedup"] == oracle_p50 / operator_p50 > 0
 
 
 def test_ep_run_prior_only_graph(ws, tmp_path):

@@ -446,3 +446,6 @@ def test_timings_recorded_by_source_kind():
     total_s, count = result.timings["oracle"]
     assert total_s > 0
     assert count == 3 * result.iterations
+    per_message = result.message_seconds["oracle"]
+    assert len(per_message) == count
+    assert math.isclose(sum(per_message), total_s, rel_tol=1e-9)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor
 
+from kernelep import regress
 from kernelep.errors import DomainError
 from kernelep.regress import (
     CvReport,
@@ -236,3 +238,90 @@ def test_cross_validate_tie_breaks_toward_larger_lambda():
     feats = {0.5: Phi, 2.0: Phi}
     report = cross_validate(feats, Y, grid=grid, rng=np.random.default_rng(2))
     assert report.chosen_params == (2.0, 1e-2)
+
+
+# ---------------------------------------------------------------------------
+# cross_validate against per-fold refits
+
+
+def fold_assignment(N, folds, seed):
+    """cross_validate's documented fold assignment for rng default_rng(seed)."""
+    order = np.random.default_rng(seed).permutation(N)
+    fold_of = np.empty(N, dtype=int)
+    fold_of[order] = np.arange(N) % folds
+    return fold_of
+
+
+def refit_fold_errors(features, Y, grid, folds, seed, predict_held_out):
+    """Fold errors by refitting on each fold's complement (the definition)."""
+    fold_of = fold_assignment(Y.shape[1], folds, seed)
+    errors = np.empty((len(grid), folds))
+    for i, (mult, lam) in enumerate(grid):
+        Phi = features[mult]
+        for k in range(folds):
+            out = fold_of == k
+            pred = predict_held_out(Phi[:, ~out], Y[:, ~out], lam, Phi[:, out])
+            errors[i, k] = np.mean((pred - Y[:, out]) ** 2)
+    return errors
+
+
+def fit_and_predict(Phi_in, Y_in, lam, Phi_out):
+    return predict(fit(Phi_in, Y_in, lam), Phi_out)
+
+
+def svd_ridge_predict(Phi_in, Y_in, lam, Phi_out):
+    """Ridge prediction through the SVD of Phi_in: no normal equations, so it
+    stays accurate where Phi Phi^T + lambda I is singular to working precision."""
+    U, s, Vt = np.linalg.svd(Phi_in, full_matrices=False)
+    W = ((Y_in @ Vt.T) * (s / (s**2 + lam))) @ U.T
+    return W @ Phi_out
+
+
+@pytest.mark.parametrize(
+    "D, N, folds",
+    [
+        (12, 40, 5),  # N > D, N divisible by folds
+        (12, 43, 5),  # N > D, uneven folds
+        (30, 20, 4),  # N < D, N divisible by folds
+        (30, 23, 4),  # N < D, uneven folds
+        (12, 9, 9),  # leave-one-out: folds == N
+    ],
+)
+def test_cross_validate_matches_per_fold_refit(D, N, folds):
+    rng = np.random.default_rng(D * 1000 + N)
+    features = {0.5: rng.normal(size=(D, N)), 2.0: rng.normal(size=(D, N))}
+    Y = rng.normal(size=(2, D)) @ features[0.5] + 0.3 * rng.normal(size=(2, N))
+    grid = [(m, lam) for m in (0.5, 2.0) for lam in (1e-3, 1e-1, 10.0)]
+    report = cross_validate(features, Y, grid=grid, folds=folds, rng=np.random.default_rng(3))
+    expected = refit_fold_errors(features, Y, grid, folds, 3, fit_and_predict)
+    np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
+    assert report.chosen == int(np.argmin(expected.mean(axis=1)))
+
+
+def test_cross_validate_rank_deficient_takes_jitter_path(monkeypatch):
+    # rank-3 features in 12 dimensions: Phi Phi^T + 1e-14 I is singular to
+    # working precision, so the factorization escalates to jitter 1e-10 and
+    # the fold errors are those of ridge at lambda + 1e-10.  fit's explicit
+    # inverse is inaccurate here, so the reference refits through the SVD.
+    rng = np.random.default_rng(100)
+    Phi = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 30))
+    Y = rng.normal(size=(2, 12)) @ Phi + 0.3 * rng.normal(size=(2, 30))
+    lam, jitter = 1e-14, 1e-10
+
+    outcomes = []
+
+    def recording_cho_factor(mat, **kwargs):
+        try:
+            factor = cho_factor(mat, **kwargs)
+        except LinAlgError:
+            outcomes.append("failed")
+            raise
+        outcomes.append("factored")
+        return factor
+
+    monkeypatch.setattr(regress, "cho_factor", recording_cho_factor)
+    grid = [(1.0, lam)]
+    report = cross_validate({1.0: Phi}, Y, grid=grid, folds=5, rng=np.random.default_rng(7))
+    assert outcomes == ["failed", "factored"]
+    expected = refit_fold_errors({1.0: Phi}, Y, [(1.0, lam + jitter)], 5, 7, svd_ridge_predict)
+    np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
