@@ -18,12 +18,11 @@ are JSON.  Floats are serialized as the shortest decimal that parses back to
 the identical double, so files round-trip without loss.  Model files are
 compact JSON carrying a format version and a sha256 checksum over the
 canonical payload, verified on load.  The payload holds the ridge model
-(weights, inverse Gram, lambda, noise scale, tau) and the feature draw:
-`frequencies`, `phases` and `bandwidths` of the joint kind's inner embedding
-(or of the product kind's two sides), and for the joint kind, whose spec is
-a TwoStageSpec, an `outer` section with the embedding centre, the
-projection, and the outer frequencies, phases and bandwidth.  `num_features`
-is the width the ridge model regresses on.  Scalars and `metadata` are plain
+(weights, inverse Gram, lambda, noise scale, tau) and the operator's
+TwoStageSpec: `frequencies`, `phases` and `bandwidths` of its inner joint
+embedding, and an `outer` section with the embedding centre, the projection,
+and the outer frequencies, phases and bandwidth.  `num_features` is the
+width the ridge model regresses on.  Scalars and `metadata` are plain
 JSON; every array is stored as its raw bytes,
 `{"dtype": "<f8", "shape": [...], "data": "<base64>"}` (little-endian
 float64, C order), so the checksum covers every scalar and every array's
@@ -108,7 +107,7 @@ __all__ = [
 # Configuration
 
 _INT_KEYS = ("seed", "n_train", "n_test", "n_importance", "num_features", "n_jobs", "budget")
-_STR_KEYS = ("feature_kind", "dataset", "model", "graph", "out", "model_out")
+_STR_KEYS = ("dataset", "model", "graph", "out", "model_out")
 _SCALAR_KEYS = _INT_KEYS + _STR_KEYS + ("tau", "passthrough")
 _GROUP_KEYS = ("prior", "cv", "damping")
 
@@ -128,7 +127,6 @@ class RunConfig:
     n_test: int = 200
     n_importance: int = 10_000
     num_features: int = 2000
-    feature_kind: str = "joint"
     n_jobs: int = 1
     prior: IncomingPrior = field(default_factory=IncomingPrior)
     multipliers: tuple = DEFAULT_MULTIPLIERS
@@ -152,8 +150,6 @@ class RunConfig:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.budget < 0:
             raise ConfigError(f"budget must be >= 0, got {self.budget}")
-        if self.feature_kind not in ("joint", "product"):
-            raise ConfigError(f"feature_kind must be joint or product, got {self.feature_kind!r}")
         if self.tau is not None and not self.tau > 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         for name in ("dataset", "model", "graph"):
@@ -286,18 +282,21 @@ def _derived_path(out: Path, tag: str) -> Path:
     return out.parent / (out.stem + tag)
 
 
-def _write_text(path: Path, text: str) -> Path:
+def _with_parent(path) -> Path:
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_text(path: Path, text: str) -> Path:
+    path = _with_parent(path)
     path.write_text(text)
     return path
 
 
 def _write_json(path: Path, obj, *, compact: bool = False) -> Path:
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path = _with_parent(path)
     with open(path, "w") as handle:
         if compact:
             json.dump(obj, handle, separators=(",", ":"))
@@ -416,10 +415,9 @@ class SavedModel:
 
 
 def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict | None = None) -> Path:
+    spec = op.spec
     payload = {
         "seed": int(seed),
-        "feature_kind": op.feature_kind,
-        "recipient": op.recipient,
         "tau": float(tau),
         "lambda": float(op.model.lam),
         "num_features": int(op.model.num_features),
@@ -427,25 +425,18 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
         "n_train": int(op.model.n_train),
         "weights": op.model.W,
         "a_inv": op.model.A_inv,
+        "bandwidths": spec.inner.bandwidth,
+        "frequencies": spec.inner.frequencies,
+        "phases": spec.inner.phases,
+        "outer": {
+            "center": spec.center,
+            "projection": spec.projection,
+            "frequencies": spec.outer.frequencies,
+            "phases": spec.outer.phases,
+            "bandwidth": spec.outer.bandwidth,
+        },
+        "metadata": extra or {},
     }
-    if op.feature_kind == "joint":
-        inner, outer = op.spec.inner, op.spec.outer
-        payload["bandwidths"] = inner.bandwidth
-        payload["frequencies"] = inner.frequencies
-        payload["phases"] = inner.phases
-        payload["outer"] = {
-            "center": op.spec.center,
-            "projection": op.spec.projection,
-            "frequencies": outer.frequencies,
-            "phases": outer.phases,
-            "bandwidth": outer.bandwidth,
-        }
-    else:
-        spec_x, spec_z = op.spec
-        payload["bandwidths"] = np.concatenate([spec_x.bandwidth, spec_z.bandwidth])
-        payload["frequencies"] = {"x": spec_x.frequencies, "z": spec_z.frequencies}
-        payload["phases"] = {"x": spec_x.phases, "z": spec_z.phases}
-    payload["metadata"] = extra or {}
     payload = _encode_arrays(payload)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -475,37 +466,21 @@ def load_model(path) -> SavedModel:
         raise ModelFormatError("checksum mismatch: model file corrupted or edited")
     try:
         payload = _decode_arrays(doc["payload"])
-        kind = payload["feature_kind"]
-        if kind == "joint":
-            outer = payload["outer"]
-            spec = TwoStageSpec(
-                RffSpec(
-                    np.asarray(payload["frequencies"], dtype=float),
-                    np.asarray(payload["phases"], dtype=float),
-                    np.asarray(payload["bandwidths"], dtype=float),
-                ),
-                np.asarray(outer["center"], dtype=float),
-                np.asarray(outer["projection"], dtype=float),
-                RffSpec(
-                    np.asarray(outer["frequencies"], dtype=float),
-                    np.asarray(outer["phases"], dtype=float),
-                    np.asarray(outer["bandwidth"], dtype=float),
-                ),
-            )
-        else:
-            bw = np.asarray(payload["bandwidths"], dtype=float)
-            spec = (
-                RffSpec(
-                    np.asarray(payload["frequencies"]["x"], dtype=float),
-                    np.asarray(payload["phases"]["x"], dtype=float),
-                    bw[:1],
-                ),
-                RffSpec(
-                    np.asarray(payload["frequencies"]["z"], dtype=float),
-                    np.asarray(payload["phases"]["z"], dtype=float),
-                    bw[1:],
-                ),
-            )
+        outer = payload["outer"]
+        spec = TwoStageSpec(
+            RffSpec(
+                np.asarray(payload["frequencies"], dtype=float),
+                np.asarray(payload["phases"], dtype=float),
+                np.asarray(payload["bandwidths"], dtype=float),
+            ),
+            np.asarray(outer["center"], dtype=float),
+            np.asarray(outer["projection"], dtype=float),
+            RffSpec(
+                np.asarray(outer["frequencies"], dtype=float),
+                np.asarray(outer["phases"], dtype=float),
+                np.asarray(outer["bandwidth"], dtype=float),
+            ),
+        )
         model = RidgeModel(
             np.asarray(payload["weights"], dtype=float),
             float(payload["lambda"]),
@@ -513,7 +488,7 @@ def load_model(path) -> SavedModel:
             float(payload["noise_scale"]),
             int(payload["n_train"]),
         )
-        op = MessageOperator(kind, spec, model, payload.get("recipient", "x"))
+        op = MessageOperator(spec, model)
         return SavedModel(op, float(payload["tau"]), int(payload["seed"]), payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model payload malformed: {exc}") from None
@@ -632,7 +607,7 @@ def cmd_train(config: RunConfig) -> Path:
     rng = _command_rng(config.seed, 1)
     grid = [(m, lam) for m in config.multipliers for lam in config.lambdas]
     op, report, tau = train_operator(
-        pairs, config.feature_kind, config.num_features, rng, grid=grid, folds=config.folds
+        pairs, config.num_features, rng, grid=grid, folds=config.folds
     )
     extra = {
         "n_train_cases": len(pairs),
@@ -914,7 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n-test", dest="n_test", type=int)
     common.add_argument("--n-importance", dest="n_importance", type=int)
     common.add_argument("--num-features", dest="num_features", type=int)
-    common.add_argument("--feature-kind", dest="feature_kind", choices=("joint", "product"))
     common.add_argument("--n-jobs", dest="n_jobs", type=int)
     common.add_argument("--tau", type=float)
     common.add_argument("--budget", type=int)

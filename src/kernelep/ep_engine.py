@@ -183,6 +183,23 @@ def init_state(graph: FactorGraph) -> EpState:
     return EpState(messages=messages)
 
 
+def _natural_sum(graph: FactorGraph, state: EpState, variable_id: str, skip=None):
+    """Natural-parameter sum of the observation and the messages into a variable.
+
+    The message from factor `skip`, if given, is left out.
+    """
+    var = graph.variable(variable_id)
+    eta = np.zeros(2)
+    obs = graph.observations.get(variable_id)
+    if obs is not None:
+        eta += to_natural(obs)
+    for f in graph.factors_adjacent(variable_id):
+        if f.id == skip:
+            continue
+        eta += to_natural(state.messages[(f.id, variable_id)])
+    return from_natural(var.family, eta)
+
+
 def cavity(graph: FactorGraph, state: EpState, factor_id: str, variable_id: str):
     """Product of every other message into the variable, in natural parameters.
 
@@ -191,28 +208,12 @@ def cavity(graph: FactorGraph, state: EpState, factor_id: str, variable_id: str)
     """
     if (factor_id, variable_id) not in state.messages:
         raise DomainError(f"no edge ({factor_id!r}, {variable_id!r})")
-    var = graph.variable(variable_id)
-    eta = np.zeros(2)
-    obs = graph.observations.get(variable_id)
-    if obs is not None:
-        eta += to_natural(obs)
-    for f in graph.factors_adjacent(variable_id):
-        if f.id == factor_id:
-            continue
-        eta += to_natural(state.messages[(f.id, variable_id)])
-    return from_natural(var.family, eta)
+    return _natural_sum(graph, state, variable_id, skip=factor_id)
 
 
 def marginal(graph: FactorGraph, state: EpState, variable_id: str):
     """Product of all incoming messages (and any observation)."""
-    var = graph.variable(variable_id)
-    eta = np.zeros(2)
-    obs = graph.observations.get(variable_id)
-    if obs is not None:
-        eta += to_natural(obs)
-    for f in graph.factors_adjacent(variable_id):
-        eta += to_natural(state.messages[(f.id, variable_id)])
-    return from_natural(var.family, eta)
+    return _natural_sum(graph, state, variable_id)
 
 
 # ---------------------------------------------------------------------------

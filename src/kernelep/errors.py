@@ -25,10 +25,6 @@ class DegenerateSampleError(DomainError):
         self.ess = ess
 
 
-class InfeasibleBetaError(DomainError):
-    """Mean/variance pair outside the feasible region of a Beta distribution."""
-
-
 class GenerationError(KernelEpError):
     """Training-set generation exhausted its resample budget."""
 

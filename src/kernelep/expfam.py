@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, digamma
 
-from .errors import DegenerateMomentsError, DomainError, InfeasibleBetaError
+from .errors import DegenerateMomentsError, DomainError
 
 __all__ = [
     "Gaussian1D",
@@ -36,7 +36,6 @@ __all__ = [
     "mean_sufficient_stats",
     "kl_divergence",
     "project_to_gaussian",
-    "beta_from_mean_var",
     "multiply",
     "divide",
     "sample",
@@ -225,30 +224,12 @@ def project_to_gaussian(moments) -> Gaussian1D:
     return Gaussian1D(float(m[0]), float(variance))
 
 
-def beta_from_mean_var(mean: float, variance: float) -> BetaDist:
-    """Beta distribution with the given mean and variance (moment matching)."""
-    if not (0.0 < mean < 1.0):
-        raise InfeasibleBetaError(f"Beta mean must lie in (0, 1), got {mean}")
-    bound = mean * (1.0 - mean)
-    if not (0.0 < variance < bound):
-        raise InfeasibleBetaError(
-            f"variance {variance} infeasible for Beta with mean {mean} (bound {bound})"
-        )
-    scale = bound / variance - 1.0
-    return BetaDist(mean * scale, (1.0 - mean) * scale)
-
-
 def _combine(a: ExpFamDist, b: ExpFamDist, sign: float) -> ExpFamDist:
     if type(a) is not type(b):
         raise DomainError("message arithmetic requires matching families")
     eta = to_natural(a) + sign * to_natural(b)
     if isinstance(a, Gaussian1D):
-        precision = -2.0 * eta[1]
-        if precision == 0.0:
-            if eta[0] == 0.0:
-                return Gaussian1D.uniform()
-            return Gaussian1D(math.copysign(math.inf, eta[0]), math.inf)
-        return Gaussian1D(float(eta[0] / precision), float(1.0 / precision))
+        return from_natural("gaussian", eta)
     # Beta: construct directly so improper results carry the flag, not a throw
     return BetaDist(float(eta[0] + 1.0), float(eta[1] + 1.0))
 

@@ -23,12 +23,7 @@ import numpy as np
 from scipy.special import betaln, expit, logsumexp
 
 from .errors import DegenerateSampleError, DomainError, GenerationError
-from .expfam import (
-    BetaDist,
-    Gaussian1D,
-    beta_from_mean_var,
-    project_to_gaussian,
-)
+from .expfam import BetaDist, Gaussian1D, project_to_gaussian
 
 __all__ = [
     "IncomingTuple",
@@ -39,7 +34,6 @@ __all__ = [
     "logistic",
     "tilted_sample",
     "oracle_to_x",
-    "oracle_to_z",
     "sample_incoming",
     "gen_training_set",
 ]
@@ -145,17 +139,6 @@ def oracle_to_x(
     """Projected tilted marginal on the X side, by importance sampling."""
     x, w, ess = tilted_sample(inc, n, rng)
     return project_to_gaussian([w @ x, w @ (x * x)]), ess
-
-
-def oracle_to_z(
-    inc: IncomingTuple, n: int, rng: np.random.Generator
-) -> tuple[BetaDist, float]:
-    """Moment-matched Beta for z = logistic(x) under the tilted distribution."""
-    x, w, ess = tilted_sample(inc, n, rng)
-    z = logistic(x)
-    mean = float(w @ z)
-    var = float(w @ (z * z)) - mean * mean
-    return beta_from_mean_var(mean, var), ess
 
 
 def sample_incoming(prior: IncomingPrior, rng: np.random.Generator) -> IncomingTuple:

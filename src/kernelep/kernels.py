@@ -52,8 +52,6 @@ __all__ = [
     "beta_cf_batch",
     "expected_feature_gaussian",
     "expected_feature_beta",
-    "expected_feature_gaussian_batch",
-    "expected_feature_beta_batch",
     "joint_features",
     "joint_features_batch",
     "principal_projection",
@@ -262,6 +260,23 @@ def _beta_cf_fixed(omega: np.ndarray, b: BetaDist, order: int) -> np.ndarray:
     return np.exp(1j * np.outer(omega, z)) @ (w * dens)
 
 
+def _until_converged(at_order, label: str):
+    """Evaluate at_order(order) from QUAD_ORDER up, doubling the order.
+
+    Returns the first result that agrees with its predecessor to QUAD_TOL
+    everywhere; escalation past QUAD_ORDER_CAP raises QuadratureError naming
+    `label`.
+    """
+    prev = at_order(QUAD_ORDER)
+    order = 2 * QUAD_ORDER
+    while order <= QUAD_ORDER_CAP:
+        cur = at_order(order)
+        if np.max(np.abs(cur - prev)) <= QUAD_TOL:
+            return cur
+        prev, order = cur, 2 * order
+    raise QuadratureError(f"{label} did not converge by order {QUAD_ORDER_CAP}")
+
+
 def beta_cf(omega: np.ndarray, b: BetaDist) -> np.ndarray:
     """Characteristic function E[e^{i w z}] of a Beta by adaptive quadrature.
 
@@ -271,15 +286,8 @@ def beta_cf(omega: np.ndarray, b: BetaDist) -> np.ndarray:
     if b.improper:
         raise DomainError("characteristic function of an improper Beta")
     omega = np.asarray(omega, dtype=float)
-    prev = _beta_cf_fixed(omega, b, QUAD_ORDER)
-    order = 2 * QUAD_ORDER
-    while order <= QUAD_ORDER_CAP:
-        cur = _beta_cf_fixed(omega, b, order)
-        if np.max(np.abs(cur - prev)) <= QUAD_TOL:
-            return cur
-        prev, order = cur, 2 * order
-    raise QuadratureError(
-        f"Beta({b.alpha}, {b.beta}) quadrature did not converge by order {QUAD_ORDER_CAP}"
+    return _until_converged(
+        lambda order: _beta_cf_fixed(omega, b, order), f"Beta({b.alpha}, {b.beta}) quadrature"
     )
 
 
@@ -306,14 +314,7 @@ def beta_cf_batch(omega: np.ndarray, betas) -> np.ndarray:
         weighted = np.exp(log_pdf) * w
         return weighted @ np.exp(1j * np.outer(z, omega))
 
-    prev = at_order(QUAD_ORDER)
-    order = 2 * QUAD_ORDER
-    while order <= QUAD_ORDER_CAP:
-        cur = at_order(order)
-        if np.max(np.abs(cur - prev)) <= QUAD_TOL:
-            return cur
-        prev, order = cur, 2 * order
-    raise QuadratureError(f"batch Beta quadrature did not converge by order {QUAD_ORDER_CAP}")
+    return _until_converged(at_order, "batch Beta quadrature")
 
 
 def expected_feature_gaussian(spec: RffSpec, g: Gaussian1D) -> np.ndarray:
@@ -334,28 +335,6 @@ def expected_feature_beta(spec: RffSpec, b: BetaDist) -> np.ndarray:
         raise DomainError("expected_feature_beta needs a 1-dim spec")
     w = spec.frequencies[:, 0]
     cf = beta_cf(w, b)
-    return _feature_scale(spec.num_features) * (np.exp(1j * spec.phases) * cf).real
-
-
-def expected_feature_gaussian_batch(spec: RffSpec, gaussians) -> np.ndarray:
-    """expected_feature_gaussian for many Gaussians; returns (n, num_features)."""
-    if spec.input_dim != 1:
-        raise DomainError("expected_feature_gaussian needs a 1-dim spec")
-    means = np.array([g.mean for g in gaussians])
-    variances = np.array([g.variance for g in gaussians])
-    if np.any(variances <= 0) or not np.all(np.isfinite(means)):
-        raise DomainError("expected features of an improper Gaussian")
-    w = spec.frequencies[:, 0]
-    return _feature_scale(spec.num_features) * np.cos(
-        np.outer(means, w) + spec.phases
-    ) * np.exp(-0.5 * np.outer(variances, w**2))
-
-
-def expected_feature_beta_batch(spec: RffSpec, betas) -> np.ndarray:
-    """expected_feature_beta for many Betas; returns (n, num_features)."""
-    if spec.input_dim != 1:
-        raise DomainError("expected_feature_beta needs a 1-dim spec")
-    cf = beta_cf_batch(spec.frequencies[:, 0], betas)
     return _feature_scale(spec.num_features) * (np.exp(1j * spec.phases) * cf).real
 
 
@@ -474,14 +453,7 @@ def exact_beta_kernel(b1: BetaDist, b2: BetaDist, gamma: float) -> float:
         kmat = np.exp(-((z[:, None] - z[None, :]) ** 2) / (2.0 * gamma**2))
         return float(weighted_pdf(b1) @ kmat @ weighted_pdf(b2))
 
-    prev = at_order(QUAD_ORDER)
-    order = 2 * QUAD_ORDER
-    while order <= QUAD_ORDER_CAP:
-        cur = at_order(order)
-        if abs(cur - prev) <= QUAD_TOL:
-            return cur
-        prev, order = cur, 2 * order
-    raise QuadratureError(f"Beta kernel quadrature did not converge by order {QUAD_ORDER_CAP}")
+    return _until_converged(at_order, "Beta kernel quadrature")
 
 
 def exact_kernel(kind: str, a: IncomingTuple, b: IncomingTuple, gamma) -> float:

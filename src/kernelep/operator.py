@@ -1,12 +1,13 @@
 """Learned message operator: feature pipeline, ridge model, output transform.
 
-An operator maps the incoming messages at a factor to the projected outgoing
-approximation q for one recipient variable.  Predictions come out in
-(E, log V) form and are inverted through exp, so a finite prediction always
-yields a proper distribution.  The operator is policy-free about improper
-downstream messages and about when to trust itself: `decide` merely compares
-predictive variance against a threshold, and the inference engine owns the
-oracle budget.
+An operator maps the incoming messages at the logistic factor, a Gaussian on
+x and a Beta on z, to the projected tilted Gaussian q on x, and so to the
+outgoing message to x.  Predictions come out in (E, log V) form and are
+inverted through exp, so a finite prediction always yields a proper
+distribution.  The operator is policy-free about improper downstream
+messages and about when to trust itself: `decide` merely compares predictive
+variance against a threshold, and the inference engine owns the oracle
+budget.
 
 Incoming Beta observations repeat across an EP run, so the Beta side of the
 (inner) joint embedding is memoized per (alpha, beta); the Gaussian side is
@@ -23,18 +24,15 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, PredictionError
-from .expfam import BetaDist, ExpFamDist, Gaussian1D, beta_from_mean_var, divide
+from .expfam import Gaussian1D, divide
 from .factors import IncomingTuple, TrainingPair
 from .kernels import (
     RffSpec,
     TwoStageSpec,
     beta_cf,
     draw_rff,
+    _feature_scale,
     embedding_features,
-    expected_feature_beta,
-    expected_feature_beta_batch,
-    expected_feature_gaussian,
-    expected_feature_gaussian_batch,
     gaussian_cf,
     joint_features_batch,
     median_distance,
@@ -68,51 +66,32 @@ __all__ = [
     "train_operator",
 ]
 
-_FEATURE_SCALE = lambda d: math.sqrt(2.0 / d)  # noqa: E731
-
-# Two-stage sizing for the joint kind (see train_operator).
+# Two-stage sizing (see train_operator).
 INNER_WIDTH_CAP = 500
 PROJECTION_DIM = 16
 
 
 @dataclass(frozen=True, eq=False)
 class MessageOperator:
-    """Immutable trained operator for one factor/recipient pair.
+    """Immutable trained operator for the logistic factor's message to x.
 
-    spec is, for the joint kind, a TwoStageSpec (a Gaussian kernel on
-    projected joint embeddings, what train_operator builds) or a plain 2-dim
-    RffSpec (features linear in the joint embedding); for the product kind it
-    is an (x-side, z-side) pair of 1-dim specs.  The output transform is
-    fixed as (E, log V).  _beta_cache memoizes the z-side feature work per
-    Beta parameters (at the inner width for a two-stage spec); it never
-    affects results, only latency.
+    spec is a TwoStageSpec (a Gaussian kernel on projected joint embeddings,
+    what train_operator builds) or a plain 2-dim RffSpec (features linear in
+    the joint embedding).  The output transform is fixed as (E, log V).
+    _beta_cache memoizes the Beta side's feature work per Beta parameters
+    (at the inner width for a two-stage spec); it never affects results,
+    only latency.
     """
 
-    feature_kind: str
-    spec: Union[RffSpec, tuple[RffSpec, RffSpec]]
+    spec: Union[RffSpec, TwoStageSpec]
     model: RidgeModel
-    recipient: str = "x"
     _beta_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.feature_kind not in ("product", "joint"):
-            raise DomainError(f"unknown feature kind {self.feature_kind!r}")
-        if self.recipient not in ("x", "z"):
-            raise DomainError(f"unknown recipient {self.recipient!r}")
-        if self.feature_kind == "joint":
-            if (
-                not isinstance(self.spec, (RffSpec, TwoStageSpec))
-                or self.spec.input_dim != 2
-            ):
-                raise DomainError("joint kind needs one 2-dim RffSpec or a TwoStageSpec")
-            if self.spec.num_features != self.model.num_features:
-                raise DomainError("spec feature count does not match model")
-        else:
-            sx, sz = self.spec
-            if sx.input_dim != 1 or sz.input_dim != 1:
-                raise DomainError("product kind needs two 1-dim RffSpecs")
-            if sx.num_features * sz.num_features != self.model.num_features:
-                raise DomainError("spec feature counts do not match model")
+        if not isinstance(self.spec, (RffSpec, TwoStageSpec)) or self.spec.input_dim != 2:
+            raise DomainError("operator needs one 2-dim RffSpec or a TwoStageSpec")
+        if self.spec.num_features != self.model.num_features:
+            raise DomainError("spec feature count does not match model")
 
 
 @dataclass(frozen=True)
@@ -131,7 +110,7 @@ class UncertaintyPolicy:
 
 @dataclass(frozen=True)
 class UsePrediction:
-    q: ExpFamDist
+    q: Gaussian1D
     variance: float
 
 
@@ -140,14 +119,17 @@ class QueryOracle:
     variance: float
 
 
-def _joint_phi(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
+def featurize(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
+    """Feature vector of an incoming tuple under the operator's spec."""
+    if not inc.proper:
+        raise DomainError("cannot featurize improper incoming messages")
     spec = op.spec
     inner = spec.inner if isinstance(spec, TwoStageSpec) else spec
     key = (inc.m_z.alpha, inc.m_z.beta)
     cf_z = op._beta_cache.get(key)
     if cf_z is None:
         # the feature scale and phases ride along with the cached Beta factor
-        cf_z = (_FEATURE_SCALE(inner.num_features) * np.exp(1j * inner.phases)) * beta_cf(
+        cf_z = (_feature_scale(inner.num_features) * np.exp(1j * inner.phases)) * beta_cf(
             inner.frequencies[:, 1], inc.m_z
         )
         op._beta_cache[key] = cf_z
@@ -155,26 +137,8 @@ def _joint_phi(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
     return emb if inner is spec else embedding_features(spec, emb)
 
 
-def _product_phi(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
-    spec_x, spec_z = op.spec
-    key = (inc.m_z.alpha, inc.m_z.beta)
-    f_z = op._beta_cache.get(key)
-    if f_z is None:
-        f_z = expected_feature_beta(spec_z, inc.m_z)
-        op._beta_cache[key] = f_z
-    f_x = expected_feature_gaussian(spec_x, inc.m_x)
-    return np.kron(f_x, f_z)
-
-
-def featurize(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
-    """Feature vector of an incoming tuple under the operator's spec."""
-    if not inc.proper:
-        raise DomainError("cannot featurize improper incoming messages")
-    return _joint_phi(op, inc) if op.feature_kind == "joint" else _product_phi(op, inc)
-
-
 def warm_beta_cache(op: MessageOperator, betas) -> None:
-    """Precompute the z-side feature factors for known Beta messages.
+    """Precompute the Beta-side feature factors for known Beta messages.
 
     The quadrature behind a never-seen (alpha, beta) pair costs tens of
     milliseconds; everything afterwards is a dictionary hit. Callers that
@@ -188,36 +152,26 @@ def warm_beta_cache(op: MessageOperator, betas) -> None:
 
 def featurize_batch(op: MessageOperator, tuples) -> np.ndarray:
     """Feature matrix (D x N) for a list of tuples (training layout)."""
-    if op.feature_kind == "joint":
-        return joint_features_batch(op.spec, tuples).T
-    spec_x, spec_z = op.spec
-    fx = expected_feature_gaussian_batch(spec_x, [t.m_x for t in tuples])
-    fz = expected_feature_beta_batch(spec_z, [t.m_z for t in tuples])
-    return np.einsum("ni,nj->nij", fx, fz).reshape(len(tuples), -1).T
+    return joint_features_batch(op.spec, tuples).T
 
 
-def _q_from_output(op: MessageOperator, y: np.ndarray) -> ExpFamDist:
+def _q_from_output(y: np.ndarray) -> Gaussian1D:
     if not np.all(np.isfinite(y)):
         raise PredictionError(f"non-finite operator prediction {y}")
-    mean, variance = float(y[0]), math.exp(float(y[1]))
-    if op.recipient == "x":
-        q = Gaussian1D(mean, variance)
-        if q.improper:
-            raise PredictionError(f"prediction maps to improper Gaussian {q}")
-        return q
-    return beta_from_mean_var(mean, variance)
+    q = Gaussian1D(float(y[0]), math.exp(float(y[1])))
+    if q.improper:
+        raise PredictionError(f"prediction maps to improper Gaussian {q}")
+    return q
 
 
-def predict_q(op: MessageOperator, inc: IncomingTuple) -> ExpFamDist:
-    """Predicted projected-tilted distribution for the recipient."""
-    return _q_from_output(op, predict(op.model, featurize(op, inc)))
+def predict_q(op: MessageOperator, inc: IncomingTuple) -> Gaussian1D:
+    """Predicted projected-tilted distribution on x."""
+    return _q_from_output(predict(op.model, featurize(op, inc)))
 
 
-def outgoing_message(op: MessageOperator, inc: IncomingTuple) -> ExpFamDist:
-    """q divided by the recipient's incoming message; may be improper-flagged."""
-    q = predict_q(op, inc)
-    cavity = inc.m_x if op.recipient == "x" else inc.m_z
-    return divide(q, cavity)
+def outgoing_message(op: MessageOperator, inc: IncomingTuple) -> Gaussian1D:
+    """q divided by the incoming message on x; may be improper-flagged."""
+    return divide(predict_q(op, inc), inc.m_x)
 
 
 def decide(
@@ -228,7 +182,7 @@ def decide(
     variance = predictive_variance(op.model, phi)
     if variance > policy.tau and policy.budget > 0:
         return QueryOracle(variance)
-    return UsePrediction(_q_from_output(op, predict(op.model, phi)), variance)
+    return UsePrediction(_q_from_output(predict(op.model, phi)), variance)
 
 
 def absorb(op: MessageOperator, inc: IncomingTuple, oracle_result) -> MessageOperator:
@@ -253,7 +207,6 @@ def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
 
 def train_operator(
     pairs: list[TrainingPair],
-    feature_kind: str,
     num_features: int,
     rng: np.random.Generator,
     grid=None,
@@ -261,24 +214,16 @@ def train_operator(
 ) -> tuple[MessageOperator, CvReport, float]:
     """Full training pipeline on generated pairs.
 
-    Bandwidths come from the median heuristic, scaled over the grid's
-    multipliers by rescaling one frozen frequency draw; lambda and multiplier
-    are chosen by K-fold cross-validation on the pairs and the final model
-    refits on all of them.  Returns the operator, the CV report, and the
-    calibrated tau.
-
-    For the product kind num_features is the per-side count and the features
-    are the Kronecker product of the two sides' expected features.
-
-    For the joint kind the operator regresses on a two-stage feature map
-    (TwoStageSpec), and num_features is the width of its outer layer, the
-    one the ridge model sees.  Per multiplier m:
+    The operator regresses on a two-stage feature map (TwoStageSpec), and
+    num_features is the width of its outer layer, the one the ridge model
+    sees.  Per bandwidth multiplier m of the grid:
 
     - inner: joint embeddings under the median-heuristic bandwidths times m,
       at width min(num_features, INNER_WIDTH_CAP).  Over the prior box the
       embeddings have an effective rank of a few dozen, which 500 features
       resolve; a wider draw costs Beta quadrature and per-message time
-      without sharpening the projection.
+      without sharpening the projection.  One frozen frequency draw is
+      rescaled to each m.
     - projection: centre the training embeddings and keep their top
       min(PROJECTION_DIM, inner width, n - 1) principal directions; n - 1 is
       the rank of n centred points.  On the default prior box 16 directions
@@ -290,7 +235,9 @@ def train_operator(
       at unit bandwidth is rescaled to each multiplier's sigma.
 
     The projection and sigma use the training inputs only, never targets, so
-    CV chooses just m and lambda, as for the product kind.
+    K-fold cross-validation on the pairs chooses just m and lambda, and the
+    final model refits on all of them.  Returns the operator, the CV report,
+    and the calibrated tau.
     """
     if grid is None:
         grid = default_grid()
@@ -298,40 +245,25 @@ def train_operator(
     Y = np.array([p.target for p in pairs]).T
     gamma_x, gamma_z = median_heuristic(tuples)
 
-    if feature_kind == "joint":
-        inner_width = min(num_features, INNER_WIDTH_CAP)
-        k = min(PROJECTION_DIM, inner_width, len(tuples) - 1)
-        base = draw_rff(2, inner_width, (gamma_x, gamma_z), rng)
-        base_outer = draw_rff(k, num_features, 1.0, rng)
-        specs, feats = {}, {}
-        for m in sorted({m for m, _ in grid}):
-            inner = rescale(base, m)
-            emb = joint_features_batch(inner, tuples)
-            center, projection = principal_projection(emb, k)
-            projected = (emb - center) @ projection
-            outer = rescale(base_outer, median_distance(projected))
-            specs[m] = TwoStageSpec(inner, center, projection, outer)
-            # the map featurize_batch applies, so training features equal its output
-            feats[m] = embedding_features(specs[m], emb).T
-    elif feature_kind == "product":
-        base_x = draw_rff(1, num_features, gamma_x, rng)
-        base_z = draw_rff(1, num_features, gamma_z, rng)
-        specs = {
-            m: (rescale(base_x, m), rescale(base_z, m))
-            for m in sorted({m for m, _ in grid})
-        }
-        feats = {}
-        for m, (sx, sz) in specs.items():
-            fx = expected_feature_gaussian_batch(sx, [t.m_x for t in tuples])
-            fz = expected_feature_beta_batch(sz, [t.m_z for t in tuples])
-            feats[m] = np.einsum("ni,nj->nij", fx, fz).reshape(len(tuples), -1).T
-    else:
-        raise DomainError(f"unknown feature kind {feature_kind!r}")
+    inner_width = min(num_features, INNER_WIDTH_CAP)
+    k = min(PROJECTION_DIM, inner_width, len(tuples) - 1)
+    base = draw_rff(2, inner_width, (gamma_x, gamma_z), rng)
+    base_outer = draw_rff(k, num_features, 1.0, rng)
+    specs, feats = {}, {}
+    for m in sorted({m for m, _ in grid}):
+        inner = rescale(base, m)
+        emb = joint_features_batch(inner, tuples)
+        center, projection = principal_projection(emb, k)
+        projected = (emb - center) @ projection
+        outer = rescale(base_outer, median_distance(projected))
+        specs[m] = TwoStageSpec(inner, center, projection, outer)
+        # the map featurize_batch applies, so training features equal its output
+        feats[m] = embedding_features(specs[m], emb).T
 
     cv_rng = rng.spawn(1)[0]
     report = cross_validate(feats, Y, grid=grid, folds=folds, rng=cv_rng)
     mult, lam = report.chosen_params
     model = fit(feats[mult], Y, lam)
-    op = MessageOperator(feature_kind, specs[mult], model)
+    op = MessageOperator(specs[mult], model)
     tau = default_tau(model, feats[mult])
     return op, report, tau

@@ -79,7 +79,6 @@ def pipeline(tmp_path_factory):
         "n_test": 200,
         "n_importance": 10_000,
         "num_features": 2000,
-        "feature_kind": "joint",
         "dataset": str(root / "train.csv"),
         "model": str(root / "model.json"),
         "graph": str(root / "graph.json"),
@@ -345,7 +344,6 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
             "n_test": 5,
             "n_importance": 600,
             "num_features": 16,
-            "feature_kind": "joint",
             "n_jobs": n_jobs,
             "tau": 1e-12,
             "budget": 3,

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface and its file formats."""
 
 import base64
+import hashlib
 import json
 import math
 
@@ -37,7 +38,6 @@ BASE = {
     "n_test": 25,
     "n_importance": 1500,
     "num_features": 40,
-    "feature_kind": "joint",
     "cv": {"multipliers": [0.5, 1.0, 2.0], "lambdas": [1e-6, 1e-4, 1e-2], "folds": 4},
 }
 
@@ -148,7 +148,7 @@ def test_model_reload_predicts_bit_identically(ws):
     pairs = load_dataset(data["dataset"])
     rng = np.random.default_rng(np.random.SeedSequence([BASE["seed"], 1]))
     grid = [(m, lam) for m in BASE["cv"]["multipliers"] for lam in BASE["cv"]["lambdas"]]
-    op, _, tau = train_operator(pairs, "joint", BASE["num_features"], rng, grid=grid, folds=4)
+    op, _, tau = train_operator(pairs, BASE["num_features"], rng, grid=grid, folds=4)
     loaded = load_model(data["model"])
     assert loaded.tau == tau
     assert loaded.seed == BASE["seed"]
@@ -162,7 +162,7 @@ def test_model_payload_fields(ws):
     _, data = ws
     payload = load_model(data["model"]).payload
     expected = {
-        "seed", "feature_kind", "bandwidths", "lambda", "num_features",
+        "seed", "bandwidths", "lambda", "num_features",
         "frequencies", "phases", "weights", "a_inv", "noise_scale", "tau",
         "n_train", "metadata",
     }
@@ -238,6 +238,35 @@ def test_model_corruption_detected(ws, tmp_path):
     versioned.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="version"):
         load_model(versioned)
+
+
+def test_model_product_kind_payload_refused(tmp_path):
+    # a well-formed version-3 file of the former product kind: two 1-dim
+    # sides of width 6 whose Kronecker product gives the model's 36 features
+    rng = np.random.default_rng(3)
+
+    def record(arr):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        return {"dtype": "<f8", "shape": list(arr.shape),
+                "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+    payload = {
+        "seed": 0, "feature_kind": "product", "recipient": "x", "tau": 0.1,
+        "lambda": 1e-6, "num_features": 36, "noise_scale": 1.0, "n_train": 10,
+        "weights": record(rng.normal(size=(2, 36))), "a_inv": record(np.eye(36)),
+        "bandwidths": record([1.0, 0.25]),
+        "frequencies": {"x": record(rng.normal(size=(6, 1))), "z": record(rng.normal(size=(6, 1)))},
+        "phases": {"x": record(rng.uniform(0, 6, 6)), "z": record(rng.uniform(0, 6, 6))},
+        "metadata": {},
+    }
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    doc = {"format_version": 3, "checksum": hashlib.sha256(canon.encode()).hexdigest(),
+           "payload": payload}
+    assert MODEL_FORMAT_VERSION == 3
+    product = tmp_path / "product.json"
+    product.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(product)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +519,14 @@ def test_main_exit_codes(tmp_path):
     assert main(["gen-data", "--config", str(badcfg)]) == 1
     badcfg.write_text(json.dumps({"bogus": 1}))
     assert main(["gen-data", "--config", str(badcfg)]) == 1
+
+
+def test_feature_kind_option_removed():
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--feature-kind", "product"])
+    assert exc.value.code == 2
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        make_config({"feature_kind": "joint"})
 
 
 def test_main_flags_override_config_file(tmp_path):

@@ -86,7 +86,7 @@ def chain_exact_marginals():
 @pytest.fixture(scope="module")
 def demo_operator():
     pairs = gen_training_set(IncomingPrior(), 400, 4000, np.random.default_rng(881))
-    op, _, tau = train_operator(pairs, "joint", 80, np.random.default_rng(882))
+    op, _, tau = train_operator(pairs, 80, np.random.default_rng(882))
     return op, tau
 
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kernelep.errors import DegenerateMomentsError, DomainError, InfeasibleBetaError
+from kernelep.errors import DegenerateMomentsError, DomainError
 from kernelep.expfam import (
     BetaDist,
     Gaussian1D,
-    beta_from_mean_var,
     divide,
     from_natural,
     kl_divergence,
@@ -111,20 +110,6 @@ def test_zero_precision_nonzero_tilt_is_flagged():
 def test_from_natural_rejects_bad_beta():
     with pytest.raises(DomainError):
         from_natural("beta", [-1.5, 2.0])
-
-
-def test_beta_from_mean_var_round_trip():
-    src = BetaDist(5.0, 2.0)
-    fit = beta_from_mean_var(src.mean, src.variance)
-    assert fit.alpha == pytest.approx(src.alpha, rel=1e-12)
-    assert fit.beta == pytest.approx(src.beta, rel=1e-12)
-
-
-def test_beta_from_mean_var_infeasible():
-    with pytest.raises(InfeasibleBetaError):
-        beta_from_mean_var(0.5, 0.25)  # at the Bernoulli bound
-    with pytest.raises(InfeasibleBetaError):
-        beta_from_mean_var(1.2, 0.01)
 
 
 def test_beta_uniform_log_pdf_is_zero():

@@ -14,7 +14,6 @@ from kernelep.factors import (
     gen_training_set,
     logistic,
     oracle_to_x,
-    oracle_to_z,
     sample_incoming,
     tilted_sample,
 )
@@ -74,19 +73,7 @@ def test_oracle_to_x_matches_quadrature_within_3se():
     assert abs(w @ (x * x) - ref["Ex2"]) <= 3.0 * se_second
 
 
-def test_oracle_to_z_point_mass_at_zero():
-    inc = IncomingTuple(Gaussian1D(0.0, 1e-8), BetaDist(1.0, 1.0))
-    q, _ = oracle_to_z(inc, 10_000, np.random.default_rng(0))
-    assert q.mean == pytest.approx(0.5, abs=1e-4)
-
-
-def test_oracle_to_z_symmetric_case():
-    inc = IncomingTuple(Gaussian1D(0.0, 4.0), BetaDist(3.0, 3.0))
-    q, _ = oracle_to_z(inc, 100_000, np.random.default_rng(5))
-    assert q.mean == pytest.approx(0.5, abs=0.01)
-
-
-def test_oracle_to_z_matches_quadrature_within_3se():
+def test_tilted_logistic_moments_match_quadrature_within_3se():
     inc = IncomingTuple(Gaussian1D(1.0, 1.0), BetaDist(2.0, 2.0))
     rng = np.random.default_rng(42)
     x, w, _ = tilted_sample(inc, 100_000, rng)

@@ -11,6 +11,7 @@ from kernelep.kernels import (
     RffSpec,
     TwoStageSpec,
     beta_cf,
+    beta_cf_batch,
     draw_rff,
     exact_beta_kernel,
     exact_gauss_kernel,
@@ -307,6 +308,10 @@ def test_quadrature_cap_raises(monkeypatch):
     monkeypatch.setattr("kernelep.kernels.QUAD_ORDER_CAP", 64)
     with pytest.raises(QuadratureError):
         beta_cf(np.array([1.0]), BetaDist(0.5, 0.5))
+    with pytest.raises(QuadratureError):
+        beta_cf_batch(np.array([1.0]), [BetaDist(0.5, 0.5), BetaDist(2.0, 3.0)])
+    with pytest.raises(QuadratureError):
+        exact_beta_kernel(BetaDist(0.5, 0.5), BetaDist(2.0, 3.0), 0.25)
 
 
 def test_gaussian_cf_known_value():

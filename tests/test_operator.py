@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,9 +53,7 @@ def flat_beta_pairs(n, seed):
 @pytest.fixture(scope="module")
 def flat_op():
     # n well above the feature count, so predictive variances are calibrated
-    op, _, _ = train_operator(
-        flat_beta_pairs(300, seed=31), "joint", 100, np.random.default_rng(32)
-    )
+    op, _, _ = train_operator(flat_beta_pairs(300, seed=31), 100, np.random.default_rng(32))
     return op
 
 
@@ -65,7 +62,7 @@ def trained():
     pairs = gen_training_set(
         IncomingPrior(), 300, 4000, np.random.default_rng(101)
     )
-    op, report, tau = train_operator(pairs, "joint", 60, np.random.default_rng(202))
+    op, report, tau = train_operator(pairs, 60, np.random.default_rng(202))
     return pairs, op, report, tau
 
 
@@ -75,7 +72,7 @@ def test_featurize_deterministic(trained):
     first = featurize(op, inc)
     second = featurize(op, inc)  # second call hits the Beta cache
     np.testing.assert_array_equal(first, second)
-    fresh = MessageOperator(op.feature_kind, op.spec, op.model)
+    fresh = MessageOperator(op.spec, op.model)
     np.testing.assert_array_equal(featurize(fresh, inc), first)
     assert first.shape == (op.model.num_features,)
 
@@ -92,15 +89,6 @@ def test_featurize_joint_matches_kernels_module(trained):
     np.testing.assert_allclose(
         featurize(op, inc), joint_features(op.spec, inc), atol=1e-12
     )
-
-
-def test_product_kind_entry_bound():
-    pairs = flat_beta_pairs(40, seed=33)
-    op, _, _ = train_operator(pairs, "product", 12, np.random.default_rng(34))
-    inc = IncomingTuple(Gaussian1D(1.0, 0.5), BetaDist(2.0, 5.0))
-    phi = featurize(op, inc)
-    assert phi.shape == (144,)
-    assert np.max(np.abs(phi)) <= 2.0 / 12 + 1e-12
 
 
 def test_featurize_batch_matches_single(trained):
@@ -121,12 +109,12 @@ def test_mean_output_memorizes_at_tiny_ridge():
     # effective rank of the gram is far below n regardless of lam.
     pairs = flat_beta_pairs(50, seed=35)
     spec = draw_rff(2, 200, (2.0, 0.2), np.random.default_rng(36))
-    dummy = MessageOperator("joint", spec, RidgeModel(
+    dummy = MessageOperator(spec, RidgeModel(
         np.zeros((2, 200)), 1.0, np.eye(200), 1.0, 1
     ))
     Phi = featurize_batch(dummy, [p.input for p in pairs])
     Y = np.array([p.target for p in pairs]).T
-    op = MessageOperator("joint", spec, fit(Phi, Y, 1e-8))
+    op = MessageOperator(spec, fit(Phi, Y, 1e-8))
     fitted = op.model.W @ Phi
     assert np.max(np.abs(fitted[0] - Y[0])) <= 1e-2
 
@@ -173,13 +161,13 @@ def test_outgoing_division_round_trip(trained):
 def test_prediction_errors_surface():
     spec = draw_rff(2, 16, (1.0, 0.25), np.random.default_rng(38))
     nan_model = RidgeModel(np.full((2, 16), np.nan), 1.0, np.eye(16), 1.0, 1)
-    op = MessageOperator("joint", spec, nan_model)
+    op = MessageOperator(spec, nan_model)
     inc = IncomingTuple(Gaussian1D(0.0, 1.0), BetaDist(2.0, 2.0))
     with pytest.raises(PredictionError):
         predict_q(op, inc)
     huge_model = RidgeModel(np.full((2, 16), 1e9), 1.0, np.eye(16), 1.0, 1)
     with pytest.raises(PredictionError):
-        predict_q(MessageOperator("joint", spec, huge_model), inc)
+        predict_q(MessageOperator(spec, huge_model), inc)
 
 
 def test_output_variance_always_positive(trained):
@@ -190,14 +178,8 @@ def test_output_variance_always_positive(trained):
         assert not q.improper
 
 
-def test_recipient_z_output_transform(trained):
-    _, op, _, _ = trained
-    op_z = replace(op, recipient="z")
-    q = _q_from_output(op_z, np.array([0.6, math.log(0.03)]))
-    assert isinstance(q, BetaDist)
-    assert q.mean == pytest.approx(0.6, rel=1e-12)
-    assert q.variance == pytest.approx(0.03, rel=1e-12)
-    g = _q_from_output(op, np.array([0.5, math.log(2.0)]))
+def test_output_transform_gives_gaussian():
+    g = _q_from_output(np.array([0.5, math.log(2.0)]))
     assert g == Gaussian1D(0.5, 2.0)
 
 
@@ -267,8 +249,8 @@ def test_train_operator_reports(trained):
 
 def test_train_operator_deterministic():
     pairs = flat_beta_pairs(30, seed=40)
-    op1, rep1, tau1 = train_operator(pairs, "joint", 40, np.random.default_rng(41))
-    op2, rep2, tau2 = train_operator(pairs, "joint", 40, np.random.default_rng(41))
+    op1, rep1, tau1 = train_operator(pairs, 40, np.random.default_rng(41))
+    op2, rep2, tau2 = train_operator(pairs, 40, np.random.default_rng(41))
     np.testing.assert_array_equal(op1.model.W, op2.model.W)
     np.testing.assert_array_equal(op1.spec.frequencies, op2.spec.frequencies)
     assert rep1.chosen == rep2.chosen
@@ -280,11 +262,8 @@ def test_operator_validation():
     spec2 = draw_rff(2, 8, (1.0, 0.25), np.random.default_rng(43))
     model = RidgeModel(np.zeros((2, 8)), 1.0, np.eye(8), 1.0, 1)
     with pytest.raises(DomainError):
-        MessageOperator("joint", spec1, model)  # wrong input_dim
-    with pytest.raises(DomainError):
-        MessageOperator("spectral", spec2, model)
-    with pytest.raises(DomainError):
-        MessageOperator("joint", spec2, model, recipient="w")
+        MessageOperator(spec1, model)  # wrong input_dim
+    assert MessageOperator(spec2, model).spec is spec2
     with pytest.raises(DomainError):
         UncertaintyPolicy(tau=0.0, budget=1)
     with pytest.raises(DomainError):
@@ -307,9 +286,7 @@ def test_joint_training_builds_two_stage_spec(trained):
 def test_joint_training_sizes_projection_by_case_count():
     # 12 centred cases span at most 11 directions
     pairs = flat_beta_pairs(12, seed=44)
-    op, _, _ = train_operator(
-        pairs, "joint", 700, np.random.default_rng(45), grid=[(1.0, 1e-4)], folds=3
-    )
+    op, _, _ = train_operator(pairs, 700, np.random.default_rng(45), grid=[(1.0, 1e-4)], folds=3)
     assert op.spec.inner.num_features == 500
     assert op.spec.projection.shape == (500, 11)
     assert op.model.num_features == 700
