@@ -415,7 +415,16 @@ class SavedModel:
 
 
 def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict | None = None) -> Path:
+    """Write a two-stage operator as a checksummed model file.
+
+    The format stores TwoStageSpec operators only; an operator on a plain
+    RffSpec raises ModelFormatError before anything is written.
+    """
     spec = op.spec
+    if not isinstance(spec, TwoStageSpec):
+        raise ModelFormatError(
+            f"model files store two-stage operators only, not a {type(spec).__name__} operator"
+        )
     payload = {
         "seed": int(seed),
         "tau": float(tau),

@@ -33,7 +33,7 @@ from .operator import (
     absorb,
     outgoing_message,
     decide,
-    predict_q,
+    predict_q,  # not called here; perfbench/run.py traces this module's binding
     warm_beta_cache,
 )
 
@@ -364,7 +364,8 @@ class ActiveSource:
             self.log.append(
                 QueryEvent("fallback", factor.id, x_id, visit, action.variance, self.tau)
             )
-        return {x_id: divide(predict_q(self.op, inc), m_x)}
+        # action.q is predict_q(self.op, inc), computed from decide's features
+        return {x_id: divide(action.q, m_x)}
 
 
 def default_sources(logistic_source=None) -> dict:

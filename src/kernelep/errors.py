@@ -55,7 +55,8 @@ class DatasetFormatError(KernelEpError):
 
 
 class ModelFormatError(KernelEpError):
-    """Model file is corrupt, truncated, or has an unsupported version."""
+    """Model file is corrupt, truncated, or has an unsupported version, or an
+    operator has no model-file form."""
 
 
 class GraphFormatError(KernelEpError):

@@ -7,7 +7,10 @@ the point features: closed form for Gaussians, Gauss-Legendre quadrature on
 (0, 1) for Betas (under an endpoint-flattening substitution so fractional
 shape parameters keep their accuracy), and a characteristic-function product
 for the joint (x, z) embedding of an incoming tuple (the two messages are
-independent, so the joint characteristic function factorizes).
+independent, so the joint characteristic function factorizes).  The Beta
+quadrature's phase matrix e^{i w z} depends only on the frequencies and the
+order, so ``beta_cf`` caches it per (frequency vector, order) in a small
+LRU cache; a Beta never seen before then costs its density and a mat-vec.
 
 A joint embedding e(P) is linear in the distribution P, and so is any
 regression on it.  A ``TwoStageSpec`` puts a Gaussian kernel on top,
@@ -66,6 +69,8 @@ __all__ = [
 QUAD_ORDER = 64
 QUAD_ORDER_CAP = 4096
 QUAD_TOL = 1e-8
+# phase matrices beta_cf keeps: two frequency vectors' usual 64-512 escalation
+PHASE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,12 +257,28 @@ def _unit_gl(order: int, flatten: float = 3.0):
     return out
 
 
-def _beta_cf_fixed(omega: np.ndarray, b: BetaDist, order: int) -> np.ndarray:
-    z, log_z, log_1mz, w = _unit_gl(order)
+@lru_cache(maxsize=PHASE_CACHE_SIZE)
+def _phase_matrix(omega_bytes: bytes, order: int) -> np.ndarray:
+    """Read-only e^{i w z} over the nodes z of _unit_gl(order), (len(w), order).
+
+    Keyed by the raw float64 bytes of w, so distinct frequency vectors never
+    share an entry.  An entry costs 16 * len(w) * order bytes: at the
+    operator's inner width 500, one vector's usual escalation through orders
+    64-512 holds 7.7 MB, and the worst case, PHASE_CACHE_SIZE entries at
+    QUAD_ORDER_CAP, is 8 * 500 * 4096 * 16 B = 262 MB.
+    """
+    omega = np.frombuffer(omega_bytes, dtype=float)
+    out = np.exp(1j * np.outer(omega, _unit_gl(order)[0]))
+    out.setflags(write=False)
+    return out
+
+
+def _beta_cf_fixed(omega_bytes: bytes, b: BetaDist, order: int) -> np.ndarray:
+    _, log_z, log_1mz, w = _unit_gl(order)
     dens = np.exp(
         (b.alpha - 1.0) * log_z + (b.beta - 1.0) * log_1mz - betaln(b.alpha, b.beta)
     )
-    return np.exp(1j * np.outer(omega, z)) @ (w * dens)
+    return _phase_matrix(omega_bytes, order) @ (w * dens)
 
 
 def _until_converged(at_order, label: str):
@@ -281,13 +302,15 @@ def beta_cf(omega: np.ndarray, b: BetaDist) -> np.ndarray:
     """Characteristic function E[e^{i w z}] of a Beta by adaptive quadrature.
 
     Starts at order 64 and doubles until successive orders agree to 1e-8
-    everywhere; escalation past order 4096 raises QuadratureError.
+    everywhere; escalation past order 4096 raises QuadratureError.  Each
+    order's phase matrix e^{i w z} comes from the _phase_matrix cache.
     """
     if b.improper:
         raise DomainError("characteristic function of an improper Beta")
-    omega = np.asarray(omega, dtype=float)
+    omega_bytes = np.asarray(omega, dtype=float).tobytes()
     return _until_converged(
-        lambda order: _beta_cf_fixed(omega, b, order), f"Beta({b.alpha}, {b.beta}) quadrature"
+        lambda order: _beta_cf_fixed(omega_bytes, b, order),
+        f"Beta({b.alpha}, {b.beta}) quadrature",
     )
 
 

@@ -12,7 +12,9 @@ budget.
 Incoming Beta observations repeat across an EP run, so the Beta side of the
 (inner) joint embedding is memoized per (alpha, beta); the Gaussian side is
 closed form and recomputed on every call, as are the projection and outer
-features of a two-stage spec.
+features of a two-stage spec.  A Beta missing from the memo still reuses the
+quadrature phase matrices that kernels.beta_cf caches for the operator's
+fixed frequencies, so it pays only its density and one mat-vec per order.
 """
 
 from __future__ import annotations
@@ -140,10 +142,12 @@ def featurize(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
 def warm_beta_cache(op: MessageOperator, betas) -> None:
     """Precompute the Beta-side feature factors for known Beta messages.
 
-    The quadrature behind a never-seen (alpha, beta) pair costs tens of
-    milliseconds; everything afterwards is a dictionary hit. Callers that
-    know their observation set up front (an EP run over a fixed graph) warm
-    the cache once so steady-state message latency stays flat.
+    The quadrature behind a never-seen (alpha, beta) pair costs a density
+    and a mat-vec per quadrature order, plus the phase matrices the first
+    time any Beta meets these frequencies; everything afterwards is a
+    dictionary hit. Callers that know their observation set up front (an EP
+    run over a fixed graph) warm the cache once so steady-state message
+    latency stays flat.
     """
     probe = Gaussian1D(0.0, 1.0)
     for b in betas:

@@ -51,6 +51,11 @@ class RidgeModel:
     noise_scale is the mean squared training residual at fit time (floored
     at a tiny positive value) and is kept frozen by online updates so the
     predictive variance is monotone under new evidence.
+
+    A_inv is exactly symmetric, bit for bit: fit stores (X + X^T) / 2,
+    load_model restores the saved bytes, and update_online subtracts
+    outer(u, u) / denom, which is exactly symmetric because u_i u_j == u_j u_i
+    in IEEE arithmetic.  So update_online needs no re-symmetrization.
     """
 
     W: np.ndarray
@@ -184,6 +189,8 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     """Rank-1 Sherman-Morrison update; equals a batch refit on the grown set.
 
     noise_scale stays frozen (see RidgeModel); n_train counts the new pair.
+    The new A_inv is built in one fresh D x D array, updated in place; it
+    stays exactly symmetric (see RidgeModel).
     """
     phi = _check_phi(model, phi_new)
     y = np.atleast_1d(np.asarray(y_new, dtype=float))
@@ -193,8 +200,9 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     denom = 1.0 + float(phi @ u)
     if denom <= 0.0:
         raise DomainError(f"rank-1 update breakdown: denominator {denom} <= 0")
-    A_inv = model.A_inv - np.outer(u, u) / denom
-    A_inv = (A_inv + A_inv.T) / 2.0
+    A_inv = np.outer(u, u)
+    A_inv /= denom
+    np.subtract(model.A_inv, A_inv, out=A_inv)
     W = model.W + np.outer((y - model.W @ phi) / denom, u)
     return RidgeModel(W, model.lam, A_inv, model.noise_scale, model.n_train + 1)
 

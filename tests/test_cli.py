@@ -26,10 +26,13 @@ from kernelep.cli import (
     make_config,
     save_dataset,
     save_graph,
+    save_model,
 )
 from kernelep.ep_engine import demo_graph
 from kernelep.errors import ConfigError, DatasetFormatError, GraphFormatError, ModelFormatError
-from kernelep.operator import predict_q, train_operator
+from kernelep.kernels import draw_rff
+from kernelep.operator import MessageOperator, predict_q, train_operator
+from kernelep.regress import fit
 
 
 BASE = {
@@ -267,6 +270,18 @@ def test_model_product_kind_payload_refused(tmp_path):
     product.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(product)
+
+
+def test_save_model_refuses_plain_rff_operator(tmp_path):
+    # a linear operator on a 2-dim RffSpec: MessageOperator accepts it, the
+    # model format has no place for it
+    rng = np.random.default_rng(5)
+    spec = draw_rff(2, 6, 1.0, rng)
+    op = MessageOperator(spec, fit(rng.normal(size=(6, 10)), rng.normal(size=(2, 10)), 1e-3))
+    path = tmp_path / "linear.json"
+    with pytest.raises(ModelFormatError, match="two-stage operators only.*RffSpec"):
+        save_model(path, op, seed=0, tau=0.1)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

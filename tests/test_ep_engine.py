@@ -29,12 +29,14 @@ from kernelep.errors import DomainError, EpSourceError
 from kernelep.expfam import (
     BetaDist,
     Gaussian1D,
+    divide,
     kl_divergence,
     multiply,
     to_natural,
 )
 from kernelep.factors import IncomingPrior, gen_training_set
-from kernelep.operator import UncertaintyPolicy, train_operator
+from kernelep import ep_engine, operator
+from kernelep.operator import UncertaintyPolicy, UsePrediction, predict_q, train_operator
 
 
 def chain_graph():
@@ -438,6 +440,44 @@ def test_active_source_absorbs_queries(demo_operator):
     assert src.queries == 3
     assert src.op is not op
     assert src.op.model.n_train == op.model.n_train + 3
+
+
+def test_active_source_featurizes_once_per_gated_message(demo_operator, monkeypatch):
+    op, tau = demo_operator
+    featurized, decisions = [], []
+    real_featurize, real_decide = operator.featurize, ep_engine.decide
+
+    def counting_featurize(o, inc):
+        featurized.append(inc)
+        return real_featurize(o, inc)
+
+    def recording_decide(o, policy, inc):
+        decisions.append((o, inc, real_decide(o, policy, inc)))
+        return decisions[-1][2]
+
+    monkeypatch.setattr(operator, "featurize", counting_featurize)
+    monkeypatch.setattr(ep_engine, "decide", recording_decide)
+    src = ActiveSource(op, UncertaintyPolicy(tau=0.2 * tau, budget=3), n_importance=2000)
+    proposals = []
+
+    def recording(factor, incoming, rng):
+        gated = len(decisions)
+        out = src(factor, incoming, rng)
+        if len(decisions) > gated:
+            proposals.append((decisions[-1], out[factor.neighbors[0]]))
+        return out
+
+    recording.prepare = src.prepare
+    graph = demo_graph()
+    run_ep(graph, sources=default_sources(recording), rng=np.random.default_rng(25))
+    # warm_beta_cache featurizes each observed Beta once
+    assert len(featurized) == len(graph.observations) + len(decisions) + src.queries
+    assert src.queries > 0 and len(proposals) == len(decisions) > src.queries
+    used = [(d, msg) for d, msg in proposals if isinstance(d[2], UsePrediction)]
+    assert len(used) == len(decisions) - src.queries
+    for (o, inc, _), msg in used:
+        expected = divide(predict_q(o, inc), inc.m_x)
+        np.testing.assert_array_equal(to_natural(msg), to_natural(expected))
 
 
 def test_timings_recorded_by_source_kind():

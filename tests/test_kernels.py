@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from kernelep import kernels
 from kernelep.errors import DomainError, QuadratureError
 from kernelep.expfam import BetaDist, Gaussian1D
 from kernelep.factors import IncomingPrior, IncomingTuple, sample_incoming
@@ -302,6 +303,39 @@ def test_beta_cf_escalates_for_rough_density():
     z = rng.beta(0.5, 0.5, size=200_000)
     mc = np.exp(1j * np.outer(omega, z)).mean(axis=1)
     assert np.max(np.abs(cf - mc)) < 0.01
+
+
+def test_beta_cf_phase_cache(monkeypatch):
+    cache = kernels._phase_matrix
+    rng = np.random.default_rng(28)
+    omega = rng.normal(0.0, 8.0, size=50)
+    other = rng.normal(0.0, 8.0, size=50)
+    b = BetaDist(2.5, 1.5)
+    cache.cache_clear()
+    cold = beta_cf(omega, b)
+    misses = cache.cache_info().misses
+    assert misses >= 2 and cache.cache_info().hits == 0
+    warm = beta_cf(omega, b)
+    assert cache.cache_info().hits == misses and cache.cache_info().misses == misses
+    np.testing.assert_array_equal(warm, cold)
+    # a second Beta on the same frequencies builds no phase matrix up to its order
+    beta_cf(omega, BetaDist(3.0, 2.0))
+    assert cache.cache_info().hits > misses
+    # same length, different frequencies: a new entry per order, never a hit
+    info = cache.cache_info()
+    got_other = beta_cf(other, b)
+    assert cache.cache_info().hits == info.hits
+    assert cache.cache_info().misses > info.misses
+    cache.cache_clear()
+    np.testing.assert_array_equal(got_other, beta_cf(other, b))
+    assert not np.array_equal(got_other, cold)
+    # the cached matrices are read-only and the cache is bounded
+    assert not cache(omega.tobytes(), kernels.QUAD_ORDER).flags.writeable
+    assert cache.cache_info().maxsize == kernels.PHASE_CACHE_SIZE <= 16
+    # bit-identical to building every phase matrix afresh
+    monkeypatch.setattr(kernels, "_phase_matrix", cache.__wrapped__)
+    np.testing.assert_array_equal(beta_cf(omega, b), cold)
+    np.testing.assert_array_equal(beta_cf(other, b), got_other)
 
 
 def test_quadrature_cap_raises(monkeypatch):

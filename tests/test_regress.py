@@ -3,7 +3,10 @@ import pytest
 from scipy.linalg import LinAlgError, cho_factor
 
 from kernelep import regress
+from kernelep.cli import load_model, save_model
 from kernelep.errors import DomainError
+from kernelep.kernels import TwoStageSpec, draw_rff
+from kernelep.operator import MessageOperator
 from kernelep.regress import (
     CvReport,
     cross_validate,
@@ -172,6 +175,48 @@ def test_online_updates_match_batch_refit():
     grown = np.hstack([Phi, new_phis])
     ident = model.A_inv @ (grown @ grown.T + lam * np.eye(9))
     assert np.max(np.abs(ident - np.eye(9))) <= 1e-6
+
+
+def _reference_update(model, phi, y):
+    """Reference rank-1 update: out-of-place, with an explicit re-symmetrization."""
+    u = model.A_inv @ phi
+    denom = 1.0 + float(phi @ u)
+    A_inv = model.A_inv - np.outer(u, u) / denom
+    A_inv = (A_inv + A_inv.T) / 2.0
+    W = model.W + np.outer((y - model.W @ phi) / denom, u)
+    return A_inv, W
+
+
+def _round_trip(model, path):
+    rng = np.random.default_rng(71)
+    inner = draw_rff(2, 8, 1.0, rng)
+    outer = draw_rff(3, model.num_features, 1.0, rng)
+    spec = TwoStageSpec(inner, np.zeros(8), np.eye(8)[:, :3], outer)
+    save_model(path, MessageOperator(spec, model), seed=0, tau=0.1)
+    return load_model(path).op.model
+
+
+def test_online_update_bit_identical_and_exactly_symmetric(tmp_path):
+    Phi, Y, _ = random_problem(D=40, N=60, seed=72, noise=0.3)
+    model = fit(Phi, Y, 1e-3)
+    assert np.array_equal(model.A_inv, model.A_inv.T)
+    loaded = _round_trip(model, tmp_path / "model.json")
+    assert np.array_equal(loaded.A_inv, model.A_inv)
+    assert np.array_equal(loaded.A_inv, loaded.A_inv.T)
+    rng = np.random.default_rng(73)
+    fitted_A_inv = model.A_inv.copy()
+    for start in (model, loaded):
+        current = start
+        for _ in range(24):
+            phi, y = rng.normal(size=40), rng.normal(size=2)
+            ref_A_inv, ref_W = _reference_update(current, phi, y)
+            current = update_online(current, phi, y)
+            assert np.array_equal(current.A_inv, ref_A_inv)
+            assert np.array_equal(current.W, ref_W)
+            assert np.array_equal(current.A_inv, current.A_inv.T)
+        assert current.n_train == start.n_train + 24
+    # the in-place arithmetic never writes into the model it started from
+    assert np.array_equal(model.A_inv, fitted_A_inv)
 
 
 def test_online_update_with_duplicate_point():
