@@ -415,16 +415,8 @@ class SavedModel:
 
 
 def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict | None = None) -> Path:
-    """Write a two-stage operator as a checksummed model file.
-
-    The format stores TwoStageSpec operators only; an operator on a plain
-    RffSpec raises ModelFormatError before anything is written.
-    """
+    """Write an operator (always on a TwoStageSpec) as a checksummed model file."""
     spec = op.spec
-    if not isinstance(spec, TwoStageSpec):
-        raise ModelFormatError(
-            f"model files store two-stage operators only, not a {type(spec).__name__} operator"
-        )
     payload = {
         "seed": int(seed),
         "tau": float(tau),
@@ -583,9 +575,9 @@ def _mode_json(res) -> dict:
 
 def _timing_json(res, runtime: float) -> dict:
     per = {}
-    for kind in sorted(res.timings):
-        total, count = res.timings[kind]
-        durations = res.message_seconds.get(kind)
+    for kind in sorted(res.message_seconds):
+        durations = res.message_seconds[kind]
+        total, count = math.fsum(durations), len(durations)
         per[kind] = {
             "total_seconds": total,
             "messages": count,

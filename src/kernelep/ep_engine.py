@@ -242,10 +242,10 @@ class LinearGaussianSource:
         v = float(factor.params["noise_variance"])
         out = {}
         mp = incoming[parent]
-        if not mp.improper and math.isfinite(mp.variance):
+        if not mp.improper:
             out[child] = Gaussian1D(a * mp.mean + b, a * a * mp.variance + v)
         mc = incoming[child]
-        if not mc.improper and math.isfinite(mc.variance):
+        if not mc.improper:
             out[parent] = Gaussian1D((mc.mean - b) / a, (mc.variance + v) / (a * a))
         return out
 
@@ -263,10 +263,9 @@ class OracleSource:
 
     def __call__(self, factor, incoming, rng):
         x_id, z_id = factor.neighbors
-        m_x, m_z = incoming[x_id], incoming[z_id]
-        if m_x.improper or not math.isfinite(m_x.variance) or m_z.improper:
+        inc = IncomingTuple(incoming[x_id], incoming[z_id])
+        if not inc.proper:
             return {}
-        inc = IncomingTuple(m_x, m_z)
         last = None
         for sub in rng.spawn(self.retries):
             try:
@@ -274,7 +273,7 @@ class OracleSource:
             except KernelEpError as exc:
                 last = exc
                 continue
-            return {x_id: divide(q, m_x)}
+            return {x_id: divide(q, inc.m_x)}
         raise last
 
 
@@ -291,10 +290,10 @@ class OperatorSource:
 
     def __call__(self, factor, incoming, rng):
         x_id, z_id = factor.neighbors
-        m_x, m_z = incoming[x_id], incoming[z_id]
-        if m_x.improper or not math.isfinite(m_x.variance) or m_z.improper:
+        inc = IncomingTuple(incoming[x_id], incoming[z_id])
+        if not inc.proper:
             return {}
-        return {x_id: outgoing_message(self.op, IncomingTuple(m_x, m_z))}
+        return {x_id: outgoing_message(self.op, inc)}
 
 
 @dataclass(frozen=True)
@@ -340,12 +339,11 @@ class ActiveSource:
 
     def __call__(self, factor, incoming, rng):
         x_id, z_id = factor.neighbors
-        m_x, m_z = incoming[x_id], incoming[z_id]
-        if m_x.improper or not math.isfinite(m_x.variance) or m_z.improper:
+        inc = IncomingTuple(incoming[x_id], incoming[z_id])
+        if not inc.proper:
             return {}
         self._visits[factor.id] = self._visits.get(factor.id, 0) + 1
         visit = self._visits[factor.id]
-        inc = IncomingTuple(m_x, m_z)
         policy = UncertaintyPolicy(tau=self.tau, budget=self.budget)
         action = decide(self.op, policy, inc)
         if isinstance(action, QueryOracle):
@@ -358,14 +356,14 @@ class ActiveSource:
             self.log.append(
                 QueryEvent("query", factor.id, x_id, visit, action.variance, self.tau)
             )
-            return {x_id: divide(q, m_x)}
+            return {x_id: divide(q, inc.m_x)}
         if action.variance > self.tau:
             # over threshold but out of budget: the prediction is used anyway
             self.log.append(
                 QueryEvent("fallback", factor.id, x_id, visit, action.variance, self.tau)
             )
         # action.q is predict_q(self.op, inc), computed from decide's features
-        return {x_id: divide(action.q, m_x)}
+        return {x_id: divide(action.q, inc.m_x)}
 
 
 def default_sources(logistic_source=None) -> dict:
@@ -480,7 +478,6 @@ class EpResult:
     iterations: int
     skipped: int
     queries: int
-    timings: dict  # source kind -> (total_seconds, message_count)
     message_seconds: dict  # source kind -> per-message seconds, in call order
 
 
@@ -524,7 +521,6 @@ def run_ep(
         iterations=state.iteration,
         skipped=state.skipped,
         queries=queries,
-        timings={k: (math.fsum(v), len(v)) for k, v in timings.items()},
         message_seconds={k: tuple(v) for k, v in timings.items()},
     )
 

@@ -55,8 +55,7 @@ class DatasetFormatError(KernelEpError):
 
 
 class ModelFormatError(KernelEpError):
-    """Model file is corrupt, truncated, or has an unsupported version, or an
-    operator has no model-file form."""
+    """Model file is corrupt, truncated, or has an unsupported version."""
 
 
 class GraphFormatError(KernelEpError):

@@ -7,10 +7,16 @@ the point features: closed form for Gaussians, Gauss-Legendre quadrature on
 (0, 1) for Betas (under an endpoint-flattening substitution so fractional
 shape parameters keep their accuracy), and a characteristic-function product
 for the joint (x, z) embedding of an incoming tuple (the two messages are
-independent, so the joint characteristic function factorizes).  The Beta
-quadrature's phase matrix e^{i w z} depends only on the frequencies and the
-order, so ``beta_cf`` caches it per (frequency vector, order) in a small
-LRU cache; a Beta never seen before then costs its density and a mat-vec.
+independent, so the joint characteristic function factorizes).
+
+The joint embedding has one formula, Re(_beta_side * gaussian_cf), and
+``joint_features``, ``joint_features_batch`` and the operator's
+``featurize`` all evaluate it; they differ only in where the Beta factor
+comes from.  ``beta_cf`` is the one quadrature of Beta characteristic
+functions, for any number of Betas sharing a frequency vector.  Its phase
+matrix e^{i w z} depends only on the frequencies and the order, so a small
+LRU cache keeps it per (frequency vector, order); a Beta never seen before
+then costs its density and a matrix product.
 
 A joint embedding e(P) is linear in the distribution P, and so is any
 regression on it.  A ``TwoStageSpec`` puts a Gaussian kernel on top,
@@ -20,8 +26,9 @@ principal directions of training embeddings reduce it to a few coordinates,
 and an outer point ``RffSpec`` of bandwidth sigma featurizes those.  A
 Gaussian kernel on embeddings is universal on distributions (Christmann &
 Steinwart, NIPS 2010), which the linear one is not.  ``joint_features`` and
-``joint_features_batch`` accept either kind of spec; a plain 2-dim
-``RffSpec`` keeps featurizing linearly.
+``joint_features_batch`` accept either kind of spec: a plain 2-dim
+``RffSpec`` gives the inner embedding itself, which is what the feature
+fidelity checks compare against the exact kernel.
 
 Exact-kernel oracles for validation live here too.  For factorized tuples
 the expected product kernel and the joint-embedding kernel coincide: both
@@ -32,6 +39,7 @@ routine serves both kinds.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +60,6 @@ __all__ = [
     "rff_point",
     "gaussian_cf",
     "beta_cf",
-    "beta_cf_batch",
     "expected_feature_gaussian",
     "expected_feature_beta",
     "joint_features",
@@ -110,8 +117,6 @@ class TwoStageSpec:
         of the centred training embeddings.
     outer: k-dim RffSpec applied to projection^T (e - center); its bandwidth
         is the kernel's sigma and its width is the regression's width.
-
-    frequencies are the inner draw's, as they are a plain spec's.
     """
 
     inner: RffSpec
@@ -134,14 +139,6 @@ class TwoStageSpec:
     @property
     def num_features(self) -> int:
         return self.outer.num_features
-
-    @property
-    def input_dim(self) -> int:
-        return self.inner.input_dim
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.inner.frequencies
 
 
 def draw_rff(input_dim: int, num_features: int, bandwidth, rng: np.random.Generator) -> RffSpec:
@@ -265,20 +262,17 @@ def _phase_matrix(omega_bytes: bytes, order: int) -> np.ndarray:
     share an entry.  An entry costs 16 * len(w) * order bytes: at the
     operator's inner width 500, one vector's usual escalation through orders
     64-512 holds 7.7 MB, and the worst case, PHASE_CACHE_SIZE entries at
-    QUAD_ORDER_CAP, is 8 * 500 * 4096 * 16 B = 262 MB.
+    QUAD_ORDER_CAP, is 8 * 500 * 4096 * 16 B = 262 MB.  Each entry lives in
+    an anonymous memory mapping of its own: allocated from the heap, an
+    entry that outlives a batch quadrature keeps the pages of every
+    temporary freed below it resident (tens of MB at 2000 Betas).
     """
     omega = np.frombuffer(omega_bytes, dtype=float)
-    out = np.exp(1j * np.outer(omega, _unit_gl(order)[0]))
+    out = np.frombuffer(mmap.mmap(-1, 16 * omega.size * order), dtype=complex)
+    out = out.reshape(omega.size, order)
+    np.exp(1j * np.outer(omega, _unit_gl(order)[0]), out=out)
     out.setflags(write=False)
     return out
-
-
-def _beta_cf_fixed(omega_bytes: bytes, b: BetaDist, order: int) -> np.ndarray:
-    _, log_z, log_1mz, w = _unit_gl(order)
-    dens = np.exp(
-        (b.alpha - 1.0) * log_z + (b.beta - 1.0) * log_1mz - betaln(b.alpha, b.beta)
-    )
-    return _phase_matrix(omega_bytes, order) @ (w * dens)
 
 
 def _until_converged(at_order, label: str):
@@ -298,46 +292,33 @@ def _until_converged(at_order, label: str):
     raise QuadratureError(f"{label} did not converge by order {QUAD_ORDER_CAP}")
 
 
-def beta_cf(omega: np.ndarray, b: BetaDist) -> np.ndarray:
-    """Characteristic function E[e^{i w z}] of a Beta by adaptive quadrature.
+def beta_cf(omega: np.ndarray, betas) -> np.ndarray:
+    """Characteristic functions E[e^{i w z}] of Betas sharing w; (n, len(w)).
 
-    Starts at order 64 and doubles until successive orders agree to 1e-8
-    everywhere; escalation past order 4096 raises QuadratureError.  Each
-    order's phase matrix e^{i w z} comes from the _phase_matrix cache.
+    Quadrature starts at order 64 and doubles until successive orders agree
+    to 1e-8 in every entry of the batch (for one Beta, everywhere on w);
+    escalation past order 4096 raises QuadratureError.  Each order is one
+    matrix product of the weighted densities with the phase matrix
+    e^{i w z} from the _phase_matrix cache.
     """
-    if b.improper:
+    if any(b.improper for b in betas):
         raise DomainError("characteristic function of an improper Beta")
+    alphas = np.array([[b.alpha] for b in betas])
+    bbetas = np.array([[b.beta] for b in betas])
+    log_norm = betaln(alphas, bbetas)
     omega_bytes = np.asarray(omega, dtype=float).tobytes()
-    return _until_converged(
-        lambda order: _beta_cf_fixed(omega_bytes, b, order),
-        f"Beta({b.alpha}, {b.beta}) quadrature",
-    )
-
-
-def beta_cf_batch(omega: np.ndarray, betas) -> np.ndarray:
-    """beta_cf for many Betas sharing one frequency vector; returns (n, len(omega)).
-
-    The node-phase matrix e^{i w t} is shared across rows, so the whole batch
-    is a single complex matrix product per quadrature order.  The convergence
-    check applies to the batch maximum.
-    """
-    omega = np.asarray(omega, dtype=float)
-    alphas = np.array([b.alpha for b in betas])
-    bbetas = np.array([b.beta for b in betas])
-    if np.any(alphas <= 0) or np.any(bbetas <= 0):
-        raise DomainError("characteristic function of an improper Beta")
 
     def at_order(order):
-        z, log_z, log_1mz, w = _unit_gl(order)
-        log_pdf = (
-            (alphas[:, None] - 1.0) * log_z
-            + (bbetas[:, None] - 1.0) * log_1mz
-            - betaln(alphas, bbetas)[:, None]
-        )
-        weighted = np.exp(log_pdf) * w
-        return weighted @ np.exp(1j * np.outer(z, omega))
+        _, log_z, log_1mz, w = _unit_gl(order)
+        dens = np.exp((alphas - 1.0) * log_z + (bbetas - 1.0) * log_1mz - log_norm)
+        return (w * dens) @ _phase_matrix(omega_bytes, order).T
 
-    return _until_converged(at_order, "batch Beta quadrature")
+    label = (
+        f"Beta({alphas[0, 0]}, {bbetas[0, 0]}) quadrature"
+        if len(alphas) == 1
+        else f"quadrature of {len(alphas)} Betas"
+    )
+    return _until_converged(at_order, label)
 
 
 def expected_feature_gaussian(spec: RffSpec, g: Gaussian1D) -> np.ndarray:
@@ -357,7 +338,7 @@ def expected_feature_beta(spec: RffSpec, b: BetaDist) -> np.ndarray:
     if spec.input_dim != 1:
         raise DomainError("expected_feature_beta needs a 1-dim spec")
     w = spec.frequencies[:, 0]
-    cf = beta_cf(w, b)
+    cf = beta_cf(w, [b])[0]
     return _feature_scale(spec.num_features) * (np.exp(1j * spec.phases) * cf).real
 
 
@@ -366,39 +347,50 @@ def product_features(f_x: np.ndarray, f_z: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(f_x), np.asarray(f_z))
 
 
+def _beta_side(inner: RffSpec, cf_z: np.ndarray) -> np.ndarray:
+    """Beta factor sqrt(2/d) e^{i b_j} cf_z(w_j2) of the inner joint embedding.
+
+    Written over cf_z, fresh beta_cf rows on the inner spec's second
+    frequency column, and returned.  The embedding is Re(_beta_side * cf_x)
+    with cf_x the gaussian_cf rows on the first column: entry j is
+    sqrt(2/d) Re(e^{i b_j} cf_x(w_j1) cf_z(w_j2)), the expected point
+    feature of the independent pair (x, z).  The factor depends on the Beta
+    alone, which is why the operator memoizes it.
+    """
+    scale = _feature_scale(inner.num_features) * np.exp(1j * inner.phases)
+    return np.multiply(scale, cf_z, out=cf_z)
+
+
 def joint_features(spec: RffSpec | TwoStageSpec, inc: IncomingTuple) -> np.ndarray:
     """Features of the joint (x, z) distribution of an incoming tuple.
 
-    For a 2-dim RffSpec, entry j = sqrt(2/d) Re(e^{i b_j} cf_x(w_j1)
-    cf_z(w_j2)); exact in the Gaussian coordinate, quadrature in the Beta
-    coordinate.  For a TwoStageSpec, the outer features of that embedding.
+    For a 2-dim RffSpec, the inner embedding; for a TwoStageSpec, the outer
+    features of its inner embedding.
     """
     if isinstance(spec, TwoStageSpec):
         return embedding_features(spec, joint_features(spec.inner, inc))
     if spec.input_dim != 2:
         raise DomainError("joint_features needs a 2-dim spec")
-    cf = gaussian_cf(spec.frequencies[:, 0], inc.m_x) * beta_cf(
-        spec.frequencies[:, 1], inc.m_z
-    )
-    return _feature_scale(spec.num_features) * (np.exp(1j * spec.phases) * cf).real
+    row = _beta_side(spec, beta_cf(spec.frequencies[:, 1], [inc.m_z])[0])
+    return (row * gaussian_cf(spec.frequencies[:, 0], inc.m_x)).real
 
 
 def joint_features_batch(spec: RffSpec | TwoStageSpec, tuples) -> np.ndarray:
-    """joint_features for many tuples at once; returns (n, num_features)."""
+    """joint_features for many tuples at once; returns (n, num_features).
+
+    The Betas share one quadrature, converged on the batch maximum, so a row
+    can differ from joint_features within the quadrature tolerance.
+    """
     if isinstance(spec, TwoStageSpec):
         return embedding_features(spec, joint_features_batch(spec.inner, tuples))
     if spec.input_dim != 2:
         raise DomainError("joint_features needs a 2-dim spec")
-    means = np.array([t.m_x.mean for t in tuples])
-    variances = np.array([t.m_x.variance for t in tuples])
-    if np.any(variances <= 0) or not np.all(np.isfinite(means)):
-        raise DomainError("expected features of an improper Gaussian")
-    w1 = spec.frequencies[:, 0]
-    cf_x = np.exp(1j * np.outer(means, w1) - 0.5 * np.outer(variances, w1**2))
-    cf_z = beta_cf_batch(spec.frequencies[:, 1], [t.m_z for t in tuples])
-    return _feature_scale(spec.num_features) * (
-        np.exp(1j * spec.phases) * cf_x * cf_z
-    ).real
+    rows = _beta_side(spec, beta_cf(spec.frequencies[:, 1], [t.m_z for t in tuples]))
+    # in place, row by row: (n, D) complex temporaries would raise training's
+    # peak memory
+    for row, t in zip(rows, tuples):
+        np.multiply(row, gaussian_cf(spec.frequencies[:, 0], t.m_x), out=row)
+    return rows.real.copy()
 
 
 def principal_projection(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,19 +9,21 @@ messages and about when to trust itself: `decide` merely compares predictive
 variance against a threshold, and the inference engine owns the oracle
 budget.
 
-Incoming Beta observations repeat across an EP run, so the Beta side of the
-(inner) joint embedding is memoized per (alpha, beta); the Gaussian side is
-closed form and recomputed on every call, as are the projection and outer
-features of a two-stage spec.  A Beta missing from the memo still reuses the
-quadrature phase matrices that kernels.beta_cf caches for the operator's
-fixed frequencies, so it pays only its density and one mat-vec per order.
+The operator's features are those of a TwoStageSpec (a Gaussian kernel on
+projected joint embeddings), computed by the same formula that
+kernels.joint_features and the training batch use.  Incoming Beta
+observations repeat across an EP run, so the Beta side of the inner joint
+embedding is memoized per (alpha, beta); the Gaussian side is closed form
+and recomputed on every call, as are the projection and outer features.  A
+Beta missing from the memo still reuses the quadrature phase matrices that
+kernels.beta_cf caches for the operator's fixed frequencies, so it pays only
+its density and one matrix product per order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Union
 
 import numpy as np
 
@@ -29,11 +31,10 @@ from .errors import DomainError, PredictionError
 from .expfam import Gaussian1D, divide
 from .factors import IncomingTuple, TrainingPair
 from .kernels import (
-    RffSpec,
     TwoStageSpec,
+    _beta_side,
     beta_cf,
     draw_rff,
-    _feature_scale,
     embedding_features,
     gaussian_cf,
     joint_features_batch,
@@ -77,21 +78,19 @@ PROJECTION_DIM = 16
 class MessageOperator:
     """Immutable trained operator for the logistic factor's message to x.
 
-    spec is a TwoStageSpec (a Gaussian kernel on projected joint embeddings,
-    what train_operator builds) or a plain 2-dim RffSpec (features linear in
-    the joint embedding).  The output transform is fixed as (E, log V).
-    _beta_cache memoizes the Beta side's feature work per Beta parameters
-    (at the inner width for a two-stage spec); it never affects results,
-    only latency.
+    spec is the TwoStageSpec train_operator builds; anything else raises
+    DomainError.  The output transform is fixed as (E, log V).  _beta_cache
+    memoizes the Beta factor of the inner embedding per Beta parameters; it
+    never affects results, only latency.
     """
 
-    spec: Union[RffSpec, TwoStageSpec]
+    spec: TwoStageSpec
     model: RidgeModel
     _beta_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.spec, (RffSpec, TwoStageSpec)) or self.spec.input_dim != 2:
-            raise DomainError("operator needs one 2-dim RffSpec or a TwoStageSpec")
+        if not isinstance(self.spec, TwoStageSpec):
+            raise DomainError(f"operator needs a TwoStageSpec, not a {type(self.spec).__name__}")
         if self.spec.num_features != self.model.num_features:
             raise DomainError("spec feature count does not match model")
 
@@ -122,21 +121,21 @@ class QueryOracle:
 
 
 def featurize(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
-    """Feature vector of an incoming tuple under the operator's spec."""
+    """Feature vector of an incoming tuple: joint_features(op.spec, inc), bit for bit.
+
+    Only the Beta factor's source differs: the memo, filled on a miss
+    through this module's beta_cf.
+    """
     if not inc.proper:
         raise DomainError("cannot featurize improper incoming messages")
-    spec = op.spec
-    inner = spec.inner if isinstance(spec, TwoStageSpec) else spec
+    inner = op.spec.inner
     key = (inc.m_z.alpha, inc.m_z.beta)
-    cf_z = op._beta_cache.get(key)
-    if cf_z is None:
-        # the feature scale and phases ride along with the cached Beta factor
-        cf_z = (_feature_scale(inner.num_features) * np.exp(1j * inner.phases)) * beta_cf(
-            inner.frequencies[:, 1], inc.m_z
-        )
-        op._beta_cache[key] = cf_z
-    emb = (cf_z * gaussian_cf(inner.frequencies[:, 0], inc.m_x)).real
-    return emb if inner is spec else embedding_features(spec, emb)
+    row = op._beta_cache.get(key)
+    if row is None:
+        row = _beta_side(inner, beta_cf(inner.frequencies[:, 1], [inc.m_z])[0])
+        op._beta_cache[key] = row
+    emb = (row * gaussian_cf(inner.frequencies[:, 0], inc.m_x)).real
+    return embedding_features(op.spec, emb)
 
 
 def warm_beta_cache(op: MessageOperator, betas) -> None:
@@ -180,7 +179,7 @@ def outgoing_message(op: MessageOperator, inc: IncomingTuple) -> Gaussian1D:
 
 def decide(
     op: MessageOperator, policy: UncertaintyPolicy, inc: IncomingTuple
-) -> Union[UsePrediction, QueryOracle]:
+) -> UsePrediction | QueryOracle:
     """Trust the prediction unless its variance exceeds tau and budget remains."""
     phi = featurize(op, inc)
     variance = predictive_variance(op.model, phi)

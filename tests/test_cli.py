@@ -29,7 +29,13 @@ from kernelep.cli import (
     save_model,
 )
 from kernelep.ep_engine import demo_graph
-from kernelep.errors import ConfigError, DatasetFormatError, GraphFormatError, ModelFormatError
+from kernelep.errors import (
+    ConfigError,
+    DatasetFormatError,
+    DomainError,
+    GraphFormatError,
+    ModelFormatError,
+)
 from kernelep.kernels import draw_rff
 from kernelep.operator import MessageOperator, predict_q, train_operator
 from kernelep.regress import fit
@@ -272,16 +278,14 @@ def test_model_product_kind_payload_refused(tmp_path):
         load_model(product)
 
 
-def test_save_model_refuses_plain_rff_operator(tmp_path):
-    # a linear operator on a 2-dim RffSpec: MessageOperator accepts it, the
-    # model format has no place for it
+def test_save_model_refuses_plain_rff_operator():
+    # a linear operator on a 2-dim RffSpec, which the model format has no
+    # place for, cannot be built in the first place
     rng = np.random.default_rng(5)
     spec = draw_rff(2, 6, 1.0, rng)
-    op = MessageOperator(spec, fit(rng.normal(size=(6, 10)), rng.normal(size=(2, 10)), 1e-3))
-    path = tmp_path / "linear.json"
-    with pytest.raises(ModelFormatError, match="two-stage operators only.*RffSpec"):
-        save_model(path, op, seed=0, tau=0.1)
-    assert not path.exists()
+    model = fit(rng.normal(size=(6, 10)), rng.normal(size=(2, 10)), 1e-3)
+    with pytest.raises(DomainError, match="needs a TwoStageSpec, not a RffSpec"):
+        MessageOperator(spec, model)
 
 
 # ---------------------------------------------------------------------------

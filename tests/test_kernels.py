@@ -12,7 +12,6 @@ from kernelep.kernels import (
     RffSpec,
     TwoStageSpec,
     beta_cf,
-    beta_cf_batch,
     draw_rff,
     exact_beta_kernel,
     exact_gauss_kernel,
@@ -298,11 +297,23 @@ def test_expected_features_bit_deterministic():
 def test_beta_cf_escalates_for_rough_density():
     # endpoint-singular Beta needs more than the base order
     omega = np.linspace(0.5, 40.0, 64)
-    cf = beta_cf(omega, BetaDist(0.5, 0.5))
+    cf = beta_cf(omega, [BetaDist(0.5, 0.5)])[0]
     rng = np.random.default_rng(27)
     z = rng.beta(0.5, 0.5, size=200_000)
     mc = np.exp(1j * np.outer(omega, z)).mean(axis=1)
     assert np.max(np.abs(cf - mc)) < 0.01
+
+
+def test_beta_cf_batch_rows_match_single():
+    # the batch converges on its maximum, so a row may sit at a higher order
+    omega = np.random.default_rng(29).normal(0.0, 8.0, size=40)
+    betas = [BetaDist(0.5, 0.5), BetaDist(2.0, 3.0), BetaDist(400.0, 300.0)]
+    batch = beta_cf(omega, betas)
+    assert batch.shape == (3, 40)
+    for row, b in zip(batch, betas):
+        np.testing.assert_allclose(row, beta_cf(omega, [b])[0], rtol=0, atol=1e-8)
+    with pytest.raises(DomainError):
+        beta_cf(omega, [BetaDist(2.0, 3.0), BetaDist(0.0, 1.0)])
 
 
 def test_beta_cf_phase_cache(monkeypatch):
@@ -312,38 +323,38 @@ def test_beta_cf_phase_cache(monkeypatch):
     other = rng.normal(0.0, 8.0, size=50)
     b = BetaDist(2.5, 1.5)
     cache.cache_clear()
-    cold = beta_cf(omega, b)
+    cold = beta_cf(omega, [b])
     misses = cache.cache_info().misses
     assert misses >= 2 and cache.cache_info().hits == 0
-    warm = beta_cf(omega, b)
+    warm = beta_cf(omega, [b])
     assert cache.cache_info().hits == misses and cache.cache_info().misses == misses
     np.testing.assert_array_equal(warm, cold)
     # a second Beta on the same frequencies builds no phase matrix up to its order
-    beta_cf(omega, BetaDist(3.0, 2.0))
+    beta_cf(omega, [BetaDist(3.0, 2.0)])
     assert cache.cache_info().hits > misses
     # same length, different frequencies: a new entry per order, never a hit
     info = cache.cache_info()
-    got_other = beta_cf(other, b)
+    got_other = beta_cf(other, [b])
     assert cache.cache_info().hits == info.hits
     assert cache.cache_info().misses > info.misses
     cache.cache_clear()
-    np.testing.assert_array_equal(got_other, beta_cf(other, b))
+    np.testing.assert_array_equal(got_other, beta_cf(other, [b]))
     assert not np.array_equal(got_other, cold)
     # the cached matrices are read-only and the cache is bounded
     assert not cache(omega.tobytes(), kernels.QUAD_ORDER).flags.writeable
     assert cache.cache_info().maxsize == kernels.PHASE_CACHE_SIZE <= 16
     # bit-identical to building every phase matrix afresh
     monkeypatch.setattr(kernels, "_phase_matrix", cache.__wrapped__)
-    np.testing.assert_array_equal(beta_cf(omega, b), cold)
-    np.testing.assert_array_equal(beta_cf(other, b), got_other)
+    np.testing.assert_array_equal(beta_cf(omega, [b]), cold)
+    np.testing.assert_array_equal(beta_cf(other, [b]), got_other)
 
 
 def test_quadrature_cap_raises(monkeypatch):
     monkeypatch.setattr("kernelep.kernels.QUAD_ORDER_CAP", 64)
     with pytest.raises(QuadratureError):
-        beta_cf(np.array([1.0]), BetaDist(0.5, 0.5))
+        beta_cf(np.array([1.0]), [BetaDist(0.5, 0.5)])
     with pytest.raises(QuadratureError):
-        beta_cf_batch(np.array([1.0]), [BetaDist(0.5, 0.5), BetaDist(2.0, 3.0)])
+        beta_cf(np.array([1.0]), [BetaDist(0.5, 0.5), BetaDist(2.0, 3.0)])
     with pytest.raises(QuadratureError):
         exact_beta_kernel(BetaDist(0.5, 0.5), BetaDist(2.0, 3.0), 0.25)
 
@@ -450,4 +461,4 @@ def test_two_stage_spec_validates_shapes():
         TwoStageSpec(draw_rff(1, 16, 1.0, np.random.default_rng(59)),
                      np.zeros(16), np.zeros((16, 4)), outer)
     spec = TwoStageSpec(inner, np.zeros(16), np.zeros((16, 4)), outer)
-    assert (spec.num_features, spec.input_dim) == (32, 2)
+    assert spec.num_features == 32

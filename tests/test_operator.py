@@ -18,7 +18,7 @@ from kernelep.factors import (
     gen_training_set,
     sample_incoming,
 )
-from kernelep.kernels import TwoStageSpec, draw_rff, joint_features
+from kernelep.kernels import TwoStageSpec, draw_rff, joint_features, joint_features_batch
 from kernelep.operator import (
     PROJECTION_DIM,
     MessageOperator,
@@ -86,9 +86,7 @@ def test_featurize_rejects_improper(trained):
 def test_featurize_joint_matches_kernels_module(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(-0.7, 2.0), BetaDist(500.0, 500.0))
-    np.testing.assert_allclose(
-        featurize(op, inc), joint_features(op.spec, inc), atol=1e-12
-    )
+    np.testing.assert_array_equal(featurize(op, inc), joint_features(op.spec, inc))
 
 
 def test_featurize_batch_matches_single(trained):
@@ -109,13 +107,9 @@ def test_mean_output_memorizes_at_tiny_ridge():
     # effective rank of the gram is far below n regardless of lam.
     pairs = flat_beta_pairs(50, seed=35)
     spec = draw_rff(2, 200, (2.0, 0.2), np.random.default_rng(36))
-    dummy = MessageOperator(spec, RidgeModel(
-        np.zeros((2, 200)), 1.0, np.eye(200), 1.0, 1
-    ))
-    Phi = featurize_batch(dummy, [p.input for p in pairs])
+    Phi = joint_features_batch(spec, [p.input for p in pairs]).T
     Y = np.array([p.target for p in pairs]).T
-    op = MessageOperator(spec, fit(Phi, Y, 1e-8))
-    fitted = op.model.W @ Phi
+    fitted = fit(Phi, Y, 1e-8).W @ Phi
     assert np.max(np.abs(fitted[0] - Y[0])) <= 1e-2
 
 
@@ -158,8 +152,14 @@ def test_outgoing_division_round_trip(trained):
     np.testing.assert_allclose(to_natural(recovered), to_natural(q), atol=1e-12)
 
 
+def tiny_spec(num_features, seed):
+    rng = np.random.default_rng(seed)
+    inner = draw_rff(2, 8, (1.0, 0.25), rng)
+    return TwoStageSpec(inner, np.zeros(8), np.eye(8)[:, :3], draw_rff(3, num_features, 1.0, rng))
+
+
 def test_prediction_errors_surface():
-    spec = draw_rff(2, 16, (1.0, 0.25), np.random.default_rng(38))
+    spec = tiny_spec(16, seed=38)
     nan_model = RidgeModel(np.full((2, 16), np.nan), 1.0, np.eye(16), 1.0, 1)
     op = MessageOperator(spec, nan_model)
     inc = IncomingTuple(Gaussian1D(0.0, 1.0), BetaDist(2.0, 2.0))
@@ -252,18 +252,21 @@ def test_train_operator_deterministic():
     op1, rep1, tau1 = train_operator(pairs, 40, np.random.default_rng(41))
     op2, rep2, tau2 = train_operator(pairs, 40, np.random.default_rng(41))
     np.testing.assert_array_equal(op1.model.W, op2.model.W)
-    np.testing.assert_array_equal(op1.spec.frequencies, op2.spec.frequencies)
+    np.testing.assert_array_equal(op1.spec.inner.frequencies, op2.spec.inner.frequencies)
     assert rep1.chosen == rep2.chosen
     assert tau1 == tau2
 
 
 def test_operator_validation():
-    spec1 = draw_rff(1, 8, 1.0, np.random.default_rng(42))
-    spec2 = draw_rff(2, 8, (1.0, 0.25), np.random.default_rng(43))
     model = RidgeModel(np.zeros((2, 8)), 1.0, np.eye(8), 1.0, 1)
-    with pytest.raises(DomainError):
-        MessageOperator(spec1, model)  # wrong input_dim
-    assert MessageOperator(spec2, model).spec is spec2
+    for plain in (draw_rff(1, 8, 1.0, np.random.default_rng(42)),
+                  draw_rff(2, 8, (1.0, 0.25), np.random.default_rng(43))):
+        with pytest.raises(DomainError, match="needs a TwoStageSpec, not a RffSpec"):
+            MessageOperator(plain, model)
+    spec = tiny_spec(8, seed=44)
+    assert MessageOperator(spec, model).spec is spec
+    with pytest.raises(DomainError, match="feature count"):
+        MessageOperator(tiny_spec(9, seed=44), model)
     with pytest.raises(DomainError):
         UncertaintyPolicy(tau=0.0, budget=1)
     with pytest.raises(DomainError):
