@@ -301,6 +301,8 @@ def beta_cf(omega: np.ndarray, betas) -> np.ndarray:
     matrix product of the weighted densities with the phase matrix
     e^{i w z} from the _phase_matrix cache.
     """
+    if not betas:
+        raise DomainError("characteristic function of an empty list of Betas")
     if any(b.improper for b in betas):
         raise DomainError("characteristic function of an improper Beta")
     alphas = np.array([[b.alpha] for b in betas])

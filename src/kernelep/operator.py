@@ -189,7 +189,7 @@ def decide(
 
 
 def absorb(op: MessageOperator, inc: IncomingTuple, oracle_result) -> MessageOperator:
-    """Fold one oracle answer (E, log V) into the model by a rank-1 update."""
+    """Fold one oracle answer (E, log V) into the model by update_online."""
     target = np.asarray(oracle_result, dtype=float)
     if target.shape != (op.model.W.shape[0],):
         raise DomainError(f"oracle result has shape {target.shape}")

@@ -1,5 +1,5 @@
 """Ridge regression on feature vectors: primal form, dual-form validation,
-rank-1 online updates, predictive variance, and cross-validation.
+low-rank online updates, predictive variance, and cross-validation.
 
 Layout convention: feature matrices are D x N (one case per column), targets
 are D_y x N.  The primal weights W = Y Phi^T (Phi Phi^T + lambda I)^{-1} are
@@ -39,6 +39,13 @@ DEFAULT_LAMBDAS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 100.0)
 # escalating diagonal jitter for nearly singular normal equations
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
+# rows of absorbed updates a model carries before update_online folds them
+# into a new base inverse (see RidgeModel).  Every carried row adds to each
+# predictive variance, and a fold is one rank-k product over D x D.  At the
+# acceptance width D = 2000 the carry adds at most ~7% to a variance's base
+# mat-vec, and a fold costs a few tens of ms once per 32 updates.
+FOLD_RANK = 32
+
 
 def default_grid() -> list[tuple[float, float]]:
     return [(m, lam) for m in DEFAULT_MULTIPLIERS for lam in DEFAULT_LAMBDAS]
@@ -52,25 +59,55 @@ class RidgeModel:
     at a tiny positive value) and is kept frozen by online updates so the
     predictive variance is monotone under new evidence.
 
-    A_inv is exactly symmetric, bit for bit: fit stores (X + X^T) / 2,
-    load_model restores the saved bytes, and update_online subtracts
-    outer(u, u) / denom, which is exactly symmetric because u_i u_j == u_j u_i
-    in IEEE arithmetic.  So update_online needs no re-symmetrization.
+    The inverse Gram is held in two parts, A_inv = A0 - V^T V.  A0 is a
+    fixed D x D base: the inverse from fit or load_model, or the last fold.
+    It is read-only and shared by every model updated from it.  V is a
+    k x D factor with one row u / sqrt(d) per pair absorbed since, where
+    u = A_inv phi and d = 1 + phi^T u at the time of the update (k = 0 when
+    omitted).  An update appends a row to a fresh copy of V, so it costs
+    mat-vecs in D, and a model updated twice gives two independent models.
+    When V reaches FOLD_RANK rows, update_online folds it into a new base.
+
+    A0 and the A_inv property are exactly symmetric, bit for bit: fit
+    stores (X + X^T) / 2, load_model restores the saved bytes, and V^T V is
+    exactly symmetric too (numpy evaluates it as a symmetric rank-k product
+    and mirrors one triangle), so A0 - V^T V subtracts equal numbers from
+    equal numbers at (i, j) and (j, i).
     """
 
     W: np.ndarray
     lam: float
-    A_inv: np.ndarray
+    A0: np.ndarray
     noise_scale: float
     n_train: int
+    V: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.V is None:
+            object.__setattr__(self, "V", np.empty((0, self.A0.shape[0])))
         self.W.setflags(write=False)
-        self.A_inv.setflags(write=False)
+        self.A0.setflags(write=False)
+        self.V.setflags(write=False)
 
     @property
     def num_features(self) -> int:
         return self.W.shape[1]
+
+    @property
+    def A_inv(self) -> np.ndarray:
+        """The inverse Gram A0 - V^T V: A0 itself when V is empty, else a
+        fresh D x D array."""
+        return _fold(self.A0, self.V)
+
+
+def _fold(A0: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A0 - V^T V as a read-only, exactly symmetric array (A0 when V is empty)."""
+    if not len(V):
+        return A0
+    A = V.T @ V
+    np.subtract(A0, A, out=A)
+    A.setflags(write=False)
+    return A
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,39 +209,62 @@ def _check_phi(model: RidgeModel, phi) -> np.ndarray:
     return phi
 
 
+def _check_finite(name: str, x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"non-finite {name}")
+
+
+def _apply_inverse(model: RidgeModel, phi: np.ndarray) -> np.ndarray:
+    """u = A_inv phi = A0 phi - V^T (V phi), without forming A_inv."""
+    u = model.A0 @ phi
+    if len(model.V):
+        u -= model.V.T @ (model.V @ phi)
+    return u
+
+
 def predict(model: RidgeModel, phi) -> np.ndarray:
     """y = W phi for a single (D,) vector or a (D, M) batch."""
     return model.W @ _check_phi(model, phi)
 
 
 def predictive_variance(model: RidgeModel, phi) -> float:
-    """GP-style scalar variance noise_scale * phi^T A_inv phi."""
+    """GP-style scalar variance noise_scale * phi^T A_inv phi, clipped at 0.
+
+    A non-finite phi raises DomainError: its variance would be nan, which a
+    threshold test reads as certain.
+    """
     phi = _check_phi(model, phi)
     if phi.ndim != 1:
         raise DomainError("predictive_variance takes a single feature vector")
-    return max(float(model.noise_scale * (phi @ model.A_inv @ phi)), 0.0)
+    _check_finite("feature vector", phi)
+    return max(float(model.noise_scale * (phi @ _apply_inverse(model, phi))), 0.0)
 
 
 def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
-    """Rank-1 Sherman-Morrison update; equals a batch refit on the grown set.
+    """Rank-1 (Sherman-Morrison) update; equals a batch refit on the grown set.
 
-    noise_scale stays frozen (see RidgeModel); n_train counts the new pair.
-    The new A_inv is built in one fresh D x D array, updated in place; it
-    stays exactly symmetric (see RidgeModel).
+    With u = A_inv phi and d = 1 + phi^T u, W gains (y - W phi) u^T / d and
+    the returned model carries one more row u / sqrt(d) of V over the same
+    base A0 (see RidgeModel), so no D x D array is touched unless V reaches
+    FOLD_RANK rows and is folded.  noise_scale stays frozen; n_train counts
+    the new pair.  Non-finite inputs raise DomainError.
     """
     phi = _check_phi(model, phi_new)
     y = np.atleast_1d(np.asarray(y_new, dtype=float))
     if y.shape != (model.W.shape[0],):
         raise DomainError(f"target has shape {y.shape}, model outputs {model.W.shape[0]}")
-    u = model.A_inv @ phi
+    _check_finite("feature vector", phi)
+    _check_finite("target", y)
+    u = _apply_inverse(model, phi)
     denom = 1.0 + float(phi @ u)
     if denom <= 0.0:
         raise DomainError(f"rank-1 update breakdown: denominator {denom} <= 0")
-    A_inv = np.outer(u, u)
-    A_inv /= denom
-    np.subtract(model.A_inv, A_inv, out=A_inv)
     W = model.W + np.outer((y - model.W @ phi) / denom, u)
-    return RidgeModel(W, model.lam, A_inv, model.noise_scale, model.n_train + 1)
+    V = np.vstack([model.V, u / math.sqrt(denom)])
+    A0 = model.A0
+    if len(V) >= FOLD_RANK:
+        A0, V = _fold(A0, V), None
+    return RidgeModel(W, model.lam, A0, model.noise_scale, model.n_train + 1, V)
 
 
 def cross_validate(

@@ -316,6 +316,18 @@ def test_beta_cf_batch_rows_match_single():
         beta_cf(omega, [BetaDist(2.0, 3.0), BetaDist(0.0, 1.0)])
 
 
+def test_empty_batches_raise_domain_error():
+    omega = np.random.default_rng(30).normal(0.0, 8.0, size=40)
+    with pytest.raises(DomainError, match="empty"):
+        beta_cf(omega, [])
+    rng = np.random.default_rng(31)
+    inner = draw_rff(2, 8, (1.0, 0.25), rng)
+    spec = TwoStageSpec(inner, np.zeros(8), np.eye(8)[:, :3], draw_rff(3, 16, 1.0, rng))
+    for s in (inner, spec):
+        with pytest.raises(DomainError, match="empty"):
+            joint_features_batch(s, [])
+
+
 def test_beta_cf_phase_cache(monkeypatch):
     cache = kernels._phase_matrix
     rng = np.random.default_rng(28)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelep import operator
 from kernelep.errors import DomainError, PredictionError
 from kernelep.expfam import (
     BetaDist,
@@ -98,6 +99,12 @@ def test_featurize_batch_matches_single(trained):
     batch = featurize_batch(op, tuples)
     for i, t in enumerate(tuples):
         np.testing.assert_allclose(batch[:, i], featurize(op, t), atol=1e-12)
+
+
+def test_featurize_batch_rejects_empty(trained):
+    _, op, _, _ = trained
+    with pytest.raises(DomainError, match="empty"):
+        featurize_batch(op, [])
 
 
 def test_mean_output_memorizes_at_tiny_ridge():
@@ -207,6 +214,30 @@ def test_absorb_flips_decision(trained):
     policy = UncertaintyPolicy(tau=tau, budget=3)
     assert isinstance(decide(op, policy, inc), QueryOracle)
     assert isinstance(decide(updated, policy, inc), UsePrediction)
+
+
+def test_decide_and_absorb_call_the_module_bindings(trained, monkeypatch):
+    # the benchmark times predictive_variance and update_online through
+    # these bindings, so the gate and the absorb must reach them
+    _, op, _, _ = trained
+    calls = {"predictive_variance": 0, "update_online": 0}
+
+    def counting(name):
+        inner = getattr(operator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(operator, name, counting(name))
+    inc = IncomingTuple(Gaussian1D(1.5, 2.0), BetaDist(3.0, 5.0))
+    decide(op, UncertaintyPolicy(tau=1e-30, budget=1), inc)
+    assert calls == {"predictive_variance": 1, "update_online": 0}
+    absorb(op, inc, np.array([0.2, -0.4]))
+    assert calls == {"predictive_variance": 1, "update_online": 1}
 
 
 def test_absorb_diminishing_correction(trained):

@@ -196,7 +196,17 @@ def _round_trip(model, path):
     return load_model(path).op.model
 
 
-def test_online_update_bit_identical_and_exactly_symmetric(tmp_path):
+def _max_rel(got, ref):
+    """Largest absolute deviation, relative to the reference's largest entry."""
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+# update_online applies A_inv as A0 phi - V^T (V phi), the reference as one
+# materialized matrix: the same arithmetic up to summation order
+CARRY_RTOL = 1e-9
+
+
+def test_online_update_matches_reference_and_exactly_symmetric(tmp_path):
     Phi, Y, _ = random_problem(D=40, N=60, seed=72, noise=0.3)
     model = fit(Phi, Y, 1e-3)
     assert np.array_equal(model.A_inv, model.A_inv.T)
@@ -211,12 +221,109 @@ def test_online_update_bit_identical_and_exactly_symmetric(tmp_path):
             phi, y = rng.normal(size=40), rng.normal(size=2)
             ref_A_inv, ref_W = _reference_update(current, phi, y)
             current = update_online(current, phi, y)
-            assert np.array_equal(current.A_inv, ref_A_inv)
-            assert np.array_equal(current.W, ref_W)
+            assert _max_rel(current.A_inv, ref_A_inv) <= CARRY_RTOL
+            assert _max_rel(current.W, ref_W) <= CARRY_RTOL
             assert np.array_equal(current.A_inv, current.A_inv.T)
         assert current.n_train == start.n_train + 24
     # the in-place arithmetic never writes into the model it started from
     assert np.array_equal(model.A_inv, fitted_A_inv)
+
+
+def test_low_rank_carry_folds_into_symmetric_base(monkeypatch):
+    monkeypatch.setattr(regress, "FOLD_RANK", 3)
+    Phi, Y, _ = random_problem(D=40, N=60, seed=74, noise=0.3)
+    lam = 1e-3
+    model = fit(Phi, Y, lam)
+    assert model.A_inv is model.A0
+    rng = np.random.default_rng(75)
+    new_phis, new_ys = rng.normal(size=(40, 10)), rng.normal(size=(2, 10))
+    bases = [model.A0]
+    for i in range(10):
+        ref_A_inv, ref_W = _reference_update(model, new_phis[:, i], new_ys[:, i])
+        model = update_online(model, new_phis[:, i], new_ys[:, i])
+        assert model.V.shape == ((i + 1) % 3, 40)
+        assert _max_rel(model.A_inv, ref_A_inv) <= CARRY_RTOL
+        assert _max_rel(model.W, ref_W) <= CARRY_RTOL
+        if not len(model.V):
+            # a fold: a new base, exactly symmetric, and A_inv is that base
+            assert model.A0 is not bases[-1]
+            assert np.array_equal(model.A0, model.A0.T)
+            assert model.A_inv is model.A0
+            bases.append(model.A0)
+        assert np.array_equal(model.A_inv, model.A_inv.T)
+    assert len(bases) == 4
+    batch = fit(np.hstack([Phi, new_phis]), np.hstack([Y, new_ys]), lam)
+    np.testing.assert_allclose(model.W, batch.W, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(model.A_inv, batch.A_inv, rtol=1e-8, atol=1e-12)
+
+
+def test_update_branches_into_independent_models():
+    Phi, Y, _ = random_problem(D=40, N=60, seed=76, noise=0.3)
+    model = fit(Phi, Y, 1e-3)
+    rng = np.random.default_rng(77)
+    first = update_online(model, rng.normal(size=40), rng.normal(size=2))
+    first_V, first_W = first.V.copy(), first.W.copy()
+    phi, y = rng.normal(size=40), rng.normal(size=2)
+    ref_A_inv, ref_W = _reference_update(first, phi, y)
+    a = update_online(first, phi, y)
+    b = update_online(first, rng.normal(size=40), rng.normal(size=2))
+    # siblings share the read-only base, never their carried rows
+    assert a.A0 is b.A0 is model.A0
+    assert not np.shares_memory(a.V, b.V)
+    assert not np.shares_memory(a.V, first.V)
+    assert not np.array_equal(a.V[1], b.V[1])
+    np.testing.assert_array_equal(a.V[0], b.V[0])
+    np.testing.assert_array_equal(first.V, first_V)
+    np.testing.assert_array_equal(first.W, first_W)
+    assert _max_rel(a.A_inv, ref_A_inv) <= CARRY_RTOL
+    assert _max_rel(a.W, ref_W) <= CARRY_RTOL
+
+
+def test_update_never_writes_the_base(monkeypatch):
+    monkeypatch.setattr(regress, "FOLD_RANK", 4)
+    Phi, Y, _ = random_problem(D=40, N=60, seed=78, noise=0.3)
+    model = fit(Phi, Y, 1e-3)
+    base, base_bytes = model.A0, model.A0.copy()
+    rng = np.random.default_rng(79)
+    current = model
+    for _ in range(9):
+        current = update_online(current, rng.normal(size=40), rng.normal(size=2))
+        for arr in (current.A0, current.V, current.W, current.A_inv):
+            assert not arr.flags.writeable
+    assert current.A0 is not base  # folded twice
+    np.testing.assert_array_equal(base, base_bytes)
+    assert model.A0 is base and model.A_inv is base
+
+
+def test_updated_model_round_trips_through_save(tmp_path):
+    Phi, Y, _ = random_problem(D=40, N=60, seed=80, noise=0.3)
+    model = fit(Phi, Y, 1e-3)
+    rng = np.random.default_rng(81)
+    for _ in range(7):
+        model = update_online(model, rng.normal(size=40), rng.normal(size=2))
+    loaded = _round_trip(model, tmp_path / "model.json")
+    assert loaded.V.shape == (0, 40)
+    assert np.array_equal(loaded.A0, model.A_inv)
+    np.testing.assert_array_equal(loaded.W, model.W)
+    assert loaded.n_train == model.n_train
+    for probe in rng.normal(size=(10, 40)):
+        in_memory = predictive_variance(model, probe)
+        assert abs(predictive_variance(loaded, probe) - in_memory) <= CARRY_RTOL * in_memory
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_update_and_variance_reject_non_finite_inputs(bad):
+    Phi, Y, _ = random_problem(seed=82, noise=0.3)
+    model = fit(Phi, Y, 0.2)
+    phi = np.random.default_rng(83).normal(size=12)
+    bad_phi = phi.copy()
+    bad_phi[5] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        update_online(model, phi, [bad, 0.0])
+    with pytest.raises(DomainError, match="non-finite"):
+        update_online(model, bad_phi, [0.0, 0.0])
+    with pytest.raises(DomainError, match="non-finite"):
+        predictive_variance(model, bad_phi)
 
 
 def test_online_update_with_duplicate_point():
