@@ -13,9 +13,15 @@ outputs are byte-identical across reruns and across worker counts.  To keep
 that guarantee, wall-clock numbers never enter a primary output; they land in
 a `.timings.json` sidecar next to it.
 
-Formats: datasets are CSV with a fixed header; models, graphs, and reports
-are JSON.  Floats are serialized as the shortest decimal that parses back to
-the identical double, so files round-trip without loss.  Model files are
+Configuration: the `_SCALARS` and `_SECTIONS` tables are the one statement of
+the config schema.  `make_config` and `build_parser` both read them, and each
+scalar key is also the flag `--key-with-dashes`, so a new setting is one
+table entry plus its `RunConfig` field.
+
+Formats: datasets and per-case eval rows are CSV with a fixed header, read
+and written by one codec; models, graphs, and reports are JSON.  Floats are
+serialized as the shortest decimal that parses back to the identical double,
+so files round-trip without loss.  Model files are
 compact JSON carrying a format version and a sha256 checksum over the
 canonical payload, verified on load.  The payload holds the ridge model
 (weights, inverse Gram, lambda, noise scale, tau) and the operator's
@@ -79,7 +85,6 @@ from .ep_engine import (
 
 __all__ = [
     "RunConfig",
-    "EvalReport",
     "SavedModel",
     "DATASET_HEADER",
     "EVAL_CASES_HEADER",
@@ -105,11 +110,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Configuration
-
-_INT_KEYS = ("seed", "n_train", "n_test", "n_importance", "num_features", "n_jobs", "budget")
-_STR_KEYS = ("dataset", "model", "graph", "out", "model_out")
-_SCALAR_KEYS = _INT_KEYS + _STR_KEYS + ("tau", "passthrough")
-_GROUP_KEYS = ("prior", "cv", "damping")
 
 
 @dataclass(frozen=True)
@@ -155,16 +155,78 @@ class RunConfig:
         for name in ("dataset", "model", "graph"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} path must be nonempty")
-        if not self.multipliers or not self.lambdas:
-            raise ConfigError("cv multipliers and lambdas must be nonempty")
+        for name in ("multipliers", "lambdas"):
+            values = getattr(self, name)
+            if not values or not all(math.isfinite(v) and v > 0 for v in values):
+                raise ConfigError(f"cv {name} must be finite, positive and nonempty, got {values}")
 
 
-def _pair(value, label: str) -> tuple:
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _bool(value) -> bool:
+    """JSON true or false only: bool("false") would read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _pair(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"expected a [low, high] pair, got {value!r}")
+    return (float(value[0]), float(value[1]))
+
+
+def _floats(value) -> tuple:
+    return tuple(float(v) for v in value)
+
+
+# The config schema.  Each scalar key is also the flag --key-with-dashes, and
+# its parser reads a JSON value and a flag string alike; a boolean key is a
+# flag without a value.
+_SCALARS = {
+    "seed": (int, "master seed"),
+    "out": (str, "primary output path"),
+    "dataset": (str, "dataset CSV path"),
+    "model": (str, "model JSON path"),
+    "graph": (str, "graph JSON path"),
+    "model_out": (str, "updated model path (active-run)"),
+    "n_train": (int, "training cases (gen-data)"),
+    "n_test": (int, "held-out cases (eval)"),
+    "n_importance": (int, "importance samples per oracle call"),
+    "num_features": (int, "random features of the operator (train)"),
+    "n_jobs": (int, "worker threads (gen-data)"),
+    "tau": (_optional_float, "query threshold; null keeps the model's (active-run)"),
+    "budget": (int, "oracle query budget (active-run)"),
+    "passthrough": (_bool, "eval only: replace the operator with a second oracle run"),
+}
+
+# Nested sections, each mapping its JSON keys to (field, parser).  A section
+# with a builder fills the RunConfig field of its own name; "cv" fills
+# RunConfig's fields directly.
+_SECTIONS = {
+    "prior": (IncomingPrior, {
+        key: (f"{key}_range", _pair) for key in ("mean", "log_variance", "alpha", "beta")
+    }),
+    "cv": (None, {
+        "multipliers": ("multipliers", _floats),
+        "lambdas": ("lambdas", _floats),
+        "folds": ("folds", int),
+    }),
+    "damping": (DampingConfig, {
+        "delta": ("delta", float),
+        "max_iters": ("max_iters", int),
+        "tol": ("tol", float),
+    }),
+}
+
+
+def _parsed(parse, value, label: str):
     try:
-        lo, hi = value
-        return (float(lo), float(hi))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label} must be a [low, high] pair: {exc}") from None
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {label} value: {exc}") from None
 
 
 def load_config_file(path) -> dict:
@@ -185,70 +247,26 @@ def make_config(data: dict | None = None, overrides: dict | None = None) -> RunC
     typo fails loudly.
     """
     data = dict(data) if data else {}
-    prior_d = data.pop("prior", None)
-    cv_d = data.pop("cv", None)
-    damp_d = data.pop("damping", None)
-    unknown = set(data) - set(_SCALAR_KEYS)
+    sections = {name: data.pop(name) for name in _SECTIONS if name in data}
+    data.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    unknown = set(data) - set(_SCALARS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            data[key] = value
-
-    kwargs = {}
-    try:
-        for key in _INT_KEYS:
-            if key in data:
-                kwargs[key] = int(data[key])
-        for key in _STR_KEYS:
-            if key in data:
-                kwargs[key] = str(data[key])
-        if data.get("tau") is not None:
-            kwargs["tau"] = float(data["tau"])
-        if "passthrough" in data:
-            kwargs["passthrough"] = bool(data["passthrough"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
-
-    if prior_d is not None:
-        base = IncomingPrior()
-        unknown = set(prior_d) - {"mean", "log_variance", "alpha", "beta"}
+    kwargs = {key: _parsed(_SCALARS[key][0], value, key) for key, value in data.items()}
+    for name, doc in sections.items():
+        if doc is None:
+            continue
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config section {name} must be a JSON object")
+        build, keys = _SECTIONS[name]
+        unknown = set(doc) - set(keys)
         if unknown:
-            raise ConfigError(f"unknown prior keys: {sorted(unknown)}")
-        kwargs["prior"] = IncomingPrior(
-            mean_range=_pair(prior_d.get("mean", base.mean_range), "prior.mean"),
-            log_variance_range=_pair(
-                prior_d.get("log_variance", base.log_variance_range), "prior.log_variance"
-            ),
-            alpha_range=_pair(prior_d.get("alpha", base.alpha_range), "prior.alpha"),
-            beta_range=_pair(prior_d.get("beta", base.beta_range), "prior.beta"),
-        )
-    if cv_d is not None:
-        unknown = set(cv_d) - {"multipliers", "lambdas", "folds"}
-        if unknown:
-            raise ConfigError(f"unknown cv keys: {sorted(unknown)}")
-        try:
-            if "multipliers" in cv_d:
-                kwargs["multipliers"] = tuple(float(m) for m in cv_d["multipliers"])
-            if "lambdas" in cv_d:
-                kwargs["lambdas"] = tuple(float(v) for v in cv_d["lambdas"])
-            if "folds" in cv_d:
-                kwargs["folds"] = int(cv_d["folds"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad cv value: {exc}") from None
-    if damp_d is not None:
-        unknown = set(damp_d) - {"delta", "max_iters", "tol"}
-        if unknown:
-            raise ConfigError(f"unknown damping keys: {sorted(unknown)}")
-        base = DampingConfig()
-        try:
-            kwargs["damping"] = DampingConfig(
-                delta=float(damp_d.get("delta", base.delta)),
-                max_iters=int(damp_d.get("max_iters", base.max_iters)),
-                tol=float(damp_d.get("tol", base.tol)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad damping value: {exc}") from None
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        fields = {keys[k][0]: _parsed(keys[k][1], v, f"{name}.{k}") for k, v in doc.items()}
+        if build is None:
+            kwargs.update(fields)
+        else:
+            kwargs[name] = _parsed(lambda f: build(**f), fields, name)
     return RunConfig(**kwargs)
 
 
@@ -284,14 +302,7 @@ def _derived_path(out: Path, tag: str) -> Path:
 
 def _with_parent(path) -> Path:
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_text(path: Path, text: str) -> Path:
-    path = _with_parent(path)
-    path.write_text(text)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -307,33 +318,75 @@ def _write_json(path: Path, obj, *, compact: bool = False) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Dataset files
+# CSV files: training datasets and per-case eval rows
+
+_INCOMING_COLUMNS = "mx_mean,mx_log_variance,mz_alpha,mz_beta"
 
 DATASET_HEADER = (
-    "case_id,mx_mean,mx_log_variance,mz_alpha,mz_beta,"
+    f"case_id,{_INCOMING_COLUMNS},"
     "out_mean,out_log_variance,ess,n_samples"
 )
 
+EVAL_CASES_HEADER = (
+    f"case_id,{_INCOMING_COLUMNS},"
+    "oracle_mean,oracle_log_variance,pred_mean,pred_log_variance,"
+    "ess,kl,log10_kl,excluded"
+)
+
+
+def _gaussian_cols(g: Gaussian1D) -> list:
+    return [_ffmt(g.mean), _ffmt(_log_exact(g.variance))]
+
+
+def _case_cols(case_id: int, inc: IncomingTuple) -> list:
+    """The case id and the four incoming-tuple columns every CSV starts with."""
+    return [str(case_id), *_gaussian_cols(inc.m_x), _ffmt(inc.m_z.alpha), _ffmt(inc.m_z.beta)]
+
+
+def _write_csv(path, header: str, rows) -> Path:
+    path = _with_parent(path)
+    path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+    return path
+
+
+def _read_csv(path, header: str, parse_row) -> list:
+    """parse_row(fields) of every data row of a CSV with a fixed header.
+
+    A wrong header, a wrong field count, or a ValueError from parse_row
+    raises DatasetFormatError carrying the line number.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != header:
+        raise DatasetFormatError("missing or wrong header", line=1)
+    width = header.count(",") + 1
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        fields = raw.split(",")
+        if len(fields) != width:
+            raise DatasetFormatError(f"expected {width} fields, got {len(fields)}", line=lineno)
+        try:
+            rows.append(parse_row(fields))
+        except (ValueError, OverflowError) as exc:
+            raise DatasetFormatError(str(exc), line=lineno) from None
+    return rows
+
 
 def save_dataset(path, pairs) -> Path:
-    lines = [DATASET_HEADER]
-    for i, p in enumerate(pairs):
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    _ffmt(p.input.m_x.mean),
-                    _ffmt(_log_exact(p.input.m_x.variance)),
-                    _ffmt(p.input.m_z.alpha),
-                    _ffmt(p.input.m_z.beta),
-                    _ffmt(p.target[0]),
-                    _ffmt(p.target[1]),
-                    _ffmt(p.ess),
-                    str(int(p.n_samples)),
-                ]
-            )
-        )
-    return _write_text(Path(path), "\n".join(lines) + "\n")
+    rows = (
+        _case_cols(i, p.input)
+        + [_ffmt(p.target[0]), _ffmt(p.target[1]), _ffmt(p.ess), str(int(p.n_samples))]
+        for i, p in enumerate(pairs)
+    )
+    return _write_csv(path, DATASET_HEADER, rows)
+
+
+def _training_pair(fields) -> TrainingPair:
+    m_x = Gaussian1D(float(fields[1]), math.exp(float(fields[2])))
+    inc = IncomingTuple(m_x, BetaDist(float(fields[3]), float(fields[4])))
+    if not inc.proper:
+        raise ValueError("improper incoming messages")
+    target = np.array([float(fields[5]), float(fields[6])])
+    return TrainingPair(inc, target, float(fields[7]), int(fields[8]))
 
 
 def load_dataset(path) -> list:
@@ -341,28 +394,23 @@ def load_dataset(path) -> list:
 
     Malformed content raises DatasetFormatError carrying the line number.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != DATASET_HEADER:
-        raise DatasetFormatError("missing or wrong header", line=1)
-    pairs = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        fields = raw.split(",")
-        if len(fields) != 9:
-            raise DatasetFormatError(f"expected 9 fields, got {len(fields)}", line=lineno)
-        try:
-            vals = [float(v) for v in fields[1:8]]
-            n_samples = int(fields[8])
-            m_x = Gaussian1D(vals[0], math.exp(vals[1]))
-        except (ValueError, OverflowError) as exc:
-            raise DatasetFormatError(str(exc), line=lineno) from None
-        m_z = BetaDist(vals[2], vals[3])
-        inc = IncomingTuple(m_x, m_z)
-        if not inc.proper:
-            raise DatasetFormatError("improper incoming messages", line=lineno)
-        pairs.append(TrainingPair(inc, np.array(vals[4:6]), vals[6], n_samples))
+    pairs = _read_csv(path, DATASET_HEADER, _training_pair)
     if not pairs:
         raise DatasetFormatError("dataset holds no data rows")
     return pairs
+
+
+def load_eval_cases(path) -> list:
+    """Per-case eval rows as dicts of parsed values."""
+    names = EVAL_CASES_HEADER.split(",")
+
+    def parse_row(fields) -> dict:
+        row = {name: float(v) for name, v in zip(names, fields)}
+        row["case_id"] = int(fields[0])
+        row["excluded"] = bool(int(fields[-1]))
+        return row
+
+    return _read_csv(path, EVAL_CASES_HEADER, parse_row)
 
 
 # ---------------------------------------------------------------------------
@@ -468,24 +516,20 @@ def load_model(path) -> SavedModel:
     try:
         payload = _decode_arrays(doc["payload"])
         outer = payload["outer"]
+
+        def arrays(node, *keys):
+            return [np.asarray(node[key], dtype=float) for key in keys]
+
         spec = TwoStageSpec(
-            RffSpec(
-                np.asarray(payload["frequencies"], dtype=float),
-                np.asarray(payload["phases"], dtype=float),
-                np.asarray(payload["bandwidths"], dtype=float),
-            ),
-            np.asarray(outer["center"], dtype=float),
-            np.asarray(outer["projection"], dtype=float),
-            RffSpec(
-                np.asarray(outer["frequencies"], dtype=float),
-                np.asarray(outer["phases"], dtype=float),
-                np.asarray(outer["bandwidth"], dtype=float),
-            ),
+            RffSpec(*arrays(payload, "frequencies", "phases", "bandwidths")),
+            *arrays(outer, "center", "projection"),
+            RffSpec(*arrays(outer, "frequencies", "phases", "bandwidth")),
         )
+        weights, a_inv = arrays(payload, "weights", "a_inv")
         model = RidgeModel(
-            np.asarray(payload["weights"], dtype=float),
+            weights,
             float(payload["lambda"]),
-            np.asarray(payload["a_inv"], dtype=float),
+            a_inv,
             float(payload["noise_scale"]),
             int(payload["n_train"]),
         )
@@ -621,44 +665,6 @@ def cmd_train(config: RunConfig) -> Path:
     return save_model(out, op, seed=config.seed, tau=tau, extra=extra)
 
 
-EVAL_CASES_HEADER = (
-    "case_id,mx_mean,mx_log_variance,mz_alpha,mz_beta,"
-    "oracle_mean,oracle_log_variance,pred_mean,pred_log_variance,"
-    "ess,kl,log10_kl,excluded"
-)
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Evaluation result: per-case divergences plus plot-ready histogram."""
-
-    kl: np.ndarray
-    log10_kl: np.ndarray
-    n_test: int
-    n_excluded: int
-    summary: dict
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    runtime_seconds: float
-
-
-def _build_eval_report(kls, n_test: int, n_excluded: int, runtime: float) -> EvalReport:
-    kl = np.asarray(kls, dtype=float)
-    log10_kl = np.log10(np.maximum(kl, sys.float_info.min))
-    if kl.size:
-        summary = {
-            "min": float(kl.min()),
-            "median": float(np.median(kl)),
-            "mean": float(kl.mean()),
-            "max": float(kl.max()),
-        }
-        counts, edges = np.histogram(log10_kl, bins=20)
-    else:
-        summary = {"min": None, "median": None, "mean": None, "max": None}
-        counts, edges = np.zeros(20, dtype=int), np.linspace(0.0, 1.0, 21)
-    return EvalReport(kl, log10_kl, n_test, n_excluded, summary, edges, counts, runtime)
-
-
 def cmd_eval(config: RunConfig) -> Path:
     """Score the operator against the sampling oracle on fresh cases.
 
@@ -671,11 +677,8 @@ def cmd_eval(config: RunConfig) -> Path:
     out = Path(config.out or "eval_report.json")
     op = load_model(config.model).op
     start = time.perf_counter()
-    case_seqs = np.random.SeedSequence([config.seed, 2]).spawn(config.n_test)
-    rows = []
-    kls = []
-    n_excluded = 0
-    for i, seq in enumerate(case_seqs):
+    rows, kls = [], []
+    for i, seq in enumerate(np.random.SeedSequence([config.seed, 2]).spawn(config.n_test)):
         draw_rng, rng_a, rng_b = (np.random.default_rng(s) for s in seq.spawn(3))
         inc = sample_incoming(config.prior, draw_rng)
         try:
@@ -685,91 +688,49 @@ def cmd_eval(config: RunConfig) -> Path:
             else:
                 q_hat = predict_q(op, inc)
         except DegenerateSampleError as exc:
-            n_excluded += 1
-            rows.append((i, inc, None, None, exc.ess, None, None))
+            rows.append(_case_cols(i, inc) + ["nan"] * 4 + [_ffmt(exc.ess), "nan", "nan", "1"])
             continue
-        kl = max(kl_divergence(q_oracle, q_hat), 0.0)
+        kl = kl_divergence(q_oracle, q_hat)
         lkl = math.log10(kl) if kl > 0 else math.log10(sys.float_info.min)
-        rows.append((i, inc, q_oracle, q_hat, ess, kl, lkl))
+        rows.append(
+            _case_cols(i, inc) + _gaussian_cols(q_oracle) + _gaussian_cols(q_hat)
+            + [_ffmt(ess), _ffmt(kl), _ffmt(lkl), "0"]
+        )
         kls.append(kl)
-    report = _build_eval_report(kls, config.n_test, n_excluded, time.perf_counter() - start)
+    runtime = time.perf_counter() - start
 
-    lines = [EVAL_CASES_HEADER]
-    for case_id, inc, q_oracle, q_hat, ess, kl, lkl in rows:
-        excluded = q_oracle is None
-        moment_cols = (
-            ["nan"] * 4
-            if excluded
-            else [
-                _ffmt(q_oracle.mean),
-                _ffmt(_log_exact(q_oracle.variance)),
-                _ffmt(q_hat.mean),
-                _ffmt(_log_exact(q_hat.variance)),
-            ]
-        )
-        lines.append(
-            ",".join(
-                [
-                    str(case_id),
-                    _ffmt(inc.m_x.mean),
-                    _ffmt(_log_exact(inc.m_x.variance)),
-                    _ffmt(inc.m_z.alpha),
-                    _ffmt(inc.m_z.beta),
-                    *moment_cols,
-                    _ffmt(ess),
-                    "nan" if excluded else _ffmt(kl),
-                    "nan" if excluded else _ffmt(lkl),
-                    "1" if excluded else "0",
-                ]
-            )
-        )
-    _write_text(_derived_path(out, ".cases.csv"), "\n".join(lines) + "\n")
+    included = np.asarray(kls, dtype=float)
+    if included.size:
+        summary = {
+            "min": float(included.min()),
+            "median": float(np.median(included)),
+            "mean": float(included.mean()),
+            "max": float(included.max()),
+        }
+        counts, edges = np.histogram(np.log10(np.maximum(included, sys.float_info.min)), bins=20)
+    else:
+        summary = dict.fromkeys(("min", "median", "mean", "max"))
+        counts, edges = np.zeros(20, dtype=int), np.linspace(0.0, 1.0, 21)
+
+    _write_csv(_derived_path(out, ".cases.csv"), EVAL_CASES_HEADER, rows)
     _write_json(
         out,
         {
-            "n_test": report.n_test,
-            "n_excluded": report.n_excluded,
-            "n_included": report.n_test - report.n_excluded,
+            "n_test": config.n_test,
+            "n_excluded": config.n_test - len(kls),
+            "n_included": len(kls),
             "passthrough": config.passthrough,
             "n_importance": config.n_importance,
-            "kl_summary": report.summary,
-            "histogram": {
-                "log10_kl_bin_edges": report.bin_edges.tolist(),
-                "counts": report.counts.tolist(),
-            },
+            "kl_summary": summary,
+            "histogram": {"log10_kl_bin_edges": edges.tolist(), "counts": counts.tolist()},
         },
     )
-    _write_json(
-        _derived_path(out, ".timings.json"), {"runtime_seconds": report.runtime_seconds}
-    )
+    _write_json(_derived_path(out, ".timings.json"), {"runtime_seconds": runtime})
     return out
 
 
 def load_eval_report(path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def load_eval_cases(path) -> list:
-    """Per-case eval rows as dicts of parsed values."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != EVAL_CASES_HEADER:
-        raise DatasetFormatError("missing or wrong header", line=1)
-    names = EVAL_CASES_HEADER.split(",")
-    out = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        fields = raw.split(",")
-        if len(fields) != len(names):
-            raise DatasetFormatError(
-                f"expected {len(names)} fields, got {len(fields)}", line=lineno
-            )
-        try:
-            row = {name: float(v) for name, v in zip(names, fields)}
-            row["case_id"] = int(fields[0])
-            row["excluded"] = bool(int(fields[-1]))
-        except ValueError as exc:
-            raise DatasetFormatError(str(exc), line=lineno) from None
-        out.append(row)
-    return out
 
 
 def cmd_ep_run(config: RunConfig) -> Path:
@@ -785,22 +746,14 @@ def cmd_ep_run(config: RunConfig) -> Path:
     loaded = load_model(config.model)
     graph = load_graph(config.graph)
 
-    t0 = time.perf_counter()
-    res_oracle = run_ep(
-        graph,
-        default_sources(OracleSource(config.n_importance)),
-        config.damping,
-        rng=_command_rng(config.seed, 3),
-    )
-    t_oracle = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    res_operator = run_ep(
-        graph,
-        default_sources(OperatorSource(loaded.op)),
-        config.damping,
-        rng=_command_rng(config.seed, 3),
-    )
-    t_operator = time.perf_counter() - t0
+    runs, side = {}, {}
+    for source in (OracleSource(config.n_importance), OperatorSource(loaded.op)):
+        t0 = time.perf_counter()
+        rng = _command_rng(config.seed, 3)
+        res = run_ep(graph, default_sources(source), config.damping, rng=rng)
+        runs[source.kind] = res
+        side[source.kind] = _timing_json(res, time.perf_counter() - t0)
+    res_oracle, res_operator = runs["oracle"], runs["operator"]
 
     kl = {}
     for vid in sorted(res_oracle.marginals):
@@ -814,10 +767,6 @@ def cmd_ep_run(config: RunConfig) -> Path:
             "kl_oracle_vs_operator": kl,
         },
     )
-    side = {
-        "oracle": _timing_json(res_oracle, t_oracle),
-        "operator": _timing_json(res_operator, t_operator),
-    }
     o = side["oracle"]["per_kind"].get("oracle")
     p = side["operator"]["per_kind"].get("operator")
     # medians, so a burst of load from elsewhere on the host moves neither side
@@ -880,26 +829,12 @@ def cmd_active_run(config: RunConfig) -> Path:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its keys")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--out", help="primary output path")
-    common.add_argument("--dataset", help="dataset CSV path")
-    common.add_argument("--model", help="model JSON path")
-    common.add_argument("--graph", help="graph JSON path")
-    common.add_argument("--model-out", dest="model_out", help="updated model path (active-run)")
-    common.add_argument("--n-train", dest="n_train", type=int)
-    common.add_argument("--n-test", dest="n_test", type=int)
-    common.add_argument("--n-importance", dest="n_importance", type=int)
-    common.add_argument("--num-features", dest="num_features", type=int)
-    common.add_argument("--n-jobs", dest="n_jobs", type=int)
-    common.add_argument("--tau", type=float)
-    common.add_argument("--budget", type=int)
-    common.add_argument(
-        "--passthrough",
-        action="store_const",
-        const=True,
-        default=None,
-        help="eval only: replace the operator with a second oracle run",
-    )
+    for key, (parse, text) in _SCALARS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _bool:
+            common.add_argument(flag, dest=key, action="store_const", const=True, help=text)
+        else:
+            common.add_argument(flag, dest=key, type=parse, help=text)
 
     parser = argparse.ArgumentParser(
         prog="kernelep",
@@ -918,13 +853,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _args_config(args) -> RunConfig:
+    """The config file named by --config, overridden by the flags given."""
+    data = load_config_file(args.config) if args.config else {}
+    return make_config(data, {key: getattr(args, key) for key in _SCALARS})
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        data = load_config_file(args.config) if args.config else {}
-        overrides = {key: getattr(args, key) for key in _SCALAR_KEYS}
-        config = make_config(data, overrides)
-        out = args.func(config)
+        out = args.func(_args_config(args))
         print(out)
     except (KernelEpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

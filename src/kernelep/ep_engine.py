@@ -42,6 +42,9 @@ BETA = "beta"
 
 FACTOR_KINDS = ("gaussian_prior", "logistic", "linear_gaussian")
 
+# independent oracle draws an OracleSource tries before its message fails
+ORACLE_RETRIES = 3
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -255,11 +258,10 @@ class OracleSource:
 
     kind = "oracle"
 
-    def __init__(self, n_importance: int = 10_000, retries: int = 3):
+    def __init__(self, n_importance: int = 10_000):
         if n_importance < 100:
             raise DomainError("n_importance must be >= 100")
         self.n_importance = int(n_importance)
-        self.retries = int(retries)
 
     def __call__(self, factor, incoming, rng):
         x_id, z_id = factor.neighbors
@@ -267,7 +269,7 @@ class OracleSource:
         if not inc.proper:
             return {}
         last = None
-        for sub in rng.spawn(self.retries):
+        for sub in rng.spawn(ORACLE_RETRIES):
             try:
                 q, _ = oracle_to_x(inc, self.n_importance, sub)
             except KernelEpError as exc:

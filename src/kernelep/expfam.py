@@ -113,8 +113,6 @@ class BetaDist:
 
 ExpFamDist = Gaussian1D | BetaDist
 
-_FAMILY_NAMES = {"gaussian": Gaussian1D, "beta": BetaDist}
-
 
 def family_name(d: ExpFamDist) -> str:
     return "gaussian" if isinstance(d, Gaussian1D) else "beta"

@@ -76,6 +76,8 @@ __all__ = [
 QUAD_ORDER = 64
 QUAD_ORDER_CAP = 4096
 QUAD_TOL = 1e-8
+# c of _unit_gl's endpoint-flattening substitution
+_FLATTEN = 3.0
 # phase matrices beta_cf keeps: two frequency vectors' usual 64-512 escalation
 PHASE_CACHE_SIZE = 8
 
@@ -230,10 +232,10 @@ def gaussian_cf(omega: np.ndarray, g: Gaussian1D) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _unit_gl(order: int, flatten: float = 3.0):
+def _unit_gl(order: int):
     """Gauss-Legendre rule on (0, 1) after a double-exponential substitution.
 
-    z(u) = sigmoid(pi sinh(c u)) maps (-1, 1) onto (0, 1) with all
+    z(u) = sigmoid(pi sinh(c u)), c = _FLATTEN, maps (-1, 1) onto (0, 1) with all
     derivatives vanishing at the endpoints, so the rule converges
     superalgebraically even for the endpoint-singular densities z^(a-1)
     with fractional a that plain Gauss-Legendre handles only slowly.
@@ -241,12 +243,12 @@ def _unit_gl(order: int, flatten: float = 3.0):
     finite where z itself rounds to 0 or 1.
     """
     u, v = np.polynomial.legendre.leggauss(order)
-    t = 0.5 * math.pi * np.sinh(flatten * u)
+    t = 0.5 * math.pi * np.sinh(_FLATTEN * u)
     log_z = -np.logaddexp(0.0, -2.0 * t)
     log_1mz = -np.logaddexp(0.0, 2.0 * t)
     # dz/du = c*pi*cosh(c u)*z*(1-z)
     log_jac = (
-        math.log(flatten * math.pi) + np.log(np.cosh(flatten * u)) + log_z + log_1mz
+        math.log(_FLATTEN * math.pi) + np.log(np.cosh(_FLATTEN * u)) + log_z + log_1mz
     )
     out = (np.exp(log_z), log_z, log_1mz, v * np.exp(log_jac))
     for arr in out:

@@ -1,17 +1,23 @@
 """End-to-end checks of the command-line surface and its file formats."""
 
+import argparse
 import base64
+import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kernelep.cli as cli
 from kernelep.cli import (
     DATASET_HEADER,
     EVAL_CASES_HEADER,
     MODEL_FORMAT_VERSION,
+    RunConfig,
+    build_parser,
     cmd_active_run,
     cmd_ep_run,
     cmd_eval,
@@ -195,7 +201,7 @@ def test_model_payload_stores_outer_layer(ws):
 def test_model_format_version_one_refused(ws, tmp_path):
     # versions 1 and 2 held decimal arrays; no loader for them remains
     _, data = ws
-    doc = json.loads(open(data["model"]).read())
+    doc = json.loads(Path(data["model"]).read_text())
     for version in (1, 2):
         doc["format_version"] = version
         old = tmp_path / f"v{version}.json"
@@ -206,7 +212,7 @@ def test_model_format_version_one_refused(ws, tmp_path):
 
 def test_model_arrays_stored_raw_and_checksummed(ws, tmp_path):
     _, data = ws
-    text = open(data["model"]).read()
+    text = Path(data["model"]).read_text()
     record = json.loads(text)["payload"]["a_inv"]
     assert record["dtype"] == "<f8"
     assert record["shape"] == [BASE["num_features"], BASE["num_features"]]
@@ -228,7 +234,7 @@ def test_model_arrays_stored_raw_and_checksummed(ws, tmp_path):
 
 def test_model_corruption_detected(ws, tmp_path):
     _, data = ws
-    text = open(data["model"]).read()
+    text = Path(data["model"]).read_text()
 
     truncated = tmp_path / "trunc.json"
     truncated.write_text(text[: len(text) // 2])
@@ -510,6 +516,67 @@ def test_make_config_merge_and_validation():
         make_config({"prior": {"mean": [3]}})
     with pytest.raises(ConfigError):
         make_config({"dataset": ""})
+
+
+def test_passthrough_takes_only_json_booleans(tmp_path):
+    assert make_config({"passthrough": True}).passthrough is True
+    assert make_config({"passthrough": False}).passthrough is False
+    # bool("false") is True: a string must not switch the operator off
+    for value in ("false", "true", 0, 1, None):
+        with pytest.raises(ConfigError, match="passthrough"):
+            make_config({"passthrough": value})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"passthrough": "false"}')
+    assert main(["eval", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("key", ["multipliers", "lambdas"])
+def test_cv_grid_values_must_be_finite_and_positive(key):
+    # JSON reads 1e400 as inf
+    data = json.loads('{"cv": {"%s": [1.0, 1e400]}}' % key)
+    with pytest.raises(ConfigError, match=key):
+        make_config(data)
+    for value in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ConfigError, match=key):
+            make_config({"cv": {key: [1.0, value]}})
+    assert getattr(make_config({"cv": {key: [0.5, 2.0]}}), key) == (0.5, 2.0)
+
+
+def test_every_scalar_key_reads_alike_from_file_and_flag(tmp_path):
+    # a non-default value for each parser, as a JSON value and as a flag
+    examples = {int: 7, str: "elsewhere.json", cli._optional_float: 0.25, cli._bool: True}
+    parser = build_parser()
+    for key, (parse, _) in cli._SCALARS.items():
+        value = examples[parse]
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: value}))
+        flag = ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+        from_file = cli._args_config(parser.parse_args(["train", "--config", str(cfg)]))
+        from_flag = cli._args_config(parser.parse_args(["train", *flag]))
+        assert from_file == from_flag != RunConfig(), key
+        assert getattr(from_flag, key) == value, key
+
+
+def test_parser_options_are_the_scalar_table():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    expected = {"--config"} | {"--" + key.replace("_", "-") for key in cli._SCALARS}
+    assert set(commands.choices) == {"gen-data", "train", "eval", "ep-run", "active-run"}
+    for name, sub in commands.choices.items():
+        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == expected, name
+
+
+def test_every_run_config_field_is_reachable():
+    reachable = set(cli._SCALARS)
+    for name, (build, keys) in cli._SECTIONS.items():
+        targets = {target for target, _ in keys.values()}
+        if build is None:
+            reachable |= targets
+        else:
+            reachable.add(name)
+            assert targets == {f.name for f in dataclasses.fields(build)}, name
+    assert reachable == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_main_exit_codes(tmp_path):
