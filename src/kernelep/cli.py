@@ -146,6 +146,8 @@ class RunConfig:
         for name in ("n_train", "n_test", "n_importance", "num_features", "n_jobs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.budget < 0:
@@ -159,6 +161,21 @@ class RunConfig:
             values = getattr(self, name)
             if not values or not all(math.isfinite(v) and v > 0 for v in values):
                 raise ConfigError(f"cv {name} must be finite, positive and nonempty, got {values}")
+
+
+def _int(value) -> int:
+    """A JSON integer or a flag string holding one: int() would truncate 2.7
+    and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _str(value) -> str:
+    """A JSON string: str() would turn null into the path "None"."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
 def _optional_float(value) -> float | None:
@@ -186,19 +203,19 @@ def _floats(value) -> tuple:
 # its parser reads a JSON value and a flag string alike; a boolean key is a
 # flag without a value.
 _SCALARS = {
-    "seed": (int, "master seed"),
-    "out": (str, "primary output path"),
-    "dataset": (str, "dataset CSV path"),
-    "model": (str, "model JSON path"),
-    "graph": (str, "graph JSON path"),
-    "model_out": (str, "updated model path (active-run)"),
-    "n_train": (int, "training cases (gen-data)"),
-    "n_test": (int, "held-out cases (eval)"),
-    "n_importance": (int, "importance samples per oracle call"),
-    "num_features": (int, "random features of the operator (train)"),
-    "n_jobs": (int, "worker threads (gen-data)"),
+    "seed": (_int, "master seed"),
+    "out": (_str, "primary output path"),
+    "dataset": (_str, "dataset CSV path"),
+    "model": (_str, "model JSON path"),
+    "graph": (_str, "graph JSON path"),
+    "model_out": (_str, "updated model path (active-run)"),
+    "n_train": (_int, "training cases (gen-data)"),
+    "n_test": (_int, "held-out cases (eval)"),
+    "n_importance": (_int, "importance samples per oracle call"),
+    "num_features": (_int, "random features of the operator (train)"),
+    "n_jobs": (_int, "worker threads (gen-data)"),
     "tau": (_optional_float, "query threshold; null keeps the model's (active-run)"),
-    "budget": (int, "oracle query budget (active-run)"),
+    "budget": (_int, "oracle query budget (active-run)"),
     "passthrough": (_bool, "eval only: replace the operator with a second oracle run"),
 }
 
@@ -212,11 +229,11 @@ _SECTIONS = {
     "cv": (None, {
         "multipliers": ("multipliers", _floats),
         "lambdas": ("lambdas", _floats),
-        "folds": ("folds", int),
+        "folds": ("folds", _int),
     }),
     "damping": (DampingConfig, {
         "delta": ("delta", float),
-        "max_iters": ("max_iters", int),
+        "max_iters": ("max_iters", _int),
         "tol": ("tol", float),
     }),
 }

@@ -31,6 +31,7 @@ from .operator import (
     QueryOracle,
     UncertaintyPolicy,
     absorb,
+    batch_variance,
     outgoing_message,
     decide,
     predict_q,  # not called here; perfbench/run.py traces this module's binding
@@ -44,6 +45,11 @@ FACTOR_KINDS = ("gaussian_prior", "logistic", "linear_gaussian")
 
 # independent oracle draws an OracleSource tries before its message fails
 ORACLE_RETRIES = 3
+
+# budget-spent messages an ActiveSource scores per batched variance call: one
+# pass over the D x D inverse serves them all, where a single message costs a
+# full pass of its own
+SCORE_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -318,6 +324,14 @@ class ActiveSource:
     surfaced through run_ep diagnostics.  `log` records every query and every
     budget-exhausted fallback; the iteration index counts visits per factor,
     which matches the sweep number under the fixed schedule.
+
+    The gate has two phases.  While budget remains, each message's variance
+    is computed as it arrives and decides between prediction and query.
+    Once the budget is spent the model is fixed and every prediction is
+    used, so a variance only decides whether the message is logged as a
+    fallback: the feature vectors wait in a queue and are scored together,
+    SCORE_BATCH at a time and whenever `log` is read, and the fallbacks are
+    logged in visit order.
     """
 
     kind = "active"
@@ -333,8 +347,26 @@ class ActiveSource:
         self.budget = policy.budget
         self.n_importance = int(n_importance)
         self.queries = 0
-        self.log: list[QueryEvent] = []
+        self._log: list[QueryEvent] = []
+        self._pending: list = []  # (factor_id, variable_id, visit, phi) awaiting a variance
         self._visits: dict = {}
+
+    @property
+    def log(self) -> list[QueryEvent]:
+        self._score_pending()
+        return self._log
+
+    def _score_pending(self):
+        if not self._pending:
+            return
+        variances = batch_variance(self.op, np.column_stack([p[3] for p in self._pending]))
+        for (factor_id, variable_id, visit, _), variance in zip(self._pending, variances):
+            if variance > self.tau:
+                # over threshold but out of budget: the prediction was used anyway
+                self._log.append(
+                    QueryEvent("fallback", factor_id, variable_id, visit, float(variance), self.tau)
+                )
+        self._pending.clear()
 
     def prepare(self, graph):
         warm_beta_cache(self.op, graph.observations.values())
@@ -355,15 +387,14 @@ class ActiveSource:
             )
             self.queries += 1
             self.budget -= 1
-            self.log.append(
+            self._log.append(
                 QueryEvent("query", factor.id, x_id, visit, action.variance, self.tau)
             )
             return {x_id: divide(q, inc.m_x)}
-        if action.variance > self.tau:
-            # over threshold but out of budget: the prediction is used anyway
-            self.log.append(
-                QueryEvent("fallback", factor.id, x_id, visit, action.variance, self.tau)
-            )
+        if action.variance is None:
+            self._pending.append((factor.id, x_id, visit, action.phi))
+            if len(self._pending) == SCORE_BATCH:
+                self._score_pending()
         # action.q is predict_q(self.op, inc), computed from decide's features
         return {x_id: divide(action.q, inc.m_x)}
 

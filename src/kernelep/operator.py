@@ -64,6 +64,7 @@ __all__ = [
     "predict_q",
     "outgoing_message",
     "decide",
+    "batch_variance",
     "absorb",
     "default_tau",
     "train_operator",
@@ -111,8 +112,13 @@ class UncertaintyPolicy:
 
 @dataclass(frozen=True)
 class UsePrediction:
+    """Use the prediction q.  variance is None when the budget was spent:
+    the gate then skips it, and phi, the message's feature vector, lets the
+    caller score it later, batched with others."""
+
     q: Gaussian1D
-    variance: float
+    variance: float | None
+    phi: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -180,12 +186,26 @@ def outgoing_message(op: MessageOperator, inc: IncomingTuple) -> Gaussian1D:
 def decide(
     op: MessageOperator, policy: UncertaintyPolicy, inc: IncomingTuple
 ) -> UsePrediction | QueryOracle:
-    """Trust the prediction unless its variance exceeds tau and budget remains."""
+    """Trust the prediction unless its variance exceeds tau and budget remains.
+
+    With no budget left the variance could change nothing, so it is not
+    computed (UsePrediction.variance is None).  A non-finite phi still
+    fails, as a non-finite prediction.
+    """
     phi = featurize(op, inc)
-    variance = predictive_variance(op.model, phi)
-    if variance > policy.tau and policy.budget > 0:
-        return QueryOracle(variance)
-    return UsePrediction(_q_from_output(predict(op.model, phi)), variance)
+    variance = None
+    if policy.budget > 0:
+        variance = predictive_variance(op.model, phi)
+        if variance > policy.tau:
+            return QueryOracle(variance)
+    return UsePrediction(_q_from_output(predict(op.model, phi)), variance, phi)
+
+
+def batch_variance(op: MessageOperator, Phi: np.ndarray) -> np.ndarray:
+    """Predictive variances of the columns of a (D, M) feature batch, in one
+    pass over the inverse Gram (the variances decide skips once the budget
+    is spent)."""
+    return predictive_variance(op.model, Phi)
 
 
 def absorb(op: MessageOperator, inc: IncomingTuple, oracle_result) -> MessageOperator:
@@ -199,13 +219,8 @@ def absorb(op: MessageOperator, inc: IncomingTuple, oracle_result) -> MessageOpe
 
 
 def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
-    """Calibrated threshold: 90th percentile of training predictive variances.
-
-    The variances are predictive_variance's noise_scale * phi^T A_inv phi
-    for every column of Phi at once, clipped at 0 the same way.
-    """
-    variances = model.noise_scale * np.sum((model.A_inv @ Phi) * Phi, axis=0)
-    return float(np.percentile(np.maximum(variances, 0.0), 90.0))
+    """Calibrated threshold: 90th percentile of training predictive variances."""
+    return float(np.percentile(predictive_variance(model, Phi), 90.0))
 
 
 def train_operator(

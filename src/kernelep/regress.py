@@ -227,17 +227,25 @@ def predict(model: RidgeModel, phi) -> np.ndarray:
     return model.W @ _check_phi(model, phi)
 
 
-def predictive_variance(model: RidgeModel, phi) -> float:
-    """GP-style scalar variance noise_scale * phi^T A_inv phi, clipped at 0.
+def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
+    """GP-style variance noise_scale * phi^T A_inv phi, clipped at 0.
 
-    A non-finite phi raises DomainError: its variance would be nan, which a
-    threshold test reads as certain.
+    phi is a single (D,) vector, giving a float, or a (D, M) batch, giving
+    the M column variances from one pass over A0 (a matrix product instead
+    of M mat-vecs).  A batch column's variance equals that column scored
+    alone up to summation order.  A non-finite phi raises DomainError: its
+    variance would be nan, which a threshold test reads as certain.
     """
     phi = _check_phi(model, phi)
-    if phi.ndim != 1:
-        raise DomainError("predictive_variance takes a single feature vector")
+    if phi.ndim not in (1, 2) or phi.size == 0:
+        raise DomainError(
+            f"predictive_variance takes a (D,) vector or a nonempty (D, M) batch, got {phi.shape}"
+        )
     _check_finite("feature vector", phi)
-    return max(float(model.noise_scale * (phi @ _apply_inverse(model, phi))), 0.0)
+    if phi.ndim == 1:
+        return max(float(model.noise_scale * (phi @ _apply_inverse(model, phi))), 0.0)
+    variances = model.noise_scale * np.sum(_apply_inverse(model, phi) * phi, axis=0)
+    return np.maximum(variances, 0.0)
 
 
 def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:

@@ -530,6 +530,41 @@ def test_passthrough_takes_only_json_booleans(tmp_path):
     assert main(["eval", "--config", str(cfg)]) == 1
 
 
+def test_negative_seed_refused(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        make_config({"seed": -1})
+    # SeedSequence would refuse it later with a raw ValueError
+    out = tmp_path / "d.csv"
+    argv = ["gen-data", "--n-train", "2", "--n-importance", "500", "--out", str(out)]
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert not out.exists()
+    assert main([*argv, "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("out", None),  # str(None) is the path "None"
+        ("model", 3),
+        ("n_train", 2.7),  # int(2.7) truncates to 2
+        ("seed", True),  # int(True) reads as 1
+        ("budget", "many"),
+    ],
+)
+def test_scalar_parsers_refuse_values_of_another_type(key, value):
+    with pytest.raises(ConfigError, match=key):
+        make_config({key: value})
+
+
+def test_integer_flags_still_parse_from_strings():
+    config = cli._args_config(build_parser().parse_args(["train", "--seed", "7", "--budget", "0"]))
+    assert (config.seed, config.budget) == (7, 0)
+    assert make_config({"cv": {"folds": 3}, "damping": {"max_iters": 4}}).folds == 3
+    for section, key in (("cv", "folds"), ("damping", "max_iters")):
+        with pytest.raises(ConfigError, match=key):
+            make_config({section: {key: 2.5}})
+
+
 @pytest.mark.parametrize("key", ["multipliers", "lambdas"])
 def test_cv_grid_values_must_be_finite_and_positive(key):
     # JSON reads 1e400 as inf
@@ -544,7 +579,9 @@ def test_cv_grid_values_must_be_finite_and_positive(key):
 
 def test_every_scalar_key_reads_alike_from_file_and_flag(tmp_path):
     # a non-default value for each parser, as a JSON value and as a flag
-    examples = {int: 7, str: "elsewhere.json", cli._optional_float: 0.25, cli._bool: True}
+    examples = {
+        cli._int: 7, cli._str: "elsewhere.json", cli._optional_float: 0.25, cli._bool: True
+    }
     parser = build_parser()
     for key, (parse, _) in cli._SCALARS.items():
         value = examples[parse]

@@ -480,6 +480,75 @@ def test_active_source_featurizes_once_per_gated_message(demo_operator, monkeypa
         np.testing.assert_array_equal(to_natural(msg), to_natural(expected))
 
 
+SIX_OBSERVATIONS = ((5.0, 2.0), (4.0, 3.0), (2.0, 5.0), (1.5, 6.0), (7.0, 3.0), (3.0, 3.0))
+
+
+def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
+    op, tau = demo_operator
+    decisions, batches = [], []
+    real_decide, real_batch = ep_engine.decide, ep_engine.batch_variance
+
+    def recording_decide(o, policy, inc):
+        decisions.append((o, policy.budget, inc, real_decide(o, policy, inc)))
+        return decisions[-1][3]
+
+    def recording_batch(o, Phi):
+        assert len(src._pending) == Phi.shape[1] <= ep_engine.SCORE_BATCH
+        batches.append(Phi.shape[1])
+        return real_batch(o, Phi)
+
+    def gate_variance(model, phi):
+        # a single vector per message while budget lasts, afterwards batches only
+        assert (np.ndim(phi) == 1) == (src.budget > 0)
+        return real_variance(model, phi)
+
+    real_variance = operator.predictive_variance
+    monkeypatch.setattr(ep_engine, "decide", recording_decide)
+    monkeypatch.setattr(ep_engine, "batch_variance", recording_batch)
+    monkeypatch.setattr(operator, "predictive_variance", gate_variance)
+    src = ActiveSource(op, UncertaintyPolicy(tau=tau, budget=3), n_importance=2000)
+    visits, expected = {}, []
+
+    def recording(factor, incoming, rng):
+        gated = len(decisions)
+        out = src(factor, incoming, rng)
+        assert len(src._pending) < ep_engine.SCORE_BATCH
+        if len(decisions) > gated:
+            visits[factor.id] = visits.get(factor.id, 0) + 1
+            o, budget, inc, action = decisions[-1]
+            if action.variance is None:
+                assert budget == 0
+                variance = real_variance(o.model, operator.featurize(o, inc))
+            else:
+                variance = action.variance
+            if variance > tau:
+                kind = "query" if budget else "fallback"
+                key = (kind, factor.id, factor.neighbors[0], visits[factor.id])
+                expected.append((*key, variance))
+        return out
+
+    recording.prepare = src.prepare
+    run_ep(
+        demo_graph(observations=SIX_OBSERVATIONS),
+        sources=default_sources(recording),
+        rng=np.random.default_rng(31),
+    )
+    deferred = sum(d[3].variance is None for d in decisions)
+    assert src.queries == 3 and deferred > 2 * ep_engine.SCORE_BATCH
+    assert batches[:2] == [ep_engine.SCORE_BATCH] * 2 and sum(batches) < deferred
+    log = src.log  # reading the log scores what is still queued
+    assert sum(batches) == deferred and not src._pending
+    assert 3 < len(log) < len(decisions)  # tau picks out some fallbacks, not all
+    got = [(e.action, e.factor_id, e.variable_id, e.iteration) for e in log]
+    assert got == [e[:4] for e in expected]
+    for event, (kind, *_, variance) in zip(log, expected):
+        assert event.tau == tau
+        if kind == "query":
+            assert event.variance == variance
+        else:
+            assert event.variance == pytest.approx(variance, rel=1e-9, abs=0.0)
+
+
 def test_logistic_sources_skip_improper_cavities(demo_operator):
     op, _ = demo_operator
     factor = Factor("f1", "logistic", ("x", "z"))

@@ -326,6 +326,47 @@ def test_update_and_variance_reject_non_finite_inputs(bad):
         predictive_variance(model, bad_phi)
 
 
+@pytest.mark.parametrize("updates", [0, 5])
+def test_batched_variance_equals_columns_scored_alone(updates):
+    # updates > 0 carries a V of that many rows (FOLD_RANK is far above it)
+    Phi, Y, _ = random_problem(D=30, N=50, seed=84, noise=0.3)
+    model = fit(Phi, Y, 1e-2)
+    rng = np.random.default_rng(85)
+    for _ in range(updates):
+        model = update_online(model, rng.normal(size=30), rng.normal(size=2))
+    assert len(model.V) == updates
+    batch = rng.normal(size=(30, 9))
+    got = predictive_variance(model, batch)
+    assert got.shape == (9,)
+    alone = [predictive_variance(model, batch[:, j]) for j in range(9)]
+    np.testing.assert_allclose(got, alone, rtol=1e-9, atol=0.0)
+    assert predictive_variance(model, batch[:, :1])[0] == pytest.approx(alone[0], rel=1e-9)
+
+
+def test_batched_variance_clips_at_zero():
+    Phi, Y, _ = random_problem(D=8, N=20, seed=86, noise=0.3)
+    model = fit(Phi, Y, 0.1)
+    # a negated base gives phi^T A_inv phi < 0 for every nonzero phi
+    flipped = type(model)(model.W, model.lam, -model.A0, model.noise_scale, model.n_train)
+    batch = np.random.default_rng(87).normal(size=(8, 4))
+    batch[:, 2] = 0.0
+    np.testing.assert_array_equal(predictive_variance(flipped, batch), np.zeros(4))
+    assert predictive_variance(model, batch)[2] == 0.0
+
+
+def test_batched_variance_validates():
+    Phi, Y, _ = random_problem(seed=88, noise=0.3)
+    model = fit(Phi, Y, 0.2)
+    batch = np.random.default_rng(89).normal(size=(12, 3))
+    batch[4, 1] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        predictive_variance(model, batch)
+    with pytest.raises(DomainError, match="length 11"):
+        predictive_variance(model, np.ones((11, 3)))
+    with pytest.raises(DomainError, match="nonempty"):
+        predictive_variance(model, np.empty((12, 0)))
+
+
 def test_online_update_with_duplicate_point():
     Phi, Y, _ = random_problem(D=6, N=10, seed=19)
     lam = 0.1
