@@ -178,8 +178,16 @@ def _str(value) -> str:
     return value
 
 
+def _float(value) -> float:
+    """A JSON number or a flag string holding one: float() would read true
+    as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _float(value)
 
 
 def _bool(value) -> bool:
@@ -192,11 +200,14 @@ def _bool(value) -> bool:
 def _pair(value) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"expected a [low, high] pair, got {value!r}")
-    return (float(value[0]), float(value[1]))
+    return (_float(value[0]), _float(value[1]))
 
 
 def _floats(value) -> tuple:
-    return tuple(float(v) for v in value)
+    """A JSON list of numbers: a string would be read digit by digit."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return tuple(_float(v) for v in value)
 
 
 # The config schema.  Each scalar key is also the flag --key-with-dashes, and
@@ -232,9 +243,9 @@ _SECTIONS = {
         "folds": ("folds", _int),
     }),
     "damping": (DampingConfig, {
-        "delta": ("delta", float),
+        "delta": ("delta", _float),
         "max_iters": ("max_iters", _int),
-        "tol": ("tol", float),
+        "tol": ("tol", _float),
     }),
 }
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import DomainError
 
@@ -138,23 +138,19 @@ class CvReport:
         return self.grid[self.chosen]
 
 
-def _spd_factor(mat: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Lower Cholesky factor of a symmetric positive definite matrix,
-    escalating diagonal jitter on failure (cho_factor's (c, lower) pair)."""
+def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive definite system, escalating diagonal
+    jitter when the Cholesky factorization fails."""
     for jitter in _JITTERS:
         try:
-            return cho_factor(
+            factor = cho_factor(
                 mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0]),
                 lower=True,
             )
         except LinAlgError:
             continue
+        return cho_solve(factor, rhs)
     raise DomainError("normal equations singular to working precision")
-
-
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive definite system, escalating jitter on failure."""
-    return cho_solve(_spd_factor(mat), rhs)
 
 
 def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
@@ -289,12 +285,15 @@ def cross_validate(
     report is deterministic per rng state.  Ties in mean error prefer the
     larger lambda, then the larger multiplier.
 
-    Each grid point costs one Cholesky factorization, of the full-data
-    G = Phi Phi^T + lambda I (D x D, so no N x N matrix appears).  A fold's
-    held-out residuals follow from the full-data fit by the leave-group-out
-    identity: with G = L L^T, B = L^{-1} Phi and the hat matrix H = B^T B,
-    refitting without fold g leaves residuals (Y_g - Yhat_g)(I - H_gg)^{-1},
-    a |g| x |g| solve per fold.
+    Each multiplier costs one eigendecomposition, of the full-data Gram
+    G = Phi Phi^T = P diag(e) P^T (D x D, so no N x N matrix appears), and
+    every lambda of the grid reuses it.  With C = Phi^T P and
+    w = 1 / (e + lambda), the full-data hat matrix is H = C diag(w) C^T.  A
+    fold's held-out residuals follow from the full-data fit by the
+    leave-group-out identity: refitting without fold g leaves residuals
+    (Y_g - Yhat_g)(I - H_gg)^{-1}.  So a lambda costs only the |g| x |g|
+    blocks H_gg and their solves.  No jitter is added: e is clipped at 0 and
+    lambda > 0 keeps every w finite.
     """
     if grid is None:
         grid = default_grid()
@@ -322,7 +321,6 @@ def cross_validate(
     Y_sorted = Y[:, by_fold]
 
     mults = sorted({m for m, _ in grid})
-    lams_by_mult = {m: sorted({lam for mm, lam in grid if mm == m}) for m in mults}
     errors = {}
     for mult in mults:
         Phi = np.asarray(features[mult], dtype=float)
@@ -330,23 +328,11 @@ def cross_validate(
             raise DomainError(
                 f"feature matrix for multiplier {mult} has {Phi.shape[1]} cases, expected {N}"
             )
-        Phi = Phi[:, by_fold]
-        gram = Phi @ Phi.T
-        for lam in lams_by_mult[mult]:
-            shifted = gram.copy()
-            shifted[np.diag_indices_from(shifted)] += lam
-            L, _ = _spd_factor(shifted)
-            B = solve_triangular(L, Phi, lower=True, check_finite=False)
-            residual = Y_sorted - (Y_sorted @ B.T) @ B
-            for k in range(folds):
-                lo, hi = bounds[k], bounds[k + 1]
-                B_k = B[:, lo:hi]
-                held_out = np.linalg.solve(np.eye(hi - lo) - B_k.T @ B_k, residual[:, lo:hi].T)
-                errors[(mult, lam, k)] = float(np.mean(held_out**2))
+        lams = sorted({lam for m, lam in grid if m == mult})
+        for lam, fold_mse in zip(lams, _fold_errors(Phi[:, by_fold], Y_sorted, lams, bounds)):
+            errors[(mult, lam)] = fold_mse
 
-    fold_errors = np.array(
-        [[errors[(m, lam, k)] for k in range(folds)] for m, lam in grid]
-    )
+    fold_errors = np.array([errors[point] for point in grid])
     means = fold_errors.mean(axis=1)
     best = means.min()
     chosen = max(
@@ -354,3 +340,34 @@ def cross_validate(
         key=lambda i: (grid[i][1], grid[i][0]),
     )
     return CvReport(tuple(grid), fold_errors, chosen)
+
+
+def _fold_errors(Phi: np.ndarray, Y: np.ndarray, lams, bounds) -> list[list[float]]:
+    """Held-out mean squared errors per lambda and fold, for one feature
+    matrix whose folds are the column blocks bounds[k]:bounds[k + 1].
+
+    Phi, G, P and C live only in this call, so each multiplier's arrays are
+    freed before the next multiplier's are formed.
+    """
+    # G is exactly symmetric (numpy forms Phi Phi^T as a rank-k update and
+    # mirrors one triangle), so G^T is G in Fortran order: LAPACK overwrites
+    # it in place instead of eigh copying it first
+    G = Phi @ Phi.T
+    e, P = eigh(G.T, overwrite_a=True, driver="evd")
+    np.maximum(e, 0.0, out=e)
+    C = Phi.T @ P
+    del Phi, G, P
+    YC = Y @ C
+    out = []
+    for lam in lams:
+        w = 1.0 / (e + lam)
+        residual = Y - (YC * w) @ C.T
+        root_w = np.sqrt(w)
+        fold_mse = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            # H_gg = B B^T, which numpy forms as a symmetric rank-k product
+            B = C[lo:hi] * root_w
+            held_out = np.linalg.solve(np.eye(hi - lo) - B @ B.T, residual[:, lo:hi].T)
+            fold_mse.append(float(np.mean(held_out**2)))
+        out.append(fold_mse)
+    return out

@@ -320,23 +320,24 @@ def test_eval_report_invariants(ws):
     assert sum(r["excluded"] for r in rows) == report["n_excluded"]
 
 
-def test_eval_passthrough_sits_at_noise_floor(ws):
-    root, data = ws
+def test_eval_passthrough_sits_at_noise_floor(ws, tmp_path):
+    _, data = ws
     out = cmd_eval(
-        make_config(data, {"out": str(root / "pass.json"), "passthrough": True})
+        make_config(data, {"out": str(tmp_path / "pass.json"), "passthrough": True})
     )
     report = load_eval_report(out)
     assert report["passthrough"] is True
-    rows = [r for r in load_eval_cases(root / "pass.cases.csv") if not r["excluded"]]
+    rows = [r for r in load_eval_cases(tmp_path / "pass.cases.csv") if not r["excluded"]]
     kls = [r["kl"] for r in rows]
     assert all(k >= 0.0 for k in kls)
     assert float(np.median(kls)) < 0.05
     assert max(kls) < 1.0
     # two independent runs: the columns must not coincide
     assert any(r["oracle_mean"] != r["pred_mean"] for r in rows)
-    # the cases themselves match the non-passthrough run (same seed)
-    normal = load_eval_cases(root / "report.cases.csv")
-    assert [r["mx_mean"] for r in load_eval_cases(root / "pass.cases.csv")] == [
+    # the cases themselves match a non-passthrough run (same seed)
+    cmd_eval(make_config(data, {"out": str(tmp_path / "report.json")}))
+    normal = load_eval_cases(tmp_path / "report.cases.csv")
+    assert [r["mx_mean"] for r in load_eval_cases(tmp_path / "pass.cases.csv")] == [
         r["mx_mean"] for r in normal
     ]
 
@@ -554,6 +555,35 @@ def test_negative_seed_refused(tmp_path):
 def test_scalar_parsers_refuse_values_of_another_type(key, value):
     with pytest.raises(ConfigError, match=key):
         make_config({key: value})
+
+
+@pytest.mark.parametrize(
+    "data, label",
+    [
+        ({"tau": True}, "tau"),
+        ({"damping": {"delta": True}}, "damping.delta"),
+        ({"damping": {"tol": False}}, "damping.tol"),
+        ({"cv": {"lambdas": [True]}}, "cv.lambdas"),
+        ({"cv": {"multipliers": [1.0, True]}}, "cv.multipliers"),
+        ({"cv": {"lambdas": "12"}}, "cv.lambdas"),  # a string is not a list
+        ({"prior": {"mean": [True, 1.0]}}, "prior.mean"),
+        ({"prior": {"log_variance": [0.0, True]}}, "prior.log_variance"),
+        ({"prior": {"alpha": [True, 2.0]}}, "prior.alpha"),
+        ({"prior": {"beta": [1.0, False]}}, "prior.beta"),
+    ],
+)
+def test_float_parsers_refuse_booleans(data, label):
+    # float(True) reads as 1.0
+    with pytest.raises(ConfigError, match=label):
+        make_config(data)
+
+
+def test_float_keys_still_parse_integers_and_numeric_strings():
+    config = make_config(
+        {"tau": 1, "damping": {"delta": 0.25, "tol": "1e-4"}, "cv": {"lambdas": [1, 0.5]}}
+    )
+    assert (config.tau, config.damping.delta, config.damping.tol) == (1.0, 0.25, 1e-4)
+    assert config.lambdas == (1.0, 0.5)
 
 
 def test_integer_flags_still_parse_from_strings():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_factor
 
 from kernelep import regress
 from kernelep.cli import load_model, save_model
@@ -491,30 +490,47 @@ def test_cross_validate_matches_per_fold_refit(D, N, folds):
     assert report.chosen == int(np.argmin(expected.mean(axis=1)))
 
 
-def test_cross_validate_rank_deficient_takes_jitter_path(monkeypatch):
+def test_cross_validate_rank_deficient_matches_svd_refit():
     # rank-3 features in 12 dimensions: Phi Phi^T + 1e-14 I is singular to
-    # working precision, so the factorization escalates to jitter 1e-10 and
-    # the fold errors are those of ridge at lambda + 1e-10.  fit's explicit
-    # inverse is inaccurate here, so the reference refits through the SVD.
+    # working precision, yet the fold errors are those of ridge at lambda
+    # itself, with no jitter (a jitter of 1e-10 moves them by ~1e-11, which
+    # rtol 1e-12 sees).  fit's explicit inverse is inaccurate here, so the
+    # reference refits through the SVD.
     rng = np.random.default_rng(100)
     Phi = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 30))
     Y = rng.normal(size=(2, 12)) @ Phi + 0.3 * rng.normal(size=(2, 30))
-    lam, jitter = 1e-14, 1e-10
-
-    outcomes = []
-
-    def recording_cho_factor(mat, **kwargs):
-        try:
-            factor = cho_factor(mat, **kwargs)
-        except LinAlgError:
-            outcomes.append("failed")
-            raise
-        outcomes.append("factored")
-        return factor
-
-    monkeypatch.setattr(regress, "cho_factor", recording_cho_factor)
-    grid = [(1.0, lam)]
+    grid = [(1.0, 1e-14)]
     report = cross_validate({1.0: Phi}, Y, grid=grid, folds=5, rng=np.random.default_rng(7))
-    assert outcomes == ["failed", "factored"]
-    expected = refit_fold_errors({1.0: Phi}, Y, [(1.0, lam + jitter)], 5, 7, svd_ridge_predict)
+    expected = refit_fold_errors({1.0: Phi}, Y, grid, 5, 7, svd_ridge_predict)
+    np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-12, atol=0)
+
+
+def test_cross_validate_square_features_match_svd_refit():
+    # D = N at lambda = 1e-8, with singular values 1e-4 to 3e-4 so that
+    # lambda shrinks every direction.  Far below the smallest squared
+    # singular value the hat matrix nears I, and I - H_gg loses digits to
+    # cancellation on any route; here it is well conditioned.
+    rng = np.random.default_rng(101)
+    U, _ = np.linalg.qr(rng.normal(size=(25, 25)))
+    V, _ = np.linalg.qr(rng.normal(size=(25, 25)))
+    Phi = 1e-4 * (U * np.linspace(1.0, 3.0, 25)) @ V.T
+    Y = 1e4 * rng.normal(size=(2, 25)) @ Phi + 0.3 * rng.normal(size=(2, 25))
+    grid = [(1.0, 1e-8)]
+    report = cross_validate({1.0: Phi}, Y, grid=grid, folds=5, rng=np.random.default_rng(8))
+    expected = refit_fold_errors({1.0: Phi}, Y, grid, 5, 8, svd_ridge_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
+
+
+def test_cross_validate_reports_in_grid_order():
+    # one decomposition per multiplier serves all its lambdas, in whatever
+    # order the grid lists them; each row equals that point's grid alone
+    rng = np.random.default_rng(102)
+    features = {0.5: rng.normal(size=(10, 35)), 2.0: rng.normal(size=(10, 35))}
+    Y = rng.normal(size=(2, 10)) @ features[2.0] + 0.3 * rng.normal(size=(2, 35))
+    grid = [(m, lam) for m in (0.5, 2.0) for lam in np.logspace(-8, 3, 12)]
+    grid = [grid[i] for i in rng.permutation(len(grid))]
+    report = cross_validate(features, Y, grid=grid, folds=5, rng=np.random.default_rng(9))
+    assert report.grid == tuple(grid)
+    for point, row in zip(grid, report.fold_errors):
+        alone = cross_validate(features, Y, grid=[point], folds=5, rng=np.random.default_rng(9))
+        np.testing.assert_array_equal(row, alone.fold_errors[0])
