@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DomainError, EpSourceError, KernelEpError
 from .expfam import (
     BetaDist,
-    ExpFamDist,
     Gaussian1D,
     divide,
     from_natural,
@@ -41,7 +40,12 @@ from .operator import (
 GAUSSIAN = "gaussian"
 BETA = "beta"
 
-FACTOR_KINDS = ("gaussian_prior", "logistic", "linear_gaussian")
+# kind -> (families of its neighbors in order, parameters it needs)
+FACTOR_KINDS = {
+    "gaussian_prior": ((GAUSSIAN,), ("mean", "variance")),
+    "logistic": ((GAUSSIAN, BETA), ()),
+    "linear_gaussian": ((GAUSSIAN, GAUSSIAN), ("a", "b", "noise_variance")),
+}
 
 # independent oracle draws an OracleSource tries before its message fails
 ORACLE_RETRIES = 3
@@ -74,11 +78,43 @@ class Factor:
     params: Mapping = field(default_factory=dict)
 
 
+def _check_params(f: Factor, keys) -> None:
+    """Require the factor's parameters named by keys, each finite, with
+    positive variances and a != 0."""
+    values = {}
+    for key in keys:
+        try:
+            values[key] = float(f.params[key])
+        except KeyError:
+            raise DomainError(f"{f.kind} {f.id!r} needs parameter {key!r}") from None
+        if not math.isfinite(values[key]):
+            raise DomainError(f"{f.kind} {f.id!r} needs a finite {key!r}")
+    for key in ("variance", "noise_variance"):
+        if values.get(key, 1.0) <= 0.0:
+            raise DomainError(f"{f.kind} {f.id!r} needs positive {key}")
+    if values.get("a") == 0.0:
+        raise DomainError(f"{f.kind} {f.id!r} needs a != 0")
+
+
 @dataclass(frozen=True)
 class FactorGraph:
+    """Variables, factors and fixed Beta observations, validated and compiled.
+
+    Construction also compiles what every sweep reads: `families` (variable
+    id -> family), `schedule` (the factors sorted by id, the sweep order),
+    `adjacency` (variable id -> the factors that list it, in graph order,
+    which is the order cavities add messages in) and `observed` (variable id
+    -> the observation's natural parameters).  dataclasses.replace builds a
+    new graph, so it recompiles.
+    """
+
     variables: tuple
     factors: tuple
     observations: Mapping = field(default_factory=dict)
+    families: dict = field(init=False, repr=False, compare=False)
+    schedule: tuple = field(init=False, repr=False, compare=False)
+    adjacency: dict = field(init=False, repr=False, compare=False)
+    observed: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -91,6 +127,7 @@ class FactorGraph:
             if v.family not in (GAUSSIAN, BETA):
                 raise DomainError(f"unknown family {v.family!r} for {v.id!r}")
             fam[v.id] = v.family
+        adjacency = {vid: [] for vid in fam}
         seen = set()
         for f in self.factors:
             if f.id in seen:
@@ -101,64 +138,41 @@ class FactorGraph:
                     raise DomainError(
                         f"factor {f.id!r} references unknown variable {vid!r}"
                     )
-            if f.kind == "gaussian_prior":
-                if len(f.neighbors) != 1 or fam[f.neighbors[0]] != GAUSSIAN:
-                    raise DomainError(
-                        f"gaussian_prior {f.id!r} needs one gaussian neighbor"
-                    )
-                v = float(f.params["variance"])
-                if not (v > 0 and math.isfinite(v)):
-                    raise DomainError(f"prior {f.id!r} needs positive variance")
-            elif f.kind == "logistic":
-                if (
-                    len(f.neighbors) != 2
-                    or fam[f.neighbors[0]] != GAUSSIAN
-                    or fam[f.neighbors[1]] != BETA
-                ):
-                    raise DomainError(
-                        f"logistic {f.id!r} needs neighbors (gaussian, beta)"
-                    )
-            elif f.kind == "linear_gaussian":
-                if len(f.neighbors) != 2 or any(
-                    fam[n] != GAUSSIAN for n in f.neighbors
-                ):
-                    raise DomainError(
-                        f"linear_gaussian {f.id!r} needs two gaussian neighbors"
-                    )
-                if float(f.params["a"]) == 0.0:
-                    raise DomainError(f"linear_gaussian {f.id!r} needs a != 0")
-                v = float(f.params["noise_variance"])
-                if not (v > 0 and math.isfinite(v)):
-                    raise DomainError(
-                        f"linear_gaussian {f.id!r} needs positive noise variance"
-                    )
-            else:
+            if f.kind not in FACTOR_KINDS:
                 raise DomainError(f"unknown factor kind {f.kind!r}")
+            families, keys = FACTOR_KINDS[f.kind]
+            if tuple(fam[vid] for vid in f.neighbors) != families:
+                raise DomainError(f"{f.kind} {f.id!r} needs neighbors {families}")
+            if len(set(f.neighbors)) != len(f.neighbors):
+                raise DomainError(f"{f.kind} {f.id!r} names a variable twice")
+            _check_params(f, keys)
+            for vid in f.neighbors:
+                adjacency[vid].append(f)
         for vid, obs in self.observations.items():
             if fam.get(vid) != BETA:
                 raise DomainError(f"observation attached to non-beta {vid!r}")
             if obs.improper:
                 raise DomainError(f"observation for {vid!r} must be proper")
-
-    def variable(self, vid):
-        for v in self.variables:
-            if v.id == vid:
-                return v
-        raise DomainError(f"unknown variable {vid!r}")
+        compiled = {
+            "families": fam,
+            "schedule": tuple(sorted(self.factors, key=lambda f: f.id)),
+            "adjacency": {vid: tuple(fs) for vid, fs in adjacency.items()},
+            "observed": {vid: to_natural(obs) for vid, obs in self.observations.items()},
+        }
+        for name, value in compiled.items():
+            object.__setattr__(self, name, value)
 
     def factors_adjacent(self, vid):
-        return [f for f in self.factors if vid in f.neighbors]
-
-
-def _uniform_for(family: str) -> ExpFamDist:
-    if family == GAUSSIAN:
-        return Gaussian1D.uniform()
-    return BetaDist(1.0, 1.0)
+        return list(self.adjacency.get(vid, ()))
 
 
 @dataclass(frozen=True)
 class EpState:
-    """Messages per directed (factor_id, variable_id) edge plus sweep stats."""
+    """Messages per directed (factor_id, variable_id) edge plus sweep stats.
+
+    Each message is held as its natural parameters, a length-2 array, which
+    is the form cavities and marginals add.
+    """
 
     messages: dict
     iteration: int = 0
@@ -183,12 +197,7 @@ class DampingConfig:
 
 def init_state(graph: FactorGraph) -> EpState:
     """All factor-to-variable messages start uniform (natural parameters 0)."""
-    fam = {v.id: v.family for v in graph.variables}
-    messages = {
-        (f.id, vid): _uniform_for(fam[vid])
-        for f in graph.factors
-        for vid in f.neighbors
-    }
+    messages = {(f.id, vid): np.zeros(2) for f in graph.factors for vid in f.neighbors}
     return EpState(messages=messages)
 
 
@@ -197,16 +206,16 @@ def _natural_sum(graph: FactorGraph, state: EpState, variable_id: str, skip=None
 
     The message from factor `skip`, if given, is left out.
     """
-    var = graph.variable(variable_id)
+    if variable_id not in graph.families:
+        raise DomainError(f"unknown variable {variable_id!r}")
     eta = np.zeros(2)
-    obs = graph.observations.get(variable_id)
+    obs = graph.observed.get(variable_id)
     if obs is not None:
-        eta += to_natural(obs)
-    for f in graph.factors_adjacent(variable_id):
-        if f.id == skip:
-            continue
-        eta += to_natural(state.messages[(f.id, variable_id)])
-    return from_natural(var.family, eta)
+        eta += obs
+    for f in graph.adjacency[variable_id]:
+        if f.id != skip:
+            eta += state.messages[(f.id, variable_id)]
+    return from_natural(graph.families[variable_id], eta)
 
 
 def cavity(graph: FactorGraph, state: EpState, factor_id: str, variable_id: str):
@@ -412,10 +421,10 @@ def default_sources(logistic_source=None) -> dict:
 # Sweeps
 
 
-def _damped(old, candidate, delta: float):
-    eta = (1.0 - delta) * to_natural(old) + delta * to_natural(candidate)
-    family = GAUSSIAN if isinstance(old, Gaussian1D) else BETA
-    return from_natural(family, eta)
+def _damped(family: str, old: np.ndarray, candidate, delta: float):
+    """The message a step of size delta from natural parameters `old` towards
+    `candidate` reaches, as a distribution of `family`."""
+    return from_natural(family, (1.0 - delta) * old + delta * to_natural(candidate))
 
 
 def _factor_seeds(graph: FactorGraph, rng) -> dict:
@@ -426,9 +435,8 @@ def _factor_seeds(graph: FactorGraph, rng) -> dict:
     function of the messages and EP can actually meet a convergence tolerance
     instead of rattling inside a sampling-noise ball.
     """
-    ordered = sorted(graph.factors, key=lambda f: f.id)
-    children = rng.bit_generator.seed_seq.spawn(len(ordered))
-    return {f.id: s for f, s in zip(ordered, children)}
+    children = rng.bit_generator.seed_seq.spawn(len(graph.schedule))
+    return {f.id: s for f, s in zip(graph.schedule, children)}
 
 
 def ep_sweep(
@@ -442,8 +450,11 @@ def ep_sweep(
     """One sequential pass over factors in id order.
 
     Updates are applied immediately, so later factors in the same sweep see
-    them. Improper candidates are skipped and counted. Source exceptions are
-    re-raised with the offending edge attached.
+    them. Improper candidates, and damped results that are improper, are
+    skipped and counted. A message is stored as the natural parameters of
+    its damped distribution, so a stored message and the distribution a
+    source was shown agree bit for bit. Source exceptions are re-raised with
+    the offending edge attached.
     """
     if factor_seeds is None:
         factor_seeds = _factor_seeds(graph, np.random.default_rng(0))
@@ -451,7 +462,7 @@ def ep_sweep(
     max_delta = 0.0
     skipped = state.skipped
     live = EpState(messages=messages, iteration=state.iteration, skipped=skipped)
-    for factor in sorted(graph.factors, key=lambda f: f.id):
+    for factor in graph.schedule:
         source = sources[factor.kind]
         incoming = {
             vid: cavity(graph, live, factor.id, vid) for vid in factor.neighbors
@@ -488,13 +499,13 @@ def ep_sweep(
             if candidate.improper:
                 skipped += 1
                 continue
-            new = _damped(old, candidate, damping.delta)
+            new = _damped(graph.families[vid], old, candidate, damping.delta)
             if new.improper:
                 skipped += 1
                 continue
-            delta = float(np.max(np.abs(to_natural(new) - to_natural(old))))
-            max_delta = max(max_delta, delta)
-            messages[(factor.id, vid)] = new
+            eta = to_natural(new)
+            max_delta = max(max_delta, float(np.max(np.abs(eta - old))))
+            messages[(factor.id, vid)] = eta
     return EpState(
         messages=messages,
         iteration=state.iteration + 1,

@@ -14,9 +14,9 @@ The joint embedding has one formula, Re(_beta_side * gaussian_cf), and
 ``featurize`` all evaluate it; they differ only in where the Beta factor
 comes from.  ``beta_cf`` is the one quadrature of Beta characteristic
 functions, for any number of Betas sharing a frequency vector.  Its phase
-matrix e^{i w z} depends only on the frequencies and the order, so a small
-LRU cache keeps it per (frequency vector, order); a Beta never seen before
-then costs its density and a matrix product.
+matrix e^{i w z} depends only on the frequencies and the order, so a caller
+whose frequencies are fixed (the operator) passes a memo of them per order;
+a Beta never seen before then costs its density and a matrix product.
 
 A joint embedding e(P) is linear in the distribution P, and so is any
 regression on it.  A ``TwoStageSpec`` puts a Gaussian kernel on top,
@@ -39,7 +39,6 @@ routine serves both kinds.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,8 +77,6 @@ QUAD_ORDER_CAP = 4096
 QUAD_TOL = 1e-8
 # c of _unit_gl's endpoint-flattening substitution
 _FLATTEN = 3.0
-# phase matrices beta_cf keeps: two frequency vectors' usual 64-512 escalation
-PHASE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,27 +253,6 @@ def _unit_gl(order: int):
     return out
 
 
-@lru_cache(maxsize=PHASE_CACHE_SIZE)
-def _phase_matrix(omega_bytes: bytes, order: int) -> np.ndarray:
-    """Read-only e^{i w z} over the nodes z of _unit_gl(order), (len(w), order).
-
-    Keyed by the raw float64 bytes of w, so distinct frequency vectors never
-    share an entry.  An entry costs 16 * len(w) * order bytes: at the
-    operator's inner width 500, one vector's usual escalation through orders
-    64-512 holds 7.7 MB, and the worst case, PHASE_CACHE_SIZE entries at
-    QUAD_ORDER_CAP, is 8 * 500 * 4096 * 16 B = 262 MB.  Each entry lives in
-    an anonymous memory mapping of its own: allocated from the heap, an
-    entry that outlives a batch quadrature keeps the pages of every
-    temporary freed below it resident (tens of MB at 2000 Betas).
-    """
-    omega = np.frombuffer(omega_bytes, dtype=float)
-    out = np.frombuffer(mmap.mmap(-1, 16 * omega.size * order), dtype=complex)
-    out = out.reshape(omega.size, order)
-    np.exp(1j * np.outer(omega, _unit_gl(order)[0]), out=out)
-    out.setflags(write=False)
-    return out
-
-
 def _until_converged(at_order, label: str):
     """Evaluate at_order(order) from QUAD_ORDER up, doubling the order.
 
@@ -294,14 +270,16 @@ def _until_converged(at_order, label: str):
     raise QuadratureError(f"{label} did not converge by order {QUAD_ORDER_CAP}")
 
 
-def beta_cf(omega: np.ndarray, betas) -> np.ndarray:
+def beta_cf(omega: np.ndarray, betas, phases: dict | None = None) -> np.ndarray:
     """Characteristic functions E[e^{i w z}] of Betas sharing w; (n, len(w)).
 
     Quadrature starts at order 64 and doubles until successive orders agree
     to 1e-8 in every entry of the batch (for one Beta, everywhere on w);
     escalation past order 4096 raises QuadratureError.  Each order is one
     matrix product of the weighted densities with the phase matrix
-    e^{i w z} from the _phase_matrix cache.
+    e^{i w z}.  `phases` memoizes those matrices (order -> read-only
+    matrix) for a caller that always passes this same w; None builds them
+    afresh.  An entry costs 16 * len(w) * order bytes.
     """
     if not betas:
         raise DomainError("characteristic function of an empty list of Betas")
@@ -310,12 +288,16 @@ def beta_cf(omega: np.ndarray, betas) -> np.ndarray:
     alphas = np.array([[b.alpha] for b in betas])
     bbetas = np.array([[b.beta] for b in betas])
     log_norm = betaln(alphas, bbetas)
-    omega_bytes = np.asarray(omega, dtype=float).tobytes()
+    if phases is None:
+        phases = {}
 
     def at_order(order):
-        _, log_z, log_1mz, w = _unit_gl(order)
+        z, log_z, log_1mz, w = _unit_gl(order)
         dens = np.exp((alphas - 1.0) * log_z + (bbetas - 1.0) * log_1mz - log_norm)
-        return (w * dens) @ _phase_matrix(omega_bytes, order).T
+        if order not in phases:
+            phases[order] = np.exp(1j * np.outer(omega, z))
+            phases[order].setflags(write=False)
+        return (w * dens) @ phases[order].T
 
     label = (
         f"Beta({alphas[0, 0]}, {bbetas[0, 0]}) quadrature"

@@ -15,9 +15,9 @@ kernels.joint_features and the training batch use.  Incoming Beta
 observations repeat across an EP run, so the Beta side of the inner joint
 embedding is memoized per (alpha, beta); the Gaussian side is closed form
 and recomputed on every call, as are the projection and outer features.  A
-Beta missing from the memo still reuses the quadrature phase matrices that
-kernels.beta_cf caches for the operator's fixed frequencies, so it pays only
-its density and one matrix product per order.
+Beta missing from the memo still reuses the quadrature phase matrices of the
+operator's fixed inner frequencies, memoized per order beside it, so it pays
+only its density and one matrix product per order.
 """
 
 from __future__ import annotations
@@ -81,13 +81,15 @@ class MessageOperator:
 
     spec is the TwoStageSpec train_operator builds; anything else raises
     DomainError.  The output transform is fixed as (E, log V).  _beta_cache
-    memoizes the Beta factor of the inner embedding per Beta parameters; it
-    never affects results, only latency.
+    memoizes the Beta factor of the inner embedding per Beta parameters, and
+    _phases the Beta quadrature's phase matrices per order (beta_cf's memo
+    for the inner frequencies); neither ever affects results, only latency.
     """
 
     spec: TwoStageSpec
     model: RidgeModel
     _beta_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _phases: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.spec, TwoStageSpec):
@@ -138,7 +140,7 @@ def featurize(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
     key = (inc.m_z.alpha, inc.m_z.beta)
     row = op._beta_cache.get(key)
     if row is None:
-        row = _beta_side(inner, beta_cf(inner.frequencies[:, 1], [inc.m_z])[0])
+        row = _beta_side(inner, beta_cf(inner.frequencies[:, 1], [inc.m_z], op._phases)[0])
         op._beta_cache[key] = row
     emb = (row * gaussian_cf(inner.frequencies[:, 0], inc.m_x)).real
     return embedding_features(op.spec, emb)
@@ -214,7 +216,7 @@ def absorb(op: MessageOperator, inc: IncomingTuple, oracle_result) -> MessageOpe
     if target.shape != (op.model.W.shape[0],):
         raise DomainError(f"oracle result has shape {target.shape}")
     model = update_online(op.model, featurize(op, inc), target)
-    # replace() carries the cache reference over: features are model-independent
+    # replace() carries both memos over: features are model-independent
     return replace(op, model=model)
 
 

@@ -500,6 +500,23 @@ def test_graph_roundtrip(tmp_path):
         load_graph(bad)
 
 
+@pytest.mark.parametrize("key, value", [("variance", None), ("mean", None), ("mean", math.nan)])
+def test_ep_run_refuses_a_graph_with_a_bad_parameter(ws, tmp_path, capsys, key, value):
+    _, data = ws
+    doc = json.loads(save_graph(tmp_path / "g.json", demo_graph()).read_text())
+    params = doc["factors"][0]["params"]
+    if value is None:
+        del params[key]
+    else:
+        params[key] = value
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    out = tmp_path / "ep.json"
+    argv = ["ep-run", "--model", data["model"], "--graph", str(tmp_path / "g.json")]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_make_config_merge_and_validation():
     assert make_config({"seed": 1}, {"seed": 2}).seed == 2
     assert make_config({"seed": 1}, {"seed": None}).seed == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from kernelep.expfam import (
     BetaDist,
     Gaussian1D,
     divide,
+    from_natural,
     kl_divergence,
     multiply,
     to_natural,
@@ -132,11 +134,72 @@ def test_graph_validation():
         )
 
 
+def test_graph_refuses_a_factor_naming_one_variable_twice():
+    # both proposals would land on the one edge (x, x), the second overwriting
+    # the first, and EP would converge to a wrong answer without a warning
+    with pytest.raises(DomainError, match="twice"):
+        FactorGraph(
+            (Variable("x", "gaussian"),),
+            (
+                Factor("p", "gaussian_prior", ("x",), {"mean": 0.0, "variance": 1.0}),
+                Factor(
+                    "f",
+                    "linear_gaussian",
+                    ("x", "x"),
+                    {"a": 0.5, "b": 1.0, "noise_variance": 0.1},
+                ),
+            ),
+        )
+
+
+VALID_PARAMS = {
+    "gaussian_prior": {"mean": 0.3, "variance": 1.0},
+    "linear_gaussian": {"a": 0.8, "b": 0.5, "noise_variance": 0.3},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, params in VALID_PARAMS.items() for key in params]
+)
+@pytest.mark.parametrize("value", ["missing", math.nan, math.inf])
+def test_graph_requires_each_parameter_finite(kind, key, value):
+    params = dict(VALID_PARAMS[kind])
+    if value == "missing":
+        del params[key]
+    else:
+        params[key] = value
+    neighbors = ("x",) if kind == "gaussian_prior" else ("x", "y")
+    variables = (Variable("x", "gaussian"), Variable("y", "gaussian"))
+    FactorGraph(variables, (Factor("f", kind, neighbors, VALID_PARAMS[kind]),))
+    with pytest.raises(DomainError, match=repr(key)):
+        FactorGraph(variables, (Factor("f", kind, neighbors, params),))
+
+
+def test_graph_compiles_schedule_and_adjacency():
+    chain = chain_graph()
+    graph = dataclasses.replace(chain, factors=chain.factors[::-1])
+    # sweeps visit factors by id; cavities add messages in graph order
+    assert [f.id for f in graph.schedule] == ["p1", "p2", "p3", "q12", "q23"]
+    assert [f.id for f in graph.adjacency["x2"]] == ["q23", "q12", "p2"]
+    assert graph.factors_adjacent("x2") == list(graph.adjacency["x2"])
+    assert graph.families == {"x1": "gaussian", "x2": "gaussian", "x3": "gaussian"}
+    trimmed = dataclasses.replace(graph, factors=graph.factors[1:])
+    assert [f.id for f in trimmed.schedule] == ["p1", "p2", "p3", "q12"]
+    assert [f.id for f in trimmed.adjacency["x2"]] == ["q12", "p2"]
+    assert [f.id for f in trimmed.adjacency["x3"]] == ["p3"]
+    assert [f.id for f in graph.adjacency["x3"]] == ["q23", "p3"]
+    demo = demo_graph()
+    np.testing.assert_array_equal(demo.observed["z1"], [4.0, 1.0])
+    swapped = dataclasses.replace(demo, observations={"z1": BetaDist(2.0, 3.0)})
+    assert set(swapped.observed) == {"z1"}
+    np.testing.assert_array_equal(swapped.observed["z1"], [1.0, 2.0])
+
+
 def test_init_state_uniform():
     state = init_state(demo_graph())
     assert len(state.messages) == 1 + 3 * 2  # prior edge + (x, z) per logistic
     for msg in state.messages.values():
-        np.testing.assert_array_equal(to_natural(msg), np.zeros(2))
+        np.testing.assert_array_equal(msg, np.zeros(2))
 
 
 def test_cavity_single_factor_is_uniform():
@@ -159,8 +222,8 @@ def test_cavity_adds_precision():
         ),
     )
     state = init_state(graph)
-    state.messages[("p1", "x")] = Gaussian1D(0.0, 1.0)
-    state.messages[("p2", "x")] = Gaussian1D(0.0, 1.0)
+    state.messages[("p1", "x")] = to_natural(Gaussian1D(0.0, 1.0))
+    state.messages[("p2", "x")] = to_natural(Gaussian1D(0.0, 1.0))
     cav = cavity(graph, state, "p3", "x")
     assert cav.variance == pytest.approx(0.5)
     assert cav.mean == pytest.approx(0.0)
@@ -192,10 +255,11 @@ def test_marginal_equals_cavity_times_message(msgs):
     graph = FactorGraph(variables, factors)
     state = init_state(graph)
     for i, (m, v) in enumerate(msgs):
-        state.messages[(f"p{i}", "x")] = Gaussian1D(m, v)
+        state.messages[(f"p{i}", "x")] = to_natural(Gaussian1D(m, v))
     marg = marginal(graph, state, "x")
     for f in factors:
-        recon = multiply(cavity(graph, state, f.id, "x"), state.messages[(f.id, "x")])
+        message = from_natural("gaussian", state.messages[(f.id, "x")])
+        recon = multiply(cavity(graph, state, f.id, "x"), message)
         np.testing.assert_allclose(
             to_natural(recon), to_natural(marg), rtol=0, atol=1e-12
         )
@@ -223,11 +287,11 @@ def test_delta_one_is_undamped():
     state = init_state(graph)
     stepped = ep_sweep(state, graph, sources, DampingConfig(delta=1.0))
     # after one undamped sweep the prior edges hold the priors themselves
-    prior_msg = stepped.messages[("p1", "x1")]
+    prior_msg = from_natural("gaussian", stepped.messages[("p1", "x1")])
     assert prior_msg.mean == pytest.approx(0.0)
     assert prior_msg.variance == pytest.approx(1.0)
     # and the forward chain message is the exact conditional push-through
-    fwd = stepped.messages[("q12", "x2")]
+    fwd = from_natural("gaussian", stepped.messages[("q12", "x2")])
     assert fwd.mean == pytest.approx(0.8 * 0.0 + 0.5)
     assert fwd.variance == pytest.approx(0.8**2 * 1.0 + 0.3)
 
@@ -240,9 +304,7 @@ def test_half_damping_moves_halfway():
     state = init_state(graph)
     stepped = ep_sweep(state, graph, default_sources(), DampingConfig(delta=0.5))
     eta_target = to_natural(Gaussian1D(2.0, 4.0))
-    np.testing.assert_allclose(
-        to_natural(stepped.messages[("p", "x")]), 0.5 * eta_target, atol=1e-15
-    )
+    np.testing.assert_allclose(stepped.messages[("p", "x")], 0.5 * eta_target, atol=1e-15)
 
 
 def test_fixed_point_stays_fixed():
@@ -295,6 +357,72 @@ def test_run_ep_deterministic():
         )
 
 
+def logistic_regression_graph(n: int, seed: int) -> FactorGraph:
+    """Bayesian logistic regression: w ~ N(0, 4), x_i = a_i w + N(0, 1), and
+    logistic(x_i, z_i) with y_i's Bernoulli likelihood as the observation
+    Beta(1 + y_i, 2 - y_i) on z_i; a_i ~ N(0, 1), y_i ~ Bernoulli(sigmoid(1.5 a_i))."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n)
+    y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-1.5 * a))).astype(int)
+    variables = [Variable("w", "gaussian")]
+    factors = [Factor("prior", "gaussian_prior", ("w",), {"mean": 0.0, "variance": 4.0})]
+    observations = {}
+    for i in range(n):
+        x, z = f"x{i}", f"z{i}"
+        variables += [Variable(x, "gaussian"), Variable(z, "beta")]
+        factors.append(
+            Factor(
+                f"lin{i}",
+                "linear_gaussian",
+                ("w", x),
+                {"a": float(a[i]), "b": 0.0, "noise_variance": 1.0},
+            )
+        )
+        factors.append(Factor(f"log{i}", "logistic", (x, z)))
+        observations[z] = BetaDist(1.0 + y[i], 2.0 - y[i])
+    return FactorGraph(tuple(variables), tuple(factors), observations)
+
+
+# float.hex of every marginal's (mean, variance) or (alpha, beta) for
+# logistic_regression_graph(10, 0) under default_sources() and
+# default_rng(7), recorded from the engine that held its messages as
+# (mean, variance) and converted them on every cavity; exact bits are only
+# comparable on one numpy build and CPU
+LOGISTIC_REGRESSION_HEX = {
+    "w": ("0x1.def77043bc2c9p+0", "0x1.3ca90f093f8cap+0"),
+    "x0": ("-0x1.b4e939dbfc554p-3", "0x1.b1c49187a6482p-1"),
+    "x1": ("0x1.d14c3268e4ecfp-3", "0x1.af9776c5754a0p-1"),
+    "x2": ("0x1.29299880123f4p-1", "0x1.35e76cee1a2e9p+0"),
+    "x3": ("0x1.24ee7833e055dp-1", "0x1.a89bfbea83ffcp-1"),
+    "x4": ("-0x1.4667bafc192dcp+0", "0x1.2249f85be6610p+0"),
+    "x5": ("0x1.fa61ed171e4fdp-1", "0x1.eb8e4a01b5065p-1"),
+    "x6": ("0x1.49a9d2f1d6652p+1", "0x1.5a8d5702650f7p+1"),
+    "x7": ("0x1.f401fdd028fc9p+0", "0x1.c4b014ad9505dp+0"),
+    "x8": ("-0x1.891b5560ce6e2p+0", "0x1.5498584529cf5p+0"),
+    "x9": ("-0x1.4160babc52191p+1", "0x1.4ae4a64f8eb42p+1"),
+    "z0": ("0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+    "z1": ("0x1.0000000000000p+1", "0x1.0000000000000p+0"),
+    "z2": ("0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+    "z3": ("0x1.0000000000000p+1", "0x1.0000000000000p+0"),
+    "z4": ("0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+    "z5": ("0x1.0000000000000p+1", "0x1.0000000000000p+0"),
+    "z6": ("0x1.0000000000000p+1", "0x1.0000000000000p+0"),
+    "z7": ("0x1.0000000000000p+1", "0x1.0000000000000p+0"),
+    "z8": ("0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+    "z9": ("0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+}
+
+
+def test_logistic_regression_marginals_keep_their_bits():
+    result = run_ep(logistic_regression_graph(10, 0), rng=np.random.default_rng(7))
+    assert (result.converged, result.iterations, result.skipped) == (True, 40, 0)
+    got = {}
+    for vid, m in result.marginals.items():
+        pair = (m.alpha, m.beta) if isinstance(m, BetaDist) else (m.mean, m.variance)
+        got[vid] = tuple(float(v).hex() for v in pair)
+    assert got == LOGISTIC_REGRESSION_HEX
+
+
 # ---------------------------------------------------------------------------
 # Skip policy and error surfacing
 
@@ -323,9 +451,7 @@ def test_improper_candidates_are_skipped():
         state, graph, {"gaussian_prior": ImproperSource()}, DampingConfig()
     )
     assert stepped.skipped == 1
-    np.testing.assert_array_equal(
-        to_natural(stepped.messages[("p", "x")]), np.zeros(2)
-    )
+    np.testing.assert_array_equal(stepped.messages[("p", "x")], np.zeros(2))
 
 
 def test_source_failure_carries_edge_identity():
@@ -345,12 +471,12 @@ def test_source_failure_carries_edge_identity():
     st.floats(0.1, 5),
     st.floats(-3, 3),
     st.floats(0.1, 5),
-    st.floats(0.01, 1.0),
+    st.floats(0.0, 1.0, exclude_min=True),
 )
 def test_damping_keeps_proper_messages_proper(m1, v1, m2, v2, delta):
     from kernelep.ep_engine import _damped
 
-    out = _damped(Gaussian1D(m1, v1), Gaussian1D(m2, v2), delta)
+    out = _damped("gaussian", to_natural(Gaussian1D(m1, v1)), Gaussian1D(m2, v2), delta)
     assert not out.improper
     assert out.variance > 0
 
@@ -381,7 +507,8 @@ def test_demo_marginal_consistency_after_run():
     marg = to_natural(result.marginals["x"])
     for f in graph.factors_adjacent("x"):
         recon = multiply(
-            cavity(graph, state, f.id, "x"), state.messages[(f.id, "x")]
+            cavity(graph, state, f.id, "x"),
+            from_natural("gaussian", state.messages[(f.id, "x")]),
         )
         np.testing.assert_allclose(to_natural(recon), marg, atol=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from kernelep import kernels
+from kernelep import kernels, operator
 from kernelep.errors import DomainError, QuadratureError
 from kernelep.expfam import BetaDist, Gaussian1D
 from kernelep.factors import IncomingPrior, IncomingTuple, sample_incoming
@@ -28,6 +28,7 @@ from kernelep.kernels import (
     rescale,
     rff_point,
 )
+from kernelep.regress import fit
 
 
 def random_tuples(n, seed):
@@ -328,37 +329,38 @@ def test_empty_batches_raise_domain_error():
             joint_features_batch(s, [])
 
 
-def test_beta_cf_phase_cache(monkeypatch):
-    cache = kernels._phase_matrix
+def test_beta_cf_phase_cache():
     rng = np.random.default_rng(28)
     omega = rng.normal(0.0, 8.0, size=50)
-    other = rng.normal(0.0, 8.0, size=50)
     b = BetaDist(2.5, 1.5)
-    cache.cache_clear()
-    cold = beta_cf(omega, [b])
-    misses = cache.cache_info().misses
-    assert misses >= 2 and cache.cache_info().hits == 0
-    warm = beta_cf(omega, [b])
-    assert cache.cache_info().hits == misses and cache.cache_info().misses == misses
-    np.testing.assert_array_equal(warm, cold)
-    # a second Beta on the same frequencies builds no phase matrix up to its order
-    beta_cf(omega, [BetaDist(3.0, 2.0)])
-    assert cache.cache_info().hits > misses
-    # same length, different frequencies: a new entry per order, never a hit
-    info = cache.cache_info()
-    got_other = beta_cf(other, [b])
-    assert cache.cache_info().hits == info.hits
-    assert cache.cache_info().misses > info.misses
-    cache.cache_clear()
-    np.testing.assert_array_equal(got_other, beta_cf(other, [b]))
-    assert not np.array_equal(got_other, cold)
-    # the cached matrices are read-only and the cache is bounded
-    assert not cache(omega.tobytes(), kernels.QUAD_ORDER).flags.writeable
-    assert cache.cache_info().maxsize == kernels.PHASE_CACHE_SIZE <= 16
+    phases = {}
+    cold = beta_cf(omega, [b], phases)
+    assert len(phases) >= 2
+    assert sorted(phases) == [kernels.QUAD_ORDER * 2**k for k in range(len(phases))]
+    # the memoized matrices are read-only
+    for order, matrix in phases.items():
+        assert matrix.shape == (50, order) and not matrix.flags.writeable
+    held = dict(phases)
     # bit-identical to building every phase matrix afresh
-    monkeypatch.setattr(kernels, "_phase_matrix", cache.__wrapped__)
+    np.testing.assert_array_equal(beta_cf(omega, [b], phases), cold)
     np.testing.assert_array_equal(beta_cf(omega, [b]), cold)
-    np.testing.assert_array_equal(beta_cf(other, [b]), got_other)
+    # a second Beta on the same frequencies reuses the entries and adds none
+    second = BetaDist(3.0, 2.0)
+    np.testing.assert_array_equal(beta_cf(omega, [second], phases), beta_cf(omega, [second]))
+    assert phases.keys() == held.keys() and all(phases[o] is held[o] for o in held)
+
+    # the operator keeps the memo for its inner frequencies, and absorb carries it
+    inner = draw_rff(2, 50, (1.0, 0.25), rng)
+    spec = TwoStageSpec(inner, np.zeros(50), np.eye(50)[:, :3], draw_rff(3, 16, 1.0, rng))
+    op = operator.MessageOperator(
+        spec, fit(rng.normal(size=(16, 30)), rng.normal(size=(2, 30)), 1e-3)
+    )
+    inc = IncomingTuple(Gaussian1D(0.2, 1.3), b)
+    np.testing.assert_array_equal(operator.featurize(op, inc), joint_features(spec, inc))
+    memo = op._phases
+    assert len(memo) >= 2 and not any(m.flags.writeable for m in memo.values())
+    absorbed = operator.absorb(op, inc, np.array([0.1, -1.0]))
+    assert absorbed._phases is memo
 
 
 def test_quadrature_cap_raises(monkeypatch):
