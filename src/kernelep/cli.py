@@ -33,17 +33,21 @@ JSON; every array is stored as its raw bytes,
 `{"dtype": "<f8", "shape": [...], "data": "<base64>"}` (little-endian
 float64, C order), so the checksum covers every scalar and every array's
 bytes.  Format version 3 introduced the raw arrays; files of versions 1 and
-2 (decimal arrays) and any other version are refused.
+2 (decimal arrays) and any other version are refused.  Model text is hashed
+and written a slice at a time, into a temporary file renamed over the
+target once complete; loading decodes and drops one array's text at a time.
 Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import base64
+import binascii
 import hashlib
 import json
 import math
+import os
+import secrets
 import sys
 import time
 from dataclasses import dataclass, field
@@ -334,13 +338,10 @@ def _with_parent(path) -> Path:
     return path
 
 
-def _write_json(path: Path, obj, *, compact: bool = False) -> Path:
+def _write_json(path: Path, obj) -> Path:
     path = _with_parent(path)
     with open(path, "w") as handle:
-        if compact:
-            json.dump(obj, handle, separators=(",", ":"))
-        else:
-            json.dump(obj, handle, indent=2)
+        json.dump(obj, handle, indent=2)
         handle.write("\n")
     return path
 
@@ -448,36 +449,96 @@ MODEL_FORMAT_VERSION = 3
 
 _ARRAY_KEYS = {"dtype", "shape", "data"}
 
+# raw array bytes per base64 block, at least 3 rows of the array
+_BASE64_SLICE = 3 * 2**16
+# characters per slice of an escaped string
+_STRING_SLICE = 2**16
 
-def _encode_arrays(node):
-    """Payload tree with every ndarray replaced by its raw-bytes record:
-    little-endian float64, C order, base64 text."""
+
+def _json_pieces(node, sort_keys: bool):
+    """Yield json.dumps(node, separators=(",", ":"), sort_keys=sort_keys) in
+    slices, every ndarray written as its raw-bytes record
+    {"dtype": "<f8", "shape": [...], "data": "<base64>"} (little-endian
+    float64, C order).  A piece is at most a block of array rows or a slice
+    of a string, so writing or hashing a model never holds its whole text.
+    Dict keys must be strings.
+    """
     if isinstance(node, np.ndarray):
-        return {
-            "dtype": "<f8",
-            "shape": list(node.shape),
-            "data": base64.b64encode(np.asarray(node, dtype="<f8").tobytes()).decode("ascii"),
-        }
-    if isinstance(node, dict):
-        return {key: _encode_arrays(value) for key, value in node.items()}
-    return node
+        head = '"dtype":"<f8","shape":[' + ",".join(map(str, node.shape)) + "]"
+        if sort_keys:
+            yield '{"data":"'
+            yield from _base64_pieces(node)
+            yield '",' + head + "}"
+        else:
+            yield "{" + head + ',"data":"'
+            yield from _base64_pieces(node)
+            yield '"}'
+    elif isinstance(node, dict):
+        yield "{"
+        for i, (key, value) in enumerate(sorted(node.items()) if sort_keys else node.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"model file keys must be str, not {type(key).__name__}")
+            if i:
+                yield ","
+            yield from _string_pieces(key)
+            yield ":"
+            yield from _json_pieces(value, sort_keys)
+        yield "}"
+    elif isinstance(node, (list, tuple)):
+        yield "["
+        for i, item in enumerate(node):
+            if i:
+                yield ","
+            yield from _json_pieces(item, sort_keys)
+        yield "]"
+    elif isinstance(node, str):
+        yield from _string_pieces(node)
+    else:
+        yield json.dumps(node)
+
+
+def _string_pieces(text: str):
+    """A JSON string literal, escaped as json.dumps escapes it, in slices."""
+    yield '"'
+    for start in range(0, len(text), _STRING_SLICE):
+        yield json.dumps(text[start : start + _STRING_SLICE])[1:-1]
+    yield '"'
+
+
+def _base64_pieces(array: np.ndarray):
+    """Base64 of the array's little-endian float64 bytes in C order, a block
+    of rows at a time.  A block is a multiple of 3 rows, so of 3 bytes, and
+    the blocks' texts concatenate to the whole array's."""
+    if not array.size:
+        return
+    rows = array.reshape(-1, array.shape[-1]) if array.ndim > 1 else array.reshape(-1, 1)
+    step = 3 * max(1, _BASE64_SLICE // (24 * rows.shape[1]))
+    for start in range(0, len(rows), step):
+        block = np.ascontiguousarray(rows[start : start + step], dtype="<f8")
+        yield binascii.b2a_base64(block, newline=False).decode("ascii")
 
 
 def _decode_arrays(node):
-    """Inverse of _encode_arrays; decoded arrays are read-only views of the bytes."""
+    """Inverse of the arrays' records, in place: each record becomes a
+    read-only view of its decoded bytes, and its base64 text is dropped as
+    soon as it is decoded."""
     if isinstance(node, dict):
         if set(node) == _ARRAY_KEYS:
             if node["dtype"] != "<f8":
                 raise ValueError(f"unsupported array dtype {node['dtype']!r}")
-            raw = base64.b64decode(node["data"], validate=True)
+            raw = binascii.a2b_base64(node.pop("data"), strict_mode=True)
             return np.frombuffer(raw, dtype="<f8").reshape(node["shape"])
-        return {key: _decode_arrays(value) for key, value in node.items()}
+        for key, value in node.items():
+            node[key] = _decode_arrays(value)
     return node
 
 
-def _payload_checksum(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+def _payload_checksum(payload) -> str:
+    """sha256 of the canonical (sort_keys, compact) JSON text of a payload."""
+    digest = hashlib.sha256()
+    for piece in _json_pieces(payload, sort_keys=True):
+        digest.update(piece.encode("ascii"))
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -491,7 +552,11 @@ class SavedModel:
 
 
 def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict | None = None) -> Path:
-    """Write an operator (always on a TwoStageSpec) as a checksummed model file."""
+    """Write an operator (always on a TwoStageSpec) as a checksummed model file.
+
+    The text is hashed and then written slice by slice (see _json_pieces)
+    into a temporary file that replaces `path` only once complete.
+    """
     spec = op.spec
     payload = {
         "seed": int(seed),
@@ -514,13 +579,25 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
         },
         "metadata": extra or {},
     }
-    payload = _encode_arrays(payload)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "checksum": _payload_checksum(payload),
         "payload": payload,
     }
-    return _write_json(Path(path), doc, compact=True)
+    path = _with_parent(path)
+    # written beside the target and renamed over it, so a write that fails
+    # part-way leaves any previous model intact
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="ascii") as handle:
+            for piece in _json_pieces(doc, sort_keys=False):
+                handle.write(piece)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def load_model(path) -> SavedModel:

@@ -93,6 +93,12 @@ class RffSpec:
     bandwidth: np.ndarray
 
     def __post_init__(self):
+        shape = self.frequencies.shape
+        if len(shape) != 2 or self.phases.shape != shape[:1] or self.bandwidth.shape != shape[1:]:
+            raise DomainError(
+                f"frequencies {shape}, phases {self.phases.shape} and "
+                f"bandwidth {self.bandwidth.shape} do not fit together"
+            )
         self.frequencies.setflags(write=False)
         self.phases.setflags(write=False)
         self.bandwidth.setflags(write=False)
@@ -421,6 +427,15 @@ def embedding_features(spec: TwoStageSpec, embeddings) -> np.ndarray:
     because it runs once per operator message.
     """
     projected = (np.asarray(embeddings, dtype=float) - spec.center) @ spec.projection
+    return _outer_features(spec, projected)
+
+
+def _outer_features(spec: TwoStageSpec, projected: np.ndarray) -> np.ndarray:
+    """The outer half of embedding_features, on embeddings already projected.
+
+    Training keeps the (n, k) projections and calls this when it needs a
+    multiplier's features, so they equal featurize_batch's bit for bit.
+    """
     out = projected @ spec.outer.frequencies.T
     out += spec.outer.phases
     np.cos(out, out=out)

@@ -33,6 +33,7 @@ from .factors import IncomingTuple, TrainingPair
 from .kernels import (
     TwoStageSpec,
     _beta_side,
+    _outer_features,
     beta_cf,
     draw_rff,
     embedding_features,
@@ -96,6 +97,10 @@ class MessageOperator:
             raise DomainError(f"operator needs a TwoStageSpec, not a {type(self.spec).__name__}")
         if self.spec.num_features != self.model.num_features:
             raise DomainError("spec feature count does not match model")
+        if self.model.W.shape[0] != 2:
+            raise DomainError(
+                f"model has {self.model.W.shape[0]} outputs; the operator predicts (E, log V)"
+            )
 
 
 @dataclass(frozen=True)
@@ -256,8 +261,12 @@ def train_operator(
 
     The projection and sigma use the training inputs only, never targets, so
     K-fold cross-validation on the pairs chooses just m and lambda, and the
-    final model refits on all of them.  Returns the operator, the CV report,
-    and the calibrated tau.
+    final model refits on all of them.  Only each multiplier's spec and its
+    n x k projected embeddings are kept: its D x n features are rebuilt from
+    them when cross-validation reaches it and freed before the next
+    multiplier's, and the chosen multiplier's once more for the refit, so
+    one feature matrix is alive at a time.  Returns the operator, the CV
+    report, and the calibrated tau.
     """
     if grid is None:
         grid = default_grid()
@@ -269,21 +278,24 @@ def train_operator(
     k = min(PROJECTION_DIM, inner_width, len(tuples) - 1)
     base = draw_rff(2, inner_width, (gamma_x, gamma_z), rng)
     base_outer = draw_rff(k, num_features, 1.0, rng)
-    specs, feats = {}, {}
+    specs, projected = {}, {}
     for m in sorted({m for m, _ in grid}):
         inner = rescale(base, m)
         emb = joint_features_batch(inner, tuples)
         center, projection = principal_projection(emb, k)
-        projected = (emb - center) @ projection
-        outer = rescale(base_outer, median_distance(projected))
+        # the projection embedding_features applies, so features built from
+        # it equal featurize_batch's output
+        projected[m] = (emb - center) @ projection
+        outer = rescale(base_outer, median_distance(projected[m]))
         specs[m] = TwoStageSpec(inner, center, projection, outer)
-        # the map featurize_batch applies, so training features equal its output
-        feats[m] = embedding_features(specs[m], emb).T
+
+    def features(m):
+        return _outer_features(specs[m], projected[m]).T
 
     cv_rng = rng.spawn(1)[0]
-    report = cross_validate(feats, Y, grid=grid, folds=folds, rng=cv_rng)
+    report = cross_validate(features, Y, grid=grid, folds=folds, rng=cv_rng)
     mult, lam = report.chosen_params
-    model = fit(feats[mult], Y, lam)
-    op = MessageOperator(specs[mult], model)
-    tau = default_tau(model, feats[mult])
-    return op, report, tau
+    Phi = features(mult)
+    model = fit(Phi, Y, lam)
+    tau = default_tau(model, Phi)
+    return MessageOperator(specs[mult], model), report, tau

@@ -83,8 +83,16 @@ class RidgeModel:
     V: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.W.ndim != 2:
+            raise DomainError(f"weights must be 2-D, got shape {self.W.shape}")
+        D = self.W.shape[1]
         if self.V is None:
-            object.__setattr__(self, "V", np.empty((0, self.A0.shape[0])))
+            object.__setattr__(self, "V", np.empty((0, D)))
+        if self.A0.shape != (D, D) or self.V.ndim != 2 or self.V.shape[1] != D:
+            raise DomainError(
+                f"inverse Gram {self.A0.shape} and factor {self.V.shape} do not match "
+                f"weights {self.W.shape}"
+            )
         self.W.setflags(write=False)
         self.A0.setflags(write=False)
         self.V.setflags(write=False)
@@ -138,23 +146,15 @@ class CvReport:
         return self.grid[self.chosen]
 
 
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive definite system, escalating diagonal
-    jitter when the Cholesky factorization fails."""
-    for jitter in _JITTERS:
-        try:
-            factor = cho_factor(
-                mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0]),
-                lower=True,
-            )
-        except LinAlgError:
-            continue
-        return cho_solve(factor, rhs)
-    raise DomainError("normal equations singular to working precision")
-
-
 def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
-    """Primal ridge fit W = Y Phi^T (Phi Phi^T + lambda I)^{-1}."""
+    """Primal ridge fit W = Y Phi^T (Phi Phi^T + lambda I)^{-1}.
+
+    The Gram is exactly symmetric (numpy forms Phi Phi^T as a rank-k update
+    and mirrors one triangle), so its transpose is the same matrix in
+    Fortran order: LAPACK factors it in place, and solves into an identity
+    it overwrites, so no D x D copy is made.  When the factorization fails,
+    escalating diagonal jitter is added to a fresh Gram.
+    """
     Phi = np.asarray(Phi, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Phi.ndim != 2 or Y.shape[1] != Phi.shape[1] or Phi.shape[1] < 1:
@@ -164,10 +164,26 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
     if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
     D, N = Phi.shape
-    gram = Phi @ Phi.T
-    gram[np.diag_indices_from(gram)] += lam
-    A_inv = _spd_solve(gram, np.eye(D))
-    A_inv = (A_inv + A_inv.T) / 2.0
+    diagonal = np.diag_indices(D)
+    for jitter in _JITTERS:
+        gram = Phi @ Phi.T
+        gram[diagonal] += lam
+        if jitter:
+            gram[diagonal] += jitter
+        try:
+            factor = cho_factor(gram.T, lower=True, overwrite_a=True)
+            break
+        except LinAlgError:
+            continue
+    else:
+        raise DomainError("normal equations singular to working precision")
+    del gram
+    # the identity is symmetric too, so its transpose is Fortran-ordered
+    X = cho_solve(factor, np.eye(D).T, overwrite_b=True)
+    del factor
+    A_inv = X + X.T
+    del X
+    A_inv /= 2.0
     W = Y @ Phi.T @ A_inv
     residual = Y - W @ Phi
     noise_scale = max(float(np.mean(residual**2)), np.finfo(float).tiny)
@@ -272,7 +288,7 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
 
 
 def cross_validate(
-    features: Mapping[float, np.ndarray],
+    features: Mapping[float, np.ndarray] | Callable[[float], np.ndarray],
     Y: np.ndarray,
     grid=None,
     folds: int = 5,
@@ -280,10 +296,13 @@ def cross_validate(
 ) -> CvReport:
     """K-fold grid search over (bandwidth multiplier, lambda) pairs.
 
-    `features` maps each multiplier in the grid to its D x N feature matrix
-    (same case order).  Fold assignment is a seeded permutation, so the
-    report is deterministic per rng state.  Ties in mean error prefer the
-    larger lambda, then the larger multiplier.
+    `features` gives each multiplier in the grid its D x N feature matrix
+    (same case order): a mapping, or a callable that builds it.  A callable
+    is called once per multiplier, in increasing order, when the search
+    reaches it, so a caller that builds fresh matrices holds one at a time.
+    Fold assignment is a seeded permutation, so the report is deterministic
+    per rng state.  Ties in mean error prefer the larger lambda, then the
+    larger multiplier.
 
     Each multiplier costs one eigendecomposition, of the full-data Gram
     G = Phi Phi^T = P diag(e) P^T (D x D, so no N x N matrix appears), and
@@ -301,10 +320,11 @@ def cross_validate(
     if not grid:
         raise DomainError("empty cross-validation grid")
     for mult, lam in grid:
-        if mult not in features:
+        if isinstance(features, Mapping) and mult not in features:
             raise DomainError(f"no feature matrix supplied for multiplier {mult}")
         if lam <= 0:
             raise DomainError(f"lambda must be positive, got {lam}")
+    build = features.__getitem__ if isinstance(features, Mapping) else features
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     N = Y.shape[1]
     if N < folds:
@@ -320,16 +340,11 @@ def cross_validate(
     bounds = np.searchsorted(fold_of[by_fold], np.arange(folds + 1))
     Y_sorted = Y[:, by_fold]
 
-    mults = sorted({m for m, _ in grid})
     errors = {}
-    for mult in mults:
-        Phi = np.asarray(features[mult], dtype=float)
-        if Phi.shape[1] != N:
-            raise DomainError(
-                f"feature matrix for multiplier {mult} has {Phi.shape[1]} cases, expected {N}"
-            )
+    for mult in sorted({m for m, _ in grid}):
         lams = sorted({lam for m, lam in grid if m == mult})
-        for lam, fold_mse in zip(lams, _fold_errors(Phi[:, by_fold], Y_sorted, lams, bounds)):
+        fold_errors = _fold_errors(build, mult, by_fold, Y_sorted, lams, bounds)
+        for lam, fold_mse in zip(lams, fold_errors):
             errors[(mult, lam)] = fold_mse
 
     fold_errors = np.array([errors[point] for point in grid])
@@ -342,21 +357,32 @@ def cross_validate(
     return CvReport(tuple(grid), fold_errors, chosen)
 
 
-def _fold_errors(Phi: np.ndarray, Y: np.ndarray, lams, bounds) -> list[list[float]]:
-    """Held-out mean squared errors per lambda and fold, for one feature
-    matrix whose folds are the column blocks bounds[k]:bounds[k + 1].
+def _fold_errors(build, mult, by_fold, Y, lams, bounds) -> list[list[float]]:
+    """Held-out mean squared errors per lambda and fold for multiplier mult,
+    whose features build(mult) gives; by_fold orders their columns so that
+    fold k is the block bounds[k]:bounds[k + 1] (as Y already is).
 
-    Phi, G, P and C live only in this call, so each multiplier's arrays are
-    freed before the next multiplier's are formed.
+    The feature matrix, its fold-sorted copy, G, P and C live only in this
+    call, and the unsorted matrix goes as soon as the sorted copy exists,
+    so each multiplier's arrays are freed before the next multiplier's are
+    formed.
     """
+    Phi = np.asarray(build(mult), dtype=float)
+    if Phi.ndim != 2 or Phi.shape[1] != len(by_fold):
+        raise DomainError(
+            f"feature matrix for multiplier {mult} has shape {Phi.shape}, "
+            f"expected {len(by_fold)} cases"
+        )
+    Phi = Phi[:, by_fold]
     # G is exactly symmetric (numpy forms Phi Phi^T as a rank-k update and
     # mirrors one triangle), so G^T is G in Fortran order: LAPACK overwrites
     # it in place instead of eigh copying it first
     G = Phi @ Phi.T
     e, P = eigh(G.T, overwrite_a=True, driver="evd")
+    del G
     np.maximum(e, 0.0, out=e)
     C = Phi.T @ P
-    del Phi, G, P
+    del Phi, P
     YC = Y @ C
     out = []
     for lam in lams:

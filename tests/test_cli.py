@@ -3,13 +3,17 @@
 import argparse
 import base64
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import kernelep.cli as cli
 from kernelep.cli import (
@@ -42,7 +46,7 @@ from kernelep.errors import (
     GraphFormatError,
     ModelFormatError,
 )
-from kernelep.kernels import draw_rff
+from kernelep.kernels import TwoStageSpec, draw_rff
 from kernelep.operator import MessageOperator, predict_q, train_operator
 from kernelep.regress import fit
 
@@ -255,33 +259,59 @@ def test_model_corruption_detected(ws, tmp_path):
         load_model(versioned)
 
 
+def _record(arr):
+    """An array's raw-bytes record, as the model format stores it."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(arr.shape),
+            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _forge(path, payload):
+    """A model file whose checksum matches a hand-made payload."""
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    doc = {"format_version": MODEL_FORMAT_VERSION,
+           "checksum": hashlib.sha256(canon.encode()).hexdigest(), "payload": payload}
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_model_product_kind_payload_refused(tmp_path):
     # a well-formed version-3 file of the former product kind: two 1-dim
     # sides of width 6 whose Kronecker product gives the model's 36 features
     rng = np.random.default_rng(3)
-
-    def record(arr):
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        return {"dtype": "<f8", "shape": list(arr.shape),
-                "data": base64.b64encode(arr.tobytes()).decode("ascii")}
-
     payload = {
         "seed": 0, "feature_kind": "product", "recipient": "x", "tau": 0.1,
         "lambda": 1e-6, "num_features": 36, "noise_scale": 1.0, "n_train": 10,
-        "weights": record(rng.normal(size=(2, 36))), "a_inv": record(np.eye(36)),
-        "bandwidths": record([1.0, 0.25]),
-        "frequencies": {"x": record(rng.normal(size=(6, 1))), "z": record(rng.normal(size=(6, 1)))},
-        "phases": {"x": record(rng.uniform(0, 6, 6)), "z": record(rng.uniform(0, 6, 6))},
+        "weights": _record(rng.normal(size=(2, 36))), "a_inv": _record(np.eye(36)),
+        "bandwidths": _record([1.0, 0.25]),
+        "frequencies": {"x": _record(rng.normal(size=(6, 1))), "z": _record(rng.normal(size=(6, 1)))},
+        "phases": {"x": _record(rng.uniform(0, 6, 6)), "z": _record(rng.uniform(0, 6, 6))},
         "metadata": {},
     }
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    doc = {"format_version": 3, "checksum": hashlib.sha256(canon.encode()).hexdigest(),
-           "payload": payload}
     assert MODEL_FORMAT_VERSION == 3
-    product = tmp_path / "product.json"
-    product.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="malformed"):
-        load_model(product)
+        load_model(_forge(tmp_path / "product.json", payload))
+
+
+def test_model_inconsistent_arrays_refused(ws, tmp_path):
+    # checksummed files whose arrays do not fit together are refused on
+    # load, not by a numpy error at the first message
+    _, data = ws
+    payload = json.loads(Path(data["model"]).read_text())["payload"]
+    D = payload["num_features"]
+    outer = payload["outer"]
+    forged = {
+        "small_a_inv": {"a_inv": _record(np.eye(5))},
+        "scalar_a_inv": {"a_inv": _record(np.float64(1.0))},
+        "three_outputs": {"weights": _record(np.zeros((3, D)))},
+        "one_output": {"weights": _record(np.zeros((1, D)))},
+        "flat_weights": {"weights": _record(np.zeros(D))},
+        "short_phases": {"phases": _record(np.zeros(3))},
+        "flat_outer_frequencies": {"outer": outer | {"frequencies": _record(np.zeros(D))}},
+    }
+    for name, change in forged.items():
+        with pytest.raises(ModelFormatError, match="malformed"):
+            load_model(_forge(tmp_path / f"{name}.json", payload | change))
 
 
 def test_save_model_refuses_plain_rff_operator():
@@ -292,6 +322,81 @@ def test_save_model_refuses_plain_rff_operator():
     model = fit(rng.normal(size=(6, 10)), rng.normal(size=(2, 10)), 1e-3)
     with pytest.raises(DomainError, match="needs a TwoStageSpec, not a RffSpec"):
         MessageOperator(spec, model)
+
+
+@pytest.fixture(scope="module")
+def wide_op():
+    """An operator whose 200 x 200 inverse spans several base64 slices."""
+    rng = np.random.default_rng(12)
+    spec = TwoStageSpec(draw_rff(2, 8, 1.0, rng), np.zeros(8), np.eye(8)[:, :3],
+                        draw_rff(3, 200, 1.0, rng))
+    return MessageOperator(spec, fit(rng.normal(size=(200, 40)), rng.normal(size=(2, 40)), 1e-3))
+
+
+def _reference_model_doc(op, seed, tau, metadata):
+    """The model document save_model writes, built with json and base64 alone."""
+    spec, model = op.spec, op.model
+    payload = {
+        "seed": seed, "tau": tau, "lambda": model.lam, "num_features": model.num_features,
+        "noise_scale": model.noise_scale, "n_train": model.n_train,
+        "weights": _record(model.W), "a_inv": _record(model.A_inv),
+        "bandwidths": _record(spec.inner.bandwidth),
+        "frequencies": _record(spec.inner.frequencies), "phases": _record(spec.inner.phases),
+        "outer": {
+            "center": _record(spec.center), "projection": _record(spec.projection),
+            "frequencies": _record(spec.outer.frequencies),
+            "phases": _record(spec.outer.phases), "bandwidth": _record(spec.outer.bandwidth),
+        },
+        "metadata": metadata,
+    }
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return {"format_version": MODEL_FORMAT_VERSION,
+            "checksum": hashlib.sha256(canon.encode()).hexdigest(), "payload": payload}
+
+
+_TRICKY_TEXT = st.text(
+    st.sampled_from('"\\/\n\t\x00\x1f\x7fé\u2028😀a') | st.characters(), max_size=12
+)
+_METADATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TRICKY_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_TRICKY_TEXT, children, max_size=4),
+    max_leaves=16,
+)
+
+
+@given(metadata=st.dictionaries(_TRICKY_TEXT, _METADATA, max_size=5))
+@example(metadata={"long": '"\\\x01é😀' * (cli._STRING_SLICE // 2), "x": [1.5, -0.0]})
+def test_model_writer_matches_json_dumps(wide_op, metadata):
+    # the sliced writer gives json.dumps's bytes and checksum, and the
+    # sliced reader accepts them
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_model(Path(tmp) / "m.json", wide_op, seed=3, tau=0.25, extra=metadata)
+        expected = _reference_model_doc(wide_op, 3, 0.25, metadata)
+        written = path.read_bytes()
+        assert written == (json.dumps(expected, separators=(",", ":")) + "\n").encode()
+        loaded = load_model(path)
+    np.testing.assert_array_equal(loaded.op.model.A0, wide_op.model.A_inv)
+    np.testing.assert_array_equal(loaded.op.model.W, wide_op.model.W)
+
+
+def test_save_model_failure_keeps_previous_file(wide_op, tmp_path, monkeypatch):
+    target = save_model(tmp_path / "model.json", wide_op, seed=1, tau=0.5)
+    before = target.read_bytes()
+    pieces = cli._json_pieces
+
+    def disk_full(node, sort_keys):
+        # the checksum pass runs whole; the write fails part-way
+        for i, piece in enumerate(pieces(node, sort_keys)):
+            if not sort_keys and i == 20:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            yield piece
+
+    monkeypatch.setattr(cli, "_json_pieces", disk_full)
+    with pytest.raises(OSError, match="No space"):
+        save_model(target, wide_op, seed=2, tau=0.5)
+    assert target.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [target]
 
 
 # ---------------------------------------------------------------------------

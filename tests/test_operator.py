@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,7 +276,33 @@ def test_train_operator_reports(trained):
     assert tau > 0
     phi = featurize_batch(op, [p.input for p in pairs])
     assert phi.shape == (op.model.num_features, len(pairs))
-    assert default_tau(op.model, phi) == pytest.approx(tau)
+    # training features are the inference path's, bit for bit
+    assert default_tau(op.model, phi) == tau
+    refit = fit(phi, np.array([p.target for p in pairs]).T, report.chosen_params[1])
+    np.testing.assert_array_equal(refit.W, op.model.W)
+    np.testing.assert_array_equal(refit.A0, op.model.A0)
+
+
+def test_train_operator_holds_one_multipliers_features():
+    # tracemalloc sees numpy's buffers.  Nine more multipliers may add their
+    # specs and n x k projections to the peak, but not a D x n feature
+    # matrix each
+    pairs = flat_beta_pairs(400, seed=46)
+    width = 800
+
+    def peak(multipliers):
+        grid = [(m, lam) for m in multipliers for lam in (1e-4, 1e-2)]
+        tracemalloc.start()
+        try:
+            train_operator(pairs, width, np.random.default_rng(47), grid=grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # ten first, so any cache the first run fills counts against the margin
+    ten = peak(np.geomspace(0.25, 4.0, 10))
+    one = peak([1.0])
+    assert ten - one < 2 * width * len(pairs) * 8
 
 
 def test_train_operator_deterministic():
@@ -298,6 +325,10 @@ def test_operator_validation():
     assert MessageOperator(spec, model).spec is spec
     with pytest.raises(DomainError, match="feature count"):
         MessageOperator(tiny_spec(9, seed=44), model)
+    for rows in (1, 3):
+        other = RidgeModel(np.zeros((rows, 8)), 1.0, np.eye(8), 1.0, 1)
+        with pytest.raises(DomainError, match=f"{rows} outputs"):
+            MessageOperator(spec, other)
     with pytest.raises(DomainError):
         UncertaintyPolicy(tau=0.0, budget=1)
     with pytest.raises(DomainError):

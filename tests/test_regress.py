@@ -8,6 +8,7 @@ from kernelep.kernels import TwoStageSpec, draw_rff
 from kernelep.operator import MessageOperator
 from kernelep.regress import (
     CvReport,
+    RidgeModel,
     cross_validate,
     default_grid,
     fit,
@@ -57,6 +58,36 @@ def test_fit_validates():
         fit(np.eye(3), np.zeros((1, 3)), 0.0)
     with pytest.raises(DomainError):
         fit(np.eye(3), np.zeros((1, 4)), 1.0)
+
+
+def test_fit_escalates_jitter_then_refuses():
+    # identical rows: the second Cholesky pivot of Phi Phi^T + 1e-300 I is
+    # exactly 0, so only the first jitter, 1e-10, lets the factorization pass
+    Phi = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    Y = np.array([[1.0, 0.0, 0.0]])
+    model = fit(Phi, Y, 1e-300)
+    np.testing.assert_allclose(
+        model.A0, np.linalg.inv(Phi @ Phi.T + 1e-10 * np.eye(2)), rtol=1e-4
+    )
+    # at this scale every jitter rounds away
+    with pytest.raises(DomainError, match="singular"):
+        fit(1e6 * Phi, Y, 1e-300)
+
+
+def test_ridge_model_refuses_inconsistent_shapes():
+    W, A0 = np.zeros((2, 4)), np.eye(4)
+    with pytest.raises(DomainError, match="2-D"):
+        RidgeModel(np.zeros(4), 1.0, A0, 1.0, 1)
+    for bad in (
+        dict(A0=np.eye(5)),
+        dict(A0=np.zeros((4, 5))),
+        dict(A0=np.float64(1.0)),
+        dict(V=np.zeros((3, 5))),
+        dict(V=np.zeros(4)),
+    ):
+        args = dict(W=W, lam=1.0, A0=A0, noise_scale=1.0, n_train=1) | bad
+        with pytest.raises(DomainError, match="do not match"):
+            RidgeModel(**args)
 
 
 def test_fit_is_loss_minimizer():
@@ -534,3 +565,25 @@ def test_cross_validate_reports_in_grid_order():
     for point, row in zip(grid, report.fold_errors):
         alone = cross_validate(features, Y, grid=[point], folds=5, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(row, alone.fold_errors[0])
+
+
+def test_cross_validate_builds_each_multipliers_features_once_in_order():
+    # a callable gives the mapping's report, built once per multiplier when
+    # the search reaches it
+    rng = np.random.default_rng(103)
+    features = {m: rng.normal(size=(8, 30)) for m in (0.5, 1.0, 2.0)}
+    Y = rng.normal(size=(2, 30))
+    grid = [(m, lam) for m in (2.0, 0.5, 1.0) for lam in (1e-3, 1.0)]
+    calls = []
+
+    def build(mult):
+        calls.append(mult)
+        return features[mult].copy()
+
+    built = cross_validate(build, Y, grid=grid, folds=5, rng=np.random.default_rng(10))
+    mapped = cross_validate(features, Y, grid=grid, folds=5, rng=np.random.default_rng(10))
+    assert calls == [0.5, 1.0, 2.0]
+    np.testing.assert_array_equal(built.fold_errors, mapped.fold_errors)
+    assert built.chosen == mapped.chosen
+    with pytest.raises(DomainError, match="expected 30 cases"):
+        cross_validate(lambda m: features[m][:, :20], Y, grid=grid, rng=np.random.default_rng(0))
