@@ -162,9 +162,6 @@ class FactorGraph:
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
 
-    def factors_adjacent(self, vid):
-        return list(self.adjacency.get(vid, ()))
-
 
 @dataclass(frozen=True)
 class EpState:
@@ -332,7 +329,8 @@ class ActiveSource:
     Oracle answers are absorbed into the operator online; the query count is
     surfaced through run_ep diagnostics.  `log` records every query and every
     budget-exhausted fallback; the iteration index counts visits per factor,
-    which matches the sweep number under the fixed schedule.
+    skipped ones included, which matches the sweep number under the fixed
+    schedule.
 
     The gate has two phases.  While budget remains, each message's variance
     is computed as it arrives and decides between prediction and query.
@@ -383,10 +381,10 @@ class ActiveSource:
     def __call__(self, factor, incoming, rng):
         x_id, z_id = factor.neighbors
         inc = IncomingTuple(incoming[x_id], incoming[z_id])
-        if not inc.proper:
-            return {}
         self._visits[factor.id] = self._visits.get(factor.id, 0) + 1
         visit = self._visits[factor.id]
+        if not inc.proper:
+            return {}
         policy = UncertaintyPolicy(tau=self.tau, budget=self.budget)
         action = decide(self.op, policy, inc)
         if isinstance(action, QueryOracle):

@@ -10,9 +10,10 @@ for the joint (x, z) embedding of an incoming tuple (the two messages are
 independent, so the joint characteristic function factorizes).
 
 The joint embedding has one formula, Re(_beta_side * gaussian_cf), and
-``joint_features``, ``joint_features_batch`` and the operator's
-``featurize`` all evaluate it; they differ only in where the Beta factor
-comes from.  ``beta_cf`` is the one quadrature of Beta characteristic
+``joint_features_batch`` and the operator's ``featurize`` both evaluate it;
+they differ only in where the Beta factor comes from.  Point features have
+one formula too, ``rff_point``, which the outer stage applies to projected
+embeddings.  ``beta_cf`` is the one quadrature of Beta characteristic
 functions, for any number of Betas sharing a frequency vector.  Its phase
 matrix e^{i w z} depends only on the frequencies and the order, so a caller
 whose frequencies are fixed (the operator) passes a memo of them per order;
@@ -25,15 +26,9 @@ k(P, Q) = exp(-||V^T (e(P) - e(Q))||^2 / (2 sigma^2)): the inner 2-dim
 principal directions of training embeddings reduce it to a few coordinates,
 and an outer point ``RffSpec`` of bandwidth sigma featurizes those.  A
 Gaussian kernel on embeddings is universal on distributions (Christmann &
-Steinwart, NIPS 2010), which the linear one is not.  ``joint_features`` and
-``joint_features_batch`` accept either kind of spec: a plain 2-dim
-``RffSpec`` gives the inner embedding itself, which is what the feature
-fidelity checks compare against the exact kernel.
-
-Exact-kernel oracles for validation live here too.  For factorized tuples
-the expected product kernel and the joint-embedding kernel coincide: both
-reduce to (Gaussian-side kernel) * (Beta-side kernel), so one evaluation
-routine serves both kinds.
+Steinwart, NIPS 2010), which the linear one is not.  ``joint_features_batch``
+takes the inner 2-dim ``RffSpec`` and gives the inner embeddings;
+``embedding_features`` maps them to the outer features.
 """
 
 from __future__ import annotations
@@ -47,8 +42,7 @@ from scipy.spatial.distance import pdist
 from scipy.special import betaln
 
 from .errors import DomainError, QuadratureError
-from .expfam import BetaDist, Gaussian1D
-from .factors import IncomingTuple
+from .expfam import Gaussian1D
 
 __all__ = [
     "RffSpec",
@@ -59,17 +53,10 @@ __all__ = [
     "rff_point",
     "gaussian_cf",
     "beta_cf",
-    "expected_feature_gaussian",
-    "expected_feature_beta",
-    "joint_features",
     "joint_features_batch",
     "principal_projection",
     "median_distance",
     "embedding_features",
-    "product_features",
-    "exact_gauss_kernel",
-    "exact_beta_kernel",
-    "exact_kernel",
 ]
 
 QUAD_ORDER = 64
@@ -184,9 +171,7 @@ def median_heuristic(tuples) -> tuple[float, float]:
         raise DomainError("median heuristic needs at least two tuples")
 
     def one_side(values, spreads):
-        diff = np.abs(values[:, None] - values[None, :])
-        pair = diff[np.triu_indices(len(values), k=1)]
-        med = float(np.median(pair))
+        med = float(np.median(pdist(values[:, None], "cityblock")))
         if med <= 0.0:
             med = float(np.mean(spreads))
         return max(med, 1e-3)
@@ -203,21 +188,21 @@ def _feature_scale(d: int) -> float:
 
 
 def rff_point(spec: RffSpec, x) -> np.ndarray:
-    """Point features sqrt(2/d) cos(w.x + b); accepts (dim,) or (n, dim)."""
+    """Point features sqrt(2/d) cos(w.x + b); (dim,) -> (d,), (n, dim) -> (n, d).
+
+    Written with in-place updates because the operator's outer features
+    run it once per message.
+    """
     pts = np.atleast_1d(np.asarray(x, dtype=float))
-    if pts.ndim == 1:
-        if pts.shape[0] != spec.input_dim:
-            raise DomainError(
-                f"point has dimension {pts.shape[0]}, spec expects {spec.input_dim}"
-            )
-        return _feature_scale(spec.num_features) * np.cos(
-            spec.frequencies @ pts + spec.phases
+    if pts.ndim > 2 or pts.shape[-1] != spec.input_dim:
+        raise DomainError(
+            f"points of shape {pts.shape} do not fit input dimension {spec.input_dim}"
         )
-    if pts.ndim != 2 or pts.shape[1] != spec.input_dim:
-        raise DomainError(f"bad point array shape {pts.shape}")
-    return _feature_scale(spec.num_features) * np.cos(
-        pts @ spec.frequencies.T + spec.phases
-    )
+    out = pts @ spec.frequencies.T
+    out += spec.phases
+    np.cos(out, out=out)
+    out *= _feature_scale(spec.num_features)
+    return out
 
 
 def gaussian_cf(omega: np.ndarray, g: Gaussian1D) -> np.ndarray:
@@ -313,32 +298,6 @@ def beta_cf(omega: np.ndarray, betas, phases: dict | None = None) -> np.ndarray:
     return _until_converged(at_order, label)
 
 
-def expected_feature_gaussian(spec: RffSpec, g: Gaussian1D) -> np.ndarray:
-    """Closed-form expected features sqrt(2/d) cos(w mu + b) e^{-w^2 s^2/2}."""
-    if spec.input_dim != 1:
-        raise DomainError("expected_feature_gaussian needs a 1-dim spec")
-    if g.improper:
-        raise DomainError("expected features of an improper Gaussian")
-    w = spec.frequencies[:, 0]
-    return _feature_scale(spec.num_features) * np.cos(w * g.mean + spec.phases) * np.exp(
-        -0.5 * w**2 * g.variance
-    )
-
-
-def expected_feature_beta(spec: RffSpec, b: BetaDist) -> np.ndarray:
-    """Expected features sqrt(2/d) E[cos(w z + b)] via adaptive quadrature."""
-    if spec.input_dim != 1:
-        raise DomainError("expected_feature_beta needs a 1-dim spec")
-    w = spec.frequencies[:, 0]
-    cf = beta_cf(w, [b])[0]
-    return _feature_scale(spec.num_features) * (np.exp(1j * spec.phases) * cf).real
-
-
-def product_features(f_x: np.ndarray, f_z: np.ndarray) -> np.ndarray:
-    """Kronecker product of per-side feature vectors (length d_x * d_z)."""
-    return np.kron(np.asarray(f_x), np.asarray(f_z))
-
-
 def _beta_side(inner: RffSpec, cf_z: np.ndarray) -> np.ndarray:
     """Beta factor sqrt(2/d) e^{i b_j} cf_z(w_j2) of the inner joint embedding.
 
@@ -353,30 +312,15 @@ def _beta_side(inner: RffSpec, cf_z: np.ndarray) -> np.ndarray:
     return np.multiply(scale, cf_z, out=cf_z)
 
 
-def joint_features(spec: RffSpec | TwoStageSpec, inc: IncomingTuple) -> np.ndarray:
-    """Features of the joint (x, z) distribution of an incoming tuple.
-
-    For a 2-dim RffSpec, the inner embedding; for a TwoStageSpec, the outer
-    features of its inner embedding.
-    """
-    if isinstance(spec, TwoStageSpec):
-        return embedding_features(spec, joint_features(spec.inner, inc))
-    if spec.input_dim != 2:
-        raise DomainError("joint_features needs a 2-dim spec")
-    row = _beta_side(spec, beta_cf(spec.frequencies[:, 1], [inc.m_z])[0])
-    return (row * gaussian_cf(spec.frequencies[:, 0], inc.m_x)).real
-
-
-def joint_features_batch(spec: RffSpec | TwoStageSpec, tuples) -> np.ndarray:
-    """joint_features for many tuples at once; returns (n, num_features).
+def joint_features_batch(spec: RffSpec, tuples) -> np.ndarray:
+    """Inner joint embeddings of incoming tuples under a 2-dim spec; (n, d).
 
     The Betas share one quadrature, converged on the batch maximum, so a row
-    can differ from joint_features within the quadrature tolerance.
+    can differ from the same tuple's row in another batch within the
+    quadrature tolerance.
     """
-    if isinstance(spec, TwoStageSpec):
-        return embedding_features(spec, joint_features_batch(spec.inner, tuples))
-    if spec.input_dim != 2:
-        raise DomainError("joint_features needs a 2-dim spec")
+    if not isinstance(spec, RffSpec) or spec.input_dim != 2:
+        raise DomainError("joint_features_batch needs a 2-dim RffSpec")
     rows = _beta_side(spec, beta_cf(spec.frequencies[:, 1], [t.m_z for t in tuples]))
     # in place, row by row: (n, D) complex temporaries would raise training's
     # peak memory
@@ -423,68 +367,7 @@ def median_distance(points: np.ndarray) -> float:
 def embedding_features(spec: TwoStageSpec, embeddings) -> np.ndarray:
     """Outer features of inner embeddings: (D_in,) -> (D,), (n, D_in) -> (n, D).
 
-    rff_point of the projected embeddings, written with in-place updates
-    because it runs once per operator message.
+    rff_point of the projected embeddings.
     """
     projected = (np.asarray(embeddings, dtype=float) - spec.center) @ spec.projection
-    return _outer_features(spec, projected)
-
-
-def _outer_features(spec: TwoStageSpec, projected: np.ndarray) -> np.ndarray:
-    """The outer half of embedding_features, on embeddings already projected.
-
-    Training keeps the (n, k) projections and calls this when it needs a
-    multiplier's features, so they equal featurize_batch's bit for bit.
-    """
-    out = projected @ spec.outer.frequencies.T
-    out += spec.outer.phases
-    np.cos(out, out=out)
-    out *= _feature_scale(spec.num_features)
-    return out
-
-
-def exact_gauss_kernel(g1: Gaussian1D, g2: Gaussian1D, gamma: float) -> float:
-    """Closed-form expected Gaussian kernel between two Gaussian messages."""
-    if g1.improper or g2.improper:
-        raise DomainError("exact kernel of an improper Gaussian")
-    s = gamma**2 + g1.variance + g2.variance
-    return float(gamma / math.sqrt(s) * math.exp(-((g1.mean - g2.mean) ** 2) / (2.0 * s)))
-
-
-def exact_beta_kernel(b1: BetaDist, b2: BetaDist, gamma: float) -> float:
-    """Expected Gaussian kernel between two Beta messages, by 2-D quadrature."""
-    if b1.improper or b2.improper:
-        raise DomainError("exact kernel of an improper Beta")
-
-    def at_order(order):
-        z, log_z, log_1mz, w = _unit_gl(order)
-
-        def weighted_pdf(b):
-            return w * np.exp(
-                (b.alpha - 1.0) * log_z
-                + (b.beta - 1.0) * log_1mz
-                - betaln(b.alpha, b.beta)
-            )
-
-        kmat = np.exp(-((z[:, None] - z[None, :]) ** 2) / (2.0 * gamma**2))
-        return float(weighted_pdf(b1) @ kmat @ weighted_pdf(b2))
-
-    return _until_converged(at_order, "Beta kernel quadrature")
-
-
-def exact_kernel(kind: str, a: IncomingTuple, b: IncomingTuple, gamma) -> float:
-    """Deterministic oracle for the distribution kernels.
-
-    Both kinds factor into (Gaussian side) * (Beta side) because each tuple's
-    joint law is a product of its independent messages, so the product and
-    joint kernels coincide on this factor family.
-    """
-    if kind not in ("product", "joint"):
-        raise DomainError(f"unknown kernel kind {kind!r}")
-    gamma_x, gamma_z = (float(gamma[0]), float(gamma[1])) if np.ndim(gamma) else (
-        float(gamma),
-        float(gamma),
-    )
-    return exact_gauss_kernel(a.m_x, b.m_x, gamma_x) * exact_beta_kernel(
-        a.m_z, b.m_z, gamma_z
-    )
+    return rff_point(spec.outer, projected)

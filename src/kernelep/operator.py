@@ -11,7 +11,7 @@ budget.
 
 The operator's features are those of a TwoStageSpec (a Gaussian kernel on
 projected joint embeddings), computed by the same formula that
-kernels.joint_features and the training batch use.  Incoming Beta
+kernels.joint_features_batch uses for training.  Incoming Beta
 observations repeat across an EP run, so the Beta side of the inner joint
 embedding is memoized per (alpha, beta); the Gaussian side is closed form
 and recomputed on every call, as are the projection and outer features.  A
@@ -33,7 +33,6 @@ from .factors import IncomingTuple, TrainingPair
 from .kernels import (
     TwoStageSpec,
     _beta_side,
-    _outer_features,
     beta_cf,
     draw_rff,
     embedding_features,
@@ -43,6 +42,7 @@ from .kernels import (
     median_heuristic,
     principal_projection,
     rescale,
+    rff_point,
 )
 from .regress import (
     CvReport,
@@ -134,7 +134,8 @@ class QueryOracle:
 
 
 def featurize(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
-    """Feature vector of an incoming tuple: joint_features(op.spec, inc), bit for bit.
+    """Feature vector of an incoming tuple: embedding_features(op.spec, e), bit
+    for bit, where e is joint_features_batch(op.spec.inner, [inc])[0].
 
     Only the Beta factor's source differs: the memo, filled on a miss
     through this module's beta_cf.
@@ -168,7 +169,7 @@ def warm_beta_cache(op: MessageOperator, betas) -> None:
 
 def featurize_batch(op: MessageOperator, tuples) -> np.ndarray:
     """Feature matrix (D x N) for a list of tuples (training layout)."""
-    return joint_features_batch(op.spec, tuples).T
+    return embedding_features(op.spec, joint_features_batch(op.spec.inner, tuples)).T
 
 
 def _q_from_output(y: np.ndarray) -> Gaussian1D:
@@ -290,7 +291,7 @@ def train_operator(
         specs[m] = TwoStageSpec(inner, center, projection, outer)
 
     def features(m):
-        return _outer_features(specs[m], projected[m]).T
+        return rff_point(specs[m].outer, projected[m]).T
 
     cv_rng = rng.spawn(1)[0]
     report = cross_validate(features, Y, grid=grid, folds=folds, rng=cv_rng)

@@ -1,5 +1,5 @@
-"""Ridge regression on feature vectors: primal form, dual-form validation,
-low-rank online updates, predictive variance, and cross-validation.
+"""Ridge regression on feature vectors: primal form, low-rank online
+updates, predictive variance, and cross-validation.
 
 Layout convention: feature matrices are D x N (one case per column), targets
 are D_y x N.  The primal weights W = Y Phi^T (Phi Phi^T + lambda I)^{-1} are
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
@@ -20,13 +20,11 @@ from .errors import DomainError
 
 __all__ = [
     "RidgeModel",
-    "DualRidgeModel",
     "CvReport",
     "DEFAULT_MULTIPLIERS",
     "DEFAULT_LAMBDAS",
     "default_grid",
     "fit",
-    "fit_dual",
     "predict",
     "predictive_variance",
     "update_online",
@@ -118,23 +116,6 @@ def _fold(A0: np.ndarray, V: np.ndarray) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True, eq=False)
-class DualRidgeModel:
-    """Dual-form ridge regressor A = Y (K + lambda I)^{-1} over stored inputs."""
-
-    coeffs: np.ndarray
-    X: np.ndarray
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lam: float
-
-    def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[:, None] if single else x
-        out = self.coeffs @ self.kernel(self.X, pts)
-        return out[:, 0] if single else out
-
-
 @dataclass(frozen=True)
 class CvReport:
     grid: tuple[tuple[float, float], ...]
@@ -190,30 +171,12 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
     return RidgeModel(W, float(lam), A_inv, noise_scale, N)
 
 
-def fit_dual(
-    X: np.ndarray,
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    Y: np.ndarray,
-    lam: float,
-) -> DualRidgeModel:
-    """Dual ridge fit over raw inputs X (D x N) with an explicit kernel."""
-    X = np.asarray(X, dtype=float)
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.ndim != 2 or Y.shape[1] != X.shape[1]:
-        raise DomainError(f"incompatible shapes X {X.shape}, Y {Y.shape}")
-    K = kernel(X, X)
-    K = (K + K.T) / 2.0
-    shifted = K + lam * np.eye(K.shape[0])
-    try:
-        factor = cho_factor(shifted, lower=True)
-    except LinAlgError:
-        raise DomainError("K + lambda*I singular to working precision") from None
-    coeffs = cho_solve(factor, Y.T).T
-    return DualRidgeModel(coeffs, X.copy(), kernel, float(lam))
-
-
-def _check_phi(model: RidgeModel, phi) -> np.ndarray:
+def _check_phi(model: RidgeModel, phi, batch: bool) -> np.ndarray:
+    """phi as floats: a (D,) vector, or where batch allows, a nonempty (D, M) batch."""
     phi = np.asarray(phi, dtype=float)
+    if not (phi.ndim == 1 or batch and phi.ndim == 2 and phi.shape[1] > 0):
+        allowed = "a (D,) vector or a nonempty (D, M) batch" if batch else "a (D,) vector"
+        raise DomainError(f"features must be {allowed}, got shape {phi.shape}")
     if phi.shape[0] != model.num_features:
         raise DomainError(
             f"feature vector has length {phi.shape[0]}, model expects {model.num_features}"
@@ -235,8 +198,8 @@ def _apply_inverse(model: RidgeModel, phi: np.ndarray) -> np.ndarray:
 
 
 def predict(model: RidgeModel, phi) -> np.ndarray:
-    """y = W phi for a single (D,) vector or a (D, M) batch."""
-    return model.W @ _check_phi(model, phi)
+    """y = W phi for a single (D,) vector or a nonempty (D, M) batch."""
+    return model.W @ _check_phi(model, phi, batch=True)
 
 
 def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
@@ -248,11 +211,7 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     alone up to summation order.  A non-finite phi raises DomainError: its
     variance would be nan, which a threshold test reads as certain.
     """
-    phi = _check_phi(model, phi)
-    if phi.ndim not in (1, 2) or phi.size == 0:
-        raise DomainError(
-            f"predictive_variance takes a (D,) vector or a nonempty (D, M) batch, got {phi.shape}"
-        )
+    phi = _check_phi(model, phi, batch=True)
     _check_finite("feature vector", phi)
     if phi.ndim == 1:
         return max(float(model.noise_scale * (phi @ _apply_inverse(model, phi))), 0.0)
@@ -269,7 +228,7 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     FOLD_RANK rows and is folded.  noise_scale stays frozen; n_train counts
     the new pair.  Non-finite inputs raise DomainError.
     """
-    phi = _check_phi(model, phi_new)
+    phi = _check_phi(model, phi_new, batch=False)
     y = np.atleast_1d(np.asarray(y_new, dtype=float))
     if y.shape != (model.W.shape[0],):
         raise DomainError(f"target has shape {y.shape}, model outputs {model.W.shape[0]}")
@@ -288,7 +247,7 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
 
 
 def cross_validate(
-    features: Mapping[float, np.ndarray] | Callable[[float], np.ndarray],
+    features: Callable[[float], np.ndarray],
     Y: np.ndarray,
     grid=None,
     folds: int = 5,
@@ -296,10 +255,10 @@ def cross_validate(
 ) -> CvReport:
     """K-fold grid search over (bandwidth multiplier, lambda) pairs.
 
-    `features` gives each multiplier in the grid its D x N feature matrix
-    (same case order): a mapping, or a callable that builds it.  A callable
-    is called once per multiplier, in increasing order, when the search
-    reaches it, so a caller that builds fresh matrices holds one at a time.
+    `features(m)` gives multiplier m of the grid its D x N feature matrix
+    (same case order).  It is called once per multiplier, in increasing
+    order, when the search reaches it, so a caller that builds fresh
+    matrices holds one at a time.
     Fold assignment is a seeded permutation, so the report is deterministic
     per rng state.  Ties in mean error prefer the larger lambda, then the
     larger multiplier.
@@ -319,12 +278,9 @@ def cross_validate(
     grid = [(float(m), float(lam)) for m, lam in grid]
     if not grid:
         raise DomainError("empty cross-validation grid")
-    for mult, lam in grid:
-        if isinstance(features, Mapping) and mult not in features:
-            raise DomainError(f"no feature matrix supplied for multiplier {mult}")
+    for _, lam in grid:
         if lam <= 0:
             raise DomainError(f"lambda must be positive, got {lam}")
-    build = features.__getitem__ if isinstance(features, Mapping) else features
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     N = Y.shape[1]
     if N < folds:
@@ -343,7 +299,7 @@ def cross_validate(
     errors = {}
     for mult in sorted({m for m, _ in grid}):
         lams = sorted({lam for m, lam in grid if m == mult})
-        fold_errors = _fold_errors(build, mult, by_fold, Y_sorted, lams, bounds)
+        fold_errors = _fold_errors(features, mult, by_fold, Y_sorted, lams, bounds)
         for lam, fold_mse in zip(lams, fold_errors):
             errors[(mult, lam)] = fold_mse
 

@@ -4,12 +4,24 @@ The importance-sampling and feature-map code under test is checked against a
 composite Gauss-Legendre oracle that was written first and frozen here; see
 test_factors.test_quadrature_oracle_matches_frozen_values for the guard that
 recomputes the constants.
+
+The references of the feature and ridge criteria live here too: per-side
+expected features, exact expected kernels between incoming messages, and a
+dual-form ridge regressor.  The package itself runs none of them.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import betaln, expit
+
+from kernelep.errors import DomainError
+from kernelep.expfam import BetaDist, Gaussian1D
+from kernelep.factors import IncomingTuple
+from kernelep.kernels import RffSpec, _feature_scale, _unit_gl, _until_converged, beta_cf
 
 
 def composite_gl(lo: float, hi: float, n_total: int, per_panel: int = 50):
@@ -87,3 +99,116 @@ DEMO_POSTERIOR = {
     "Ex2": 0.2639295404764608,
     "Var": 0.2485522923110002,
 }
+
+
+# ---------------------------------------------------------------------------
+# Expected features and exact kernels of incoming messages
+
+
+def expected_feature_gaussian(spec: RffSpec, g: Gaussian1D) -> np.ndarray:
+    """Closed-form expected features sqrt(2/d) cos(w mu + b) e^{-w^2 s^2/2}."""
+    if spec.input_dim != 1:
+        raise DomainError("expected_feature_gaussian needs a 1-dim spec")
+    if g.improper:
+        raise DomainError("expected features of an improper Gaussian")
+    w = spec.frequencies[:, 0]
+    return _feature_scale(spec.num_features) * np.cos(w * g.mean + spec.phases) * np.exp(
+        -0.5 * w**2 * g.variance
+    )
+
+
+def expected_feature_beta(spec: RffSpec, b: BetaDist) -> np.ndarray:
+    """Expected features sqrt(2/d) E[cos(w z + b)] via adaptive quadrature."""
+    if spec.input_dim != 1:
+        raise DomainError("expected_feature_beta needs a 1-dim spec")
+    w = spec.frequencies[:, 0]
+    cf = beta_cf(w, [b])[0]
+    return _feature_scale(spec.num_features) * (np.exp(1j * spec.phases) * cf).real
+
+
+def exact_gauss_kernel(g1: Gaussian1D, g2: Gaussian1D, gamma: float) -> float:
+    """Closed-form expected Gaussian kernel between two Gaussian messages."""
+    if g1.improper or g2.improper:
+        raise DomainError("exact kernel of an improper Gaussian")
+    s = gamma**2 + g1.variance + g2.variance
+    return float(gamma / math.sqrt(s) * math.exp(-((g1.mean - g2.mean) ** 2) / (2.0 * s)))
+
+
+def exact_beta_kernel(b1: BetaDist, b2: BetaDist, gamma: float) -> float:
+    """Expected Gaussian kernel between two Beta messages, by 2-D quadrature."""
+    if b1.improper or b2.improper:
+        raise DomainError("exact kernel of an improper Beta")
+
+    def at_order(order):
+        z, log_z, log_1mz, w = _unit_gl(order)
+
+        def weighted_pdf(b):
+            return w * np.exp(
+                (b.alpha - 1.0) * log_z
+                + (b.beta - 1.0) * log_1mz
+                - betaln(b.alpha, b.beta)
+            )
+
+        kmat = np.exp(-((z[:, None] - z[None, :]) ** 2) / (2.0 * gamma**2))
+        return float(weighted_pdf(b1) @ kmat @ weighted_pdf(b2))
+
+    return _until_converged(at_order, "Beta kernel quadrature")
+
+
+def exact_kernel(a: IncomingTuple, b: IncomingTuple, gamma) -> float:
+    """Deterministic oracle for the distribution kernels.
+
+    The expected product kernel and the joint-embedding kernel coincide on
+    this factor family: each tuple's joint law is a product of its
+    independent messages, so both factor into (Gaussian side) * (Beta side).
+    """
+    gamma_x, gamma_z = (float(gamma[0]), float(gamma[1])) if np.ndim(gamma) else (
+        float(gamma),
+        float(gamma),
+    )
+    return exact_gauss_kernel(a.m_x, b.m_x, gamma_x) * exact_beta_kernel(
+        a.m_z, b.m_z, gamma_z
+    )
+
+
+# ---------------------------------------------------------------------------
+# Dual-form ridge regression, the reference for the primal fit
+
+
+@dataclass(frozen=True, eq=False)
+class DualRidgeModel:
+    """Dual-form ridge regressor A = Y (K + lambda I)^{-1} over stored inputs."""
+
+    coeffs: np.ndarray
+    X: np.ndarray
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    lam: float
+
+    def predict(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        pts = x[:, None] if single else x
+        out = self.coeffs @ self.kernel(self.X, pts)
+        return out[:, 0] if single else out
+
+
+def fit_dual(
+    X: np.ndarray,
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    Y: np.ndarray,
+    lam: float,
+) -> DualRidgeModel:
+    """Dual ridge fit over raw inputs X (D x N) with an explicit kernel."""
+    X = np.asarray(X, dtype=float)
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if X.ndim != 2 or Y.shape[1] != X.shape[1]:
+        raise DomainError(f"incompatible shapes X {X.shape}, Y {Y.shape}")
+    K = kernel(X, X)
+    K = (K + K.T) / 2.0
+    shifted = K + lam * np.eye(K.shape[0])
+    try:
+        factor = cho_factor(shifted, lower=True)
+    except LinAlgError:
+        raise DomainError("K + lambda*I singular to working precision") from None
+    coeffs = cho_solve(factor, Y.T).T
+    return DualRidgeModel(coeffs, X.copy(), kernel, float(lam))

@@ -22,6 +22,7 @@ import pytest
 
 import conftest
 import helpers
+from helpers import exact_kernel, expected_feature_beta, expected_feature_gaussian, fit_dual
 from kernelep.cli import (
     cmd_active_run,
     cmd_ep_run,
@@ -51,16 +52,8 @@ from kernelep.factors import (
     oracle_to_x,
     sample_incoming,
 )
-from kernelep.kernels import (
-    draw_rff,
-    exact_kernel,
-    expected_feature_beta,
-    expected_feature_gaussian,
-    joint_features,
-    product_features,
-    rff_point,
-)
-from kernelep.regress import fit, fit_dual, predict, predictive_variance, update_online
+from kernelep.kernels import draw_rff, joint_features_batch, rff_point
+from kernelep.regress import fit, predict, predictive_variance, update_online
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str):
@@ -140,16 +133,16 @@ def test_criterion_2_feature_fidelity_at_full_width():
         fa, fb = rff_point(spec2, pa), rff_point(spec2, pb)
         err_point = max(err_point, abs(float(fa @ fb) - exact_point))
 
-        exact = exact_kernel("product", a, b, gamma)
-        ga = product_features(
+        exact = exact_kernel(a, b, gamma)
+        ga = np.kron(
             expected_feature_gaussian(spec_x, a.m_x), expected_feature_beta(spec_z, a.m_z)
         )
-        gb = product_features(
+        gb = np.kron(
             expected_feature_gaussian(spec_x, b.m_x), expected_feature_beta(spec_z, b.m_z)
         )
         err_product = max(err_product, abs(float(ga @ gb) - exact))
 
-        ja, jb = joint_features(spec2, a), joint_features(spec2, b)
+        ja, jb = joint_features_batch(spec2, [a])[0], joint_features_batch(spec2, [b])[0]
         err_joint = max(err_joint, abs(float(ja @ jb) - exact))
     elapsed = time.perf_counter() - t0
     ok = max(err_point, err_product, err_joint) <= 0.05 and elapsed <= 60.0

@@ -181,7 +181,6 @@ def test_graph_compiles_schedule_and_adjacency():
     # sweeps visit factors by id; cavities add messages in graph order
     assert [f.id for f in graph.schedule] == ["p1", "p2", "p3", "q12", "q23"]
     assert [f.id for f in graph.adjacency["x2"]] == ["q23", "q12", "p2"]
-    assert graph.factors_adjacent("x2") == list(graph.adjacency["x2"])
     assert graph.families == {"x1": "gaussian", "x2": "gaussian", "x3": "gaussian"}
     trimmed = dataclasses.replace(graph, factors=graph.factors[1:])
     assert [f.id for f in trimmed.schedule] == ["p1", "p2", "p3", "q12"]
@@ -505,7 +504,7 @@ def test_demo_marginal_consistency_after_run():
     graph = demo_graph()
     state = result.state
     marg = to_natural(result.marginals["x"])
-    for f in graph.factors_adjacent("x"):
+    for f in graph.adjacency["x"]:
         recon = multiply(
             cavity(graph, state, f.id, "x"),
             from_natural("gaussian", state.messages[(f.id, "x")]),
@@ -693,6 +692,8 @@ def test_logistic_sources_skip_improper_cavities(demo_operator):
         assert active.log == [] and active.budget == 2 and active.op is op
         assert set(source(factor, proper, np.random.default_rng(0))) == {"x"}
     assert active.queries == 1 and active.budget == 1
+    # skipped visits count, so a query's iteration is still the visit number
+    assert [e.iteration for e in active.log] == [len(improper) + 1]
 
 
 def test_timings_recorded_by_source_kind():

@@ -1,7 +1,12 @@
-"""Every exported name resolves, so a deleted function leaves no stale export."""
+"""Every exported name resolves, so a deleted function leaves no stale export,
+and the library exports only what the library itself runs."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
+
+import pytest
 
 import kernelep
 
@@ -29,3 +34,28 @@ def test_every_export_resolves():
     ]
     assert stale == []
     assert len(pairs) == len(set(pairs))
+
+
+def identifiers(path: Path) -> set[str]:
+    """Names a module's code uses: bare names, attributes and imported names."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("modname", ["kernelep.kernels", "kernelep.regress"])
+def test_exports_are_used_by_another_module(modname):
+    # test-only reference code belongs in tests/helpers.py, not in the package
+    package = Path(kernelep.__file__).parent
+    own = Path(importlib.import_module(modname).__file__)
+    used = set().union(*(identifiers(p) for p in package.glob("*.py") if p != own))
+    unused = [
+        name for name in importlib.import_module(modname).__all__ if name not in used
+    ]
+    assert unused == []

@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import (
+    exact_beta_kernel,
+    exact_gauss_kernel,
+    exact_kernel,
+    expected_feature_beta,
+    expected_feature_gaussian,
+)
 from kernelep import kernels, operator
 from kernelep.errors import DomainError, QuadratureError
 from kernelep.expfam import BetaDist, Gaussian1D
@@ -13,18 +20,12 @@ from kernelep.kernels import (
     TwoStageSpec,
     beta_cf,
     draw_rff,
-    exact_beta_kernel,
-    exact_gauss_kernel,
-    exact_kernel,
-    expected_feature_beta,
-    expected_feature_gaussian,
+    embedding_features,
     gaussian_cf,
-    joint_features,
     joint_features_batch,
     median_distance,
     median_heuristic,
     principal_projection,
-    product_features,
     rescale,
     rff_point,
 )
@@ -169,14 +170,6 @@ def test_expected_beta_concentrated_matches_point():
     np.testing.assert_allclose(feats, rff_point(spec, [0.5]), atol=1e-2)
 
 
-def test_product_features_kronecker_identity():
-    rng = np.random.default_rng(14)
-    a, b, c, e = (rng.normal(size=6) for _ in range(4))
-    lhs = product_features(a, b) @ product_features(c, e)
-    rhs = (a @ c) * (b @ e)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
 def test_product_kernel_fidelity_gaussian_side():
     # with a flat Beta on both tuples the product kernel is the Gaussian side
     spec_x = draw_rff(1, 2000, 1.0, np.random.default_rng(15))
@@ -188,8 +181,8 @@ def test_product_kernel_fidelity_gaussian_side():
     flat = BetaDist(1.0, 1.0)
     fz = expected_feature_beta(spec_z, flat)
     for g1, g2 in cases:
-        f1 = product_features(expected_feature_gaussian(spec_x, g1), fz)
-        f2 = product_features(expected_feature_gaussian(spec_x, g2), fz)
+        f1 = np.kron(expected_feature_gaussian(spec_x, g1), fz)
+        f2 = np.kron(expected_feature_gaussian(spec_x, g2), fz)
         exact = exact_gauss_kernel(g1, g2, 1.0) * exact_beta_kernel(flat, flat, 0.25)
         assert abs(f1 @ f2 - exact) <= 0.05
 
@@ -198,17 +191,17 @@ def test_product_kernel_self_similarity():
     spec_x = draw_rff(1, 2000, 1.0, np.random.default_rng(17))
     spec_z = draw_rff(1, 40, 0.25, np.random.default_rng(18))
     t = IncomingTuple(Gaussian1D(0.3, 1.2), BetaDist(3.0, 5.0))
-    f = product_features(
+    f = np.kron(
         expected_feature_gaussian(spec_x, t.m_x), expected_feature_beta(spec_z, t.m_z)
     )
-    exact = exact_kernel("product", t, t, (1.0, 0.25))
+    exact = exact_kernel(t, t, (1.0, 0.25))
     assert abs(f @ f - exact) <= 0.05
 
 
 def test_joint_features_beta_point_mass_collapse():
     spec = draw_rff(2, 600, (1.0, 0.3), np.random.default_rng(19))
     inc = IncomingTuple(Gaussian1D(0.4, 1.5), BetaDist(500.0, 500.0))
-    got = joint_features(spec, inc)
+    got = joint_features_batch(spec, [inc])[0]
     # collapse z to 0.5: 1-dim Gaussian expectation with shifted phases
     shifted = RffSpec(
         spec.frequencies[:, :1].copy(),
@@ -234,15 +227,15 @@ def test_joint_features_match_monte_carlo():
         samples = rff_point(spec, np.column_stack([x, z]))
         mc = samples.mean(axis=0)
         se = samples.std(axis=0) / math.sqrt(len(x))
-        diff = np.abs(joint_features(spec, inc) - mc)
+        diff = np.abs(joint_features_batch(spec, [inc])[0] - mc)
         assert np.all(diff <= 3.0 * se + 1e-12), f"seed {seed}"
 
 
 def test_joint_self_kernel_matches_quadrature_oracle():
     spec = draw_rff(2, 2000, (1.0, 0.25), np.random.default_rng(20))
     t = IncomingTuple(Gaussian1D(-0.5, 0.8), BetaDist(4.0, 2.0))
-    f = joint_features(spec, t)
-    assert abs(f @ f - exact_kernel("joint", t, t, (1.0, 0.25))) <= 0.05
+    f = joint_features_batch(spec, [t])[0]
+    assert abs(f @ f - exact_kernel(t, t, (1.0, 0.25))) <= 0.05
 
 
 def test_joint_batch_matches_single():
@@ -250,18 +243,16 @@ def test_joint_batch_matches_single():
     tuples = random_tuples(7, seed=22)
     batch = joint_features_batch(spec, tuples)
     for i, t in enumerate(tuples):
-        np.testing.assert_allclose(batch[i], joint_features(spec, t), atol=1e-12)
+        np.testing.assert_allclose(batch[i], joint_features_batch(spec, [t])[0], atol=1e-12)
 
 
 def test_exact_kernel_symmetry_and_diagonal():
     a, b = random_tuples(2, seed=23)
     gamma = (1.0, 0.25)
-    kab = exact_kernel("joint", a, b, gamma)
-    kba = exact_kernel("joint", b, a, gamma)
+    kab = exact_kernel(a, b, gamma)
+    kba = exact_kernel(b, a, gamma)
     assert kab == pytest.approx(kba, abs=1e-12)
-    assert exact_kernel("product", a, a, gamma) > 0
-    with pytest.raises(DomainError):
-        exact_kernel("rbf", a, b, gamma)
+    assert exact_kernel(a, a, gamma) > 0
 
 
 def test_exact_gauss_kernel_matches_double_quadrature():
@@ -324,9 +315,11 @@ def test_empty_batches_raise_domain_error():
     rng = np.random.default_rng(31)
     inner = draw_rff(2, 8, (1.0, 0.25), rng)
     spec = TwoStageSpec(inner, np.zeros(8), np.eye(8)[:, :3], draw_rff(3, 16, 1.0, rng))
-    for s in (inner, spec):
-        with pytest.raises(DomainError, match="empty"):
-            joint_features_batch(s, [])
+    with pytest.raises(DomainError, match="empty"):
+        joint_features_batch(inner, [])
+    # the batch takes the inner spec only; embedding_features adds the outer stage
+    with pytest.raises(DomainError, match="2-dim RffSpec"):
+        joint_features_batch(spec, random_tuples(2, seed=32))
 
 
 def test_beta_cf_phase_cache():
@@ -356,7 +349,10 @@ def test_beta_cf_phase_cache():
         spec, fit(rng.normal(size=(16, 30)), rng.normal(size=(2, 30)), 1e-3)
     )
     inc = IncomingTuple(Gaussian1D(0.2, 1.3), b)
-    np.testing.assert_array_equal(operator.featurize(op, inc), joint_features(spec, inc))
+    np.testing.assert_array_equal(
+        operator.featurize(op, inc),
+        embedding_features(spec, joint_features_batch(inner, [inc])[0]),
+    )
     memo = op._phases
     assert len(memo) >= 2 and not any(m.flags.writeable for m in memo.values())
     absorbed = operator.absorb(op, inc, np.array([0.1, -1.0]))
@@ -425,11 +421,11 @@ def test_two_stage_feature_fidelity_at_full_width():
     worst = 0.0
     tuples = random_tuples(200, seed=52)
     for a, b in zip(tuples[::2], tuples[1::2]):
-        diff = spec.projection.T @ (
-            joint_features(spec.inner, a) - joint_features(spec.inner, b)
-        )
+        ea = joint_features_batch(spec.inner, [a])[0]
+        eb = joint_features_batch(spec.inner, [b])[0]
+        diff = spec.projection.T @ (ea - eb)
         exact = math.exp(-float(diff @ diff) / (2.0 * sigma**2))
-        approx = float(joint_features(spec, a) @ joint_features(spec, b))
+        approx = float(embedding_features(spec, ea) @ embedding_features(spec, eb))
         worst = max(worst, abs(approx - exact))
     assert worst <= bound
 
@@ -437,10 +433,11 @@ def test_two_stage_feature_fidelity_at_full_width():
 def test_two_stage_batch_matches_single():
     spec = two_stage_spec(64, 96, 8, seed=53, n_fit=40)
     tuples = random_tuples(7, seed=55)
-    batch = joint_features_batch(spec, tuples)
+    batch = embedding_features(spec, joint_features_batch(spec.inner, tuples))
     assert batch.shape == (7, 96)
     for i, t in enumerate(tuples):
-        np.testing.assert_allclose(batch[i], joint_features(spec, t), atol=1e-12)
+        single = embedding_features(spec, joint_features_batch(spec.inner, [t])[0])
+        np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
 def test_principal_projection_orthonormal_and_ordered():

@@ -20,7 +20,7 @@ from kernelep.factors import (
     gen_training_set,
     sample_incoming,
 )
-from kernelep.kernels import TwoStageSpec, draw_rff, joint_features, joint_features_batch
+from kernelep.kernels import TwoStageSpec, draw_rff, embedding_features, joint_features_batch
 from kernelep.operator import (
     PROJECTION_DIM,
     MessageOperator,
@@ -88,7 +88,8 @@ def test_featurize_rejects_improper(trained):
 def test_featurize_joint_matches_kernels_module(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(-0.7, 2.0), BetaDist(500.0, 500.0))
-    np.testing.assert_array_equal(featurize(op, inc), joint_features(op.spec, inc))
+    emb = joint_features_batch(op.spec.inner, [inc])[0]
+    np.testing.assert_array_equal(featurize(op, inc), embedding_features(op.spec, emb))
 
 
 def test_featurize_batch_matches_single(trained):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import fit_dual
 from kernelep import regress
 from kernelep.cli import load_model, save_model
 from kernelep.errors import DomainError
@@ -12,7 +13,6 @@ from kernelep.regress import (
     cross_validate,
     default_grid,
     fit,
-    fit_dual,
     predict,
     predictive_variance,
     update_online,
@@ -397,6 +397,35 @@ def test_batched_variance_validates():
         predictive_variance(model, np.empty((12, 0)))
 
 
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        (predict, ()),
+        (predict, (12, 0)),
+        (predict, (12, 3, 2)),
+        (predictive_variance, ()),
+        (predictive_variance, (12, 3, 2)),
+        (lambda model, phi: update_online(model, phi, np.zeros(2)), ()),
+        (lambda model, phi: update_online(model, phi, np.zeros(2)), (12, 3)),
+    ],
+    ids=[
+        "predict-0d",
+        "predict-empty",
+        "predict-3d",
+        "variance-0d",
+        "variance-3d",
+        "update-0d",
+        "update-batch",
+    ],
+)
+def test_feature_shapes_outside_the_rule_raise_domain_error(call, shape):
+    # a (D,) vector everywhere, a nonempty (D, M) batch where batches are allowed
+    Phi, Y, _ = random_problem(seed=90, noise=0.3)
+    model = fit(Phi, Y, 0.2)
+    with pytest.raises(DomainError, match="must be"):
+        call(model, np.ones(shape))
+
+
 def test_online_update_with_duplicate_point():
     Phi, Y, _ = random_problem(D=6, N=10, seed=19)
     lam = 0.1
@@ -422,7 +451,9 @@ def test_online_update_null_feature_is_inert():
 
 def test_cross_validate_singleton_grid():
     Phi, Y, _ = random_problem(seed=21, noise=0.2)
-    report = cross_validate({1.0: Phi}, Y, grid=[(1.0, 0.01)], rng=np.random.default_rng(0))
+    report = cross_validate(
+        {1.0: Phi}.__getitem__, Y, grid=[(1.0, 0.01)], rng=np.random.default_rng(0)
+    )
     assert isinstance(report, CvReport)
     assert report.chosen == 0
     assert report.chosen_params == (1.0, 0.01)
@@ -431,7 +462,7 @@ def test_cross_validate_singleton_grid():
 def test_cross_validate_noiseless_prefers_smallest_lambda():
     Phi, Y, _ = random_problem(D=8, N=80, seed=22, noise=0.0)
     grid = [(1.0, lam) for lam in (1e-8, 1e-2, 1.0, 100.0)]
-    report = cross_validate({1.0: Phi}, Y, grid=grid, rng=np.random.default_rng(1))
+    report = cross_validate({1.0: Phi}.__getitem__, Y, grid=grid, rng=np.random.default_rng(1))
     assert report.chosen_params == (1.0, 1e-8)
     assert np.all(report.fold_errors >= 0)
     assert np.all(np.isfinite(report.fold_errors))
@@ -440,15 +471,13 @@ def test_cross_validate_noiseless_prefers_smallest_lambda():
 def test_cross_validate_deterministic_and_validates():
     Phi, Y, _ = random_problem(seed=23, noise=0.3)
     grid = default_grid()[:4]
-    feats = {m: Phi for m, _ in grid}
+    feats = {m: Phi for m, _ in grid}.__getitem__
     a = cross_validate(feats, Y, grid=grid, rng=np.random.default_rng(5))
     b = cross_validate(feats, Y, grid=grid, rng=np.random.default_rng(5))
     assert a.chosen == b.chosen
     np.testing.assert_array_equal(a.fold_errors, b.fold_errors)
     with pytest.raises(DomainError):
         cross_validate(feats, Y, grid=[], rng=np.random.default_rng(0))
-    with pytest.raises(DomainError):
-        cross_validate({}, Y, grid=grid, rng=np.random.default_rng(0))
     with pytest.raises(DomainError):
         cross_validate(feats, Y[:, :3], grid=grid, rng=np.random.default_rng(0))
 
@@ -458,7 +487,7 @@ def test_cross_validate_tie_breaks_toward_larger_lambda():
     Phi = np.zeros((4, 20))
     Y = np.zeros((1, 20))
     grid = [(0.5, 1e-6), (0.5, 1e-2), (2.0, 1e-2), (2.0, 1e-6)]
-    feats = {0.5: Phi, 2.0: Phi}
+    feats = {0.5: Phi, 2.0: Phi}.__getitem__
     report = cross_validate(feats, Y, grid=grid, rng=np.random.default_rng(2))
     assert report.chosen_params == (2.0, 1e-2)
 
@@ -515,7 +544,9 @@ def test_cross_validate_matches_per_fold_refit(D, N, folds):
     features = {0.5: rng.normal(size=(D, N)), 2.0: rng.normal(size=(D, N))}
     Y = rng.normal(size=(2, D)) @ features[0.5] + 0.3 * rng.normal(size=(2, N))
     grid = [(m, lam) for m in (0.5, 2.0) for lam in (1e-3, 1e-1, 10.0)]
-    report = cross_validate(features, Y, grid=grid, folds=folds, rng=np.random.default_rng(3))
+    report = cross_validate(
+        features.__getitem__, Y, grid=grid, folds=folds, rng=np.random.default_rng(3)
+    )
     expected = refit_fold_errors(features, Y, grid, folds, 3, fit_and_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
     assert report.chosen == int(np.argmin(expected.mean(axis=1)))
@@ -531,7 +562,9 @@ def test_cross_validate_rank_deficient_matches_svd_refit():
     Phi = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 30))
     Y = rng.normal(size=(2, 12)) @ Phi + 0.3 * rng.normal(size=(2, 30))
     grid = [(1.0, 1e-14)]
-    report = cross_validate({1.0: Phi}, Y, grid=grid, folds=5, rng=np.random.default_rng(7))
+    report = cross_validate(
+        {1.0: Phi}.__getitem__, Y, grid=grid, folds=5, rng=np.random.default_rng(7)
+    )
     expected = refit_fold_errors({1.0: Phi}, Y, grid, 5, 7, svd_ridge_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-12, atol=0)
 
@@ -547,7 +580,9 @@ def test_cross_validate_square_features_match_svd_refit():
     Phi = 1e-4 * (U * np.linspace(1.0, 3.0, 25)) @ V.T
     Y = 1e4 * rng.normal(size=(2, 25)) @ Phi + 0.3 * rng.normal(size=(2, 25))
     grid = [(1.0, 1e-8)]
-    report = cross_validate({1.0: Phi}, Y, grid=grid, folds=5, rng=np.random.default_rng(8))
+    report = cross_validate(
+        {1.0: Phi}.__getitem__, Y, grid=grid, folds=5, rng=np.random.default_rng(8)
+    )
     expected = refit_fold_errors({1.0: Phi}, Y, grid, 5, 8, svd_ridge_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
 
@@ -560,16 +595,20 @@ def test_cross_validate_reports_in_grid_order():
     Y = rng.normal(size=(2, 10)) @ features[2.0] + 0.3 * rng.normal(size=(2, 35))
     grid = [(m, lam) for m in (0.5, 2.0) for lam in np.logspace(-8, 3, 12)]
     grid = [grid[i] for i in rng.permutation(len(grid))]
-    report = cross_validate(features, Y, grid=grid, folds=5, rng=np.random.default_rng(9))
+    report = cross_validate(
+        features.__getitem__, Y, grid=grid, folds=5, rng=np.random.default_rng(9)
+    )
     assert report.grid == tuple(grid)
     for point, row in zip(grid, report.fold_errors):
-        alone = cross_validate(features, Y, grid=[point], folds=5, rng=np.random.default_rng(9))
+        alone = cross_validate(
+            features.__getitem__, Y, grid=[point], folds=5, rng=np.random.default_rng(9)
+        )
         np.testing.assert_array_equal(row, alone.fold_errors[0])
 
 
 def test_cross_validate_builds_each_multipliers_features_once_in_order():
-    # a callable gives the mapping's report, built once per multiplier when
-    # the search reaches it
+    # fresh copies give the report of the stored matrices, each built once
+    # per multiplier when the search reaches it
     rng = np.random.default_rng(103)
     features = {m: rng.normal(size=(8, 30)) for m in (0.5, 1.0, 2.0)}
     Y = rng.normal(size=(2, 30))
@@ -581,7 +620,9 @@ def test_cross_validate_builds_each_multipliers_features_once_in_order():
         return features[mult].copy()
 
     built = cross_validate(build, Y, grid=grid, folds=5, rng=np.random.default_rng(10))
-    mapped = cross_validate(features, Y, grid=grid, folds=5, rng=np.random.default_rng(10))
+    mapped = cross_validate(
+        features.__getitem__, Y, grid=grid, folds=5, rng=np.random.default_rng(10)
+    )
     assert calls == [0.5, 1.0, 2.0]
     np.testing.assert_array_equal(built.fold_errors, mapped.fold_errors)
     assert built.chosen == mapped.chosen
