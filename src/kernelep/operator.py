@@ -211,13 +211,17 @@ def decide(
 
 def batch_variance(op: MessageOperator, Phi: np.ndarray) -> np.ndarray:
     """Predictive variances of the columns of a (D, M) feature batch, in one
-    pass over the inverse Gram (the variances decide skips once the budget
-    is spent)."""
+    pass over the inverse Gram.  Once the budget is spent the predictions
+    are used whatever their variance, so these variances only decide which
+    messages are logged as fallbacks."""
     return predictive_variance(op.model, Phi)
 
 
 def absorb(op: MessageOperator, inc: IncomingTuple, oracle_result) -> MessageOperator:
-    """Fold one oracle answer (E, log V) into the model by update_online."""
+    """Fold one oracle answer (E, log V) into the model by update_online.
+
+    After decide queried for inc on this operator, the model's memo holds
+    u = A_inv phi for the same features, so the update reuses it."""
     target = np.asarray(oracle_result, dtype=float)
     if target.shape != (op.model.W.shape[0],):
         raise DomainError(f"oracle result has shape {target.shape}")

@@ -10,7 +10,7 @@ outputs share the single inverse Gram A_inv.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,6 +71,12 @@ class RidgeModel:
     exactly symmetric too (numpy evaluates it as a symmetric rank-k product
     and mirrors one triangle), so A0 - V^T V subtracts equal numbers from
     equal numbers at (i, j) and (j, i).
+
+    _memo keeps (phi's bytes, A_inv phi) for the last single vector whose
+    predictive variance this model computed.  update_online reuses that u
+    when handed a phi with the same bytes, so an oracle query gated by the
+    variance pays one pass over A0, not two.  It never changes a result,
+    only latency.
     """
 
     W: np.ndarray
@@ -79,6 +85,7 @@ class RidgeModel:
     noise_scale: float
     n_train: int
     V: np.ndarray | None = None
+    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.W.ndim != 2:
@@ -208,14 +215,26 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     phi is a single (D,) vector, giving a float, or a (D, M) batch, giving
     the M column variances from one pass over A0 (a matrix product instead
     of M mat-vecs).  A batch column's variance equals that column scored
-    alone up to summation order.  A non-finite phi raises DomainError: its
-    variance would be nan, which a threshold test reads as certain.
+    alone up to summation order.  A single vector's u = A_inv phi is kept
+    in the model's memo for update_online.  A non-finite phi raises
+    DomainError: its variance would be nan, which a threshold test reads as
+    certain.
     """
     phi = _check_phi(model, phi, batch=True)
     _check_finite("feature vector", phi)
     if phi.ndim == 1:
-        return max(float(model.noise_scale * (phi @ _apply_inverse(model, phi))), 0.0)
-    variances = model.noise_scale * np.sum(_apply_inverse(model, phi) * phi, axis=0)
+        u = _apply_inverse(model, phi)
+        u.setflags(write=False)
+        object.__setattr__(model, "_memo", (phi.tobytes(), u))
+        return max(float(model.noise_scale * (phi @ u)), 0.0)
+    # the batch as rows: rows A_inv is (A_inv phi)^T, A_inv being exactly
+    # symmetric, and OpenBLAS forms this (M, D) product with A0 faster than
+    # the (D, M) one
+    rows = phi.T
+    U = rows @ model.A0
+    if len(model.V):
+        U -= (rows @ model.V.T) @ model.V
+    variances = model.noise_scale * np.sum(U * rows, axis=1)
     return np.maximum(variances, 0.0)
 
 
@@ -225,8 +244,11 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     With u = A_inv phi and d = 1 + phi^T u, W gains (y - W phi) u^T / d and
     the returned model carries one more row u / sqrt(d) of V over the same
     base A0 (see RidgeModel), so no D x D array is touched unless V reaches
-    FOLD_RANK rows and is folded.  noise_scale stays frozen; n_train counts
-    the new pair.  Non-finite inputs raise DomainError.
+    FOLD_RANK rows and is folded.  When predictive_variance last scored a
+    phi with the same bytes on this model, its u is reused (the same bits a
+    fresh product gives), so the update costs no pass over A0 of its own.
+    noise_scale stays frozen; n_train counts the new pair.  Non-finite
+    inputs raise DomainError.
     """
     phi = _check_phi(model, phi_new, batch=False)
     y = np.atleast_1d(np.asarray(y_new, dtype=float))
@@ -234,7 +256,11 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
         raise DomainError(f"target has shape {y.shape}, model outputs {model.W.shape[0]}")
     _check_finite("feature vector", phi)
     _check_finite("target", y)
-    u = _apply_inverse(model, phi)
+    memo = model._memo
+    if memo is not None and memo[0] == phi.tobytes():
+        u = memo[1]
+    else:
+        u = _apply_inverse(model, phi)
     denom = 1.0 + float(phi @ u)
     if denom <= 0.0:
         raise DomainError(f"rank-1 update breakdown: denominator {denom} <= 0")

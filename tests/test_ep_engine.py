@@ -37,8 +37,9 @@ from kernelep.expfam import (
     to_natural,
 )
 from kernelep.factors import IncomingPrior, gen_training_set
-from kernelep import ep_engine, operator
+from kernelep import ep_engine, operator, regress
 from kernelep.operator import UncertaintyPolicy, UsePrediction, predict_q, train_operator
+from kernelep.regress import RidgeModel, update_online
 
 
 def chain_graph():
@@ -609,8 +610,47 @@ def test_active_source_featurizes_once_per_gated_message(demo_operator, monkeypa
 SIX_OBSERVATIONS = ((5.0, 2.0), (4.0, 3.0), (2.0, 5.0), (1.5, 6.0), (7.0, 3.0), (3.0, 3.0))
 
 
+def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
+    op, _ = demo_operator
+    passes, absorbed, per_query = [], [], []
+    real_apply, real_absorb = regress._apply_inverse, ep_engine.absorb
+
+    def counting_apply(model, phi):
+        passes.append(model)
+        return real_apply(model, phi)
+
+    def recording_absorb(o, inc, y):
+        absorbed.append((o, inc, y, real_absorb(o, inc, y)))
+        return absorbed[-1][3]
+
+    monkeypatch.setattr(regress, "_apply_inverse", counting_apply)
+    monkeypatch.setattr(ep_engine, "absorb", recording_absorb)
+    # a tau below any variance: the first three gated messages query
+    src = ActiveSource(op, UncertaintyPolicy(tau=1e-30, budget=3), n_importance=2000)
+
+    def recording(factor, incoming, rng):
+        before, queries = len(passes), src.queries
+        out = src(factor, incoming, rng)
+        if src.queries > queries:
+            per_query.append(len(passes) - before)
+        return out
+
+    recording.prepare = src.prepare
+    run_ep(demo_graph(), sources=default_sources(recording), rng=np.random.default_rng(27))
+    # decide's variance is the only pass: absorb reuses its u
+    assert per_query == [1, 1, 1] and len(absorbed) == 3
+    for o, inc, y, got in absorbed:
+        m = o.model
+        memo_less = RidgeModel(m.W, m.lam, m.A0, m.noise_scale, m.n_train, m.V)
+        expected = update_online(memo_less, operator.featurize(o, inc), y)
+        for name in ("W", "A0", "V"):
+            assert getattr(got.model, name).tobytes() == getattr(expected, name).tobytes()
+
+
 def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     op, tau = demo_operator
+    # a batch narrower than the default, so this run's queue fills it twice
+    monkeypatch.setattr(ep_engine, "SCORE_BATCH", 64)
     decisions, batches = [], []
     real_decide, real_batch = ep_engine.decide, ep_engine.batch_variance
 

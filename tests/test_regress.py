@@ -325,6 +325,49 @@ def test_update_never_writes_the_base(monkeypatch):
     assert model.A0 is base and model.A_inv is base
 
 
+def _memo_less(model):
+    """The same arrays in a model whose memo is empty."""
+    return RidgeModel(model.W, model.lam, model.A0, model.noise_scale, model.n_train, model.V)
+
+
+def _assert_same_bytes(a, b):
+    for name in ("W", "A0", "V"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_update_reuses_the_variance_product_only_for_the_same_features(monkeypatch):
+    Phi, Y, _ = random_problem(D=40, N=60, seed=91, noise=0.3)
+    rng = np.random.default_rng(92)
+    # one absorbed pair, so A_inv phi also runs through the carried factor
+    model = update_online(fit(Phi, Y, 1e-3), rng.normal(size=40), rng.normal(size=2))
+    assert len(model.V) == 1
+    passes = []
+    real_apply = regress._apply_inverse
+
+    def counting_apply(m, phi):
+        passes.append(m)
+        return real_apply(m, phi)
+
+    monkeypatch.setattr(regress, "_apply_inverse", counting_apply)
+    phi, y = rng.normal(size=40), rng.normal(size=2)
+    predictive_variance(model, phi)
+    assert passes == [model]
+    # features with the same bytes in another array: the variance's u is reused
+    hit = update_online(model, phi.copy(), y)
+    assert passes == [model]
+    _assert_same_bytes(hit, update_online(_memo_less(model), phi, y))
+    # stale memos recompute: other features, another model, features changed in place
+    other = _memo_less(model)
+    changed = phi.copy()
+    predictive_variance(model, changed)
+    changed[3] += 1.0
+    for m, features in ((model, rng.normal(size=40)), (other, phi), (model, changed)):
+        del passes[:]
+        got = update_online(m, features, y)
+        assert passes == [m]
+        _assert_same_bytes(got, update_online(_memo_less(m), features, y))
+
+
 def test_updated_model_round_trips_through_save(tmp_path):
     Phi, Y, _ = random_problem(D=40, N=60, seed=80, noise=0.3)
     model = fit(Phi, Y, 1e-3)
