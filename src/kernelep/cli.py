@@ -3,7 +3,7 @@
 Five subcommands drive the full workflow:
 
   gen-data    draw incoming tuples and importance-sampled targets -> CSV
-  train       fit the message operator with cross-validation -> model JSON
+  train       fit the message operator with cross-validation -> model file
   eval        fresh cases, oracle vs operator KL, histogram -> CSV + JSON
   ep-run      EP over a graph with oracle and operator sources -> JSON
   active-run  EP with variance-gated oracle queries -> JSON + updated model
@@ -19,30 +19,28 @@ scalar key is also the flag `--key-with-dashes`, so a new setting is one
 table entry plus its `RunConfig` field.
 
 Formats: datasets and per-case eval rows are CSV with a fixed header, read
-and written by one codec; models, graphs, and reports are JSON.  Floats are
+and written by one codec; graphs and reports are JSON.  Floats are
 serialized as the shortest decimal that parses back to the identical double,
-so files round-trip without loss.  Model files are
-compact JSON carrying a format version and a sha256 checksum over the
-canonical payload, verified on load.  The payload holds the ridge model
-(weights, inverse Gram, lambda, noise scale, tau) and the operator's
-TwoStageSpec: `frequencies`, `phases` and `bandwidths` of its inner joint
-embedding, and an `outer` section with the embedding centre, the projection,
-and the outer frequencies, phases and bandwidth.  `num_features` is the
-width the ridge model regresses on.  Scalars and `metadata` are plain
-JSON; every array is stored as its raw bytes,
-`{"dtype": "<f8", "shape": [...], "data": "<base64>"}` (little-endian
-float64, C order), so the checksum covers every scalar and every array's
-bytes.  Format version 3 introduced the raw arrays; files of versions 1 and
-2 (decimal arrays) and any other version are refused.  Model text is hashed
-and written a slice at a time, into a temporary file renamed over the
-target once complete; loading decodes and drops one array's text at a time.
+so files round-trip without loss.  A model file (format version 4) is one
+compact JSON header line, space-padded to a multiple of 64 bytes, then the
+raw little-endian float64 C-order bytes of its arrays, each at a 64-byte
+aligned offset.  The header holds the version, a sha256 checksum, the array
+table ([offset, nbytes] each), `data_bytes`, and the payload with every
+array replaced by {"dtype": "<f8", "shape": [...], "index": k}.  The
+checksum covers the canonical JSON of {arrays, data_bytes, payload} and then
+the data section: every scalar, metadata value, layout entry and array byte.
+The payload holds the ridge model (weights, inverse Gram, lambda, noise
+scale, tau) and the TwoStageSpec: inner `frequencies`, `phases` and
+`bandwidths`, and an `outer` section (embedding centre, projection, outer
+frequencies, phases and bandwidth).  Versions 1-3 (arrays as decimal or
+base64 text) are refused.  Saving writes a temporary file renamed over the
+target; loading reads the data into one buffer and returns read-only views.
 Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import binascii
 import hashlib
 import json
 import math
@@ -221,7 +219,7 @@ _SCALARS = {
     "seed": (_int, "master seed"),
     "out": (_str, "primary output path"),
     "dataset": (_str, "dataset CSV path"),
-    "model": (_str, "model JSON path"),
+    "model": (_str, "model file path"),
     "graph": (_str, "graph JSON path"),
     "model_out": (_str, "updated model path (active-run)"),
     "n_train": (_int, "training cases (gen-data)"),
@@ -445,100 +443,57 @@ def load_eval_cases(path) -> list:
 # ---------------------------------------------------------------------------
 # Model files
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
-_ARRAY_KEYS = {"dtype", "shape", "data"}
-
-# raw array bytes per base64 block, at least 3 rows of the array
-_BASE64_SLICE = 3 * 2**16
-# characters per slice of an escaped string
-_STRING_SLICE = 2**16
+# the header line's length and every array's offset in the data section are
+# multiples of this, so each array starts on a cache line
+_ALIGN = 64
 
 
-def _json_pieces(node, sort_keys: bool):
-    """Yield json.dumps(node, separators=(",", ":"), sort_keys=sort_keys) in
-    slices, every ndarray written as its raw-bytes record
-    {"dtype": "<f8", "shape": [...], "data": "<base64>"} (little-endian
-    float64, C order).  A piece is at most a block of array rows or a slice
-    of a string, so writing or hashing a model never holds its whole text.
-    Dict keys must be strings.
-    """
+def _array_records(node, arrays: list):
+    """The payload tree with each ndarray replaced by its record, appending
+    the array as little-endian float64 in C order to `arrays`.  Dict keys
+    must be strings, which JSON would otherwise coerce, and no other dict
+    may have a record's keys, which the loader would read as an array."""
     if isinstance(node, np.ndarray):
-        head = '"dtype":"<f8","shape":[' + ",".join(map(str, node.shape)) + "]"
-        if sort_keys:
-            yield '{"data":"'
-            yield from _base64_pieces(node)
-            yield '",' + head + "}"
-        else:
-            yield "{" + head + ',"data":"'
-            yield from _base64_pieces(node)
-            yield '"}'
-    elif isinstance(node, dict):
-        yield "{"
-        for i, (key, value) in enumerate(sorted(node.items()) if sort_keys else node.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"model file keys must be str, not {type(key).__name__}")
-            if i:
-                yield ","
-            yield from _string_pieces(key)
-            yield ":"
-            yield from _json_pieces(value, sort_keys)
-        yield "}"
-    elif isinstance(node, (list, tuple)):
-        yield "["
-        for i, item in enumerate(node):
-            if i:
-                yield ","
-            yield from _json_pieces(item, sort_keys)
-        yield "]"
-    elif isinstance(node, str):
-        yield from _string_pieces(node)
-    else:
-        yield json.dumps(node)
-
-
-def _string_pieces(text: str):
-    """A JSON string literal, escaped as json.dumps escapes it, in slices."""
-    yield '"'
-    for start in range(0, len(text), _STRING_SLICE):
-        yield json.dumps(text[start : start + _STRING_SLICE])[1:-1]
-    yield '"'
-
-
-def _base64_pieces(array: np.ndarray):
-    """Base64 of the array's little-endian float64 bytes in C order, a block
-    of rows at a time.  A block is a multiple of 3 rows, so of 3 bytes, and
-    the blocks' texts concatenate to the whole array's."""
-    if not array.size:
-        return
-    rows = array.reshape(-1, array.shape[-1]) if array.ndim > 1 else array.reshape(-1, 1)
-    step = 3 * max(1, _BASE64_SLICE // (24 * rows.shape[1]))
-    for start in range(0, len(rows), step):
-        block = np.ascontiguousarray(rows[start : start + step], dtype="<f8")
-        yield binascii.b2a_base64(block, newline=False).decode("ascii")
-
-
-def _decode_arrays(node):
-    """Inverse of the arrays' records, in place: each record becomes a
-    read-only view of its decoded bytes, and its base64 text is dropped as
-    soon as it is decoded."""
+        arrays.append(np.ascontiguousarray(node, dtype="<f8"))
+        return {"dtype": "<f8", "shape": list(node.shape), "index": len(arrays) - 1}
     if isinstance(node, dict):
-        if set(node) == _ARRAY_KEYS:
-            if node["dtype"] != "<f8":
-                raise ValueError(f"unsupported array dtype {node['dtype']!r}")
-            raw = binascii.a2b_base64(node.pop("data"), strict_mode=True)
-            return np.frombuffer(raw, dtype="<f8").reshape(node["shape"])
-        for key, value in node.items():
-            node[key] = _decode_arrays(value)
+        if set(node) == {"dtype", "shape", "index"} or not all(isinstance(k, str) for k in node):
+            raise TypeError(f"model file dicts need str keys and no record's keys: {node!r:.80}")
+        return {key: _array_records(value, arrays) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_array_records(item, arrays) for item in node]
     return node
 
 
-def _payload_checksum(payload) -> str:
-    """sha256 of the canonical (sort_keys, compact) JSON text of a payload."""
-    digest = hashlib.sha256()
-    for piece in _json_pieces(payload, sort_keys=True):
-        digest.update(piece.encode("ascii"))
-    return digest.hexdigest()
+def _data_pieces(arrays, table):
+    """The data section: each array's bytes at its offset, zeros between."""
+    end = 0
+    for array, (offset, nbytes) in zip(arrays, table):
+        yield bytes(offset - end)
+        yield array
+        end = offset + nbytes
+
+
+def _layout_digest(layout: dict):
+    """sha256 of the canonical JSON of {arrays, data_bytes, payload}, to take the data next."""
+    return hashlib.sha256(json.dumps(layout, sort_keys=True, separators=(",", ":")).encode())
+
+
+def _array_views(node, data: np.ndarray, table):
+    """Inverse of _array_records: each record becomes a read-only view into `data`."""
+    if isinstance(node, list):
+        return [_array_views(item, data, table) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if set(node) != {"dtype", "shape", "index"}:
+        return {key: _array_views(value, data, table) for key, value in node.items()}
+    offset, nbytes = table[node["index"]]
+    count = math.prod(node["shape"])
+    if node["dtype"] != "<f8" or offset % _ALIGN or nbytes != 8 * count:
+        raise ValueError(f"array record {node} does not fit its extent {[offset, nbytes]}")
+    return np.frombuffer(data, "<f8", count, offset).reshape(node["shape"])
 
 
 @dataclass(frozen=True)
@@ -554,8 +509,8 @@ class SavedModel:
 def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict | None = None) -> Path:
     """Write an operator (always on a TwoStageSpec) as a checksummed model file.
 
-    The text is hashed and then written slice by slice (see _json_pieces)
-    into a temporary file that replaces `path` only once complete.
+    The arrays are hashed and written straight from their buffers, into a
+    temporary file that replaces `path` only once complete.
     """
     spec = op.spec
     payload = {
@@ -579,20 +534,29 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
         },
         "metadata": extra or {},
     }
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "checksum": _payload_checksum(payload),
-        "payload": payload,
-    }
+    arrays = []
+    layout = {"arrays": [], "data_bytes": 0, "payload": _array_records(payload, arrays)}
+    for array in arrays:
+        offset = layout["data_bytes"] + -layout["data_bytes"] % _ALIGN
+        layout["arrays"].append([offset, array.nbytes])
+        layout["data_bytes"] = offset + array.nbytes
+    digest = _layout_digest(layout)
+    for piece in _data_pieces(arrays, layout["arrays"]):
+        digest.update(piece)
+    header = json.dumps(
+        {"format_version": MODEL_FORMAT_VERSION, "checksum": digest.hexdigest(), **layout},
+        separators=(",", ":"),
+    )
+    header += " " * (-(len(header) + 1) % _ALIGN) + "\n"
     path = _with_parent(path)
     # written beside the target and renamed over it, so a write that fails
     # part-way leaves any previous model intact
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="ascii") as handle:
-            for piece in _json_pieces(doc, sort_keys=False):
+        with open(tmp, "xb") as handle:
+            handle.write(header.encode("ascii"))
+            for piece in _data_pieces(arrays, layout["arrays"]):
                 handle.write(piece)
-            handle.write("\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -605,21 +569,36 @@ def load_model(path) -> SavedModel:
 
     Reloaded operators predict bit-identically to the saved ones: arrays are
     stored as their raw bytes and scalars as exact decimal round-trips.  The
-    returned payload holds the arrays decoded back to (read-only) ndarrays.
+    data section is read into one buffer, and the returned payload holds
+    every array as a read-only view into it.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON (truncated?): {exc}") from None
-    if not isinstance(doc, dict) or "payload" not in doc:
-        raise ModelFormatError("model file lacks a payload")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format version {version!r}")
-    if _payload_checksum(doc["payload"]) != doc.get("checksum"):
+    with open(path, "rb") as handle:
+        line = handle.readline()
+        try:
+            doc = json.loads(line)
+        except ValueError as exc:
+            raise ModelFormatError(f"model file lacks a JSON header line: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ModelFormatError("model file header is not a JSON object")
+        version = doc.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported model format version {version!r}")
+        layout = {key: doc.get(key) for key in ("arrays", "data_bytes", "payload")}
+        size = os.fstat(handle.fileno()).st_size - len(line)
+        if not line.endswith(b"\n") or size != layout["data_bytes"]:
+            raise ModelFormatError(f"model data is {size} bytes, not {layout['data_bytes']!r}")
+        raw = np.empty(size + _ALIGN, dtype=np.uint8)
+        start = -raw.ctypes.data % _ALIGN
+        data = raw[start : start + size]
+        if handle.readinto(data) != size:
+            raise ModelFormatError("model file changed while it was read")
+    data.setflags(write=False)
+    digest = _layout_digest(layout)
+    digest.update(data)
+    if digest.hexdigest() != doc.get("checksum"):
         raise ModelFormatError("checksum mismatch: model file corrupted or edited")
     try:
-        payload = _decode_arrays(doc["payload"])
+        payload = _array_views(layout["payload"], data, layout["arrays"])
         outer = payload["outer"]
 
         def arrays(node, *keys):
@@ -640,7 +619,7 @@ def load_model(path) -> SavedModel:
         )
         op = MessageOperator(spec, model)
         return SavedModel(op, float(payload["tau"]), int(payload["seed"]), payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model payload malformed: {exc}") from None
 
 
@@ -763,7 +742,7 @@ def cmd_train(config: RunConfig) -> Path:
         "n_train_cases": len(pairs),
         "folds": config.folds,
         "cv_grid": [list(g) for g in report.grid],
-        "cv_fold_errors": report.fold_errors.tolist(),
+        "cv_fold_errors": report.fold_errors,
         "cv_chosen": report.chosen,
         "bandwidth_multiplier": report.chosen_params[0],
     }

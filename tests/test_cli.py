@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,116 +203,199 @@ def test_model_payload_stores_outer_layer(ws):
     np.testing.assert_array_equal(spec.outer.frequencies, np.array(outer["frequencies"]))
 
 
+def _v4_file(layout, data: bytes) -> bytes:
+    """A version-4 model file of a header layout and a data section, built
+    with json and hashlib alone."""
+    canon = json.dumps(layout, sort_keys=True, separators=(",", ":")).encode()
+    header = json.dumps(
+        {"format_version": MODEL_FORMAT_VERSION,
+         "checksum": hashlib.sha256(canon + data).hexdigest(), **layout},
+        separators=(",", ":"),
+    )
+    return (header + " " * (-(len(header) + 1) % 64) + "\n").encode() + data
+
+
+def _v4_bytes(payload) -> bytes:
+    """The model file save_model writes for a payload whose arrays are
+    ndarrays: each array's bytes at the next multiple of 64, zeros between."""
+    table, data = [], bytearray()
+
+    def records(node):
+        if isinstance(node, np.ndarray):
+            data.extend(bytes(-len(data) % 64))
+            table.append([len(data), node.size * 8])
+            data.extend(node.astype("<f8").tobytes())
+            return {"dtype": "<f8", "shape": list(node.shape), "index": len(table) - 1}
+        if isinstance(node, dict):
+            return {key: records(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [records(item) for item in node]
+        return node
+
+    payload = records(payload)
+    return _v4_file({"arrays": table, "data_bytes": len(data), "payload": payload}, bytes(data))
+
+
+def _forge(path, payload):
+    """A model file whose checksum matches a hand-made payload."""
+    path.write_bytes(_v4_bytes(payload))
+    return path
+
+
+def _split(path):
+    """(header line, parsed header, data section) of a model file."""
+    raw = Path(path).read_bytes()
+    line = raw[: raw.index(b"\n") + 1]
+    return line, json.loads(line), raw[len(line) :]
+
+
 def test_model_format_version_one_refused(ws, tmp_path):
-    # versions 1 and 2 held decimal arrays; no loader for them remains
+    # versions 1 and 2 held decimal arrays and version 3 base64 arrays, each
+    # inside one JSON document; no loader for them remains
     _, data = ws
-    doc = json.loads(Path(data["model"]).read_text())
+    line, doc, section = _split(data["model"])
     for version in (1, 2):
-        doc["format_version"] = version
         old = tmp_path / f"v{version}.json"
-        old.write_text(json.dumps(doc))
+        old.write_bytes(line.replace(b'"format_version":4', b'"format_version":%d' % version) + section)
         with pytest.raises(ModelFormatError, match="version"):
             load_model(old)
+    payload = load_model(data["model"]).payload
+
+    def base64_records(node):
+        if isinstance(node, np.ndarray):
+            return {"dtype": "<f8", "shape": list(node.shape),
+                    "data": base64.b64encode(node.tobytes()).decode("ascii")}
+        if isinstance(node, dict):
+            return {key: base64_records(value) for key, value in node.items()}
+        return node
+
+    payload = base64_records(payload)
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    v3 = tmp_path / "v3.json"
+    v3.write_text(json.dumps(
+        {"format_version": 3, "checksum": hashlib.sha256(canon.encode()).hexdigest(),
+         "payload": payload}, separators=(",", ":")) + "\n")
+    with pytest.raises(ModelFormatError, match="version"):
+        load_model(v3)
 
 
 def test_model_arrays_stored_raw_and_checksummed(ws, tmp_path):
     _, data = ws
-    text = Path(data["model"]).read_text()
-    record = json.loads(text)["payload"]["a_inv"]
+    line, doc, section = _split(data["model"])
+    assert len(line) % 64 == 0
+    assert doc["data_bytes"] == len(section)
+    record = doc["payload"]["a_inv"]
     assert record["dtype"] == "<f8"
     assert record["shape"] == [BASE["num_features"], BASE["num_features"]]
-    raw = base64.b64decode(record["data"])
+    offset, nbytes = doc["arrays"][record["index"]]
+    assert offset % 64 == 0
     np.testing.assert_array_equal(
-        np.frombuffer(raw, dtype="<f8").reshape(record["shape"]),
+        np.frombuffer(section[offset : offset + nbytes], dtype="<f8").reshape(record["shape"]),
         load_model(data["model"]).op.model.A_inv,
     )
 
-    # flip one base64 character in the middle of the array's data
-    start = text.index(record["data"])
-    pos = start + len(record["data"]) // 2
-    flipped = "B" if text[pos] == "A" else "A"
+    # flip one byte in the middle of the array's data
+    pos = offset + nbytes // 2
     edited = tmp_path / "flipped.json"
-    edited.write_text(text[:pos] + flipped + text[pos + 1 :])
+    edited.write_bytes(line + section[:pos] + bytes([section[pos] ^ 1]) + section[pos + 1 :])
     with pytest.raises(ModelFormatError, match="checksum"):
         load_model(edited)
 
 
 def test_model_corruption_detected(ws, tmp_path):
     _, data = ws
-    text = Path(data["model"]).read_text()
-
-    truncated = tmp_path / "trunc.json"
-    truncated.write_text(text[: len(text) // 2])
-    with pytest.raises(ModelFormatError):
-        load_model(truncated)
+    line, _, section = _split(data["model"])
+    cases = {
+        "truncated_data": line + section[:-8],
+        "trailing_bytes": line + section + b"\0",
+        "truncated_header": line[: len(line) // 2],
+        "no_header": section,
+        "empty": b"",
+    }
+    for name, raw in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(raw)
+        with pytest.raises(ModelFormatError):
+            load_model(path)
 
     edited = tmp_path / "edited.json"
-    assert '"n_train":80' in text
-    edited.write_text(text.replace('"n_train":80', '"n_train":81', 1))
+    assert b'"n_train":80' in line
+    edited.write_bytes(line.replace(b'"n_train":80', b'"n_train":81', 1) + section)
     with pytest.raises(ModelFormatError, match="checksum"):
         load_model(edited)
 
-    doc = json.loads(text)
-    doc["format_version"] = MODEL_FORMAT_VERSION + 1
     versioned = tmp_path / "version.json"
-    versioned.write_text(json.dumps(doc))
+    bumped = b'"format_version":%d' % (MODEL_FORMAT_VERSION + 1)
+    versioned.write_bytes(line.replace(b'"format_version":4', bumped, 1) + section)
     with pytest.raises(ModelFormatError, match="version"):
         load_model(versioned)
 
 
-def _record(arr):
-    """An array's raw-bytes record, as the model format stores it."""
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    return {"dtype": "<f8", "shape": list(arr.shape),
-            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
-
-
-def _forge(path, payload):
-    """A model file whose checksum matches a hand-made payload."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    doc = {"format_version": MODEL_FORMAT_VERSION,
-           "checksum": hashlib.sha256(canon.encode()).hexdigest(), "payload": payload}
-    path.write_text(json.dumps(doc))
-    return path
-
-
 def test_model_product_kind_payload_refused(tmp_path):
-    # a well-formed version-3 file of the former product kind: two 1-dim
+    # a well-formed version-4 file of the former product kind: two 1-dim
     # sides of width 6 whose Kronecker product gives the model's 36 features
     rng = np.random.default_rng(3)
     payload = {
         "seed": 0, "feature_kind": "product", "recipient": "x", "tau": 0.1,
         "lambda": 1e-6, "num_features": 36, "noise_scale": 1.0, "n_train": 10,
-        "weights": _record(rng.normal(size=(2, 36))), "a_inv": _record(np.eye(36)),
-        "bandwidths": _record([1.0, 0.25]),
-        "frequencies": {"x": _record(rng.normal(size=(6, 1))), "z": _record(rng.normal(size=(6, 1)))},
-        "phases": {"x": _record(rng.uniform(0, 6, 6)), "z": _record(rng.uniform(0, 6, 6))},
+        "weights": rng.normal(size=(2, 36)), "a_inv": np.eye(36),
+        "bandwidths": np.array([1.0, 0.25]),
+        "frequencies": {"x": rng.normal(size=(6, 1)), "z": rng.normal(size=(6, 1))},
+        "phases": {"x": rng.uniform(0, 6, 6), "z": rng.uniform(0, 6, 6)},
         "metadata": {},
     }
-    assert MODEL_FORMAT_VERSION == 3
+    assert MODEL_FORMAT_VERSION == 4
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(_forge(tmp_path / "product.json", payload))
 
 
 def test_model_inconsistent_arrays_refused(ws, tmp_path):
-    # checksummed files whose arrays do not fit together are refused on
-    # load, not by a numpy error at the first message
+    # checksummed files whose arrays do not fit together, or do not fit the
+    # data section, are refused on load, not by a numpy error at the first
+    # message
     _, data = ws
-    payload = json.loads(Path(data["model"]).read_text())["payload"]
+    payload = load_model(data["model"]).payload
     D = payload["num_features"]
     outer = payload["outer"]
     forged = {
-        "small_a_inv": {"a_inv": _record(np.eye(5))},
-        "scalar_a_inv": {"a_inv": _record(np.float64(1.0))},
-        "three_outputs": {"weights": _record(np.zeros((3, D)))},
-        "one_output": {"weights": _record(np.zeros((1, D)))},
-        "flat_weights": {"weights": _record(np.zeros(D))},
-        "short_phases": {"phases": _record(np.zeros(3))},
-        "flat_outer_frequencies": {"outer": outer | {"frequencies": _record(np.zeros(D))}},
+        "small_a_inv": {"a_inv": np.eye(5)},
+        "scalar_a_inv": {"a_inv": np.array(1.0)},
+        "three_outputs": {"weights": np.zeros((3, D))},
+        "one_output": {"weights": np.zeros((1, D))},
+        "flat_weights": {"weights": np.zeros(D)},
+        "short_phases": {"phases": np.zeros(3)},
+        "flat_outer_frequencies": {"outer": outer | {"frequencies": np.zeros(D)}},
     }
     for name, change in forged.items():
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(_forge(tmp_path / f"{name}.json", payload | change))
+
+    _, doc, section = _split(data["model"])
+    layout = {key: doc[key] for key in ("arrays", "data_bytes", "payload")}
+    k = doc["payload"]["a_inv"]["index"]
+    offset, nbytes = doc["arrays"][k]
+    tables = {
+        "unaligned": {k: [offset + 8, nbytes - 8]},
+        "short_extent": {k: [offset, nbytes - 8]},
+        "past_the_end": {k: [len(section) + 64, nbytes]},
+        "negative_offset": {k: [-64, nbytes]},
+    }
+    records = {
+        "missing_index": {"index": len(doc["arrays"])},
+        "float32": {"dtype": "<f4"},
+        "wrong_shape": {"shape": [D, D + 1]},
+        "inferred_shape": {"shape": [-1, -D]},
+    }
+    cases = [(change, {}) for change in tables.values()]
+    cases += [({}, change) for change in records.values()]
+    for i, (table, record) in enumerate(cases):
+        arrays = [table.get(j, extent) for j, extent in enumerate(doc["arrays"])]
+        a_inv = doc["payload"]["a_inv"] | record
+        bad = layout | {"arrays": arrays, "payload": doc["payload"] | {"a_inv": a_inv}}
+        path = tmp_path / f"layout{i}.json"
+        path.write_bytes(_v4_file(bad, section))
+        with pytest.raises(ModelFormatError, match="malformed"):
+            load_model(path)
 
 
 def test_save_model_refuses_plain_rff_operator():
@@ -324,38 +408,44 @@ def test_save_model_refuses_plain_rff_operator():
         MessageOperator(spec, model)
 
 
-@pytest.fixture(scope="module")
-def wide_op():
-    """An operator whose 200 x 200 inverse spans several base64 slices."""
+def _wide_op(width):
+    """An operator whose width x width inverse Gram dominates its file."""
     rng = np.random.default_rng(12)
     spec = TwoStageSpec(draw_rff(2, 8, 1.0, rng), np.zeros(8), np.eye(8)[:, :3],
-                        draw_rff(3, 200, 1.0, rng))
-    return MessageOperator(spec, fit(rng.normal(size=(200, 40)), rng.normal(size=(2, 40)), 1e-3))
+                        draw_rff(3, width, 1.0, rng))
+    return MessageOperator(spec, fit(rng.normal(size=(width, 40)), rng.normal(size=(2, 40)), 1e-3))
 
 
-def _reference_model_doc(op, seed, tau, metadata):
-    """The model document save_model writes, built with json and base64 alone."""
+@pytest.fixture(scope="module")
+def wide_op():
+    return _wide_op(200)
+
+
+def _reference_payload(op, seed, tau, metadata):
+    """The payload save_model stores, arrays as ndarrays."""
     spec, model = op.spec, op.model
-    payload = {
+    return {
         "seed": seed, "tau": tau, "lambda": model.lam, "num_features": model.num_features,
         "noise_scale": model.noise_scale, "n_train": model.n_train,
-        "weights": _record(model.W), "a_inv": _record(model.A_inv),
-        "bandwidths": _record(spec.inner.bandwidth),
-        "frequencies": _record(spec.inner.frequencies), "phases": _record(spec.inner.phases),
+        "weights": model.W, "a_inv": model.A_inv,
+        "bandwidths": spec.inner.bandwidth,
+        "frequencies": spec.inner.frequencies, "phases": spec.inner.phases,
         "outer": {
-            "center": _record(spec.center), "projection": _record(spec.projection),
-            "frequencies": _record(spec.outer.frequencies),
-            "phases": _record(spec.outer.phases), "bandwidth": _record(spec.outer.bandwidth),
+            "center": spec.center, "projection": spec.projection,
+            "frequencies": spec.outer.frequencies,
+            "phases": spec.outer.phases, "bandwidth": spec.outer.bandwidth,
         },
         "metadata": metadata,
     }
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return {"format_version": MODEL_FORMAT_VERSION,
-            "checksum": hashlib.sha256(canon.encode()).hexdigest(), "payload": payload}
+
+
+def _metadata_text(metadata):
+    """Metadata as comparable text: NaN == NaN, arrays by shape and bits."""
+    return json.dumps(metadata, default=lambda a: [a.shape, a.tobytes().hex()])
 
 
 _TRICKY_TEXT = st.text(
-    st.sampled_from('"\\/\n\t\x00\x1f\x7fé\u2028😀a') | st.characters(), max_size=12
+    st.sampled_from('"\\/\n\t\x00\x1f\x7fé 😀a') | st.characters(), max_size=12
 )
 _METADATA = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _TRICKY_TEXT,
@@ -366,33 +456,88 @@ _METADATA = st.recursive(
 
 
 @given(metadata=st.dictionaries(_TRICKY_TEXT, _METADATA, max_size=5))
-@example(metadata={"long": '"\\\x01é😀' * (cli._STRING_SLICE // 2), "x": [1.5, -0.0]})
+@example(metadata={"long": '"\\\x01é😀' * 2**15, "x": [1.5, -0.0]})
+@example(metadata={"errors": np.arange(6.0).reshape(2, 3),
+                   "nested": [np.zeros(0), {"eye": np.eye(2)}, np.float64(2.5)]})
 def test_model_writer_matches_json_dumps(wide_op, metadata):
-    # the sliced writer gives json.dumps's bytes and checksum, and the
-    # sliced reader accepts them
+    # save_model writes the bytes of the json-and-hashlib reference, and the
+    # loader gives back every array and every metadata value
     with tempfile.TemporaryDirectory() as tmp:
         path = save_model(Path(tmp) / "m.json", wide_op, seed=3, tau=0.25, extra=metadata)
-        expected = _reference_model_doc(wide_op, 3, 0.25, metadata)
-        written = path.read_bytes()
-        assert written == (json.dumps(expected, separators=(",", ":")) + "\n").encode()
+        assert path.read_bytes() == _v4_bytes(_reference_payload(wide_op, 3, 0.25, metadata))
         loaded = load_model(path)
     np.testing.assert_array_equal(loaded.op.model.A0, wide_op.model.A_inv)
     np.testing.assert_array_equal(loaded.op.model.W, wide_op.model.W)
+    assert _metadata_text(loaded.payload["metadata"]) == _metadata_text(metadata)
+
+
+def test_model_bytes_repeat_across_saves(wide_op, tmp_path):
+    a = save_model(tmp_path / "a.json", wide_op, seed=3, tau=0.25, extra={"k": [1, 2.5]})
+    b = save_model(tmp_path / "b.json", wide_op, seed=3, tau=0.25, extra={"k": [1, 2.5]})
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("metadata", [
+    {"note": {"dtype": "<f8", "shape": [1], "index": 0}},  # read back as an array
+    {"counts": {1: "one"}},  # JSON would write the key as "1"
+])
+def test_save_model_refuses_metadata_that_would_not_load_back(wide_op, tmp_path, metadata):
+    with pytest.raises(TypeError, match="model file dicts"):
+        save_model(tmp_path / "m.json", wide_op, seed=1, tau=0.5, extra=metadata)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
+    # a 512 x 512 inverse: a second copy of any array would overrun the
+    # 1 MB allowance below
+    path = save_model(tmp_path / "m.json", _wide_op(512), seed=1, tau=0.5)
+    data_bytes = _split(path)[1]["data_bytes"]
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= data_bytes + 2**20
+
+    def leaves(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                yield from leaves(value)
+        elif isinstance(node, np.ndarray):
+            yield node
+
+    def owner(array):
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        return array
+
+    arrays = list(leaves(loaded.payload))
+    assert len(arrays) == 10
+    assert len({id(owner(a)) for a in arrays}) == 1
+    buffer = owner(arrays[0])
+    for a in arrays:
+        assert not a.flags.writeable
+        assert a.ctypes.data % 64 == 0
+        assert np.shares_memory(a, buffer)
+    assert loaded.op.model.A0 is loaded.payload["a_inv"]
 
 
 def test_save_model_failure_keeps_previous_file(wide_op, tmp_path, monkeypatch):
     target = save_model(tmp_path / "model.json", wide_op, seed=1, tau=0.5)
     before = target.read_bytes()
-    pieces = cli._json_pieces
+    pieces = cli._data_pieces
+    passes = []
 
-    def disk_full(node, sort_keys):
+    def disk_full(arrays, table):
         # the checksum pass runs whole; the write fails part-way
-        for i, piece in enumerate(pieces(node, sort_keys)):
-            if not sort_keys and i == 20:
+        passes.append(None)
+        for i, piece in enumerate(pieces(arrays, table)):
+            if len(passes) == 2 and i == 4:
                 raise OSError(errno.ENOSPC, "No space left on device")
             yield piece
 
-    monkeypatch.setattr(cli, "_json_pieces", disk_full)
+    monkeypatch.setattr(cli, "_data_pieces", disk_full)
     with pytest.raises(OSError, match="No space"):
         save_model(target, wide_op, seed=2, tau=0.5)
     assert target.read_bytes() == before
@@ -542,6 +687,11 @@ def test_active_run_budget_and_updated_model(ws, tmp_path):
     updated = load_model(tmp_path / "active.model.json")
     assert updated.op.model.n_train == BASE["n_train"] + 4
     assert updated.payload["metadata"]["queries_absorbed"] == 4
+    # the carried-over metadata keeps its arrays: CV's fold errors are one
+    # (grid points x folds) array record, not decimal text
+    errors = load_model(data["model"]).payload["metadata"]["cv_fold_errors"]
+    assert errors.shape == (9, BASE["cv"]["folds"])
+    np.testing.assert_array_equal(updated.payload["metadata"]["cv_fold_errors"], errors)
 
 
 def test_active_run_variance_decreases_without_cavity_drift(ws, tmp_path):

@@ -23,6 +23,7 @@ from kernelep.ep_engine import (
     demo_graph,
     ep_sweep,
     init_state,
+    logistic_regression_graph,
     marginal,
     run_ep,
 )
@@ -357,32 +358,6 @@ def test_run_ep_deterministic():
         )
 
 
-def logistic_regression_graph(n: int, seed: int) -> FactorGraph:
-    """Bayesian logistic regression: w ~ N(0, 4), x_i = a_i w + N(0, 1), and
-    logistic(x_i, z_i) with y_i's Bernoulli likelihood as the observation
-    Beta(1 + y_i, 2 - y_i) on z_i; a_i ~ N(0, 1), y_i ~ Bernoulli(sigmoid(1.5 a_i))."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=n)
-    y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-1.5 * a))).astype(int)
-    variables = [Variable("w", "gaussian")]
-    factors = [Factor("prior", "gaussian_prior", ("w",), {"mean": 0.0, "variance": 4.0})]
-    observations = {}
-    for i in range(n):
-        x, z = f"x{i}", f"z{i}"
-        variables += [Variable(x, "gaussian"), Variable(z, "beta")]
-        factors.append(
-            Factor(
-                f"lin{i}",
-                "linear_gaussian",
-                ("w", x),
-                {"a": float(a[i]), "b": 0.0, "noise_variance": 1.0},
-            )
-        )
-        factors.append(Factor(f"log{i}", "logistic", (x, z)))
-        observations[z] = BetaDist(1.0 + y[i], 2.0 - y[i])
-    return FactorGraph(tuple(variables), tuple(factors), observations)
-
-
 # float.hex of every marginal's (mean, variance) or (alpha, beta) for
 # logistic_regression_graph(10, 0) under default_sources() and
 # default_rng(7), recorded from the engine that held its messages as
@@ -421,6 +396,17 @@ def test_logistic_regression_marginals_keep_their_bits():
         pair = (m.alpha, m.beta) if isinstance(m, BetaDist) else (m.mean, m.variance)
         got[vid] = tuple(float(v).hex() for v in pair)
     assert got == LOGISTIC_REGRESSION_HEX
+
+
+def test_logistic_regression_graph_noise_is_each_linear_factors_variance():
+    base, quiet = logistic_regression_graph(5, 3), logistic_regression_graph(5, 3, noise=0.01)
+    for f, g in zip(base.factors, quiet.factors):
+        if f.kind == "linear_gaussian":
+            assert (f.params["noise_variance"], g.params["noise_variance"]) == (1.0, 0.01)
+            assert f.params["a"] == g.params["a"]
+        else:
+            assert f == g
+    assert base.observations == quiet.observations
 
 
 # ---------------------------------------------------------------------------
