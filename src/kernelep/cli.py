@@ -22,10 +22,11 @@ Formats: datasets and per-case eval rows are CSV with a fixed header, read
 and written by one codec; graphs and reports are JSON.  Floats are
 serialized as the shortest decimal that parses back to the identical double,
 so files round-trip without loss.  A model file (format version 4) is one
-compact JSON header line, space-padded to a multiple of 64 bytes, then the
-raw little-endian float64 C-order bytes of its arrays, each at a 64-byte
-aligned offset.  The header holds the version, a sha256 checksum, the array
-table ([offset, nbytes] each), `data_bytes`, and the payload with every
+compact JSON header line, space-padded to a multiple of 64 bytes and at
+most 1 MiB long, then the raw little-endian float64 C-order bytes of its
+arrays, each at a 64-byte aligned offset.  The header holds the version, a
+sha256 checksum, the array table ([offset, nbytes] each), `data_bytes`,
+and the payload with every
 array replaced by {"dtype": "<f8", "shape": [...], "index": k}.  The
 checksum covers the canonical JSON of {arrays, data_bytes, payload} and then
 the data section: every scalar, metadata value, layout entry and array byte.
@@ -63,6 +64,7 @@ from .errors import (
 )
 from .expfam import BetaDist, Gaussian1D, kl_divergence
 from .factors import (
+    MIN_IMPORTANCE,
     IncomingPrior,
     IncomingTuple,
     TrainingPair,
@@ -145,15 +147,11 @@ class RunConfig:
     model_out: str = ""
 
     def __post_init__(self):
-        for name in ("n_train", "n_test", "n_importance", "num_features", "n_jobs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.folds < 2:
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.budget < 0:
-            raise ConfigError(f"budget must be >= 0, got {self.budget}")
+        floors = {"n_train": 1, "n_test": 1, "n_importance": MIN_IMPORTANCE, "num_features": 1,
+                  "n_jobs": 1, "seed": 0, "folds": 2, "budget": 0}
+        for name, low in floors.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.tau is not None and not self.tau > 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         for name in ("dataset", "model", "graph"):
@@ -449,6 +447,10 @@ MODEL_FORMAT_VERSION = 4
 # multiples of this, so each array starts on a cache line
 _ALIGN = 64
 
+# longest header line, the most the loader reads before parsing: a trained
+# operator's is about 1.5 kB, and a version-3 file is one 43 MB line
+_HEADER_LIMIT = 1 << 20
+
 
 def _array_records(node, arrays: list):
     """The payload tree with each ndarray replaced by its record, appending
@@ -517,7 +519,6 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
         "seed": int(seed),
         "tau": float(tau),
         "lambda": float(op.model.lam),
-        "num_features": int(op.model.num_features),
         "noise_scale": float(op.model.noise_scale),
         "n_train": int(op.model.n_train),
         "weights": op.model.W,
@@ -548,6 +549,8 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
         separators=(",", ":"),
     )
     header += " " * (-(len(header) + 1) % _ALIGN) + "\n"
+    if len(header) > _HEADER_LIMIT:
+        raise ModelFormatError(f"model header of {len(header)} bytes exceeds {_HEADER_LIMIT}")
     path = _with_parent(path)
     # written beside the target and renamed over it, so a write that fails
     # part-way leaves any previous model intact
@@ -573,7 +576,9 @@ def load_model(path) -> SavedModel:
     every array as a read-only view into it.
     """
     with open(path, "rb") as handle:
-        line = handle.readline()
+        line = handle.readline(_HEADER_LIMIT)
+        if not line.endswith(b"\n"):
+            raise ModelFormatError(f"no model header line within {_HEADER_LIMIT} bytes")
         try:
             doc = json.loads(line)
         except ValueError as exc:
@@ -585,7 +590,7 @@ def load_model(path) -> SavedModel:
             raise ModelFormatError(f"unsupported model format version {version!r}")
         layout = {key: doc.get(key) for key in ("arrays", "data_bytes", "payload")}
         size = os.fstat(handle.fileno()).st_size - len(line)
-        if not line.endswith(b"\n") or size != layout["data_bytes"]:
+        if size != layout["data_bytes"]:
             raise ModelFormatError(f"model data is {size} bytes, not {layout['data_bytes']!r}")
         raw = np.empty(size + _ALIGN, dtype=np.uint8)
         start = -raw.ctypes.data % _ALIGN

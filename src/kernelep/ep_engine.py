@@ -24,7 +24,7 @@ from .expfam import (
     from_natural,
     to_natural,
 )
-from .factors import IncomingTuple, oracle_to_x
+from .factors import MIN_IMPORTANCE, IncomingTuple, oracle_to_x
 from .operator import (
     MessageOperator,
     QueryOracle,
@@ -268,30 +268,40 @@ class LinearGaussianSource:
         return out
 
 
+def _logistic_incoming(factor, incoming):
+    """A logistic factor's x id and incoming tuple, the tuple None when a
+    cavity is improper: the source then proposes nothing."""
+    x_id, z_id = factor.neighbors
+    inc = IncomingTuple(incoming[x_id], incoming[z_id])
+    return x_id, inc if inc.proper else None
+
+
 class OracleSource:
     """Importance-sampling projection of the logistic tilted distribution."""
 
     kind = "oracle"
 
     def __init__(self, n_importance: int = 10_000):
-        if n_importance < 100:
-            raise DomainError("n_importance must be >= 100")
+        if n_importance < MIN_IMPORTANCE:
+            raise DomainError(f"n_importance must be >= {MIN_IMPORTANCE}")
         self.n_importance = int(n_importance)
 
-    def __call__(self, factor, incoming, rng):
-        x_id, z_id = factor.neighbors
-        inc = IncomingTuple(incoming[x_id], incoming[z_id])
-        if not inc.proper:
-            return {}
+    def tilted(self, inc: IncomingTuple, rng) -> Gaussian1D:
+        """The projected tilted q on x, from the first of ORACLE_RETRIES
+        independent sub-streams of rng whose draw does not fail."""
         last = None
         for sub in rng.spawn(ORACLE_RETRIES):
             try:
-                q, _ = oracle_to_x(inc, self.n_importance, sub)
+                return oracle_to_x(inc, self.n_importance, sub)[0]
             except KernelEpError as exc:
                 last = exc
-                continue
-            return {x_id: divide(q, inc.m_x)}
         raise last
+
+    def __call__(self, factor, incoming, rng):
+        x_id, inc = _logistic_incoming(factor, incoming)
+        if inc is None:
+            return {}
+        return {x_id: divide(self.tilted(inc, rng), inc.m_x)}
 
 
 class OperatorSource:
@@ -303,12 +313,13 @@ class OperatorSource:
         self.op = op
 
     def prepare(self, graph):
-        warm_beta_cache(self.op, graph.observations.values())
+        """Warm the Beta memo for the observations as cavities show them: after a
+        natural-parameter round trip, which moves a shape below 1 off its float."""
+        warm_beta_cache(self.op, [from_natural(BETA, eta) for eta in graph.observed.values()])
 
     def __call__(self, factor, incoming, rng):
-        x_id, z_id = factor.neighbors
-        inc = IncomingTuple(incoming[x_id], incoming[z_id])
-        if not inc.proper:
+        x_id, inc = _logistic_incoming(factor, incoming)
+        if inc is None:
             return {}
         return {x_id: outgoing_message(self.op, inc)}
 
@@ -343,23 +354,18 @@ class ActiveSource:
     SCORE_BATCH at a time and whenever `log` is read, and the fallbacks are
     logged in visit order.
 
-    A query costs one pass over the model's inverse Gram: the variance that
-    decide computes leaves u = A_inv phi in the model's memo, and absorb's
-    update_online reuses it for the same features.
+    A query asks `oracle`, an OracleSource, so its message is the one
+    OracleSource sends for the same visit, bit for bit.  Its answer is
+    absorbed at decide's features, so a query featurizes once and makes one
+    pass over the model's inverse Gram (see absorb).
     """
 
     kind = "active"
 
-    def __init__(
-        self,
-        op: MessageOperator,
-        policy: UncertaintyPolicy,
-        n_importance: int = 10_000,
-    ):
+    def __init__(self, op: MessageOperator, policy: UncertaintyPolicy, n_importance: int = 10_000):
         self.op = op
-        self.tau = policy.tau
-        self.budget = policy.budget
-        self.n_importance = int(n_importance)
+        self.oracle = OracleSource(n_importance)
+        self.tau, self.budget = policy.tau, policy.budget
         self.queries = 0
         self._log: list[QueryEvent] = []
         self._pending: list = []  # (factor_id, variable_id, visit, phi) awaiting a variance
@@ -382,28 +388,20 @@ class ActiveSource:
                 )
         self._pending.clear()
 
-    def prepare(self, graph):
-        warm_beta_cache(self.op, graph.observations.values())
+    prepare = OperatorSource.prepare
 
     def __call__(self, factor, incoming, rng):
-        x_id, z_id = factor.neighbors
-        inc = IncomingTuple(incoming[x_id], incoming[z_id])
-        self._visits[factor.id] = self._visits.get(factor.id, 0) + 1
-        visit = self._visits[factor.id]
-        if not inc.proper:
+        visit = self._visits[factor.id] = self._visits.get(factor.id, 0) + 1
+        x_id, inc = _logistic_incoming(factor, incoming)
+        if inc is None:
             return {}
-        policy = UncertaintyPolicy(tau=self.tau, budget=self.budget)
-        action = decide(self.op, policy, inc)
+        action = decide(self.op, UncertaintyPolicy(tau=self.tau, budget=self.budget), inc)
         if isinstance(action, QueryOracle):
-            q, _ = oracle_to_x(inc, self.n_importance, rng)
-            self.op = absorb(
-                self.op, inc, np.array([q.mean, math.log(q.variance)])
-            )
+            q = self.oracle.tilted(inc, rng)
+            self.op = absorb(self.op, action.phi, q)
             self.queries += 1
             self.budget -= 1
-            self._log.append(
-                QueryEvent("query", factor.id, x_id, visit, action.variance, self.tau)
-            )
+            self._log.append(QueryEvent("query", factor.id, x_id, visit, action.variance, self.tau))
             return {x_id: divide(q, inc.m_x)}
         if action.variance is None:
             self._pending.append((factor.id, x_id, visit, action.phi))
@@ -547,7 +545,8 @@ def run_ep(
     if rng is None:
         rng = np.random.default_rng(0)
     state = init_state(graph)
-    for source in {id(s): s for s in sources.values()}.values():
+    unique = {id(s): s for s in sources.values()}.values()
+    for source in unique:
         hook = getattr(source, "prepare", None)
         if hook is not None:
             hook(graph)
@@ -560,9 +559,7 @@ def run_ep(
             converged = True
             break
     marginals = {v.id: marginal(graph, state, v.id) for v in graph.variables}
-    queries = sum(
-        getattr(s, "queries", 0) for s in {id(s): s for s in sources.values()}.values()
-    )
+    queries = sum(getattr(s, "queries", 0) for s in unique)
     return EpResult(
         marginals=marginals,
         state=state,

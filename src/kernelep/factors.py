@@ -28,8 +28,10 @@ from .expfam import BetaDist, Gaussian1D, project_to_gaussian
 __all__ = [
     "IncomingTuple",
     "TrainingPair",
+    "regression_target",
     "IncomingPrior",
     "PROPOSAL_WIDEN",
+    "MIN_IMPORTANCE",
     "ess_floor",
     "logistic",
     "tilted_sample",
@@ -42,6 +44,8 @@ logger = logging.getLogger(__name__)
 
 # variance inflation of the proposal relative to the incoming Gaussian
 PROPOSAL_WIDEN = 2.0
+
+MIN_IMPORTANCE = 100
 
 
 def ess_floor(n: int) -> float:
@@ -62,16 +66,18 @@ class IncomingTuple:
 
 @dataclass(frozen=True)
 class TrainingPair:
-    """One supervised example: incoming tuple -> projected outgoing stats.
-
-    The target is stored as (E[x], log Var[x]) of the projected tilted
-    Gaussian, the transform under which regression operates.
-    """
+    """One supervised example: incoming tuple -> the regression_target of
+    its projected tilted Gaussian."""
 
     input: IncomingTuple
     target: np.ndarray
     ess: float
     n_samples: int
+
+
+def regression_target(q: Gaussian1D) -> np.ndarray:
+    """(E[x], log Var[x]) of a projected tilted Gaussian, the form regressed on."""
+    return np.array([q.mean, math.log(q.variance)])
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,8 @@ def tilted_sample(
     """
     if not inc.proper:
         raise DomainError("incoming messages must be proper")
-    if n < 100:
-        raise DomainError(f"importance sample size must be >= 100, got {n}")
+    if n < MIN_IMPORTANCE:
+        raise DomainError(f"importance sample size must be >= {MIN_IMPORTANCE}, got {n}")
     proposal = Gaussian1D(inc.m_x.mean, PROPOSAL_WIDEN * inc.m_x.variance)
     x = rng.normal(proposal.mean, math.sqrt(proposal.variance), size=n)
     logw = _tilted_log_weight(x, inc, proposal)
@@ -160,8 +166,7 @@ def _gen_case(
             q, ess = oracle_to_x(inc, n_importance, case_rng)
         except DegenerateSampleError:
             continue
-        target = np.array([q.mean, math.log(q.variance)])
-        return TrainingPair(inc, target, ess, n_importance), attempt
+        return TrainingPair(inc, regression_target(q), ess, n_importance), attempt
     raise GenerationError(f"no acceptable draw within {budget} attempts for one case")
 
 

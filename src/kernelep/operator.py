@@ -14,10 +14,7 @@ projected joint embeddings), computed by the same formula that
 kernels.joint_features_batch uses for training.  Incoming Beta
 observations repeat across an EP run, so the Beta side of the inner joint
 embedding is memoized per (alpha, beta); the Gaussian side is closed form
-and recomputed on every call, as are the projection and outer features.  A
-Beta missing from the memo still reuses the quadrature phase matrices of the
-operator's fixed inner frequencies, memoized per order beside it, so it pays
-only its density and one matrix product per order.
+and recomputed on every call, as are the projection and outer features.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, PredictionError
 from .expfam import Gaussian1D, divide
-from .factors import IncomingTuple, TrainingPair
+from .factors import IncomingTuple, TrainingPair, regression_target
 from .kernels import (
     TwoStageSpec,
     _beta_side,
@@ -119,9 +116,8 @@ class UncertaintyPolicy:
 
 @dataclass(frozen=True)
 class UsePrediction:
-    """Use the prediction q.  variance is None when the budget was spent:
-    the gate then skips it, and phi, the message's feature vector, lets the
-    caller score it later, batched with others."""
+    """Use the prediction q.  variance is None when the budget was spent;
+    phi, the features, lets the caller score it later, batched with others."""
 
     q: Gaussian1D
     variance: float | None
@@ -130,41 +126,42 @@ class UsePrediction:
 
 @dataclass(frozen=True)
 class QueryOracle:
+    """Ask the oracle; absorb folds its answer in at phi, the features."""
+
     variance: float
+    phi: np.ndarray = field(repr=False, compare=False)
+
+
+def _beta_row(op: MessageOperator, beta) -> np.ndarray:
+    """The Beta factor of op's inner embedding for one Beta, memoized.  A miss
+    goes through this module's beta_cf: a density and a mat-vec per quadrature
+    order, plus the phase matrices the first time any Beta meets op."""
+    key = (beta.alpha, beta.beta)
+    row = op._beta_cache.get(key)
+    if row is None:
+        inner = op.spec.inner
+        row = _beta_side(inner, beta_cf(inner.frequencies[:, 1], [beta], op._phases)[0])
+        op._beta_cache[key] = row
+    return row
 
 
 def featurize(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
     """Feature vector of an incoming tuple: embedding_features(op.spec, e), bit
-    for bit, where e is joint_features_batch(op.spec.inner, [inc])[0].
-
-    Only the Beta factor's source differs: the memo, filled on a miss
-    through this module's beta_cf.
-    """
+    for bit, where e is joint_features_batch(op.spec.inner, [inc])[0]."""
     if not inc.proper:
         raise DomainError("cannot featurize improper incoming messages")
-    inner = op.spec.inner
-    key = (inc.m_z.alpha, inc.m_z.beta)
-    row = op._beta_cache.get(key)
-    if row is None:
-        row = _beta_side(inner, beta_cf(inner.frequencies[:, 1], [inc.m_z], op._phases)[0])
-        op._beta_cache[key] = row
-    emb = (row * gaussian_cf(inner.frequencies[:, 0], inc.m_x)).real
+    row = _beta_row(op, inc.m_z)
+    emb = (row * gaussian_cf(op.spec.inner.frequencies[:, 0], inc.m_x)).real
     return embedding_features(op.spec, emb)
 
 
 def warm_beta_cache(op: MessageOperator, betas) -> None:
-    """Precompute the Beta-side feature factors for known Beta messages.
-
-    The quadrature behind a never-seen (alpha, beta) pair costs a density
-    and a mat-vec per quadrature order, plus the phase matrices the first
-    time any Beta meets these frequencies; everything afterwards is a
-    dictionary hit. Callers that know their observation set up front (an EP
-    run over a fixed graph) warm the cache once so steady-state message
-    latency stays flat.
-    """
-    probe = Gaussian1D(0.0, 1.0)
+    """Fill the Beta memo for Betas known up front, such as an EP run's
+    observations, so that steady-state message latency stays flat."""
     for b in betas:
-        featurize(op, IncomingTuple(probe, b))
+        if b.improper:
+            raise DomainError(f"cannot warm the cache for improper {b}")
+        _beta_row(op, b)
 
 
 def featurize_batch(op: MessageOperator, tuples) -> np.ndarray:
@@ -205,27 +202,21 @@ def decide(
     if policy.budget > 0:
         variance = predictive_variance(op.model, phi)
         if variance > policy.tau:
-            return QueryOracle(variance)
+            return QueryOracle(variance, phi)
     return UsePrediction(_q_from_output(predict(op.model, phi)), variance, phi)
 
 
 def batch_variance(op: MessageOperator, Phi: np.ndarray) -> np.ndarray:
     """Predictive variances of the columns of a (D, M) feature batch, in one
-    pass over the inverse Gram.  Once the budget is spent the predictions
-    are used whatever their variance, so these variances only decide which
-    messages are logged as fallbacks."""
+    pass over the inverse Gram."""
     return predictive_variance(op.model, Phi)
 
 
-def absorb(op: MessageOperator, inc: IncomingTuple, oracle_result) -> MessageOperator:
-    """Fold one oracle answer (E, log V) into the model by update_online.
-
-    After decide queried for inc on this operator, the model's memo holds
-    u = A_inv phi for the same features, so the update reuses it."""
-    target = np.asarray(oracle_result, dtype=float)
-    if target.shape != (op.model.W.shape[0],):
-        raise DomainError(f"oracle result has shape {target.shape}")
-    model = update_online(op.model, featurize(op, inc), target)
+def absorb(op: MessageOperator, phi: np.ndarray, q: Gaussian1D) -> MessageOperator:
+    """Fold the oracle's projected q at features phi into the model by
+    update_online.  With decide's QueryOracle.phi, the update reuses the
+    u = A_inv phi that decide's variance left in the model's memo."""
+    model = update_online(op.model, phi, regression_target(q))
     # replace() carries both memos over: features are model-independent
     return replace(op, model=model)
 

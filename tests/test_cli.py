@@ -182,12 +182,13 @@ def test_model_payload_fields(ws):
     _, data = ws
     payload = load_model(data["model"]).payload
     expected = {
-        "seed", "bandwidths", "lambda", "num_features",
+        "seed", "bandwidths", "lambda",
         "frequencies", "phases", "weights", "a_inv", "noise_scale", "tau",
-        "n_train", "metadata",
+        "n_train", "metadata", "outer",
     }
-    assert expected <= set(payload)
-    assert payload["num_features"] == BASE["num_features"]
+    # the width is the weights' second dimension; no separate field holds it
+    assert set(payload) == expected
+    assert payload["weights"].shape == (2, BASE["num_features"])
     assert len(payload["bandwidths"]) == 2
     assert payload["metadata"]["n_train_cases"] == BASE["n_train"]
 
@@ -302,6 +303,39 @@ def test_model_arrays_stored_raw_and_checksummed(ws, tmp_path):
         load_model(edited)
 
 
+def test_model_header_read_is_bounded(ws, tmp_path, monkeypatch):
+    # a first line past the bound is refused before json parses any of it
+    _, data = ws
+    line, _, section = _split(data["model"])
+    parsed = []
+    real_loads = json.loads
+
+    def recording_loads(text, *args, **kwargs):
+        parsed.append(len(text))
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", recording_loads)
+    padded = tmp_path / "padded.json"
+    padded.write_bytes(line[:-1] + b" " * cli._HEADER_LIMIT + b"\n" + section)
+    one_line = tmp_path / "one_line.json"
+    one_line.write_bytes(b"[" + b"0," * cli._HEADER_LIMIT + b"0]")
+    for path in (padded, one_line):
+        with pytest.raises(ModelFormatError, match="no model header line within"):
+            load_model(path)
+    assert parsed == []
+    load_model(data["model"])
+    assert parsed == [len(line)] and len(line) <= cli._HEADER_LIMIT
+
+
+def test_model_file_with_a_num_features_key_still_loads(ws, tmp_path):
+    # version-4 files saved before the key was dropped carry it; nothing reads it
+    _, data = ws
+    loaded = load_model(data["model"])
+    payload = loaded.payload | {"num_features": loaded.op.model.num_features}
+    old = load_model(_forge(tmp_path / "old.json", payload))
+    np.testing.assert_array_equal(old.op.model.W, loaded.op.model.W)
+
+
 def test_model_corruption_detected(ws, tmp_path):
     _, data = ws
     line, _, section = _split(data["model"])
@@ -355,7 +389,7 @@ def test_model_inconsistent_arrays_refused(ws, tmp_path):
     # message
     _, data = ws
     payload = load_model(data["model"]).payload
-    D = payload["num_features"]
+    D = payload["weights"].shape[1]
     outer = payload["outer"]
     forged = {
         "small_a_inv": {"a_inv": np.eye(5)},
@@ -425,7 +459,7 @@ def _reference_payload(op, seed, tau, metadata):
     """The payload save_model stores, arrays as ndarrays."""
     spec, model = op.spec, op.model
     return {
-        "seed": seed, "tau": tau, "lambda": model.lam, "num_features": model.num_features,
+        "seed": seed, "tau": tau, "lambda": model.lam,
         "noise_scale": model.noise_scale, "n_train": model.n_train,
         "weights": model.W, "a_inv": model.A_inv,
         "bandwidths": spec.inner.bandwidth,
@@ -483,6 +517,13 @@ def test_model_bytes_repeat_across_saves(wide_op, tmp_path):
 ])
 def test_save_model_refuses_metadata_that_would_not_load_back(wide_op, tmp_path, metadata):
     with pytest.raises(TypeError, match="model file dicts"):
+        save_model(tmp_path / "m.json", wide_op, seed=1, tau=0.5, extra=metadata)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_model_refuses_a_header_the_loader_would_refuse(wide_op, tmp_path):
+    metadata = {"note": "x" * cli._HEADER_LIMIT}
+    with pytest.raises(ModelFormatError, match="exceeds"):
         save_model(tmp_path / "m.json", wide_op, seed=1, tau=0.5, extra=metadata)
     assert list(tmp_path.iterdir()) == []
 
@@ -781,6 +822,10 @@ def test_make_config_merge_and_validation():
         make_config({"bogus_key": 1})
     with pytest.raises(ConfigError):
         make_config({"n_train": 0})
+    # the oracle's floor: a smaller sample would fail only after the inputs load
+    with pytest.raises(ConfigError, match="n_importance"):
+        make_config({"n_importance": 99})
+    assert make_config({"n_importance": 100}).n_importance == 100
     with pytest.raises(ConfigError):
         make_config({"feature_kind": "spline"})
     with pytest.raises(ConfigError):
@@ -880,9 +925,10 @@ def test_cv_grid_values_must_be_finite_and_positive(key):
 
 
 def test_every_scalar_key_reads_alike_from_file_and_flag(tmp_path):
-    # a non-default value for each parser, as a JSON value and as a flag
+    # a non-default value for each parser, valid for each of its keys (700
+    # clears the importance-sample floor), as a JSON value and as a flag
     examples = {
-        cli._int: 7, cli._str: "elsewhere.json", cli._optional_float: 0.25, cli._bool: True
+        cli._int: 700, cli._str: "elsewhere.json", cli._optional_float: 0.25, cli._bool: True
     }
     parser = build_parser()
     for key, (parse, _) in cli._SCALARS.items():

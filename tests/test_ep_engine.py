@@ -27,7 +27,7 @@ from kernelep.ep_engine import (
     marginal,
     run_ep,
 )
-from kernelep.errors import DomainError, EpSourceError
+from kernelep.errors import DegenerateSampleError, DomainError, EpSourceError
 from kernelep.expfam import (
     BetaDist,
     Gaussian1D,
@@ -37,9 +37,16 @@ from kernelep.expfam import (
     multiply,
     to_natural,
 )
-from kernelep.factors import IncomingPrior, gen_training_set
+from kernelep.factors import IncomingPrior, IncomingTuple, gen_training_set
 from kernelep import ep_engine, operator, regress
-from kernelep.operator import UncertaintyPolicy, UsePrediction, predict_q, train_operator
+from kernelep.operator import (
+    MessageOperator,
+    QueryOracle,
+    UncertaintyPolicy,
+    UsePrediction,
+    predict_q,
+    train_operator,
+)
 from kernelep.regress import RidgeModel, update_online
 
 
@@ -546,11 +553,20 @@ def test_active_source_respects_budget(demo_operator):
         assert visits == sorted(visits)
 
 
-def test_active_source_absorbs_queries(demo_operator):
+def test_active_source_absorbs_queries(demo_operator, monkeypatch):
     op, tau = demo_operator
+    # the benchmark counts oracle calls through this binding
+    oracle_calls = []
+    real_oracle = ep_engine.oracle_to_x
+
+    def counting_oracle(inc, n, rng):
+        oracle_calls.append(inc)
+        return real_oracle(inc, n, rng)
+
+    monkeypatch.setattr(ep_engine, "oracle_to_x", counting_oracle)
     src = ActiveSource(op, UncertaintyPolicy(tau=1e-30, budget=3), n_importance=2000)
     run_ep(demo_graph(), sources=default_sources(src), rng=np.random.default_rng(23))
-    assert src.queries == 3
+    assert src.queries == 3 and len(oracle_calls) == 3
     assert src.op is not op
     assert src.op.model.n_train == op.model.n_train + 3
 
@@ -583,8 +599,8 @@ def test_active_source_featurizes_once_per_gated_message(demo_operator, monkeypa
     recording.prepare = src.prepare
     graph = demo_graph()
     run_ep(graph, sources=default_sources(recording), rng=np.random.default_rng(25))
-    # warm_beta_cache featurizes each observed Beta once
-    assert len(featurized) == len(graph.observations) + len(decisions) + src.queries
+    # neither the warm-up nor absorb featurizes: a query reuses decide's phi
+    assert len(featurized) == len(decisions)
     assert src.queries > 0 and len(proposals) == len(decisions) > src.queries
     used = [(d, msg) for d, msg in proposals if isinstance(d[2], UsePrediction)]
     assert len(used) == len(decisions) - src.queries
@@ -598,19 +614,27 @@ SIX_OBSERVATIONS = ((5.0, 2.0), (4.0, 3.0), (2.0, 5.0), (1.5, 6.0), (7.0, 3.0), 
 
 def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
     op, _ = demo_operator
-    passes, absorbed, per_query = [], [], []
+    passes, absorbed, per_query, queried = [], [], [], []
     real_apply, real_absorb = regress._apply_inverse, ep_engine.absorb
+    real_decide = ep_engine.decide
+
+    def recording_decide(o, policy, inc):
+        action = real_decide(o, policy, inc)
+        if isinstance(action, QueryOracle):
+            queried.append((inc, action.phi))
+        return action
 
     def counting_apply(model, phi):
         passes.append(model)
         return real_apply(model, phi)
 
-    def recording_absorb(o, inc, y):
-        absorbed.append((o, inc, y, real_absorb(o, inc, y)))
+    def recording_absorb(o, phi, q):
+        absorbed.append((o, phi, q, real_absorb(o, phi, q)))
         return absorbed[-1][3]
 
     monkeypatch.setattr(regress, "_apply_inverse", counting_apply)
     monkeypatch.setattr(ep_engine, "absorb", recording_absorb)
+    monkeypatch.setattr(ep_engine, "decide", recording_decide)
     # a tau below any variance: the first three gated messages query
     src = ActiveSource(op, UncertaintyPolicy(tau=1e-30, budget=3), n_importance=2000)
 
@@ -625,10 +649,13 @@ def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
     run_ep(demo_graph(), sources=default_sources(recording), rng=np.random.default_rng(27))
     # decide's variance is the only pass: absorb reuses its u
     assert per_query == [1, 1, 1] and len(absorbed) == 3
-    for o, inc, y, got in absorbed:
+    for (o, phi, q, got), (inc, gated) in zip(absorbed, queried, strict=True):
+        # absorb folds the answer in at the features the query was gated on
+        assert phi is gated
+        np.testing.assert_array_equal(phi, operator.featurize(o, inc))
         m = o.model
         memo_less = RidgeModel(m.W, m.lam, m.A0, m.noise_scale, m.n_train, m.V)
-        expected = update_online(memo_less, operator.featurize(o, inc), y)
+        expected = update_online(memo_less, phi, np.array([q.mean, math.log(q.variance)]))
         for name in ("W", "A0", "V"):
             assert getattr(got.model, name).tobytes() == getattr(expected, name).tobytes()
 
@@ -720,6 +747,70 @@ def test_logistic_sources_skip_improper_cavities(demo_operator):
     assert active.queries == 1 and active.budget == 1
     # skipped visits count, so a query's iteration is still the visit number
     assert [e.iteration for e in active.log] == [len(improper) + 1]
+
+
+LOGISTIC = Factor("f1", "logistic", ("x", "z"))
+PROPER = {"x": Gaussian1D(0.3, 1.5), "z": BetaDist(3.0, 2.0)}
+
+
+def test_active_source_query_is_the_oracle_source_message(demo_operator):
+    # a query draws on OracleSource's sub-streams: for the same factor,
+    # cavities and rng the two send the same message, bit for bit
+    op, _ = demo_operator
+    active = ActiveSource(op, UncertaintyPolicy(tau=1e-30, budget=1), n_importance=2000)
+    got = active(LOGISTIC, PROPER, np.random.default_rng(5))["x"]
+    want = OracleSource(2000)(LOGISTIC, PROPER, np.random.default_rng(5))["x"]
+    assert active.queries == 1
+    assert to_natural(got).tobytes() == to_natural(want).tobytes()
+
+
+def test_active_source_query_retries_a_degenerate_draw(demo_operator, monkeypatch):
+    op, _ = demo_operator
+    draws = []
+    real_oracle = ep_engine.oracle_to_x
+
+    def first_degenerates(inc, n, rng):
+        draws.append(inc)
+        if len(draws) == 1:
+            raise DegenerateSampleError("synthetic degenerate draw", ess=1.0)
+        return real_oracle(inc, n, rng)
+
+    monkeypatch.setattr(ep_engine, "oracle_to_x", first_degenerates)
+    active = ActiveSource(op, UncertaintyPolicy(tau=1e-30, budget=1), n_importance=2000)
+    got = active(LOGISTIC, PROPER, np.random.default_rng(5))["x"]
+    assert len(draws) == 2 and active.queries == 1
+    # the answer comes from the second of the oracle's sub-streams
+    inc = IncomingTuple(PROPER["x"], PROPER["z"])
+    q, _ = real_oracle(inc, 2000, np.random.default_rng(5).spawn(2)[1])
+    assert to_natural(got).tobytes() == to_natural(divide(q, inc.m_x)).tobytes()
+
+
+def test_logistic_sources_refuse_too_few_importance_draws(demo_operator):
+    op, _ = demo_operator
+    with pytest.raises(DomainError, match="n_importance"):
+        OracleSource(99)
+    with pytest.raises(DomainError, match="n_importance"):
+        ActiveSource(op, UncertaintyPolicy(tau=1.0, budget=1), n_importance=50)
+
+
+def test_prepare_warms_the_betas_ep_looks_up(demo_operator, monkeypatch):
+    # a cavity returns an observation through its natural parameters, and
+    # for a shape below 1 that is another float: the warm-up keys on it
+    op, _ = demo_operator
+    graph = demo_graph(((5.0, 2.0), (0.3, 2.0)))
+    assert from_natural("beta", graph.observed["z2"]).alpha != 0.3
+    source = OperatorSource(MessageOperator(op.spec, op.model))  # empty memos
+    source.prepare(graph)
+    calls = []
+    real_cf = operator.beta_cf
+
+    def counting_cf(*args):
+        calls.append(args)
+        return real_cf(*args)
+
+    monkeypatch.setattr(operator, "beta_cf", counting_cf)
+    run_ep(graph, default_sources(source), rng=np.random.default_rng(0))
+    assert calls == []
 
 
 def test_timings_recorded_by_source_kind():

@@ -355,7 +355,7 @@ def test_beta_cf_phase_cache():
     )
     memo = op._phases
     assert len(memo) >= 2 and not any(m.flags.writeable for m in memo.values())
-    absorbed = operator.absorb(op, inc, np.array([0.1, -1.0]))
+    absorbed = operator.absorb(op, operator.featurize(op, inc), Gaussian1D(0.1, 0.4))
     assert absorbed._phases is memo
 
 

@@ -83,6 +83,8 @@ def test_featurize_rejects_improper(trained):
     _, op, _, _ = trained
     with pytest.raises(DomainError):
         featurize(op, IncomingTuple(Gaussian1D(0.0, -1.0), BetaDist(2.0, 2.0)))
+    with pytest.raises(DomainError):
+        operator.warm_beta_cache(op, [BetaDist(-1.0, 2.0)])
 
 
 def test_featurize_joint_matches_kernels_module(trained):
@@ -209,7 +211,7 @@ def test_absorb_flips_decision(trained):
     inc = IncomingTuple(Gaussian1D(4.5, 6.0), BetaDist(1.2, 8.0))
     phi = featurize(op, inc)
     v_before = predictive_variance(op.model, phi)
-    updated = absorb(op, inc, np.array([0.3, -0.5]))
+    updated = absorb(op, phi, Gaussian1D(0.3, math.exp(-0.5)))
     v_after = predictive_variance(updated.model, phi)
     assert v_after < v_before
     tau = (v_after + v_before) / 2.0
@@ -236,9 +238,12 @@ def test_decide_and_absorb_call_the_module_bindings(trained, monkeypatch):
     for name in calls:
         monkeypatch.setattr(operator, name, counting(name))
     inc = IncomingTuple(Gaussian1D(1.5, 2.0), BetaDist(3.0, 5.0))
-    decide(op, UncertaintyPolicy(tau=1e-30, budget=1), inc)
+    action = decide(op, UncertaintyPolicy(tau=1e-30, budget=1), inc)
     assert calls == {"predictive_variance": 1, "update_online": 0}
-    absorb(op, inc, np.array([0.2, -0.4]))
+    # the query carries the features it was gated on, for absorb
+    assert isinstance(action, QueryOracle)
+    np.testing.assert_array_equal(action.phi, featurize(op, inc))
+    absorb(op, action.phi, Gaussian1D(0.2, math.exp(-0.4)))
     assert calls == {"predictive_variance": 1, "update_online": 1}
 
 
@@ -246,13 +251,14 @@ def test_absorb_diminishing_correction(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(-3.0, 0.5), BetaDist(7.0, 1.5))
     target = np.array([-2.5, -1.0])
-    once = absorb(op, inc, target)
-    twice = absorb(once, inc, target)
+    q = Gaussian1D(target[0], math.exp(target[1]))
+    phi = featurize(op, inc)
+    once = absorb(op, phi, q)
+    twice = absorb(once, phi, q)
     first_step = np.linalg.norm(once.model.W - op.model.W)
     second_step = np.linalg.norm(twice.model.W - once.model.W)
     assert second_step < first_step
     # prediction moved toward the oracle answer
-    phi = featurize(op, inc)
     before = op.model.W @ phi
     after = once.model.W @ phi
     assert np.sum((after - target) ** 2) < np.sum((before - target) ** 2)
