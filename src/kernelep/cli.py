@@ -21,7 +21,7 @@ table entry plus its `RunConfig` field.
 Formats: datasets and per-case eval rows are CSV with a fixed header, read
 and written by one codec; graphs and reports are JSON.  Floats are
 serialized as the shortest decimal that parses back to the identical double,
-so files round-trip without loss.  A model file (format version 4) is one
+so files round-trip without loss.  A model file (format version 5) is one
 compact JSON header line, space-padded to a multiple of 64 bytes and at
 most 1 MiB long, then the raw little-endian float64 C-order bytes of its
 arrays, each at a 64-byte aligned offset.  The header holds the version, a
@@ -30,12 +30,18 @@ and the payload with every
 array replaced by {"dtype": "<f8", "shape": [...], "index": k}.  The
 checksum covers the canonical JSON of {arrays, data_bytes, payload} and then
 the data section: every scalar, metadata value, layout entry and array byte.
-The payload holds the ridge model (weights, inverse Gram, lambda, noise
-scale, tau) and the TwoStageSpec: inner `frequencies`, `phases` and
-`bandwidths`, and an `outer` section (embedding centre, projection, outer
-frequencies, phases and bandwidth).  Versions 1-3 (arrays as decimal or
-base64 text) are refused.  Saving writes a temporary file renamed over the
-target; loading reads the data into one buffer and returns read-only views.
+The payload holds the ridge model (weights, lambda, noise scale, tau, and
+its inverse Gram as `triangle`) and the TwoStageSpec: inner `frequencies`,
+`phases` and `bandwidths`, and an `outer` section (embedding centre,
+projection, outer frequencies, phases and bandwidth).  `triangle` is the
+model's lower-triangular factor M (regress.RidgeModel) with any carried
+updates folded in on save, stored as its lower triangle column by column
+(LAPACK's packed lower layout, D (D + 1) / 2 values), and it is the last
+array of the data section.  Versions 1-3 (arrays as decimal or base64
+text) and version 4 (an explicit D x D inverse Gram) are refused.  Saving
+writes a temporary file renamed over the target; loading reads the
+triangle straight into one D x D array and the rest of the data into one
+buffer, returning read-only views of it.
 Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
 """
 
@@ -73,7 +79,7 @@ from .factors import (
     sample_incoming,
 )
 from .kernels import RffSpec, TwoStageSpec
-from .regress import DEFAULT_LAMBDAS, DEFAULT_MULTIPLIERS, RidgeModel
+from .regress import DEFAULT_LAMBDAS, DEFAULT_MULTIPLIERS, RidgeModel, folded_factor
 from .operator import MessageOperator, UncertaintyPolicy, predict_q, train_operator
 from .ep_engine import (
     ActiveSource,
@@ -441,7 +447,7 @@ def load_eval_cases(path) -> list:
 # ---------------------------------------------------------------------------
 # Model files
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 # the header line's length and every array's offset in the data section are
 # multiples of this, so each array starts on a cache line
@@ -454,11 +460,12 @@ _HEADER_LIMIT = 1 << 20
 
 def _array_records(node, arrays: list):
     """The payload tree with each ndarray replaced by its record, appending
-    the array as little-endian float64 in C order to `arrays`.  Dict keys
-    must be strings, which JSON would otherwise coerce, and no other dict
-    may have a record's keys, which the loader would read as an array."""
+    the array as little-endian float64 in C order to `arrays`, as a list of
+    one piece.  Dict keys must be strings, which JSON would otherwise
+    coerce, and no other dict may have a record's keys, which the loader
+    would read as an array."""
     if isinstance(node, np.ndarray):
-        arrays.append(np.ascontiguousarray(node, dtype="<f8"))
+        arrays.append([np.ascontiguousarray(node, dtype="<f8")])
         return {"dtype": "<f8", "shape": list(node.shape), "index": len(arrays) - 1}
     if isinstance(node, dict):
         if set(node) == {"dtype", "shape", "index"} or not all(isinstance(k, str) for k in node):
@@ -470,12 +477,38 @@ def _array_records(node, arrays: list):
 
 
 def _data_pieces(arrays, table):
-    """The data section: each array's bytes at its offset, zeros between."""
+    """The data section: each array's pieces at its offset, zeros between."""
     end = 0
-    for array, (offset, nbytes) in zip(arrays, table):
+    for pieces, (offset, nbytes) in zip(arrays, table):
         yield bytes(offset - end)
-        yield array
+        yield from pieces
         end = offset + nbytes
+
+
+def _triangle_columns(M: np.ndarray) -> list:
+    """The lower triangle of a square, column by column, as contiguous
+    little-endian pieces: views of an F-ordered M on little-endian hosts."""
+    return [np.ascontiguousarray(M[j:, j], dtype="<f8") for j in range(len(M))]
+
+
+def _triangle_extent(layout: dict) -> tuple[int, int]:
+    """(offset, D) of the payload's `triangle` record, which must be the
+    packed lower triangle of a D x D factor and end the data section."""
+    record = layout["payload"]["triangle"]
+    offset, nbytes = layout["arrays"][record["index"]]
+    (count,) = record["shape"]
+    D = (math.isqrt(8 * count + 1) - 1) // 2
+    if (
+        not isinstance(offset, int)
+        or set(record) != {"dtype", "shape", "index"}
+        or record["dtype"] != "<f8"
+        or D * (D + 1) // 2 != count
+        or nbytes != 8 * count
+        or offset % _ALIGN
+        or not 0 <= offset <= offset + nbytes == layout["data_bytes"]
+    ):
+        raise ValueError(f"triangle record {record} does not end the data section")
+    return offset, D
 
 
 def _layout_digest(layout: dict):
@@ -511,7 +544,9 @@ class SavedModel:
 def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict | None = None) -> Path:
     """Write an operator (always on a TwoStageSpec) as a checksummed model file.
 
-    The arrays are hashed and written straight from their buffers, into a
+    The model's carried updates are folded into its triangular factor, and
+    the factor's lower triangle is stored alone, as the last array.  The
+    arrays are hashed and written straight from their buffers, into a
     temporary file that replaces `path` only once complete.
     """
     spec = op.spec
@@ -522,7 +557,6 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
         "noise_scale": float(op.model.noise_scale),
         "n_train": int(op.model.n_train),
         "weights": op.model.W,
-        "a_inv": op.model.A_inv,
         "bandwidths": spec.inner.bandwidth,
         "frequencies": spec.inner.frequencies,
         "phases": spec.inner.phases,
@@ -537,10 +571,16 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
     }
     arrays = []
     layout = {"arrays": [], "data_bytes": 0, "payload": _array_records(payload, arrays)}
-    for array in arrays:
+    M = folded_factor(op.model)
+    D = len(M)
+    triangle = {"dtype": "<f8", "shape": [D * (D + 1) // 2], "index": len(arrays)}
+    layout["payload"]["triangle"] = triangle
+    arrays.append(_triangle_columns(M))
+    for pieces in arrays:
+        nbytes = sum(piece.nbytes for piece in pieces)
         offset = layout["data_bytes"] + -layout["data_bytes"] % _ALIGN
-        layout["arrays"].append([offset, array.nbytes])
-        layout["data_bytes"] = offset + array.nbytes
+        layout["arrays"].append([offset, nbytes])
+        layout["data_bytes"] = offset + nbytes
     digest = _layout_digest(layout)
     for piece in _data_pieces(arrays, layout["arrays"]):
         digest.update(piece)
@@ -572,8 +612,11 @@ def load_model(path) -> SavedModel:
 
     Reloaded operators predict bit-identically to the saved ones: arrays are
     stored as their raw bytes and scalars as exact decimal round-trips.  The
-    data section is read into one buffer, and the returned payload holds
-    every array as a read-only view into it.
+    data section before the triangle is read into one buffer, and the
+    returned payload holds every array as a read-only view into it, except
+    `triangle`: its columns are read straight into a zeroed D x D array,
+    which is the model's M, so the model holds one D x D array and no
+    packed copy of it.
     """
     with open(path, "rb") as handle:
         line = handle.readline(_HEADER_LIMIT)
@@ -592,18 +635,29 @@ def load_model(path) -> SavedModel:
         size = os.fstat(handle.fileno()).st_size - len(line)
         if size != layout["data_bytes"]:
             raise ModelFormatError(f"model data is {size} bytes, not {layout['data_bytes']!r}")
-        raw = np.empty(size + _ALIGN, dtype=np.uint8)
-        start = -raw.ctypes.data % _ALIGN
-        data = raw[start : start + size]
-        if handle.readinto(data) != size:
-            raise ModelFormatError("model file changed while it was read")
+        try:
+            start, D = _triangle_extent(layout)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"model payload malformed: {exc}") from None
+        raw = np.empty(start + _ALIGN, dtype=np.uint8)
+        align = -raw.ctypes.data % _ALIGN
+        data = raw[align : align + start]
+        digest = _layout_digest(layout)
+        # the triangle's column j fills row j of square from the diagonal
+        # on, so square.T is the F-ordered lower-triangular factor
+        square = np.zeros((D, D))
+        for piece in [data, *(square[j, j:] for j in range(D))]:
+            if handle.readinto(piece) != piece.nbytes:
+                raise ModelFormatError("model file changed while it was read")
+            digest.update(piece)
     data.setflags(write=False)
-    digest = _layout_digest(layout)
-    digest.update(data)
+    M = square.T
+    M.setflags(write=False)
     if digest.hexdigest() != doc.get("checksum"):
         raise ModelFormatError("checksum mismatch: model file corrupted or edited")
     try:
-        payload = _array_views(layout["payload"], data, layout["arrays"])
+        rest = {key: value for key, value in layout["payload"].items() if key != "triangle"}
+        payload = _array_views(rest, data, layout["arrays"]) | {"triangle": M}
         outer = payload["outer"]
 
         def arrays(node, *keys):
@@ -614,11 +668,10 @@ def load_model(path) -> SavedModel:
             *arrays(outer, "center", "projection"),
             RffSpec(*arrays(outer, "frequencies", "phases", "bandwidth")),
         )
-        weights, a_inv = arrays(payload, "weights", "a_inv")
         model = RidgeModel(
-            weights,
+            *arrays(payload, "weights"),
             float(payload["lambda"]),
-            a_inv,
+            M,
             float(payload["noise_scale"]),
             int(payload["n_train"]),
         )

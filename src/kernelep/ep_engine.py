@@ -51,11 +51,11 @@ FACTOR_KINDS = {
 ORACLE_RETRIES = 3
 
 # budget-spent messages an ActiveSource scores per batched variance call: one
-# pass over the D x D inverse serves them all, where a single message costs a
-# full pass of its own.  Each product reads the whole inverse, so its cost
-# grows slowly with the batch (width 2000, 2 CPUs: 4.7 ms for 20 messages,
-# 26 ms for 256), and at 256 a demo graph's queue (about 84 messages) is
-# scored once, when its log is read
+# triangular product over the model's D x D factor serves them all, where a
+# single message costs a full pass of its own.  Each product reads the whole
+# triangle, so its cost grows slowly with the batch (width 2000, 2 CPUs:
+# about 7 ms for 20 messages, 34 ms for 256), and at 256 a demo graph's
+# queue (about 84 messages) is scored once, when its log is read
 SCORE_BATCH = 256
 
 
@@ -356,8 +356,8 @@ class ActiveSource:
 
     A query asks `oracle`, an OracleSource, so its message is the one
     OracleSource sends for the same visit, bit for bit.  Its answer is
-    absorbed at decide's features, so a query featurizes once and makes one
-    pass over the model's inverse Gram (see absorb).
+    absorbed at decide's features, so a query featurizes once and reuses
+    the gate's product with the model's triangular factor (see absorb).
     """
 
     kind = "active"

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, expit, logsumexp
+from scipy.special import betaln, logsumexp
 
 from .errors import DegenerateSampleError, DomainError, GenerationError
 from .expfam import BetaDist, Gaussian1D, project_to_gaussian
@@ -33,7 +33,6 @@ __all__ = [
     "PROPOSAL_WIDEN",
     "MIN_IMPORTANCE",
     "ess_floor",
-    "logistic",
     "tilted_sample",
     "oracle_to_x",
     "sample_incoming",
@@ -96,11 +95,6 @@ class IncomingPrior:
                 raise DomainError(f"{name} must be a finite nonempty interval, got {(lo, hi)}")
         if self.alpha_range[0] <= 0.0 or self.beta_range[0] <= 0.0:
             raise DomainError("alpha/beta ranges must be positive")
-
-
-def logistic(x):
-    """Sigmoid 1/(1+exp(-x)), vectorized and overflow-safe."""
-    return expit(x)
 
 
 def _tilted_log_weight(x: np.ndarray, inc: IncomingTuple, proposal: Gaussian1D) -> np.ndarray:

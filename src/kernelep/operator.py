@@ -207,22 +207,24 @@ def decide(
 
 
 def batch_variance(op: MessageOperator, Phi: np.ndarray) -> np.ndarray:
-    """Predictive variances of the columns of a (D, M) feature batch, in one
-    pass over the inverse Gram."""
+    """Predictive variances of the columns of a (D, M) feature batch, from one
+    triangular matrix product with the model's factor."""
     return predictive_variance(op.model, Phi)
 
 
 def absorb(op: MessageOperator, phi: np.ndarray, q: Gaussian1D) -> MessageOperator:
     """Fold the oracle's projected q at features phi into the model by
     update_online.  With decide's QueryOracle.phi, the update reuses the
-    u = A_inv phi that decide's variance left in the model's memo."""
+    M phi that decide's variance left in the model's memo, and its one pass
+    over the triangle is the transposed mat-vec that moves W."""
     model = update_online(op.model, phi, regression_target(q))
     # replace() carries both memos over: features are model-independent
     return replace(op, model=model)
 
 
 def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
-    """Calibrated threshold: 90th percentile of training predictive variances."""
+    """Calibrated threshold: 90th percentile of training predictive variances,
+    scored as one batch (one triangular matrix product over Phi)."""
     return float(np.percentile(predictive_variance(model, Phi), 90.0))
 
 

@@ -3,18 +3,24 @@ updates, predictive variance, and cross-validation.
 
 Layout convention: feature matrices are D x N (one case per column), targets
 are D_y x N.  The primal weights W = Y Phi^T (Phi Phi^T + lambda I)^{-1} are
-a D_y x D matrix applied to feature vectors by plain multiplication; all
-outputs share the single inverse Gram A_inv.
+a D_y x D matrix applied to feature vectors by plain multiplication.  The
+inverse Gram is never formed: with L the lower Cholesky factor of
+Phi Phi^T + lambda I, a model keeps the lower-triangular M = L^{-1}, so that
+(Phi Phi^T + lambda I)^{-1} = M^T M and a predictive variance is a sum of
+squares, ||M phi||^2 (Rasmussen & Williams, Gaussian Processes for Machine
+Learning, 2006, Algorithm 2.1), formed by BLAS products on blocks of M's
+triangle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DomainError
 
@@ -25,6 +31,7 @@ __all__ = [
     "DEFAULT_LAMBDAS",
     "default_grid",
     "fit",
+    "folded_factor",
     "predict",
     "predictive_variance",
     "update_online",
@@ -37,12 +44,17 @@ DEFAULT_LAMBDAS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 100.0)
 # escalating diagonal jitter for nearly singular normal equations
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
-# rows of absorbed updates a model carries before update_online folds them
-# into a new base inverse (see RidgeModel).  Every carried row adds to each
-# predictive variance, and a fold is one rank-k product over D x D.  At the
-# acceptance width D = 2000 the carry adds at most ~7% to a variance's base
-# mat-vec, and a fold costs a few tens of ms once per 32 updates.
-FOLD_RANK = 32
+# elements per step of the in-place reversal in _fold
+_REVERSE_CHUNK = 1 << 16
+
+# columns of M per BLAS call in the products with the triangle.  Each block
+# is one gemv or gemm on a view of M, which reads the triangle plus the
+# zeros above the diagonal inside the block (a 4th of the triangle's reads at
+# D = 2000).  OpenBLAS's threaded dtrmv and dtrmm would read the triangle
+# alone, but on a 2-CPU host at D = 2000 they made the numpy calls that
+# followed them several times slower, and the benchmark's EP body about 1.5x
+# slower, where blocks of 512 keep it level with a gemv over a D x D inverse
+_BLOCK = 512
 
 
 def default_grid() -> list[tuple[float, float]]:
@@ -57,70 +69,99 @@ class RidgeModel:
     at a tiny positive value) and is kept frozen by online updates so the
     predictive variance is monotone under new evidence.
 
-    The inverse Gram is held in two parts, A_inv = A0 - V^T V.  A0 is a
-    fixed D x D base: the inverse from fit or load_model, or the last fold.
-    It is read-only and shared by every model updated from it.  V is a
-    k x D factor with one row u / sqrt(d) per pair absorbed since, where
-    u = A_inv phi and d = 1 + phi^T u at the time of the update (k = 0 when
-    omitted).  An update appends a row to a fresh copy of V, so it costs
-    mat-vecs in D, and a model updated twice gives two independent models.
-    When V reaches FOLD_RANK rows, update_online folds it into a new base.
+    The inverse Gram is held as A_inv = M^T (I - C^T C) M.  M is a D x D
+    lower-triangular factor: L^{-1} for the Cholesky factor L of the Gram
+    from fit, the triangle read by load_model, or the last fold, each
+    Fortran-ordered with exact zeros above the diagonal.  Products with it
+    go by blocks of columns or rows that are views of M (see _BLOCK), so no
+    call copies it; it is read-only and shared by every model updated from
+    it.  C is a k x D carry with one row w / sqrt(d) per pair absorbed
+    since, in the coordinates z = M phi: w is (I - C^T C) z and
+    d = 1 + z^T w at the time of the update (k = 0 when omitted).  So a
+    predictive variance is noise_scale * (||M phi||^2 - ||C M phi||^2).  An
+    update appends a row to a fresh copy of C, so it costs mat-vecs in D,
+    and a model updated twice gives two independent models.  When C reaches D // 2 rows, the
+    point where its k D multiply-adds per variance match the triangle's
+    D^2 / 2, update_online folds it into a new triangle; save_model folds
+    whatever is carried.
 
-    A0 and the A_inv property are exactly symmetric, bit for bit: fit
-    stores (X + X^T) / 2, load_model restores the saved bytes, and V^T V is
-    exactly symmetric too (numpy evaluates it as a symmetric rank-k product
-    and mirrors one triangle), so A0 - V^T V subtracts equal numbers from
-    equal numbers at (i, j) and (j, i).
-
-    _memo keeps (phi's bytes, A_inv phi) for the last single vector whose
-    predictive variance this model computed.  update_online reuses that u
-    when handed a phi with the same bytes, so an oracle query gated by the
-    variance pays one pass over A0, not two.  It never changes a result,
-    only latency.
+    _memo keeps (phi's bytes, M phi, C M phi) for the last single vector
+    whose predictive variance this model computed.  update_online reuses
+    them when handed a phi with the same bytes, so an oracle query gated by
+    the variance makes one product with M before its update, not two.  It
+    never changes a result, only latency.
     """
 
     W: np.ndarray
     lam: float
-    A0: np.ndarray
+    M: np.ndarray
     noise_scale: float
     n_train: int
-    V: np.ndarray | None = None
+    C: np.ndarray | None = None
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.W.ndim != 2:
             raise DomainError(f"weights must be 2-D, got shape {self.W.shape}")
         D = self.W.shape[1]
-        if self.V is None:
-            object.__setattr__(self, "V", np.empty((0, D)))
-        if self.A0.shape != (D, D) or self.V.ndim != 2 or self.V.shape[1] != D:
+        if self.C is None:
+            object.__setattr__(self, "C", np.empty((0, D)))
+        if self.M.shape != (D, D) or self.C.ndim != 2 or self.C.shape[1] != D:
             raise DomainError(
-                f"inverse Gram {self.A0.shape} and factor {self.V.shape} do not match "
+                f"triangular factor {self.M.shape} and carry {self.C.shape} do not match "
                 f"weights {self.W.shape}"
             )
         self.W.setflags(write=False)
-        self.A0.setflags(write=False)
-        self.V.setflags(write=False)
+        self.M.setflags(write=False)
+        self.C.setflags(write=False)
 
     @property
     def num_features(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def A_inv(self) -> np.ndarray:
-        """The inverse Gram A0 - V^T V: A0 itself when V is empty, else a
-        fresh D x D array."""
-        return _fold(self.A0, self.V)
+
+def _reverse_in_place(flat: np.ndarray) -> None:
+    """Reverse a 1-D array in place through a small buffer."""
+    n = flat.size
+    for lo in range(0, n // 2, _REVERSE_CHUNK):
+        hi = min(lo + _REVERSE_CHUNK, n // 2)
+        front = flat[lo:hi].copy()
+        flat[lo:hi] = flat[n - hi : n - lo][::-1]
+        flat[n - hi : n - lo] = front[::-1]
 
 
-def _fold(A0: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """A0 - V^T V as a read-only, exactly symmetric array (A0 when V is empty)."""
-    if not len(V):
-        return A0
-    A = V.T @ V
-    np.subtract(A0, A, out=A)
-    A.setflags(write=False)
-    return A
+def _fold(M: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """A fresh read-only lower-triangular M' with M'^T M' = M^T (I - C^T C) M.
+
+    M' = T M for the lower-triangular T with T^T T = I - C^T C.  With J the
+    reversal of coordinates, J (I - C^T C) J = U^T U for the upper Cholesky
+    factor U, and T = J U J.  The array X holds J (I - C^T C) J, formed from
+    C's reversed columns; LAPACK factors it in place as U, zeroing the rest.
+    U's F-order bytes read backwards are T's, so reversing the buffer gives
+    T in F order, and one triangular product with M in place makes M'.
+    Apart from C's reversed copy, X is the only array allocated.
+    """
+    reversed_C = np.ascontiguousarray(C[:, ::-1])
+    X = reversed_C.T @ reversed_C
+    del reversed_C
+    np.negative(X, out=X)
+    X[np.diag_indices(len(X))] += 1.0
+    # X is exactly symmetric (numpy forms it as a symmetric rank-k product
+    # and mirrors one triangle), so X^T is the same matrix in Fortran order,
+    # which LAPACK and BLAS overwrite in place
+    _, info = dpotrf(X.T, lower=0, clean=1, overwrite_a=1)
+    if info:
+        raise DomainError("carried updates lost positive definiteness; cannot fold")
+    _reverse_in_place(X.reshape(-1))
+    out = dtrmm(1.0, M, X.T, side=1, lower=1, overwrite_b=1)
+    out.setflags(write=False)
+    return out
+
+
+def folded_factor(model: RidgeModel) -> np.ndarray:
+    """The model's inverse Gram as one lower-triangular factor: M itself when
+    nothing is carried, else a fresh fold of the carry into it."""
+    return _fold(model.M, model.C) if len(model.C) else model.M
 
 
 @dataclass(frozen=True)
@@ -139,9 +180,11 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
 
     The Gram is exactly symmetric (numpy forms Phi Phi^T as a rank-k update
     and mirrors one triangle), so its transpose is the same matrix in
-    Fortran order: LAPACK factors it in place, and solves into an identity
-    it overwrites, so no D x D copy is made.  When the factorization fails,
-    escalating diagonal jitter is added to a fresh Gram.
+    Fortran order: LAPACK factors it in place as L L^T and zeroes the
+    upper triangle, W comes from two triangular solves with L, and L is
+    inverted in place into the model's M.  So the Gram's array is the only
+    D x D array made.  When the factorization fails, escalating diagonal
+    jitter is added to a fresh Gram.
     """
     Phi = np.asarray(Phi, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -158,24 +201,19 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
         gram[diagonal] += lam
         if jitter:
             gram[diagonal] += jitter
-        try:
-            factor = cho_factor(gram.T, lower=True, overwrite_a=True)
+        L, info = dpotrf(gram.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
             break
-        except LinAlgError:
-            continue
     else:
         raise DomainError("normal equations singular to working precision")
     del gram
-    # the identity is symmetric too, so its transpose is Fortran-ordered
-    X = cho_solve(factor, np.eye(D).T, overwrite_b=True)
-    del factor
-    A_inv = X + X.T
-    del X
-    A_inv /= 2.0
-    W = Y @ Phi.T @ A_inv
+    W_t, _ = dpotrs(L, Phi @ Y.T, lower=1, overwrite_b=1)
+    W = W_t.T
+    # L's diagonal is positive, so the inversion cannot fail
+    M, _ = dtrtri(L, lower=1, overwrite_c=1)
     residual = Y - W @ Phi
     noise_scale = max(float(np.mean(residual**2)), np.finfo(float).tiny)
-    return RidgeModel(W, float(lam), A_inv, noise_scale, N)
+    return RidgeModel(W, float(lam), M, noise_scale, N)
 
 
 def _check_phi(model: RidgeModel, phi, batch: bool) -> np.ndarray:
@@ -196,12 +234,36 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise DomainError(f"non-finite {name}")
 
 
-def _apply_inverse(model: RidgeModel, phi: np.ndarray) -> np.ndarray:
-    """u = A_inv phi = A0 phi - V^T (V phi), without forming A_inv."""
-    u = model.A0 @ phi
-    if len(model.V):
-        u -= model.V.T @ (model.V @ phi)
+def _lower_product(M: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """M phi for the lower-triangular M: column block b adds M[b0:, b] phi[b]
+    to the entries from b0 on."""
+    z = np.zeros(len(M))
+    for j in range(0, len(M), _BLOCK):
+        z[j:] += M[j:, j : j + _BLOCK] @ phi[j : j + _BLOCK]
+    return z
+
+
+def _lower_transposed_product(M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """M^T w for the lower-triangular M: entry block b is M[b0:, b]^T w[b0:]."""
+    u = np.empty(len(M))
+    for j in range(0, len(M), _BLOCK):
+        u[j : j + _BLOCK] = M[j:, j : j + _BLOCK].T @ w[j:]
     return u
+
+
+def _rows_times_lower_transposed(rows: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """rows M^T, the batch (M rows^T)^T, for the lower-triangular M: column
+    block b is rows[:, :b1] M[b, :b1]^T."""
+    out = np.empty(rows.shape)
+    for i in range(0, len(M), _BLOCK):
+        out[:, i : i + _BLOCK] = rows[:, : i + _BLOCK] @ M[i : i + _BLOCK, : i + _BLOCK].T
+    return out
+
+
+def _apply_factor(model: RidgeModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, C z) for z = M phi: one pass over the triangle, one mat-vec with the carry."""
+    z = _lower_product(model.M, phi)
+    return z, model.C @ z
 
 
 def predict(model: RidgeModel, phi) -> np.ndarray:
@@ -212,41 +274,43 @@ def predict(model: RidgeModel, phi) -> np.ndarray:
 def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     """GP-style variance noise_scale * phi^T A_inv phi, clipped at 0.
 
-    phi is a single (D,) vector, giving a float, or a (D, M) batch, giving
-    the M column variances from one pass over A0 (a matrix product instead
-    of M mat-vecs).  A batch column's variance equals that column scored
-    alone up to summation order.  A single vector's u = A_inv phi is kept
-    in the model's memo for update_online.  A non-finite phi raises
-    DomainError: its variance would be nan, which a threshold test reads as
-    certain.
+    With z = M phi it is noise_scale * (||z||^2 - ||C z||^2) (see
+    RidgeModel), a sum of squares where nothing is carried.  phi is a
+    single (D,) vector, giving a float, or a (D, M) batch, giving the M
+    column variances from one pass over the triangle (matrix products
+    instead of M mat-vecs).  Either way each entry of z is one dot product
+    with a row of M, so a batch column's variance equals that column scored
+    alone to rounding, not up to a cancelling sum.  A single vector's z and
+    C z are kept in the model's memo for update_online.  A non-finite phi
+    raises DomainError: its variance would be nan, which a threshold test
+    reads as certain.
     """
     phi = _check_phi(model, phi, batch=True)
     _check_finite("feature vector", phi)
     if phi.ndim == 1:
-        u = _apply_inverse(model, phi)
-        u.setflags(write=False)
-        object.__setattr__(model, "_memo", (phi.tobytes(), u))
-        return max(float(model.noise_scale * (phi @ u)), 0.0)
-    # the batch as rows: rows A_inv is (A_inv phi)^T, A_inv being exactly
-    # symmetric, and OpenBLAS forms this (M, D) product with A0 faster than
-    # the (D, M) one
-    rows = phi.T
-    U = rows @ model.A0
-    if len(model.V):
-        U -= (rows @ model.V.T) @ model.V
-    variances = model.noise_scale * np.sum(U * rows, axis=1)
-    return np.maximum(variances, 0.0)
+        z, Cz = _apply_factor(model, phi)
+        z.setflags(write=False)
+        Cz.setflags(write=False)
+        object.__setattr__(model, "_memo", (phi.tobytes(), z, Cz))
+        return max(float(model.noise_scale * (z @ z - Cz @ Cz)), 0.0)
+    # the batch as rows, z^T per row
+    Z = _rows_times_lower_transposed(phi.T, model.M)
+    CZ = Z @ model.C.T
+    squares = np.einsum("ij,ij->i", Z, Z) - np.einsum("ij,ij->i", CZ, CZ)
+    return np.maximum(model.noise_scale * squares, 0.0)
 
 
 def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     """Rank-1 (Sherman-Morrison) update; equals a batch refit on the grown set.
 
-    With u = A_inv phi and d = 1 + phi^T u, W gains (y - W phi) u^T / d and
-    the returned model carries one more row u / sqrt(d) of V over the same
-    base A0 (see RidgeModel), so no D x D array is touched unless V reaches
-    FOLD_RANK rows and is folded.  When predictive_variance last scored a
-    phi with the same bytes on this model, its u is reused (the same bits a
-    fresh product gives), so the update costs no pass over A0 of its own.
+    With z = M phi, w = (I - C^T C) z and d = 1 + z^T w, the inverse Gram
+    loses u u^T / d for u = A_inv phi = M^T w, so W gains
+    (y - W phi) u^T / d, and the returned model carries one more row
+    w / sqrt(d) of C over the same M (see RidgeModel).  No D x D array is
+    touched unless C reaches D // 2 rows and is folded.  When
+    predictive_variance last scored a phi with the same bytes on this
+    model, its z and C z are reused (the same bits fresh products give), so
+    the update's one pass over M is the transposed product that forms u.
     noise_scale stays frozen; n_train counts the new pair.  Non-finite
     inputs raise DomainError.
     """
@@ -258,18 +322,20 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     _check_finite("target", y)
     memo = model._memo
     if memo is not None and memo[0] == phi.tobytes():
-        u = memo[1]
+        z, Cz = memo[1], memo[2]
     else:
-        u = _apply_inverse(model, phi)
-    denom = 1.0 + float(phi @ u)
+        z, Cz = _apply_factor(model, phi)
+    w = z - model.C.T @ Cz
+    denom = 1.0 + float(z @ w)
     if denom <= 0.0:
         raise DomainError(f"rank-1 update breakdown: denominator {denom} <= 0")
+    u = _lower_transposed_product(model.M, w)
     W = model.W + np.outer((y - model.W @ phi) / denom, u)
-    V = np.vstack([model.V, u / math.sqrt(denom)])
-    A0 = model.A0
-    if len(V) >= FOLD_RANK:
-        A0, V = _fold(A0, V), None
-    return RidgeModel(W, model.lam, A0, model.noise_scale, model.n_train + 1, V)
+    C = np.vstack([model.C, w / np.sqrt(denom)])
+    M = model.M
+    if len(C) >= model.num_features // 2:
+        M, C = _fold(M, C), None
+    return RidgeModel(W, model.lam, M, model.noise_scale, model.n_train + 1, C)
 
 
 def cross_validate(

@@ -212,3 +212,13 @@ def fit_dual(
         raise DomainError("K + lambda*I singular to working precision") from None
     coeffs = cho_solve(factor, Y.T).T
     return DualRidgeModel(coeffs, X.copy(), kernel, float(lam))
+
+
+def inverse_gram(model) -> np.ndarray:
+    """A ridge model's inverse Gram M^T (I - C^T C) M as one explicit,
+    exactly symmetric D x D matrix: the reference the ridge tests compare
+    against, which the package itself never forms."""
+    M = np.tril(model.M)
+    CM = model.C @ M
+    A = M.T @ M - CM.T @ CM
+    return (A + A.T) / 2.0

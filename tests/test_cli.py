@@ -49,7 +49,7 @@ from kernelep.errors import (
 )
 from kernelep.kernels import TwoStageSpec, draw_rff
 from kernelep.operator import MessageOperator, predict_q, train_operator
-from kernelep.regress import fit
+from kernelep.regress import fit, folded_factor, predictive_variance, update_online
 
 
 BASE = {
@@ -183,7 +183,7 @@ def test_model_payload_fields(ws):
     payload = load_model(data["model"]).payload
     expected = {
         "seed", "bandwidths", "lambda",
-        "frequencies", "phases", "weights", "a_inv", "noise_scale", "tau",
+        "frequencies", "phases", "weights", "triangle", "noise_scale", "tau",
         "n_train", "metadata", "outer",
     }
     # the width is the weights' second dimension; no separate field holds it
@@ -204,21 +204,26 @@ def test_model_payload_stores_outer_layer(ws):
     np.testing.assert_array_equal(spec.outer.frequencies, np.array(outer["frequencies"]))
 
 
-def _v4_file(layout, data: bytes) -> bytes:
-    """A version-4 model file of a header layout and a data section, built
-    with json and hashlib alone."""
+def _model_file(layout, data: bytes, version=MODEL_FORMAT_VERSION) -> bytes:
+    """A model file of a header layout and a data section, built with json
+    and hashlib alone."""
     canon = json.dumps(layout, sort_keys=True, separators=(",", ":")).encode()
     header = json.dumps(
-        {"format_version": MODEL_FORMAT_VERSION,
+        {"format_version": version,
          "checksum": hashlib.sha256(canon + data).hexdigest(), **layout},
         separators=(",", ":"),
     )
     return (header + " " * (-(len(header) + 1) % 64) + "\n").encode() + data
 
 
-def _v4_bytes(payload) -> bytes:
+def _model_bytes(payload, version=MODEL_FORMAT_VERSION) -> bytes:
     """The model file save_model writes for a payload whose arrays are
-    ndarrays: each array's bytes at the next multiple of 64, zeros between."""
+    ndarrays: each array's bytes at the next multiple of 64, zeros between.
+    A square `triangle` (the factor M) is stored as its lower triangle,
+    column by column."""
+    triangle = payload.get("triangle")
+    if isinstance(triangle, np.ndarray) and triangle.ndim == 2:
+        payload = payload | {"triangle": triangle.T[np.triu_indices(len(triangle))]}
     table, data = [], bytearray()
 
     def records(node):
@@ -234,12 +239,13 @@ def _v4_bytes(payload) -> bytes:
         return node
 
     payload = records(payload)
-    return _v4_file({"arrays": table, "data_bytes": len(data), "payload": payload}, bytes(data))
+    layout = {"arrays": table, "data_bytes": len(data), "payload": payload}
+    return _model_file(layout, bytes(data), version)
 
 
 def _forge(path, payload):
     """A model file whose checksum matches a hand-made payload."""
-    path.write_bytes(_v4_bytes(payload))
+    path.write_bytes(_model_bytes(payload))
     return path
 
 
@@ -257,7 +263,7 @@ def test_model_format_version_one_refused(ws, tmp_path):
     line, doc, section = _split(data["model"])
     for version in (1, 2):
         old = tmp_path / f"v{version}.json"
-        old.write_bytes(line.replace(b'"format_version":4', b'"format_version":%d' % version) + section)
+        old.write_bytes(line.replace(b'"format_version":5', b'"format_version":%d' % version) + section)
         with pytest.raises(ModelFormatError, match="version"):
             load_model(old)
     payload = load_model(data["model"]).payload
@@ -285,15 +291,20 @@ def test_model_arrays_stored_raw_and_checksummed(ws, tmp_path):
     line, doc, section = _split(data["model"])
     assert len(line) % 64 == 0
     assert doc["data_bytes"] == len(section)
-    record = doc["payload"]["a_inv"]
+    D = BASE["num_features"]
+    record = doc["payload"]["triangle"]
     assert record["dtype"] == "<f8"
-    assert record["shape"] == [BASE["num_features"], BASE["num_features"]]
+    assert record["shape"] == [D * (D + 1) // 2]
     offset, nbytes = doc["arrays"][record["index"]]
     assert offset % 64 == 0
+    # the last array: the factor's lower triangle, column by column
+    assert offset + nbytes == len(section)
+    M = load_model(data["model"]).op.model.M
     np.testing.assert_array_equal(
-        np.frombuffer(section[offset : offset + nbytes], dtype="<f8").reshape(record["shape"]),
-        load_model(data["model"]).op.model.A_inv,
+        np.frombuffer(section[offset : offset + nbytes], dtype="<f8"),
+        np.concatenate([M[j:, j] for j in range(D)]),
     )
+    assert not np.any(np.triu(M, 1))
 
     # flip one byte in the middle of the array's data
     pos = offset + nbytes // 2
@@ -328,7 +339,7 @@ def test_model_header_read_is_bounded(ws, tmp_path, monkeypatch):
 
 
 def test_model_file_with_a_num_features_key_still_loads(ws, tmp_path):
-    # version-4 files saved before the key was dropped carry it; nothing reads it
+    # a payload key that nothing reads, such as the width, does not stop a load
     _, data = ws
     loaded = load_model(data["model"])
     payload = loaded.payload | {"num_features": loaded.op.model.num_features}
@@ -360,25 +371,25 @@ def test_model_corruption_detected(ws, tmp_path):
 
     versioned = tmp_path / "version.json"
     bumped = b'"format_version":%d' % (MODEL_FORMAT_VERSION + 1)
-    versioned.write_bytes(line.replace(b'"format_version":4', bumped, 1) + section)
+    versioned.write_bytes(line.replace(b'"format_version":5', bumped, 1) + section)
     with pytest.raises(ModelFormatError, match="version"):
         load_model(versioned)
 
 
 def test_model_product_kind_payload_refused(tmp_path):
-    # a well-formed version-4 file of the former product kind: two 1-dim
-    # sides of width 6 whose Kronecker product gives the model's 36 features
+    # a well-formed model file of the former product kind: two 1-dim sides
+    # of width 6 whose Kronecker product gives the model's 36 features
     rng = np.random.default_rng(3)
     payload = {
         "seed": 0, "feature_kind": "product", "recipient": "x", "tau": 0.1,
         "lambda": 1e-6, "num_features": 36, "noise_scale": 1.0, "n_train": 10,
-        "weights": rng.normal(size=(2, 36)), "a_inv": np.eye(36),
+        "weights": rng.normal(size=(2, 36)),
         "bandwidths": np.array([1.0, 0.25]),
         "frequencies": {"x": rng.normal(size=(6, 1)), "z": rng.normal(size=(6, 1))},
         "phases": {"x": rng.uniform(0, 6, 6), "z": rng.uniform(0, 6, 6)},
-        "metadata": {},
+        "metadata": {}, "triangle": np.eye(36),
     }
-    assert MODEL_FORMAT_VERSION == 4
+    assert MODEL_FORMAT_VERSION == 5
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(_forge(tmp_path / "product.json", payload))
 
@@ -392,8 +403,9 @@ def test_model_inconsistent_arrays_refused(ws, tmp_path):
     D = payload["weights"].shape[1]
     outer = payload["outer"]
     forged = {
-        "small_a_inv": {"a_inv": np.eye(5)},
-        "scalar_a_inv": {"a_inv": np.array(1.0)},
+        "small_triangle": {"triangle": np.eye(5)},
+        "flat_triangle": {"triangle": np.ones(D)},
+        "scalar_triangle": {"triangle": np.array(1.0)},
         "three_outputs": {"weights": np.zeros((3, D))},
         "one_output": {"weights": np.zeros((1, D))},
         "flat_weights": {"weights": np.zeros(D)},
@@ -406,7 +418,7 @@ def test_model_inconsistent_arrays_refused(ws, tmp_path):
 
     _, doc, section = _split(data["model"])
     layout = {key: doc[key] for key in ("arrays", "data_bytes", "payload")}
-    k = doc["payload"]["a_inv"]["index"]
+    k = doc["payload"]["triangle"]["index"]
     offset, nbytes = doc["arrays"][k]
     tables = {
         "unaligned": {k: [offset + 8, nbytes - 8]},
@@ -424,10 +436,10 @@ def test_model_inconsistent_arrays_refused(ws, tmp_path):
     cases += [({}, change) for change in records.values()]
     for i, (table, record) in enumerate(cases):
         arrays = [table.get(j, extent) for j, extent in enumerate(doc["arrays"])]
-        a_inv = doc["payload"]["a_inv"] | record
-        bad = layout | {"arrays": arrays, "payload": doc["payload"] | {"a_inv": a_inv}}
+        triangle = doc["payload"]["triangle"] | record
+        bad = layout | {"arrays": arrays, "payload": doc["payload"] | {"triangle": triangle}}
         path = tmp_path / f"layout{i}.json"
-        path.write_bytes(_v4_file(bad, section))
+        path.write_bytes(_model_file(bad, section))
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(path)
 
@@ -461,7 +473,7 @@ def _reference_payload(op, seed, tau, metadata):
     return {
         "seed": seed, "tau": tau, "lambda": model.lam,
         "noise_scale": model.noise_scale, "n_train": model.n_train,
-        "weights": model.W, "a_inv": model.A_inv,
+        "weights": model.W,
         "bandwidths": spec.inner.bandwidth,
         "frequencies": spec.inner.frequencies, "phases": spec.inner.phases,
         "outer": {
@@ -470,6 +482,7 @@ def _reference_payload(op, seed, tau, metadata):
             "phases": spec.outer.phases, "bandwidth": spec.outer.bandwidth,
         },
         "metadata": metadata,
+        "triangle": model.M,
     }
 
 
@@ -498,9 +511,9 @@ def test_model_writer_matches_json_dumps(wide_op, metadata):
     # loader gives back every array and every metadata value
     with tempfile.TemporaryDirectory() as tmp:
         path = save_model(Path(tmp) / "m.json", wide_op, seed=3, tau=0.25, extra=metadata)
-        assert path.read_bytes() == _v4_bytes(_reference_payload(wide_op, 3, 0.25, metadata))
+        assert path.read_bytes() == _model_bytes(_reference_payload(wide_op, 3, 0.25, metadata))
         loaded = load_model(path)
-    np.testing.assert_array_equal(loaded.op.model.A0, wide_op.model.A_inv)
+    np.testing.assert_array_equal(loaded.op.model.M, wide_op.model.M)
     np.testing.assert_array_equal(loaded.op.model.W, wide_op.model.W)
     assert _metadata_text(loaded.payload["metadata"]) == _metadata_text(metadata)
 
@@ -529,17 +542,21 @@ def test_save_model_refuses_a_header_the_loader_would_refuse(wide_op, tmp_path):
 
 
 def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
-    # a 512 x 512 inverse: a second copy of any array would overrun the
-    # 1 MB allowance below
-    path = save_model(tmp_path / "m.json", _wide_op(512), seed=1, tau=0.5)
-    data_bytes = _split(path)[1]["data_bytes"]
+    # a 512 x 512 factor: the loaded model holds it as one square, read
+    # straight from the file, and everything else as views of one buffer;
+    # a packed copy of the triangle or a second copy of any array would
+    # overrun the 1 MB allowance below
+    D = 512
+    path = save_model(tmp_path / "m.json", _wide_op(D), seed=1, tau=0.5)
+    doc = _split(path)[1]
+    before_triangle = doc["arrays"][doc["payload"]["triangle"]["index"]][0]
     tracemalloc.start()
     try:
         loaded = load_model(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= data_bytes + 2**20
+    assert peak <= 8 * D * D + before_triangle + 2**20
 
     def leaves(node):
         if isinstance(node, dict):
@@ -553,15 +570,79 @@ def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
             array = array.base
         return array
 
+    M = loaded.op.model.M
+    assert loaded.payload["triangle"] is M
+    assert M.shape == (D, D) and M.flags.f_contiguous and not M.flags.writeable
+    model_arrays = (loaded.op.model.W, M, loaded.op.model.C)
+    assert [a.shape == (D, D) for a in model_arrays] == [False, True, False]
     arrays = list(leaves(loaded.payload))
     assert len(arrays) == 10
-    assert len({id(owner(a)) for a in arrays}) == 1
-    buffer = owner(arrays[0])
-    for a in arrays:
+    views = [a for a in arrays if a is not M]
+    assert len(views) == 9 and all(a.size < D * D for a in views)
+    assert len({id(owner(a)) for a in views}) == 1
+    buffer = owner(views[0])
+    assert not np.shares_memory(M, buffer)
+    for a in views:
         assert not a.flags.writeable
         assert a.ctypes.data % 64 == 0
         assert np.shares_memory(a, buffer)
-    assert loaded.op.model.A0 is loaded.payload["a_inv"]
+
+
+def test_model_round_trip_keeps_every_array_bit_for_bit(wide_op, tmp_path):
+    path = save_model(tmp_path / "m.json", wide_op, seed=3, tau=0.25, extra={"k": np.arange(3.0)})
+    loaded = load_model(path)
+    saved = _reference_payload(wide_op, 3, 0.25, {"k": np.arange(3.0)})
+
+    def pairs(a, b):
+        if isinstance(a, dict):
+            assert set(a) == set(b)
+            for key in a:
+                yield from pairs(a[key], b[key])
+        else:
+            yield a, b
+
+    for got, want in pairs(loaded.payload, saved):
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+    model = loaded.op.model
+    assert model.M.tobytes() == wide_op.model.M.tobytes() and not np.any(np.triu(model.M, 1))
+    assert model.W.tobytes() == wide_op.model.W.tobytes()
+    assert (model.lam, model.noise_scale, model.n_train) == (
+        wide_op.model.lam, wide_op.model.noise_scale, wide_op.model.n_train
+    )
+
+
+def test_model_format_version_four_refused(wide_op, tmp_path):
+    # version 4 stored the explicit D x D inverse Gram under `a_inv`
+    model = wide_op.model
+    payload = _reference_payload(wide_op, 3, 0.25, {})
+    del payload["triangle"]
+    payload["a_inv"] = model.M.T @ model.M
+    v4 = tmp_path / "v4.json"
+    v4.write_bytes(_model_bytes(payload, version=4))
+    with pytest.raises(ModelFormatError, match="unsupported model format version 4"):
+        load_model(v4)
+
+
+def test_model_carrying_rows_is_saved_folded(wide_op, tmp_path):
+    rng = np.random.default_rng(13)
+    D = wide_op.model.num_features
+    model = wide_op.model
+    for _ in range(5):
+        model = update_online(model, rng.normal(size=D), rng.normal(size=2))
+    assert len(model.C) == 5
+    path = save_model(tmp_path / "m.json", MessageOperator(wide_op.spec, model), seed=1, tau=0.5)
+    loaded = load_model(path).op.model
+    assert len(loaded.C) == 0
+    assert loaded.M.tobytes() == folded_factor(model).tobytes()
+    np.testing.assert_array_equal(loaded.W, model.W)
+    probes = rng.normal(size=(D, 8))
+    in_memory = predictive_variance(model, probes)
+    np.testing.assert_allclose(predictive_variance(loaded, probes), in_memory, rtol=1e-10, atol=0)
+    for probe, expected in zip(probes.T, in_memory):
+        assert abs(predictive_variance(loaded, probe) - expected) <= 1e-10 * expected
 
 
 def test_save_model_failure_keeps_previous_file(wide_op, tmp_path, monkeypatch):

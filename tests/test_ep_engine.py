@@ -615,7 +615,7 @@ SIX_OBSERVATIONS = ((5.0, 2.0), (4.0, 3.0), (2.0, 5.0), (1.5, 6.0), (7.0, 3.0), 
 def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
     op, _ = demo_operator
     passes, absorbed, per_query, queried = [], [], [], []
-    real_apply, real_absorb = regress._apply_inverse, ep_engine.absorb
+    real_apply, real_absorb = regress._apply_factor, ep_engine.absorb
     real_decide = ep_engine.decide
 
     def recording_decide(o, policy, inc):
@@ -632,7 +632,7 @@ def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
         absorbed.append((o, phi, q, real_absorb(o, phi, q)))
         return absorbed[-1][3]
 
-    monkeypatch.setattr(regress, "_apply_inverse", counting_apply)
+    monkeypatch.setattr(regress, "_apply_factor", counting_apply)
     monkeypatch.setattr(ep_engine, "absorb", recording_absorb)
     monkeypatch.setattr(ep_engine, "decide", recording_decide)
     # a tau below any variance: the first three gated messages query
@@ -647,16 +647,16 @@ def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
 
     recording.prepare = src.prepare
     run_ep(demo_graph(), sources=default_sources(recording), rng=np.random.default_rng(27))
-    # decide's variance is the only pass: absorb reuses its u
+    # decide's variance is the only forward pass: absorb reuses its M phi
     assert per_query == [1, 1, 1] and len(absorbed) == 3
     for (o, phi, q, got), (inc, gated) in zip(absorbed, queried, strict=True):
         # absorb folds the answer in at the features the query was gated on
         assert phi is gated
         np.testing.assert_array_equal(phi, operator.featurize(o, inc))
         m = o.model
-        memo_less = RidgeModel(m.W, m.lam, m.A0, m.noise_scale, m.n_train, m.V)
+        memo_less = RidgeModel(m.W, m.lam, m.M, m.noise_scale, m.n_train, m.C)
         expected = update_online(memo_less, phi, np.array([q.mean, math.log(q.variance)]))
-        for name in ("W", "A0", "V"):
+        for name in ("W", "M", "C"):
             assert getattr(got.model, name).tobytes() == getattr(expected, name).tobytes()
 
 

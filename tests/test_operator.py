@@ -287,7 +287,7 @@ def test_train_operator_reports(trained):
     assert default_tau(op.model, phi) == tau
     refit = fit(phi, np.array([p.target for p in pairs]).T, report.chosen_params[1])
     np.testing.assert_array_equal(refit.W, op.model.W)
-    np.testing.assert_array_equal(refit.A0, op.model.A0)
+    np.testing.assert_array_equal(refit.M, op.model.M)
 
 
 def test_train_operator_holds_one_multipliers_features():
