@@ -40,8 +40,9 @@ updates folded in on save, stored as its lower triangle column by column
 array of the data section.  Versions 1-3 (arrays as decimal or base64
 text) and version 4 (an explicit D x D inverse Gram) are refused.  Saving
 writes a temporary file renamed over the target; loading reads the
-triangle straight into one D x D array and the rest of the data into one
-buffer, returning read-only views of it.
+triangle straight into the model's column blocks (regress.factor_columns),
+never a D x D array, and the rest of the data into one buffer, returning
+read-only views of it.
 Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
 """
 
@@ -79,7 +80,14 @@ from .factors import (
     sample_incoming,
 )
 from .kernels import RffSpec, TwoStageSpec
-from .regress import DEFAULT_LAMBDAS, DEFAULT_MULTIPLIERS, RidgeModel, folded_factor
+from .regress import (
+    DEFAULT_LAMBDAS,
+    DEFAULT_MULTIPLIERS,
+    RidgeModel,
+    factor_columns,
+    factor_size,
+    folded_factor,
+)
 from .operator import MessageOperator, UncertaintyPolicy, predict_q, train_operator
 from .ep_engine import (
     ActiveSource,
@@ -485,12 +493,6 @@ def _data_pieces(arrays, table):
         end = offset + nbytes
 
 
-def _triangle_columns(M: np.ndarray) -> list:
-    """The lower triangle of a square, column by column, as contiguous
-    little-endian pieces: views of an F-ordered M on little-endian hosts."""
-    return [np.ascontiguousarray(M[j:, j], dtype="<f8") for j in range(len(M))]
-
-
 def _triangle_extent(layout: dict) -> tuple[int, int]:
     """(offset, D) of the payload's `triangle` record, which must be the
     packed lower triangle of a D x D factor and end the data section."""
@@ -571,11 +573,15 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
     }
     arrays = []
     layout = {"arrays": [], "data_bytes": 0, "payload": _array_records(payload, arrays)}
-    M = folded_factor(op.model)
-    D = len(M)
+    D = op.model.num_features
     triangle = {"dtype": "<f8", "shape": [D * (D + 1) // 2], "index": len(arrays)}
     layout["payload"]["triangle"] = triangle
-    arrays.append(_triangle_columns(M))
+    # column by column, as little-endian pieces: views of the model's
+    # blocks on little-endian hosts
+    arrays.append([
+        np.ascontiguousarray(column, dtype="<f8")
+        for column in factor_columns(folded_factor(op.model), D)
+    ])
     for pieces in arrays:
         nbytes = sum(piece.nbytes for piece in pieces)
         offset = layout["data_bytes"] + -layout["data_bytes"] % _ALIGN
@@ -614,9 +620,9 @@ def load_model(path) -> SavedModel:
     stored as their raw bytes and scalars as exact decimal round-trips.  The
     data section before the triangle is read into one buffer, and the
     returned payload holds every array as a read-only view into it, except
-    `triangle`: its columns are read straight into a zeroed D x D array,
-    which is the model's M, so the model holds one D x D array and no
-    packed copy of it.
+    `triangle`: its columns are read straight into the column blocks of a
+    zeroed buffer (regress.factor_columns), which is the model's M, so the
+    model holds the triangle once and no D x D array.
     """
     with open(path, "rb") as handle:
         line = handle.readline(_HEADER_LIMIT)
@@ -643,15 +649,12 @@ def load_model(path) -> SavedModel:
         align = -raw.ctypes.data % _ALIGN
         data = raw[align : align + start]
         digest = _layout_digest(layout)
-        # the triangle's column j fills row j of square from the diagonal
-        # on, so square.T is the F-ordered lower-triangular factor
-        square = np.zeros((D, D))
-        for piece in [data, *(square[j, j:] for j in range(D))]:
+        M = np.zeros(factor_size(D))
+        for piece in [data, *factor_columns(M, D)]:
             if handle.readinto(piece) != piece.nbytes:
                 raise ModelFormatError("model file changed while it was read")
             digest.update(piece)
     data.setflags(write=False)
-    M = square.T
     M.setflags(write=False)
     if digest.hexdigest() != doc.get("checksum"):
         raise ModelFormatError("checksum mismatch: model file corrupted or edited")

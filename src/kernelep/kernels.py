@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import pdist
 from scipy.special import betaln
 
 from .errors import DomainError, QuadratureError
@@ -169,6 +168,9 @@ def median_heuristic(tuples) -> tuple[float, float]:
     """
     if len(tuples) < 2:
         raise DomainError("median heuristic needs at least two tuples")
+    # imported here, by the training path alone, so inference never loads
+    # scipy.spatial
+    from scipy.spatial.distance import pdist
 
     def one_side(values, spreads):
         med = float(np.median(pdist(values[:, None], "cityblock")))
@@ -354,6 +356,8 @@ def median_distance(points: np.ndarray) -> float:
     and to 1.0 when every point is the same (any sigma then gives the same
     constant features).
     """
+    from scipy.spatial.distance import pdist
+
     dist = pdist(np.asarray(points, dtype=float))
     if dist.size == 0:
         raise DomainError("median distance needs at least two points")

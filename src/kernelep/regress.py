@@ -8,18 +8,18 @@ inverse Gram is never formed: with L the lower Cholesky factor of
 Phi Phi^T + lambda I, a model keeps the lower-triangular M = L^{-1}, so that
 (Phi Phi^T + lambda I)^{-1} = M^T M and a predictive variance is a sum of
 squares, ||M phi||^2 (Rasmussen & Williams, Gaussian Processes for Machine
-Learning, 2006, Algorithm 2.1), formed by BLAS products on blocks of M's
-triangle.
+Learning, 2006, Algorithm 2.1).  M is held as column blocks of its triangle
+(see _BLOCK), and products with it are BLAS calls on the blocks.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DomainError
@@ -30,6 +30,8 @@ __all__ = [
     "DEFAULT_MULTIPLIERS",
     "DEFAULT_LAMBDAS",
     "default_grid",
+    "factor_columns",
+    "factor_size",
     "fit",
     "folded_factor",
     "predict",
@@ -44,21 +46,79 @@ DEFAULT_LAMBDAS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 100.0)
 # escalating diagonal jitter for nearly singular normal equations
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
+# rows of the first carry buffer; each full buffer is copied into one of
+# twice the rows, up to the D // 2 rows at which the carry folds
+_CARRY_ROWS = 16
+
 # elements per step of the in-place reversal in _fold
 _REVERSE_CHUNK = 1 << 16
 
-# columns of M per BLAS call in the products with the triangle.  Each block
-# is one gemv or gemm on a view of M, which reads the triangle plus the
-# zeros above the diagonal inside the block (a 4th of the triangle's reads at
-# D = 2000).  OpenBLAS's threaded dtrmv and dtrmm would read the triangle
-# alone, but on a 2-CPU host at D = 2000 they made the numpy calls that
-# followed them several times slower, and the benchmark's EP body about 1.5x
-# slower, where blocks of 512 keep it level with a gemv over a D x D inverse
+# width of the column blocks that hold M.  Block b, for b0 = b * _BLOCK and
+# w = min(_BLOCK, D - b0), is the Fortran-ordered (D - b0) x w panel
+# M[b0:, b0:b0 + w], and the blocks lie one after another in one flat
+# buffer, so a model holds the triangle plus the zeros above the diagonal
+# inside each block: 2,500,864 doubles at D = 2000 against 4,000,000 for the
+# square.  M phi, M^T w and a fold are one gemv or gemm per block, and a
+# batch of variances one gemm per row panel gathered from the blocks.
+# OpenBLAS's threaded dtrmv and dtrmm would read the triangle alone, but on
+# a 2-CPU host at D = 2000 they made the numpy calls that followed them
+# several times slower, and the benchmark's EP body about 1.5x slower, where
+# blocks of 512 keep it level with a gemv over a D x D inverse
 _BLOCK = 512
+
+
+def factor_size(D: int) -> int:
+    """Length of the flat buffer that holds a D x D triangle's column blocks."""
+    return sum((D - j) * min(_BLOCK, D - j) for j in range(0, D, _BLOCK))
+
+
+def _panels(M: np.ndarray, D: int) -> tuple[np.ndarray, ...]:
+    """The column blocks of the flat buffer M as F-ordered views (see _BLOCK)."""
+    panels, offset = [], 0
+    for j in range(0, D, _BLOCK):
+        size = (D - j) * min(_BLOCK, D - j)
+        panels.append(M[offset : offset + size].reshape((D - j, -1), order="F"))
+        offset += size
+    return tuple(panels)
+
+
+def factor_columns(M: np.ndarray, D: int) -> list[np.ndarray]:
+    """The triangle's columns M[j:, j], j < D, as contiguous views into the
+    flat buffer M: what a model file stores, and where a loader reads it."""
+    return [panel[c:, c] for panel in _panels(M, D) for c in range(panel.shape[1])]
+
+
+def _pack(square: np.ndarray) -> np.ndarray:
+    """A fresh flat buffer of the lower-triangular square's column blocks."""
+    D = len(square)
+    M = np.empty(factor_size(D))
+    for j, panel in zip(range(0, D, _BLOCK), _panels(M, D)):
+        panel[...] = square[j:, j : j + _BLOCK]
+    return M
 
 
 def default_grid() -> list[tuple[float, float]]:
     return [(m, lam) for m in DEFAULT_MULTIPLIERS for lam in DEFAULT_LAMBDAS]
+
+
+@dataclass(eq=False)
+class _CarryRows:
+    """A buffer of carried rows shared by the models updated along one line:
+    rows[:used] are taken, and the model whose C is rows[:used] may append
+    in place."""
+
+    rows: np.ndarray
+    used: int
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def claim(self, k: int) -> bool:
+        """Take row k for an update of the model whose C is rows[:k]: false
+        when another update took it first or the buffer is full."""
+        with self.lock:
+            if self.used != k or k == len(self.rows):
+                return False
+            self.used = k + 1
+            return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,19 +131,22 @@ class RidgeModel:
 
     The inverse Gram is held as A_inv = M^T (I - C^T C) M.  M is a D x D
     lower-triangular factor: L^{-1} for the Cholesky factor L of the Gram
-    from fit, the triangle read by load_model, or the last fold, each
-    Fortran-ordered with exact zeros above the diagonal.  Products with it
-    go by blocks of columns or rows that are views of M (see _BLOCK), so no
-    call copies it; it is read-only and shared by every model updated from
+    from fit, the triangle read by load_model, or the last fold.  The model
+    holds it as one flat buffer of factor_size(D) doubles, its column blocks
+    (see _BLOCK) with exact zeros above the diagonal, and never as a D x D
+    square; _blocks are views of them, which every product with M
+    multiplies by.  M is read-only and shared by every model updated from
     it.  C is a k x D carry with one row w / sqrt(d) per pair absorbed
     since, in the coordinates z = M phi: w is (I - C^T C) z and
     d = 1 + z^T w at the time of the update (k = 0 when omitted).  So a
     predictive variance is noise_scale * (||M phi||^2 - ||C M phi||^2).  An
-    update appends a row to a fresh copy of C, so it costs mat-vecs in D,
-    and a model updated twice gives two independent models.  When C reaches D // 2 rows, the
-    point where its k D multiply-adds per variance match the triangle's
-    D^2 / 2, update_online folds it into a new triangle; save_model folds
-    whatever is carried.
+    update appends its row to a buffer of rows that grows by doubling
+    (_carry), in place when no other update has appended to it since, so
+    it costs mat-vecs in D; a model updated twice gives two independent
+    models, whose rows past their common ones never share memory.  When C
+    reaches D // 2 rows, the point where its k D multiply-adds per variance
+    match the triangle's D^2 / 2, update_online folds it into a new
+    triangle; save_model folds whatever is carried.
 
     _memo keeps (phi's bytes, M phi, C M phi) for the last single vector
     whose predictive variance this model computed.  update_online reuses
@@ -98,6 +161,8 @@ class RidgeModel:
     noise_scale: float
     n_train: int
     C: np.ndarray | None = None
+    _blocks: tuple = field(default=(), init=False, repr=False)
+    _carry: _CarryRows | None = field(default=None, init=False, repr=False)
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -106,7 +171,7 @@ class RidgeModel:
         D = self.W.shape[1]
         if self.C is None:
             object.__setattr__(self, "C", np.empty((0, D)))
-        if self.M.shape != (D, D) or self.C.ndim != 2 or self.C.shape[1] != D:
+        if self.M.shape != (factor_size(D),) or self.C.ndim != 2 or self.C.shape[1] != D:
             raise DomainError(
                 f"triangular factor {self.M.shape} and carry {self.C.shape} do not match "
                 f"weights {self.W.shape}"
@@ -114,6 +179,7 @@ class RidgeModel:
         self.W.setflags(write=False)
         self.M.setflags(write=False)
         self.C.setflags(write=False)
+        object.__setattr__(self, "_blocks", _panels(self.M, D))
 
     @property
     def num_features(self) -> int:
@@ -130,16 +196,18 @@ def _reverse_in_place(flat: np.ndarray) -> None:
         flat[n - hi : n - lo] = front[::-1]
 
 
-def _fold(M: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """A fresh read-only lower-triangular M' with M'^T M' = M^T (I - C^T C) M.
+def _fold(panels: tuple, C: np.ndarray) -> np.ndarray:
+    """Fresh column blocks of a lower-triangular M' with
+    M'^T M' = M^T (I - C^T C) M, for M the blocks `panels`.
 
     M' = T M for the lower-triangular T with T^T T = I - C^T C.  With J the
     reversal of coordinates, J (I - C^T C) J = U^T U for the upper Cholesky
     factor U, and T = J U J.  The array X holds J (I - C^T C) J, formed from
     C's reversed columns; LAPACK factors it in place as U, zeroing the rest.
     U's F-order bytes read backwards are T's, so reversing the buffer gives
-    T in F order, and one triangular product with M in place makes M'.
-    Apart from C's reversed copy, X is the only array allocated.
+    T in F order.  Both factors are lower-triangular, so block b of M' is
+    T[b0:, b0:] M_b, one gemm per block into the new buffer.  Apart from
+    C's reversed copy, X and the new blocks are the only arrays allocated.
     """
     reversed_C = np.ascontiguousarray(C[:, ::-1])
     X = reversed_C.T @ reversed_C
@@ -153,15 +221,21 @@ def _fold(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     if info:
         raise DomainError("carried updates lost positive definiteness; cannot fold")
     _reverse_in_place(X.reshape(-1))
-    out = dtrmm(1.0, M, X.T, side=1, lower=1, overwrite_b=1)
+    D = len(X)
+    out = np.empty(factor_size(D))
+    # as transposes, so that every operand and the output are C-ordered
+    # for numpy's BLAS path: new_b^T = M_b^T T[b0:, b0:]^T, and T^T = X
+    for j, panel, new in zip(range(0, D, _BLOCK), panels, _panels(out, D)):
+        np.matmul(panel.T, X[j:, j:], out=new.T)
     out.setflags(write=False)
     return out
 
 
 def folded_factor(model: RidgeModel) -> np.ndarray:
     """The model's inverse Gram as one lower-triangular factor: M itself when
-    nothing is carried, else a fresh fold of the carry into it."""
-    return _fold(model.M, model.C) if len(model.C) else model.M
+    nothing is carried, else a fresh fold of the carry into it; either as
+    the flat buffer of its column blocks."""
+    return _fold(model._blocks, model.C) if len(model.C) else model.M
 
 
 @dataclass(frozen=True)
@@ -182,9 +256,10 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
     and mirrors one triangle), so its transpose is the same matrix in
     Fortran order: LAPACK factors it in place as L L^T and zeroes the
     upper triangle, W comes from two triangular solves with L, and L is
-    inverted in place into the model's M.  So the Gram's array is the only
-    D x D array made.  When the factorization fails, escalating diagonal
-    jitter is added to a fresh Gram.
+    inverted in place and copied into the column blocks of the model's M.
+    So the Gram's array is the only D x D array made, and the model does
+    not keep it.  When the factorization fails, escalating diagonal jitter
+    is added to a fresh Gram.
     """
     Phi = np.asarray(Phi, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -210,7 +285,9 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
     W_t, _ = dpotrs(L, Phi @ Y.T, lower=1, overwrite_b=1)
     W = W_t.T
     # L's diagonal is positive, so the inversion cannot fail
-    M, _ = dtrtri(L, lower=1, overwrite_c=1)
+    L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)
+    M = _pack(L_inv)
+    del L, L_inv
     residual = Y - W @ Phi
     noise_scale = max(float(np.mean(residual**2)), np.finfo(float).tiny)
     return RidgeModel(W, float(lam), M, noise_scale, N)
@@ -234,35 +311,47 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise DomainError(f"non-finite {name}")
 
 
-def _lower_product(M: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """M phi for the lower-triangular M: column block b adds M[b0:, b] phi[b]
-    to the entries from b0 on."""
-    z = np.zeros(len(M))
-    for j in range(0, len(M), _BLOCK):
-        z[j:] += M[j:, j : j + _BLOCK] @ phi[j : j + _BLOCK]
+def _lower_product(panels: tuple, phi: np.ndarray) -> np.ndarray:
+    """M phi for the column blocks of M: block b adds M_b phi[b] to the
+    entries from b0 on."""
+    z = np.zeros(len(phi))
+    for j, panel in zip(range(0, len(phi), _BLOCK), panels):
+        z[j:] += panel @ phi[j : j + _BLOCK]
     return z
 
 
-def _lower_transposed_product(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """M^T w for the lower-triangular M: entry block b is M[b0:, b]^T w[b0:]."""
-    u = np.empty(len(M))
-    for j in range(0, len(M), _BLOCK):
-        u[j : j + _BLOCK] = M[j:, j : j + _BLOCK].T @ w[j:]
+def _lower_transposed_product(panels: tuple, w: np.ndarray) -> np.ndarray:
+    """M^T w for the column blocks of M: entry block b is M_b^T w[b0:]."""
+    u = np.empty(len(w))
+    for j, panel in zip(range(0, len(w), _BLOCK), panels):
+        u[j : j + _BLOCK] = panel.T @ w[j:]
     return u
 
 
-def _rows_times_lower_transposed(rows: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """rows M^T, the batch (M rows^T)^T, for the lower-triangular M: column
-    block b is rows[:, :b1] M[b, :b1]^T."""
+def _rows_times_lower_transposed(rows: np.ndarray, panels: tuple) -> np.ndarray:
+    """rows M^T, the batch (M rows^T)^T, for the column blocks of M: output
+    block b is rows[:, :b1] M[b, :b1]^T, one gemm per block with the row
+    panel M[b, :b1] gathered from the column blocks into one scratch
+    buffer.  A gemm's sums run over its whole inner dimension, so the
+    variances have the bits they have over a square M, whose row panels are
+    views; splitting the inner dimension at the column blocks instead would
+    move them in the last digits, and with them a trained model's tau.  The
+    gather costs one more read of the triangle per batch."""
+    D = rows.shape[1]
     out = np.empty(rows.shape)
-    for i in range(0, len(M), _BLOCK):
-        out[:, i : i + _BLOCK] = rows[:, : i + _BLOCK] @ M[i : i + _BLOCK, : i + _BLOCK].T
+    scratch = np.empty(min(_BLOCK, D) * D)
+    for i in range(0, D, _BLOCK):
+        w = min(_BLOCK, D - i)
+        row_panel = scratch[: w * (i + w)].reshape((w, i + w), order="F")
+        for j, panel in zip(range(0, i + w, _BLOCK), panels):
+            row_panel[:, j : j + _BLOCK] = panel[i - j : i - j + w]
+        np.matmul(rows[:, : i + w], row_panel.T, out=out[:, i : i + w])
     return out
 
 
 def _apply_factor(model: RidgeModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(z, C z) for z = M phi: one pass over the triangle, one mat-vec with the carry."""
-    z = _lower_product(model.M, phi)
+    z = _lower_product(model._blocks, phi)
     return z, model.C @ z
 
 
@@ -294,7 +383,7 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
         object.__setattr__(model, "_memo", (phi.tobytes(), z, Cz))
         return max(float(model.noise_scale * (z @ z - Cz @ Cz)), 0.0)
     # the batch as rows, z^T per row
-    Z = _rows_times_lower_transposed(phi.T, model.M)
+    Z = _rows_times_lower_transposed(phi.T, model._blocks)
     CZ = Z @ model.C.T
     squares = np.einsum("ij,ij->i", Z, Z) - np.einsum("ij,ij->i", CZ, CZ)
     return np.maximum(model.noise_scale * squares, 0.0)
@@ -306,8 +395,11 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     With z = M phi, w = (I - C^T C) z and d = 1 + z^T w, the inverse Gram
     loses u u^T / d for u = A_inv phi = M^T w, so W gains
     (y - W phi) u^T / d, and the returned model carries one more row
-    w / sqrt(d) of C over the same M (see RidgeModel).  No D x D array is
-    touched unless C reaches D // 2 rows and is folded.  When
+    w / sqrt(d) of C over the same M (see RidgeModel).  The row goes into
+    this model's carry buffer in place when this model holds its last
+    written row and the buffer has room, else into a fresh buffer of twice
+    the rows (see _CARRY_ROWS), so C is not copied on every update.  No
+    D x D array is touched unless C reaches D // 2 rows and is folded.  When
     predictive_variance last scored a phi with the same bytes on this
     model, its z and C z are reused (the same bits fresh products give), so
     the update's one pass over M is the transposed product that forms u.
@@ -329,13 +421,21 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     denom = 1.0 + float(z @ w)
     if denom <= 0.0:
         raise DomainError(f"rank-1 update breakdown: denominator {denom} <= 0")
-    u = _lower_transposed_product(model.M, w)
+    u = _lower_transposed_product(model._blocks, w)
     W = model.W + np.outer((y - model.W @ phi) / denom, u)
-    C = np.vstack([model.C, w / np.sqrt(denom)])
-    M = model.M
+    k, carry = len(model.C), model._carry
+    if carry is None or not carry.claim(k):
+        capacity = max(k + 1, min(max(2 * k, _CARRY_ROWS), model.num_features // 2))
+        rows = np.empty((capacity, model.num_features))
+        rows[:k] = model.C
+        carry = _CarryRows(rows, k + 1)
+    np.divide(w, np.sqrt(denom), out=carry.rows[k])
+    M, C = model.M, carry.rows[: k + 1]
     if len(C) >= model.num_features // 2:
-        M, C = _fold(M, C), None
-    return RidgeModel(W, model.lam, M, model.noise_scale, model.n_train + 1, C)
+        M, C, carry = _fold(model._blocks, C), None, None
+    updated = RidgeModel(W, model.lam, M, model.noise_scale, model.n_train + 1, C)
+    object.__setattr__(updated, "_carry", carry)
+    return updated
 
 
 def cross_validate(

@@ -6,8 +6,9 @@ test_factors.test_quadrature_oracle_matches_frozen_values for the guard that
 recomputes the constants.
 
 The references of the feature and ridge criteria live here too: per-side
-expected features, exact expected kernels between incoming messages, and a
-dual-form ridge regressor.  The package itself runs none of them.
+expected features, exact expected kernels between incoming messages, a
+dual-form ridge regressor, and a ridge model's factor assembled as one
+dense square.  The package itself runs none of them.
 """
 
 import math
@@ -22,6 +23,7 @@ from kernelep.errors import DomainError
 from kernelep.expfam import BetaDist, Gaussian1D
 from kernelep.factors import IncomingTuple
 from kernelep.kernels import RffSpec, _feature_scale, _unit_gl, _until_converged, beta_cf
+from kernelep.regress import _BLOCK
 
 
 def composite_gl(lo: float, hi: float, n_total: int, per_panel: int = 50):
@@ -218,7 +220,39 @@ def inverse_gram(model) -> np.ndarray:
     """A ridge model's inverse Gram M^T (I - C^T C) M as one explicit,
     exactly symmetric D x D matrix: the reference the ridge tests compare
     against, which the package itself never forms."""
-    M = np.tril(model.M)
+    M = dense_factor(model.M, model.num_features)
     CM = model.C @ M
     A = M.T @ M - CM.T @ CM
     return (A + A.T) / 2.0
+
+
+def _block_extents(D: int):
+    """(b0, w, offset) of each column block of a D x D factor's flat buffer."""
+    offset = 0
+    for b0 in range(0, D, _BLOCK):
+        w = min(_BLOCK, D - b0)
+        yield b0, w, offset
+        offset += (D - b0) * w
+
+
+def dense_factor(M: np.ndarray, D: int) -> np.ndarray:
+    """The D x D lower-triangular factor whose column blocks the flat buffer
+    M holds, assembled as one square.  Block b is the Fortran-ordered
+    (D - b0) x w panel M[b0:, b0:b0 + w], so its w columns lie one after
+    another; written from that definition alone, as the reference the
+    package's block products are checked against."""
+    square = np.zeros((D, D))
+    end = 0
+    for b0, w, offset in _block_extents(D):
+        end = offset + (D - b0) * w
+        square[b0:, b0 : b0 + w] = M[offset:end].reshape(w, D - b0).T
+    assert end == M.size, "buffer length does not match D"
+    return square
+
+
+def packed_factor(square: np.ndarray) -> np.ndarray:
+    """The flat column-block buffer of a lower-triangular square: the
+    inverse of dense_factor."""
+    D = len(square)
+    pieces = [square[b0:, b0 : b0 + w].T.ravel() for b0, w, _ in _block_extents(D)]
+    return np.concatenate(pieces) if pieces else np.zeros(0)

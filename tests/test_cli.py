@@ -7,6 +7,9 @@ import errno
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -17,6 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kernelep.cli as cli
+from helpers import dense_factor, packed_factor
 from kernelep.cli import (
     DATASET_HEADER,
     EVAL_CASES_HEADER,
@@ -47,9 +51,16 @@ from kernelep.errors import (
     GraphFormatError,
     ModelFormatError,
 )
-from kernelep.kernels import TwoStageSpec, draw_rff
+from kernelep.kernels import RffSpec, TwoStageSpec, draw_rff
 from kernelep.operator import MessageOperator, predict_q, train_operator
-from kernelep.regress import fit, folded_factor, predictive_variance, update_online
+from kernelep.regress import (
+    RidgeModel,
+    factor_size,
+    fit,
+    folded_factor,
+    predictive_variance,
+    update_online,
+)
 
 
 BASE = {
@@ -219,9 +230,12 @@ def _model_file(layout, data: bytes, version=MODEL_FORMAT_VERSION) -> bytes:
 def _model_bytes(payload, version=MODEL_FORMAT_VERSION) -> bytes:
     """The model file save_model writes for a payload whose arrays are
     ndarrays: each array's bytes at the next multiple of 64, zeros between.
-    A square `triangle` (the factor M) is stored as its lower triangle,
-    column by column."""
+    A `triangle` that is a square, or a model's flat buffer of column
+    blocks, is stored as the factor's lower triangle, column by column."""
     triangle = payload.get("triangle")
+    if isinstance(triangle, np.ndarray) and triangle.ndim == 1:
+        D = _factor_dim(triangle.size)
+        triangle = triangle if D is None else dense_factor(triangle, D)
     if isinstance(triangle, np.ndarray) and triangle.ndim == 2:
         payload = payload | {"triangle": triangle.T[np.triu_indices(len(triangle))]}
     table, data = [], bytearray()
@@ -241,6 +255,14 @@ def _model_bytes(payload, version=MODEL_FORMAT_VERSION) -> bytes:
     payload = records(payload)
     layout = {"arrays": table, "data_bytes": len(data), "payload": payload}
     return _model_file(layout, bytes(data), version)
+
+
+def _factor_dim(size):
+    """The D whose column-block buffer has `size` values, if any."""
+    D = math.isqrt(size)
+    while factor_size(D) < size:
+        D += 1
+    return D if factor_size(D) == size else None
 
 
 def _forge(path, payload):
@@ -299,7 +321,7 @@ def test_model_arrays_stored_raw_and_checksummed(ws, tmp_path):
     assert offset % 64 == 0
     # the last array: the factor's lower triangle, column by column
     assert offset + nbytes == len(section)
-    M = load_model(data["model"]).op.model.M
+    M = dense_factor(load_model(data["model"]).op.model.M, D)
     np.testing.assert_array_equal(
         np.frombuffer(section[offset : offset + nbytes], dtype="<f8"),
         np.concatenate([M[j:, j] for j in range(D)]),
@@ -542,10 +564,10 @@ def test_save_model_refuses_a_header_the_loader_would_refuse(wide_op, tmp_path):
 
 
 def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
-    # a 512 x 512 factor: the loaded model holds it as one square, read
-    # straight from the file, and everything else as views of one buffer;
-    # a packed copy of the triangle or a second copy of any array would
-    # overrun the 1 MB allowance below
+    # a 512 x 512 factor: the loaded model holds it as one block (512
+    # columns wide, so the square's size), read straight from the file, and
+    # everything else as views of one buffer; a packed copy of the triangle
+    # or a second copy of any array would overrun the 1 MB allowance below
     D = 512
     path = save_model(tmp_path / "m.json", _wide_op(D), seed=1, tau=0.5)
     doc = _split(path)[1]
@@ -572,9 +594,9 @@ def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
 
     M = loaded.op.model.M
     assert loaded.payload["triangle"] is M
-    assert M.shape == (D, D) and M.flags.f_contiguous and not M.flags.writeable
+    assert M.shape == (factor_size(D),) and M.flags.c_contiguous and not M.flags.writeable
     model_arrays = (loaded.op.model.W, M, loaded.op.model.C)
-    assert [a.shape == (D, D) for a in model_arrays] == [False, True, False]
+    assert [a.size == D * D for a in model_arrays] == [False, True, False]
     arrays = list(leaves(loaded.payload))
     assert len(arrays) == 10
     views = [a for a in arrays if a is not M]
@@ -586,6 +608,65 @@ def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
         assert not a.flags.writeable
         assert a.ctypes.data % 64 == 0
         assert np.shares_memory(a, buffer)
+
+
+def test_loaded_model_holds_no_square(tmp_path):
+    # at D = 1100 the column blocks hold 870,032 doubles against 1,210,000
+    # for the square, so a loader that kept a D x D array would hold more
+    # than the bound below
+    D = 1100
+    path = save_model(tmp_path / "m.json", _wide_op(D), seed=1, tau=0.5)
+    tracemalloc.start()
+    try:
+        model = load_model(path).op.model
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 8 * factor_size(D) <= held < 8 * D * D
+    assert all(a.size < D * D for a in (model.W, model.M, model.C))
+
+
+def _exact_op(D):
+    """An operator whose arrays are all exact binary fractions, with a
+    D x D lower-triangular factor, so its model file's bytes depend on the
+    writer alone and not on any arithmetic."""
+    k = np.arange
+    inner = RffSpec((k(16.0).reshape(8, 2) % 5 - 2) / 4, k(8.0) / 8, np.array([0.5, 0.25]))
+    outer = RffSpec(
+        (k(3.0 * D).reshape(D, 3) % 7 - 3) / 8, k(float(D)) % 16 / 4, np.array([2.0, 1.0, 0.5])
+    )
+    spec = TwoStageSpec(inner, k(8.0) / 16, np.eye(8)[:, :3], outer)
+    i, j = np.indices((D, D))
+    square = np.where(i >= j, ((i - j) % 11 - 5) / 32 + (i == j), 0.0)
+    W = (k(2.0 * D).reshape(2, D) % 9 - 4) / 16
+    return MessageOperator(spec, RidgeModel(W, 0.125, packed_factor(square), 0.5, 7))
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    # the sha256 of this file as written when models held their factor as
+    # one D x D square; D = 600 spans two column blocks, so the writer must
+    # give the same bytes from blocks as it did from the square
+    path = save_model(tmp_path / "m.json", _exact_op(600), seed=5, tau=0.375,
+                      extra={"note": "pinned"})
+    raw = path.read_bytes()
+    assert len(raw) == 1472672
+    assert hashlib.sha256(raw).hexdigest() == (
+        "7087c7364910251f29f09e664affc10f3d13ccd8ae6af387d3de48ef7a73bd9e"
+    )
+    loaded = load_model(path).op.model
+    assert loaded.M.tobytes() == _exact_op(600).model.M.tobytes()
+
+
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # only training's distance medians use scipy.spatial, so inference
+    # commands never pay for importing it
+    code = (
+        "import sys, kernelep.cli; "
+        "sys.exit(' '.join(m for m in sys.modules if m.startswith('scipy.spatial')) or None)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_model_round_trip_keeps_every_array_bit_for_bit(wide_op, tmp_path):
@@ -607,7 +688,8 @@ def test_model_round_trip_keeps_every_array_bit_for_bit(wide_op, tmp_path):
         else:
             assert got == want
     model = loaded.op.model
-    assert model.M.tobytes() == wide_op.model.M.tobytes() and not np.any(np.triu(model.M, 1))
+    assert model.M.tobytes() == wide_op.model.M.tobytes()
+    assert not np.any(np.triu(dense_factor(model.M, model.num_features), 1))
     assert model.W.tobytes() == wide_op.model.W.tobytes()
     assert (model.lam, model.noise_scale, model.n_train) == (
         wide_op.model.lam, wide_op.model.noise_scale, wide_op.model.n_train
@@ -619,7 +701,8 @@ def test_model_format_version_four_refused(wide_op, tmp_path):
     model = wide_op.model
     payload = _reference_payload(wide_op, 3, 0.25, {})
     del payload["triangle"]
-    payload["a_inv"] = model.M.T @ model.M
+    M = dense_factor(model.M, model.num_features)
+    payload["a_inv"] = M.T @ M
     v4 = tmp_path / "v4.json"
     v4.write_bytes(_model_bytes(payload, version=4))
     with pytest.raises(ModelFormatError, match="unsupported model format version 4"):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import packed_factor
 from kernelep import operator
 from kernelep.errors import DomainError, PredictionError
 from kernelep.expfam import (
@@ -171,12 +172,12 @@ def tiny_spec(num_features, seed):
 
 def test_prediction_errors_surface():
     spec = tiny_spec(16, seed=38)
-    nan_model = RidgeModel(np.full((2, 16), np.nan), 1.0, np.eye(16), 1.0, 1)
+    nan_model = RidgeModel(np.full((2, 16), np.nan), 1.0, packed_factor(np.eye(16)), 1.0, 1)
     op = MessageOperator(spec, nan_model)
     inc = IncomingTuple(Gaussian1D(0.0, 1.0), BetaDist(2.0, 2.0))
     with pytest.raises(PredictionError):
         predict_q(op, inc)
-    huge_model = RidgeModel(np.full((2, 16), 1e9), 1.0, np.eye(16), 1.0, 1)
+    huge_model = RidgeModel(np.full((2, 16), 1e9), 1.0, packed_factor(np.eye(16)), 1.0, 1)
     with pytest.raises(PredictionError):
         predict_q(MessageOperator(spec, huge_model), inc)
 
@@ -323,7 +324,7 @@ def test_train_operator_deterministic():
 
 
 def test_operator_validation():
-    model = RidgeModel(np.zeros((2, 8)), 1.0, np.eye(8), 1.0, 1)
+    model = RidgeModel(np.zeros((2, 8)), 1.0, packed_factor(np.eye(8)), 1.0, 1)
     for plain in (draw_rff(1, 8, 1.0, np.random.default_rng(42)),
                   draw_rff(2, 8, (1.0, 0.25), np.random.default_rng(43))):
         with pytest.raises(DomainError, match="needs a TwoStageSpec, not a RffSpec"):
@@ -333,7 +334,7 @@ def test_operator_validation():
     with pytest.raises(DomainError, match="feature count"):
         MessageOperator(tiny_spec(9, seed=44), model)
     for rows in (1, 3):
-        other = RidgeModel(np.zeros((rows, 8)), 1.0, np.eye(8), 1.0, 1)
+        other = RidgeModel(np.zeros((rows, 8)), 1.0, packed_factor(np.eye(8)), 1.0, 1)
         with pytest.raises(DomainError, match=f"{rows} outputs"):
             MessageOperator(spec, other)
     with pytest.raises(DomainError):

@@ -1,10 +1,12 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from helpers import fit_dual, inverse_gram
+from helpers import dense_factor, fit_dual, inverse_gram, packed_factor
 from kernelep import regress
 from kernelep.cli import load_model, save_model
 from kernelep.errors import DomainError
@@ -79,11 +81,14 @@ def test_fit_escalates_jitter_then_refuses():
 
 
 def test_ridge_model_refuses_inconsistent_shapes():
-    W, M = np.zeros((2, 4)), np.eye(4)
+    W, M = np.zeros((2, 4)), packed_factor(np.eye(4))
+    assert RidgeModel(W, 1.0, M, 1.0, 1).num_features == 4
     with pytest.raises(DomainError, match="2-D"):
         RidgeModel(np.zeros(4), 1.0, M, 1.0, 1)
     for bad in (
+        dict(M=np.eye(4)),
         dict(M=np.eye(5)),
+        dict(M=np.zeros(15)),
         dict(M=np.zeros((4, 5))),
         dict(M=np.float64(1.0)),
         dict(C=np.zeros((3, 5))),
@@ -242,17 +247,21 @@ def _max_rel(got, ref):
 CARRY_RTOL = 1e-9
 
 
-def _strictly_lower_zero(M):
-    return not np.any(np.triu(M, 1))
+def _strictly_lower_zero(model):
+    return not np.any(np.triu(dense_factor(model.M, model.num_features), 1))
+
+
+def _holds_blocks(model):
+    return model.M.shape == (regress.factor_size(model.num_features),)
 
 
 def test_online_update_matches_reference_and_stays_triangular(tmp_path):
     Phi, Y, _ = random_problem(D=40, N=60, seed=72, noise=0.3)
     model = fit(Phi, Y, 1e-3)
-    assert model.M.flags.f_contiguous and _strictly_lower_zero(model.M)
+    assert _holds_blocks(model) and _strictly_lower_zero(model)
     loaded = _round_trip(model, tmp_path / "model.json")
     assert np.array_equal(loaded.M, model.M)
-    assert loaded.M.flags.f_contiguous
+    assert _holds_blocks(loaded)
     rng = np.random.default_rng(73)
     fitted_M = model.M.copy()
     for start in (model, loaded):
@@ -264,7 +273,7 @@ def test_online_update_matches_reference_and_stays_triangular(tmp_path):
             assert _max_rel(inverse_gram(current), ref_A_inv) <= CARRY_RTOL
             assert _max_rel(current.W, ref_W) <= CARRY_RTOL
             # a fold at 20 rows gives a new triangle, exactly lower
-            assert _strictly_lower_zero(current.M)
+            assert _strictly_lower_zero(current)
         assert current.n_train == start.n_train + 24
         assert len(current.C) == 4
     # the in-place arithmetic never writes into the model it started from
@@ -287,7 +296,7 @@ def test_low_rank_carry_folds_into_triangular_base():
         assert _max_rel(model.W, ref_W) <= CARRY_RTOL
         if not len(model.C):
             assert model.M is not bases[-1]
-            assert model.M.flags.f_contiguous and _strictly_lower_zero(model.M)
+            assert _holds_blocks(model) and _strictly_lower_zero(model)
             bases.append(model.M)
         else:
             assert model.M is bases[-1]
@@ -370,10 +379,13 @@ def test_update_branches_into_independent_models():
     ref_A_inv, ref_W = _reference_update(first, phi, y)
     a = update_online(first, phi, y)
     b = update_online(first, rng.normal(size=40), rng.normal(size=2))
-    # siblings share the read-only triangle, never their carried rows
+    # siblings share the read-only triangle, never their carried rows: the
+    # first update from `first` appends in place after first's row, the
+    # second copies it into a buffer of its own
     assert a.M is b.M is model.M
     assert not np.shares_memory(a.C, b.C)
-    assert not np.shares_memory(a.C, first.C)
+    assert np.shares_memory(a.C, first.C) and not np.shares_memory(b.C, first.C)
+    assert not np.shares_memory(a.C[1], first.C)
     assert not np.array_equal(a.C[1], b.C[1])
     np.testing.assert_array_equal(a.C[0], b.C[0])
     np.testing.assert_array_equal(first.C, first_C)
@@ -747,3 +759,149 @@ def test_cross_validate_builds_each_multipliers_features_once_in_order():
     assert built.chosen == mapped.chosen
     with pytest.raises(DomainError, match="expected 30 cases"):
         cross_validate(lambda m: features[m][:, :20], Y, grid=grid, rng=np.random.default_rng(0))
+
+
+def _blocked_model(D, rows, seed):
+    """A model over a random well-conditioned lower-triangular factor, as a
+    dense square and as the model's column blocks, carrying `rows` small
+    rows so that I - C^T C stays positive definite."""
+    rng = np.random.default_rng(seed)
+    dense = np.tril(rng.normal(size=(D, D))) / np.sqrt(D) + np.eye(D)
+    C = 0.3 * rng.normal(size=(rows, D)) / np.sqrt(D)
+    model = RidgeModel(rng.normal(size=(2, D)), 1e-3, packed_factor(dense), 0.7, 5, C)
+    return model, dense, rng
+
+
+def _assert_close(got, want, rtol=1e-12):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("D", [1, 511, 512, 513, 1100])
+def test_block_products_match_a_dense_factor(D):
+    model, dense, rng = _blocked_model(D, 3, seed=D)
+    assert model.M.shape == (regress.factor_size(D),)
+    np.testing.assert_array_equal(dense_factor(model.M, D), dense)
+    columns = regress.factor_columns(model.M, D)
+    assert len(columns) == D
+    for j in (0, D // 2, D - 1):
+        np.testing.assert_array_equal(columns[j], dense[j:, j])
+    phi, w, batch = rng.normal(size=D), rng.normal(size=D), rng.normal(size=(D, 7))
+    _assert_close(regress._lower_product(model._blocks, phi), dense @ phi)
+    _assert_close(regress._lower_transposed_product(model._blocks, w), dense.T @ w)
+    _assert_close(regress._rows_times_lower_transposed(batch.T, model._blocks), (dense @ batch).T)
+
+    # each product has the bits of the same BLAS calls on views of a square
+    # M (its column blocks for M phi and M^T w, its row panels for a batch),
+    # so a trained tau and model file do not depend on the layout
+    B = regress._BLOCK
+    square = np.asfortranarray(dense)
+    z, u, rows = np.zeros(D), np.empty(D), np.empty((7, D))
+    for j in range(0, D, B):
+        z[j:] += square[j:, j : j + B] @ phi[j : j + B]
+        u[j : j + B] = square[j:, j : j + B].T @ w[j:]
+        rows[:, j : j + B] = batch.T[:, : j + B] @ square[j : j + B, : j + B].T
+    assert regress._lower_product(model._blocks, phi).tobytes() == z.tobytes()
+    assert regress._lower_transposed_product(model._blocks, w).tobytes() == u.tobytes()
+    assert regress._rows_times_lower_transposed(batch.T, model._blocks).tobytes() == rows.tobytes()
+
+    def dense_variance(x):
+        z = dense @ x
+        Cz = model.C @ z
+        return model.noise_scale * (np.sum(z * z, axis=0) - np.sum(Cz * Cz, axis=0))
+
+    _assert_close(predictive_variance(model, phi), dense_variance(phi))
+    _assert_close(predictive_variance(model, batch), dense_variance(batch))
+    # an update moves W by A_inv phi, the transposed product through the carry
+    y = rng.normal(size=2)
+    A_inv = dense.T @ (np.eye(D) - model.C.T @ model.C) @ dense
+    u = A_inv @ phi
+    W = model.W + np.outer((y - model.W @ phi) / (1.0 + phi @ u), u)
+    _assert_close(update_online(model, phi, y).W, W, rtol=1e-11)
+
+
+@pytest.mark.parametrize("D", [513, 1100])
+def test_fold_matches_a_dense_fold_and_holds_no_square(D):
+    model, dense, _ = _blocked_model(D, 6, seed=D + 1)
+    tracemalloc.start()
+    try:
+        folded = regress._fold(model._blocks, model.C)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert folded.shape == (regress.factor_size(D),) and not folded.flags.writeable
+    assert held < 8 * D * D
+    # T lower-triangular with T^T T = I - C^T C, from the Cholesky factor of
+    # the matrix with coordinates reversed
+    J = np.eye(D)[::-1]
+    U = np.linalg.cholesky(J @ (np.eye(D) - model.C.T @ model.C) @ J).T
+    want = J @ U @ J @ dense
+    got = dense_factor(folded, D)
+    assert not np.any(np.triu(got, 1))
+    assert _max_rel(got, want) <= 1e-13
+
+
+def test_fit_holds_no_square():
+    # at D = 1100 the column blocks hold 870,032 doubles against 1,210,000
+    # for the square, so a fit that kept its D x D array would hold more
+    D = 1100
+    rng = np.random.default_rng(95)
+    Phi, Y = rng.normal(size=(D, 30)), rng.normal(size=(2, 30))
+    tracemalloc.start()
+    try:
+        model = fit(Phi, Y, 1e-3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 8 * regress.factor_size(D) <= held < 8 * D * D
+    assert all(a.size < D * D for a in (model.W, model.M, model.C))
+
+
+def test_carry_grows_in_place_along_a_chain():
+    # D = 80, so the carry folds at 40 rows; its buffer starts at 16 rows and
+    # doubles, up to the 40 rows at the fold
+    Phi, Y, _ = random_problem(D=80, N=100, seed=96, noise=0.3)
+    rng = np.random.default_rng(97)
+    pairs = [(rng.normal(size=80), rng.normal(size=2)) for _ in range(39)]
+    chain, copied = [fit(Phi, Y, 1e-3)], [fit(Phi, Y, 1e-3)]
+    for i, (phi, y) in enumerate(pairs):
+        tracemalloc.start()
+        try:
+            chain.append(update_online(chain[-1], phi, y))
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # only an update that starts a new buffer (of 16, 32 or 40 rows)
+        # allocates as much as 16 rows of the carry
+        assert (used >= 8 * 80 * 16) == (i in (0, 16, 32))
+        # a model built from the same arrays holds no buffer, so its update copies
+        copied.append(update_online(_memo_less(copied[-1]), phi, y))
+    buffers = []
+    for model in chain[1:]:
+        assert model.C.flags.c_contiguous
+        if not buffers or not np.shares_memory(model.C, buffers[-1]):
+            buffers.append(model.C.base)
+    assert [len(b) for b in buffers] == [16, 32, 40]
+    for model, other in zip(chain, copied):
+        _assert_same_bytes(model, other)
+
+
+def test_concurrent_updates_of_one_model_take_distinct_rows():
+    # threads updating one model race for the row after its carry; each
+    # must get a row of its own, or one thread's row would overwrite another's
+    Phi, Y, _ = random_problem(D=40, N=60, seed=98, noise=0.3)
+    rng = np.random.default_rng(99)
+    model = update_online(fit(Phi, Y, 1e-3), rng.normal(size=40), rng.normal(size=2))
+    pairs = [(rng.normal(size=40), rng.normal(size=2)) for _ in range(64)]
+    expected = [update_online(_memo_less(model), phi, y) for phi, y in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(update_online, model, phi, y) for phi, y in pairs]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(got, expected):
+        _assert_same_bytes(a, b)
+    owners = [g.C for g in got if np.shares_memory(g.C, model.C)]
+    assert len(owners) <= 1
