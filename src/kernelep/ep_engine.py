@@ -37,6 +37,20 @@ from .operator import (
     warm_beta_cache,
 )
 
+__all__ = [
+    "Variable",
+    "Factor",
+    "FactorGraph",
+    "DampingConfig",
+    "OracleSource",
+    "OperatorSource",
+    "ActiveSource",
+    "default_sources",
+    "EpResult",
+    "run_ep",
+    "demo_graph",
+]
+
 GAUSSIAN = "gaussian"
 BETA = "beta"
 
@@ -51,11 +65,11 @@ FACTOR_KINDS = {
 ORACLE_RETRIES = 3
 
 # budget-spent messages an ActiveSource scores per batched variance call: one
-# triangular product over the model's D x D factor serves them all, where a
-# single message costs a full pass of its own.  Each product reads the whole
-# triangle, so its cost grows slowly with the batch (width 2000, 2 CPUs:
-# about 7 ms for 20 messages, 34 ms for 256), and at 256 a demo graph's
-# queue (about 84 messages) is scored once, when its log is read
+# pass of matrix products over the model's triangular factor serves them
+# all, where a single message costs a full pass of its own.  Each pass reads
+# the whole triangle, so its cost grows slowly with the batch (width 2000,
+# 2 CPUs: about 7 ms for 20 messages, 34 ms for 256), and at 256 a demo
+# graph's queue (about 84 messages) is scored once, when its log is read
 SCORE_BATCH = 256
 
 

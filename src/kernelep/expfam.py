@@ -38,7 +38,6 @@ __all__ = [
     "project_to_gaussian",
     "multiply",
     "divide",
-    "sample",
 ]
 
 
@@ -240,14 +239,3 @@ def multiply(a: ExpFamDist, b: ExpFamDist) -> ExpFamDist:
 def divide(q: ExpFamDist, cavity: ExpFamDist) -> ExpFamDist:
     """Ratio of two messages: natural parameters subtract; may be improper."""
     return _combine(q, cavity, -1.0)
-
-
-def sample(d: ExpFamDist, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n independent samples; deterministic given the generator state."""
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
-    if d.improper:
-        raise DomainError("cannot sample an improper distribution")
-    if isinstance(d, Gaussian1D):
-        return rng.normal(d.mean, math.sqrt(d.variance), size=n)
-    return rng.beta(d.alpha, d.beta, size=n)

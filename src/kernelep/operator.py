@@ -207,8 +207,9 @@ def decide(
 
 
 def batch_variance(op: MessageOperator, Phi: np.ndarray) -> np.ndarray:
-    """Predictive variances of the columns of a (D, M) feature batch, from one
-    triangular matrix product with the model's factor."""
+    """Predictive variances of the columns of a (D, M) feature batch, from
+    matrix products with the model's triangular factor (see
+    predictive_variance)."""
     return predictive_variance(op.model, Phi)
 
 
@@ -224,7 +225,8 @@ def absorb(op: MessageOperator, phi: np.ndarray, q: Gaussian1D) -> MessageOperat
 
 def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
     """Calibrated threshold: 90th percentile of training predictive variances,
-    scored as one batch (one triangular matrix product over Phi)."""
+    scored as one batch (matrix products with the factor, not a mat-vec per
+    column)."""
     return float(np.percentile(predictive_variance(model, Phi), 90.0))
 
 

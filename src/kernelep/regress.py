@@ -58,12 +58,12 @@ _REVERSE_CHUNK = 1 << 16
 # M[b0:, b0:b0 + w], and the blocks lie one after another in one flat
 # buffer, so a model holds the triangle plus the zeros above the diagonal
 # inside each block: 2,500,864 doubles at D = 2000 against 4,000,000 for the
-# square.  M phi, M^T w and a fold are one gemv or gemm per block, and a
-# batch of variances one gemm per row panel gathered from the blocks.
-# OpenBLAS's threaded dtrmv and dtrmm would read the triangle alone, but on
-# a 2-CPU host at D = 2000 they made the numpy calls that followed them
-# several times slower, and the benchmark's EP body about 1.5x slower, where
-# blocks of 512 keep it level with a gemv over a D x D inverse
+# square.  M phi and M^T w are one gemv per block, and M X for a batch X
+# and a fold one gemm per block.  OpenBLAS's threaded dtrmv and dtrmm would
+# read the triangle alone, but on a 2-CPU host at D = 2000 they made the
+# numpy calls that followed them several times slower, and the benchmark's
+# EP body about 1.5x slower, where blocks of 512 keep it level with a gemv
+# over a D x D inverse
 _BLOCK = 512
 
 
@@ -311,12 +311,12 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise DomainError(f"non-finite {name}")
 
 
-def _lower_product(panels: tuple, phi: np.ndarray) -> np.ndarray:
-    """M phi for the column blocks of M: block b adds M_b phi[b] to the
-    entries from b0 on."""
-    z = np.zeros(len(phi))
-    for j, panel in zip(range(0, len(phi), _BLOCK), panels):
-        z[j:] += panel @ phi[j : j + _BLOCK]
+def _lower_product(panels: tuple, X: np.ndarray) -> np.ndarray:
+    """M X for the column blocks of M and a (D,) vector or (D, n) batch X:
+    block b adds M_b X[b] to the rows from b0 on."""
+    z = np.zeros(X.shape)
+    for j, panel in zip(range(0, len(X), _BLOCK), panels):
+        z[j:] += panel @ X[j : j + _BLOCK]
     return z
 
 
@@ -328,29 +328,8 @@ def _lower_transposed_product(panels: tuple, w: np.ndarray) -> np.ndarray:
     return u
 
 
-def _rows_times_lower_transposed(rows: np.ndarray, panels: tuple) -> np.ndarray:
-    """rows M^T, the batch (M rows^T)^T, for the column blocks of M: output
-    block b is rows[:, :b1] M[b, :b1]^T, one gemm per block with the row
-    panel M[b, :b1] gathered from the column blocks into one scratch
-    buffer.  A gemm's sums run over its whole inner dimension, so the
-    variances have the bits they have over a square M, whose row panels are
-    views; splitting the inner dimension at the column blocks instead would
-    move them in the last digits, and with them a trained model's tau.  The
-    gather costs one more read of the triangle per batch."""
-    D = rows.shape[1]
-    out = np.empty(rows.shape)
-    scratch = np.empty(min(_BLOCK, D) * D)
-    for i in range(0, D, _BLOCK):
-        w = min(_BLOCK, D - i)
-        row_panel = scratch[: w * (i + w)].reshape((w, i + w), order="F")
-        for j, panel in zip(range(0, i + w, _BLOCK), panels):
-            row_panel[:, j : j + _BLOCK] = panel[i - j : i - j + w]
-        np.matmul(rows[:, : i + w], row_panel.T, out=out[:, i : i + w])
-    return out
-
-
 def _apply_factor(model: RidgeModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z, C z) for z = M phi: one pass over the triangle, one mat-vec with the carry."""
+    """(z, C z) for z = M phi: one pass over the triangle, one product with the carry."""
     z = _lower_product(model._blocks, phi)
     return z, model.C @ z
 
@@ -366,13 +345,15 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     With z = M phi it is noise_scale * (||z||^2 - ||C z||^2) (see
     RidgeModel), a sum of squares where nothing is carried.  phi is a
     single (D,) vector, giving a float, or a (D, M) batch, giving the M
-    column variances from one pass over the triangle (matrix products
-    instead of M mat-vecs).  Either way each entry of z is one dot product
-    with a row of M, so a batch column's variance equals that column scored
-    alone to rounding, not up to a cancelling sum.  A single vector's z and
-    C z are kept in the model's memo for update_online.  A non-finite phi
-    raises DomainError: its variance would be nan, which a threshold test
-    reads as certain.
+    column variances.  A batch is scored _BLOCK columns at a time, each
+    chunk one pass over the triangle (matrix products instead of mat-vecs)
+    reduced to its column sums of squares, so it holds about two D x _BLOCK
+    arrays however wide it is.  Either way each entry of z is a sum of dot
+    products with a row of M's blocks, so a batch column's variance equals
+    that column scored alone to rounding, not up to a cancelling sum.  A
+    single vector's z and C z are kept in the model's memo for
+    update_online.  A non-finite phi raises DomainError: its variance would
+    be nan, which a threshold test reads as certain.
     """
     phi = _check_phi(model, phi, batch=True)
     _check_finite("feature vector", phi)
@@ -382,10 +363,10 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
         Cz.setflags(write=False)
         object.__setattr__(model, "_memo", (phi.tobytes(), z, Cz))
         return max(float(model.noise_scale * (z @ z - Cz @ Cz)), 0.0)
-    # the batch as rows, z^T per row
-    Z = _rows_times_lower_transposed(phi.T, model._blocks)
-    CZ = Z @ model.C.T
-    squares = np.einsum("ij,ij->i", Z, Z) - np.einsum("ij,ij->i", CZ, CZ)
+    squares = np.empty(phi.shape[1])
+    for j in range(0, len(squares), _BLOCK):
+        Z, CZ = _apply_factor(model, phi[:, j : j + _BLOCK])
+        squares[j : j + _BLOCK] = np.einsum("ij,ij->j", Z, Z) - np.einsum("ij,ij->j", CZ, CZ)
     return np.maximum(model.noise_scale * squares, 0.0)
 
 

@@ -20,7 +20,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import betaln, expit
 
 from kernelep.errors import DomainError
-from kernelep.expfam import BetaDist, Gaussian1D
+from kernelep.expfam import BetaDist, ExpFamDist, Gaussian1D
 from kernelep.factors import IncomingTuple
 from kernelep.kernels import RffSpec, _feature_scale, _unit_gl, _until_converged, beta_cf
 from kernelep.regress import _BLOCK
@@ -77,6 +77,17 @@ def self_normalized_se(values, weights):
     """Delta-method standard error of a self-normalized IS estimate."""
     est = weights @ values
     return math.sqrt(float(weights @ ((values - est) ** 2 * weights)))
+
+
+def sample(d: ExpFamDist, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n independent samples; deterministic given the generator state."""
+    if n < 1:
+        raise DomainError(f"sample count must be >= 1, got {n}")
+    if d.improper:
+        raise DomainError("cannot sample an improper distribution")
+    if isinstance(d, Gaussian1D):
+        return rng.normal(d.mean, math.sqrt(d.variance), size=n)
+    return rng.beta(d.alpha, d.beta, size=n)
 
 
 # Frozen outputs of tilted_moments_quad, computed before the library existed

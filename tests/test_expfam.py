@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import sample
 from kernelep.errors import DegenerateMomentsError, DomainError
 from kernelep.expfam import (
     BetaDist,
@@ -15,7 +16,6 @@ from kernelep.expfam import (
     mean_sufficient_stats,
     multiply,
     project_to_gaussian,
-    sample,
     to_natural,
 )
 

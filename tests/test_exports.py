@@ -49,7 +49,7 @@ def identifiers(path: Path) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("modname", ["kernelep.kernels", "kernelep.regress"])
+@pytest.mark.parametrize("modname", ["kernelep.kernels", "kernelep.regress", "kernelep.ep_engine"])
 def test_exports_are_used_by_another_module(modname):
     # test-only reference code belongs in tests/helpers.py, not in the package
     package = Path(kernelep.__file__).parent

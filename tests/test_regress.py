@@ -787,22 +787,22 @@ def test_block_products_match_a_dense_factor(D):
         np.testing.assert_array_equal(columns[j], dense[j:, j])
     phi, w, batch = rng.normal(size=D), rng.normal(size=D), rng.normal(size=(D, 7))
     _assert_close(regress._lower_product(model._blocks, phi), dense @ phi)
+    _assert_close(regress._lower_product(model._blocks, batch), dense @ batch)
     _assert_close(regress._lower_transposed_product(model._blocks, w), dense.T @ w)
-    _assert_close(regress._rows_times_lower_transposed(batch.T, model._blocks), (dense @ batch).T)
 
-    # each product has the bits of the same BLAS calls on views of a square
-    # M (its column blocks for M phi and M^T w, its row panels for a batch),
-    # so a trained tau and model file do not depend on the layout
+    # each product has the bits of the same BLAS calls on the column blocks
+    # of a square M, so a trained tau and model file do not depend on the
+    # layout
     B = regress._BLOCK
     square = np.asfortranarray(dense)
-    z, u, rows = np.zeros(D), np.empty(D), np.empty((7, D))
+    z, u, Z = np.zeros(D), np.empty(D), np.zeros((D, 7))
     for j in range(0, D, B):
         z[j:] += square[j:, j : j + B] @ phi[j : j + B]
         u[j : j + B] = square[j:, j : j + B].T @ w[j:]
-        rows[:, j : j + B] = batch.T[:, : j + B] @ square[j : j + B, : j + B].T
+        Z[j:] += square[j:, j : j + B] @ batch[j : j + B]
     assert regress._lower_product(model._blocks, phi).tobytes() == z.tobytes()
     assert regress._lower_transposed_product(model._blocks, w).tobytes() == u.tobytes()
-    assert regress._rows_times_lower_transposed(batch.T, model._blocks).tobytes() == rows.tobytes()
+    assert regress._lower_product(model._blocks, batch).tobytes() == Z.tobytes()
 
     def dense_variance(x):
         z = dense @ x
@@ -817,6 +817,24 @@ def test_block_products_match_a_dense_factor(D):
     u = A_inv @ phi
     W = model.W + np.outer((y - model.W @ phi) / (1.0 + phi @ u), u)
     _assert_close(update_online(model, phi, y).W, W, rtol=1e-11)
+
+
+def test_wide_batch_is_scored_in_column_chunks():
+    # D = 1100 is three column blocks of M and n = 3000 six chunks of the
+    # batch; a batch that formed M phi for every column at once would hold
+    # a D x n array of its own
+    D, n = 1100, 3000
+    model, _, rng = _blocked_model(D, 4, seed=104)
+    batch = rng.normal(size=(D, n))
+    tracemalloc.start()
+    try:
+        got = predictive_variance(model, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * D * n
+    alone = [predictive_variance(model, batch[:, j]) for j in range(n)]
+    np.testing.assert_allclose(got, alone, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("D", [513, 1100])
