@@ -795,9 +795,8 @@ def cmd_train(config: RunConfig) -> Path:
     out = Path(config.out or config.model)
     pairs = load_dataset(config.dataset)
     rng = _command_rng(config.seed, 1)
-    grid = [(m, lam) for m in config.multipliers for lam in config.lambdas]
     op, report, tau = train_operator(
-        pairs, config.num_features, rng, grid=grid, folds=config.folds
+        pairs, config.num_features, rng, config.multipliers, config.lambdas, config.folds
     )
     extra = {
         "n_train_cases": len(pairs),

@@ -42,10 +42,11 @@ from .kernels import (
     rff_point,
 )
 from .regress import (
+    DEFAULT_LAMBDAS,
+    DEFAULT_MULTIPLIERS,
     CvReport,
     RidgeModel,
     cross_validate,
-    default_grid,
     fit,
     predict,
     predictive_variance,
@@ -71,6 +72,8 @@ __all__ = [
 # Two-stage sizing (see train_operator).
 INNER_WIDTH_CAP = 500
 PROJECTION_DIM = 16
+# Beta rows an operator's memo keeps (see MessageOperator).
+BETA_MEMO_CAP = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +85,10 @@ class MessageOperator:
     memoizes the Beta factor of the inner embedding per Beta parameters, and
     _phases the Beta quadrature's phase matrices per order (beta_cf's memo
     for the inner frequencies); neither ever affects results, only latency.
+    _beta_cache keeps the newest BETA_MEMO_CAP rows.  An EP run meets only its
+    observations' Betas (at most 8, in the benchmark's ep_warm pool), so a
+    warmed run keeps hitting, and a stream of fresh Betas (eval, a long
+    active-run) holds at most 2 MB of rows at an inner width of 500.
     """
 
     spec: TwoStageSpec
@@ -141,6 +148,8 @@ def _beta_row(op: MessageOperator, beta) -> np.ndarray:
     if row is None:
         inner = op.spec.inner
         row = _beta_side(inner, beta_cf(inner.frequencies[:, 1], [beta], op._phases)[0])
+        if len(op._beta_cache) >= BETA_MEMO_CAP:
+            del op._beta_cache[next(iter(op._beta_cache))]  # the oldest row
         op._beta_cache[key] = row
     return row
 
@@ -234,14 +243,15 @@ def train_operator(
     pairs: list[TrainingPair],
     num_features: int,
     rng: np.random.Generator,
-    grid=None,
+    multipliers=DEFAULT_MULTIPLIERS,
+    lambdas=DEFAULT_LAMBDAS,
     folds: int = 5,
 ) -> tuple[MessageOperator, CvReport, float]:
     """Full training pipeline on generated pairs.
 
     The operator regresses on a two-stage feature map (TwoStageSpec), and
     num_features is the width of its outer layer, the one the ridge model
-    sees.  Per bandwidth multiplier m of the grid:
+    sees.  Per bandwidth multiplier m:
 
     - inner: joint embeddings under the median-heuristic bandwidths times m,
       at width min(num_features, INNER_WIDTH_CAP).  Over the prior box the
@@ -260,16 +270,14 @@ def train_operator(
       at unit bandwidth is rescaled to each multiplier's sigma.
 
     The projection and sigma use the training inputs only, never targets, so
-    K-fold cross-validation on the pairs chooses just m and lambda, and the
-    final model refits on all of them.  Only each multiplier's spec and its
-    n x k projected embeddings are kept: its D x n features are rebuilt from
-    them when cross-validation reaches it and freed before the next
-    multiplier's, and the chosen multiplier's once more for the refit, so
-    one feature matrix is alive at a time.  Returns the operator, the CV
-    report, and the calibrated tau.
+    K-fold cross-validation on the pairs chooses just (m, lambda) from the
+    product of the two axes, and the final model refits on all of them.
+    Only each multiplier's spec and its n x k projected embeddings are kept:
+    its D x n features are rebuilt from them when cross-validation reaches
+    it and freed before the next multiplier's, and the chosen multiplier's
+    once more for the refit, so one feature matrix is alive at a time.
+    Returns the operator, the CV report, and the calibrated tau.
     """
-    if grid is None:
-        grid = default_grid()
     tuples = [p.input for p in pairs]
     Y = np.array([p.target for p in pairs]).T
     gamma_x, gamma_z = median_heuristic(tuples)
@@ -279,7 +287,7 @@ def train_operator(
     base = draw_rff(2, inner_width, (gamma_x, gamma_z), rng)
     base_outer = draw_rff(k, num_features, 1.0, rng)
     specs, projected = {}, {}
-    for m in sorted({m for m, _ in grid}):
+    for m in multipliers:
         inner = rescale(base, m)
         emb = joint_features_batch(inner, tuples)
         center, projection = principal_projection(emb, k)
@@ -293,7 +301,7 @@ def train_operator(
         return rff_point(specs[m].outer, projected[m]).T
 
     cv_rng = rng.spawn(1)[0]
-    report = cross_validate(features, Y, grid=grid, folds=folds, rng=cv_rng)
+    report = cross_validate(features, Y, multipliers, lambdas, folds, cv_rng)
     mult, lam = report.chosen_params
     Phi = features(mult)
     model = fit(Phi, Y, lam)

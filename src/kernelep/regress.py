@@ -29,7 +29,6 @@ __all__ = [
     "CvReport",
     "DEFAULT_MULTIPLIERS",
     "DEFAULT_LAMBDAS",
-    "default_grid",
     "factor_columns",
     "factor_size",
     "fit",
@@ -95,10 +94,6 @@ def _pack(square: np.ndarray) -> np.ndarray:
     for j, panel in zip(range(0, D, _BLOCK), _panels(M, D)):
         panel[...] = square[j:, j : j + _BLOCK]
     return M
-
-
-def default_grid() -> list[tuple[float, float]]:
-    return [(m, lam) for m in DEFAULT_MULTIPLIERS for lam in DEFAULT_LAMBDAS]
 
 
 @dataclass(eq=False)
@@ -422,38 +417,36 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
 def cross_validate(
     features: Callable[[float], np.ndarray],
     Y: np.ndarray,
-    grid=None,
+    multipliers,
+    lambdas,
     folds: int = 5,
     rng: np.random.Generator | None = None,
 ) -> CvReport:
-    """K-fold grid search over (bandwidth multiplier, lambda) pairs.
+    """K-fold grid search over the product of bandwidth multipliers and lambdas.
 
-    `features(m)` gives multiplier m of the grid its D x N feature matrix
-    (same case order).  It is called once per multiplier, in increasing
-    order, when the search reaches it, so a caller that builds fresh
-    matrices holds one at a time.
+    `features(m)` gives multiplier m its D x N feature matrix (same case
+    order).  It is called once per entry of `multipliers`, in the order
+    given, so a caller that builds fresh matrices holds one at a time.  The
+    report's grid is the product in that order, multiplier-major.
     Fold assignment is a seeded permutation, so the report is deterministic
     per rng state.  Ties in mean error prefer the larger lambda, then the
-    larger multiplier.
+    larger multiplier, then the earlier point.
 
     Each multiplier costs one eigendecomposition, of the full-data Gram
     G = Phi Phi^T = P diag(e) P^T (D x D, so no N x N matrix appears), and
-    every lambda of the grid reuses it.  With C = Phi^T P and
-    w = 1 / (e + lambda), the full-data hat matrix is H = C diag(w) C^T.  A
-    fold's held-out residuals follow from the full-data fit by the
-    leave-group-out identity: refitting without fold g leaves residuals
-    (Y_g - Yhat_g)(I - H_gg)^{-1}.  So a lambda costs only the |g| x |g|
-    blocks H_gg and their solves.  No jitter is added: e is clipped at 0 and
-    lambda > 0 keeps every w finite.
+    every lambda reuses it.  With C = Phi^T P and w = 1 / (e + lambda), the
+    full-data hat matrix is H = C diag(w) C^T.  A fold's held-out residuals
+    follow from the full-data fit by the leave-group-out identity: refitting
+    without fold g leaves residuals (Y_g - Yhat_g)(I - H_gg)^{-1}.  So a
+    lambda costs only the |g| x |g| blocks H_gg and their solves.  No jitter
+    is added: e is clipped at 0 and lambda > 0 keeps every w finite.  A row
+    depends only on its multiplier's features and its own w, so the order
+    of either axis moves no bit of it.
     """
-    if grid is None:
-        grid = default_grid()
-    grid = [(float(m), float(lam)) for m, lam in grid]
-    if not grid:
+    if not len(multipliers) or not len(lambdas):
         raise DomainError("empty cross-validation grid")
-    for _, lam in grid:
-        if lam <= 0:
-            raise DomainError(f"lambda must be positive, got {lam}")
+    if not all(lam > 0 for lam in lambdas):
+        raise DomainError(f"lambdas must be positive, got {lambdas}")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     N = Y.shape[1]
     if N < folds:
@@ -469,21 +462,18 @@ def cross_validate(
     bounds = np.searchsorted(fold_of[by_fold], np.arange(folds + 1))
     Y_sorted = Y[:, by_fold]
 
-    errors = {}
-    for mult in sorted({m for m, _ in grid}):
-        lams = sorted({lam for m, lam in grid if m == mult})
-        fold_errors = _fold_errors(features, mult, by_fold, Y_sorted, lams, bounds)
-        for lam, fold_mse in zip(lams, fold_errors):
-            errors[(mult, lam)] = fold_mse
-
-    fold_errors = np.array([errors[point] for point in grid])
+    rows = []
+    for mult in multipliers:
+        rows += _fold_errors(features, mult, by_fold, Y_sorted, lambdas, bounds)
+    grid = tuple((m, lam) for m in multipliers for lam in lambdas)
+    fold_errors = np.array(rows)
     means = fold_errors.mean(axis=1)
     best = means.min()
     chosen = max(
         (i for i in range(len(grid)) if means[i] == best),
         key=lambda i: (grid[i][1], grid[i][0]),
     )
-    return CvReport(tuple(grid), fold_errors, chosen)
+    return CvReport(grid, fold_errors, chosen)
 
 
 def _fold_errors(build, mult, by_fold, Y, lams, bounds) -> list[list[float]]:

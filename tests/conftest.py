@@ -1,4 +1,18 @@
+import time
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from kernelep.cli import (
+    cmd_eval,
+    cmd_gen_data,
+    cmd_train,
+    load_eval_report,
+    make_config,
+    save_graph,
+)
+from kernelep.ep_engine import demo_graph
 
 settings.register_profile(
     "ci",
@@ -20,3 +34,41 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def pipeline(tmp_path_factory):
+    """Full-scale artifacts shared by criteria 1, 6 and 8 and by the
+    logistic-regression accuracy test: the seed-42 acceptance model and its
+    evaluation reports."""
+    root = tmp_path_factory.mktemp("acceptance")
+    data = {
+        "seed": 42,
+        "n_train": 2000,
+        "n_test": 200,
+        "n_importance": 10_000,
+        "num_features": 2000,
+        "dataset": str(root / "train.csv"),
+        "model": str(root / "model.json"),
+        "graph": str(root / "graph.json"),
+    }
+    save_graph(root / "graph.json", demo_graph())
+    t0 = time.perf_counter()
+    cmd_gen_data(make_config(data))
+    cmd_train(make_config(data))
+    report_path = cmd_eval(make_config(data, {"out": str(root / "report.json")}))
+    elapsed = time.perf_counter() - t0
+    floor_path = cmd_eval(
+        make_config(dict(data, passthrough=True), {"out": str(root / "floor.json")})
+    )
+    report = load_eval_report(report_path)
+    floor = load_eval_report(floor_path)
+    floor_median = floor["kl_summary"]["median"]
+    return SimpleNamespace(
+        root=root,
+        data=data,
+        elapsed=elapsed,
+        report=report,
+        floor_median=floor_median,
+        threshold=20.0 * floor_median,
+    )

@@ -7,17 +7,19 @@ recomputes the constants.
 
 The references of the feature and ridge criteria live here too: per-side
 expected features, exact expected kernels between incoming messages, a
-dual-form ridge regressor, and a ridge model's factor assembled as one
-dense square.  The package itself runs none of them.
+dual-form ridge regressor, a ridge model's factor assembled as one dense
+square, and the exact posterior of a logistic-regression graph.  The
+package itself runs none of them.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import betaln, expit
+from scipy.special import betaln, expit, logsumexp
 
 from kernelep.errors import DomainError
 from kernelep.expfam import BetaDist, ExpFamDist, Gaussian1D
@@ -48,12 +50,7 @@ def tilted_log_density(x, mean, var, alpha, beta):
     """log of m_x(x) * BetaPdf(sigmoid(x); alpha, beta), unnormalized ok."""
     x = np.asarray(x)
     log_gauss = -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
-    log_beta = (
-        -(alpha - 1.0) * np.logaddexp(0.0, -x)
-        - (beta - 1.0) * np.logaddexp(0.0, x)
-        - betaln(alpha, beta)
-    )
-    return log_gauss + log_beta
+    return log_gauss + log_beta_of_sigmoid(x, alpha, beta)
 
 
 def tilted_moments_quad(mean, var, alpha, beta, n_nodes=10_000):
@@ -267,3 +264,58 @@ def packed_factor(square: np.ndarray) -> np.ndarray:
     D = len(square)
     pieces = [square[b0:, b0 : b0 + w].T.ravel() for b0, w, _ in _block_extents(D)]
     return np.concatenate(pieces) if pieces else np.zeros(0)
+
+
+# ---------------------------------------------------------------------------
+# Exact posterior of a logistic-regression graph
+
+
+def log_beta_of_sigmoid(x, alpha, beta):
+    """log BetaPdf(sigmoid(x); alpha, beta), finite for every finite x."""
+    return (
+        -(alpha - 1.0) * np.logaddexp(0.0, -x)
+        - (beta - 1.0) * np.logaddexp(0.0, x)
+        - betaln(alpha, beta)
+    )
+
+
+@lru_cache(maxsize=4)
+def _hermite(order: int):
+    return np.polynomial.hermite.hermgauss(order)
+
+
+def logistic_regression_posterior(graph, n_nodes=2000, order=96) -> Gaussian1D:
+    """Moment-matched exact posterior of w in an ep_engine.logistic_regression_graph.
+
+    The graph is w ~ N(m0, v0) (factor "prior"), x_i = a_i w + b_i + N(0, v_i)
+    (factor lin_i) and a logistic factor tying x_i to z_i, whose observation
+    Beta(alpha_i, beta_i) makes the factor BetaPdf(sigmoid(x_i)).  Integrating
+    x_i out leaves one smooth likelihood per observation,
+    E[BetaPdf(sigmoid(x))] under N(a_i w + b_i, v_i), taken by Gauss-Hermite
+    at `order` nodes.  The posterior is the prior times these likelihoods on
+    a composite Gauss-Legendre grid of n_nodes over the prior's mean +- 10
+    standard deviations.  Everything stays in log space, so no likelihood
+    underflows to log(0).
+    """
+    prior = next(f for f in graph.factors if f.kind == "gaussian_prior")
+    m0, v0 = float(prior.params["mean"]), float(prior.params["variance"])
+    half = 10.0 * math.sqrt(v0)
+    w, weights = composite_gl(m0 - half, m0 + half, n_nodes)
+    log_post = -0.5 * (w - m0) ** 2 / v0
+    links = {f.neighbors[1]: f.params for f in graph.factors if f.kind == "linear_gaussian"}
+    t, gh_weights = _hermite(order)
+    log_gh = np.log(gh_weights) - 0.5 * math.log(math.pi)
+    for f in graph.factors:
+        if f.kind != "logistic":
+            continue
+        x_id, z_id = f.neighbors
+        link, obs = links[x_id], graph.observations[z_id]
+        mean = float(link["a"]) * w + float(link["b"])
+        x = mean[:, None] + math.sqrt(2.0 * float(link["noise_variance"])) * t[None, :]
+        log_post = log_post + logsumexp(
+            log_gh[None, :] + log_beta_of_sigmoid(x, obs.alpha, obs.beta), axis=1
+        )
+    log_mass = log_post + np.log(weights)
+    probs = np.exp(log_mass - logsumexp(log_mass))
+    mean = float(probs @ w)
+    return Gaussian1D(mean, float(probs @ (w - mean) ** 2))

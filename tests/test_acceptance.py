@@ -9,13 +9,13 @@ Criterion 1's KL bound is calibrated against an oracle noise floor measured
 on the same held-out cases: two independent importance-sampling runs answer
 the same queries and the median KL between them is the floor. The held-out
 median must come within 20x of that floor. See notes on the current verdict
-in the repository README.
+in the repository README. The pipeline fixture lives in conftest.py, so that
+other test modules can score the same model.
 """
 
 import json
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +29,6 @@ from kernelep.cli import (
     cmd_eval,
     cmd_gen_data,
     cmd_train,
-    load_eval_report,
     load_model,
     make_config,
     save_graph,
@@ -60,42 +59,6 @@ def _verdict(num: int, label: str, ok: bool, detail: str):
     line = f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'} - {detail}"
     conftest.ACCEPTANCE_LINES.append(line)
     assert ok, line
-
-
-@pytest.fixture(scope="session")
-def pipeline(tmp_path_factory):
-    """Full-scale artifacts shared by criteria 1, 6 and 8."""
-    root = tmp_path_factory.mktemp("acceptance")
-    data = {
-        "seed": 42,
-        "n_train": 2000,
-        "n_test": 200,
-        "n_importance": 10_000,
-        "num_features": 2000,
-        "dataset": str(root / "train.csv"),
-        "model": str(root / "model.json"),
-        "graph": str(root / "graph.json"),
-    }
-    save_graph(root / "graph.json", demo_graph())
-    t0 = time.perf_counter()
-    cmd_gen_data(make_config(data))
-    cmd_train(make_config(data))
-    report_path = cmd_eval(make_config(data, {"out": str(root / "report.json")}))
-    elapsed = time.perf_counter() - t0
-    floor_path = cmd_eval(
-        make_config(dict(data, passthrough=True), {"out": str(root / "floor.json")})
-    )
-    report = load_eval_report(report_path)
-    floor = load_eval_report(floor_path)
-    floor_median = floor["kl_summary"]["median"]
-    return SimpleNamespace(
-        root=root,
-        data=data,
-        elapsed=elapsed,
-        report=report,
-        floor_median=floor_median,
-        threshold=20.0 * floor_median,
-    )
 
 
 def test_criterion_1_full_scale_heldout_kl(pipeline):

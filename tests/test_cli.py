@@ -178,8 +178,10 @@ def test_model_reload_predicts_bit_identically(ws):
     root, data = ws
     pairs = load_dataset(data["dataset"])
     rng = np.random.default_rng(np.random.SeedSequence([BASE["seed"], 1]))
-    grid = [(m, lam) for m in BASE["cv"]["multipliers"] for lam in BASE["cv"]["lambdas"]]
-    op, _, tau = train_operator(pairs, BASE["num_features"], rng, grid=grid, folds=4)
+    cv = BASE["cv"]
+    op, _, tau = train_operator(
+        pairs, BASE["num_features"], rng, cv["multipliers"], cv["lambdas"], cv["folds"]
+    )
     loaded = load_model(data["model"])
     assert loaded.tau == tau
     assert loaded.seed == BASE["seed"]

@@ -764,6 +764,28 @@ def test_active_source_query_is_the_oracle_source_message(demo_operator):
     assert to_natural(got).tobytes() == to_natural(want).tobytes()
 
 
+def _marginals_hex(result):
+    return {
+        vid: tuple(float(v).hex() for v in to_natural(m)) for vid, m in result.marginals.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "graph", [demo_graph, lambda: logistic_regression_graph(10, 0)], ids=["demo", "logistic10"]
+)
+def test_active_source_without_budget_sends_the_operator_sources_messages(demo_operator, graph):
+    # no budget: every message is the operator's prediction, and a tau
+    # below any variance logs each one as a fallback
+    op, _ = demo_operator
+    want = run_ep(graph(), default_sources(OperatorSource(op)), rng=np.random.default_rng(31))
+    active = ActiveSource(op, UncertaintyPolicy(tau=1e-30, budget=0), n_importance=2000)
+    got = run_ep(graph(), default_sources(active), rng=np.random.default_rng(31))
+    assert _marginals_hex(got) == _marginals_hex(want)
+    assert (got.iterations, got.skipped) == (want.iterations, want.skipped)
+    assert got.queries == 0 and active.op is op
+    assert active.log and {e.action for e in active.log} == {"fallback"}
+
+
 def test_active_source_query_retries_a_degenerate_draw(demo_operator, monkeypatch):
     op, _ = demo_operator
     draws = []

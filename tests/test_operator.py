@@ -80,6 +80,25 @@ def test_featurize_deterministic(trained):
     assert first.shape == (op.model.num_features,)
 
 
+def test_beta_memo_is_capped_and_recomputes_evicted_rows(trained):
+    _, op, _, _ = trained
+    op = MessageOperator(op.spec, op.model)
+    rng = np.random.default_rng(48)
+    incs = [
+        IncomingTuple(Gaussian1D(0.3, 1.5), BetaDist(*rng.uniform(1.0, 10.0, size=2)))
+        for _ in range(operator.BETA_MEMO_CAP + 20)
+    ]
+    first = featurize(op, incs[0])
+    for inc in incs[1:]:
+        featurize(op, inc)
+    assert len(op._beta_cache) == operator.BETA_MEMO_CAP
+    # the oldest rows went first, and an evicted row comes back with the same bits
+    assert (incs[0].m_z.alpha, incs[0].m_z.beta) not in op._beta_cache
+    assert (incs[-1].m_z.alpha, incs[-1].m_z.beta) in op._beta_cache
+    np.testing.assert_array_equal(featurize(op, incs[0]), first)
+    assert len(op._beta_cache) == operator.BETA_MEMO_CAP
+
+
 def test_featurize_rejects_improper(trained):
     _, op, _, _ = trained
     with pytest.raises(DomainError):
@@ -299,10 +318,9 @@ def test_train_operator_holds_one_multipliers_features():
     width = 800
 
     def peak(multipliers):
-        grid = [(m, lam) for m in multipliers for lam in (1e-4, 1e-2)]
         tracemalloc.start()
         try:
-            train_operator(pairs, width, np.random.default_rng(47), grid=grid)
+            train_operator(pairs, width, np.random.default_rng(47), multipliers, (1e-4, 1e-2))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,7 +377,7 @@ def test_joint_training_builds_two_stage_spec(trained):
 def test_joint_training_sizes_projection_by_case_count():
     # 12 centred cases span at most 11 directions
     pairs = flat_beta_pairs(12, seed=44)
-    op, _, _ = train_operator(pairs, 700, np.random.default_rng(45), grid=[(1.0, 1e-4)], folds=3)
+    op, _, _ = train_operator(pairs, 700, np.random.default_rng(45), [1.0], [1e-4], folds=3)
     assert op.spec.inner.num_features == 500
     assert op.spec.projection.shape == (500, 11)
     assert op.model.num_features == 700

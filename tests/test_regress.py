@@ -13,10 +13,10 @@ from kernelep.errors import DomainError
 from kernelep.kernels import TwoStageSpec, draw_rff
 from kernelep.operator import MessageOperator
 from kernelep.regress import (
+    DEFAULT_LAMBDAS,
     CvReport,
     RidgeModel,
     cross_validate,
-    default_grid,
     fit,
     folded_factor,
     predict,
@@ -582,9 +582,7 @@ def test_online_update_null_feature_is_inert():
 
 def test_cross_validate_singleton_grid():
     Phi, Y, _ = random_problem(seed=21, noise=0.2)
-    report = cross_validate(
-        {1.0: Phi}.__getitem__, Y, grid=[(1.0, 0.01)], rng=np.random.default_rng(0)
-    )
+    report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], [0.01], rng=np.random.default_rng(0))
     assert isinstance(report, CvReport)
     assert report.chosen == 0
     assert report.chosen_params == (1.0, 0.01)
@@ -592,8 +590,8 @@ def test_cross_validate_singleton_grid():
 
 def test_cross_validate_noiseless_prefers_smallest_lambda():
     Phi, Y, _ = random_problem(D=8, N=80, seed=22, noise=0.0)
-    grid = [(1.0, lam) for lam in (1e-8, 1e-2, 1.0, 100.0)]
-    report = cross_validate({1.0: Phi}.__getitem__, Y, grid=grid, rng=np.random.default_rng(1))
+    lams = (1e-8, 1e-2, 1.0, 100.0)
+    report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], lams, rng=np.random.default_rng(1))
     assert report.chosen_params == (1.0, 1e-8)
     assert np.all(report.fold_errors >= 0)
     assert np.all(np.isfinite(report.fold_errors))
@@ -601,26 +599,27 @@ def test_cross_validate_noiseless_prefers_smallest_lambda():
 
 def test_cross_validate_deterministic_and_validates():
     Phi, Y, _ = random_problem(seed=23, noise=0.3)
-    grid = default_grid()[:4]
-    feats = {m: Phi for m, _ in grid}.__getitem__
-    a = cross_validate(feats, Y, grid=grid, rng=np.random.default_rng(5))
-    b = cross_validate(feats, Y, grid=grid, rng=np.random.default_rng(5))
+    mults, lams = [0.25], DEFAULT_LAMBDAS[:4]
+    feats = {0.25: Phi}.__getitem__
+    a = cross_validate(feats, Y, mults, lams, rng=np.random.default_rng(5))
+    b = cross_validate(feats, Y, mults, lams, rng=np.random.default_rng(5))
     assert a.chosen == b.chosen
     np.testing.assert_array_equal(a.fold_errors, b.fold_errors)
+    for bad_mults, bad_lams in (([], lams), (mults, []), (mults, [1.0, 0.0])):
+        with pytest.raises(DomainError):
+            cross_validate(feats, Y, bad_mults, bad_lams, rng=np.random.default_rng(0))
     with pytest.raises(DomainError):
-        cross_validate(feats, Y, grid=[], rng=np.random.default_rng(0))
-    with pytest.raises(DomainError):
-        cross_validate(feats, Y[:, :3], grid=grid, rng=np.random.default_rng(0))
+        cross_validate(feats, Y[:, :3], mults, lams, rng=np.random.default_rng(0))
 
 
 def test_cross_validate_tie_breaks_toward_larger_lambda():
     # all-zero targets make every grid entry score exactly zero error
     Phi = np.zeros((4, 20))
     Y = np.zeros((1, 20))
-    grid = [(0.5, 1e-6), (0.5, 1e-2), (2.0, 1e-2), (2.0, 1e-6)]
     feats = {0.5: Phi, 2.0: Phi}.__getitem__
-    report = cross_validate(feats, Y, grid=grid, rng=np.random.default_rng(2))
-    assert report.chosen_params == (2.0, 1e-2)
+    for mults in ([0.5, 2.0], [2.0, 0.5]):
+        report = cross_validate(feats, Y, mults, [1e-2, 1e-6], rng=np.random.default_rng(2))
+        assert report.chosen_params == (2.0, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -674,11 +673,10 @@ def test_cross_validate_matches_per_fold_refit(D, N, folds):
     rng = np.random.default_rng(D * 1000 + N)
     features = {0.5: rng.normal(size=(D, N)), 2.0: rng.normal(size=(D, N))}
     Y = rng.normal(size=(2, D)) @ features[0.5] + 0.3 * rng.normal(size=(2, N))
-    grid = [(m, lam) for m in (0.5, 2.0) for lam in (1e-3, 1e-1, 10.0)]
     report = cross_validate(
-        features.__getitem__, Y, grid=grid, folds=folds, rng=np.random.default_rng(3)
+        features.__getitem__, Y, (0.5, 2.0), (1e-3, 1e-1, 10.0), folds, np.random.default_rng(3)
     )
-    expected = refit_fold_errors(features, Y, grid, folds, 3, fit_and_predict)
+    expected = refit_fold_errors(features, Y, report.grid, folds, 3, fit_and_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
     assert report.chosen == int(np.argmin(expected.mean(axis=1)))
 
@@ -692,11 +690,8 @@ def test_cross_validate_rank_deficient_matches_svd_refit():
     rng = np.random.default_rng(100)
     Phi = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 30))
     Y = rng.normal(size=(2, 12)) @ Phi + 0.3 * rng.normal(size=(2, 30))
-    grid = [(1.0, 1e-14)]
-    report = cross_validate(
-        {1.0: Phi}.__getitem__, Y, grid=grid, folds=5, rng=np.random.default_rng(7)
-    )
-    expected = refit_fold_errors({1.0: Phi}, Y, grid, 5, 7, svd_ridge_predict)
+    report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], [1e-14], 5, np.random.default_rng(7))
+    expected = refit_fold_errors({1.0: Phi}, Y, [(1.0, 1e-14)], 5, 7, svd_ridge_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-12, atol=0)
 
 
@@ -710,55 +705,47 @@ def test_cross_validate_square_features_match_svd_refit():
     V, _ = np.linalg.qr(rng.normal(size=(25, 25)))
     Phi = 1e-4 * (U * np.linspace(1.0, 3.0, 25)) @ V.T
     Y = 1e4 * rng.normal(size=(2, 25)) @ Phi + 0.3 * rng.normal(size=(2, 25))
-    grid = [(1.0, 1e-8)]
-    report = cross_validate(
-        {1.0: Phi}.__getitem__, Y, grid=grid, folds=5, rng=np.random.default_rng(8)
-    )
-    expected = refit_fold_errors({1.0: Phi}, Y, grid, 5, 8, svd_ridge_predict)
+    report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], [1e-8], 5, np.random.default_rng(8))
+    expected = refit_fold_errors({1.0: Phi}, Y, [(1.0, 1e-8)], 5, 8, svd_ridge_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
 
 
 def test_cross_validate_reports_in_grid_order():
-    # one decomposition per multiplier serves all its lambdas, in whatever
-    # order the grid lists them; each row equals that point's grid alone
+    # one decomposition per multiplier serves all the lambdas, whatever the
+    # order of either axis; the report is their product in the order given,
+    # and each row equals that point's grid alone
     rng = np.random.default_rng(102)
     features = {0.5: rng.normal(size=(10, 35)), 2.0: rng.normal(size=(10, 35))}
     Y = rng.normal(size=(2, 10)) @ features[2.0] + 0.3 * rng.normal(size=(2, 35))
-    grid = [(m, lam) for m in (0.5, 2.0) for lam in np.logspace(-8, 3, 12)]
-    grid = [grid[i] for i in rng.permutation(len(grid))]
-    report = cross_validate(
-        features.__getitem__, Y, grid=grid, folds=5, rng=np.random.default_rng(9)
-    )
-    assert report.grid == tuple(grid)
-    for point, row in zip(grid, report.fold_errors):
-        alone = cross_validate(
-            features.__getitem__, Y, grid=[point], folds=5, rng=np.random.default_rng(9)
-        )
+    mults = [2.0, 0.5]
+    lams = list(rng.permutation(np.logspace(-8, 3, 12)))
+    report = cross_validate(features.__getitem__, Y, mults, lams, 5, np.random.default_rng(9))
+    assert report.grid == tuple((m, lam) for m in mults for lam in lams)
+    for (m, lam), row in zip(report.grid, report.fold_errors):
+        alone = cross_validate(features.__getitem__, Y, [m], [lam], 5, np.random.default_rng(9))
         np.testing.assert_array_equal(row, alone.fold_errors[0])
 
 
 def test_cross_validate_builds_each_multipliers_features_once_in_order():
     # fresh copies give the report of the stored matrices, each built once
-    # per multiplier when the search reaches it
+    # per multiplier, in the order given, when the search reaches it
     rng = np.random.default_rng(103)
     features = {m: rng.normal(size=(8, 30)) for m in (0.5, 1.0, 2.0)}
     Y = rng.normal(size=(2, 30))
-    grid = [(m, lam) for m in (2.0, 0.5, 1.0) for lam in (1e-3, 1.0)]
+    mults, lams = (2.0, 0.5, 1.0), (1e-3, 1.0)
     calls = []
 
     def build(mult):
         calls.append(mult)
         return features[mult].copy()
 
-    built = cross_validate(build, Y, grid=grid, folds=5, rng=np.random.default_rng(10))
-    mapped = cross_validate(
-        features.__getitem__, Y, grid=grid, folds=5, rng=np.random.default_rng(10)
-    )
-    assert calls == [0.5, 1.0, 2.0]
+    built = cross_validate(build, Y, mults, lams, 5, np.random.default_rng(10))
+    mapped = cross_validate(features.__getitem__, Y, mults, lams, 5, np.random.default_rng(10))
+    assert calls == [2.0, 0.5, 1.0]
     np.testing.assert_array_equal(built.fold_errors, mapped.fold_errors)
     assert built.chosen == mapped.chosen
     with pytest.raises(DomainError, match="expected 30 cases"):
-        cross_validate(lambda m: features[m][:, :20], Y, grid=grid, rng=np.random.default_rng(0))
+        cross_validate(lambda m: features[m][:, :20], Y, mults, lams, rng=np.random.default_rng(0))
 
 
 def _blocked_model(D, rows, seed):
