@@ -10,6 +10,12 @@ Phi Phi^T + lambda I, a model keeps the lower-triangular M = L^{-1}, so that
 squares, ||M phi||^2 (Rasmussen & Williams, Gaussian Processes for Machine
 Learning, 2006, Algorithm 2.1).  M is held as column blocks of its triangle
 (see _BLOCK), and products with it are BLAS calls on the blocks.
+
+Cross-validation scores every fold from the full-data fit.  With no more
+cases than features it factors the N x N dual Gram Phi^T Phi + lambda I
+once per lambda; with more cases, or at a lambda too small for the dual
+Gram to resolve, it eigendecomposes Phi Phi^T once per bandwidth
+multiplier (see cross_validate).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri
 
 from .errors import DomainError
 
@@ -51,6 +57,16 @@ _CARRY_ROWS = 16
 
 # elements per step of the in-place reversal in _fold
 _REVERSE_CHUNK = 1 << 16
+
+# cross-validation's dual route scores a lambda only from this multiple of
+# trace(K) up.  Cholesky's backward error on K + lambda I is about
+# eps * trace(K), which perturbs the directions K nearly annihilates by that
+# much relative to lambda: on rank-3 features (D = 30, N = 20, trace 1408)
+# the dual fold errors sat about 0.13 eps trace(K) / lambda off per-fold SVD
+# refits (3e-6 at lambda = 1e-8, 0.4 at 1e-13), where the eigen route stays
+# within 1e-13.  At the floor that is 3e-5; the acceptance Grams (trace
+# about 2000) put lambda = 1e-8 five times above it
+_DUAL_FLOOR = 1e-12
 
 # width of the column blocks that hold M.  Block b, for b0 = b * _BLOCK and
 # w = min(_BLOCK, D - b0), is the Fortran-ordered (D - b0) x w panel
@@ -87,13 +103,24 @@ def factor_columns(M: np.ndarray, D: int) -> list[np.ndarray]:
     return [panel[c:, c] for panel in _panels(M, D) for c in range(panel.shape[1])]
 
 
-def _pack(square: np.ndarray) -> np.ndarray:
-    """A fresh flat buffer of the lower-triangular square's column blocks."""
-    D = len(square)
-    M = np.empty(factor_size(D))
-    for j, panel in zip(range(0, D, _BLOCK), _panels(M, D)):
-        panel[...] = square[j:, j : j + _BLOCK]
-    return M
+def _pack_in_place(flat: np.ndarray, D: int) -> None:
+    """Move a D x D lower-triangular factor, held in Fortran order in the
+    first D * D entries of flat with exact zeros above the diagonal, into
+    the column blocks that fill flat's first factor_size(D) entries.
+
+    Column j of block b (b0 = b * _BLOCK) goes to the block's slot for
+    M[b0:, j], which starts no later than the square's M[b0:, j] and ends
+    no later than the square's column j + 1 starts, so each move reads a
+    column that no earlier move wrote; the zeros it carries from rows b0 to
+    j - 1 are the block's zeros above the diagonal.  Block 0 is already in
+    place.
+    """
+    offset = D * min(_BLOCK, D)
+    for b0 in range(_BLOCK, D, _BLOCK):
+        height = D - b0
+        for j in range(b0, min(b0 + _BLOCK, D)):
+            flat[offset : offset + height] = flat[j * D + b0 : (j + 1) * D]
+            offset += height
 
 
 @dataclass(eq=False)
@@ -251,10 +278,12 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
     and mirrors one triangle), so its transpose is the same matrix in
     Fortran order: LAPACK factors it in place as L L^T and zeroes the
     upper triangle, W comes from two triangular solves with L, and L is
-    inverted in place and copied into the column blocks of the model's M.
-    So the Gram's array is the only D x D array made, and the model does
-    not keep it.  When the factorization fails, escalating diagonal jitter
-    is added to a fresh Gram.
+    inverted in place.  Its columns then move forward, within the same
+    buffer, into the column blocks of the model's M (_pack_in_place), and
+    the buffer shrinks to them.  So the Gram's array is the only D x D
+    array made, and the model keeps only its first factor_size(D) doubles.
+    When the factorization fails, escalating diagonal jitter is added to a
+    fresh Gram.
     """
     Phi = np.asarray(Phi, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -276,16 +305,18 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
             break
     else:
         raise DomainError("normal equations singular to working precision")
-    del gram
     W_t, _ = dpotrs(L, Phi @ Y.T, lower=1, overwrite_b=1)
     W = W_t.T
-    # L's diagonal is positive, so the inversion cannot fail
-    L_inv, _ = dtrtri(L, lower=1, overwrite_c=1)
-    M = _pack(L_inv)
-    del L, L_inv
+    # L's diagonal is positive, so the inversion cannot fail; L and its
+    # inverse are gram's own buffer, in Fortran order
+    dtrtri(L, lower=1, overwrite_c=1)
+    del L
+    _pack_in_place(gram.reshape(-1), D)
+    # no view of gram is left, so it shrinks in place to the blocks
+    gram.resize(factor_size(D))
     residual = Y - W @ Phi
     noise_scale = max(float(np.mean(residual**2)), np.finfo(float).tiny)
-    return RidgeModel(W, float(lam), M, noise_scale, N)
+    return RidgeModel(W, float(lam), gram, noise_scale, N)
 
 
 def _check_phi(model: RidgeModel, phi, batch: bool) -> np.ndarray:
@@ -426,22 +457,33 @@ def cross_validate(
 
     `features(m)` gives multiplier m its D x N feature matrix (same case
     order).  It is called once per entry of `multipliers`, in the order
-    given, so a caller that builds fresh matrices holds one at a time.  The
-    report's grid is the product in that order, multiplier-major.
-    Fold assignment is a seeded permutation, so the report is deterministic
-    per rng state.  Ties in mean error prefer the larger lambda, then the
-    larger multiplier, then the earlier point.
+    given, so a caller that builds fresh matrices holds one at a time.  A
+    second call for the same m follows the first only when the dual route
+    below leaves some lambda to the eigen route.  The report's grid is the
+    product in that order, multiplier-major.  Fold assignment is a seeded
+    permutation, so the report is deterministic per rng state.  Ties in
+    mean error prefer the larger lambda, then the larger multiplier, then
+    the earlier point.
 
-    Each multiplier costs one eigendecomposition, of the full-data Gram
-    G = Phi Phi^T = P diag(e) P^T (D x D, so no N x N matrix appears), and
-    every lambda reuses it.  With C = Phi^T P and w = 1 / (e + lambda), the
-    full-data hat matrix is H = C diag(w) C^T.  A fold's held-out residuals
-    follow from the full-data fit by the leave-group-out identity: refitting
-    without fold g leaves residuals (Y_g - Yhat_g)(I - H_gg)^{-1}.  So a
-    lambda costs only the |g| x |g| blocks H_gg and their solves.  No jitter
-    is added: e is clipped at 0 and lambda > 0 keeps every w finite.  A row
-    depends only on its multiplier's features and its own w, so the order
-    of either axis moves no bit of it.
+    Every fold's held-out residuals follow from the full-data fit instead
+    of a refit per fold, by one of two routes (see _fold_errors):
+
+    - Dual route, when N <= D.  Each lambda factors K + lambda I, for the
+      N x N dual Gram K = Phi^T Phi, by Cholesky.  With
+      A = (K + lambda I)^{-1}, I - H = lambda A, so fold g's held-out
+      residuals are A_gg^{-1} (A Y^T)_g: one |g| x |g| Cholesky solve per
+      fold (An, Liu & Venkatesh, Pattern Recognition 40, 2007).  No
+      eigendecomposition is made and nothing cancels.
+    - Eigen route, when N > D, and for a lambda below
+      _DUAL_FLOOR * trace(K) or whose dual factorization fails.  One
+      eigendecomposition of the D x D Gram G = Phi Phi^T = P diag(e) P^T
+      serves every lambda: with C = Phi^T P and w = 1 / (e + lambda), the
+      hat matrix is H = C diag(w) C^T, and refitting without fold g leaves
+      residuals (Y_g - Yhat_g)(I - H_gg)^{-1}.  e is clipped at 0.
+
+    No jitter is added on either route.  A row depends only on its
+    multiplier's features and its own lambda, so the order of either axis
+    moves no bit of it.
     """
     if not len(multipliers) or not len(lambdas):
         raise DomainError("empty cross-validation grid")
@@ -481,18 +523,85 @@ def _fold_errors(build, mult, by_fold, Y, lams, bounds) -> list[list[float]]:
     whose features build(mult) gives; by_fold orders their columns so that
     fold k is the block bounds[k]:bounds[k + 1] (as Y already is).
 
-    The feature matrix, its fold-sorted copy, G, P and C live only in this
-    call, and the unsorted matrix goes as soon as the sorted copy exists,
-    so each multiplier's arrays are freed before the next multiplier's are
-    formed.
+    With N <= D the dual Gram K replaces the feature matrix, which goes
+    before any lambda is scored.  A lambda below _DUAL_FLOOR * trace(K), or
+    one where a dual factorization fails, takes its row from the eigen
+    route on a feature matrix built again, after K is freed.  With N > D
+    the eigen route scores every lambda.  Either way each multiplier's
+    arrays are freed before the next multiplier's are formed.
     """
+    Phi = _sorted_features(build, mult, by_fold)
+    rows = [None] * len(lams)
+    if Phi.shape[1] <= Phi.shape[0]:
+        # numpy forms Phi^T Phi as a symmetric rank-k product
+        K = Phi.T @ Phi
+        Phi = None
+        rows = _dual_rows(K, Y, lams, bounds)
+        del K
+    rest = [lam for lam, row in zip(lams, rows) if row is None]
+    if rest:
+        if Phi is None:
+            Phi = _sorted_features(build, mult, by_fold)
+        e, C = _eigen_basis(Phi)
+        del Phi
+        eigen = iter(_eigen_rows(e, C, Y, rest, bounds))
+        rows = [next(eigen) if row is None else row for row in rows]
+    return rows
+
+
+def _sorted_features(build, mult, by_fold) -> np.ndarray:
+    """build(mult) with its columns in fold order; the unsorted matrix goes
+    as soon as the sorted copy exists."""
     Phi = np.asarray(build(mult), dtype=float)
     if Phi.ndim != 2 or Phi.shape[1] != len(by_fold):
         raise DomainError(
             f"feature matrix for multiplier {mult} has shape {Phi.shape}, "
             f"expected {len(by_fold)} cases"
         )
-    Phi = Phi[:, by_fold]
+    return Phi[:, by_fold]
+
+
+def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
+    """Fold errors per lambda from the N x N dual Gram K (see
+    cross_validate), or None for a lambda below _DUAL_FLOOR * trace(K) or
+    where K + lambda I or a fold's block of its inverse does not factor.
+
+    One N x N work array serves every lambda: LAPACK factors K + lambda I
+    in it (its transpose, the same matrix in Fortran order), solves for
+    A Y^T and overwrites the factor with A's lower triangle, from which
+    each fold's diagonal block is copied and factored.
+    """
+    work = np.empty_like(K)
+    diagonal = np.diag_indices(len(K))
+    floor = _DUAL_FLOOR * np.trace(K)
+    rows = []
+    for lam in lams:
+        if lam < floor:
+            rows.append(None)
+            continue
+        np.copyto(work, K)
+        work[diagonal] += lam
+        L, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
+        if info:
+            rows.append(None)
+            continue
+        AY, _ = dpotrs(L, Y.T, lower=1)
+        A, _ = dpotri(L, lower=1, overwrite_c=1)
+        fold_mse = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            L_g, info = dpotrf(A[lo:hi, lo:hi], lower=1, clean=0)
+            if info:
+                fold_mse = None
+                break
+            held_out, _ = dpotrs(L_g, AY[lo:hi], lower=1)
+            fold_mse.append(float(np.mean(held_out**2)))
+        rows.append(fold_mse)
+    return rows
+
+
+def _eigen_basis(Phi) -> tuple[np.ndarray, np.ndarray]:
+    """(e, C) for the fold-sorted features Phi: G = Phi Phi^T = P diag(e) P^T
+    with e clipped at 0, and C = Phi^T P.  G and P live only in this call."""
     # G is exactly symmetric (numpy forms Phi Phi^T as a rank-k update and
     # mirrors one triangle), so G^T is G in Fortran order: LAPACK overwrites
     # it in place instead of eigh copying it first
@@ -500,8 +609,12 @@ def _fold_errors(build, mult, by_fold, Y, lams, bounds) -> list[list[float]]:
     e, P = eigh(G.T, overwrite_a=True, driver="evd")
     del G
     np.maximum(e, 0.0, out=e)
-    C = Phi.T @ P
-    del Phi, P
+    return e, Phi.T @ P
+
+
+def _eigen_rows(e, C, Y, lams, bounds) -> list[list[float]]:
+    """Fold errors per lambda by the leave-group-out identity on the hat
+    matrix H = C diag(1 / (e + lambda)) C^T (see cross_validate)."""
     YC = Y @ C
     out = []
     for lam in lams:

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from helpers import dense_factor, fit_dual, inverse_gram, packed_factor
 from kernelep import regress
@@ -666,6 +667,8 @@ def svd_ridge_predict(Phi_in, Y_in, lam, Phi_out):
         (12, 43, 5),  # N > D, uneven folds
         (30, 20, 4),  # N < D, N divisible by folds
         (30, 23, 4),  # N < D, uneven folds
+        (20, 20, 4),  # N = D, N divisible by folds
+        (23, 23, 5),  # N = D, uneven folds
         (12, 9, 9),  # leave-one-out: folds == N
     ],
 )
@@ -708,6 +711,90 @@ def test_cross_validate_square_features_match_svd_refit():
     report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], [1e-8], 5, np.random.default_rng(8))
     expected = refit_fold_errors({1.0: Phi}, Y, [(1.0, 1e-8)], 5, 8, svd_ridge_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cross_validate_keeps_its_digits_at_square_features(seed):
+    # D = N with squared singular values 0.05 to 146 at lambda = 1e-8: the
+    # hat matrix is within 2e-7 of I, so I - H_gg cancels to about 1e-6
+    # relative (the eigen route read 1.7e-6 to 4.3e-6 here), while the dual
+    # route's A_gg carries no cancellation
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(25, 25)))
+    V, _ = np.linalg.qr(rng.normal(size=(25, 25)))
+    Phi = (U * np.sqrt(np.geomspace(0.05, 146.0, 25))) @ V.T
+    Y = rng.normal(size=(2, 25)) @ Phi + 0.3 * rng.normal(size=(2, 25))
+    report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], [1e-8], 5, np.random.default_rng(seed))
+    expected = refit_fold_errors({1.0: Phi}, Y, [(1.0, 1e-8)], 5, seed, svd_ridge_predict)
+    np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
+
+
+def _rank_three_features():
+    rng = np.random.default_rng(100)
+    Phi = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 20))
+    Y = rng.normal(size=(2, 30)) @ Phi + 0.3 * rng.normal(size=(2, 20))
+    return Phi, Y
+
+
+def test_cross_validate_falls_back_where_the_dual_gram_does_not_factor():
+    # rank-3 features with N = 20 < D = 30: K + 1e-14 I is not positive
+    # definite to working precision, so that lambda's row comes from the
+    # eigen route on features built a second time, while lambda = 1e-2
+    # keeps the dual route and its bits
+    Phi, Y = _rank_three_features()
+    K = Phi.T @ Phi
+    assert dpotrf(K + 1e-14 * np.eye(20), lower=1)[1] > 0
+    calls = []
+
+    def build(mult):
+        calls.append(mult)
+        return Phi.copy()
+
+    report = cross_validate(build, Y, [1.0], [1e-14, 1e-2], 5, np.random.default_rng(7))
+    assert calls == [1.0, 1.0]
+    # the dual row carries about 0.13 eps trace(K) / lambda = 4e-12 (see
+    # regress._DUAL_FLOOR); the eigen row stays within 1e-13
+    expected = refit_fold_errors({1.0: Phi}, Y, report.grid, 5, 7, svd_ridge_predict)
+    np.testing.assert_allclose(report.fold_errors[0], expected[0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.fold_errors[1], expected[1], rtol=1e-9, atol=0)
+    calls.clear()
+    alone = cross_validate(build, Y, [1.0], [1e-2], 5, np.random.default_rng(7))
+    assert calls == [1.0]
+    np.testing.assert_array_equal(alone.fold_errors[0], report.fold_errors[1])
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1e-12, 1e-10])
+def test_cross_validate_leaves_lambdas_below_the_dual_floor_to_the_eigen_route(lam):
+    # K + lambda I factors at these lambdas, but Cholesky's backward error
+    # (about eps trace(K) = 3e-13 here) is a large share of lambda in the
+    # directions K annihilates: the dual route read 0.4, 3e-2 and 5e-4
+    # relative off the SVD refits, the eigen route stays within 1e-13
+    Phi, Y = _rank_three_features()
+    K = Phi.T @ Phi
+    assert dpotrf(K + lam * np.eye(20), lower=1)[1] == 0
+    assert lam < regress._DUAL_FLOOR * np.trace(K)
+    report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], [lam], 5, np.random.default_rng(7))
+    expected = refit_fold_errors({1.0: Phi}, Y, [(1.0, lam)], 5, 7, svd_ridge_predict)
+    np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-12, atol=0)
+
+
+def test_cross_validate_memory_at_square_features():
+    # one multiplier over the default lambda axis at D = N = 600: the dual
+    # route holds the sorted features and K, then K and one work array, so
+    # its peak stays near two N x N arrays; the eigen route held the
+    # features, G and dsyevd's 2 D^2 workspace (4.03 N^2 measured)
+    N = 600
+    rng = np.random.default_rng(105)
+    Phi = rng.normal(size=(N, N)) / np.sqrt(N)
+    Y = rng.normal(size=(2, N))
+    tracemalloc.start()
+    try:
+        report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], DEFAULT_LAMBDAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.fold_errors.shape == (len(DEFAULT_LAMBDAS), 5)
+    assert peak < 2.5 * 8 * N * N
 
 
 def test_cross_validate_reports_in_grid_order():
@@ -859,6 +946,32 @@ def test_fit_holds_no_square():
         tracemalloc.stop()
     assert 8 * regress.factor_size(D) <= held < 8 * D * D
     assert all(a.size < D * D for a in (model.W, model.M, model.C))
+
+
+@pytest.mark.parametrize("D", [1, 511, 513, 1100])
+def test_fit_packs_its_inverse_factor_in_the_grams_buffer(D):
+    # M has the bits of L^{-1} from the same LAPACK calls, packed into
+    # column blocks; the packing reuses the Gram's buffer, so fit's peak is
+    # that one square plus arrays of D x N and D x D_y (the parent, which
+    # copied the square into fresh blocks, peaked at 1.72 squares at
+    # D = 1100)
+    N, lam = 30, 1e-3
+    rng = np.random.default_rng(D)
+    Phi, Y = rng.normal(size=(D, N)), rng.normal(size=(2, N))
+    tracemalloc.start()
+    try:
+        model = fit(Phi, Y, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gram = Phi @ Phi.T
+    gram[np.diag_indices(D)] += lam
+    L, info = dpotrf(gram, lower=1, clean=1)
+    assert info == 0
+    np.testing.assert_array_equal(model.M, packed_factor(dtrtri(L, lower=1)[0]))
+    assert model.M.base is None and model.M.shape == (regress.factor_size(D),)
+    if D > 1:
+        assert peak < 8 * D * (D + 4 * N)
 
 
 def test_carry_grows_in_place_along_a_chain():
