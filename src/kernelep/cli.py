@@ -18,15 +18,18 @@ the config schema.  `make_config` and `build_parser` both read them, and each
 scalar key is also the flag `--key-with-dashes`, so a new setting is one
 table entry plus its `RunConfig` field.
 
-Formats: datasets and per-case eval rows are CSV with a fixed header, read
-and written by one codec; graphs and reports are JSON.  Floats are
-serialized as the shortest decimal that parses back to the identical double,
-so files round-trip without loss.  A model file (format version 5) is one
-compact JSON header line, space-padded to a multiple of 64 bytes and at
-most 1 MiB long, then the raw little-endian float64 C-order bytes of its
-arrays, each at a 64-byte aligned offset.  The header holds the version, a
-sha256 checksum, the array table ([offset, nbytes] each), `data_bytes`,
-and the payload with every
+Files: every output is written to a temporary file beside its target and
+renamed over it, so a write that fails part-way leaves the previous file
+whole.  A config, dataset, eval-case or graph file that is not UTF-8 (or,
+for the JSON ones, not valid JSON) raises that file's format error.  Datasets
+and per-case eval rows are CSV with a fixed header, read and written by one
+codec; graphs and reports are JSON.  Floats are serialized as the shortest
+decimal that parses back to the identical double, so files round-trip
+without loss.  A model file (format version 5) is one compact JSON header
+line, space-padded to a multiple of 64 bytes and at most 1 MiB long, then
+the raw little-endian float64 C-order bytes of its arrays, each at a 64-byte
+aligned offset.  The header holds the version, a sha256 checksum, the array
+table ([offset, nbytes] each), `data_bytes`, and the payload with every
 array replaced by {"dtype": "<f8", "shape": [...], "index": k}.  The
 checksum covers the canonical JSON of {arrays, data_bytes, payload} and then
 the data section: every scalar, metadata value, layout entry and array byte.
@@ -37,12 +40,11 @@ projection, outer frequencies, phases and bandwidth).  `triangle` is the
 model's lower-triangular factor M (regress.RidgeModel) with any carried
 updates folded in on save, stored as its lower triangle column by column
 (LAPACK's packed lower layout, D (D + 1) / 2 values), and it is the last
-array of the data section.  Versions 1-3 (arrays as decimal or base64
-text) and version 4 (an explicit D x D inverse Gram) are refused.  Saving
-writes a temporary file renamed over the target; loading reads the
-triangle straight into the model's column blocks (regress.factor_columns),
-never a D x D array, and the rest of the data into one buffer, returning
-read-only views of it.
+array of the data section.  Versions 1-3 (arrays as decimal or base64 text)
+and version 4 (an explicit D x D inverse Gram) are refused.  Loading reads
+the triangle straight into the model's column blocks
+(regress.factor_columns), never a D x D array, and the rest of the data into
+one buffer, returning read-only views of it.
 Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
 """
 
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -115,7 +118,6 @@ __all__ = [
     "load_model",
     "save_graph",
     "load_graph",
-    "load_eval_report",
     "load_eval_cases",
     "cmd_gen_data",
     "cmd_train",
@@ -272,10 +274,7 @@ def _parsed(parse, value, label: str):
 
 
 def load_config_file(path) -> dict:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    data = _read_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
@@ -342,18 +341,39 @@ def _derived_path(out: Path, tag: str) -> Path:
     return out.parent / (out.stem + tag)
 
 
-def _with_parent(path) -> Path:
+def _write(path, pieces) -> Path:
+    """Write byte pieces to a temporary file beside `path`, then rename it over `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            for piece in pieces:
+                handle.write(piece)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
-def _write_json(path: Path, obj) -> Path:
-    path = _with_parent(path)
-    with open(path, "w") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
-    return path
+def _write_json(path, obj) -> Path:
+    return _write(path, [json.dumps(obj, indent=2).encode() + b"\n"])
+
+
+def _read_text(path, error) -> str:
+    """A UTF-8 text file; undecodable bytes raise the caller's format error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path, error):
+    try:
+        return json.loads(_read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +403,8 @@ def _case_cols(case_id: int, inc: IncomingTuple) -> list:
 
 
 def _write_csv(path, header: str, rows) -> Path:
-    path = _with_parent(path)
-    path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
-    return path
+    lines = itertools.chain([header], map(",".join, rows))
+    return _write(path, (f"{line}\n".encode() for line in lines))
 
 
 def _read_csv(path, header: str, parse_row) -> list:
@@ -394,7 +413,7 @@ def _read_csv(path, header: str, parse_row) -> list:
     A wrong header, a wrong field count, or a ValueError from parse_row
     raises DatasetFormatError carrying the line number.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path, DatasetFormatError).splitlines()
     if not lines or lines[0] != header:
         raise DatasetFormatError("missing or wrong header", line=1)
     width = header.count(",") + 1
@@ -597,20 +616,8 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
     header += " " * (-(len(header) + 1) % _ALIGN) + "\n"
     if len(header) > _HEADER_LIMIT:
         raise ModelFormatError(f"model header of {len(header)} bytes exceeds {_HEADER_LIMIT}")
-    path = _with_parent(path)
-    # written beside the target and renamed over it, so a write that fails
-    # part-way leaves any previous model intact
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
-    try:
-        with open(tmp, "xb") as handle:
-            handle.write(header.encode("ascii"))
-            for piece in _data_pieces(arrays, layout["arrays"]):
-                handle.write(piece)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    pieces = itertools.chain([header.encode("ascii")], _data_pieces(arrays, layout["arrays"]))
+    return _write(path, pieces)
 
 
 def load_model(path) -> SavedModel:
@@ -709,10 +716,7 @@ def save_graph(path, graph: FactorGraph) -> Path:
 
 
 def load_graph(path) -> FactorGraph:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"graph file is not valid JSON: {exc}") from None
+    doc = _read_json(path, GraphFormatError)
     try:
         variables = tuple(
             Variable(str(v["id"]), str(v["family"])) for v in doc["variables"]
@@ -730,7 +734,7 @@ def load_graph(path) -> FactorGraph:
             str(vid): BetaDist(float(o["alpha"]), float(o["beta"]))
             for vid, o in doc.get("observations", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a section not an object
         raise GraphFormatError(f"bad graph structure: {exc}") from None
     return FactorGraph(variables, factors, observations)
 
@@ -871,10 +875,6 @@ def cmd_eval(config: RunConfig) -> Path:
     )
     _write_json(_derived_path(out, ".timings.json"), {"runtime_seconds": runtime})
     return out
-
-
-def load_eval_report(path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def cmd_ep_run(config: RunConfig) -> Path:

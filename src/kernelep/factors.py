@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -175,8 +176,9 @@ def gen_training_set(
     """Generate exactly N training pairs that passed the ESS floor.
 
     Each case runs on its own child generator spawned from `rng`, so the
-    result is bit-identical for any `n_jobs`.  The total attempt budget is
-    10N; exceeding it raises GenerationError.
+    result is bit-identical for any `n_jobs`.  At most min(n_jobs, N, CPU
+    count) worker threads run, and none when that is 1.  The total attempt
+    budget is 10N; exceeding it raises GenerationError.
     """
     if N < 1:
         raise DomainError(f"training set size must be >= 1, got {N}")
@@ -186,8 +188,9 @@ def gen_training_set(
     def run(i: int) -> tuple[TrainingPair, int]:
         return _gen_case(prior, n_importance, streams[i], budget)
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, N, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, range(N)))
     else:
         results = [run(i) for i in range(N)]

@@ -283,7 +283,7 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
     the buffer shrinks to them.  So the Gram's array is the only D x D
     array made, and the model keeps only its first factor_size(D) doubles.
     When the factorization fails, escalating diagonal jitter is added to a
-    fresh Gram.
+    fresh Gram, and the model records lambda + jitter, the lambda it solved.
     """
     Phi = np.asarray(Phi, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -316,7 +316,7 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
     gram.resize(factor_size(D))
     residual = Y - W @ Phi
     noise_scale = max(float(np.mean(residual**2)), np.finfo(float).tiny)
-    return RidgeModel(W, float(lam), gram, noise_scale, N)
+    return RidgeModel(W, float(lam + jitter), gram, noise_scale, N)
 
 
 def _check_phi(model: RidgeModel, phi, batch: bool) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import time
 from types import SimpleNamespace
 
@@ -8,7 +9,6 @@ from kernelep.cli import (
     cmd_eval,
     cmd_gen_data,
     cmd_train,
-    load_eval_report,
     make_config,
     save_graph,
 )
@@ -61,8 +61,8 @@ def pipeline(tmp_path_factory):
     floor_path = cmd_eval(
         make_config(dict(data, passthrough=True), {"out": str(root / "floor.json")})
     )
-    report = load_eval_report(report_path)
-    floor = load_eval_report(floor_path)
+    report = json.loads(report_path.read_text())
+    floor = json.loads(floor_path.read_text())
     floor_median = floor["kl_summary"]["median"]
     return SimpleNamespace(
         root=root,

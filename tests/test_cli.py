@@ -32,9 +32,9 @@ from kernelep.cli import (
     cmd_eval,
     cmd_gen_data,
     cmd_train,
+    load_config_file,
     load_dataset,
     load_eval_cases,
-    load_eval_report,
     load_graph,
     load_model,
     main,
@@ -751,6 +751,39 @@ def test_save_model_failure_keeps_previous_file(wide_op, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _then_disk_full(items):
+    yield from items
+    _disk_full()
+
+
+@pytest.mark.parametrize("kind, fail", [
+    ("dataset", "stream"), ("dataset", "replace"), ("report", "replace")
+])
+def test_dataset_and_report_write_failure_keeps_previous_file(
+    ws, tmp_path, monkeypatch, kind, fail
+):
+    pairs = load_dataset(ws[1]["dataset"])
+    if kind == "dataset":
+        target = save_dataset(tmp_path / "data.csv", pairs[:3])
+        # rows stream into the file, so a failing stream fails the write part-way
+        new = _then_disk_full(pairs[3:9]) if fail == "stream" else pairs[3:9]
+        write = lambda: save_dataset(target, new)
+    else:
+        target = cli._write_json(tmp_path / "report.json", {"n_test": 3})
+        write = lambda: cli._write_json(target, {"n_test": 6, "ess": [p.ess for p in pairs]})
+    before = target.read_bytes()
+    if fail == "replace":
+        monkeypatch.setattr(cli.os, "replace", _disk_full)
+    with pytest.raises(OSError, match="No space"):
+        write()
+    assert target.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [target]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -758,7 +791,7 @@ def test_save_model_failure_keeps_previous_file(wide_op, tmp_path, monkeypatch):
 def test_eval_report_invariants(ws):
     root, data = ws
     out = cmd_eval(make_config(data, {"out": str(root / "report.json")}))
-    report = load_eval_report(out)
+    report = json.loads(out.read_text())
     assert report["n_test"] == BASE["n_test"]
     assert report["n_included"] == report["n_test"] - report["n_excluded"]
     hist = report["histogram"]
@@ -782,7 +815,7 @@ def test_eval_passthrough_sits_at_noise_floor(ws, tmp_path):
     out = cmd_eval(
         make_config(data, {"out": str(tmp_path / "pass.json"), "passthrough": True})
     )
-    report = load_eval_report(out)
+    report = json.loads(out.read_text())
     assert report["passthrough"] is True
     rows = [r for r in load_eval_cases(tmp_path / "pass.cases.csv") if not r["excluded"]]
     kls = [r["kl"] for r in rows]
@@ -960,6 +993,23 @@ def test_graph_roundtrip(tmp_path):
     bad.write_text(json.dumps({"variables": [{"id": "x"}], "factors": []}))
     with pytest.raises(GraphFormatError):
         load_graph(bad)
+
+
+@pytest.mark.parametrize("section", ["observations", "params"])
+def test_ep_run_refuses_a_graph_section_that_is_not_an_object(ws, tmp_path, capsys, section):
+    _, data = ws
+    doc = json.loads(save_graph(tmp_path / "g.json", demo_graph()).read_text())
+    if section == "observations":
+        doc["observations"] = list(doc["observations"].values())
+    else:
+        doc["factors"][0]["params"] = list(doc["factors"][0]["params"].values())
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError, match="bad graph structure"):
+        load_graph(tmp_path / "g.json")
+    argv = ["ep-run", "--model", data["model"], "--graph", str(tmp_path / "g.json")]
+    assert main([*argv, "--out", str(tmp_path / "ep.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad graph structure") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [("variance", None), ("mean", None), ("mean", math.nan)])
@@ -1156,6 +1206,39 @@ def test_main_exit_codes(tmp_path):
     assert main(["gen-data", "--config", str(badcfg)]) == 1
     badcfg.write_text(json.dumps({"bogus": 1}))
     assert main(["gen-data", "--config", str(badcfg)]) == 1
+
+
+# each text input with a Latin-1 byte where UTF-8 needs a continuation byte
+_NOT_UTF8 = {
+    "config": (load_config_file, ConfigError, b'{"dataset": "donn\xe9es.csv"}\n'),
+    "dataset": (load_dataset, DatasetFormatError, DATASET_HEADER.encode() + b"\n0,caf\xe9\n"),
+    "eval cases": (
+        load_eval_cases, DatasetFormatError, EVAL_CASES_HEADER.encode() + b"\n0,caf\xe9\n"
+    ),
+    "graph": (load_graph, GraphFormatError, b'{"variables": [{"id": "\xe9"}]}\n'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_UTF8))
+def test_inputs_that_are_not_utf8_raise_their_format_error(tmp_path, kind):
+    load, error, text = _NOT_UTF8[kind]
+    (tmp_path / "in").write_bytes(text)
+    with pytest.raises(error, match="is not UTF-8 text"):
+        load(tmp_path / "in")
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("config", ["gen-data", "--config"]),
+    ("dataset", ["train", "--dataset"]),
+    ("graph", ["ep-run", "--model", "{model}", "--graph"]),
+])
+def test_main_reports_an_input_that_is_not_utf8_on_one_line(ws, tmp_path, capsys, kind, argv):
+    (tmp_path / "in").write_bytes(_NOT_UTF8[kind][2])
+    argv = [arg.format(model=ws[1]["model"]) for arg in argv]
+    assert main([*argv, str(tmp_path / "in"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not UTF-8 text" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_feature_kind_option_removed():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 import helpers
+from kernelep import factors
 from kernelep.errors import DegenerateSampleError, DomainError, GenerationError
 from kernelep.expfam import BetaDist, Gaussian1D
 from kernelep.factors import (
@@ -188,6 +189,37 @@ def test_gen_training_set_deterministic_across_jobs():
         assert u.input == v.input
         np.testing.assert_array_equal(u.target, v.target)
         assert u.ess == v.ess
+
+
+@pytest.mark.parametrize("cpus, workers", [(4, [4]), (64, [5]), (1, []), (None, [])])
+def test_gen_training_set_bounds_its_worker_threads(monkeypatch, cpus, workers):
+    # a pool that records its size and maps serially: no thread starts
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(factors, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(factors.os, "cpu_count", lambda: cpus)
+    prior = IncomingPrior()
+    wide = gen_training_set(prior, 5, 500, np.random.default_rng(8), n_jobs=10**6)
+    assert recorded == workers
+    serial = gen_training_set(prior, 5, 500, np.random.default_rng(8), n_jobs=1)
+    assert recorded == workers
+    for u, v in zip(wide, serial, strict=True):
+        assert u.input == v.input
+        np.testing.assert_array_equal(u.target, v.target)
+        assert u.ess == v.ess and u.n_samples == v.n_samples
 
 
 def test_gen_training_set_budget_error():

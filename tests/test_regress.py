@@ -76,6 +76,11 @@ def test_fit_escalates_jitter_then_refuses():
     np.testing.assert_allclose(
         inverse_gram(model), np.linalg.inv(Phi @ Phi.T + 1e-10 * np.eye(2)), rtol=1e-4
     )
+    # the model records the lambda it solved with
+    assert model.lam == 1e-300 + 1e-10
+    # and a fit that needs no jitter keeps its own, bit for bit
+    lam = np.nextafter(0.3, 1.0)
+    assert fit(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), Y, lam).lam.hex() == lam.hex()
     # at this scale every jitter rounds away
     with pytest.raises(DomainError, match="singular"):
         fit(1e6 * Phi, Y, 1e-300)
