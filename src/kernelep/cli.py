@@ -444,7 +444,10 @@ def _training_pair(fields) -> TrainingPair:
     if not inc.proper:
         raise ValueError("improper incoming messages")
     target = np.array([float(fields[5]), float(fields[6])])
-    return TrainingPair(inc, target, float(fields[7]), int(fields[8]))
+    ess, n_samples = float(fields[7]), int(fields[8])
+    if not (np.all(np.isfinite(target)) and math.isfinite(ess) and n_samples >= 1):
+        raise ValueError("target and ESS must be finite and n_samples at least 1")
+    return TrainingPair(inc, target, ess, n_samples)
 
 
 def load_dataset(path) -> list:
@@ -694,6 +697,9 @@ def load_model(path) -> SavedModel:
 # ---------------------------------------------------------------------------
 # Graph files
 
+# the Python types json.loads gives each JSON type a graph field may hold
+_JSON_TYPES = {"string": str, "list": list, "number": (int, float)}
+
 
 def save_graph(path, graph: FactorGraph) -> Path:
     doc = {
@@ -715,28 +721,40 @@ def save_graph(path, graph: FactorGraph) -> Path:
     return _write_json(Path(path), doc)
 
 
+def _graph_field(value, field: str, kind: str = "string"):
+    """value when its JSON type is kind: "string", "list", or "number" (read
+    as a float); a bool is none of them.  Else GraphFormatError names field."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise GraphFormatError(f"{field} must be a JSON {kind}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
 def load_graph(path) -> FactorGraph:
     doc = _read_json(path, GraphFormatError)
     try:
         variables = tuple(
-            Variable(str(v["id"]), str(v["family"])) for v in doc["variables"]
+            Variable(*(_graph_field(v[k], f"variables[{i}].{k}") for k in ("id", "family")))
+            for i, v in enumerate(doc["variables"])
         )
-        factors = tuple(
-            Factor(
-                str(f["id"]),
-                str(f["kind"]),
-                tuple(str(n) for n in f["neighbors"]),
-                {k: float(v) for k, v in f.get("params", {}).items()},
-            )
-            for f in doc["factors"]
-        )
+        factors = []
+        for i, f in enumerate(doc["factors"]):
+            at, params = f"factors[{i}].", f.get("params", {}).items()
+            neighbors = _graph_field(f["neighbors"], at + "neighbors", "list")
+            factors.append(Factor(
+                *(_graph_field(f[k], at + k) for k in ("id", "kind")),
+                tuple(_graph_field(n, f"{at}neighbors[{j}]") for j, n in enumerate(neighbors)),
+                {k: _graph_field(v, f"{at}params.{k}", "number") for k, v in params},
+            ))
         observations = {
-            str(vid): BetaDist(float(o["alpha"]), float(o["beta"]))
+            vid: BetaDist(*(
+                _graph_field(o[k], f"observations.{vid}.{k}", "number") for k in ("alpha", "beta")
+            ))
             for vid, o in doc.get("observations", {}).items()
         }
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a section not an object
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a section that is not an object or a list, or a missing key
         raise GraphFormatError(f"bad graph structure: {exc}") from None
-    return FactorGraph(variables, factors, observations)
+    return FactorGraph(variables, tuple(factors), observations)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ multiplier (see cross_validate).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,10 +49,6 @@ DEFAULT_LAMBDAS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 100.0)
 
 # escalating diagonal jitter for nearly singular normal equations
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
-
-# rows of the first carry buffer; each full buffer is copied into one of
-# twice the rows, up to the D // 2 rows at which the carry folds
-_CARRY_ROWS = 16
 
 # elements per step of the in-place reversal in _fold
 _REVERSE_CHUNK = 1 << 16
@@ -123,26 +118,6 @@ def _pack_in_place(flat: np.ndarray, D: int) -> None:
             offset += height
 
 
-@dataclass(eq=False)
-class _CarryRows:
-    """A buffer of carried rows shared by the models updated along one line:
-    rows[:used] are taken, and the model whose C is rows[:used] may append
-    in place."""
-
-    rows: np.ndarray
-    used: int
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def claim(self, k: int) -> bool:
-        """Take row k for an update of the model whose C is rows[:k]: false
-        when another update took it first or the buffer is full."""
-        with self.lock:
-            if self.used != k or k == len(self.rows):
-                return False
-            self.used = k + 1
-            return True
-
-
 @dataclass(frozen=True, eq=False)
 class RidgeModel:
     """Fitted primal ridge regressor.
@@ -161,14 +136,11 @@ class RidgeModel:
     it.  C is a k x D carry with one row w / sqrt(d) per pair absorbed
     since, in the coordinates z = M phi: w is (I - C^T C) z and
     d = 1 + z^T w at the time of the update (k = 0 when omitted).  So a
-    predictive variance is noise_scale * (||M phi||^2 - ||C M phi||^2).  An
-    update appends its row to a buffer of rows that grows by doubling
-    (_carry), in place when no other update has appended to it since, so
-    it costs mat-vecs in D; a model updated twice gives two independent
-    models, whose rows past their common ones never share memory.  When C
-    reaches D // 2 rows, the point where its k D multiply-adds per variance
-    match the triangle's D^2 / 2, update_online folds it into a new
-    triangle; save_model folds whatever is carried.
+    predictive variance is noise_scale * (||M phi||^2 - ||C M phi||^2).  C
+    is the model's own read-only array: an update builds a fresh one with
+    one more row.  When C reaches D // 2 rows, the point where its k D
+    multiply-adds per variance match the triangle's D^2 / 2, update_online
+    folds it into a new triangle; save_model folds whatever is carried.
 
     _memo keeps (phi's bytes, M phi, C M phi) for the last single vector
     whose predictive variance this model computed.  update_online reuses
@@ -184,7 +156,6 @@ class RidgeModel:
     n_train: int
     C: np.ndarray | None = None
     _blocks: tuple = field(default=(), init=False, repr=False)
-    _carry: _CarryRows | None = field(default=None, init=False, repr=False)
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -402,16 +373,13 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     With z = M phi, w = (I - C^T C) z and d = 1 + z^T w, the inverse Gram
     loses u u^T / d for u = A_inv phi = M^T w, so W gains
     (y - W phi) u^T / d, and the returned model carries one more row
-    w / sqrt(d) of C over the same M (see RidgeModel).  The row goes into
-    this model's carry buffer in place when this model holds its last
-    written row and the buffer has room, else into a fresh buffer of twice
-    the rows (see _CARRY_ROWS), so C is not copied on every update.  No
-    D x D array is touched unless C reaches D // 2 rows and is folded.  When
-    predictive_variance last scored a phi with the same bytes on this
-    model, its z and C z are reused (the same bits fresh products give), so
-    the update's one pass over M is the transposed product that forms u.
-    noise_scale stays frozen; n_train counts the new pair.  Non-finite
-    inputs raise DomainError.
+    w / sqrt(d) of C over the same M (see RidgeModel), in a fresh copy of
+    the carry.  No D x D array is touched unless C reaches D // 2 rows and
+    is folded.  When predictive_variance last scored a phi with the same
+    bytes on this model, its z and C z are reused (the same bits fresh
+    products give), so the update's one pass over M is the transposed
+    product that forms u.  noise_scale stays frozen; n_train counts the new
+    pair.  Non-finite inputs raise DomainError.
     """
     phi = _check_phi(model, phi_new, batch=False)
     y = np.atleast_1d(np.asarray(y_new, dtype=float))
@@ -430,19 +398,10 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
         raise DomainError(f"rank-1 update breakdown: denominator {denom} <= 0")
     u = _lower_transposed_product(model._blocks, w)
     W = model.W + np.outer((y - model.W @ phi) / denom, u)
-    k, carry = len(model.C), model._carry
-    if carry is None or not carry.claim(k):
-        capacity = max(k + 1, min(max(2 * k, _CARRY_ROWS), model.num_features // 2))
-        rows = np.empty((capacity, model.num_features))
-        rows[:k] = model.C
-        carry = _CarryRows(rows, k + 1)
-    np.divide(w, np.sqrt(denom), out=carry.rows[k])
-    M, C = model.M, carry.rows[: k + 1]
+    M, C = model.M, np.concatenate([model.C, (w / np.sqrt(denom))[None]])
     if len(C) >= model.num_features // 2:
-        M, C, carry = _fold(model._blocks, C), None, None
-    updated = RidgeModel(W, model.lam, M, model.noise_scale, model.n_train + 1, C)
-    object.__setattr__(updated, "_carry", carry)
-    return updated
+        M, C = _fold(model._blocks, C), None
+    return RidgeModel(W, model.lam, M, model.noise_scale, model.n_train + 1, C)
 
 
 def cross_validate(

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -168,6 +169,26 @@ def test_dataset_parse_errors_carry_line_numbers(tmp_path):
     empty.write_text(DATASET_HEADER + "\n")
     with pytest.raises(DatasetFormatError):
         load_dataset(empty)
+
+
+@pytest.mark.parametrize("tail", [
+    "nan,1.0,500.0,10000",
+    "1.0,inf,500.0,10000",
+    "1.0,1.0,nan,10000",
+    "1.0,1.0,-inf,10000",
+    "1.0,1.0,500.0,0",
+])
+def test_dataset_refuses_non_finite_targets_or_ess_and_empty_samples(tmp_path, capsys, tail):
+    path = tmp_path / "d.csv"
+    rows = ["0,0.5,0.0,2.0,3.0,0.1,-0.5,500.0,10000", "1,0.5,0.0,2.0,3.0," + tail]
+    path.write_text("\n".join([DATASET_HEADER, *rows]) + "\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert err.value.line == 3
+    # train reports the line before it fits anything
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1031,64 @@ def test_ep_run_refuses_a_graph_section_that_is_not_an_object(ws, tmp_path, caps
     assert main([*argv, "--out", str(tmp_path / "ep.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad graph structure") and err.count("\n") == 1
+
+
+def _load_edited_graph(tmp_path, edit):
+    """load_graph of demo_graph's saved document after edit(doc)."""
+    path = save_graph(tmp_path / "g.json", demo_graph())
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return load_graph(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("variables", "id", 7),
+    ("variables", "family", None),
+    ("factors", "id", 1.5),
+    ("factors", "kind", ["logistic"]),
+])
+def test_graph_ids_kinds_and_families_must_be_strings(tmp_path, section, key, value):
+    def edit(doc):
+        doc[section][1][key] = value
+
+    field = re.escape(f"{section}[1].{key}")
+    with pytest.raises(GraphFormatError, match=rf"^{field} must be a JSON string"):
+        _load_edited_graph(tmp_path, edit)
+
+
+@pytest.mark.parametrize("neighbors, field", [
+    ("x", "factors[1].neighbors"),
+    ("xz1", "factors[1].neighbors"),
+    ({"x": 0}, "factors[1].neighbors"),
+    (["x", 1], "factors[1].neighbors[1]"),
+])
+def test_graph_neighbors_must_be_a_list_of_strings(tmp_path, neighbors, field):
+    # a string would otherwise be split into one-letter variables
+    def edit(doc):
+        doc["factors"][1]["neighbors"] = neighbors
+
+    with pytest.raises(GraphFormatError, match=rf"^{re.escape(field)} must be a JSON"):
+        _load_edited_graph(tmp_path, edit)
+
+
+@pytest.mark.parametrize("value", [True, "1e0", None, [2.0]])
+@pytest.mark.parametrize("field", ["factors[0].params.variance", "observations.z2.beta"])
+def test_graph_params_and_observation_shapes_must_be_numbers(tmp_path, field, value):
+    def put(doc, v):
+        if field.startswith("factors"):
+            doc["factors"][0]["params"]["variance"] = v
+        else:
+            doc["observations"]["z2"]["beta"] = v
+
+    # a JSON integer is a number
+    graph = _load_edited_graph(tmp_path, lambda doc: put(doc, 3))
+    if field.startswith("factors"):
+        assert graph.factors[0].params["variance"] == 3.0
+    else:
+        assert graph.observations["z2"].beta == 3.0
+    with pytest.raises(GraphFormatError, match=rf"^{re.escape(field)} must be a JSON number"):
+        _load_edited_graph(tmp_path, lambda doc: put(doc, value))
 
 
 @pytest.mark.parametrize("key, value", [("variance", None), ("mean", None), ("mean", math.nan)])
