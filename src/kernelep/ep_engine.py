@@ -68,7 +68,7 @@ ORACLE_RETRIES = 3
 # pass of matrix products over the model's triangular factor serves them
 # all, where a single message costs a full pass of its own.  Each pass reads
 # the whole triangle, so its cost grows slowly with the batch (width 2000,
-# 2 CPUs: about 7 ms for 20 messages, 34 ms for 256), and at 256 a demo
+# 2 CPUs: about 3 ms for 20 messages, 21 ms for 256), and at 256 a demo
 # graph's queue (about 84 messages) is scored once, when its log is read
 SCORE_BATCH = 256
 

@@ -9,7 +9,9 @@ Phi Phi^T + lambda I, a model keeps the lower-triangular M = L^{-1}, so that
 (Phi Phi^T + lambda I)^{-1} = M^T M and a predictive variance is a sum of
 squares, ||M phi||^2 (Rasmussen & Williams, Gaussian Processes for Machine
 Learning, 2006, Algorithm 2.1).  M is held as column blocks of its triangle
-(see _BLOCK), and products with it are BLAS calls on the blocks.
+(see _BLOCK), and products with it are BLAS calls on the blocks.  LAPACK
+(scipy.linalg) is imported only inside the functions that factor (fit,
+_fold and cross-validation's two routes), so inference never loads it.
 
 Cross-validation scores every fold from the full-data fit.  With no more
 cases than features it factors the N x N dual Gram Phi^T Phi + lambda I
@@ -24,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri
 
 from .errors import DomainError
 
@@ -68,12 +68,15 @@ _DUAL_FLOOR = 1e-12
 # M[b0:, b0:b0 + w], and the blocks lie one after another in one flat
 # buffer, so a model holds the triangle plus the zeros above the diagonal
 # inside each block: 2,500,864 doubles at D = 2000 against 4,000,000 for the
-# square.  M phi and M^T w are one gemv per block, and M X for a batch X
-# and a fold one gemm per block.  OpenBLAS's threaded dtrmv and dtrmm would
-# read the triangle alone, but on a 2-CPU host at D = 2000 they made the
-# numpy calls that followed them several times slower, and the benchmark's
-# EP body about 1.5x slower, where blocks of 512 keep it level with a gemv
-# over a D x D inverse
+# square.  M phi and M^T w are one gemv per block, and a fold and a batch
+# X one gemm per block.  A batch's gemms form (M X)^T = X^T M^T, with
+# n x (D - b0) outputs where M X has (D - b0) x n: at D = 2000 on 2 CPUs
+# that scored 256 columns in 21 ms against 34 ms, and a process's first
+# such batch left 3.2 MB more resident memory against 8.1 MB.  OpenBLAS's
+# threaded dtrmv and dtrmm would read the triangle alone, but on a 2-CPU
+# host at D = 2000 they made the numpy calls that followed them several
+# times slower, and the benchmark's EP body about 1.5x slower, where blocks
+# of 512 keep it level with a gemv over a D x D inverse
 _BLOCK = 512
 
 
@@ -202,6 +205,8 @@ def _fold(panels: tuple, C: np.ndarray) -> np.ndarray:
     T[b0:, b0:] M_b, one gemm per block into the new buffer.  Apart from
     C's reversed copy, X and the new blocks are the only arrays allocated.
     """
+    from scipy.linalg.lapack import dpotrf
+
     reversed_C = np.ascontiguousarray(C[:, ::-1])
     X = reversed_C.T @ reversed_C
     del reversed_C
@@ -264,6 +269,8 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
         raise DomainError("non-finite training inputs")
     if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+
     D, N = Phi.shape
     diagonal = np.diag_indices(D)
     for jitter in _JITTERS:
@@ -283,8 +290,13 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
     dtrtri(L, lower=1, overwrite_c=1)
     del L
     _pack_in_place(gram.reshape(-1), D)
-    # no view of gram is left, so it shrinks in place to the blocks
-    gram.resize(factor_size(D))
+    # no view of gram is left, so it shrinks in place to the blocks; under
+    # a tracer (sys.settrace, cProfile) the frame's locals dict holds a
+    # second reference, resize refuses, and the blocks are copied instead
+    try:
+        gram.resize(factor_size(D))
+    except ValueError:
+        gram = gram.reshape(-1)[: factor_size(D)].copy()
     residual = Y - W @ Phi
     noise_scale = max(float(np.mean(residual**2)), np.finfo(float).tiny)
     return RidgeModel(W, float(lam + jitter), gram, noise_scale, N)
@@ -308,13 +320,24 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise DomainError(f"non-finite {name}")
 
 
-def _lower_product(panels: tuple, X: np.ndarray) -> np.ndarray:
-    """M X for the column blocks of M and a (D,) vector or (D, n) batch X:
-    block b adds M_b X[b] to the rows from b0 on."""
-    z = np.zeros(X.shape)
-    for j, panel in zip(range(0, len(X), _BLOCK), panels):
-        z[j:] += panel @ X[j : j + _BLOCK]
+def _lower_product(panels: tuple, x: np.ndarray) -> np.ndarray:
+    """M x for the column blocks of M and a (D,) vector x: block b adds
+    M_b x[b] to the entries from b0 on."""
+    z = np.zeros(len(x))
+    for j, panel in zip(range(0, len(x), _BLOCK), panels):
+        z[j:] += panel @ x[j : j + _BLOCK]
     return z
+
+
+def _lower_rows(panels: tuple, XT: np.ndarray) -> np.ndarray:
+    """(M X)^T = X^T M^T for the column blocks of M and the transpose XT of
+    a (D, n) batch X: block 0 writes every column, and each later block b
+    adds X[b]^T M_b^T to the columns from b0 on, so each gemm makes n
+    contiguous rows of D - b0 entries."""
+    ZT = np.matmul(XT[:, :_BLOCK], panels[0].T)
+    for j, panel in zip(range(_BLOCK, XT.shape[1], _BLOCK), panels[1:]):
+        ZT[:, j:] += XT[:, j : j + _BLOCK] @ panel.T
+    return ZT
 
 
 def _lower_transposed_product(panels: tuple, w: np.ndarray) -> np.ndarray:
@@ -342,13 +365,14 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     With z = M phi it is noise_scale * (||z||^2 - ||C z||^2) (see
     RidgeModel), a sum of squares where nothing is carried.  phi is a
     single (D,) vector, giving a float, or a (D, M) batch, giving the M
-    column variances.  A batch is scored _BLOCK columns at a time, each
-    chunk one pass over the triangle (matrix products instead of mat-vecs)
-    reduced to its column sums of squares, so it holds about two D x _BLOCK
-    arrays however wide it is.  Either way each entry of z is a sum of dot
-    products with a row of M's blocks, so a batch column's variance equals
-    that column scored alone to rounding, not up to a cancelling sum.  A
-    single vector's z and C z are kept in the model's memo for
+    column variances.  A batch is scored _BLOCK columns at a time: each
+    chunk's transpose, a view, makes one pass over the triangle as matrix
+    products Z^T = X^T M^T (_lower_rows), and Z^T and Z^T C^T are reduced
+    to their row sums of squares, so a chunk holds about two _BLOCK x D
+    arrays however wide the batch is.  Either way each entry of z is a sum
+    of dot products with a row of M's blocks, so a batch column's variance
+    equals that column scored alone to rounding, not up to a cancelling
+    sum.  A single vector's z and C z are kept in the model's memo for
     update_online.  A non-finite phi raises DomainError: its variance would
     be nan, which a threshold test reads as certain.
     """
@@ -362,8 +386,9 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
         return max(float(model.noise_scale * (z @ z - Cz @ Cz)), 0.0)
     squares = np.empty(phi.shape[1])
     for j in range(0, len(squares), _BLOCK):
-        Z, CZ = _apply_factor(model, phi[:, j : j + _BLOCK])
-        squares[j : j + _BLOCK] = np.einsum("ij,ij->j", Z, Z) - np.einsum("ij,ij->j", CZ, CZ)
+        ZT = _lower_rows(model._blocks, phi[:, j : j + _BLOCK].T)
+        CZT = ZT @ model.C.T
+        squares[j : j + _BLOCK] = np.einsum("ij,ij->i", ZT, ZT) - np.einsum("ij,ij->i", CZT, CZT)
     return np.maximum(model.noise_scale * squares, 0.0)
 
 
@@ -530,6 +555,8 @@ def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
     A Y^T and overwrites the factor with A's lower triangle, from which
     each fold's diagonal block is copied and factored.
     """
+    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+
     work = np.empty_like(K)
     diagonal = np.diag_indices(len(K))
     floor = _DUAL_FLOOR * np.trace(K)
@@ -561,6 +588,8 @@ def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
 def _eigen_basis(Phi) -> tuple[np.ndarray, np.ndarray]:
     """(e, C) for the fold-sorted features Phi: G = Phi Phi^T = P diag(e) P^T
     with e clipped at 0, and C = Phi^T P.  G and P live only in this call."""
+    from scipy.linalg import eigh
+
     # G is exactly symmetric (numpy forms Phi Phi^T as a rank-k update and
     # mirrors one triangle), so G^T is G in Fortran order: LAPACK overwrites
     # it in place instead of eigh copying it first

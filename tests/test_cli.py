@@ -680,15 +680,42 @@ def test_model_file_bytes_are_pinned(tmp_path):
     assert loaded.M.tobytes() == _exact_op(600).model.M.tobytes()
 
 
-def test_importing_the_cli_leaves_scipy_spatial_unloaded():
-    # only training's distance medians use scipy.spatial, so inference
-    # commands never pay for importing it
-    code = (
-        "import sys, kernelep.cli; "
-        "sys.exit(' '.join(m for m in sys.modules if m.startswith('scipy.spatial')) or None)"
-    )
+# exits with the names of the loaded training-only scipy modules, if any
+_TRAINING_MODULES_EXIT = (
+    "sys.exit(' '.join(m for m in sys.modules "
+    "if m.startswith(('scipy.spatial', 'scipy.linalg'))) or None)"
+)
+
+
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_importing_the_cli_leaves_scipy_spatial_and_linalg_unloaded():
+    # only training's distance medians use scipy.spatial, and only fits,
+    # folds and cross-validation use LAPACK through scipy.linalg, so
+    # inference commands never pay for importing either
+    result = _run_python("import sys, kernelep.cli; " + _TRAINING_MODULES_EXIT)
+    assert result.returncode == 0, result.stderr
+
+
+def test_ep_run_and_eval_leave_scipy_linalg_unloaded(pipeline, tmp_path):
+    # inference on the acceptance model scores messages and variances with
+    # numpy's BLAS alone
+    code = "\n".join([
+        "import json, sys",
+        "from kernelep.cli import cmd_ep_run, cmd_eval, make_config",
+        "data = json.loads(sys.argv[1])",
+        "cmd_ep_run(make_config(data, {'out': sys.argv[2]}))",
+        "cmd_eval(make_config(data, {'out': sys.argv[3], 'n_test': 20}))",
+        _TRAINING_MODULES_EXIT,
+    ])
+    result = _run_python(
+        code, json.dumps(pipeline.data), str(tmp_path / "ep.json"), str(tmp_path / "eval.json")
+    )
     assert result.returncode == 0, result.stderr
 
 

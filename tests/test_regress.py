@@ -862,9 +862,8 @@ def test_block_products_match_a_dense_factor(D):
     assert len(columns) == D
     for j in (0, D // 2, D - 1):
         np.testing.assert_array_equal(columns[j], dense[j:, j])
-    phi, w, batch = rng.normal(size=D), rng.normal(size=D), rng.normal(size=(D, 7))
+    phi, w = rng.normal(size=D), rng.normal(size=D)
     _assert_close(regress._lower_product(model._blocks, phi), dense @ phi)
-    _assert_close(regress._lower_product(model._blocks, batch), dense @ batch)
     _assert_close(regress._lower_transposed_product(model._blocks, w), dense.T @ w)
 
     # each product has the bits of the same BLAS calls on the column blocks
@@ -872,14 +871,21 @@ def test_block_products_match_a_dense_factor(D):
     # layout
     B = regress._BLOCK
     square = np.asfortranarray(dense)
-    z, u, Z = np.zeros(D), np.empty(D), np.zeros((D, 7))
+    z, u = np.zeros(D), np.empty(D)
     for j in range(0, D, B):
         z[j:] += square[j:, j : j + B] @ phi[j : j + B]
         u[j : j + B] = square[j:, j : j + B].T @ w[j:]
-        Z[j:] += square[j:, j : j + B] @ batch[j : j + B]
     assert regress._lower_product(model._blocks, phi).tobytes() == z.tobytes()
     assert regress._lower_transposed_product(model._blocks, w).tobytes() == u.tobytes()
-    assert regress._lower_product(model._blocks, batch).tobytes() == Z.tobytes()
+
+    # a batch is scored as (M X)^T = X^T M^T through the transpose of a
+    # column slice, a view of the batch
+    batch = rng.normal(size=(D, 20))[:, 3:10]
+    ZT = regress._lower_rows(model._blocks, batch.T)
+    assert ZT.shape == (7, D) and ZT.flags.c_contiguous
+    _assert_close(ZT, (dense @ batch).T)
+    for i in range(7):
+        _assert_close(ZT[i], regress._lower_product(model._blocks, batch[:, i]))
 
     def dense_variance(x):
         z = dense @ x
@@ -887,7 +893,10 @@ def test_block_products_match_a_dense_factor(D):
         return model.noise_scale * (np.sum(z * z, axis=0) - np.sum(Cz * Cz, axis=0))
 
     _assert_close(predictive_variance(model, phi), dense_variance(phi))
-    _assert_close(predictive_variance(model, batch), dense_variance(batch))
+    scored = predictive_variance(model, batch)
+    _assert_close(scored, dense_variance(batch))
+    alone = [predictive_variance(model, batch[:, i]) for i in range(7)]
+    np.testing.assert_allclose(scored, alone, rtol=1e-12, atol=0.0)
     # an update moves W by A_inv phi, the transposed product through the carry
     y = rng.normal(size=2)
     A_inv = dense.T @ (np.eye(D) - model.C.T @ model.C) @ dense
@@ -933,6 +942,27 @@ def test_fold_matches_a_dense_fold_and_holds_no_square(D):
     got = dense_factor(folded, D)
     assert not np.any(np.triu(got, 1))
     assert _max_rel(got, want) <= 1e-13
+
+
+def test_fit_runs_under_a_tracer():
+    # a tracer (sys.settrace, cProfile) holds a second reference to fit's
+    # locals, so the Gram's buffer cannot shrink in place; the fit still
+    # gives the untraced bits
+    Phi, Y, _ = random_problem(D=600, N=50, seed=105, noise=0.3)
+    plain = fit(Phi, Y, 1e-3)
+
+    def tracer(frame, event, arg):
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        traced = fit(Phi, Y, 1e-3)
+    finally:
+        sys.settrace(previous)
+    assert traced.M.shape == (regress.factor_size(600),)
+    _assert_same_bytes(traced, plain)
+    assert (traced.lam, traced.noise_scale) == (plain.lam, plain.noise_scale)
 
 
 def test_fit_holds_no_square():
