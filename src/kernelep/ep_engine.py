@@ -282,12 +282,14 @@ class LinearGaussianSource:
         return out
 
 
-def _logistic_incoming(factor, incoming):
-    """A logistic factor's x id and incoming tuple, the tuple None when a
-    cavity is improper: the source then proposes nothing."""
+def _logistic_cavities(factor, incoming):
+    """A logistic factor's x id and its cavities on x and z, or None when
+    either cavity is improper: the source then proposes nothing."""
     x_id, z_id = factor.neighbors
-    inc = IncomingTuple(incoming[x_id], incoming[z_id])
-    return x_id, inc if inc.proper else None
+    m_x, m_z = incoming[x_id], incoming[z_id]
+    if m_x.improper or m_z.improper:
+        return None
+    return x_id, m_x, m_z
 
 
 class OracleSource:
@@ -312,10 +314,11 @@ class OracleSource:
         raise last
 
     def __call__(self, factor, incoming, rng):
-        x_id, inc = _logistic_incoming(factor, incoming)
-        if inc is None:
+        cavities = _logistic_cavities(factor, incoming)
+        if cavities is None:
             return {}
-        return {x_id: divide(self.tilted(inc, rng), inc.m_x)}
+        x_id, m_x, m_z = cavities
+        return {x_id: divide(self.tilted(IncomingTuple(m_x, m_z), rng), m_x)}
 
 
 class OperatorSource:
@@ -332,10 +335,11 @@ class OperatorSource:
         warm_beta_cache(self.op, [from_natural(BETA, eta) for eta in graph.observed.values()])
 
     def __call__(self, factor, incoming, rng):
-        x_id, inc = _logistic_incoming(factor, incoming)
-        if inc is None:
+        cavities = _logistic_cavities(factor, incoming)
+        if cavities is None:
             return {}
-        return {x_id: outgoing_message(self.op, inc)}
+        x_id, m_x, m_z = cavities
+        return {x_id: outgoing_message(self.op, m_x, m_z)[0]}
 
 
 @dataclass(frozen=True)
@@ -363,10 +367,10 @@ class ActiveSource:
     The gate has two phases.  While budget remains, each message's variance
     is computed as it arrives and decides between prediction and query.
     Once the budget is spent the model is fixed and every prediction is
-    used, so a variance only decides whether the message is logged as a
-    fallback: the feature vectors wait in a queue and are scored together,
-    SCORE_BATCH at a time and whenever `log` is read, and the fallbacks are
-    logged in visit order.
+    used, so the message is OperatorSource's, and a variance only decides
+    whether it is logged as a fallback: the feature vectors wait in a queue
+    and are scored together, SCORE_BATCH at a time and whenever `log` is
+    read, and the fallbacks are logged in visit order.
 
     A query asks `oracle`, an OracleSource, so its message is the one
     OracleSource sends for the same visit, bit for bit.  Its answer is
@@ -406,9 +410,18 @@ class ActiveSource:
 
     def __call__(self, factor, incoming, rng):
         visit = self._visits[factor.id] = self._visits.get(factor.id, 0) + 1
-        x_id, inc = _logistic_incoming(factor, incoming)
-        if inc is None:
+        cavities = _logistic_cavities(factor, incoming)
+        if cavities is None:
             return {}
+        x_id, m_x, m_z = cavities
+        if self.budget == 0:
+            # OperatorSource's message; its variance waits for a batch
+            message, phi = outgoing_message(self.op, m_x, m_z)
+            self._pending.append((factor.id, x_id, visit, phi))
+            if len(self._pending) == SCORE_BATCH:
+                self._score_pending()
+            return {x_id: message}
+        inc = IncomingTuple(m_x, m_z)
         action = decide(self.op, UncertaintyPolicy(tau=self.tau, budget=self.budget), inc)
         if isinstance(action, QueryOracle):
             q = self.oracle.tilted(inc, rng)
@@ -416,13 +429,9 @@ class ActiveSource:
             self.queries += 1
             self.budget -= 1
             self._log.append(QueryEvent("query", factor.id, x_id, visit, action.variance, self.tau))
-            return {x_id: divide(q, inc.m_x)}
-        if action.variance is None:
-            self._pending.append((factor.id, x_id, visit, action.phi))
-            if len(self._pending) == SCORE_BATCH:
-                self._score_pending()
+            return {x_id: divide(q, m_x)}
         # action.q is predict_q(self.op, inc), computed from decide's features
-        return {x_id: divide(action.q, inc.m_x)}
+        return {x_id: divide(action.q, m_x)}
 
 
 def default_sources(logistic_source=None) -> dict:

@@ -14,6 +14,10 @@ measure h(x) = 1/sqrt(2 pi), so the log-partition is
 A(eta) = -eta1^2/(4 eta2) - log(-2 eta2)/2 and A = 0 for the standard normal.
 Beta natural parameters: eta = (alpha - 1, beta - 1) against h(z) = 1 on
 (0, 1), so A(eta) = log B(alpha, beta).
+
+The two special functions the Beta needs, `betaln` and `digamma`, are
+written here on the standard library's lgamma, so that inference imports
+NumPy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, digamma
 
 from .errors import DegenerateMomentsError, DomainError
 
@@ -38,7 +41,49 @@ __all__ = [
     "project_to_gaussian",
     "multiply",
     "divide",
+    "betaln",
+    "digamma",
 ]
+
+
+def betaln(a, b):
+    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b) for positive a, b.
+
+    Scalars give a numpy float; arrays broadcast and give an array of their
+    shape.  Each term is accurate to a few ulps, so the error is a few ulps
+    of the largest lgamma term (cancellation between them is not
+    compensated).
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = [math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) for x, y in zip(a.flat, b.flat)]
+    return np.reshape(out, a.shape)[()]
+
+
+# -B_2k / 2k for k = 7, 6, ..., 1: the coefficients of x^-2k in digamma's
+# asymptotic series, innermost first for Horner's rule in 1/x^2
+_DIGAMMA_SERIES = (
+    -1.0 / 12.0, 691.0 / 32760.0, -1.0 / 132.0, 1.0 / 240.0, -1.0 / 252.0, 1.0 / 120.0, -1.0 / 12.0
+)
+
+
+def digamma(x: float) -> float:
+    """The digamma function psi(x) = d/dx lgamma(x) for x > 0.
+
+    The recurrence psi(x) = psi(x + 1) - 1/x carries x up to 10 or more,
+    where the asymptotic series log x - 1/(2x) - sum_k B_2k / (2k x^2k),
+    cut after k = 7, is exact to rounding.
+    """
+    if not x > 0.0:
+        raise DomainError(f"digamma needs x > 0, got {x}")
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = 0.0
+    for c in _DIGAMMA_SERIES:
+        series = (series + c) * t
+    return math.log(x) - 0.5 / x + series - shift
 
 
 @dataclass(frozen=True)
@@ -117,20 +162,34 @@ def family_name(d: ExpFamDist) -> str:
     return "gaussian" if isinstance(d, Gaussian1D) else "beta"
 
 
+def _natural_pair(d: ExpFamDist) -> tuple[float, float]:
+    """to_natural(d) as two floats, for message arithmetic on scalars."""
+    if isinstance(d, Gaussian1D):
+        if math.isinf(d.variance):
+            return 0.0, 0.0
+        # + 0.0 normalizes the -0.0 that 1/inf arithmetic would produce
+        return d.mean / d.variance + 0.0, -1.0 / (2.0 * d.variance) + 0.0
+    return d.alpha - 1.0, d.beta - 1.0
+
+
 def to_natural(d: ExpFamDist) -> np.ndarray:
     """Natural parameters of a distribution, length-2 array.
 
     Defined for improper Gaussians too (needed by message arithmetic); the
     zero-precision case maps to eta = (0, 0).
     """
-    if isinstance(d, Gaussian1D):
-        if math.isinf(d.variance):
-            return np.zeros(2)
-        # + 0.0 normalizes the -0.0 that 1/inf arithmetic would produce
-        return np.array(
-            [d.mean / d.variance + 0.0, -1.0 / (2.0 * d.variance) + 0.0]
-        )
-    return np.array([d.alpha - 1.0, d.beta - 1.0])
+    return np.array(_natural_pair(d))
+
+
+def _gaussian_from_natural(eta1: float, eta2: float) -> Gaussian1D:
+    precision = -2.0 * eta2
+    if precision == 0.0:
+        if eta1 == 0.0:
+            return Gaussian1D.uniform()
+        # pure exponential tilt: not expressible as (mean, variance);
+        # flagged improper, direction retained in the sign of the mean
+        return Gaussian1D(math.copysign(math.inf, eta1), math.inf)
+    return Gaussian1D(eta1 / precision, 1.0 / precision)
 
 
 def from_natural(family: str, eta) -> ExpFamDist:
@@ -143,14 +202,7 @@ def from_natural(family: str, eta) -> ExpFamDist:
     if eta.shape != (2,):
         raise DomainError(f"natural parameter vector must have length 2, got shape {eta.shape}")
     if family == "gaussian":
-        precision = -2.0 * eta[1]
-        if precision == 0.0:
-            if eta[0] == 0.0:
-                return Gaussian1D.uniform()
-            # pure exponential tilt: not expressible as (mean, variance);
-            # flagged improper, direction retained in the sign of the mean
-            return Gaussian1D(math.copysign(math.inf, eta[0]), math.inf)
-        return Gaussian1D(float(eta[0] / precision), float(1.0 / precision))
+        return _gaussian_from_natural(float(eta[0]), float(eta[1]))
     if family == "beta":
         alpha, beta = float(eta[0] + 1.0), float(eta[1] + 1.0)
         if alpha <= 0.0 or beta <= 0.0:
@@ -222,13 +274,16 @@ def project_to_gaussian(moments) -> Gaussian1D:
 
 
 def _combine(a: ExpFamDist, b: ExpFamDist, sign: float) -> ExpFamDist:
+    # on floats, which round as numpy's float64 arrays would, so a message
+    # costs no array
     if type(a) is not type(b):
         raise DomainError("message arithmetic requires matching families")
-    eta = to_natural(a) + sign * to_natural(b)
+    (a1, a2), (b1, b2) = _natural_pair(a), _natural_pair(b)
+    eta1, eta2 = a1 + sign * b1, a2 + sign * b2
     if isinstance(a, Gaussian1D):
-        return from_natural("gaussian", eta)
+        return _gaussian_from_natural(eta1, eta2)
     # Beta: construct directly so improper results carry the flag, not a throw
-    return BetaDist(float(eta[0] + 1.0), float(eta[1] + 1.0))
+    return BetaDist(eta1 + 1.0, eta2 + 1.0)
 
 
 def multiply(a: ExpFamDist, b: ExpFamDist) -> ExpFamDist:

@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, logsumexp
 
 from .errors import DegenerateSampleError, DomainError, GenerationError
 from .expfam import BetaDist, Gaussian1D, project_to_gaussian
@@ -99,14 +98,32 @@ class IncomingPrior:
 
 
 def _tilted_log_weight(x: np.ndarray, inc: IncomingTuple, proposal: Gaussian1D) -> np.ndarray:
-    # log r(x) - log proposal(x); log sigma(x) = -softplus(-x) via logaddexp
+    # log r(x) - log proposal(x) up to a constant; log sigma(x) = -softplus(-x)
+    # via logaddexp.  The Beta's normalizer log B(a, b) is left out: it
+    # cancels in the self-normalized weights and in the ESS.
     a, b = inc.m_z.alpha, inc.m_z.beta
-    log_beta_part = (
-        -(a - 1.0) * np.logaddexp(0.0, -x)
-        - (b - 1.0) * np.logaddexp(0.0, x)
-        - betaln(a, b)
-    )
+    log_beta_part = -(a - 1.0) * np.logaddexp(0.0, -x) - (b - 1.0) * np.logaddexp(0.0, x)
     return inc.m_x.log_pdf(x) + log_beta_part - proposal.log_pdf(x)
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a 1-D float array, by scipy.special.logsumexp's
+    algorithm and so with its bits: the maxima are taken out of the sum, so
+    the result is log1p(s) + log(m) + max for m maxima and s the sum of the
+    other terms' exp(a - max) over m.  A non-finite maximum falls back to the
+    direct formula, as SciPy's does."""
+    top = a.max()
+    if not math.isfinite(top):
+        with np.errstate(divide="ignore"):
+            return np.log(np.sum(np.exp(a)))
+    at_top = a == top
+    terms = np.exp(a - top)
+    terms[at_top] = 0.0
+    m = float(np.count_nonzero(at_top))
+    s = np.sum(terms)
+    if s != 0.0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + top
 
 
 def tilted_sample(
@@ -125,12 +142,13 @@ def tilted_sample(
     proposal = Gaussian1D(inc.m_x.mean, PROPOSAL_WIDEN * inc.m_x.variance)
     x = rng.normal(proposal.mean, math.sqrt(proposal.variance), size=n)
     logw = _tilted_log_weight(x, inc, proposal)
-    ess = float(np.exp(2.0 * logsumexp(logw) - logsumexp(2.0 * logw)))
+    log_total = _logsumexp(logw)
+    ess = float(np.exp(2.0 * log_total - _logsumexp(2.0 * logw)))
     if ess < ess_floor(n):
         raise DegenerateSampleError(
             f"effective sample size {ess:.1f} below floor {ess_floor(n):.1f}", ess=ess
         )
-    w = np.exp(logw - logsumexp(logw))
+    w = np.exp(logw - log_total)
     return x, w, ess
 
 

@@ -34,14 +34,13 @@ takes the inner 2-dim ``RffSpec`` and gives the inner embeddings;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln
 
 from .errors import DomainError, QuadratureError
-from .expfam import Gaussian1D
+from .expfam import Gaussian1D, betaln
 
 __all__ = [
     "RffSpec",
@@ -72,11 +71,14 @@ class RffSpec:
     frequencies: (num_features, input_dim), drawn N(0, 1/gamma_k^2) per dim.
     phases: (num_features,) in [0, 2pi).
     bandwidth: (input_dim,) positive reals (gamma, input units).
+    first_axis: the frequencies on the first input coordinate, contiguous,
+        and their squares, which gaussian_cf reads (derived, read-only).
     """
 
     frequencies: np.ndarray
     phases: np.ndarray
     bandwidth: np.ndarray
+    first_axis: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = self.frequencies.shape
@@ -85,9 +87,10 @@ class RffSpec:
                 f"frequencies {shape}, phases {self.phases.shape} and "
                 f"bandwidth {self.bandwidth.shape} do not fit together"
             )
-        self.frequencies.setflags(write=False)
-        self.phases.setflags(write=False)
-        self.bandwidth.setflags(write=False)
+        omega = np.ascontiguousarray(self.frequencies[:, 0])
+        object.__setattr__(self, "first_axis", (omega, np.square(omega)))
+        for arr in (self.frequencies, self.phases, self.bandwidth, *self.first_axis):
+            arr.setflags(write=False)
 
     @property
     def num_features(self) -> int:
@@ -200,6 +203,12 @@ def rff_point(spec: RffSpec, x) -> np.ndarray:
         raise DomainError(
             f"points of shape {pts.shape} do not fit input dimension {spec.input_dim}"
         )
+    return _point_features(spec, pts)
+
+
+def _point_features(spec: RffSpec, pts: np.ndarray) -> np.ndarray:
+    """rff_point without its checks, for float points whose shape the
+    caller's spec already fixes."""
     out = pts @ spec.frequencies.T
     out += spec.phases
     np.cos(out, out=out)
@@ -207,17 +216,23 @@ def rff_point(spec: RffSpec, x) -> np.ndarray:
     return out
 
 
-def gaussian_cf(omega: np.ndarray, g: Gaussian1D) -> np.ndarray:
-    """Characteristic function E[e^{i w x}] of a proper Gaussian."""
+def gaussian_cf(spec: RffSpec, g: Gaussian1D) -> np.ndarray:
+    """Characteristic function E[e^{i w x}] of a proper Gaussian at the
+    spec's frequencies w on its first input coordinate."""
     if g.improper:
         raise DomainError("characteristic function of an improper Gaussian")
+    omega, omega_sq = spec.first_axis
     # real exp + cos/sin is ~2x cheaper than one complex exp and this sits on
     # the per-message hot path; products land in place, without temporaries
-    amp = np.exp((-0.5 * g.variance) * np.square(omega))
+    amp = np.multiply(-0.5 * g.variance, omega_sq)
+    np.exp(amp, out=amp)
     phase = omega * g.mean
-    out = np.empty(np.shape(phase), dtype=complex)
-    np.multiply(amp, np.cos(phase), out=out.real)
-    np.multiply(amp, np.sin(phase), out=out.imag)
+    out = np.empty(phase.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.cos(phase, out=re)
+    re *= amp
+    np.sin(phase, out=im)
+    im *= amp
     return out
 
 
@@ -327,7 +342,7 @@ def joint_features_batch(spec: RffSpec, tuples) -> np.ndarray:
     # in place, row by row: (n, D) complex temporaries would raise training's
     # peak memory
     for row, t in zip(rows, tuples):
-        np.multiply(row, gaussian_cf(spec.frequencies[:, 0], t.m_x), out=row)
+        np.multiply(row, gaussian_cf(spec, t.m_x), out=row)
     return rows.real.copy()
 
 
@@ -371,7 +386,7 @@ def median_distance(points: np.ndarray) -> float:
 def embedding_features(spec: TwoStageSpec, embeddings) -> np.ndarray:
     """Outer features of inner embeddings: (D_in,) -> (D,), (n, D_in) -> (n, D).
 
-    rff_point of the projected embeddings.
+    rff_point of the projected embeddings, whose width the spec fixes.
     """
     projected = (np.asarray(embeddings, dtype=float) - spec.center) @ spec.projection
-    return rff_point(spec.outer, projected)
+    return _point_features(spec.outer, projected)

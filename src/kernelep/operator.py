@@ -15,6 +15,10 @@ kernels.joint_features_batch uses for training.  Incoming Beta
 observations repeat across an EP run, so the Beta side of the inner joint
 embedding is memoized per (alpha, beta); the Gaussian side is closed form
 and recomputed on every call, as are the projection and outer features.
+
+An EP source calls `outgoing_message` with the two cavities as they are:
+one message costs featurize, predict, the (E, log V) inversion and a
+division on floats, and no IncomingTuple or natural-parameter array.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, PredictionError
-from .expfam import Gaussian1D, divide
+from .expfam import BetaDist, Gaussian1D, divide
 from .factors import IncomingTuple, TrainingPair, regression_target
 from .kernels import (
     TwoStageSpec,
@@ -123,12 +127,10 @@ class UncertaintyPolicy:
 
 @dataclass(frozen=True)
 class UsePrediction:
-    """Use the prediction q.  variance is None when the budget was spent;
-    phi, the features, lets the caller score it later, batched with others."""
+    """Use the prediction q, whose predictive variance is within tau."""
 
     q: Gaussian1D
-    variance: float | None
-    phi: np.ndarray = field(repr=False, compare=False)
+    variance: float
 
 
 @dataclass(frozen=True)
@@ -154,13 +156,16 @@ def _beta_row(op: MessageOperator, beta) -> np.ndarray:
     return row
 
 
-def featurize(op: MessageOperator, inc: IncomingTuple) -> np.ndarray:
-    """Feature vector of an incoming tuple: embedding_features(op.spec, e), bit
-    for bit, where e is joint_features_batch(op.spec.inner, [inc])[0]."""
-    if not inc.proper:
-        raise DomainError("cannot featurize improper incoming messages")
-    row = _beta_row(op, inc.m_z)
-    emb = (row * gaussian_cf(op.spec.inner.frequencies[:, 0], inc.m_x)).real
+def featurize(op: MessageOperator, m_x: Gaussian1D, m_z: BetaDist) -> np.ndarray:
+    """Feature vector of the incoming messages m_x on x and m_z on z:
+    embedding_features(op.spec, e), bit for bit, where e is
+    joint_features_batch(op.spec.inner, [IncomingTuple(m_x, m_z)])[0].
+
+    An improper message raises DomainError: m_x in gaussian_cf, m_z in
+    beta_cf, as the Beta memo holds rows of proper Betas only.
+    """
+    cf = gaussian_cf(op.spec.inner, m_x)
+    emb = np.multiply(_beta_row(op, m_z), cf, out=cf).real
     return embedding_features(op.spec, emb)
 
 
@@ -179,40 +184,55 @@ def featurize_batch(op: MessageOperator, tuples) -> np.ndarray:
 
 
 def _q_from_output(y: np.ndarray) -> Gaussian1D:
-    if not np.all(np.isfinite(y)):
+    """The Gaussian of a prediction y = (E, log V).  PredictionError when y is
+    not finite, or exp(log V) overflows or underflows to an improper
+    variance."""
+    mean, log_var = float(y[0]), float(y[1])
+    if not (math.isfinite(mean) and math.isfinite(log_var)):
         raise PredictionError(f"non-finite operator prediction {y}")
-    q = Gaussian1D(float(y[0]), math.exp(float(y[1])))
-    if q.improper:
-        raise PredictionError(f"prediction maps to improper Gaussian {q}")
-    return q
+    try:
+        variance = math.exp(log_var)
+    except OverflowError:
+        variance = math.inf
+    if not 0.0 < variance < math.inf:
+        raise PredictionError(
+            f"prediction (mean {mean}, log variance {log_var}) maps to an improper Gaussian"
+        )
+    return Gaussian1D(mean, variance)
 
 
 def predict_q(op: MessageOperator, inc: IncomingTuple) -> Gaussian1D:
     """Predicted projected-tilted distribution on x."""
-    return _q_from_output(predict(op.model, featurize(op, inc)))
+    return _q_from_output(predict(op.model, featurize(op, inc.m_x, inc.m_z)))
 
 
-def outgoing_message(op: MessageOperator, inc: IncomingTuple) -> Gaussian1D:
-    """q divided by the incoming message on x; may be improper-flagged."""
-    return divide(predict_q(op, inc), inc.m_x)
+def outgoing_message(
+    op: MessageOperator, m_x: Gaussian1D, m_z: BetaDist
+) -> tuple[Gaussian1D, np.ndarray]:
+    """The message to x for cavities m_x and m_z, and the features phi it was
+    predicted from.  The message is divide(predict_q(op, inc), m_x) for
+    inc = IncomingTuple(m_x, m_z), bit for bit, and may be improper-flagged."""
+    phi = featurize(op, m_x, m_z)
+    return divide(_q_from_output(predict(op.model, phi)), m_x), phi
 
 
 def decide(
     op: MessageOperator, policy: UncertaintyPolicy, inc: IncomingTuple
 ) -> UsePrediction | QueryOracle:
-    """Trust the prediction unless its variance exceeds tau and budget remains.
+    """Trust the prediction unless its variance exceeds tau.
 
-    With no budget left the variance could change nothing, so it is not
-    computed (UsePrediction.variance is None).  A non-finite phi still
-    fails, as a non-finite prediction.
+    The gate is for a policy with budget left: once it is spent no variance
+    can change the message, which is then outgoing_message's, so a spent
+    budget raises DomainError.  A non-finite phi fails, as a non-finite
+    prediction.
     """
-    phi = featurize(op, inc)
-    variance = None
-    if policy.budget > 0:
-        variance = predictive_variance(op.model, phi)
-        if variance > policy.tau:
-            return QueryOracle(variance, phi)
-    return UsePrediction(_q_from_output(predict(op.model, phi)), variance, phi)
+    if policy.budget == 0:
+        raise DomainError("decide needs budget left; a spent budget sends outgoing_message")
+    phi = featurize(op, inc.m_x, inc.m_z)
+    variance = predictive_variance(op.model, phi)
+    if variance > policy.tau:
+        return QueryOracle(variance, phi)
+    return UsePrediction(_q_from_output(predict(op.model, phi)), variance)
 
 
 def batch_variance(op: MessageOperator, Phi: np.ndarray) -> np.ndarray:

@@ -144,6 +144,21 @@ def exact_gauss_kernel(g1: Gaussian1D, g2: Gaussian1D, gamma: float) -> float:
     return float(gamma / math.sqrt(s) * math.exp(-((g1.mean - g2.mean) ** 2) / (2.0 * s)))
 
 
+def scipy_tilted_sample(inc: IncomingTuple, n: int, rng: np.random.Generator, widen: float):
+    """factors.tilted_sample as it was written on scipy.special: the log
+    weights keep the Beta normalizer, and every log-sum-exp is SciPy's.
+    Returns (x draws, normalized weights, ess) from the same draws."""
+    proposal = Gaussian1D(inc.m_x.mean, widen * inc.m_x.variance)
+    x = rng.normal(proposal.mean, math.sqrt(proposal.variance), size=n)
+    a, b = inc.m_z.alpha, inc.m_z.beta
+    log_beta_part = (
+        -(a - 1.0) * np.logaddexp(0.0, -x) - (b - 1.0) * np.logaddexp(0.0, x) - betaln(a, b)
+    )
+    logw = inc.m_x.log_pdf(x) + log_beta_part - proposal.log_pdf(x)
+    ess = float(np.exp(2.0 * logsumexp(logw) - logsumexp(2.0 * logw)))
+    return x, np.exp(logw - logsumexp(logw)), ess
+
+
 def exact_beta_kernel(b1: BetaDist, b2: BetaDist, gamma: float) -> float:
     """Expected Gaussian kernel between two Beta messages, by 2-D quadrature."""
     if b1.improper or b2.improper:

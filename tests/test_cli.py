@@ -680,11 +680,15 @@ def test_model_file_bytes_are_pinned(tmp_path):
     assert loaded.M.tobytes() == _exact_op(600).model.M.tobytes()
 
 
-# exits with the names of the loaded training-only scipy modules, if any
-_TRAINING_MODULES_EXIT = (
-    "sys.exit(' '.join(m for m in sys.modules "
-    "if m.startswith(('scipy.spatial', 'scipy.linalg'))) or None)"
-)
+def _modules_exit(*prefixes: str) -> str:
+    """Code that exits with the names of the loaded modules under any of
+    prefixes, if any."""
+    return f"sys.exit(' '.join(m for m in sys.modules if m.startswith({prefixes!r})) or None)"
+
+
+# SciPy serves training and the carry fold alone: LAPACK for fits, folds and
+# cross-validation, distance medians for bandwidths
+_TRAINING_MODULES_EXIT = _modules_exit("scipy")
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -694,17 +698,15 @@ def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_importing_the_cli_leaves_scipy_spatial_and_linalg_unloaded():
-    # only training's distance medians use scipy.spatial, and only fits,
-    # folds and cross-validation use LAPACK through scipy.linalg, so
-    # inference commands never pay for importing either
+def test_importing_the_cli_loads_no_scipy():
+    # inference commands never pay for importing SciPy
     result = _run_python("import sys, kernelep.cli; " + _TRAINING_MODULES_EXIT)
     assert result.returncode == 0, result.stderr
 
 
-def test_ep_run_and_eval_leave_scipy_linalg_unloaded(pipeline, tmp_path):
-    # inference on the acceptance model scores messages and variances with
-    # numpy's BLAS alone
+def test_ep_run_and_eval_load_no_scipy(pipeline, tmp_path):
+    # inference on the acceptance model, the oracle included, runs on NumPy
+    # alone: its own special functions and log-sum-exp, and numpy's BLAS
     code = "\n".join([
         "import json, sys",
         "from kernelep.cli import cmd_ep_run, cmd_eval, make_config",
@@ -943,6 +945,22 @@ def test_ep_run_rerun_byte_identical(ws, tmp_path):
 
 # ---------------------------------------------------------------------------
 # active-run
+
+
+def test_active_run_loads_neither_scipy_special_nor_spatial(ws, tmp_path):
+    # queries and the online updates need no SciPy; only saving the updated
+    # model may load scipy.linalg, to fold the carry rows
+    _, data = ws
+    code = "\n".join([
+        "import json, sys",
+        "from kernelep.cli import cmd_active_run, make_config",
+        "data = json.loads(sys.argv[1])",
+        "cmd_active_run(make_config(data, {'out': sys.argv[2], 'tau': 1e-12, 'budget': 2}))",
+        _modules_exit("scipy.special", "scipy.spatial"),
+    ])
+    result = _run_python(code, json.dumps(data), str(tmp_path / "active.json"))
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "active.json").read_text())["queries"] == 2
 
 
 def test_active_run_huge_tau_matches_operator_mode(ws, ep_doc, tmp_path):

@@ -27,7 +27,7 @@ from kernelep.ep_engine import (
     marginal,
     run_ep,
 )
-from kernelep.errors import DegenerateSampleError, DomainError, EpSourceError
+from kernelep.errors import DegenerateSampleError, DomainError, EpSourceError, PredictionError
 from kernelep.expfam import (
     BetaDist,
     Gaussian1D,
@@ -37,7 +37,7 @@ from kernelep.expfam import (
     multiply,
     to_natural,
 )
-from kernelep.factors import IncomingPrior, IncomingTuple, gen_training_set
+from kernelep.factors import IncomingPrior, IncomingTuple, gen_training_set, sample_incoming
 from kernelep import ep_engine, operator, regress
 from kernelep.operator import (
     MessageOperator,
@@ -367,20 +367,20 @@ def test_run_ep_deterministic():
 
 # float.hex of every marginal's (mean, variance) or (alpha, beta) for
 # logistic_regression_graph(10, 0) under default_sources() and
-# default_rng(7), recorded from the engine that held its messages as
-# (mean, variance) and converted them on every cavity; exact bits are only
-# comparable on one numpy build and CPU
+# default_rng(7), recorded with the oracle's log weights leaving out the
+# Beta normalizer (which moved no value by more than 11 ulps); exact bits are
+# only comparable on one numpy build and CPU
 LOGISTIC_REGRESSION_HEX = {
     "w": ("0x1.def77043bc2c9p+0", "0x1.3ca90f093f8cap+0"),
-    "x0": ("-0x1.b4e939dbfc554p-3", "0x1.b1c49187a6482p-1"),
-    "x1": ("0x1.d14c3268e4ecfp-3", "0x1.af9776c5754a0p-1"),
-    "x2": ("0x1.29299880123f4p-1", "0x1.35e76cee1a2e9p+0"),
-    "x3": ("0x1.24ee7833e055dp-1", "0x1.a89bfbea83ffcp-1"),
-    "x4": ("-0x1.4667bafc192dcp+0", "0x1.2249f85be6610p+0"),
+    "x0": ("-0x1.b4e939dbfc55bp-3", "0x1.b1c49187a6487p-1"),
+    "x1": ("0x1.d14c3268e4ed2p-3", "0x1.af9776c5754a0p-1"),
+    "x2": ("0x1.29299880123f1p-1", "0x1.35e76cee1a2eap+0"),
+    "x3": ("0x1.24ee7833e055bp-1", "0x1.a89bfbea83ffbp-1"),
+    "x4": ("-0x1.4667bafc192dcp+0", "0x1.2249f85be6611p+0"),
     "x5": ("0x1.fa61ed171e4fdp-1", "0x1.eb8e4a01b5065p-1"),
-    "x6": ("0x1.49a9d2f1d6652p+1", "0x1.5a8d5702650f7p+1"),
-    "x7": ("0x1.f401fdd028fc9p+0", "0x1.c4b014ad9505dp+0"),
-    "x8": ("-0x1.891b5560ce6e2p+0", "0x1.5498584529cf5p+0"),
+    "x6": ("0x1.49a9d2f1d6654p+1", "0x1.5a8d5702650ecp+1"),
+    "x7": ("0x1.f401fdd028fcep+0", "0x1.c4b014ad95058p+0"),
+    "x8": ("-0x1.891b5560ce6e1p+0", "0x1.5498584529cf5p+0"),
     "x9": ("-0x1.4160babc52191p+1", "0x1.4ae4a64f8eb42p+1"),
     "z0": ("0x1.0000000000000p+0", "0x1.0000000000000p+1"),
     "z1": ("0x1.0000000000000p+1", "0x1.0000000000000p+0"),
@@ -573,38 +573,35 @@ def test_active_source_absorbs_queries(demo_operator, monkeypatch):
 
 def test_active_source_featurizes_once_per_gated_message(demo_operator, monkeypatch):
     op, tau = demo_operator
-    featurized, decisions = [], []
-    real_featurize, real_decide = operator.featurize, ep_engine.decide
+    featurized, visits = [], []
+    real_featurize = operator.featurize
 
-    def counting_featurize(o, inc):
-        featurized.append(inc)
-        return real_featurize(o, inc)
-
-    def recording_decide(o, policy, inc):
-        decisions.append((o, inc, real_decide(o, policy, inc)))
-        return decisions[-1][2]
+    def counting_featurize(o, m_x, m_z):
+        featurized.append((m_x, m_z))
+        return real_featurize(o, m_x, m_z)
 
     monkeypatch.setattr(operator, "featurize", counting_featurize)
-    monkeypatch.setattr(ep_engine, "decide", recording_decide)
     src = ActiveSource(op, UncertaintyPolicy(tau=0.2 * tau, budget=3), n_importance=2000)
-    proposals = []
 
     def recording(factor, incoming, rng):
-        gated = len(decisions)
+        o, queries = src.op, src.queries
         out = src(factor, incoming, rng)
-        if len(decisions) > gated:
-            proposals.append((decisions[-1], out[factor.neighbors[0]]))
+        x_id, z_id = factor.neighbors
+        inc = IncomingTuple(incoming[x_id], incoming[z_id])
+        visits.append((o, inc, src.queries > queries, out.get(x_id)))
         return out
 
     recording.prepare = src.prepare
     graph = demo_graph()
     run_ep(graph, sources=default_sources(recording), rng=np.random.default_rng(25))
-    # neither the warm-up nor absorb featurizes: a query reuses decide's phi
-    assert len(featurized) == len(decisions)
-    assert src.queries > 0 and len(proposals) == len(decisions) > src.queries
-    used = [(d, msg) for d, msg in proposals if isinstance(d[2], UsePrediction)]
-    assert len(used) == len(decisions) - src.queries
-    for (o, inc, _), msg in used:
+    # neither the warm-up nor absorb featurizes: a query reuses decide's phi,
+    # and a message after the budget is spent featurizes once, without decide
+    sent = [v for v in visits if v[3] is not None]
+    assert len(featurized) == len(sent)
+    assert 0 < src.queries < len(sent) and src.budget == 0
+    used = [(o, inc, msg) for o, inc, queried, msg in sent if not queried]
+    assert len(used) == len(sent) - src.queries
+    for o, inc, msg in used:
         expected = divide(predict_q(o, inc), inc.m_x)
         np.testing.assert_array_equal(to_natural(msg), to_natural(expected))
 
@@ -652,7 +649,7 @@ def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
     for (o, phi, q, got), (inc, gated) in zip(absorbed, queried, strict=True):
         # absorb folds the answer in at the features the query was gated on
         assert phi is gated
-        np.testing.assert_array_equal(phi, operator.featurize(o, inc))
+        np.testing.assert_array_equal(phi, operator.featurize(o, inc.m_x, inc.m_z))
         m = o.model
         memo_less = RidgeModel(m.W, m.lam, m.M, m.noise_scale, m.n_train, m.C)
         expected = update_online(memo_less, phi, np.array([q.mean, math.log(q.variance)]))
@@ -668,8 +665,8 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     real_decide, real_batch = ep_engine.decide, ep_engine.batch_variance
 
     def recording_decide(o, policy, inc):
-        decisions.append((o, policy.budget, inc, real_decide(o, policy, inc)))
-        return decisions[-1][3]
+        decisions.append(real_decide(o, policy, inc))
+        return decisions[-1]
 
     def recording_batch(o, Phi):
         assert len(src._pending) == Phi.shape[1] <= ep_engine.SCORE_BATCH
@@ -686,24 +683,26 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     monkeypatch.setattr(ep_engine, "batch_variance", recording_batch)
     monkeypatch.setattr(operator, "predictive_variance", gate_variance)
     src = ActiveSource(op, UncertaintyPolicy(tau=tau, budget=3), n_importance=2000)
-    visits, expected = {}, []
+    visits, expected, sent = {}, [], []
 
     def recording(factor, incoming, rng):
-        gated = len(decisions)
+        gated, budget, o = len(decisions), src.budget, src.op
         out = src(factor, incoming, rng)
         assert len(src._pending) < ep_engine.SCORE_BATCH
-        if len(decisions) > gated:
-            visits[factor.id] = visits.get(factor.id, 0) + 1
-            o, budget, inc, action = decisions[-1]
-            if action.variance is None:
-                assert budget == 0
-                variance = real_variance(o.model, operator.featurize(o, inc))
+        visits[factor.id] = visits.get(factor.id, 0) + 1
+        x_id, z_id = factor.neighbors
+        if out:
+            sent.append(budget)
+            # decide gates while budget lasts and is skipped afterwards
+            assert len(decisions) == gated + (budget > 0)
+            if budget:
+                variance = decisions[-1].variance
             else:
-                variance = action.variance
+                phi = operator.featurize(o, incoming[x_id], incoming[z_id])
+                variance = real_variance(o.model, phi)
             if variance > tau:
                 kind = "query" if budget else "fallback"
-                key = (kind, factor.id, factor.neighbors[0], visits[factor.id])
-                expected.append((*key, variance))
+                expected.append((kind, factor.id, x_id, visits[factor.id], variance))
         return out
 
     recording.prepare = src.prepare
@@ -712,12 +711,12 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
         sources=default_sources(recording),
         rng=np.random.default_rng(31),
     )
-    deferred = sum(d[3].variance is None for d in decisions)
+    deferred = sent.count(0)
     assert src.queries == 3 and deferred > 2 * ep_engine.SCORE_BATCH
     assert batches[:2] == [ep_engine.SCORE_BATCH] * 2 and sum(batches) < deferred
     log = src.log  # reading the log scores what is still queued
     assert sum(batches) == deferred and not src._pending
-    assert 3 < len(log) < len(decisions)  # tau picks out some fallbacks, not all
+    assert 3 < len(log) < len(sent)  # tau picks out some fallbacks, not all
     got = [(e.action, e.factor_id, e.variable_id, e.iteration) for e in log]
     assert got == [e[:4] for e in expected]
     for event, (kind, *_, variance) in zip(log, expected):
@@ -805,6 +804,43 @@ def test_active_source_query_retries_a_degenerate_draw(demo_operator, monkeypatc
     inc = IncomingTuple(PROPER["x"], PROPER["z"])
     q, _ = real_oracle(inc, 2000, np.random.default_rng(5).spawn(2)[1])
     assert to_natural(got).tobytes() == to_natural(divide(q, inc.m_x)).tobytes()
+
+
+def test_operator_messages_are_the_composed_prediction_bit_for_bit(demo_operator):
+    # the sources' message path leaves out the IncomingTuple, the natural-
+    # parameter arrays and the repeated checks, but no arithmetic step
+    op, _ = demo_operator
+    fresh = MessageOperator(op.spec, op.model)  # its own, cold Beta memo
+    sources = (
+        OperatorSource(fresh),
+        ActiveSource(fresh, UncertaintyPolicy(tau=1.0, budget=0), n_importance=2000),
+    )
+    rng = np.random.default_rng(61)
+    pool = [sample_incoming(IncomingPrior(), rng).m_z for _ in range(8)]
+    for i in range(600):
+        inc = sample_incoming(IncomingPrior(alpha_range=(0.5, 10.0)), rng)
+        if i % 2:  # half the Betas repeat, so the memo hits as well as misses
+            inc = IncomingTuple(inc.m_x, pool[i % len(pool)])
+        expected = to_natural(divide(predict_q(op, inc), inc.m_x)).tobytes()
+        for source in sources:
+            got = source(LOGISTIC, {"x": inc.m_x, "z": inc.m_z}, np.random.default_rng(0))
+            assert to_natural(got["x"]).tobytes() == expected
+    assert len(fresh._beta_cache) > len(pool)
+
+
+def test_overflowing_prediction_fails_naming_the_factor(demo_operator, monkeypatch):
+    op, _ = demo_operator
+    # a finite log-variance whose exp overflows
+    monkeypatch.setattr(operator, "predict", lambda model, phi: np.array([0.0, 800.0]))
+    for source in (
+        OperatorSource(op),
+        ActiveSource(op, UncertaintyPolicy(tau=1.0, budget=0), n_importance=2000),
+        ActiveSource(op, UncertaintyPolicy(tau=1e30, budget=1), n_importance=2000),
+    ):
+        with pytest.raises(EpSourceError) as err:
+            run_ep(demo_graph(), sources=default_sources(source), rng=np.random.default_rng(3))
+        assert (err.value.factor_id, err.value.variable_id) == ("f1_logistic", "x")
+        assert isinstance(err.value.__cause__, PredictionError)
 
 
 def test_logistic_sources_refuse_too_few_importance_draws(demo_operator):

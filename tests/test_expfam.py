@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 from helpers import sample
 from kernelep.errors import DegenerateMomentsError, DomainError
 from kernelep.expfam import (
     BetaDist,
     Gaussian1D,
+    betaln,
+    digamma,
     divide,
     from_natural,
     kl_divergence,
@@ -222,3 +225,33 @@ def test_projection_maximizes_expected_log_density():
     for mean in np.linspace(m1 - 2.0, m1 + 2.0, 41):
         for variance in np.geomspace(0.05, 20.0, 41):
             assert neg_cross_entropy(float(mean), float(variance)) <= best_obj + 1e-12
+
+
+# log grid of shapes and arguments for the special functions
+SPECIAL_GRID = np.geomspace(1e-3, 1e4, 57)
+
+
+def test_betaln_matches_scipy_to_a_few_ulps_of_its_terms():
+    for a in SPECIAL_GRID:
+        for b in SPECIAL_GRID:
+            terms = abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
+            got, want = betaln(float(a), float(b)), float(special.betaln(a, b))
+            assert abs(got - want) <= 4e-15 * (1.0 + terms), (a, b)
+
+
+def test_betaln_on_arrays_is_the_scalar_elementwise():
+    a, b = SPECIAL_GRID[:, None], SPECIAL_GRID[::-1][:7]
+    got = betaln(a, b)
+    assert got.shape == (len(SPECIAL_GRID), 7)
+    want = [[betaln(float(x), float(y)) for y in b] for x in a[:, 0]]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_digamma_matches_scipy_including_around_its_root():
+    # psi crosses zero at 1.4616..., where only absolute accuracy is possible
+    for x in np.concatenate([SPECIAL_GRID, np.linspace(1.40, 1.52, 61)]):
+        want = float(special.digamma(x))
+        assert abs(digamma(float(x)) - want) <= 1e-14 * max(1.0, abs(want)), x
+    for x in (0.0, -1.5, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            digamma(x)

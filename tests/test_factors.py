@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.special import expit
 
 import helpers
@@ -123,6 +124,48 @@ def test_proposal_widening_invariance(widen, monkeypatch):
             helpers.self_normalized_se(x_a, w_a), helpers.self_normalized_se(x_b, w_b)
         )
         assert abs(w_a @ x_a - w_b @ x_b) <= 3.0 * se
+
+
+def test_logsumexp_has_scipys_bits():
+    rng = np.random.default_rng(5)
+    cases = [
+        np.array([0.3]),
+        np.array([1.0, 3.0, 3.0, -2.0]),  # repeated maxima
+        np.full(7, -4.25),
+        np.array([2.0, -np.inf, 2.0, 1.5]),
+        np.array([-np.inf, -np.inf]),
+        np.array([np.inf, 1.0]),
+        np.array([700.0, 710.0, 710.0, 0.0]),
+    ]
+    # enough draws that some would tell a plain log(sum(exp(a - max))) + max
+    # apart from SciPy's result
+    for size, scale in [(10, 1.0), (1000, 30.0), (10_000, 3.0), (10_000, 300.0)] * 10:
+        a = rng.normal(size=size) * scale
+        cases += [a, np.round(a)]  # rounding repeats the maximum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in cases:
+            want = special.logsumexp(a)
+            got = factors._logsumexp(a)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), a
+
+
+def test_tilted_sample_matches_scipy_reference():
+    # leaving the Beta normalizer out of the log weights moves weights and
+    # ESS by rounding only
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        inc = sample_incoming(IncomingPrior(alpha_range=(0.5, 20.0)), rng)
+        seed = int(rng.integers(2**32))
+        try:
+            x, w, ess = tilted_sample(inc, 2000, np.random.default_rng(seed))
+        except DegenerateSampleError:
+            continue
+        want = helpers.scipy_tilted_sample(
+            inc, 2000, np.random.default_rng(seed), factors.PROPOSAL_WIDEN
+        )
+        assert x.tobytes() == want[0].tobytes()
+        np.testing.assert_allclose(w, want[1], rtol=1e-13, atol=0.0)
+        assert ess == pytest.approx(want[2], rel=1e-13, abs=0.0)
 
 
 @given(st.integers(0, 2**32 - 1))

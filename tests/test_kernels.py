@@ -350,12 +350,13 @@ def test_beta_cf_phase_cache():
     )
     inc = IncomingTuple(Gaussian1D(0.2, 1.3), b)
     np.testing.assert_array_equal(
-        operator.featurize(op, inc),
+        operator.featurize(op, inc.m_x, inc.m_z),
         embedding_features(spec, joint_features_batch(inner, [inc])[0]),
     )
     memo = op._phases
     assert len(memo) >= 2 and not any(m.flags.writeable for m in memo.values())
-    absorbed = operator.absorb(op, operator.featurize(op, inc), Gaussian1D(0.1, 0.4))
+    phi = operator.featurize(op, inc.m_x, inc.m_z)
+    absorbed = operator.absorb(op, phi, Gaussian1D(0.1, 0.4))
     assert absorbed._phases is memo
 
 
@@ -370,10 +371,14 @@ def test_quadrature_cap_raises(monkeypatch):
 
 
 def test_gaussian_cf_known_value():
-    got = gaussian_cf(np.array([1.0]), Gaussian1D(0.0, 1.0))[0]
+    # frequency 1 on x; the second coordinate's frequency is unused
+    spec = RffSpec(np.array([[1.0, 3.0]]), np.array([0.0]), np.array([1.0, 1.0]))
+    got = gaussian_cf(spec, Gaussian1D(0.0, 1.0))[0]
     assert got == pytest.approx(math.exp(-0.5), abs=1e-15)
+    got = gaussian_cf(spec, Gaussian1D(0.5, 2.0))[0]
+    assert got == pytest.approx(math.exp(-1.0) * complex(math.cos(0.5), math.sin(0.5)), abs=1e-15)
     with pytest.raises(DomainError):
-        gaussian_cf(np.array([1.0]), Gaussian1D(0.0, -1.0))
+        gaussian_cf(spec, Gaussian1D(0.0, -1.0))
 
 
 def test_median_heuristic_hand_case():

@@ -10,6 +10,7 @@ from kernelep.errors import DomainError, PredictionError
 from kernelep.expfam import (
     BetaDist,
     Gaussian1D,
+    divide,
     kl_divergence,
     multiply,
     to_natural,
@@ -72,11 +73,11 @@ def trained():
 def test_featurize_deterministic(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(0.5, 1.0), BetaDist(3.0, 4.0))
-    first = featurize(op, inc)
-    second = featurize(op, inc)  # second call hits the Beta cache
+    first = featurize(op, inc.m_x, inc.m_z)
+    second = featurize(op, inc.m_x, inc.m_z)  # second call hits the Beta cache
     np.testing.assert_array_equal(first, second)
     fresh = MessageOperator(op.spec, op.model)
-    np.testing.assert_array_equal(featurize(fresh, inc), first)
+    np.testing.assert_array_equal(featurize(fresh, inc.m_x, inc.m_z), first)
     assert first.shape == (op.model.num_features,)
 
 
@@ -88,21 +89,24 @@ def test_beta_memo_is_capped_and_recomputes_evicted_rows(trained):
         IncomingTuple(Gaussian1D(0.3, 1.5), BetaDist(*rng.uniform(1.0, 10.0, size=2)))
         for _ in range(operator.BETA_MEMO_CAP + 20)
     ]
-    first = featurize(op, incs[0])
+    first = featurize(op, incs[0].m_x, incs[0].m_z)
     for inc in incs[1:]:
-        featurize(op, inc)
+        featurize(op, inc.m_x, inc.m_z)
     assert len(op._beta_cache) == operator.BETA_MEMO_CAP
     # the oldest rows went first, and an evicted row comes back with the same bits
     assert (incs[0].m_z.alpha, incs[0].m_z.beta) not in op._beta_cache
     assert (incs[-1].m_z.alpha, incs[-1].m_z.beta) in op._beta_cache
-    np.testing.assert_array_equal(featurize(op, incs[0]), first)
+    np.testing.assert_array_equal(featurize(op, incs[0].m_x, incs[0].m_z), first)
     assert len(op._beta_cache) == operator.BETA_MEMO_CAP
 
 
 def test_featurize_rejects_improper(trained):
     _, op, _, _ = trained
     with pytest.raises(DomainError):
-        featurize(op, IncomingTuple(Gaussian1D(0.0, -1.0), BetaDist(2.0, 2.0)))
+        featurize(op, Gaussian1D(0.0, -1.0), BetaDist(2.0, 2.0))
+    with pytest.raises(DomainError):
+        featurize(op, Gaussian1D(0.0, 1.0), BetaDist(-1.0, 2.0))
+    assert (-1.0, 2.0) not in op._beta_cache
     with pytest.raises(DomainError):
         operator.warm_beta_cache(op, [BetaDist(-1.0, 2.0)])
 
@@ -111,7 +115,9 @@ def test_featurize_joint_matches_kernels_module(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(-0.7, 2.0), BetaDist(500.0, 500.0))
     emb = joint_features_batch(op.spec.inner, [inc])[0]
-    np.testing.assert_array_equal(featurize(op, inc), embedding_features(op.spec, emb))
+    np.testing.assert_array_equal(
+        featurize(op, inc.m_x, inc.m_z), embedding_features(op.spec, emb)
+    )
 
 
 def test_featurize_batch_matches_single(trained):
@@ -122,7 +128,7 @@ def test_featurize_batch_matches_single(trained):
     ]
     batch = featurize_batch(op, tuples)
     for i, t in enumerate(tuples):
-        np.testing.assert_allclose(batch[:, i], featurize(op, t), atol=1e-12)
+        np.testing.assert_allclose(batch[:, i], featurize(op, t.m_x, t.m_z), atol=1e-12)
 
 
 def test_featurize_batch_rejects_empty(trained):
@@ -166,7 +172,7 @@ def test_flat_beta_outgoing_stays_bounded(flat_op):
     # it back into the incoming Gaussian restores the predicted location.
     for mean, var in [(0.8, 1.7), (-2.0, 0.5), (3.0, 4.0), (0.0, 1.0)]:
         inc = IncomingTuple(Gaussian1D(mean, var), BetaDist(1.0, 1.0))
-        out = outgoing_message(flat_op, inc)
+        out = outgoing_message(flat_op, inc.m_x, inc.m_z)[0]
         eta = to_natural(out)
         assert np.all(np.isfinite(eta))
         assert np.max(np.abs(eta)) <= 3.0
@@ -177,7 +183,7 @@ def test_flat_beta_outgoing_stays_bounded(flat_op):
 def test_outgoing_division_round_trip(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(0.4, 1.1), BetaDist(4.0, 2.0))
-    out = outgoing_message(op, inc)
+    out, _ = outgoing_message(op, inc.m_x, inc.m_z)
     q = predict_q(op, inc)
     recovered = multiply(out, inc.m_x)
     np.testing.assert_allclose(to_natural(recovered), to_natural(q), atol=1e-12)
@@ -214,6 +220,14 @@ def test_output_transform_gives_gaussian():
     assert g == Gaussian1D(0.5, 2.0)
 
 
+def test_output_transform_refuses_log_variances_past_the_float_range():
+    # exp overflows past log V = 709.78 and underflows to 0 below -745
+    for log_var in (800.0, -800.0, math.inf, math.nan):
+        with pytest.raises(PredictionError):
+            _q_from_output(np.array([0.0, log_var]))
+    assert _q_from_output(np.array([0.0, 709.0])).variance == math.exp(709.0)
+
+
 def test_decide_threshold_limits(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(2.0, 3.0), BetaDist(6.0, 2.0))
@@ -222,14 +236,19 @@ def test_decide_threshold_limits(trained):
     assert always_use.q.variance > 0
     always_query = decide(op, UncertaintyPolicy(tau=1e-30, budget=5), inc)
     assert isinstance(always_query, QueryOracle)
-    no_budget = decide(op, UncertaintyPolicy(tau=1e-30, budget=0), inc)
-    assert isinstance(no_budget, UsePrediction)
+    # with the budget spent the gate has nothing to decide: the message is
+    # outgoing_message's, the prediction however large its variance
+    with pytest.raises(DomainError):
+        decide(op, UncertaintyPolicy(tau=1e-30, budget=0), inc)
+    message, phi = outgoing_message(op, inc.m_x, inc.m_z)
+    assert message == divide(predict_q(op, inc), inc.m_x)
+    np.testing.assert_array_equal(phi, featurize(op, inc.m_x, inc.m_z))
 
 
 def test_absorb_flips_decision(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(4.5, 6.0), BetaDist(1.2, 8.0))
-    phi = featurize(op, inc)
+    phi = featurize(op, inc.m_x, inc.m_z)
     v_before = predictive_variance(op.model, phi)
     updated = absorb(op, phi, Gaussian1D(0.3, math.exp(-0.5)))
     v_after = predictive_variance(updated.model, phi)
@@ -262,7 +281,7 @@ def test_decide_and_absorb_call_the_module_bindings(trained, monkeypatch):
     assert calls == {"predictive_variance": 1, "update_online": 0}
     # the query carries the features it was gated on, for absorb
     assert isinstance(action, QueryOracle)
-    np.testing.assert_array_equal(action.phi, featurize(op, inc))
+    np.testing.assert_array_equal(action.phi, featurize(op, inc.m_x, inc.m_z))
     absorb(op, action.phi, Gaussian1D(0.2, math.exp(-0.4)))
     assert calls == {"predictive_variance": 1, "update_online": 1}
 
@@ -272,7 +291,7 @@ def test_absorb_diminishing_correction(trained):
     inc = IncomingTuple(Gaussian1D(-3.0, 0.5), BetaDist(7.0, 1.5))
     target = np.array([-2.5, -1.0])
     q = Gaussian1D(target[0], math.exp(target[1]))
-    phi = featurize(op, inc)
+    phi = featurize(op, inc.m_x, inc.m_z)
     once = absorb(op, phi, q)
     twice = absorb(once, phi, q)
     first_step = np.linalg.norm(once.model.W - op.model.W)
