@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -34,7 +35,7 @@ from .operator import (
     outgoing_message,
     decide,
     predict_q,  # not called here; perfbench/run.py traces this module's binding
-    warm_beta_cache,
+    warm_beta_cache,  # not called here; perfbench/run.py traces this module's binding
 )
 
 __all__ = [
@@ -104,6 +105,8 @@ def _check_params(f: Factor, keys) -> None:
             values[key] = float(f.params[key])
         except KeyError:
             raise DomainError(f"{f.kind} {f.id!r} needs parameter {key!r}") from None
+        except (TypeError, ValueError):
+            raise DomainError(f"{f.kind} {f.id!r} needs a number for {key!r}") from None
         if not math.isfinite(values[key]):
             raise DomainError(f"{f.kind} {f.id!r} needs a finite {key!r}")
     for key in ("variance", "noise_variance"):
@@ -203,6 +206,8 @@ class DampingConfig:
     def __post_init__(self):
         if not (0.0 < self.delta <= 1.0):
             raise DomainError("delta must be in (0, 1]")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral):
+            raise DomainError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
         if not (self.tol > 0):
@@ -329,11 +334,6 @@ class OperatorSource:
     def __init__(self, op: MessageOperator):
         self.op = op
 
-    def prepare(self, graph):
-        """Warm the Beta memo for the observations as cavities show them: after a
-        natural-parameter round trip, which moves a shape below 1 off its float."""
-        warm_beta_cache(self.op, [from_natural(BETA, eta) for eta in graph.observed.values()])
-
     def __call__(self, factor, incoming, rng):
         cavities = _logistic_cavities(factor, incoming)
         if cavities is None:
@@ -406,8 +406,6 @@ class ActiveSource:
                 )
         self._pending.clear()
 
-    prepare = OperatorSource.prepare
-
     def __call__(self, factor, incoming, rng):
         visit = self._visits[factor.id] = self._visits.get(factor.id, 0) + 1
         cavities = _logistic_cavities(factor, incoming)
@@ -421,16 +419,15 @@ class ActiveSource:
             if len(self._pending) == SCORE_BATCH:
                 self._score_pending()
             return {x_id: message}
-        inc = IncomingTuple(m_x, m_z)
-        action = decide(self.op, UncertaintyPolicy(tau=self.tau, budget=self.budget), inc)
+        action = decide(self.op, self.tau, m_x, m_z)
         if isinstance(action, QueryOracle):
-            q = self.oracle.tilted(inc, rng)
+            q = self.oracle.tilted(IncomingTuple(m_x, m_z), rng)
             self.op = absorb(self.op, action.phi, q)
             self.queries += 1
             self.budget -= 1
             self._log.append(QueryEvent("query", factor.id, x_id, visit, action.variance, self.tau))
             return {x_id: divide(q, m_x)}
-        # action.q is predict_q(self.op, inc), computed from decide's features
+        # action.q is predict_q for these cavities, computed from decide's features
         return {x_id: divide(action.q, m_x)}
 
 
@@ -569,10 +566,6 @@ def run_ep(
         rng = np.random.default_rng(0)
     state = init_state(graph)
     unique = {id(s): s for s in sources.values()}.values()
-    for source in unique:
-        hook = getattr(source, "prepare", None)
-        if hook is not None:
-            hook(graph)
     seeds = _factor_seeds(graph, rng)
     timings: dict = {}
     converged = False

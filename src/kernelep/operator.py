@@ -6,8 +6,8 @@ outgoing message to x.  Predictions come out in (E, log V) form and are
 inverted through exp, so a finite prediction always yields a proper
 distribution.  The operator is policy-free about improper downstream
 messages and about when to trust itself: `decide` merely compares predictive
-variance against a threshold, and the inference engine owns the oracle
-budget.
+variance against a threshold, and the inference engine's ActiveSource owns
+the oracle budget.
 
 The operator's features are those of a TwoStageSpec (a Gaussian kernel on
 projected joint embeddings), computed by the same formula that
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -89,9 +90,10 @@ class MessageOperator:
     memoizes the Beta factor of the inner embedding per Beta parameters, and
     _phases the Beta quadrature's phase matrices per order (beta_cf's memo
     for the inner frequencies); neither ever affects results, only latency.
-    _beta_cache keeps the newest BETA_MEMO_CAP rows.  An EP run meets only its
-    observations' Betas (at most 8, in the benchmark's ep_warm pool), so a
-    warmed run keeps hitting, and a stream of fresh Betas (eval, a long
+    _beta_cache fills on first use, in featurize, and keeps the newest
+    BETA_MEMO_CAP rows.  An EP run meets only its observations' Betas, so it
+    pays one cold Beta CF per observation the operator has not met before
+    and hits from then on, and a stream of fresh Betas (eval, a long
     active-run) holds at most 2 MB of rows at an inner width of 500.
     """
 
@@ -121,6 +123,8 @@ class UncertaintyPolicy:
     def __post_init__(self):
         if not self.tau > 0.0:
             raise DomainError(f"tau must be positive, got {self.tau}")
+        if isinstance(self.budget, bool) or not isinstance(self.budget, Integral):
+            raise DomainError(f"budget must be an integer, got {self.budget!r}")
         if self.budget < 0:
             raise DomainError(f"budget must be >= 0, got {self.budget}")
 
@@ -170,8 +174,9 @@ def featurize(op: MessageOperator, m_x: Gaussian1D, m_z: BetaDist) -> np.ndarray
 
 
 def warm_beta_cache(op: MessageOperator, betas) -> None:
-    """Fill the Beta memo for Betas known up front, such as an EP run's
-    observations, so that steady-state message latency stays flat."""
+    """Fill the Beta memo for Betas known up front, such as the pool a stream
+    of EP runs draws its observations from, so that no message pays a cold
+    Beta CF."""
     for b in betas:
         if b.improper:
             raise DomainError(f"cannot warm the cache for improper {b}")
@@ -217,20 +222,13 @@ def outgoing_message(
 
 
 def decide(
-    op: MessageOperator, policy: UncertaintyPolicy, inc: IncomingTuple
+    op: MessageOperator, tau: float, m_x: Gaussian1D, m_z: BetaDist
 ) -> UsePrediction | QueryOracle:
-    """Trust the prediction unless its variance exceeds tau.
-
-    The gate is for a policy with budget left: once it is spent no variance
-    can change the message, which is then outgoing_message's, so a spent
-    budget raises DomainError.  A non-finite phi fails, as a non-finite
-    prediction.
-    """
-    if policy.budget == 0:
-        raise DomainError("decide needs budget left; a spent budget sends outgoing_message")
-    phi = featurize(op, inc.m_x, inc.m_z)
+    """Trust the prediction for cavities m_x and m_z unless its variance
+    exceeds tau.  A non-finite phi fails, as a non-finite prediction."""
+    phi = featurize(op, m_x, m_z)
     variance = predictive_variance(op.model, phi)
-    if variance > policy.tau:
+    if variance > tau:
         return QueryOracle(variance, phi)
     return UsePrediction(_q_from_output(predict(op.model, phi)), variance)
 

@@ -170,7 +170,7 @@ VALID_PARAMS = {
 @pytest.mark.parametrize(
     "kind, key", [(kind, key) for kind, params in VALID_PARAMS.items() for key in params]
 )
-@pytest.mark.parametrize("value", ["missing", math.nan, math.inf])
+@pytest.mark.parametrize("value", ["missing", math.nan, math.inf, "abc", None])
 def test_graph_requires_each_parameter_finite(kind, key, value):
     params = dict(VALID_PARAMS[kind])
     if value == "missing":
@@ -182,6 +182,13 @@ def test_graph_requires_each_parameter_finite(kind, key, value):
     FactorGraph(variables, (Factor("f", kind, neighbors, VALID_PARAMS[kind]),))
     with pytest.raises(DomainError, match=repr(key)):
         FactorGraph(variables, (Factor("f", kind, neighbors, params),))
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "3", None])
+def test_damping_refuses_a_non_integer_max_iters(max_iters):
+    with pytest.raises(DomainError, match="max_iters"):
+        DampingConfig(max_iters=max_iters)
+    assert DampingConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_graph_compiles_schedule_and_adjacency():
@@ -591,10 +598,9 @@ def test_active_source_featurizes_once_per_gated_message(demo_operator, monkeypa
         visits.append((o, inc, src.queries > queries, out.get(x_id)))
         return out
 
-    recording.prepare = src.prepare
     graph = demo_graph()
     run_ep(graph, sources=default_sources(recording), rng=np.random.default_rng(25))
-    # neither the warm-up nor absorb featurizes: a query reuses decide's phi,
+    # absorb does not featurize: a query reuses decide's phi,
     # and a message after the budget is spent featurizes once, without decide
     sent = [v for v in visits if v[3] is not None]
     assert len(featurized) == len(sent)
@@ -615,10 +621,10 @@ def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
     real_apply, real_absorb = regress._apply_factor, ep_engine.absorb
     real_decide = ep_engine.decide
 
-    def recording_decide(o, policy, inc):
-        action = real_decide(o, policy, inc)
+    def recording_decide(o, tau, m_x, m_z):
+        action = real_decide(o, tau, m_x, m_z)
         if isinstance(action, QueryOracle):
-            queried.append((inc, action.phi))
+            queried.append((IncomingTuple(m_x, m_z), action.phi))
         return action
 
     def counting_apply(model, phi):
@@ -642,7 +648,6 @@ def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
             per_query.append(len(passes) - before)
         return out
 
-    recording.prepare = src.prepare
     run_ep(demo_graph(), sources=default_sources(recording), rng=np.random.default_rng(27))
     # decide's variance is the only forward pass: absorb reuses its M phi
     assert per_query == [1, 1, 1] and len(absorbed) == 3
@@ -664,8 +669,8 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     decisions, batches = [], []
     real_decide, real_batch = ep_engine.decide, ep_engine.batch_variance
 
-    def recording_decide(o, policy, inc):
-        decisions.append(real_decide(o, policy, inc))
+    def recording_decide(o, tau, m_x, m_z):
+        decisions.append(real_decide(o, tau, m_x, m_z))
         return decisions[-1]
 
     def recording_batch(o, Phi):
@@ -705,7 +710,6 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
                 expected.append((kind, factor.id, x_id, visits[factor.id], variance))
         return out
 
-    recording.prepare = src.prepare
     run_ep(
         demo_graph(observations=SIX_OBSERVATIONS),
         sources=default_sources(recording),
@@ -851,24 +855,27 @@ def test_logistic_sources_refuse_too_few_importance_draws(demo_operator):
         ActiveSource(op, UncertaintyPolicy(tau=1.0, budget=1), n_importance=50)
 
 
-def test_prepare_warms_the_betas_ep_looks_up(demo_operator, monkeypatch):
-    # a cavity returns an observation through its natural parameters, and
-    # for a shape below 1 that is another float: the warm-up keys on it
+def test_beta_memo_fills_once_per_observation(demo_operator, monkeypatch):
+    # featurize is the memo's one fill path: from a cold memo each observation
+    # costs one Beta CF over all sweeps, also a shape below 1, which a cavity
+    # returns through its natural parameters as another float
     op, _ = demo_operator
     graph = demo_graph(((5.0, 2.0), (0.3, 2.0)))
     assert from_natural("beta", graph.observed["z2"]).alpha != 0.3
-    source = OperatorSource(MessageOperator(op.spec, op.model))  # empty memos
-    source.prepare(graph)
     calls = []
     real_cf = operator.beta_cf
 
-    def counting_cf(*args):
-        calls.append(args)
-        return real_cf(*args)
+    def counting_cf(frequencies, betas, phases):
+        calls.extend((b.alpha, b.beta) for b in betas)
+        return real_cf(frequencies, betas, phases)
 
     monkeypatch.setattr(operator, "beta_cf", counting_cf)
-    run_ep(graph, default_sources(source), rng=np.random.default_rng(0))
-    assert calls == []
+    source = OperatorSource(MessageOperator(op.spec, op.model))  # empty memos
+    result = run_ep(graph, default_sources(source), rng=np.random.default_rng(0))
+    assert result.iterations > 1
+    assert sorted(calls) == sorted(
+        (b.alpha, b.beta) for b in (from_natural("beta", eta) for eta in graph.observed.values())
+    )
 
 
 def test_timings_recorded_by_source_kind():

@@ -231,15 +231,13 @@ def test_output_transform_refuses_log_variances_past_the_float_range():
 def test_decide_threshold_limits(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(2.0, 3.0), BetaDist(6.0, 2.0))
-    always_use = decide(op, UncertaintyPolicy(tau=1e30, budget=5), inc)
+    always_use = decide(op, 1e30, inc.m_x, inc.m_z)
     assert isinstance(always_use, UsePrediction)
     assert always_use.q.variance > 0
-    always_query = decide(op, UncertaintyPolicy(tau=1e-30, budget=5), inc)
+    always_query = decide(op, 1e-30, inc.m_x, inc.m_z)
     assert isinstance(always_query, QueryOracle)
-    # with the budget spent the gate has nothing to decide: the message is
-    # outgoing_message's, the prediction however large its variance
-    with pytest.raises(DomainError):
-        decide(op, UncertaintyPolicy(tau=1e-30, budget=0), inc)
+    # with no gate the message is outgoing_message's, the prediction however
+    # large its variance
     message, phi = outgoing_message(op, inc.m_x, inc.m_z)
     assert message == divide(predict_q(op, inc), inc.m_x)
     np.testing.assert_array_equal(phi, featurize(op, inc.m_x, inc.m_z))
@@ -254,9 +252,8 @@ def test_absorb_flips_decision(trained):
     v_after = predictive_variance(updated.model, phi)
     assert v_after < v_before
     tau = (v_after + v_before) / 2.0
-    policy = UncertaintyPolicy(tau=tau, budget=3)
-    assert isinstance(decide(op, policy, inc), QueryOracle)
-    assert isinstance(decide(updated, policy, inc), UsePrediction)
+    assert isinstance(decide(op, tau, inc.m_x, inc.m_z), QueryOracle)
+    assert isinstance(decide(updated, tau, inc.m_x, inc.m_z), UsePrediction)
 
 
 def test_decide_and_absorb_call_the_module_bindings(trained, monkeypatch):
@@ -277,7 +274,7 @@ def test_decide_and_absorb_call_the_module_bindings(trained, monkeypatch):
     for name in calls:
         monkeypatch.setattr(operator, name, counting(name))
     inc = IncomingTuple(Gaussian1D(1.5, 2.0), BetaDist(3.0, 5.0))
-    action = decide(op, UncertaintyPolicy(tau=1e-30, budget=1), inc)
+    action = decide(op, 1e-30, inc.m_x, inc.m_z)
     assert calls == {"predictive_variance": 1, "update_online": 0}
     # the query carries the features it was gated on, for absorb
     assert isinstance(action, QueryOracle)
@@ -305,11 +302,10 @@ def test_absorb_diminishing_correction(trained):
 
 def test_query_rate_at_default_tau(trained):
     pairs, op, _, tau = trained
-    policy = UncertaintyPolicy(tau=tau, budget=10**9)
     rng = np.random.default_rng(39)
     fresh = [sample_incoming(IncomingPrior(), rng) for _ in range(200)]
     queries = sum(
-        isinstance(decide(op, policy, inc), QueryOracle) for inc in fresh
+        isinstance(decide(op, tau, inc.m_x, inc.m_z), QueryOracle) for inc in fresh
     )
     assert 0 < queries / len(fresh) <= 0.25
 
@@ -378,6 +374,10 @@ def test_operator_validation():
         UncertaintyPolicy(tau=0.0, budget=1)
     with pytest.raises(DomainError):
         UncertaintyPolicy(tau=1.0, budget=-1)
+    for budget in (2.5, 3.0, True, "3", None):
+        with pytest.raises(DomainError, match="budget must be an integer"):
+            UncertaintyPolicy(tau=1.0, budget=budget)
+    assert UncertaintyPolicy(tau=1.0, budget=np.int64(3)).budget == 3
 
 
 def test_joint_training_builds_two_stage_spec(trained):
