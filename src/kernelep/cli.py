@@ -68,9 +68,12 @@ from .errors import (
     ConfigError,
     DatasetFormatError,
     DegenerateSampleError,
+    DomainError,
     GraphFormatError,
     KernelEpError,
     ModelFormatError,
+    integer,
+    real,
 )
 from .expfam import BetaDist, Gaussian1D, kl_divergence
 from .factors import (
@@ -165,26 +168,25 @@ class RunConfig:
     def __post_init__(self):
         floors = {"n_train": 1, "n_test": 1, "n_importance": MIN_IMPORTANCE, "num_features": 1,
                   "n_jobs": 1, "seed": 0, "folds": 2, "budget": 0}
-        for name, low in floors.items():
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.tau is not None and not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        try:
+            for name, low in floors.items():
+                integer(name, getattr(self, name), low)
+            if self.tau is not None and not real("tau", self.tau) > 0:
+                raise DomainError(f"tau must be positive, got {self.tau}")
+            for name in ("multipliers", "lambdas"):
+                values = getattr(self, name)
+                if not values or not all(real(f"cv {name}", v) > 0 for v in values):
+                    raise DomainError(f"cv {name} must be positive and nonempty, got {values}")
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         for name in ("dataset", "model", "graph"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} path must be nonempty")
-        for name in ("multipliers", "lambdas"):
-            values = getattr(self, name)
-            if not values or not all(math.isfinite(v) and v > 0 for v in values):
-                raise ConfigError(f"cv {name} must be finite, positive and nonempty, got {values}")
 
 
-def _int(value) -> int:
-    """A JSON integer or a flag string holding one: int() would truncate 2.7
-    and read true as 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _int(value):
+    """Flag text read by int(); RunConfig and DampingConfig apply errors.integer."""
+    return int(value) if isinstance(value, str) else value
 
 
 def _str(value) -> str:
@@ -195,11 +197,8 @@ def _str(value) -> str:
 
 
 def _float(value) -> float:
-    """A JSON number or a flag string holding one: float() would read true
-    as 1.0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    """Flag text read by float(), anything else by errors.real (float(True) is 1.0)."""
+    return float(value) if isinstance(value, str) else real("value", value)
 
 
 def _optional_float(value) -> float | None:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, EpSourceError, KernelEpError
+from .errors import DomainError, EpSourceError, KernelEpError, integer, real
 from .expfam import (
     BetaDist,
     Gaussian1D,
@@ -97,23 +96,15 @@ class Factor:
 
 
 def _check_params(f: Factor, keys) -> None:
-    """Require the factor's parameters named by keys, each finite, with
-    positive variances and a != 0."""
-    values = {}
-    for key in keys:
-        try:
-            values[key] = float(f.params[key])
-        except KeyError:
-            raise DomainError(f"{f.kind} {f.id!r} needs parameter {key!r}") from None
-        except (TypeError, ValueError):
-            raise DomainError(f"{f.kind} {f.id!r} needs a number for {key!r}") from None
-        if not math.isfinite(values[key]):
-            raise DomainError(f"{f.kind} {f.id!r} needs a finite {key!r}")
+    """Require the factor's parameters named by keys, each a finite number (a
+    missing one reads as None), with positive variances and a != 0."""
+    at = f"{f.kind} {f.id!r}"
+    values = {key: real(f"{at} parameter {key!r}", f.params.get(key)) for key in keys}
     for key in ("variance", "noise_variance"):
         if values.get(key, 1.0) <= 0.0:
-            raise DomainError(f"{f.kind} {f.id!r} needs positive {key}")
+            raise DomainError(f"{at} needs positive {key}")
     if values.get("a") == 0.0:
-        raise DomainError(f"{f.kind} {f.id!r} needs a != 0")
+        raise DomainError(f"{at} needs a != 0")
 
 
 @dataclass(frozen=True)
@@ -171,6 +162,8 @@ class FactorGraph:
         for vid, obs in self.observations.items():
             if fam.get(vid) != BETA:
                 raise DomainError(f"observation attached to non-beta {vid!r}")
+            for shape in ("alpha", "beta"):
+                real(f"observation {vid!r} {shape}", getattr(obs, shape))
             if obs.improper:
                 raise DomainError(f"observation for {vid!r} must be proper")
         compiled = {
@@ -204,13 +197,10 @@ class DampingConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not (0.0 < self.delta <= 1.0):
+        if not 0.0 < real("delta", self.delta) <= 1.0:
             raise DomainError("delta must be in (0, 1]")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral):
-            raise DomainError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be >= 1")
-        if not (self.tol > 0):
+        integer("max_iters", self.max_iters, 1)
+        if not real("tol", self.tol) > 0.0:
             raise DomainError("tol must be positive")
 
 
@@ -303,9 +293,7 @@ class OracleSource:
     kind = "oracle"
 
     def __init__(self, n_importance: int = 10_000):
-        if n_importance < MIN_IMPORTANCE:
-            raise DomainError(f"n_importance must be >= {MIN_IMPORTANCE}")
-        self.n_importance = int(n_importance)
+        self.n_importance = integer("n_importance", n_importance, MIN_IMPORTANCE)
 
     def tilted(self, inc: IncomingTuple, rng) -> Gaussian1D:
         """The projected tilted q on x, from the first of ORACLE_RETRIES
@@ -358,11 +346,11 @@ class QueryEvent:
 class ActiveSource:
     """Operator gated by predictive variance, falling back to the oracle.
 
-    Oracle answers are absorbed into the operator online; the query count is
-    surfaced through run_ep diagnostics.  `log` records every query and every
-    budget-exhausted fallback; the iteration index counts visits per factor,
-    skipped ones included, which matches the sweep number under the fixed
-    schedule.
+    Oracle answers are absorbed into the operator online; run_ep reports
+    each run's queries.  `log` records every query and every budget-exhausted
+    fallback at its visit number per factor (skipped visits count), the sweep
+    number in the source's first run: a source is not told where a run
+    starts, so `queries`, `log` and visits span its lifetime.
 
     The gate has two phases.  While budget remains, each message's variance
     is computed as it arrives and decides between prediction and query.
@@ -566,6 +554,7 @@ def run_ep(
         rng = np.random.default_rng(0)
     state = init_state(graph)
     unique = {id(s): s for s in sources.values()}.values()
+    queries_before = sum(getattr(s, "queries", 0) for s in unique)
     seeds = _factor_seeds(graph, rng)
     timings: dict = {}
     converged = False
@@ -575,14 +564,13 @@ def run_ep(
             converged = True
             break
     marginals = {v.id: marginal(graph, state, v.id) for v in graph.variables}
-    queries = sum(getattr(s, "queries", 0) for s in unique)
     return EpResult(
         marginals=marginals,
         state=state,
         converged=converged,
         iterations=state.iteration,
         skipped=state.skipped,
-        queries=queries,
+        queries=sum(getattr(s, "queries", 0) for s in unique) - queries_before,
         message_seconds={k: tuple(v) for k, v in timings.items()},
     )
 

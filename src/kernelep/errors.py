@@ -1,8 +1,12 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one rule for numbers.
 
 Everything raised on purpose derives from :class:`KernelEpError` so the CLI
-can map domain failures to a single exit code.
+can map domain failures to a single exit code.  Every numeric setting passes
+`integer` or `real`, whose DomainError names it; a bool is neither.
 """
+
+from numbers import Integral, Real
+from sys import float_info
 
 
 class KernelEpError(Exception):
@@ -64,3 +68,17 @@ class GraphFormatError(KernelEpError):
 
 class ConfigError(KernelEpError):
     """Run configuration is malformed or holds out-of-range values."""
+
+
+def integer(name: str, value, low: int) -> int:
+    """value as an int: an Integral, not a bool, and at least low."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def real(name: str, value) -> float:
+    """value as a float: a finite Real (not an int past the float range), not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and abs(value) <= float_info.max):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return float(value)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError, GenerationError
+from .errors import DegenerateSampleError, DomainError, GenerationError, integer, real
 from .expfam import BetaDist, Gaussian1D, project_to_gaussian
 
 __all__ = [
@@ -90,9 +90,9 @@ class IncomingPrior:
 
     def __post_init__(self):
         for name in ("mean_range", "log_variance_range", "alpha_range", "beta_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise DomainError(f"{name} must be a finite nonempty interval, got {(lo, hi)}")
+            lo, hi = (real(name, end) for end in getattr(self, name))
+            if not lo <= hi:
+                raise DomainError(f"{name} must be a nonempty interval, got {(lo, hi)}")
         if self.alpha_range[0] <= 0.0 or self.beta_range[0] <= 0.0:
             raise DomainError("alpha/beta ranges must be positive")
 
@@ -137,8 +137,7 @@ def tilted_sample(
     """
     if not inc.proper:
         raise DomainError("incoming messages must be proper")
-    if n < MIN_IMPORTANCE:
-        raise DomainError(f"importance sample size must be >= {MIN_IMPORTANCE}, got {n}")
+    integer("importance sample size", n, MIN_IMPORTANCE)
     proposal = Gaussian1D(inc.m_x.mean, PROPOSAL_WIDEN * inc.m_x.variance)
     x = rng.normal(proposal.mean, math.sqrt(proposal.variance), size=n)
     logw = _tilted_log_weight(x, inc, proposal)
@@ -198,8 +197,8 @@ def gen_training_set(
     count) worker threads run, and none when that is 1.  The total attempt
     budget is 10N; exceeding it raises GenerationError.
     """
-    if N < 1:
-        raise DomainError(f"training set size must be >= 1, got {N}")
+    integer("training set size", N, 1)
+    integer("n_jobs", n_jobs, 1)
     budget = 10 * N
     streams = rng.spawn(N)
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, integer
 from .expfam import Gaussian1D, betaln
 
 __all__ = [
@@ -140,8 +140,8 @@ def draw_rff(input_dim: int, num_features: int, bandwidth, rng: np.random.Genera
 
     Frequencies are drawn first, then phases.
     """
-    if num_features < 1 or input_dim < 1:
-        raise DomainError("num_features and input_dim must be >= 1")
+    integer("input_dim", input_dim, 1)
+    integer("num_features", num_features, 1)
     gamma = np.broadcast_to(np.asarray(bandwidth, dtype=float), (input_dim,)).copy()
     if not np.all(gamma > 0.0) or not np.all(np.isfinite(gamma)):
         raise DomainError(f"bandwidth must be positive and finite, got {bandwidth!r}")

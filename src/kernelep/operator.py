@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, PredictionError
+from .errors import DomainError, PredictionError, integer, real
 from .expfam import BetaDist, Gaussian1D, divide
 from .factors import IncomingTuple, TrainingPair, regression_target
 from .kernels import (
@@ -121,12 +120,9 @@ class UncertaintyPolicy:
     budget: int
 
     def __post_init__(self):
-        if not self.tau > 0.0:
+        if not real("tau", self.tau) > 0.0:
             raise DomainError(f"tau must be positive, got {self.tau}")
-        if isinstance(self.budget, bool) or not isinstance(self.budget, Integral):
-            raise DomainError(f"budget must be an integer, got {self.budget!r}")
-        if self.budget < 0:
-            raise DomainError(f"budget must be >= 0, got {self.budget}")
+        integer("budget", self.budget, 0)
 
 
 @dataclass(frozen=True)

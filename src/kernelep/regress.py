@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer, real
 
 __all__ = [
     "RidgeModel",
@@ -267,7 +267,7 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
         raise DomainError(f"incompatible shapes Phi {Phi.shape}, Y {Y.shape}")
     if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(Y))):
         raise DomainError("non-finite training inputs")
-    if not lam > 0.0:
+    if not real("lambda", lam) > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
     from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
@@ -471,11 +471,11 @@ def cross_validate(
     """
     if not len(multipliers) or not len(lambdas):
         raise DomainError("empty cross-validation grid")
-    if not all(lam > 0 for lam in lambdas):
+    if not all(real("lambdas", lam) > 0 for lam in lambdas):
         raise DomainError(f"lambdas must be positive, got {lambdas}")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     N = Y.shape[1]
-    if N < folds:
+    if N < integer("folds", folds, 2):
         raise DomainError(f"need at least {folds} cases for {folds}-fold CV, got {N}")
     if rng is None:
         rng = np.random.default_rng(0)

@@ -1174,6 +1174,10 @@ def test_make_config_merge_and_validation():
         make_config({"prior": {"mean": [3]}})
     with pytest.raises(ConfigError):
         make_config({"dataset": ""})
+    # built directly, RunConfig holds its numbers to the same rule
+    for bad in ({"n_train": "5"}, {"n_jobs": 2.5}, {"budget": True}, {"tau": math.inf}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            RunConfig(**bad)
 
 
 def test_passthrough_takes_only_json_booleans(tmp_path):

@@ -141,6 +141,10 @@ def test_graph_validation():
             (Factor("f", "gaussian_prior", ("x",), {"mean": 0, "variance": 1}),),
             {"x": BetaDist(2.0, 2.0)},
         )
+    demo = demo_graph()
+    for alpha in ("5", True, math.inf):
+        with pytest.raises(DomainError, match="'z1' alpha"):
+            FactorGraph(demo.variables, demo.factors, {"z1": BetaDist(alpha, 2.0)})
 
 
 def test_graph_refuses_a_factor_naming_one_variable_twice():
@@ -170,7 +174,7 @@ VALID_PARAMS = {
 @pytest.mark.parametrize(
     "kind, key", [(kind, key) for kind, params in VALID_PARAMS.items() for key in params]
 )
-@pytest.mark.parametrize("value", ["missing", math.nan, math.inf, "abc", None])
+@pytest.mark.parametrize("value", ["missing", math.nan, math.inf, "abc", None, "1.5", True])
 def test_graph_requires_each_parameter_finite(kind, key, value):
     params = dict(VALID_PARAMS[kind])
     if value == "missing":
@@ -184,11 +188,17 @@ def test_graph_requires_each_parameter_finite(kind, key, value):
         FactorGraph(variables, (Factor("f", kind, neighbors, params),))
 
 
-@pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "3", None])
-def test_damping_refuses_a_non_integer_max_iters(max_iters):
-    with pytest.raises(DomainError, match="max_iters"):
-        DampingConfig(max_iters=max_iters)
+@pytest.mark.parametrize(
+    "key, value",
+    [pytest.param("max_iters", v, id=str(v)) for v in (2.5, 3.0, True, "3", None)]
+    + [("delta", "x"), ("delta", True), ("tol", None), ("tol", math.inf)],
+)
+def test_damping_refuses_a_non_integer_max_iters(key, value):
+    # and a delta or tol that is not a finite number
+    with pytest.raises(DomainError, match=key):
+        DampingConfig(**{key: value})
     assert DampingConfig(max_iters=np.int64(3)).max_iters == 3
+    assert DampingConfig(delta=np.float64(0.25), tol=1).delta == 0.25
 
 
 def test_graph_compiles_schedule_and_adjacency():
@@ -578,6 +588,15 @@ def test_active_source_absorbs_queries(demo_operator, monkeypatch):
     assert src.op.model.n_train == op.model.n_train + 3
 
 
+def test_a_reused_active_source_reports_each_runs_own_queries(demo_operator):
+    op, _ = demo_operator
+    src = ActiveSource(op, UncertaintyPolicy(tau=1e-30, budget=4), n_importance=2000)
+    first = run_ep(demo_graph(), sources=default_sources(src), rng=np.random.default_rng(23))
+    # the budget is spent, so the second run makes no query
+    second = run_ep(demo_graph(), sources=default_sources(src), rng=np.random.default_rng(23))
+    assert (first.queries, second.queries, src.queries) == (4, 0, 4)
+
+
 def test_active_source_featurizes_once_per_gated_message(demo_operator, monkeypatch):
     op, tau = demo_operator
     featurized, visits = [], []
@@ -849,8 +868,10 @@ def test_overflowing_prediction_fails_naming_the_factor(demo_operator, monkeypat
 
 def test_logistic_sources_refuse_too_few_importance_draws(demo_operator):
     op, _ = demo_operator
-    with pytest.raises(DomainError, match="n_importance"):
-        OracleSource(99)
+    for n in (99, 150.7, "200", True):
+        with pytest.raises(DomainError, match="n_importance"):
+            OracleSource(n)
+    assert OracleSource(np.int64(200)).n_importance == 200
     with pytest.raises(DomainError, match="n_importance"):
         ActiveSource(op, UncertaintyPolicy(tau=1.0, budget=1), n_importance=50)
 

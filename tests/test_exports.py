@@ -59,3 +59,22 @@ def test_exports_are_used_by_another_module(modname):
         name for name in importlib.import_module(modname).__all__ if name not in used
     ]
     assert unused == []
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules a file imports, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_errors_states_the_numeric_rule():
+    # errors.integer and errors.real are the one place a setting is checked
+    # for being a number; a module importing `numbers` is restating them
+    package = Path(kernelep.__file__).parent
+    importers = sorted(p.name for p in package.glob("*.py") if "numbers" in imported_modules(p))
+    assert importers == ["errors.py"]

@@ -207,6 +207,12 @@ def test_prior_validation():
         IncomingPrior(mean_range=(2.0, -2.0))
     with pytest.raises(DomainError):
         IncomingPrior(alpha_range=(0.0, 5.0))
+    with pytest.raises(DomainError, match="mean_range"):
+        IncomingPrior(mean_range=("a", 1))
+    with pytest.raises(DomainError, match="alpha_range"):
+        IncomingPrior(alpha_range=(True, 2))
+    with pytest.raises(DomainError, match="log_variance_range"):
+        IncomingPrior(log_variance_range=(0.0, math.inf))
 
 
 def test_gen_training_set_flat_beta_target():
@@ -280,3 +286,6 @@ def test_gen_training_set_budget_error():
 def test_gen_training_set_validates_size():
     with pytest.raises(DomainError):
         gen_training_set(IncomingPrior(), 0, 1000, np.random.default_rng(0))
+    for N, n_jobs in ((2.5, 1), (2, 0), (2, 1.5)):
+        with pytest.raises(DomainError):
+            gen_training_set(IncomingPrior(), N, 1000, np.random.default_rng(0), n_jobs=n_jobs)

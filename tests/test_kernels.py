@@ -49,6 +49,10 @@ def test_draw_rff_validates_bandwidth():
         draw_rff(1, 10, 0.0, np.random.default_rng(0))
     with pytest.raises(DomainError):
         draw_rff(1, 0, 1.0, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="num_features"):
+        draw_rff(2, 2.5, 1.0, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="input_dim"):
+        draw_rff(True, 8, 1.0, np.random.default_rng(0))
 
 
 def test_draw_rff_frequency_scale():

@@ -372,6 +372,9 @@ def test_operator_validation():
             MessageOperator(spec, other)
     with pytest.raises(DomainError):
         UncertaintyPolicy(tau=0.0, budget=1)
+    for tau in ("abc", True, math.inf):
+        with pytest.raises(DomainError, match="tau must be a finite number"):
+            UncertaintyPolicy(tau=tau, budget=1)
     with pytest.raises(DomainError):
         UncertaintyPolicy(tau=1.0, budget=-1)
     for budget in (2.5, 3.0, True, "3", None):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -62,8 +63,9 @@ def test_fit_shrinkage_limit():
 def test_fit_validates():
     with pytest.raises(DomainError):
         fit(np.full((3, 4), np.nan), np.zeros((1, 4)), 1.0)
-    with pytest.raises(DomainError):
-        fit(np.eye(3), np.zeros((1, 3)), 0.0)
+    for lam in (0.0, math.inf, math.nan, True):
+        with pytest.raises(DomainError, match="lambda"):
+            fit(np.eye(3), np.zeros((1, 3)), lam)
     with pytest.raises(DomainError):
         fit(np.eye(3), np.zeros((1, 4)), 1.0)
 
@@ -614,6 +616,12 @@ def test_cross_validate_deterministic_and_validates():
             cross_validate(feats, Y, bad_mults, bad_lams, rng=np.random.default_rng(0))
     with pytest.raises(DomainError):
         cross_validate(feats, Y[:, :3], mults, lams, rng=np.random.default_rng(0))
+    # 2.5 would run 3 folds and 1 would hold out every case at once
+    for folds in (2.5, 1, True):
+        with pytest.raises(DomainError, match="folds"):
+            cross_validate(feats, Y, mults, lams, folds=folds, rng=np.random.default_rng(0))
+    with pytest.raises(DomainError, match="lambdas"):
+        cross_validate(feats, Y, mults, [1.0, math.inf], rng=np.random.default_rng(0))
 
 
 def test_cross_validate_tie_breaks_toward_larger_lambda():
