@@ -4,7 +4,7 @@ Five subcommands drive the full workflow:
 
   gen-data    draw incoming tuples and importance-sampled targets -> CSV
   train       fit the message operator with cross-validation -> model file
-  eval        fresh cases, oracle vs operator KL, histogram -> CSV + JSON
+  eval        fresh cases, operator KL and the oracle's own floor -> CSV + JSON
   ep-run      EP over a graph with oracle and operator sources -> JSON
   active-run  EP with variance-gated oracle queries -> JSON + updated model
 
@@ -158,7 +158,6 @@ class RunConfig:
     damping: DampingConfig = field(default_factory=DampingConfig)
     tau: float | None = None
     budget: int = 100
-    passthrough: bool = False
     dataset: str = "dataset.csv"
     model: str = "model.json"
     graph: str = "graph.json"
@@ -205,13 +204,6 @@ def _optional_float(value) -> float | None:
     return None if value is None else _float(value)
 
 
-def _bool(value) -> bool:
-    """JSON true or false only: bool("false") would read as true."""
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _pair(value) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"expected a [low, high] pair, got {value!r}")
@@ -226,8 +218,7 @@ def _floats(value) -> tuple:
 
 
 # The config schema.  Each scalar key is also the flag --key-with-dashes, and
-# its parser reads a JSON value and a flag string alike; a boolean key is a
-# flag without a value.
+# its parser reads a JSON value and a flag string alike.
 _SCALARS = {
     "seed": (_int, "master seed"),
     "out": (_str, "primary output path"),
@@ -242,7 +233,6 @@ _SCALARS = {
     "n_jobs": (_int, "worker threads (gen-data)"),
     "tau": (_optional_float, "query threshold; null keeps the model's (active-run)"),
     "budget": (_int, "oracle query budget (active-run)"),
-    "passthrough": (_bool, "eval only: replace the operator with a second oracle run"),
 }
 
 # Nested sections, each mapping its JSON keys to (field, parser).  A section
@@ -388,7 +378,7 @@ DATASET_HEADER = (
 EVAL_CASES_HEADER = (
     f"case_id,{_INCOMING_COLUMNS},"
     "oracle_mean,oracle_log_variance,pred_mean,pred_log_variance,"
-    "ess,kl,log10_kl,excluded"
+    "ess,kl,log10_kl,floor_mean,floor_log_variance,floor_kl,excluded"
 )
 
 
@@ -830,52 +820,60 @@ def cmd_train(config: RunConfig) -> Path:
     return save_model(out, op, seed=config.seed, tau=tau, extra=extra)
 
 
+def _kl_block(kls: list) -> dict:
+    """The count, summary and 20-bin log10 histogram of the included cases'
+    KLs; with none, the statistics are null and the bins span [0, 1]."""
+    x = np.asarray(kls, dtype=float)
+    counts, edges = np.histogram(np.log10(np.maximum(x, sys.float_info.min)), bins=20)
+    return {
+        "n_included": len(kls),
+        "kl_summary": {
+            stat: float(getattr(np, stat)(x)) if x.size else None
+            for stat in ("min", "median", "mean", "max")
+        },
+        "histogram": {"log10_kl_bin_edges": edges.tolist(), "counts": counts.tolist()},
+    }
+
+
 def cmd_eval(config: RunConfig) -> Path:
     """Score the operator against the sampling oracle on fresh cases.
 
-    Cases whose oracle run degenerates (effective sample size under the
-    floor) are flagged in the CSV and excluded from the summary.  With
-    `passthrough` enabled the operator column holds a second, independent
-    oracle run instead: the resulting divergences measure the Monte-Carlo
-    noise floor of the comparison itself.
+    Each case draws two independent oracle runs.  The operator and the
+    second run are both scored against the first; the second's scores form
+    the report's `floor` block, the Monte-Carlo noise floor of the
+    comparison.  A case whose first run degenerates (effective sample size
+    under the floor) is flagged in the CSV and left out of both blocks; one
+    whose second run degenerates is left out of the floor alone.
     """
     out = Path(config.out or "eval_report.json")
     op = load_model(config.model).op
     start = time.perf_counter()
-    rows, kls = [], []
+    rows, kls, floor_kls = [], [], []
     for i, seq in enumerate(np.random.SeedSequence([config.seed, 2]).spawn(config.n_test)):
         draw_rng, rng_a, rng_b = (np.random.default_rng(s) for s in seq.spawn(3))
         inc = sample_incoming(config.prior, draw_rng)
         try:
             q_oracle, ess = oracle_to_x(inc, config.n_importance, rng_a)
-            if config.passthrough:
-                q_hat, _ = oracle_to_x(inc, config.n_importance, rng_b)
-            else:
-                q_hat = predict_q(op, inc)
         except DegenerateSampleError as exc:
-            rows.append(_case_cols(i, inc) + ["nan"] * 4 + [_ffmt(exc.ess), "nan", "nan", "1"])
+            rows.append(_case_cols(i, inc) + ["nan"] * 4 + [_ffmt(exc.ess)] + ["nan"] * 5 + ["1"])
             continue
+        q_hat = predict_q(op, inc)
         kl = kl_divergence(q_oracle, q_hat)
         lkl = math.log10(kl) if kl > 0 else math.log10(sys.float_info.min)
+        kls.append(kl)
+        try:
+            q_floor, _ = oracle_to_x(inc, config.n_importance, rng_b)
+        except DegenerateSampleError:
+            floor_cols = ["nan"] * 3
+        else:
+            floor_kl = kl_divergence(q_oracle, q_floor)
+            floor_kls.append(floor_kl)
+            floor_cols = _gaussian_cols(q_floor) + [_ffmt(floor_kl)]
         rows.append(
             _case_cols(i, inc) + _gaussian_cols(q_oracle) + _gaussian_cols(q_hat)
-            + [_ffmt(ess), _ffmt(kl), _ffmt(lkl), "0"]
+            + [_ffmt(ess), _ffmt(kl), _ffmt(lkl)] + floor_cols + ["0"]
         )
-        kls.append(kl)
     runtime = time.perf_counter() - start
-
-    included = np.asarray(kls, dtype=float)
-    if included.size:
-        summary = {
-            "min": float(included.min()),
-            "median": float(np.median(included)),
-            "mean": float(included.mean()),
-            "max": float(included.max()),
-        }
-        counts, edges = np.histogram(np.log10(np.maximum(included, sys.float_info.min)), bins=20)
-    else:
-        summary = dict.fromkeys(("min", "median", "mean", "max"))
-        counts, edges = np.zeros(20, dtype=int), np.linspace(0.0, 1.0, 21)
 
     _write_csv(_derived_path(out, ".cases.csv"), EVAL_CASES_HEADER, rows)
     _write_json(
@@ -883,11 +881,9 @@ def cmd_eval(config: RunConfig) -> Path:
         {
             "n_test": config.n_test,
             "n_excluded": config.n_test - len(kls),
-            "n_included": len(kls),
-            "passthrough": config.passthrough,
             "n_importance": config.n_importance,
-            "kl_summary": summary,
-            "histogram": {"log10_kl_bin_edges": edges.tolist(), "counts": counts.tolist()},
+            **_kl_block(kls),
+            "floor": _kl_block(floor_kls),
         },
     )
     _write_json(_derived_path(out, ".timings.json"), {"runtime_seconds": runtime})
@@ -991,11 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its keys")
     for key, (parse, text) in _SCALARS.items():
-        flag = "--" + key.replace("_", "-")
-        if parse is _bool:
-            common.add_argument(flag, dest=key, action="store_const", const=True, help=text)
-        else:
-            common.add_argument(flag, dest=key, type=parse, help=text)
+        common.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, help=text)
 
     parser = argparse.ArgumentParser(
         prog="kernelep",

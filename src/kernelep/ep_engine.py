@@ -596,7 +596,8 @@ def demo_graph(
         zid = f"z{i}"
         variables.append(Variable(zid, BETA))
         factors.append(Factor(f"f{i}_logistic", "logistic", ("x", zid)))
-        obs[zid] = BetaDist(float(a), float(b))
+        at = f"observation {zid!r}"
+        obs[zid] = BetaDist(real(f"{at} alpha", a), real(f"{at} beta", b))
     return FactorGraph(tuple(variables), tuple(factors), obs)
 
 
@@ -604,7 +605,8 @@ def logistic_regression_graph(n: int, seed: int, noise: float = 1.0) -> FactorGr
     """Bayesian logistic regression: w ~ N(0, 4), x_i = a_i w + N(0, noise),
     logistic(x_i, z_i) with y_i's Bernoulli likelihood as the observation
     Beta(1 + y_i, 2 - y_i) on z_i; a_i ~ N(0, 1), y_i ~ Bernoulli(sigmoid(1.5 a_i))."""
-    rng = np.random.default_rng(seed)
+    n, noise = integer("n", n, 0), real("noise", noise)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     a = rng.normal(size=n)
     y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-1.5 * a))).astype(int)
     variables = [Variable("w", GAUSSIAN)]
@@ -613,7 +615,7 @@ def logistic_regression_graph(n: int, seed: int, noise: float = 1.0) -> FactorGr
     for i in range(n):
         x, z = f"x{i}", f"z{i}"
         variables += [Variable(x, GAUSSIAN), Variable(z, BETA)]
-        params = {"a": float(a[i]), "b": 0.0, "noise_variance": float(noise)}
+        params = {"a": float(a[i]), "b": 0.0, "noise_variance": noise}
         factors += [Factor(f"lin{i}", "linear_gaussian", ("w", x), params),
                     Factor(f"log{i}", "logistic", (x, z))]
         observations[z] = BetaDist(1.0 + y[i], 2.0 - y[i])

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, integer
+from .errors import DomainError, QuadratureError, integer, real
 from .expfam import Gaussian1D, betaln
 
 __all__ = [
@@ -135,6 +135,16 @@ class TwoStageSpec:
         return self.outer.num_features
 
 
+def _positive(name: str, value, size: int) -> np.ndarray:
+    """A positive number or one per coordinate, as a (size,) array; each entry
+    passes errors.real first, as NumPy would read True or "1" as 1.0."""
+    entries = value if isinstance(value, (tuple, list, np.ndarray)) else [value]
+    values = np.array([real(name, v) for v in entries])
+    if not np.all(values > 0.0):
+        raise DomainError(f"{name} must be positive, got {value!r}")
+    return np.broadcast_to(values, (size,)).copy()
+
+
 def draw_rff(input_dim: int, num_features: int, bandwidth, rng: np.random.Generator) -> RffSpec:
     """Draw a feature spec; deterministic given the generator state.
 
@@ -142,9 +152,7 @@ def draw_rff(input_dim: int, num_features: int, bandwidth, rng: np.random.Genera
     """
     integer("input_dim", input_dim, 1)
     integer("num_features", num_features, 1)
-    gamma = np.broadcast_to(np.asarray(bandwidth, dtype=float), (input_dim,)).copy()
-    if not np.all(gamma > 0.0) or not np.all(np.isfinite(gamma)):
-        raise DomainError(f"bandwidth must be positive and finite, got {bandwidth!r}")
+    gamma = _positive("bandwidth", bandwidth, input_dim)
     freqs = rng.normal(0.0, 1.0, size=(num_features, input_dim)) / gamma
     phases = rng.uniform(0.0, 2.0 * math.pi, size=num_features)
     return RffSpec(freqs, phases, gamma)
@@ -156,9 +164,7 @@ def rescale(spec: RffSpec, multiplier) -> RffSpec:
     Frequencies scale by 1/multiplier per dimension, so the rescaled spec is
     exactly what draw_rff would have produced from the same normal variates.
     """
-    mult = np.broadcast_to(np.asarray(multiplier, dtype=float), (spec.input_dim,))
-    if not np.all(mult > 0.0):
-        raise DomainError(f"bandwidth multiplier must be positive, got {multiplier!r}")
+    mult = _positive("bandwidth multiplier", multiplier, spec.input_dim)
     return RffSpec(spec.frequencies / mult, spec.phases.copy(), spec.bandwidth * mult)
 
 

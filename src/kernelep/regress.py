@@ -320,15 +320,6 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise DomainError(f"non-finite {name}")
 
 
-def _lower_product(panels: tuple, x: np.ndarray) -> np.ndarray:
-    """M x for the column blocks of M and a (D,) vector x: block b adds
-    M_b x[b] to the entries from b0 on."""
-    z = np.zeros(len(x))
-    for j, panel in zip(range(0, len(x), _BLOCK), panels):
-        z[j:] += panel @ x[j : j + _BLOCK]
-    return z
-
-
 def _lower_rows(panels: tuple, XT: np.ndarray) -> np.ndarray:
     """(M X)^T = X^T M^T for the column blocks of M and the transpose XT of
     a (D, n) batch X: block 0 writes every column, and each later block b
@@ -350,7 +341,7 @@ def _lower_transposed_product(panels: tuple, w: np.ndarray) -> np.ndarray:
 
 def _apply_factor(model: RidgeModel, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(z, C z) for z = M phi: one pass over the triangle, one product with the carry."""
-    z = _lower_product(model._blocks, phi)
+    z = _lower_rows(model._blocks, phi[None, :])[0]
     return z, model.C @ z
 
 

@@ -851,35 +851,44 @@ def test_eval_report_invariants(ws):
     rows = load_eval_cases(root / "report.cases.csv")
     assert len(rows) == BASE["n_test"]
     assert [r["case_id"] for r in rows] == list(range(BASE["n_test"]))
+    floor_columns = ("floor_mean", "floor_log_variance", "floor_kl")
     for r in rows:
         if r["excluded"]:
             assert math.isnan(r["kl"])
+            assert all(math.isnan(r[c]) for c in floor_columns)
         else:
             assert r["kl"] >= 0.0
             assert r["ess"] > 0.0
+        # a second run that degenerates leaves all three floor columns nan
+        assert len({math.isnan(r[c]) for c in floor_columns}) == 1
     assert sum(r["excluded"] for r in rows) == report["n_excluded"]
+    # the floor counts a case only when both oracle runs pass the ESS floor
+    floor = report["floor"]
+    assert set(floor) == {"n_included", "kl_summary", "histogram"}
+    assert floor["n_included"] == sum(not math.isnan(r["floor_kl"]) for r in rows)
+    assert floor["n_included"] <= report["n_included"]
+    assert sum(floor["histogram"]["counts"]) == floor["n_included"]
+    assert len(floor["histogram"]["log10_kl_bin_edges"]) == 21
 
 
-def test_eval_passthrough_sits_at_noise_floor(ws, tmp_path):
+def test_eval_floor_sits_at_noise_floor(ws, tmp_path):
     _, data = ws
-    out = cmd_eval(
-        make_config(data, {"out": str(tmp_path / "pass.json"), "passthrough": True})
-    )
-    report = json.loads(out.read_text())
-    assert report["passthrough"] is True
-    rows = [r for r in load_eval_cases(tmp_path / "pass.cases.csv") if not r["excluded"]]
-    kls = [r["kl"] for r in rows]
+    out = cmd_eval(make_config(data, {"out": str(tmp_path / "report.json")}))
+    floor = json.loads(out.read_text())["floor"]
+    cases = load_eval_cases(tmp_path / "report.cases.csv")
+    rows = [r for r in cases if not math.isnan(r["floor_kl"])]
+    kls = [r["floor_kl"] for r in rows]
     assert all(k >= 0.0 for k in kls)
-    assert float(np.median(kls)) < 0.05
-    assert max(kls) < 1.0
-    # two independent runs: the columns must not coincide
-    assert any(r["oracle_mean"] != r["pred_mean"] for r in rows)
-    # the cases themselves match a non-passthrough run (same seed)
-    cmd_eval(make_config(data, {"out": str(tmp_path / "report.json")}))
-    normal = load_eval_cases(tmp_path / "report.cases.csv")
-    assert [r["mx_mean"] for r in load_eval_cases(tmp_path / "pass.cases.csv")] == [
-        r["mx_mean"] for r in normal
-    ]
+    assert floor["kl_summary"]["median"] == float(np.median(kls)) < 0.05
+    assert floor["kl_summary"]["max"] == max(kls) < 1.0
+    # two independent oracle runs, and neither is the operator
+    assert all(r["floor_kl"] != r["kl"] for r in rows)
+    assert any(r["floor_mean"] != r["oracle_mean"] for r in rows)
+    # a rerun draws the same cases and the same second runs
+    cmd_eval(make_config(data, {"out": str(tmp_path / "rerun.json")}))
+    rerun = load_eval_cases(tmp_path / "rerun.cases.csv")
+    for key in ("mx_mean", "mz_alpha", "floor_mean", "floor_kl"):
+        assert np.array_equal([r[key] for r in rerun], [r[key] for r in cases], equal_nan=True)
 
 
 def test_eval_rerun_byte_identical(ws, tmp_path):
@@ -1180,18 +1189,6 @@ def test_make_config_merge_and_validation():
             RunConfig(**bad)
 
 
-def test_passthrough_takes_only_json_booleans(tmp_path):
-    assert make_config({"passthrough": True}).passthrough is True
-    assert make_config({"passthrough": False}).passthrough is False
-    # bool("false") is True: a string must not switch the operator off
-    for value in ("false", "true", 0, 1, None):
-        with pytest.raises(ConfigError, match="passthrough"):
-            make_config({"passthrough": value})
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"passthrough": "false"}')
-    assert main(["eval", "--config", str(cfg)]) == 1
-
-
 def test_negative_seed_refused(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         make_config({"seed": -1})
@@ -1271,15 +1268,13 @@ def test_cv_grid_values_must_be_finite_and_positive(key):
 def test_every_scalar_key_reads_alike_from_file_and_flag(tmp_path):
     # a non-default value for each parser, valid for each of its keys (700
     # clears the importance-sample floor), as a JSON value and as a flag
-    examples = {
-        cli._int: 700, cli._str: "elsewhere.json", cli._optional_float: 0.25, cli._bool: True
-    }
+    examples = {cli._int: 700, cli._str: "elsewhere.json", cli._optional_float: 0.25}
     parser = build_parser()
     for key, (parse, _) in cli._SCALARS.items():
         value = examples[parse]
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({key: value}))
-        flag = ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+        flag = ["--" + key.replace("_", "-"), str(value)]
         from_file = cli._args_config(parser.parse_args(["train", "--config", str(cfg)]))
         from_flag = cli._args_config(parser.parse_args(["train", *flag]))
         assert from_file == from_flag != RunConfig(), key

@@ -145,6 +145,15 @@ def test_graph_validation():
     for alpha in ("5", True, math.inf):
         with pytest.raises(DomainError, match="'z1' alpha"):
             FactorGraph(demo.variables, demo.factors, {"z1": BetaDist(alpha, 2.0)})
+        # the builders hold their inputs to the same rule, where float() would coerce
+        with pytest.raises(DomainError, match="'z1' alpha"):
+            demo_graph(observations=((alpha, 2.0),))
+    for n, seed, noise, name in (
+        (2.5, 0, 1.0, "n"), (True, 0, 1.0, "n"), (3, "0", 1.0, "seed"), (3, -1, 1.0, "seed"),
+        (3, 0, "1", "noise"), (3, 0, True, "noise"),
+    ):
+        with pytest.raises(DomainError, match=name):
+            logistic_regression_graph(n, seed, noise)
 
 
 def test_graph_refuses_a_factor_naming_one_variable_twice():

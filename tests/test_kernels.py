@@ -53,6 +53,15 @@ def test_draw_rff_validates_bandwidth():
         draw_rff(2, 2.5, 1.0, np.random.default_rng(0))
     with pytest.raises(DomainError, match="input_dim"):
         draw_rff(True, 8, 1.0, np.random.default_rng(0))
+    # each entry meets errors.real before NumPy, which reads True and "1" as 1.0
+    for bad in ("a", True, math.inf, math.nan, ("1", 2.0), (True, 2.0), (1.0, -2.0)):
+        with pytest.raises(DomainError, match="bandwidth"):
+            draw_rff(2, 8, bad, np.random.default_rng(0))
+    spec = draw_rff(2, 8, (1.0, np.float64(0.5)), np.random.default_rng(0))
+    for bad in ("a", True, math.inf, 0.0, (2.0, "1")):
+        with pytest.raises(DomainError, match="bandwidth multiplier"):
+            rescale(spec, bad)
+    np.testing.assert_array_equal(rescale(spec, (2, 4.0)).bandwidth, [2.0, 2.0])
 
 
 def test_draw_rff_frequency_scale():

@@ -871,7 +871,8 @@ def test_block_products_match_a_dense_factor(D):
     for j in (0, D // 2, D - 1):
         np.testing.assert_array_equal(columns[j], dense[j:, j])
     phi, w = rng.normal(size=D), rng.normal(size=D)
-    _assert_close(regress._lower_product(model._blocks, phi), dense @ phi)
+    z_one = regress._lower_rows(model._blocks, phi[None, :])[0]
+    _assert_close(z_one, dense @ phi)
     _assert_close(regress._lower_transposed_product(model._blocks, w), dense.T @ w)
 
     # each product has the bits of the same BLAS calls on the column blocks
@@ -883,7 +884,7 @@ def test_block_products_match_a_dense_factor(D):
     for j in range(0, D, B):
         z[j:] += square[j:, j : j + B] @ phi[j : j + B]
         u[j : j + B] = square[j:, j : j + B].T @ w[j:]
-    assert regress._lower_product(model._blocks, phi).tobytes() == z.tobytes()
+    assert z_one.tobytes() == z.tobytes()
     assert regress._lower_transposed_product(model._blocks, w).tobytes() == u.tobytes()
 
     # a batch is scored as (M X)^T = X^T M^T through the transpose of a
@@ -893,7 +894,7 @@ def test_block_products_match_a_dense_factor(D):
     assert ZT.shape == (7, D) and ZT.flags.c_contiguous
     _assert_close(ZT, (dense @ batch).T)
     for i in range(7):
-        _assert_close(ZT[i], regress._lower_product(model._blocks, batch[:, i]))
+        _assert_close(ZT[i], regress._lower_rows(model._blocks, batch[:, i][None, :])[0])
 
     def dense_variance(x):
         z = dense @ x
