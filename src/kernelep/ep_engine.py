@@ -33,8 +33,8 @@ from .operator import (
     batch_variance,
     outgoing_message,
     decide,
-    predict_q,  # not called here; kept for perfbench's hooks
-    warm_beta_cache,  # not called here; kept for perfbench's hooks
+    predict_q,  # not called here; perfbench/run.py traces this module's binding
+    warm_beta_cache,  # not called here; perfbench/run.py traces this module's binding
 )
 
 __all__ = [

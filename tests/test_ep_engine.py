@@ -40,6 +40,7 @@ from kernelep.expfam import (
 from kernelep.factors import IncomingPrior, IncomingTuple, gen_training_set, sample_incoming
 from kernelep import ep_engine, operator, regress
 from kernelep.operator import (
+    MessageOperator,
     QueryOracle,
     UncertaintyPolicy,
     UsePrediction,
@@ -841,17 +842,22 @@ def test_operator_messages_are_the_composed_prediction_bit_for_bit(demo_operator
     # the sources' message path leaves out the IncomingTuple, the natural-
     # parameter arrays and the repeated checks, but no arithmetic step
     op, _ = demo_operator
+    fresh = MessageOperator(op.spec, op.model)  # its own, cold Beta memo
     sources = (
-        OperatorSource(op),
-        ActiveSource(op, UncertaintyPolicy(tau=1.0, budget=0), n_importance=2000),
+        OperatorSource(fresh),
+        ActiveSource(fresh, UncertaintyPolicy(tau=1.0, budget=0), n_importance=2000),
     )
     rng = np.random.default_rng(61)
-    for _ in range(600):
+    pool = [sample_incoming(IncomingPrior(), rng).m_z for _ in range(8)]
+    for i in range(600):
         inc = sample_incoming(IncomingPrior(alpha_range=(0.5, 10.0)), rng)
+        if i % 2:  # half the Betas repeat, so the memo hits as well as misses
+            inc = IncomingTuple(inc.m_x, pool[i % len(pool)])
         expected = to_natural(divide(predict_q(op, inc), inc.m_x)).tobytes()
         for source in sources:
             got = source(LOGISTIC, {"x": inc.m_x, "z": inc.m_z}, np.random.default_rng(0))
             assert to_natural(got["x"]).tobytes() == expected
+    assert len(fresh._beta_cache) > len(pool)
 
 
 def test_overflowing_prediction_fails_naming_the_factor(demo_operator, monkeypatch):
@@ -877,6 +883,29 @@ def test_logistic_sources_refuse_too_few_importance_draws(demo_operator):
     assert OracleSource(np.int64(200)).n_importance == 200
     with pytest.raises(DomainError, match="n_importance"):
         ActiveSource(op, UncertaintyPolicy(tau=1.0, budget=1), n_importance=50)
+
+
+def test_beta_memo_fills_once_per_observation(demo_operator, monkeypatch):
+    # featurize is the memo's one fill path: from a cold memo each observation
+    # costs one Beta CF over all sweeps, also a shape below 1, which a cavity
+    # returns through its natural parameters as another float
+    op, _ = demo_operator
+    graph = demo_graph(((5.0, 2.0), (0.3, 2.0)))
+    assert from_natural("beta", graph.observed["z2"]).alpha != 0.3
+    calls = []
+    real_cf = operator.beta_cf
+
+    def counting_cf(frequencies, betas, phases):
+        calls.extend((b.alpha, b.beta) for b in betas)
+        return real_cf(frequencies, betas, phases)
+
+    monkeypatch.setattr(operator, "beta_cf", counting_cf)
+    source = OperatorSource(MessageOperator(op.spec, op.model))  # empty memos
+    result = run_ep(graph, default_sources(source), rng=np.random.default_rng(0))
+    assert result.iterations > 1
+    assert sorted(calls) == sorted(
+        (b.alpha, b.beta) for b in (from_natural("beta", eta) for eta in graph.observed.values())
+    )
 
 
 def test_timings_recorded_by_source_kind():

@@ -22,8 +22,9 @@ from kernelep.factors import (
     gen_training_set,
     sample_incoming,
 )
-from kernelep.kernels import RffSpec, draw_rff, joint_features_batch, median_distance, rff_point
+from kernelep.kernels import TwoStageSpec, draw_rff, embedding_features, joint_features_batch
 from kernelep.operator import (
+    PROJECTION_DIM,
     MessageOperator,
     QueryOracle,
     UncertaintyPolicy,
@@ -53,12 +54,6 @@ def flat_beta_pairs(n, seed):
     return pairs
 
 
-def _log_params(t):
-    return np.array(
-        [t.m_x.mean, math.log(t.m_x.variance), math.log(t.m_z.alpha), math.log(t.m_z.beta)]
-    )
-
-
 @pytest.fixture(scope="module")
 def flat_op():
     # n well above the feature count, so predictive variances are calibrated
@@ -79,11 +74,30 @@ def test_featurize_deterministic(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(0.5, 1.0), BetaDist(3.0, 4.0))
     first = featurize(op, inc.m_x, inc.m_z)
-    second = featurize(op, inc.m_x, inc.m_z)
+    second = featurize(op, inc.m_x, inc.m_z)  # second call hits the Beta cache
     np.testing.assert_array_equal(first, second)
     fresh = MessageOperator(op.spec, op.model)
     np.testing.assert_array_equal(featurize(fresh, inc.m_x, inc.m_z), first)
     assert first.shape == (op.model.num_features,)
+
+
+def test_beta_memo_is_capped_and_recomputes_evicted_rows(trained):
+    _, op, _, _ = trained
+    op = MessageOperator(op.spec, op.model)
+    rng = np.random.default_rng(48)
+    incs = [
+        IncomingTuple(Gaussian1D(0.3, 1.5), BetaDist(*rng.uniform(1.0, 10.0, size=2)))
+        for _ in range(operator.BETA_MEMO_CAP + 20)
+    ]
+    first = featurize(op, incs[0].m_x, incs[0].m_z)
+    for inc in incs[1:]:
+        featurize(op, inc.m_x, inc.m_z)
+    assert len(op._beta_cache) == operator.BETA_MEMO_CAP
+    # the oldest rows went first, and an evicted row comes back with the same bits
+    assert (incs[0].m_z.alpha, incs[0].m_z.beta) not in op._beta_cache
+    assert (incs[-1].m_z.alpha, incs[-1].m_z.beta) in op._beta_cache
+    np.testing.assert_array_equal(featurize(op, incs[0].m_x, incs[0].m_z), first)
+    assert len(op._beta_cache) == operator.BETA_MEMO_CAP
 
 
 def test_featurize_rejects_improper(trained):
@@ -92,27 +106,17 @@ def test_featurize_rejects_improper(trained):
         featurize(op, Gaussian1D(0.0, -1.0), BetaDist(2.0, 2.0))
     with pytest.raises(DomainError):
         featurize(op, Gaussian1D(0.0, 1.0), BetaDist(-1.0, 2.0))
+    assert (-1.0, 2.0) not in op._beta_cache
     with pytest.raises(DomainError):
-        featurize_batch(op, [IncomingTuple(Gaussian1D(0.0, 1.0), BetaDist(2.0, 0.0))])
-
-
-def test_warm_beta_cache_checks_betas_and_changes_no_prediction(trained):
-    _, op, _, _ = trained
-    inc = IncomingTuple(Gaussian1D(0.5, 1.0), BetaDist(3.0, 4.0))
-    before = predict_q(op, inc)
-    with pytest.raises(DomainError, match="improper"):
-        operator.warm_beta_cache(op, [BetaDist(2.0, 2.0), BetaDist(-1.0, 2.0)])
-    operator.warm_beta_cache(op, [inc.m_z, BetaDist(0.5, 7.0)])
-    assert predict_q(op, inc) == before
+        operator.warm_beta_cache(op, [BetaDist(-1.0, 2.0)])
 
 
 def test_featurize_joint_matches_kernels_module(trained):
     _, op, _, _ = trained
-    # the joint features of (m_x, m_z) are kernels.rff_point of their
-    # log-parameters
-    inc = IncomingTuple(Gaussian1D(-0.7, 2.0), BetaDist(500.0, 0.5))
+    inc = IncomingTuple(Gaussian1D(-0.7, 2.0), BetaDist(500.0, 500.0))
+    emb = joint_features_batch(op.spec.inner, [inc])[0]
     np.testing.assert_array_equal(
-        featurize(op, inc.m_x, inc.m_z), rff_point(op.spec, _log_params(inc))
+        featurize(op, inc.m_x, inc.m_z), embedding_features(op.spec, emb)
     )
 
 
@@ -186,7 +190,9 @@ def test_outgoing_division_round_trip(trained):
 
 
 def tiny_spec(num_features, seed):
-    return draw_rff(4, num_features, 1.0, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    inner = draw_rff(2, 8, (1.0, 0.25), rng)
+    return TwoStageSpec(inner, np.zeros(8), np.eye(8)[:, :3], draw_rff(3, num_features, 1.0, rng))
 
 
 def test_prediction_errors_surface():
@@ -321,7 +327,8 @@ def test_train_operator_reports(trained):
 
 def test_train_operator_holds_one_multipliers_features():
     # tracemalloc sees numpy's buffers.  Nine more multipliers may add their
-    # specs to the peak, but not a D x n feature matrix each
+    # specs and n x k projections to the peak, but not a D x n feature
+    # matrix each
     pairs = flat_beta_pairs(400, seed=46)
     width = 800
 
@@ -344,20 +351,17 @@ def test_train_operator_deterministic():
     op1, rep1, tau1 = train_operator(pairs, 40, np.random.default_rng(41))
     op2, rep2, tau2 = train_operator(pairs, 40, np.random.default_rng(41))
     np.testing.assert_array_equal(op1.model.W, op2.model.W)
-    np.testing.assert_array_equal(op1.spec.frequencies, op2.spec.frequencies)
+    np.testing.assert_array_equal(op1.spec.inner.frequencies, op2.spec.inner.frequencies)
     assert rep1.chosen == rep2.chosen
     assert tau1 == tau2
 
 
 def test_operator_validation():
     model = RidgeModel(np.zeros((2, 8)), 1.0, packed_factor(np.eye(8)), 1.0, 1)
-    for dim, seed in ((1, 42), (2, 43)):
-        plain = draw_rff(dim, 8, 1.0, np.random.default_rng(seed))
-        refusal = f"needs a 4-dim RffSpec on log-parameters, not a {dim}-dim"
-        with pytest.raises(DomainError, match=refusal):
+    for plain in (draw_rff(1, 8, 1.0, np.random.default_rng(42)),
+                  draw_rff(2, 8, (1.0, 0.25), np.random.default_rng(43))):
+        with pytest.raises(DomainError, match="needs a TwoStageSpec, not a RffSpec"):
             MessageOperator(plain, model)
-    with pytest.raises(DomainError, match="not a ndarray"):
-        MessageOperator(np.zeros((8, 4)), model)
     spec = tiny_spec(8, seed=44)
     assert MessageOperator(spec, model).spec is spec
     with pytest.raises(DomainError, match="feature count"):
@@ -379,42 +383,23 @@ def test_operator_validation():
     assert UncertaintyPolicy(tau=1.0, budget=np.int64(3)).budget == 3
 
 
-def _trained_bandwidth(pairs, multiplier):
-    """sigma * multiplier * s, from the training inputs' log-parameters."""
-    U = np.array([_log_params(p.input) for p in pairs])
-    s = U.std(axis=0)
-    return median_distance(U / s) * multiplier * s
-
-
-def test_training_builds_log_parameter_spec(trained):
-    pairs, op, report, _ = trained
+def test_joint_training_builds_two_stage_spec(trained):
+    pairs, op, _, _ = trained
     spec = op.spec
-    assert isinstance(spec, RffSpec) and spec.input_dim == 4
+    assert isinstance(spec, TwoStageSpec)
+    # outer width is the requested width; the inner one is capped at it
     assert spec.num_features == op.model.num_features == 60
+    assert spec.inner.num_features == 60
+    assert spec.projection.shape == (60, PROJECTION_DIM)
     np.testing.assert_allclose(
-        spec.bandwidth, _trained_bandwidth(pairs, report.chosen_params[0]), rtol=1e-12
+        spec.projection.T @ spec.projection, np.eye(PROJECTION_DIM), atol=1e-10
     )
 
 
-def test_constant_coordinates_keep_unit_scale(flat_op):
-    # every flat pair has alpha = beta = 1, so log alpha and log beta have
-    # no spread and their bandwidth is sigma * m alone
-    bandwidth = flat_op.spec.bandwidth
-    assert bandwidth[2] == bandwidth[3] > 0.0
-
-
-def test_trained_features_approximate_the_log_parameter_kernel():
-    # at D = 2000 the trained spec's feature dot products match
-    # exp(-||(u - u') / (sigma m s)||^2 / 2) within criterion 2's 0.05
-    pairs = gen_training_set(IncomingPrior(), 200, 1000, np.random.default_rng(111))
-    op, report, _ = train_operator(pairs, 2000, np.random.default_rng(112), folds=2)
-    width = _trained_bandwidth(pairs, report.chosen_params[0])
-    np.testing.assert_allclose(op.spec.bandwidth, width, rtol=1e-12)
-    rng = np.random.default_rng(113)
-    worst = 0.0
-    for _ in range(100):
-        a, b = (sample_incoming(IncomingPrior(), rng) for _ in range(2))
-        exact = math.exp(-0.5 * float(np.sum(((_log_params(a) - _log_params(b)) / width) ** 2)))
-        approx = float(featurize(op, a.m_x, a.m_z) @ featurize(op, b.m_x, b.m_z))
-        worst = max(worst, abs(approx - exact))
-    assert worst <= 0.05
+def test_joint_training_sizes_projection_by_case_count():
+    # 12 centred cases span at most 11 directions
+    pairs = flat_beta_pairs(12, seed=44)
+    op, _, _ = train_operator(pairs, 700, np.random.default_rng(45), [1.0], [1e-4], folds=3)
+    assert op.spec.inner.num_features == 500
+    assert op.spec.projection.shape == (500, 11)
+    assert op.model.num_features == 700
