@@ -25,7 +25,7 @@ for the JSON ones, not valid JSON) raises that file's format error.  Datasets
 and per-case eval rows are CSV with a fixed header, read and written by one
 codec; graphs and reports are JSON.  Floats are serialized as the shortest
 decimal that parses back to the identical double, so files round-trip
-without loss.  A model file (format version 6) is one compact JSON header
+without loss.  A model file (format version 5) is one compact JSON header
 line, space-padded to a multiple of 64 bytes and at most 1 MiB long, then
 the raw little-endian float64 C-order bytes of its arrays, each at a 64-byte
 aligned offset.  The header holds the version, a sha256 checksum, the array
@@ -34,17 +34,15 @@ array replaced by {"dtype": "<f8", "shape": [...], "index": k}.  The
 checksum covers the canonical JSON of {arrays, data_bytes, payload} and then
 the data section: every scalar, metadata value, layout entry and array byte.
 The payload holds the ridge model (weights, lambda, noise scale, tau, and
-its inverse Gram as `triangle`), the operator's 4-dim RffSpec on
-log-parameters (`frequencies`, `phases` and `bandwidths`) and its training
-box: `box`, the (2, 4) minimum and maximum of the training log-parameters.
-A box that is not finite, not (2, 4), or has a minimum above its maximum is
-refused.  `triangle` is the model's lower-triangular factor M
-(regress.RidgeModel) with any carried updates folded in on save, stored as
-its lower triangle column by column (LAPACK's packed lower layout,
-D (D + 1) / 2 values), and it is the last array of the data section.
-Versions 1-3 (arrays as decimal or base64 text), version 4 (an explicit
-D x D inverse Gram) and version 5 (the two-stage mean-embedding spec) are
-refused.  Loading reads the triangle straight into the model's column blocks
+its inverse Gram as `triangle`) and the TwoStageSpec: inner `frequencies`,
+`phases` and `bandwidths`, and an `outer` section (embedding centre,
+projection, outer frequencies, phases and bandwidth).  `triangle` is the
+model's lower-triangular factor M (regress.RidgeModel) with any carried
+updates folded in on save, stored as its lower triangle column by column
+(LAPACK's packed lower layout, D (D + 1) / 2 values), and it is the last
+array of the data section.  Versions 1-3 (arrays as decimal or base64 text)
+and version 4 (an explicit D x D inverse Gram) are refused.  Loading reads
+the triangle straight into the model's column blocks
 (regress.factor_columns), never a D x D array, and the rest of the data into
 one buffer, returning read-only views of it.
 Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
@@ -87,7 +85,7 @@ from .factors import (
     oracle_to_x,
     sample_incoming,
 )
-from .kernels import RffSpec
+from .kernels import RffSpec, TwoStageSpec
 from .regress import (
     DEFAULT_LAMBDAS,
     DEFAULT_MULTIPLIERS,
@@ -468,7 +466,7 @@ def load_eval_cases(path) -> list:
 # ---------------------------------------------------------------------------
 # Model files
 
-MODEL_FORMAT_VERSION = 6
+MODEL_FORMAT_VERSION = 5
 
 # the header line's length and every array's offset in the data section are
 # multiples of this, so each array starts on a cache line
@@ -557,7 +555,7 @@ class SavedModel:
 
 
 def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict | None = None) -> Path:
-    """Write an operator as a checksummed model file.
+    """Write an operator (always on a TwoStageSpec) as a checksummed model file.
 
     The model's carried updates are folded into its triangular factor, and
     the factor's lower triangle is stored alone, as the last array.  The
@@ -572,10 +570,16 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
         "noise_scale": float(op.model.noise_scale),
         "n_train": int(op.model.n_train),
         "weights": op.model.W,
-        "bandwidths": spec.bandwidth,
-        "frequencies": spec.frequencies,
-        "phases": spec.phases,
-        "box": op.box,
+        "bandwidths": spec.inner.bandwidth,
+        "frequencies": spec.inner.frequencies,
+        "phases": spec.inner.phases,
+        "outer": {
+            "center": spec.center,
+            "projection": spec.projection,
+            "frequencies": spec.outer.frequencies,
+            "phases": spec.outer.phases,
+            "bandwidth": spec.outer.bandwidth,
+        },
         "metadata": extra or {},
     }
     arrays = []
@@ -656,19 +660,24 @@ def load_model(path) -> SavedModel:
     try:
         rest = {key: value for key, value in layout["payload"].items() if key != "triangle"}
         payload = _array_views(rest, data, layout["arrays"]) | {"triangle": M}
+        outer = payload["outer"]
 
-        def arrays(*keys):
-            return [np.asarray(payload[key], dtype=float) for key in keys]
+        def arrays(node, *keys):
+            return [np.asarray(node[key], dtype=float) for key in keys]
 
-        spec = RffSpec(*arrays("frequencies", "phases", "bandwidths"))
+        spec = TwoStageSpec(
+            RffSpec(*arrays(payload, "frequencies", "phases", "bandwidths")),
+            *arrays(outer, "center", "projection"),
+            RffSpec(*arrays(outer, "frequencies", "phases", "bandwidth")),
+        )
         model = RidgeModel(
-            *arrays("weights"),
+            *arrays(payload, "weights"),
             float(payload["lambda"]),
             M,
             float(payload["noise_scale"]),
             int(payload["n_train"]),
         )
-        op = MessageOperator(spec, model, *arrays("box"))
+        op = MessageOperator(spec, model)
         return SavedModel(op, float(payload["tau"]), int(payload["seed"]), payload)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model payload malformed: {exc}") from None

@@ -33,8 +33,8 @@ from .operator import (
     batch_variance,
     outgoing_message,
     decide,
-    predict_q,  # not called here; kept for perfbench's hooks
-    warm_beta_cache,  # not called here; kept for perfbench's hooks
+    predict_q,  # not called here; perfbench/run.py traces this module's binding
+    warm_beta_cache,  # not called here; perfbench/run.py traces this module's binding
 )
 
 __all__ = [
@@ -415,8 +415,8 @@ class ActiveSource:
             self.budget -= 1
             self._log.append(QueryEvent("query", factor.id, x_id, visit, action.variance, self.tau))
             return {x_id: divide(q, m_x)}
-        # OperatorSource's message for these cavities, from decide's features
-        return {x_id: action.message}
+        # action.q is predict_q for these cavities, computed from decide's features
+        return {x_id: divide(action.q, m_x)}
 
 
 def default_sources(logistic_source=None) -> dict:

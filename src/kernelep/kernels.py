@@ -2,29 +2,39 @@
 
 A drawn ``RffSpec`` fixes frequencies and phases once; everything downstream
 is a pure function of it.  Point features approximate the Gaussian kernel
-exp(-||x-x'||^2 / (2 gamma^2)); ``rff_point`` is their one formula, and the
-message operator applies it to incoming messages' log-parameters.
-
-Distribution features are the paper's mean embeddings: expectations of the
-point features, in closed form for Gaussians, by Gauss-Legendre quadrature on
+exp(-||x-x'||^2 / (2 gamma^2)).  Distribution features are expectations of
+the point features: closed form for Gaussians, Gauss-Legendre quadrature on
 (0, 1) for Betas (under an endpoint-flattening substitution so fractional
-shape parameters keep their accuracy), and as a characteristic-function
-product for the joint (x, z) embedding of an incoming tuple (the two messages
-are independent, so the joint characteristic function factorizes).  The
-operator does not regress on them: on the logistic factor a Gaussian kernel
-on log-parameters is more accurate (see the README).  They stay
-here as the paper's features, which acceptance criteria 2 and 3 test, and
-because the benchmark's hooks trace ``beta_cf``, ``gaussian_cf``,
-``joint_features_batch`` and ``median_heuristic``.
+shape parameters keep their accuracy), and a characteristic-function product
+for the joint (x, z) embedding of an incoming tuple (the two messages are
+independent, so the joint characteristic function factorizes).
 
-``beta_cf`` is the one quadrature of Beta characteristic functions, for any
-number of Betas sharing a frequency vector.
+The joint embedding has one formula, Re(_beta_side * gaussian_cf), and
+``joint_features_batch`` and the operator's ``featurize`` both evaluate it;
+they differ only in where the Beta factor comes from.  Point features have
+one formula too, ``rff_point``, which the outer stage applies to projected
+embeddings.  ``beta_cf`` is the one quadrature of Beta characteristic
+functions, for any number of Betas sharing a frequency vector.  Its phase
+matrix e^{i w z} depends only on the frequencies and the order, so a caller
+whose frequencies are fixed (the operator) passes a memo of them per order;
+a Beta never seen before then costs its density and a matrix product.
+
+A joint embedding e(P) is linear in the distribution P, and so is any
+regression on it.  A ``TwoStageSpec`` puts a Gaussian kernel on top,
+k(P, Q) = exp(-||V^T (e(P) - e(Q))||^2 / (2 sigma^2)): the inner 2-dim
+``RffSpec`` gives e, a centre and an orthonormal projection V onto the top
+principal directions of training embeddings reduce it to a few coordinates,
+and an outer point ``RffSpec`` of bandwidth sigma featurizes those.  A
+Gaussian kernel on embeddings is universal on distributions (Christmann &
+Steinwart, NIPS 2010), which the linear one is not.  ``joint_features_batch``
+takes the inner 2-dim ``RffSpec`` and gives the inner embeddings;
+``embedding_features`` maps them to the outer features.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +44,7 @@ from .expfam import Gaussian1D, betaln
 
 __all__ = [
     "RffSpec",
+    "TwoStageSpec",
     "draw_rff",
     "rescale",
     "median_heuristic",
@@ -41,7 +52,9 @@ __all__ = [
     "gaussian_cf",
     "beta_cf",
     "joint_features_batch",
+    "principal_projection",
     "median_distance",
+    "embedding_features",
 ]
 
 QUAD_ORDER = 64
@@ -58,11 +71,14 @@ class RffSpec:
     frequencies: (num_features, input_dim), drawn N(0, 1/gamma_k^2) per dim.
     phases: (num_features,) in [0, 2pi).
     bandwidth: (input_dim,) positive reals (gamma, input units).
+    first_axis: the frequencies on the first input coordinate, contiguous,
+        and their squares, which gaussian_cf reads (derived, read-only).
     """
 
     frequencies: np.ndarray
     phases: np.ndarray
     bandwidth: np.ndarray
+    first_axis: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = self.frequencies.shape
@@ -71,7 +87,9 @@ class RffSpec:
                 f"frequencies {shape}, phases {self.phases.shape} and "
                 f"bandwidth {self.bandwidth.shape} do not fit together"
             )
-        for arr in (self.frequencies, self.phases, self.bandwidth):
+        omega = np.ascontiguousarray(self.frequencies[:, 0])
+        object.__setattr__(self, "first_axis", (omega, np.square(omega)))
+        for arr in (self.frequencies, self.phases, self.bandwidth, *self.first_axis):
             arr.setflags(write=False)
 
     @property
@@ -81,6 +99,40 @@ class RffSpec:
     @property
     def input_dim(self) -> int:
         return self.frequencies.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class TwoStageSpec:
+    """Random features of a Gaussian kernel on projected joint embeddings.
+
+    inner: 2-dim RffSpec whose expected features are the embedding e (D_in,).
+    center: (D_in,) mean training embedding.
+    projection: (D_in, k) orthonormal columns, the top principal directions
+        of the centred training embeddings.
+    outer: k-dim RffSpec applied to projection^T (e - center); its bandwidth
+        is the kernel's sigma and its width is the regression's width.
+    """
+
+    inner: RffSpec
+    center: np.ndarray
+    projection: np.ndarray
+    outer: RffSpec
+
+    def __post_init__(self):
+        if self.inner.input_dim != 2:
+            raise DomainError("two-stage spec needs a 2-dim inner RffSpec")
+        d_in = self.inner.num_features
+        if self.center.shape != (d_in,) or self.projection.shape != (d_in, self.outer.input_dim):
+            raise DomainError(
+                f"centre {self.center.shape} / projection {self.projection.shape} do not "
+                f"match inner width {d_in} and outer input dim {self.outer.input_dim}"
+            )
+        self.center.setflags(write=False)
+        self.projection.setflags(write=False)
+
+    @property
+    def num_features(self) -> int:
+        return self.outer.num_features
 
 
 def _positive(name: str, value, size: int) -> np.ndarray:
@@ -121,12 +173,12 @@ def median_heuristic(tuples) -> tuple[float, float]:
 
     The x coordinate uses the incoming Gaussian means, the z coordinate the
     incoming Beta means.  Degenerate collections (all means equal) fall back
-    to the coordinate's mean standard deviation, floored at 1e-3.  Kept for
-    the benchmark's hooks; no operator path calls it.
+    to the coordinate's mean standard deviation, floored at 1e-3.
     """
     if len(tuples) < 2:
         raise DomainError("median heuristic needs at least two tuples")
-    # imported here, so inference never loads scipy.spatial
+    # imported here, by the training path alone, so inference never loads
+    # scipy.spatial
     from scipy.spatial.distance import pdist
 
     def one_side(values, spreads):
@@ -149,8 +201,8 @@ def _feature_scale(d: int) -> float:
 def rff_point(spec: RffSpec, x) -> np.ndarray:
     """Point features sqrt(2/d) cos(w.x + b); (dim,) -> (d,), (n, dim) -> (n, d).
 
-    Its core, _point_features, works in place because the operator's
-    featurize runs it once per message.
+    Written with in-place updates because the operator's outer features
+    run it once per message.
     """
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     if pts.ndim > 2 or pts.shape[-1] != spec.input_dim:
@@ -172,14 +224,22 @@ def _point_features(spec: RffSpec, pts: np.ndarray) -> np.ndarray:
 
 def gaussian_cf(spec: RffSpec, g: Gaussian1D) -> np.ndarray:
     """Characteristic function E[e^{i w x}] of a proper Gaussian at the
-    spec's frequencies w on its first input coordinate.  Kept, with
-    joint_features_batch, for criteria 2-3 and the benchmark's hooks; no
-    operator path calls it."""
+    spec's frequencies w on its first input coordinate."""
     if g.improper:
         raise DomainError("characteristic function of an improper Gaussian")
-    omega = spec.frequencies[:, 0]
+    omega, omega_sq = spec.first_axis
+    # real exp + cos/sin is ~2x cheaper than one complex exp and this sits on
+    # the per-message hot path; products land in place, without temporaries
+    amp = np.multiply(-0.5 * g.variance, omega_sq)
+    np.exp(amp, out=amp)
     phase = omega * g.mean
-    return np.exp(-0.5 * g.variance * np.square(omega)) * (np.cos(phase) + 1j * np.sin(phase))
+    out = np.empty(phase.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.cos(phase, out=re)
+    re *= amp
+    np.sin(phase, out=im)
+    im *= amp
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -224,15 +284,16 @@ def _until_converged(at_order, label: str):
     raise QuadratureError(f"{label} did not converge by order {QUAD_ORDER_CAP}")
 
 
-def beta_cf(omega: np.ndarray, betas) -> np.ndarray:
+def beta_cf(omega: np.ndarray, betas, phases: dict | None = None) -> np.ndarray:
     """Characteristic functions E[e^{i w z}] of Betas sharing w; (n, len(w)).
 
     Quadrature starts at order 64 and doubles until successive orders agree
     to 1e-8 in every entry of the batch (for one Beta, everywhere on w);
     escalation past order 4096 raises QuadratureError.  Each order is one
     matrix product of the weighted densities with the phase matrix
-    e^{i w z}.  Kept, with joint_features_batch, for criteria 2-3 and the
-    benchmark's hooks; no operator path calls it.
+    e^{i w z}.  `phases` memoizes those matrices (order -> read-only
+    matrix) for a caller that always passes this same w; None builds them
+    afresh.  An entry costs 16 * len(w) * order bytes.
     """
     if not betas:
         raise DomainError("characteristic function of an empty list of Betas")
@@ -241,11 +302,16 @@ def beta_cf(omega: np.ndarray, betas) -> np.ndarray:
     alphas = np.array([[b.alpha] for b in betas])
     bbetas = np.array([[b.beta] for b in betas])
     log_norm = betaln(alphas, bbetas)
+    if phases is None:
+        phases = {}
 
     def at_order(order):
         z, log_z, log_1mz, w = _unit_gl(order)
         dens = np.exp((alphas - 1.0) * log_z + (bbetas - 1.0) * log_1mz - log_norm)
-        return (w * dens) @ np.exp(1j * np.outer(omega, z)).T
+        if order not in phases:
+            phases[order] = np.exp(1j * np.outer(omega, z))
+            phases[order].setflags(write=False)
+        return (w * dens) @ phases[order].T
 
     label = (
         f"Beta({alphas[0, 0]}, {bbetas[0, 0]}) quadrature"
@@ -255,27 +321,57 @@ def beta_cf(omega: np.ndarray, betas) -> np.ndarray:
     return _until_converged(at_order, label)
 
 
-def joint_features_batch(spec: RffSpec, tuples) -> np.ndarray:
-    """Joint mean embeddings of incoming tuples under a 2-dim spec; (n, d).
+def _beta_side(inner: RffSpec, cf_z: np.ndarray) -> np.ndarray:
+    """Beta factor sqrt(2/d) e^{i b_j} cf_z(w_j2) of the inner joint embedding.
 
-    Entry j is sqrt(2/d) Re(e^{i b_j} cf_x(w_j1) cf_z(w_j2)), the expected
-    point feature of the independent pair (x, z), with cf_x the gaussian_cf
-    of m_x and cf_z the beta_cf of m_z.  The Betas share one quadrature,
-    converged on the batch maximum, so a row can differ from the same
-    tuple's row in another batch within the quadrature tolerance.  Kept for
-    criteria 2-3 and the benchmark's hooks; no operator path calls it.
+    Written over cf_z, fresh beta_cf rows on the inner spec's second
+    frequency column, and returned.  The embedding is Re(_beta_side * cf_x)
+    with cf_x the gaussian_cf rows on the first column: entry j is
+    sqrt(2/d) Re(e^{i b_j} cf_x(w_j1) cf_z(w_j2)), the expected point
+    feature of the independent pair (x, z).  The factor depends on the Beta
+    alone, which is why the operator memoizes it.
+    """
+    scale = _feature_scale(inner.num_features) * np.exp(1j * inner.phases)
+    return np.multiply(scale, cf_z, out=cf_z)
+
+
+def joint_features_batch(spec: RffSpec, tuples) -> np.ndarray:
+    """Inner joint embeddings of incoming tuples under a 2-dim spec; (n, d).
+
+    The Betas share one quadrature, converged on the batch maximum, so a row
+    can differ from the same tuple's row in another batch within the
+    quadrature tolerance.
     """
     if not isinstance(spec, RffSpec) or spec.input_dim != 2:
         raise DomainError("joint_features_batch needs a 2-dim RffSpec")
-    rows = beta_cf(spec.frequencies[:, 1], [t.m_z for t in tuples])
-    rows *= _feature_scale(spec.num_features) * np.exp(1j * spec.phases)
+    rows = _beta_side(spec, beta_cf(spec.frequencies[:, 1], [t.m_z for t in tuples]))
+    # in place, row by row: (n, D) complex temporaries would raise training's
+    # peak memory
     for row, t in zip(rows, tuples):
         np.multiply(row, gaussian_cf(spec, t.m_x), out=row)
     return rows.real.copy()
 
 
+def principal_projection(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and top-k principal directions of (n, D) embeddings.
+
+    Returns (center (D,), projection (D, k)) with orthonormal columns in
+    order of decreasing variance, each signed so its largest-magnitude entry
+    is positive; the result is a deterministic function of the embeddings.
+    """
+    emb = np.asarray(embeddings, dtype=float)
+    if emb.ndim != 2 or not 1 <= k <= emb.shape[1]:
+        raise DomainError(f"cannot take {k} principal directions of shape {emb.shape}")
+    center = emb.mean(axis=0)
+    centred = emb - center
+    _, vecs = np.linalg.eigh(centred.T @ centred)
+    top = vecs[:, ::-1][:, :k]
+    lead = top[np.argmax(np.abs(top), axis=0), np.arange(k)]
+    return center, np.ascontiguousarray(top * np.where(lead < 0.0, -1.0, 1.0))
+
+
 def median_distance(points: np.ndarray) -> float:
-    """Median pairwise Euclidean distance of (n, k) points, the operator's sigma.
+    """Median pairwise Euclidean distance of (n, k) points, the outer sigma.
 
     Falls back to the largest distance when over half the pairs coincide,
     and to 1.0 when every point is the same (any sigma then gives the same
@@ -291,3 +387,12 @@ def median_distance(points: np.ndarray) -> float:
         return med
     top = float(dist.max())
     return top if top > 0.0 else 1.0
+
+
+def embedding_features(spec: TwoStageSpec, embeddings) -> np.ndarray:
+    """Outer features of inner embeddings: (D_in,) -> (D,), (n, D_in) -> (n, D).
+
+    rff_point of the projected embeddings, whose width the spec fixes.
+    """
+    projected = (np.asarray(embeddings, dtype=float) - spec.center) @ spec.projection
+    return _point_features(spec.outer, projected)

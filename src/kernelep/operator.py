@@ -9,35 +9,22 @@ messages and about when to trust itself: `decide` merely compares predictive
 variance against a threshold, and the inference engine's ActiveSource owns
 the oracle budget.
 
-The operator is kernel ridge regression on random Fourier features of a
-Gaussian kernel on the messages' log-parameters u = (mu, log sigma^2,
-log alpha, log beta), the input that Eslami et al. (NIPS 2014) and Heess,
-Tarlow & Winn (NIPS 2013) regress on.  Its spec is one 4-dim RffSpec on raw
-u: the per-coordinate bandwidths carry the standardization by the training
-inputs' spread, and the uniform phases absorb their centre, so no mean or
-scale is stored.  Training and inference share one feature formula,
-kernels.rff_point, whose unchecked core featurize calls once per message.
-The paper's kernel on mean embeddings stays in kernels; on this factor it
-was the less accurate input (see the README).
-
-The operator also holds its training box, the elementwise range of the
-training u.  Outside it the ridge would extrapolate, so the message is the
-one the clamped cavity would get: with c = clip(u, box), q(c) divided by the
-Gaussian N(c_mu, exp(c_log sigma^2)), or by m_x itself when only the Beta
-coordinates were clipped.  The variance gate and absorb always see the
-features of u itself, so an unsure model still asks the oracle about the
-cavity it was given, and the box never grows.
+The operator's features are those of a TwoStageSpec (a Gaussian kernel on
+projected joint embeddings), computed by the same formula that
+kernels.joint_features_batch uses for training.  Incoming Beta
+observations repeat across an EP run, so the Beta side of the inner joint
+embedding is memoized per (alpha, beta); the Gaussian side is closed form
+and recomputed on every call, as are the projection and outer features.
 
 An EP source calls `outgoing_message` with the two cavities as they are:
-inside the box one message costs featurize, predict, the (E, log V)
-inversion and a division on floats, and no IncomingTuple or
-natural-parameter array.
+one message costs featurize, predict, the (E, log V) inversion and a
+division on floats, and no IncomingTuple or natural-parameter array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,14 +32,16 @@ from .errors import DomainError, PredictionError, integer, real
 from .expfam import BetaDist, Gaussian1D, divide
 from .factors import IncomingTuple, TrainingPair, regression_target
 from .kernels import (
-    RffSpec,
-    _point_features,
-    beta_cf,  # not called here; kept for perfbench's hooks
+    TwoStageSpec,
+    _beta_side,
+    beta_cf,
     draw_rff,
-    gaussian_cf,  # not called here; kept for perfbench's hooks
-    joint_features_batch,  # not called here; kept for perfbench's hooks
+    embedding_features,
+    gaussian_cf,
+    joint_features_batch,
     median_distance,
-    median_heuristic,  # not called here; kept for perfbench's hooks
+    median_heuristic,
+    principal_projection,
     rescale,
     rff_point,
 )
@@ -84,44 +73,43 @@ __all__ = [
     "train_operator",
 ]
 
+# Two-stage sizing (see train_operator).
+INNER_WIDTH_CAP = 500
+PROJECTION_DIM = 16
+# Beta rows an operator's memo keeps (see MessageOperator).
+BETA_MEMO_CAP = 256
+
+
 @dataclass(frozen=True, eq=False)
 class MessageOperator:
     """Immutable trained operator for the logistic factor's message to x.
 
-    spec is the 4-dim RffSpec on log-parameters that train_operator draws;
-    anything else raises DomainError.  box is the (2, 4) array of the
-    training log-parameters' elementwise minimum (row 0) and maximum (row
-    1); it must be finite with the minimum at most the maximum.  The output
-    transform is fixed as (E, log V).
+    spec is the TwoStageSpec train_operator builds; anything else raises
+    DomainError.  The output transform is fixed as (E, log V).  _beta_cache
+    memoizes the Beta factor of the inner embedding per Beta parameters, and
+    _phases the Beta quadrature's phase matrices per order (beta_cf's memo
+    for the inner frequencies); neither ever affects results, only latency.
+    _beta_cache fills on first use, in featurize, and keeps the newest
+    BETA_MEMO_CAP rows.  An EP run meets only its observations' Betas, so it
+    pays one cold Beta CF per observation the operator has not met before
+    and hits from then on, and a stream of fresh Betas (eval, a long
+    active-run) holds at most 2 MB of rows at an inner width of 500.
     """
 
-    spec: RffSpec
+    spec: TwoStageSpec
     model: RidgeModel
-    box: np.ndarray
+    _beta_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _phases: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.spec, RffSpec) and self.spec.input_dim == 4):
-            got = (
-                f"{self.spec.input_dim}-dim RffSpec"
-                if isinstance(self.spec, RffSpec)
-                else type(self.spec).__name__
-            )
-            raise DomainError(f"operator needs a 4-dim RffSpec on log-parameters, not a {got}")
+        if not isinstance(self.spec, TwoStageSpec):
+            raise DomainError(f"operator needs a TwoStageSpec, not a {type(self.spec).__name__}")
         if self.spec.num_features != self.model.num_features:
             raise DomainError("spec feature count does not match model")
         if self.model.W.shape[0] != 2:
             raise DomainError(
                 f"model has {self.model.W.shape[0]} outputs; the operator predicts (E, log V)"
             )
-        box = self.box
-        if not (
-            isinstance(box, np.ndarray)
-            and box.shape == (2, 4)
-            and np.all(np.isfinite(box))
-            and np.all(box[0] <= box[1])
-        ):
-            raise DomainError(f"box must be a finite (2, 4) array with lower <= upper, got {box!r:.80}")
-        box.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -139,9 +127,9 @@ class UncertaintyPolicy:
 
 @dataclass(frozen=True)
 class UsePrediction:
-    """Send the operator's message, whose predictive variance is within tau."""
+    """Use the prediction q, whose predictive variance is within tau."""
 
-    message: Gaussian1D
+    q: Gaussian1D
     variance: float
 
 
@@ -153,41 +141,47 @@ class QueryOracle:
     phi: np.ndarray = field(repr=False, compare=False)
 
 
-def _log_params(m_x: Gaussian1D, m_z: BetaDist) -> np.ndarray:
-    """u = (mu, log sigma^2, log alpha, log beta) of proper messages m_x, m_z;
-    an improper one raises DomainError."""
-    if m_x.improper or m_z.improper:
-        raise DomainError(f"cannot featurize improper messages {m_x}, {m_z}")
-    return np.array(
-        [m_x.mean, math.log(m_x.variance), math.log(m_z.alpha), math.log(m_z.beta)]
-    )
-
-
-def _log_param_rows(tuples) -> np.ndarray:
-    """(n, 4) log-parameters of a non-empty list of incoming tuples."""
-    if not tuples:
-        raise DomainError("cannot featurize an empty list of tuples")
-    return np.array([_log_params(t.m_x, t.m_z) for t in tuples])
+def _beta_row(op: MessageOperator, beta) -> np.ndarray:
+    """The Beta factor of op's inner embedding for one Beta, memoized.  A miss
+    goes through this module's beta_cf: a density and a mat-vec per quadrature
+    order, plus the phase matrices the first time any Beta meets op."""
+    key = (beta.alpha, beta.beta)
+    row = op._beta_cache.get(key)
+    if row is None:
+        inner = op.spec.inner
+        row = _beta_side(inner, beta_cf(inner.frequencies[:, 1], [beta], op._phases)[0])
+        if len(op._beta_cache) >= BETA_MEMO_CAP:
+            del op._beta_cache[next(iter(op._beta_cache))]  # the oldest row
+        op._beta_cache[key] = row
+    return row
 
 
 def featurize(op: MessageOperator, m_x: Gaussian1D, m_z: BetaDist) -> np.ndarray:
-    """Feature vector of the incoming messages m_x on x and m_z on z: the
-    point features of their log-parameters.  An improper message raises
-    DomainError."""
-    return _point_features(op.spec, _log_params(m_x, m_z))
+    """Feature vector of the incoming messages m_x on x and m_z on z:
+    embedding_features(op.spec, e), bit for bit, where e is
+    joint_features_batch(op.spec.inner, [IncomingTuple(m_x, m_z)])[0].
+
+    An improper message raises DomainError: m_x in gaussian_cf, m_z in
+    beta_cf, as the Beta memo holds rows of proper Betas only.
+    """
+    cf = gaussian_cf(op.spec.inner, m_x)
+    emb = np.multiply(_beta_row(op, m_z), cf, out=cf).real
+    return embedding_features(op.spec, emb)
 
 
 def warm_beta_cache(op: MessageOperator, betas) -> None:
-    """Check that Betas known up front are proper; DomainError otherwise.
-    Features need no per-Beta preparation, so nothing is cached."""
+    """Fill the Beta memo for Betas known up front, such as the pool a stream
+    of EP runs draws its observations from, so that no message pays a cold
+    Beta CF."""
     for b in betas:
         if b.improper:
-            raise DomainError(f"improper Beta {b}")
+            raise DomainError(f"cannot warm the cache for improper {b}")
+        _beta_row(op, b)
 
 
 def featurize_batch(op: MessageOperator, tuples) -> np.ndarray:
     """Feature matrix (D x N) for a list of tuples (training layout)."""
-    return rff_point(op.spec, _log_param_rows(tuples)).T
+    return embedding_features(op.spec, joint_features_batch(op.spec.inner, tuples)).T
 
 
 def _q_from_output(y: np.ndarray) -> Gaussian1D:
@@ -213,43 +207,26 @@ def predict_q(op: MessageOperator, inc: IncomingTuple) -> Gaussian1D:
     return _q_from_output(predict(op.model, featurize(op, inc.m_x, inc.m_z)))
 
 
-def _message(op: MessageOperator, m_x: Gaussian1D, m_z: BetaDist, phi: np.ndarray) -> Gaussian1D:
-    """The message to x for proper cavities m_x and m_z, whose features are
-    phi: the prediction divided by m_x inside the box, the clamped cavity's
-    message outside it (see the module docstring)."""
-    u = _log_params(m_x, m_z)
-    c = np.clip(u, op.box[0], op.box[1])
-    if np.array_equal(c, u):
-        return divide(_q_from_output(predict(op.model, phi)), m_x)
-    q = _q_from_output(predict(op.model, _point_features(op.spec, c)))
-    if c[0] == u[0] and c[1] == u[1]:
-        return divide(q, m_x)
-    return divide(q, Gaussian1D(float(c[0]), math.exp(c[1])))
-
-
 def outgoing_message(
     op: MessageOperator, m_x: Gaussian1D, m_z: BetaDist
 ) -> tuple[Gaussian1D, np.ndarray]:
-    """The message to x for cavities m_x and m_z, and the features phi of
-    the cavities themselves, which a variance gate scores.  Inside the box
-    the message is divide(predict_q(op, inc), m_x) for
-    inc = IncomingTuple(m_x, m_z), bit for bit; outside it is the clamped
-    cavity's.  It may be improper-flagged."""
+    """The message to x for cavities m_x and m_z, and the features phi it was
+    predicted from.  The message is divide(predict_q(op, inc), m_x) for
+    inc = IncomingTuple(m_x, m_z), bit for bit, and may be improper-flagged."""
     phi = featurize(op, m_x, m_z)
-    return _message(op, m_x, m_z, phi), phi
+    return divide(_q_from_output(predict(op.model, phi)), m_x), phi
 
 
 def decide(
     op: MessageOperator, tau: float, m_x: Gaussian1D, m_z: BetaDist
 ) -> UsePrediction | QueryOracle:
-    """Send outgoing_message's message for cavities m_x and m_z unless the
-    predictive variance at their own features, clamped or not, exceeds tau.
-    A non-finite phi fails, as a non-finite prediction."""
+    """Trust the prediction for cavities m_x and m_z unless its variance
+    exceeds tau.  A non-finite phi fails, as a non-finite prediction."""
     phi = featurize(op, m_x, m_z)
     variance = predictive_variance(op.model, phi)
     if variance > tau:
         return QueryOracle(variance, phi)
-    return UsePrediction(_message(op, m_x, m_z, phi), variance)
+    return UsePrediction(_q_from_output(predict(op.model, phi)), variance)
 
 
 def batch_variance(op: MessageOperator, Phi: np.ndarray) -> np.ndarray:
@@ -263,9 +240,10 @@ def absorb(op: MessageOperator, phi: np.ndarray, q: Gaussian1D) -> MessageOperat
     """Fold the oracle's projected q at features phi into the model by
     update_online.  With decide's QueryOracle.phi, the update reuses the
     M phi that decide's variance left in the model's memo, and its one pass
-    over the triangle is the transposed mat-vec that moves W.  The box stays
-    the training data's."""
-    return MessageOperator(op.spec, update_online(op.model, phi, regression_target(q)), op.box)
+    over the triangle is the transposed mat-vec that moves W."""
+    model = update_online(op.model, phi, regression_target(q))
+    # replace() carries both memos over: features are model-independent
+    return replace(op, model=model)
 
 
 def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
@@ -285,37 +263,56 @@ def train_operator(
 ) -> tuple[MessageOperator, CvReport, float]:
     """Full training pipeline on generated pairs.
 
-    The operator regresses on num_features random Fourier features of a
-    Gaussian kernel on the inputs' log-parameters u.  Let s_k be the
-    training standard deviation of coordinate k (1 where the coordinate's
-    range is 0, as a std of equal values can come out a few ulps above 0),
-    and sigma the median pairwise distance of the standardized
-    inputs u / s.  One frequency draw at bandwidths sigma * s is rescaled to
-    each multiplier m, so the kernel for m is
-    exp(-||(u - u') / (sigma m s)||^2 / 2).  The phases are uniform, so
-    features of raw u and of centred u have the same distribution, and the
-    spec alone holds the standardization.
+    The operator regresses on a two-stage feature map (TwoStageSpec), and
+    num_features is the width of its outer layer, the one the ridge model
+    sees.  Per bandwidth multiplier m:
 
-    The bandwidths use the training inputs only, never targets, so K-fold
-    cross-validation on the pairs chooses just (m, lambda) from the product
-    of the two axes, and the final model refits on all of them.  Each
-    multiplier's D x n features are rebuilt from the n x 4 inputs when
-    cross-validation reaches it and freed before the next multiplier's, and
-    the chosen multiplier's once more for the refit, so one feature matrix is
-    alive at a time.  The operator's box is the elementwise range of the
-    training u.  Returns the operator, the CV report, and the calibrated
-    tau.
+    - inner: joint embeddings under the median-heuristic bandwidths times m,
+      at width min(num_features, INNER_WIDTH_CAP).  Over the prior box the
+      embeddings have an effective rank of a few dozen, which 500 features
+      resolve; a wider draw costs Beta quadrature and per-message time
+      without sharpening the projection.  One frozen frequency draw is
+      rescaled to each m.
+    - projection: centre the training embeddings and keep their top
+      min(PROJECTION_DIM, inner width, n - 1) principal directions; n - 1 is
+      the rank of n centred points.  On the default prior box 16 directions
+      hold over 95% of the embeddings' variance for multipliers from 0.5 up
+      (86% at 0.25), and every direction costs num_features multiply-adds
+      per message.
+    - outer: random Fourier features of a Gaussian kernel on the projected
+      embeddings, sigma = their median pairwise distance.  One frequency draw
+      at unit bandwidth is rescaled to each multiplier's sigma.
+
+    The projection and sigma use the training inputs only, never targets, so
+    K-fold cross-validation on the pairs chooses just (m, lambda) from the
+    product of the two axes, and the final model refits on all of them.
+    Only each multiplier's spec and its n x k projected embeddings are kept:
+    its D x n features are rebuilt from them when cross-validation reaches
+    it and freed before the next multiplier's, and the chosen multiplier's
+    once more for the refit, so one feature matrix is alive at a time.
+    Returns the operator, the CV report, and the calibrated tau.
     """
-    U = _log_param_rows([p.input for p in pairs])
+    tuples = [p.input for p in pairs]
     Y = np.array([p.target for p in pairs]).T
-    box = np.array([U.min(axis=0), U.max(axis=0)])
-    scale = U.std(axis=0)
-    scale[box[0] == box[1]] = 1.0
-    base = draw_rff(4, num_features, median_distance(U / scale) * scale, rng)
-    specs = {m: rescale(base, m) for m in multipliers}
+    gamma_x, gamma_z = median_heuristic(tuples)
+
+    inner_width = min(num_features, INNER_WIDTH_CAP)
+    k = min(PROJECTION_DIM, inner_width, len(tuples) - 1)
+    base = draw_rff(2, inner_width, (gamma_x, gamma_z), rng)
+    base_outer = draw_rff(k, num_features, 1.0, rng)
+    specs, projected = {}, {}
+    for m in multipliers:
+        inner = rescale(base, m)
+        emb = joint_features_batch(inner, tuples)
+        center, projection = principal_projection(emb, k)
+        # the projection embedding_features applies, so features built from
+        # it equal featurize_batch's output
+        projected[m] = (emb - center) @ projection
+        outer = rescale(base_outer, median_distance(projected[m]))
+        specs[m] = TwoStageSpec(inner, center, projection, outer)
 
     def features(m):
-        return rff_point(specs[m], U).T
+        return rff_point(specs[m].outer, projected[m]).T
 
     cv_rng = rng.spawn(1)[0]
     report = cross_validate(features, Y, multipliers, lambdas, folds, cv_rng)
@@ -323,4 +320,4 @@ def train_operator(
     Phi = features(mult)
     model = fit(Phi, Y, lam)
     tau = default_tau(model, Phi)
-    return MessageOperator(specs[mult], model, box), report, tau
+    return MessageOperator(specs[mult], model), report, tau

@@ -27,10 +27,6 @@ from kernelep.factors import IncomingTuple
 from kernelep.kernels import RffSpec, _feature_scale, _unit_gl, _until_converged, beta_cf
 from kernelep.regress import _BLOCK
 
-# a training box for hand-built operators, wide enough that no test cavity
-# leaves it: (mu, log sigma^2, log alpha, log beta) in [-50, 50]
-WIDE_BOX = np.array([[-50.0] * 4, [50.0] * 4])
-
 
 def composite_gl(lo: float, hi: float, n_total: int, per_panel: int = 50):
     """Composite Gauss-Legendre rule with n_total nodes on [lo, hi].

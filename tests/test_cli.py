@@ -21,7 +21,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kernelep.cli as cli
-from helpers import WIDE_BOX, dense_factor, packed_factor
+from helpers import dense_factor, packed_factor
 from kernelep.cli import (
     DATASET_HEADER,
     EVAL_CASES_HEADER,
@@ -52,8 +52,8 @@ from kernelep.errors import (
     GraphFormatError,
     ModelFormatError,
 )
-from kernelep.kernels import RffSpec, draw_rff
-from kernelep.operator import MessageOperator, _log_params, predict_q, train_operator
+from kernelep.kernels import RffSpec, TwoStageSpec, draw_rff
+from kernelep.operator import MessageOperator, predict_q, train_operator
 from kernelep.regress import (
     RidgeModel,
     factor_size,
@@ -217,28 +217,25 @@ def test_model_payload_fields(ws):
     payload = load_model(data["model"]).payload
     expected = {
         "seed", "bandwidths", "lambda",
-        "frequencies", "phases", "box", "weights", "triangle", "noise_scale", "tau",
-        "n_train", "metadata",
+        "frequencies", "phases", "weights", "triangle", "noise_scale", "tau",
+        "n_train", "metadata", "outer",
     }
     # the width is the weights' second dimension; no separate field holds it
     assert set(payload) == expected
     assert payload["weights"].shape == (2, BASE["num_features"])
-    assert len(payload["bandwidths"]) == 4
+    assert len(payload["bandwidths"]) == 2
     assert payload["metadata"]["n_train_cases"] == BASE["n_train"]
 
 
-def test_model_payload_stores_the_log_parameter_spec(ws):
+def test_model_payload_stores_outer_layer(ws):
     _, data = ws
     loaded = load_model(data["model"])
-    payload, spec = loaded.payload, loaded.op.spec
-    assert payload["frequencies"].shape == (BASE["num_features"], 4)
-    assert payload["phases"].shape == (BASE["num_features"],)
-    np.testing.assert_array_equal(spec.frequencies, payload["frequencies"])
-    np.testing.assert_array_equal(spec.bandwidth, payload["bandwidths"])
-    # the box is the training log-parameters' range
-    box = np.array([_log_params(p.input.m_x, p.input.m_z) for p in load_dataset(data["dataset"])])
-    np.testing.assert_array_equal(payload["box"], [box.min(axis=0), box.max(axis=0)])
-    np.testing.assert_array_equal(loaded.op.box, payload["box"])
+    outer = loaded.payload["outer"]
+    assert set(outer) == {"center", "projection", "frequencies", "phases", "bandwidth"}
+    spec = loaded.op.spec
+    assert len(outer["center"]) == spec.inner.num_features
+    assert len(outer["frequencies"]) == BASE["num_features"]
+    np.testing.assert_array_equal(spec.outer.frequencies, np.array(outer["frequencies"]))
 
 
 def _model_file(layout, data: bytes, version=MODEL_FORMAT_VERSION) -> bytes:
@@ -306,13 +303,12 @@ def _split(path):
 
 def test_model_format_version_one_refused(ws, tmp_path):
     # versions 1 and 2 held decimal arrays and version 3 base64 arrays, each
-    # inside one JSON document, and version 5 the two-stage mean-embedding
-    # spec; no loader for them remains
+    # inside one JSON document; no loader for them remains
     _, data = ws
     line, doc, section = _split(data["model"])
-    for version in (1, 2, 5):
+    for version in (1, 2):
         old = tmp_path / f"v{version}.json"
-        old.write_bytes(line.replace(b'"format_version":6', b'"format_version":%d' % version) + section)
+        old.write_bytes(line.replace(b'"format_version":5', b'"format_version":%d' % version) + section)
         with pytest.raises(ModelFormatError, match="version"):
             load_model(old)
     payload = load_model(data["model"]).payload
@@ -420,7 +416,7 @@ def test_model_corruption_detected(ws, tmp_path):
 
     versioned = tmp_path / "version.json"
     bumped = b'"format_version":%d' % (MODEL_FORMAT_VERSION + 1)
-    versioned.write_bytes(line.replace(b'"format_version":6', bumped, 1) + section)
+    versioned.write_bytes(line.replace(b'"format_version":5', bumped, 1) + section)
     with pytest.raises(ModelFormatError, match="version"):
         load_model(versioned)
 
@@ -438,33 +434,9 @@ def test_model_product_kind_payload_refused(tmp_path):
         "phases": {"x": rng.uniform(0, 6, 6), "z": rng.uniform(0, 6, 6)},
         "metadata": {}, "triangle": np.eye(36),
     }
-    assert MODEL_FORMAT_VERSION == 6
+    assert MODEL_FORMAT_VERSION == 5
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(_forge(tmp_path / "product.json", payload))
-
-
-def test_model_box_refused_unless_finite_2_by_4_and_ordered(ws, tmp_path):
-    _, data = ws
-    payload = load_model(data["model"]).payload
-    box = np.array(payload["box"])
-    forged = {
-        "nan": box + [[np.nan, 0, 0, 0], [0] * 4],
-        "inf": box + [[0] * 4, [0, 0, np.inf, 0]],
-        "lower_above_upper": box[::-1],
-        "flat": box.ravel(),
-        "three_coordinates": box[:, :3],
-        "three_rows": np.vstack([box, box[:1]]),
-    }
-    for name, bad in forged.items():
-        with pytest.raises(ModelFormatError, match="malformed.*box"):
-            load_model(_forge(tmp_path / f"{name}.json", payload | {"box": bad}))
-    no_box = {key: value for key, value in payload.items() if key != "box"}
-    with pytest.raises(ModelFormatError, match="malformed"):
-        load_model(_forge(tmp_path / "no_box.json", no_box))
-    # a box of one point, as from a single training input, loads
-    point = np.vstack([box[0], box[0]])
-    loaded = load_model(_forge(tmp_path / "point.json", payload | {"box": point}))
-    np.testing.assert_array_equal(loaded.op.box, point)
 
 
 def test_model_inconsistent_arrays_refused(ws, tmp_path):
@@ -474,6 +446,7 @@ def test_model_inconsistent_arrays_refused(ws, tmp_path):
     _, data = ws
     payload = load_model(data["model"]).payload
     D = payload["weights"].shape[1]
+    outer = payload["outer"]
     forged = {
         "small_triangle": {"triangle": np.eye(5)},
         "flat_triangle": {"triangle": np.ones(D)},
@@ -482,8 +455,7 @@ def test_model_inconsistent_arrays_refused(ws, tmp_path):
         "one_output": {"weights": np.zeros((1, D))},
         "flat_weights": {"weights": np.zeros(D)},
         "short_phases": {"phases": np.zeros(3)},
-        "flat_frequencies": {"frequencies": np.zeros(D)},
-        "two_dim_frequencies": {"frequencies": np.zeros((D, 2)), "bandwidths": np.ones(2)},
+        "flat_outer_frequencies": {"outer": outer | {"frequencies": np.zeros(D)}},
     }
     for name, change in forged.items():
         with pytest.raises(ModelFormatError, match="malformed"):
@@ -518,22 +490,21 @@ def test_model_inconsistent_arrays_refused(ws, tmp_path):
 
 
 def test_save_model_refuses_plain_rff_operator():
-    # an operator on a 2-dim RffSpec, which the model format has no place
-    # for, cannot be built in the first place
+    # a linear operator on a 2-dim RffSpec, which the model format has no
+    # place for, cannot be built in the first place
     rng = np.random.default_rng(5)
     spec = draw_rff(2, 6, 1.0, rng)
     model = fit(rng.normal(size=(6, 10)), rng.normal(size=(2, 10)), 1e-3)
-    with pytest.raises(DomainError, match="needs a 4-dim RffSpec on log-parameters, not a 2-dim"):
-        MessageOperator(spec, model, WIDE_BOX)
+    with pytest.raises(DomainError, match="needs a TwoStageSpec, not a RffSpec"):
+        MessageOperator(spec, model)
 
 
 def _wide_op(width):
     """An operator whose width x width inverse Gram dominates its file."""
     rng = np.random.default_rng(12)
-    spec = draw_rff(4, width, 1.0, rng)
-    return MessageOperator(
-        spec, fit(rng.normal(size=(width, 40)), rng.normal(size=(2, 40)), 1e-3), WIDE_BOX
-    )
+    spec = TwoStageSpec(draw_rff(2, 8, 1.0, rng), np.zeros(8), np.eye(8)[:, :3],
+                        draw_rff(3, width, 1.0, rng))
+    return MessageOperator(spec, fit(rng.normal(size=(width, 40)), rng.normal(size=(2, 40)), 1e-3))
 
 
 @pytest.fixture(scope="module")
@@ -548,8 +519,13 @@ def _reference_payload(op, seed, tau, metadata):
         "seed": seed, "tau": tau, "lambda": model.lam,
         "noise_scale": model.noise_scale, "n_train": model.n_train,
         "weights": model.W,
-        "bandwidths": spec.bandwidth,
-        "frequencies": spec.frequencies, "phases": spec.phases, "box": op.box,
+        "bandwidths": spec.inner.bandwidth,
+        "frequencies": spec.inner.frequencies, "phases": spec.inner.phases,
+        "outer": {
+            "center": spec.center, "projection": spec.projection,
+            "frequencies": spec.outer.frequencies,
+            "phases": spec.outer.phases, "bandwidth": spec.outer.bandwidth,
+        },
         "metadata": metadata,
         "triangle": model.M,
     }
@@ -645,9 +621,9 @@ def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
     model_arrays = (loaded.op.model.W, M, loaded.op.model.C)
     assert [a.size == D * D for a in model_arrays] == [False, True, False]
     arrays = list(leaves(loaded.payload))
-    assert len(arrays) == 6
+    assert len(arrays) == 10
     views = [a for a in arrays if a is not M]
-    assert len(views) == 5 and all(a.size < D * D for a in views)
+    assert len(views) == 9 and all(a.size < D * D for a in views)
     assert len({id(owner(a)) for a in views}) == 1
     buffer = owner(views[0])
     assert not np.shares_memory(M, buffer)
@@ -678,28 +654,27 @@ def _exact_op(D):
     D x D lower-triangular factor, so its model file's bytes depend on the
     writer alone and not on any arithmetic."""
     k = np.arange
-    spec = RffSpec(
-        (k(4.0 * D).reshape(D, 4) % 7 - 3) / 8, k(float(D)) % 16 / 4,
-        np.array([2.0, 1.0, 0.5, 0.25]),
+    inner = RffSpec((k(16.0).reshape(8, 2) % 5 - 2) / 4, k(8.0) / 8, np.array([0.5, 0.25]))
+    outer = RffSpec(
+        (k(3.0 * D).reshape(D, 3) % 7 - 3) / 8, k(float(D)) % 16 / 4, np.array([2.0, 1.0, 0.5])
     )
+    spec = TwoStageSpec(inner, k(8.0) / 16, np.eye(8)[:, :3], outer)
     i, j = np.indices((D, D))
     square = np.where(i >= j, ((i - j) % 11 - 5) / 32 + (i == j), 0.0)
     W = (k(2.0 * D).reshape(2, D) % 9 - 4) / 16
-    box = np.array([[-4.0, -2.5, -1.25, -0.5], [4.0, 2.5, 6.5, 6.5]])
-    return MessageOperator(spec, RidgeModel(W, 0.125, packed_factor(square), 0.5, 7), box)
+    return MessageOperator(spec, RidgeModel(W, 0.125, packed_factor(square), 0.5, 7))
 
 
 def test_model_file_bytes_are_pinned(tmp_path):
-    # the sha256 of this format-6 file, box included; D = 600 spans two
-    # column blocks, so
-    # the writer must give the bytes of the factor's packed lower triangle
-    # from blocks, as it did from one D x D square at format 5
+    # the sha256 of this file as written when models held their factor as
+    # one D x D square; D = 600 spans two column blocks, so the writer must
+    # give the same bytes from blocks as it did from the square
     path = save_model(tmp_path / "m.json", _exact_op(600), seed=5, tau=0.375,
                       extra={"note": "pinned"})
     raw = path.read_bytes()
-    assert len(raw) == 1476768
+    assert len(raw) == 1472672
     assert hashlib.sha256(raw).hexdigest() == (
-        "0751e27389e832bb103cd18d403c607acae6c124002605dba20fd1ead6e120f2"
+        "7087c7364910251f29f09e664affc10f3d13ccd8ae6af387d3de48ef7a73bd9e"
     )
     loaded = load_model(path).op.model
     assert loaded.M.tobytes() == _exact_op(600).model.M.tobytes()
@@ -793,7 +768,7 @@ def test_model_carrying_rows_is_saved_folded(wide_op, tmp_path):
     for _ in range(5):
         model = update_online(model, rng.normal(size=D), rng.normal(size=2))
     assert len(model.C) == 5
-    path = save_model(tmp_path / "m.json", MessageOperator(wide_op.spec, model, wide_op.box), seed=1, tau=0.5)
+    path = save_model(tmp_path / "m.json", MessageOperator(wide_op.spec, model), seed=1, tau=0.5)
     loaded = load_model(path).op.model
     assert len(loaded.C) == 0
     assert loaded.M.tobytes() == folded_factor(model).tobytes()
@@ -1027,8 +1002,6 @@ def test_active_run_budget_and_updated_model(ws, tmp_path):
     updated = load_model(tmp_path / "active.model.json")
     assert updated.op.model.n_train == BASE["n_train"] + 4
     assert updated.payload["metadata"]["queries_absorbed"] == 4
-    # absorbed answers never widen the training box
-    np.testing.assert_array_equal(updated.op.box, load_model(data["model"]).op.box)
     # the carried-over metadata keeps its arrays: CV's fold errors are one
     # (grid points x folds) array record, not decimal text
     errors = load_model(data["model"]).payload["metadata"]["cv_fold_errors"]

@@ -39,17 +39,15 @@ from kernelep.expfam import (
 )
 from kernelep.factors import IncomingPrior, IncomingTuple, gen_training_set, sample_incoming
 from kernelep import ep_engine, operator, regress
-from kernelep.kernels import rff_point
 from kernelep.operator import (
+    MessageOperator,
     QueryOracle,
     UncertaintyPolicy,
     UsePrediction,
-    _log_params,
-    _q_from_output,
     predict_q,
     train_operator,
 )
-from kernelep.regress import RidgeModel, predict, update_online
+from kernelep.regress import RidgeModel, update_online
 
 
 def chain_graph():
@@ -695,7 +693,7 @@ def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
 def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     op, tau = demo_operator
     # a batch narrower than the default, so this run's queue fills it twice
-    monkeypatch.setattr(ep_engine, "SCORE_BATCH", 48)
+    monkeypatch.setattr(ep_engine, "SCORE_BATCH", 64)
     decisions, batches = [], []
     real_decide, real_batch = ep_engine.decide, ep_engine.batch_variance
 
@@ -842,48 +840,24 @@ def test_active_source_query_retries_a_degenerate_draw(demo_operator, monkeypatc
 
 def test_operator_messages_are_the_composed_prediction_bit_for_bit(demo_operator):
     # the sources' message path leaves out the IncomingTuple, the natural-
-    # parameter arrays and the repeated checks, but no arithmetic step:
-    # inside the box it is the prediction over the cavity, outside it the
-    # clamped cavity's prediction over the clamped cavity
+    # parameter arrays and the repeated checks, but no arithmetic step
     op, _ = demo_operator
+    fresh = MessageOperator(op.spec, op.model)  # its own, cold Beta memo
     sources = (
-        OperatorSource(op),
-        ActiveSource(op, UncertaintyPolicy(tau=1.0, budget=0), n_importance=2000),
-        ActiveSource(op, UncertaintyPolicy(tau=1e30, budget=5), n_importance=2000),
+        OperatorSource(fresh),
+        ActiveSource(fresh, UncertaintyPolicy(tau=1.0, budget=0), n_importance=2000),
     )
     rng = np.random.default_rng(61)
-    inside = 0
-    for _ in range(600):
+    pool = [sample_incoming(IncomingPrior(), rng).m_z for _ in range(8)]
+    for i in range(600):
         inc = sample_incoming(IncomingPrior(alpha_range=(0.5, 10.0)), rng)
-        u = _log_params(inc.m_x, inc.m_z)
-        c = np.clip(u, *op.box)
-        if np.array_equal(c, u):
-            inside += 1
-            expected = divide(predict_q(op, inc), inc.m_x)
-        else:
-            q = _q_from_output(predict(op.model, rff_point(op.spec, c)))
-            cavity = inc.m_x if c[0] == u[0] and c[1] == u[1] else Gaussian1D(c[0], math.exp(c[1]))
-            expected = divide(q, cavity)
+        if i % 2:  # half the Betas repeat, so the memo hits as well as misses
+            inc = IncomingTuple(inc.m_x, pool[i % len(pool)])
+        expected = to_natural(divide(predict_q(op, inc), inc.m_x)).tobytes()
         for source in sources:
             got = source(LOGISTIC, {"x": inc.m_x, "z": inc.m_z}, np.random.default_rng(0))
-            assert to_natural(got["x"]).tobytes() == to_natural(expected).tobytes()
-    # alpha down to 0.5 leaves the training prior's box on some draws
-    assert 0 < inside < 600
-
-
-def test_active_source_sends_operator_source_message_outside_the_box(demo_operator):
-    # a cavity narrower than any in training: with tau never crossed,
-    # ActiveSource sends OperatorSource's clamped message, not the
-    # extrapolated prediction over the cavity
-    op, _ = demo_operator
-    m_x = Gaussian1D(0.7, 0.5 * math.exp(op.box[0, 1]))
-    m_z = BetaDist(2.0, 3.0)
-    active = ActiveSource(op, UncertaintyPolicy(tau=1e30, budget=5), n_importance=2000)
-    incoming = {"x": m_x, "z": m_z}
-    sent = active(LOGISTIC, incoming, np.random.default_rng(0))["x"]
-    assert sent == OperatorSource(op)(LOGISTIC, incoming, np.random.default_rng(0))["x"]
-    assert sent != divide(predict_q(op, IncomingTuple(m_x, m_z)), m_x)
-    assert active.queries == 0 and active.budget == 5
+            assert to_natural(got["x"]).tobytes() == expected
+    assert len(fresh._beta_cache) > len(pool)
 
 
 def test_overflowing_prediction_fails_naming_the_factor(demo_operator, monkeypatch):
@@ -909,6 +883,29 @@ def test_logistic_sources_refuse_too_few_importance_draws(demo_operator):
     assert OracleSource(np.int64(200)).n_importance == 200
     with pytest.raises(DomainError, match="n_importance"):
         ActiveSource(op, UncertaintyPolicy(tau=1.0, budget=1), n_importance=50)
+
+
+def test_beta_memo_fills_once_per_observation(demo_operator, monkeypatch):
+    # featurize is the memo's one fill path: from a cold memo each observation
+    # costs one Beta CF over all sweeps, also a shape below 1, which a cavity
+    # returns through its natural parameters as another float
+    op, _ = demo_operator
+    graph = demo_graph(((5.0, 2.0), (0.3, 2.0)))
+    assert from_natural("beta", graph.observed["z2"]).alpha != 0.3
+    calls = []
+    real_cf = operator.beta_cf
+
+    def counting_cf(frequencies, betas, phases):
+        calls.extend((b.alpha, b.beta) for b in betas)
+        return real_cf(frequencies, betas, phases)
+
+    monkeypatch.setattr(operator, "beta_cf", counting_cf)
+    source = OperatorSource(MessageOperator(op.spec, op.model))  # empty memos
+    result = run_ep(graph, default_sources(source), rng=np.random.default_rng(0))
+    assert result.iterations > 1
+    assert sorted(calls) == sorted(
+        (b.alpha, b.beta) for b in (from_natural("beta", eta) for eta in graph.observed.values())
+    )
 
 
 def test_timings_recorded_by_source_kind():

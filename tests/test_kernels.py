@@ -11,21 +11,25 @@ from helpers import (
     expected_feature_beta,
     expected_feature_gaussian,
 )
-from kernelep import kernels
+from kernelep import kernels, operator
 from kernelep.errors import DomainError, QuadratureError
 from kernelep.expfam import BetaDist, Gaussian1D
 from kernelep.factors import IncomingPrior, IncomingTuple, sample_incoming
 from kernelep.kernels import (
     RffSpec,
+    TwoStageSpec,
     beta_cf,
     draw_rff,
+    embedding_features,
     gaussian_cf,
     joint_features_batch,
     median_distance,
     median_heuristic,
+    principal_projection,
     rescale,
     rff_point,
 )
+from kernelep.regress import fit
 
 
 def random_tuples(n, seed):
@@ -322,23 +326,51 @@ def test_empty_batches_raise_domain_error():
     with pytest.raises(DomainError, match="empty"):
         beta_cf(omega, [])
     rng = np.random.default_rng(31)
+    inner = draw_rff(2, 8, (1.0, 0.25), rng)
+    spec = TwoStageSpec(inner, np.zeros(8), np.eye(8)[:, :3], draw_rff(3, 16, 1.0, rng))
     with pytest.raises(DomainError, match="empty"):
-        joint_features_batch(draw_rff(2, 8, (1.0, 0.25), rng), [])
-    # the embedding takes a 2-dim spec only, not the operator's 4-dim one
+        joint_features_batch(inner, [])
+    # the batch takes the inner spec only; embedding_features adds the outer stage
     with pytest.raises(DomainError, match="2-dim RffSpec"):
-        joint_features_batch(draw_rff(4, 8, 1.0, rng), random_tuples(2, seed=32))
+        joint_features_batch(spec, random_tuples(2, seed=32))
 
 
 def test_beta_cf_phase_cache():
-    # beta_cf builds its phase matrices afresh on each call, so a call
-    # repeats bit for bit, a call for another Beta in between included
     rng = np.random.default_rng(28)
     omega = rng.normal(0.0, 8.0, size=50)
     b = BetaDist(2.5, 1.5)
-    cold = beta_cf(omega, [b])
-    second = beta_cf(omega, [BetaDist(3.0, 2.0)])
+    phases = {}
+    cold = beta_cf(omega, [b], phases)
+    assert len(phases) >= 2
+    assert sorted(phases) == [kernels.QUAD_ORDER * 2**k for k in range(len(phases))]
+    # the memoized matrices are read-only
+    for order, matrix in phases.items():
+        assert matrix.shape == (50, order) and not matrix.flags.writeable
+    held = dict(phases)
+    # bit-identical to building every phase matrix afresh
+    np.testing.assert_array_equal(beta_cf(omega, [b], phases), cold)
     np.testing.assert_array_equal(beta_cf(omega, [b]), cold)
-    assert not np.array_equal(second, cold)
+    # a second Beta on the same frequencies reuses the entries and adds none
+    second = BetaDist(3.0, 2.0)
+    np.testing.assert_array_equal(beta_cf(omega, [second], phases), beta_cf(omega, [second]))
+    assert phases.keys() == held.keys() and all(phases[o] is held[o] for o in held)
+
+    # the operator keeps the memo for its inner frequencies, and absorb carries it
+    inner = draw_rff(2, 50, (1.0, 0.25), rng)
+    spec = TwoStageSpec(inner, np.zeros(50), np.eye(50)[:, :3], draw_rff(3, 16, 1.0, rng))
+    op = operator.MessageOperator(
+        spec, fit(rng.normal(size=(16, 30)), rng.normal(size=(2, 30)), 1e-3)
+    )
+    inc = IncomingTuple(Gaussian1D(0.2, 1.3), b)
+    np.testing.assert_array_equal(
+        operator.featurize(op, inc.m_x, inc.m_z),
+        embedding_features(spec, joint_features_batch(inner, [inc])[0]),
+    )
+    memo = op._phases
+    assert len(memo) >= 2 and not any(m.flags.writeable for m in memo.values())
+    phi = operator.featurize(op, inc.m_x, inc.m_z)
+    absorbed = operator.absorb(op, phi, Gaussian1D(0.1, 0.4))
+    assert absorbed._phases is memo
 
 
 def test_quadrature_cap_raises(monkeypatch):
@@ -388,6 +420,58 @@ def test_median_heuristic_degenerate_falls_back():
         median_heuristic(tuples[:1])
 
 
+def two_stage_spec(inner_width, outer_width, k, seed, n_fit=300):
+    """Two-stage spec fitted, as train_operator fits it, to prior-box embeddings."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    inner = draw_rff(2, inner_width, (1.0, 0.25), rng)
+    emb = joint_features_batch(inner, random_tuples(n_fit, seed=seed + 1))
+    center, projection = principal_projection(emb, k)
+    sigma = median_distance((emb - center) @ projection)
+    return TwoStageSpec(inner, center, projection, draw_rff(k, outer_width, sigma, rng))
+
+
+def test_two_stage_feature_fidelity_at_full_width():
+    # Each summand of a width-D feature dot product has variance <= 1, so
+    # 4 / sqrt(D) is four standard deviations at D = 2000.
+    spec = two_stage_spec(500, 2000, 32, seed=50)
+    sigma = float(spec.outer.bandwidth[0])
+    bound = 4.0 / math.sqrt(2000)
+    worst = 0.0
+    tuples = random_tuples(200, seed=52)
+    for a, b in zip(tuples[::2], tuples[1::2]):
+        ea = joint_features_batch(spec.inner, [a])[0]
+        eb = joint_features_batch(spec.inner, [b])[0]
+        diff = spec.projection.T @ (ea - eb)
+        exact = math.exp(-float(diff @ diff) / (2.0 * sigma**2))
+        approx = float(embedding_features(spec, ea) @ embedding_features(spec, eb))
+        worst = max(worst, abs(approx - exact))
+    assert worst <= bound
+
+
+def test_two_stage_batch_matches_single():
+    spec = two_stage_spec(64, 96, 8, seed=53, n_fit=40)
+    tuples = random_tuples(7, seed=55)
+    batch = embedding_features(spec, joint_features_batch(spec.inner, tuples))
+    assert batch.shape == (7, 96)
+    for i, t in enumerate(tuples):
+        single = embedding_features(spec, joint_features_batch(spec.inner, [t])[0])
+        np.testing.assert_allclose(batch[i], single, atol=1e-12)
+
+
+def test_principal_projection_orthonormal_and_ordered():
+    rng = np.random.default_rng(56)
+    emb = rng.normal(size=(60, 10)) * np.linspace(3.0, 0.1, 10)
+    center, proj = principal_projection(emb, 4)
+    np.testing.assert_allclose(center, emb.mean(axis=0))
+    np.testing.assert_allclose(proj.T @ proj, np.eye(4), atol=1e-12)
+    spread = ((emb - center) @ proj).var(axis=0)
+    assert np.all(np.diff(spread) <= 0.0)
+    again = principal_projection(emb[::-1], 4)[1]
+    np.testing.assert_allclose(again, proj, atol=1e-10)  # signs are canonical
+    with pytest.raises(DomainError):
+        principal_projection(emb, 11)
+
+
 def test_median_distance_fallbacks():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     assert median_distance(pts) == pytest.approx(5.0)  # most pairs coincide
@@ -395,3 +479,15 @@ def test_median_distance_fallbacks():
     assert median_distance(np.array([[0.0], [1.0], [3.0]])) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         median_distance(np.zeros((1, 2)))
+
+
+def test_two_stage_spec_validates_shapes():
+    inner = draw_rff(2, 16, (1.0, 0.25), np.random.default_rng(57))
+    outer = draw_rff(4, 32, 1.0, np.random.default_rng(58))
+    with pytest.raises(DomainError):
+        TwoStageSpec(inner, np.zeros(16), np.zeros((16, 3)), outer)
+    with pytest.raises(DomainError):
+        TwoStageSpec(draw_rff(1, 16, 1.0, np.random.default_rng(59)),
+                     np.zeros(16), np.zeros((16, 4)), outer)
+    spec = TwoStageSpec(inner, np.zeros(16), np.zeros((16, 4)), outer)
+    assert spec.num_features == 32

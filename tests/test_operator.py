@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import WIDE_BOX, packed_factor
+from helpers import packed_factor
 from kernelep import operator
 from kernelep.errors import DomainError, PredictionError
 from kernelep.expfam import (
@@ -22,8 +22,9 @@ from kernelep.factors import (
     gen_training_set,
     sample_incoming,
 )
-from kernelep.kernels import RffSpec, draw_rff, joint_features_batch, median_distance, rff_point
+from kernelep.kernels import TwoStageSpec, draw_rff, embedding_features, joint_features_batch
 from kernelep.operator import (
+    PROJECTION_DIM,
     MessageOperator,
     QueryOracle,
     UncertaintyPolicy,
@@ -38,7 +39,7 @@ from kernelep.operator import (
     train_operator,
     _q_from_output,
 )
-from kernelep.regress import RidgeModel, fit, predict, predictive_variance
+from kernelep.regress import RidgeModel, fit, predictive_variance
 
 
 def flat_beta_pairs(n, seed):
@@ -51,12 +52,6 @@ def flat_beta_pairs(n, seed):
         inc = IncomingTuple(Gaussian1D(mean, var), BetaDist(1.0, 1.0))
         pairs.append(TrainingPair(inc, np.array([mean, math.log(var)]), 1000.0, 1000))
     return pairs
-
-
-def _log_params(t):
-    return np.array(
-        [t.m_x.mean, math.log(t.m_x.variance), math.log(t.m_z.alpha), math.log(t.m_z.beta)]
-    )
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +74,30 @@ def test_featurize_deterministic(trained):
     _, op, _, _ = trained
     inc = IncomingTuple(Gaussian1D(0.5, 1.0), BetaDist(3.0, 4.0))
     first = featurize(op, inc.m_x, inc.m_z)
-    second = featurize(op, inc.m_x, inc.m_z)
+    second = featurize(op, inc.m_x, inc.m_z)  # second call hits the Beta cache
     np.testing.assert_array_equal(first, second)
-    fresh = MessageOperator(op.spec, op.model, op.box)
+    fresh = MessageOperator(op.spec, op.model)
     np.testing.assert_array_equal(featurize(fresh, inc.m_x, inc.m_z), first)
     assert first.shape == (op.model.num_features,)
+
+
+def test_beta_memo_is_capped_and_recomputes_evicted_rows(trained):
+    _, op, _, _ = trained
+    op = MessageOperator(op.spec, op.model)
+    rng = np.random.default_rng(48)
+    incs = [
+        IncomingTuple(Gaussian1D(0.3, 1.5), BetaDist(*rng.uniform(1.0, 10.0, size=2)))
+        for _ in range(operator.BETA_MEMO_CAP + 20)
+    ]
+    first = featurize(op, incs[0].m_x, incs[0].m_z)
+    for inc in incs[1:]:
+        featurize(op, inc.m_x, inc.m_z)
+    assert len(op._beta_cache) == operator.BETA_MEMO_CAP
+    # the oldest rows went first, and an evicted row comes back with the same bits
+    assert (incs[0].m_z.alpha, incs[0].m_z.beta) not in op._beta_cache
+    assert (incs[-1].m_z.alpha, incs[-1].m_z.beta) in op._beta_cache
+    np.testing.assert_array_equal(featurize(op, incs[0].m_x, incs[0].m_z), first)
+    assert len(op._beta_cache) == operator.BETA_MEMO_CAP
 
 
 def test_featurize_rejects_improper(trained):
@@ -92,27 +106,17 @@ def test_featurize_rejects_improper(trained):
         featurize(op, Gaussian1D(0.0, -1.0), BetaDist(2.0, 2.0))
     with pytest.raises(DomainError):
         featurize(op, Gaussian1D(0.0, 1.0), BetaDist(-1.0, 2.0))
+    assert (-1.0, 2.0) not in op._beta_cache
     with pytest.raises(DomainError):
-        featurize_batch(op, [IncomingTuple(Gaussian1D(0.0, 1.0), BetaDist(2.0, 0.0))])
-
-
-def test_warm_beta_cache_checks_betas_and_changes_no_prediction(trained):
-    _, op, _, _ = trained
-    inc = IncomingTuple(Gaussian1D(0.5, 1.0), BetaDist(3.0, 4.0))
-    before = predict_q(op, inc)
-    with pytest.raises(DomainError, match="improper"):
-        operator.warm_beta_cache(op, [BetaDist(2.0, 2.0), BetaDist(-1.0, 2.0)])
-    operator.warm_beta_cache(op, [inc.m_z, BetaDist(0.5, 7.0)])
-    assert predict_q(op, inc) == before
+        operator.warm_beta_cache(op, [BetaDist(-1.0, 2.0)])
 
 
 def test_featurize_joint_matches_kernels_module(trained):
     _, op, _, _ = trained
-    # the joint features of (m_x, m_z) are kernels.rff_point of their
-    # log-parameters
-    inc = IncomingTuple(Gaussian1D(-0.7, 2.0), BetaDist(500.0, 0.5))
+    inc = IncomingTuple(Gaussian1D(-0.7, 2.0), BetaDist(500.0, 500.0))
+    emb = joint_features_batch(op.spec.inner, [inc])[0]
     np.testing.assert_array_equal(
-        featurize(op, inc.m_x, inc.m_z), rff_point(op.spec, _log_params(inc))
+        featurize(op, inc.m_x, inc.m_z), embedding_features(op.spec, emb)
     )
 
 
@@ -186,19 +190,21 @@ def test_outgoing_division_round_trip(trained):
 
 
 def tiny_spec(num_features, seed):
-    return draw_rff(4, num_features, 1.0, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    inner = draw_rff(2, 8, (1.0, 0.25), rng)
+    return TwoStageSpec(inner, np.zeros(8), np.eye(8)[:, :3], draw_rff(3, num_features, 1.0, rng))
 
 
 def test_prediction_errors_surface():
     spec = tiny_spec(16, seed=38)
     nan_model = RidgeModel(np.full((2, 16), np.nan), 1.0, packed_factor(np.eye(16)), 1.0, 1)
-    op = MessageOperator(spec, nan_model, WIDE_BOX)
+    op = MessageOperator(spec, nan_model)
     inc = IncomingTuple(Gaussian1D(0.0, 1.0), BetaDist(2.0, 2.0))
     with pytest.raises(PredictionError):
         predict_q(op, inc)
     huge_model = RidgeModel(np.full((2, 16), 1e9), 1.0, packed_factor(np.eye(16)), 1.0, 1)
     with pytest.raises(PredictionError):
-        predict_q(MessageOperator(spec, huge_model, WIDE_BOX), inc)
+        predict_q(MessageOperator(spec, huge_model), inc)
 
 
 def test_output_variance_always_positive(trained):
@@ -227,7 +233,7 @@ def test_decide_threshold_limits(trained):
     inc = IncomingTuple(Gaussian1D(2.0, 3.0), BetaDist(6.0, 2.0))
     always_use = decide(op, 1e30, inc.m_x, inc.m_z)
     assert isinstance(always_use, UsePrediction)
-    assert always_use.message == outgoing_message(op, inc.m_x, inc.m_z)[0]
+    assert always_use.q.variance > 0
     always_query = decide(op, 1e-30, inc.m_x, inc.m_z)
     assert isinstance(always_query, QueryOracle)
     # with no gate the message is outgoing_message's, the prediction however
@@ -321,7 +327,8 @@ def test_train_operator_reports(trained):
 
 def test_train_operator_holds_one_multipliers_features():
     # tracemalloc sees numpy's buffers.  Nine more multipliers may add their
-    # specs to the peak, but not a D x n feature matrix each
+    # specs and n x k projections to the peak, but not a D x n feature
+    # matrix each
     pairs = flat_beta_pairs(400, seed=46)
     width = 800
 
@@ -344,28 +351,25 @@ def test_train_operator_deterministic():
     op1, rep1, tau1 = train_operator(pairs, 40, np.random.default_rng(41))
     op2, rep2, tau2 = train_operator(pairs, 40, np.random.default_rng(41))
     np.testing.assert_array_equal(op1.model.W, op2.model.W)
-    np.testing.assert_array_equal(op1.spec.frequencies, op2.spec.frequencies)
+    np.testing.assert_array_equal(op1.spec.inner.frequencies, op2.spec.inner.frequencies)
     assert rep1.chosen == rep2.chosen
     assert tau1 == tau2
 
 
 def test_operator_validation():
     model = RidgeModel(np.zeros((2, 8)), 1.0, packed_factor(np.eye(8)), 1.0, 1)
-    for dim, seed in ((1, 42), (2, 43)):
-        plain = draw_rff(dim, 8, 1.0, np.random.default_rng(seed))
-        refusal = f"needs a 4-dim RffSpec on log-parameters, not a {dim}-dim"
-        with pytest.raises(DomainError, match=refusal):
-            MessageOperator(plain, model, WIDE_BOX)
-    with pytest.raises(DomainError, match="not a ndarray"):
-        MessageOperator(np.zeros((8, 4)), model, WIDE_BOX)
+    for plain in (draw_rff(1, 8, 1.0, np.random.default_rng(42)),
+                  draw_rff(2, 8, (1.0, 0.25), np.random.default_rng(43))):
+        with pytest.raises(DomainError, match="needs a TwoStageSpec, not a RffSpec"):
+            MessageOperator(plain, model)
     spec = tiny_spec(8, seed=44)
-    assert MessageOperator(spec, model, WIDE_BOX).spec is spec
+    assert MessageOperator(spec, model).spec is spec
     with pytest.raises(DomainError, match="feature count"):
-        MessageOperator(tiny_spec(9, seed=44), model, WIDE_BOX)
+        MessageOperator(tiny_spec(9, seed=44), model)
     for rows in (1, 3):
         other = RidgeModel(np.zeros((rows, 8)), 1.0, packed_factor(np.eye(8)), 1.0, 1)
         with pytest.raises(DomainError, match=f"{rows} outputs"):
-            MessageOperator(spec, other, WIDE_BOX)
+            MessageOperator(spec, other)
     with pytest.raises(DomainError):
         UncertaintyPolicy(tau=0.0, budget=1)
     for tau in ("abc", True, math.inf):
@@ -379,138 +383,23 @@ def test_operator_validation():
     assert UncertaintyPolicy(tau=1.0, budget=np.int64(3)).budget == 3
 
 
-def _trained_bandwidth(pairs, multiplier):
-    """sigma * multiplier * s, from the training inputs' log-parameters."""
-    U = np.array([_log_params(p.input) for p in pairs])
-    s = U.std(axis=0)
-    return median_distance(U / s) * multiplier * s
-
-
-def test_training_builds_log_parameter_spec(trained):
-    pairs, op, report, _ = trained
+def test_joint_training_builds_two_stage_spec(trained):
+    pairs, op, _, _ = trained
     spec = op.spec
-    assert isinstance(spec, RffSpec) and spec.input_dim == 4
+    assert isinstance(spec, TwoStageSpec)
+    # outer width is the requested width; the inner one is capped at it
     assert spec.num_features == op.model.num_features == 60
+    assert spec.inner.num_features == 60
+    assert spec.projection.shape == (60, PROJECTION_DIM)
     np.testing.assert_allclose(
-        spec.bandwidth, _trained_bandwidth(pairs, report.chosen_params[0]), rtol=1e-12
+        spec.projection.T @ spec.projection, np.eye(PROJECTION_DIM), atol=1e-10
     )
 
 
-def test_constant_coordinates_keep_unit_scale(flat_op):
-    # every flat pair has alpha = beta = 1, so log alpha and log beta have
-    # no spread and their bandwidth is sigma * m alone
-    bandwidth = flat_op.spec.bandwidth
-    assert bandwidth[2] == bandwidth[3] > 0.0
-    # with alpha = beta = 3 the std of the equal log 3 values comes out a few
-    # ulps above 0; the range is still 0, so the scale is still 1
-    pairs = [
-        TrainingPair(IncomingTuple(p.input.m_x, BetaDist(3.0, 3.0)), p.target, p.ess, p.n_samples)
-        for p in flat_beta_pairs(30, seed=48)
-    ]
-    U = np.array([_log_params(p.input) for p in pairs])
-    assert U[:, 2].std() > 0.0
-    op, report, _ = train_operator(pairs, 40, np.random.default_rng(49))
-    sigma = median_distance(U[:, :2] / U[:, :2].std(axis=0))
-    np.testing.assert_allclose(op.spec.bandwidth[2:], sigma * report.chosen_params[0], rtol=1e-12)
-    np.testing.assert_array_equal(op.box[:, 2:], np.log(3.0))
-    assert np.all(op.box[0, :2] < op.box[1, :2])
-
-
-def test_box_is_the_training_range(trained):
-    pairs, op, _, _ = trained
-    U = np.array([_log_params(p.input) for p in pairs])
-    np.testing.assert_array_equal(op.box, [U.min(axis=0), U.max(axis=0)])
-    assert not op.box.flags.writeable
-    # an absorbed oracle answer outside the box does not widen it
-    inc = IncomingTuple(Gaussian1D(40.0, 1e-3), BetaDist(0.2, 50.0))
-    updated = absorb(op, featurize(op, inc.m_x, inc.m_z), Gaussian1D(39.0, 1e-3))
-    assert updated.box is op.box
-    for bad in (op.box[::-1], op.box[:, :3], op.box.ravel(), op.box + np.inf, [[0.0] * 4] * 2):
-        with pytest.raises(DomainError, match="box"):
-            MessageOperator(op.spec, op.model, bad)
-
-
-def _clamped_message(op, inc):
-    """The message of the clamped cavity, composed from public pieces, and
-    whether any coordinate was clamped."""
-    u = _log_params(inc)
-    c = np.clip(u, op.box[0], op.box[1])
-    q = _q_from_output(predict(op.model, rff_point(op.spec, c)))
-    cavity = inc.m_x if c[0] == u[0] and c[1] == u[1] else Gaussian1D(c[0], math.exp(c[1]))
-    return divide(q, cavity), not np.array_equal(c, u)
-
-
-def test_message_inside_the_box_is_the_prediction_over_the_cavity(trained):
-    _, op, _, _ = trained
-    rng = np.random.default_rng(50)
-    inside = 0
-    for _ in range(200):
-        inc = sample_incoming(IncomingPrior(), rng)
-        if _clamped_message(op, inc)[1]:
-            continue
-        inside += 1
-        message, phi = outgoing_message(op, inc.m_x, inc.m_z)
-        assert to_natural(message).tobytes() == to_natural(
-            divide(predict_q(op, inc), inc.m_x)
-        ).tobytes()
-    assert inside > 100
-
-
-# cavities outside the trained fixture's box: too narrow on x, too far on
-# x, and outside on the Beta coordinates alone
-OUT_OF_BOX = [
-    IncomingTuple(Gaussian1D(0.5, 0.01), BetaDist(2.0, 3.0)),
-    IncomingTuple(Gaussian1D(9.0, 1.0), BetaDist(2.0, 3.0)),
-    IncomingTuple(Gaussian1D(0.5, 1.0), BetaDist(0.5, 30.0)),
-]
-
-
-def test_message_outside_the_box_is_the_clamped_cavitys(trained):
-    _, op, _, _ = trained
-    for inc in OUT_OF_BOX:
-        expected, clamped = _clamped_message(op, inc)
-        assert clamped
-        message, _ = outgoing_message(op, inc.m_x, inc.m_z)
-        assert to_natural(message).tobytes() == to_natural(expected).tobytes()
-        assert message != divide(predict_q(op, inc), inc.m_x)
-    # only the Beta coordinates were clamped: the divisor is m_x itself
-    inc = OUT_OF_BOX[2]
-    u = _log_params(inc)
-    assert np.all(u[:2] == np.clip(u, *op.box)[:2])
-    q = _q_from_output(predict(op.model, rff_point(op.spec, np.clip(u, *op.box))))
-    assert outgoing_message(op, inc.m_x, inc.m_z)[0] == divide(q, inc.m_x)
-
-
-def test_gate_scores_the_unclamped_features(trained):
-    # the variance gate, the budget-spent batch (which scores
-    # outgoing_message's phi) and absorb all see the cavity's own features
-    _, op, _, _ = trained
-    for inc in OUT_OF_BOX:
-        own = rff_point(op.spec, _log_params(inc))
-        message, phi = outgoing_message(op, inc.m_x, inc.m_z)
-        np.testing.assert_array_equal(phi, own)
-        np.testing.assert_array_equal(featurize(op, inc.m_x, inc.m_z), own)
-        variance = predictive_variance(op.model, own)
-        query = decide(op, variance / 2.0, inc.m_x, inc.m_z)
-        assert isinstance(query, QueryOracle) and query.variance == variance
-        np.testing.assert_array_equal(query.phi, own)
-        use = decide(op, variance * 2.0, inc.m_x, inc.m_z)
-        assert isinstance(use, UsePrediction) and use.variance == variance
-        assert use.message == message
-
-
-def test_trained_features_approximate_the_log_parameter_kernel():
-    # at D = 2000 the trained spec's feature dot products match
-    # exp(-||(u - u') / (sigma m s)||^2 / 2) within criterion 2's 0.05
-    pairs = gen_training_set(IncomingPrior(), 200, 1000, np.random.default_rng(111))
-    op, report, _ = train_operator(pairs, 2000, np.random.default_rng(112), folds=2)
-    width = _trained_bandwidth(pairs, report.chosen_params[0])
-    np.testing.assert_allclose(op.spec.bandwidth, width, rtol=1e-12)
-    rng = np.random.default_rng(113)
-    worst = 0.0
-    for _ in range(100):
-        a, b = (sample_incoming(IncomingPrior(), rng) for _ in range(2))
-        exact = math.exp(-0.5 * float(np.sum(((_log_params(a) - _log_params(b)) / width) ** 2)))
-        approx = float(featurize(op, a.m_x, a.m_z) @ featurize(op, b.m_x, b.m_z))
-        worst = max(worst, abs(approx - exact))
-    assert worst <= 0.05
+def test_joint_training_sizes_projection_by_case_count():
+    # 12 centred cases span at most 11 directions
+    pairs = flat_beta_pairs(12, seed=44)
+    op, _, _ = train_operator(pairs, 700, np.random.default_rng(45), [1.0], [1e-4], folds=3)
+    assert op.spec.inner.num_features == 500
+    assert op.spec.projection.shape == (500, 11)
+    assert op.model.num_features == 700

@@ -9,11 +9,11 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from helpers import WIDE_BOX, dense_factor, fit_dual, inverse_gram, packed_factor
+from helpers import dense_factor, fit_dual, inverse_gram, packed_factor
 from kernelep import regress
 from kernelep.cli import load_model, save_model
 from kernelep.errors import DomainError
-from kernelep.kernels import draw_rff
+from kernelep.kernels import TwoStageSpec, draw_rff
 from kernelep.operator import MessageOperator
 from kernelep.regress import (
     DEFAULT_LAMBDAS,
@@ -237,8 +237,11 @@ def _reference_update(model, phi, y):
 
 
 def _round_trip(model, path):
-    spec = draw_rff(4, model.num_features, 1.0, np.random.default_rng(71))
-    save_model(path, MessageOperator(spec, model, WIDE_BOX), seed=0, tau=0.1)
+    rng = np.random.default_rng(71)
+    inner = draw_rff(2, 8, 1.0, rng)
+    outer = draw_rff(3, model.num_features, 1.0, rng)
+    spec = TwoStageSpec(inner, np.zeros(8), np.eye(8)[:, :3], outer)
+    save_model(path, MessageOperator(spec, model), seed=0, tau=0.1)
     return load_model(path).op.model
 
 
