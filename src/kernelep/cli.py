@@ -792,23 +792,32 @@ def _timing_json(res, runtime: float) -> dict:
 
 
 def cmd_gen_data(config: RunConfig) -> Path:
-    """Generate the training dataset CSV."""
+    """Generate the training dataset CSV; the `.timings.json` sidecar holds
+    the sampling's runtime_seconds."""
     out = Path(config.out or config.dataset)
     rng = _command_rng(config.seed, 0)
+    start = time.perf_counter()
     pairs = gen_training_set(
         config.prior, config.n_train, config.n_importance, rng, n_jobs=config.n_jobs
     )
-    return save_dataset(out, pairs)
+    runtime = time.perf_counter() - start
+    save_dataset(out, pairs)
+    _write_json(_derived_path(out, ".timings.json"), {"runtime_seconds": runtime})
+    return out
 
 
 def cmd_train(config: RunConfig) -> Path:
-    """Fit the operator on a dataset file and persist it."""
+    """Fit the operator on a dataset file and persist it; the `.timings.json`
+    sidecar holds the fit's runtime_seconds, cross-validation and tau
+    included."""
     out = Path(config.out or config.model)
     pairs = load_dataset(config.dataset)
     rng = _command_rng(config.seed, 1)
+    start = time.perf_counter()
     op, report, tau = train_operator(
         pairs, config.num_features, rng, config.multipliers, config.lambdas, config.folds
     )
+    runtime = time.perf_counter() - start
     extra = {
         "n_train_cases": len(pairs),
         "folds": config.folds,
@@ -817,7 +826,9 @@ def cmd_train(config: RunConfig) -> Path:
         "cv_chosen": report.chosen,
         "bandwidth_multiplier": report.chosen_params[0],
     }
-    return save_model(out, op, seed=config.seed, tau=tau, extra=extra)
+    save_model(out, op, seed=config.seed, tau=tau, extra=extra)
+    _write_json(_derived_path(out, ".timings.json"), {"runtime_seconds": runtime})
+    return out
 
 
 def _kl_block(kls: list) -> dict:

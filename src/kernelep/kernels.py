@@ -29,6 +29,11 @@ Gaussian kernel on embeddings is universal on distributions (Christmann &
 Steinwart, NIPS 2010), which the linear one is not.  ``joint_features_batch``
 takes the inner 2-dim ``RffSpec`` and gives the inner embeddings;
 ``embedding_features`` maps them to the outer features.
+
+Bandwidths are medians of pairwise distances: ``median_heuristic`` gives
+the inner spec's, ``median_distance`` the outer sigma.  Both take their
+distances from ``_pairwise_distances``, NumPy code with SciPy's ``pdist``
+bits, so this module imports nothing from SciPy.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ QUAD_ORDER_CAP = 4096
 QUAD_TOL = 1e-8
 # c of _unit_gl's endpoint-flattening substitution
 _FLATTEN = 3.0
+# rows of one block of _pairwise_distances
+_PAIR_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,17 +179,16 @@ def median_heuristic(tuples) -> tuple[float, float]:
     """Per-coordinate bandwidths from pairwise distances of message means.
 
     The x coordinate uses the incoming Gaussian means, the z coordinate the
-    incoming Beta means.  Degenerate collections (all means equal) fall back
-    to the coordinate's mean standard deviation, floored at 1e-3.
+    incoming Beta means; each median is over _pairwise_distances of the
+    means as a vector, the absolute differences.  Degenerate collections
+    (all means equal) fall back to the coordinate's mean standard deviation,
+    floored at 1e-3.
     """
     if len(tuples) < 2:
         raise DomainError("median heuristic needs at least two tuples")
-    # imported here, by the training path alone, so inference never loads
-    # scipy.spatial
-    from scipy.spatial.distance import pdist
 
     def one_side(values, spreads):
-        med = float(np.median(pdist(values[:, None], "cityblock")))
+        med = float(np.median(_pairwise_distances(values), overwrite_input=True))
         if med <= 0.0:
             med = float(np.mean(spreads))
         return max(med, 1e-3)
@@ -192,6 +198,42 @@ def median_heuristic(tuples) -> tuple[float, float]:
     mz = np.array([t.m_z.mean for t in tuples])
     sz = np.array([math.sqrt(t.m_z.variance) for t in tuples])
     return one_side(mx, sx), one_side(mz, sz)
+
+
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Distances of every pair i < j of n points, in the order (0, 1), (0, 2),
+    ..., (1, 2), ...: SciPy's pdist values, bit for bit.
+
+    (n,) points give |x_i - x_j|, pdist's "cityblock" on one coordinate,
+    which holds differences too small to square.  (n, k) points give the
+    Euclidean distance, as pdist does: the squared differences summed one
+    coordinate at a time from the first, then the root.  Rows go
+    _PAIR_ROWS at a time against every later point, through two work arrays
+    reused by every block, so training loads no SciPy for its medians.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    cols = [pts] if pts.ndim == 1 else np.ascontiguousarray(pts.T)
+    out = np.empty(n * (n - 1) // 2)
+    work = np.empty((2, min(_PAIR_ROWS, n) * max(n - 1, 0)))
+    start = 0
+    for i0 in range(0, n - 1, _PAIR_ROWS):
+        rows, width = min(_PAIR_ROWS, n - 1 - i0), n - 1 - i0
+        # acc[r, c] is the pair (i0 + r, i0 + 1 + c), a pair for c >= r
+        acc, diff = (w[: rows * width].reshape(rows, width) for w in work)
+        np.subtract(cols[0][i0 : i0 + rows, None], cols[0][None, i0 + 1 :], out=acc)
+        if pts.ndim == 1:
+            np.abs(acc, out=acc)
+        else:
+            np.square(acc, out=acc)
+            for col in cols[1:]:
+                np.subtract(col[i0 : i0 + rows, None], col[None, i0 + 1 :], out=diff)
+                acc += np.square(diff, out=diff)
+            np.sqrt(acc, out=acc)
+        for r in range(rows):
+            out[start : start + width - r] = acc[r, r:]
+            start += width - r
+    return out
 
 
 def _feature_scale(d: int) -> float:
@@ -373,16 +415,16 @@ def principal_projection(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, np
 def median_distance(points: np.ndarray) -> float:
     """Median pairwise Euclidean distance of (n, k) points, the outer sigma.
 
-    Falls back to the largest distance when over half the pairs coincide,
-    and to 1.0 when every point is the same (any sigma then gives the same
-    constant features).
+    The distances are _pairwise_distances', pdist's bits.  Falls back to
+    the largest distance when over half the pairs coincide, and to 1.0 when
+    every point is the same (any sigma then gives the same constant
+    features).
     """
-    from scipy.spatial.distance import pdist
-
-    dist = pdist(np.asarray(points, dtype=float))
+    dist = _pairwise_distances(points)
     if dist.size == 0:
         raise DomainError("median distance needs at least two points")
-    med = float(np.median(dist))
+    # the median partitions dist in place; the maximum does not need its order
+    med = float(np.median(dist, overwrite_input=True))
     if med > 0.0:
         return med
     top = float(dist.max())

@@ -78,6 +78,8 @@ INNER_WIDTH_CAP = 500
 PROJECTION_DIM = 16
 # Beta rows an operator's memo keeps (see MessageOperator).
 BETA_MEMO_CAP = 256
+# training columns default_tau scores per predictive_variance batch
+TAU_SLICE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +249,18 @@ def absorb(op: MessageOperator, phi: np.ndarray, q: Gaussian1D) -> MessageOperat
 
 
 def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
-    """Calibrated threshold: 90th percentile of training predictive variances,
-    scored as one batch (matrix products with the factor, not a mat-vec per
-    column)."""
-    return float(np.percentile(predictive_variance(model, Phi), 90.0))
+    """Calibrated threshold: 90th percentile of training predictive variances.
+
+    The columns of Phi are scored TAU_SLICE at a time through
+    predictive_variance.  A column's products with the factor do not depend
+    on the columns beside it, so the variances are one batch's, bit for
+    bit, and a slice's temporaries, not a whole batch's, count towards
+    training's peak memory.
+    """
+    variances = np.empty(Phi.shape[1])
+    for j in range(0, len(variances), TAU_SLICE):
+        variances[j : j + TAU_SLICE] = predictive_variance(model, Phi[:, j : j + TAU_SLICE])
+    return float(np.percentile(variances, 90.0))
 
 
 def train_operator(
@@ -286,10 +296,11 @@ def train_operator(
     The projection and sigma use the training inputs only, never targets, so
     K-fold cross-validation on the pairs chooses just (m, lambda) from the
     product of the two axes, and the final model refits on all of them.
-    Only each multiplier's spec and its n x k projected embeddings are kept:
-    its D x n features are rebuilt from them when cross-validation reaches
-    it and freed before the next multiplier's, and the chosen multiplier's
-    once more for the refit, so one feature matrix is alive at a time.
+    Only each multiplier's spec and its n x k projected embeddings are kept,
+    not its n x D_in embedding: its D x n features are rebuilt from them
+    when cross-validation reaches it and freed before the next
+    multiplier's, and the chosen multiplier's once more for the refit, so
+    one feature matrix is alive at a time.
     Returns the operator, the CV report, and the calibrated tau.
     """
     tuples = [p.input for p in pairs]
@@ -308,6 +319,7 @@ def train_operator(
         # the projection embedding_features applies, so features built from
         # it equal featurize_batch's output
         projected[m] = (emb - center) @ projection
+        del emb  # so no n x D_in embedding outlives its projection
         outer = rescale(base_outer, median_distance(projected[m]))
         specs[m] = TwoStageSpec(inner, center, projection, outer)
 

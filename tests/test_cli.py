@@ -195,6 +195,14 @@ def test_dataset_refuses_non_finite_targets_or_ess_and_empty_samples(tmp_path, c
 # train / model files
 
 
+def test_gen_data_and_train_write_timing_sidecars(ws):
+    # wall-clock time stays out of the dataset and the model file
+    root, _ = ws
+    for name in ("data.timings.json", "model.timings.json"):
+        side = json.loads((root / name).read_text())
+        assert list(side) == ["runtime_seconds"] and side["runtime_seconds"] > 0.0
+
+
 def test_model_reload_predicts_bit_identically(ws):
     root, data = ws
     pairs = load_dataset(data["dataset"])
@@ -686,8 +694,9 @@ def _modules_exit(*prefixes: str) -> str:
     return f"sys.exit(' '.join(m for m in sys.modules if m.startswith({prefixes!r})) or None)"
 
 
-# SciPy serves training and the carry fold alone: LAPACK for fits, folds and
-# cross-validation, distance medians for bandwidths
+# SciPy serves training and the carry fold alone, and only as scipy.linalg:
+# LAPACK for fits, folds and cross-validation.  The bandwidth medians take
+# kernels' own pairwise distances (see test_train_loads_no_scipy_spatial)
 _TRAINING_MODULES_EXIT = _modules_exit("scipy")
 
 
@@ -719,6 +728,21 @@ def test_ep_run_and_eval_load_no_scipy(pipeline, tmp_path):
         code, json.dumps(pipeline.data), str(tmp_path / "ep.json"), str(tmp_path / "eval.json")
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_train_loads_no_scipy_spatial(ws, tmp_path):
+    # the bandwidth medians are NumPy code with pdist's bits, so a model
+    # trained without scipy.spatial is the fixture's model, byte for byte
+    _, data = ws
+    code = "\n".join([
+        "import json, sys",
+        "from kernelep.cli import cmd_train, make_config",
+        "cmd_train(make_config(json.loads(sys.argv[1]), {'out': sys.argv[2]}))",
+        _modules_exit("scipy.spatial"),
+    ])
+    result = _run_python(code, json.dumps(data), str(tmp_path / "model.json"))
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "model.json").read_bytes() == Path(data["model"]).read_bytes()
 
 
 def test_model_round_trip_keeps_every_array_bit_for_bit(wide_op, tmp_path):

@@ -690,10 +690,31 @@ def test_active_source_query_makes_one_inverse_pass(demo_operator, monkeypatch):
             assert getattr(got.model, name).tobytes() == getattr(expected, name).tobytes()
 
 
+def _deferred_messages(op, policy, graph, seed) -> int:
+    """Messages an ActiveSource sends after its budget is spent, in one run."""
+    src = ActiveSource(op, policy, n_importance=2000)
+    deferred = 0
+
+    def counting(factor, incoming, rng):
+        nonlocal deferred
+        spent = src.budget == 0
+        out = src(factor, incoming, rng)
+        deferred += spent and bool(out)
+        return out
+
+    run_ep(graph, sources=default_sources(counting), rng=np.random.default_rng(seed))
+    return deferred
+
+
 def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     op, tau = demo_operator
-    # a batch narrower than the default, so this run's queue fills it twice
-    monkeypatch.setattr(ep_engine, "SCORE_BATCH", 64)
+    # a batch sized from this run's own deferred messages, n = 2 * batch + 1
+    # or + 2, so the queue fills it twice and leaves a remainder however
+    # soon the operator converges
+    policy = UncertaintyPolicy(tau=tau, budget=3)
+    planned = _deferred_messages(op, policy, demo_graph(observations=SIX_OBSERVATIONS), 31)
+    assert planned >= 7
+    monkeypatch.setattr(ep_engine, "SCORE_BATCH", (planned - 1) // 2)
     decisions, batches = [], []
     real_decide, real_batch = ep_engine.decide, ep_engine.batch_variance
 
@@ -715,7 +736,7 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     monkeypatch.setattr(ep_engine, "decide", recording_decide)
     monkeypatch.setattr(ep_engine, "batch_variance", recording_batch)
     monkeypatch.setattr(operator, "predictive_variance", gate_variance)
-    src = ActiveSource(op, UncertaintyPolicy(tau=tau, budget=3), n_importance=2000)
+    src = ActiveSource(op, policy, n_importance=2000)
     visits, expected, sent = {}, [], []
 
     def recording(factor, incoming, rng):

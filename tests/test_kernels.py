@@ -394,6 +394,14 @@ def test_gaussian_cf_known_value():
         gaussian_cf(spec, Gaussian1D(0.0, -1.0))
 
 
+def _pdist(points):
+    """scipy's pdist, the reference: "cityblock" on a 1-D vector's one
+    coordinate, Euclidean on (n, k) points."""
+    from scipy.spatial.distance import pdist
+
+    return pdist(points[:, None], "cityblock") if points.ndim == 1 else pdist(points)
+
+
 def test_median_heuristic_hand_case():
     tuples = [
         IncomingTuple(Gaussian1D(0.0, 1.0), BetaDist(2.0, 2.0)),
@@ -418,6 +426,13 @@ def test_median_heuristic_degenerate_falls_back():
     assert gz > 0
     with pytest.raises(DomainError):
         median_heuristic(tuples[:1])
+    # past one block of rows: x falls back, z takes pdist's median
+    tuples = [
+        IncomingTuple(Gaussian1D(0.5, 0.25 + i), BetaDist(2.0 + i, 3.0)) for i in range(70)
+    ]
+    gx, gz = median_heuristic(tuples)
+    assert gx == float(np.mean([math.sqrt(0.25 + i) for i in range(70)]))
+    assert gz == float(np.median(_pdist(np.array([t.m_z.mean for t in tuples]))))
 
 
 def two_stage_spec(inner_width, outer_width, k, seed, n_fit=300):
@@ -477,8 +492,32 @@ def test_median_distance_fallbacks():
     assert median_distance(pts) == pytest.approx(5.0)  # most pairs coincide
     assert median_distance(np.zeros((3, 2))) == 1.0
     assert median_distance(np.array([[0.0], [1.0], [3.0]])) == pytest.approx(2.0)
+    # the same fallbacks past one block of rows
+    mostly = np.vstack([np.zeros((kernels._PAIR_ROWS + 6, 16)), np.eye(16)[:3]])
+    assert median_distance(mostly) == math.sqrt(2.0)
+    assert median_distance(np.zeros((kernels._PAIR_ROWS + 3, 2))) == 1.0
     with pytest.raises(DomainError):
         median_distance(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("points", [
+    np.array([0.5, -1.25]),
+    np.array([[0.5, 2.0, -1.0], [0.25, 3.0, 1.0]]),
+    # 1-D differences whose squares underflow to zero
+    np.array([1e-170, 2e-170, 4.5e-170, -1e-170]),
+    np.random.default_rng(60).normal(size=(2 * kernels._PAIR_ROWS + 5, 16)),
+    np.random.default_rng(61).normal(size=2 * kernels._PAIR_ROWS + 5) * 1e3,
+    np.random.default_rng(62).uniform(size=(kernels._PAIR_ROWS + 1, 1)),
+    # duplicates: most pairs coincide, or all do (median_distance's fallbacks)
+    np.repeat(np.random.default_rng(63).normal(size=(4, 3)), 9, axis=0),
+    np.vstack([np.zeros((kernels._PAIR_ROWS + 6, 16)), np.eye(16)[:3]]),
+    np.zeros((kernels._PAIR_ROWS + 3, 2)),
+])
+def test_pairwise_distances_are_pdists_bits(points):
+    got = kernels._pairwise_distances(points)
+    ref = _pdist(points)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_two_stage_spec_validates_shapes():

@@ -325,6 +325,27 @@ def test_train_operator_reports(trained):
     np.testing.assert_array_equal(refit.M, op.model.M)
 
 
+def test_default_tau_scores_slices_with_one_batchs_bits(monkeypatch):
+    # D = 600 puts the factor in two column blocks; N = 2 * TAU_SLICE + 77
+    # leaves a partial last slice
+    rng = np.random.default_rng(49)
+    D, N = 600, 2 * operator.TAU_SLICE + 77
+    Phi = rng.normal(size=(D, N)) / math.sqrt(D)
+    model = fit(Phi, rng.normal(size=(2, N)), 1e-3)
+    whole = predictive_variance(model, Phi)
+    slices = []
+
+    def recording(m, phi):
+        slices.append(predictive_variance(m, phi))
+        return slices[-1]
+
+    monkeypatch.setattr(operator, "predictive_variance", recording)
+    tau = default_tau(model, Phi)
+    assert [len(v) for v in slices] == [operator.TAU_SLICE] * 2 + [77]
+    assert np.concatenate(slices).tobytes() == whole.tobytes()
+    assert tau == float(np.percentile(whole, 90.0))
+
+
 def test_train_operator_holds_one_multipliers_features():
     # tracemalloc sees numpy's buffers.  Nine more multipliers may add their
     # specs and n x k projections to the peak, but not a D x n feature
