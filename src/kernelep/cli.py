@@ -11,7 +11,7 @@ Five subcommands drive the full workflow:
 Every command is a pure function of (config file, input files, seed):
 outputs are byte-identical across reruns and across worker counts.  To keep
 that guarantee, wall-clock numbers never enter a primary output; they land in
-a `.timings.json` sidecar next to it.
+a sidecar named after it: run.csv -> run.csv.timings.json.
 
 Configuration: the `_SCALARS` and `_SECTIONS` tables are the one statement of
 the config schema.  `make_config` and `build_parser` both read them, and each
@@ -25,26 +25,18 @@ for the JSON ones, not valid JSON) raises that file's format error.  Datasets
 and per-case eval rows are CSV with a fixed header, read and written by one
 codec; graphs and reports are JSON.  Floats are serialized as the shortest
 decimal that parses back to the identical double, so files round-trip
-without loss.  A model file (format version 5) is one compact JSON header
-line, space-padded to a multiple of 64 bytes and at most 1 MiB long, then
-the raw little-endian float64 C-order bytes of its arrays, each at a 64-byte
-aligned offset.  The header holds the version, a sha256 checksum, the array
-table ([offset, nbytes] each), `data_bytes`, and the payload with every
-array replaced by {"dtype": "<f8", "shape": [...], "index": k}.  The
-checksum covers the canonical JSON of {arrays, data_bytes, payload} and then
-the data section: every scalar, metadata value, layout entry and array byte.
-The payload holds the ridge model (weights, lambda, noise scale, tau, and
-its inverse Gram as `triangle`) and the TwoStageSpec: inner `frequencies`,
-`phases` and `bandwidths`, and an `outer` section (embedding centre,
-projection, outer frequencies, phases and bandwidth).  `triangle` is the
-model's lower-triangular factor M (regress.RidgeModel) with any carried
-updates folded in on save, stored as its lower triangle column by column
-(LAPACK's packed lower layout, D (D + 1) / 2 values), and it is the last
-array of the data section.  Versions 1-3 (arrays as decimal or base64 text)
-and version 4 (an explicit D x D inverse Gram) are refused.  Loading reads
-the triangle straight into the model's column blocks
-(regress.factor_columns), never a D x D array, and the rest of the data into
-one buffer, returning read-only views of it.
+without loss.  A model file (format version 6) is one JSON header line (the
+version, a checksum, the five scalars, `shapes` and plain-JSON `metadata`),
+space-padded to a multiple of 64 bytes and at most 1 MiB long, then the ten
+arrays of `_ARRAYS` as little-endian float64 in C order, each from the next
+multiple of 64 bytes on, so every offset follows from the shapes
+(`_offsets`, which the writer and the loader share).  The checksum is the
+sha256 of the header's canonical JSON without it, then of the data.  The
+last array is the model's factor M (regress.RidgeModel), carried updates
+folded in, as its packed lower triangle column by column; loading reads it
+straight into the model's column blocks, never a D x D array, and every
+other array is a read-only view of one buffer.  Earlier versions are
+refused and must be retrained.
 Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
 """
 
@@ -350,6 +342,12 @@ def _write_json(path, obj) -> Path:
     return _write(path, [json.dumps(obj, indent=2).encode() + b"\n"])
 
 
+def _write_timings(out: Path, obj) -> Path:
+    """The timing sidecar, named after the output's whole file name
+    (run.csv -> run.csv.timings.json), so no two outputs share one."""
+    return _write_json(out.with_name(out.name + ".timings.json"), obj)
+
+
 def _read_text(path, error) -> str:
     """A UTF-8 text file; undecodable bytes raise the caller's format error."""
     try:
@@ -466,82 +464,61 @@ def load_eval_cases(path) -> list:
 # ---------------------------------------------------------------------------
 # Model files
 
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 
 # the header line's length and every array's offset in the data section are
 # multiples of this, so each array starts on a cache line
 _ALIGN = 64
 
 # longest header line, the most the loader reads before parsing: a trained
-# operator's is about 1.5 kB, and a version-3 file is one 43 MB line
+# operator's is about 4 kB, and a version-3 file is one 43 MB line
 _HEADER_LIMIT = 1 << 20
 
-
-def _array_records(node, arrays: list):
-    """The payload tree with each ndarray replaced by its record, appending
-    the array as little-endian float64 in C order to `arrays`, as a list of
-    one piece.  Dict keys must be strings, which JSON would otherwise
-    coerce, and no other dict may have a record's keys, which the loader
-    would read as an array."""
-    if isinstance(node, np.ndarray):
-        arrays.append([np.ascontiguousarray(node, dtype="<f8")])
-        return {"dtype": "<f8", "shape": list(node.shape), "index": len(arrays) - 1}
-    if isinstance(node, dict):
-        if set(node) == {"dtype", "shape", "index"} or not all(isinstance(k, str) for k in node):
-            raise TypeError(f"model file dicts need str keys and no record's keys: {node!r:.80}")
-        return {key: _array_records(value, arrays) for key, value in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_array_records(item, arrays) for item in node]
-    return node
+# the data section's arrays in file order; the packed triangle comes last
+_ARRAYS = (
+    "weights", "frequencies", "phases", "bandwidths", "center", "projection",
+    "outer_frequencies", "outer_phases", "outer_bandwidth", "triangle",
+)
 
 
-def _data_pieces(arrays, table):
+def _offsets(shapes: dict) -> tuple[list[int], int]:
+    """Each array's byte offset in the data section, and the section's
+    length: every array of `shapes` (name -> list of ints) starts at the
+    next multiple of _ALIGN after the one before it ends."""
+    offsets, end = [], 0
+    for name in _ARRAYS:
+        shape = shapes[name]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"{name} has shape {shape!r}, not a list of sizes")
+        offsets.append(end + -end % _ALIGN)
+        end = offsets[-1] + 8 * math.prod(shape)
+    return offsets, end
+
+
+def _data_pieces(arrays, offsets):
     """The data section: each array's pieces at its offset, zeros between."""
     end = 0
-    for pieces, (offset, nbytes) in zip(arrays, table):
+    for pieces, offset in zip(arrays, offsets):
         yield bytes(offset - end)
         yield from pieces
-        end = offset + nbytes
+        end = offset + sum(piece.nbytes for piece in pieces)
 
 
-def _triangle_extent(layout: dict) -> tuple[int, int]:
-    """(offset, D) of the payload's `triangle` record, which must be the
-    packed lower triangle of a D x D factor and end the data section."""
-    record = layout["payload"]["triangle"]
-    offset, nbytes = layout["arrays"][record["index"]]
-    (count,) = record["shape"]
-    D = (math.isqrt(8 * count + 1) - 1) // 2
-    if (
-        not isinstance(offset, int)
-        or set(record) != {"dtype", "shape", "index"}
-        or record["dtype"] != "<f8"
-        or D * (D + 1) // 2 != count
-        or nbytes != 8 * count
-        or offset % _ALIGN
-        or not 0 <= offset <= offset + nbytes == layout["data_bytes"]
-    ):
-        raise ValueError(f"triangle record {record} does not end the data section")
-    return offset, D
+def _header_digest(header: dict):
+    """sha256 of the header's canonical JSON, checksum left out, to take the data next."""
+    fields = {key: value for key, value in header.items() if key != "checksum"}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode())
 
 
-def _layout_digest(layout: dict):
-    """sha256 of the canonical JSON of {arrays, data_bytes, payload}, to take the data next."""
-    return hashlib.sha256(json.dumps(layout, sort_keys=True, separators=(",", ":")).encode())
-
-
-def _array_views(node, data: np.ndarray, table):
-    """Inverse of _array_records: each record becomes a read-only view into `data`."""
-    if isinstance(node, list):
-        return [_array_views(item, data, table) for item in node]
-    if not isinstance(node, dict):
-        return node
-    if set(node) != {"dtype", "shape", "index"}:
-        return {key: _array_views(value, data, table) for key, value in node.items()}
-    offset, nbytes = table[node["index"]]
-    count = math.prod(node["shape"])
-    if node["dtype"] != "<f8" or offset % _ALIGN or nbytes != 8 * count:
-        raise ValueError(f"array record {node} does not fit its extent {[offset, nbytes]}")
-    return np.frombuffer(data, "<f8", count, offset).reshape(node["shape"])
+def _check_keys(node) -> None:
+    """Refuse a dict key that is not a string, which JSON would coerce."""
+    if isinstance(node, dict):
+        if not all(isinstance(key, str) for key in node):
+            raise TypeError(f"model metadata dicts need str keys: {node!r:.80}")
+        node = list(node.values())
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            _check_keys(item)
 
 
 @dataclass(frozen=True)
@@ -551,65 +528,57 @@ class SavedModel:
     op: MessageOperator
     tau: float
     seed: int
-    payload: dict
+    metadata: dict
 
 
 def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict | None = None) -> Path:
     """Write an operator (always on a TwoStageSpec) as a checksummed model file.
 
-    The model's carried updates are folded into its triangular factor, and
-    the factor's lower triangle is stored alone, as the last array.  The
-    arrays are hashed and written straight from their buffers, into a
-    temporary file that replaces `path` only once complete.
+    `extra` is the header's metadata: plain JSON, with no arrays.  The
+    model's carried updates are folded into its triangular factor, and the
+    factor's lower triangle is stored alone, as the last array.  The arrays
+    are hashed and written straight from their buffers, into a temporary
+    file that replaces `path` only once complete.
     """
-    spec = op.spec
-    payload = {
+    spec, model = op.spec, op.model
+    D = model.num_features
+    arrays = [
+        model.W, spec.inner.frequencies, spec.inner.phases, spec.inner.bandwidth,
+        spec.center, spec.projection,
+        spec.outer.frequencies, spec.outer.phases, spec.outer.bandwidth,
+    ]
+    shapes = {name: list(a.shape) for name, a in zip(_ARRAYS, arrays)}
+    shapes["triangle"] = [D * (D + 1) // 2]
+    # every array as little-endian pieces, the triangle column by column:
+    # views of the model's blocks on little-endian hosts
+    pieces = [[np.ascontiguousarray(a, dtype="<f8")] for a in arrays]
+    pieces.append([
+        np.ascontiguousarray(column, dtype="<f8")
+        for column in factor_columns(folded_factor(model), D)
+    ])
+    metadata = extra or {}
+    _check_keys(metadata)
+    header = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "checksum": None,
         "seed": int(seed),
         "tau": float(tau),
-        "lambda": float(op.model.lam),
-        "noise_scale": float(op.model.noise_scale),
-        "n_train": int(op.model.n_train),
-        "weights": op.model.W,
-        "bandwidths": spec.inner.bandwidth,
-        "frequencies": spec.inner.frequencies,
-        "phases": spec.inner.phases,
-        "outer": {
-            "center": spec.center,
-            "projection": spec.projection,
-            "frequencies": spec.outer.frequencies,
-            "phases": spec.outer.phases,
-            "bandwidth": spec.outer.bandwidth,
-        },
-        "metadata": extra or {},
+        "lambda": float(model.lam),
+        "noise_scale": float(model.noise_scale),
+        "n_train": int(model.n_train),
+        "shapes": shapes,
+        "metadata": metadata,
     }
-    arrays = []
-    layout = {"arrays": [], "data_bytes": 0, "payload": _array_records(payload, arrays)}
-    D = op.model.num_features
-    triangle = {"dtype": "<f8", "shape": [D * (D + 1) // 2], "index": len(arrays)}
-    layout["payload"]["triangle"] = triangle
-    # column by column, as little-endian pieces: views of the model's
-    # blocks on little-endian hosts
-    arrays.append([
-        np.ascontiguousarray(column, dtype="<f8")
-        for column in factor_columns(folded_factor(op.model), D)
-    ])
-    for pieces in arrays:
-        nbytes = sum(piece.nbytes for piece in pieces)
-        offset = layout["data_bytes"] + -layout["data_bytes"] % _ALIGN
-        layout["arrays"].append([offset, nbytes])
-        layout["data_bytes"] = offset + nbytes
-    digest = _layout_digest(layout)
-    for piece in _data_pieces(arrays, layout["arrays"]):
+    offsets, _ = _offsets(shapes)
+    digest = _header_digest(header)
+    for piece in _data_pieces(pieces, offsets):
         digest.update(piece)
-    header = json.dumps(
-        {"format_version": MODEL_FORMAT_VERSION, "checksum": digest.hexdigest(), **layout},
-        separators=(",", ":"),
-    )
-    header += " " * (-(len(header) + 1) % _ALIGN) + "\n"
-    if len(header) > _HEADER_LIMIT:
-        raise ModelFormatError(f"model header of {len(header)} bytes exceeds {_HEADER_LIMIT}")
-    pieces = itertools.chain([header.encode("ascii")], _data_pieces(arrays, layout["arrays"]))
-    return _write(path, pieces)
+    header["checksum"] = digest.hexdigest()
+    line = json.dumps(header, separators=(",", ":"))
+    line += " " * (-(len(line) + 1) % _ALIGN) + "\n"
+    if len(line) > _HEADER_LIMIT:
+        raise ModelFormatError(f"model header of {len(line)} bytes exceeds {_HEADER_LIMIT}")
+    return _write(path, itertools.chain([line.encode("ascii")], _data_pieces(pieces, offsets)))
 
 
 def load_model(path) -> SavedModel:
@@ -617,11 +586,11 @@ def load_model(path) -> SavedModel:
 
     Reloaded operators predict bit-identically to the saved ones: arrays are
     stored as their raw bytes and scalars as exact decimal round-trips.  The
-    data section before the triangle is read into one buffer, and the
-    returned payload holds every array as a read-only view into it, except
-    `triangle`: its columns are read straight into the column blocks of a
-    zeroed buffer (regress.factor_columns), which is the model's M, so the
-    model holds the triangle once and no D x D array.
+    data section before the triangle is read into one buffer, and every
+    array but the triangle is a read-only view into it.  The triangle's
+    columns are read straight into the column blocks of a zeroed buffer
+    (regress.factor_columns), which is the model's M, so the model holds the
+    triangle once and no D x D array.
     """
     with open(path, "rb") as handle:
         line = handle.readline(_HEADER_LIMIT)
@@ -636,18 +605,23 @@ def load_model(path) -> SavedModel:
         version = doc.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format version {version!r}")
-        layout = {key: doc.get(key) for key in ("arrays", "data_bytes", "payload")}
-        size = os.fstat(handle.fileno()).st_size - len(line)
-        if size != layout["data_bytes"]:
-            raise ModelFormatError(f"model data is {size} bytes, not {layout['data_bytes']!r}")
         try:
-            start, D = _triangle_extent(layout)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"model payload malformed: {exc}") from None
+            shapes = doc["shapes"]
+            offsets, end = _offsets(shapes)
+            (count,) = shapes["triangle"]
+            D = (math.isqrt(8 * count + 1) - 1) // 2
+            if D * (D + 1) // 2 != count:
+                raise ValueError(f"{count} values are no triangle")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"model header malformed: {exc}") from None
+        size = os.fstat(handle.fileno()).st_size - len(line)
+        if size != end:
+            raise ModelFormatError(f"model file malformed: {size} data bytes, shapes give {end}")
+        start = offsets[-1]
         raw = np.empty(start + _ALIGN, dtype=np.uint8)
         align = -raw.ctypes.data % _ALIGN
         data = raw[align : align + start]
-        digest = _layout_digest(layout)
+        digest = _header_digest(doc)
         M = np.zeros(factor_size(D))
         for piece in [data, *factor_columns(M, D)]:
             if handle.readinto(piece) != piece.nbytes:
@@ -658,29 +632,23 @@ def load_model(path) -> SavedModel:
     if digest.hexdigest() != doc.get("checksum"):
         raise ModelFormatError("checksum mismatch: model file corrupted or edited")
     try:
-        rest = {key: value for key, value in layout["payload"].items() if key != "triangle"}
-        payload = _array_views(rest, data, layout["arrays"]) | {"triangle": M}
-        outer = payload["outer"]
-
-        def arrays(node, *keys):
-            return [np.asarray(node[key], dtype=float) for key in keys]
-
+        W, frequencies, phases, bandwidths, center, projection, *outer = [
+            np.frombuffer(data, "<f8", math.prod(shapes[name]), offset).reshape(shapes[name])
+            for name, offset in zip(_ARRAYS[:-1], offsets)
+        ]
         spec = TwoStageSpec(
-            RffSpec(*arrays(payload, "frequencies", "phases", "bandwidths")),
-            *arrays(outer, "center", "projection"),
-            RffSpec(*arrays(outer, "frequencies", "phases", "bandwidth")),
+            RffSpec(frequencies, phases, bandwidths), center, projection, RffSpec(*outer)
         )
         model = RidgeModel(
-            *arrays(payload, "weights"),
-            float(payload["lambda"]),
-            M,
-            float(payload["noise_scale"]),
-            int(payload["n_train"]),
+            W, float(doc["lambda"]), M, float(doc["noise_scale"]), int(doc["n_train"])
         )
+        metadata = doc["metadata"]
+        if not isinstance(metadata, dict):
+            raise TypeError(f"metadata is a {type(metadata).__name__}")
         op = MessageOperator(spec, model)
-        return SavedModel(op, float(payload["tau"]), int(payload["seed"]), payload)
+        return SavedModel(op, float(doc["tau"]), int(doc["seed"]), metadata)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"model payload malformed: {exc}") from None
+        raise ModelFormatError(f"model file malformed: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +770,7 @@ def cmd_gen_data(config: RunConfig) -> Path:
     )
     runtime = time.perf_counter() - start
     save_dataset(out, pairs)
-    _write_json(_derived_path(out, ".timings.json"), {"runtime_seconds": runtime})
+    _write_timings(out, {"runtime_seconds": runtime})
     return out
 
 
@@ -822,12 +790,12 @@ def cmd_train(config: RunConfig) -> Path:
         "n_train_cases": len(pairs),
         "folds": config.folds,
         "cv_grid": [list(g) for g in report.grid],
-        "cv_fold_errors": report.fold_errors,
+        "cv_fold_errors": report.fold_errors.tolist(),
         "cv_chosen": report.chosen,
         "bandwidth_multiplier": report.chosen_params[0],
     }
     save_model(out, op, seed=config.seed, tau=tau, extra=extra)
-    _write_json(_derived_path(out, ".timings.json"), {"runtime_seconds": runtime})
+    _write_timings(out, {"runtime_seconds": runtime})
     return out
 
 
@@ -897,7 +865,7 @@ def cmd_eval(config: RunConfig) -> Path:
             "floor": _kl_block(floor_kls),
         },
     )
-    _write_json(_derived_path(out, ".timings.json"), {"runtime_seconds": runtime})
+    _write_timings(out, {"runtime_seconds": runtime})
     return out
 
 
@@ -943,7 +911,7 @@ def cmd_ep_run(config: RunConfig) -> Path:
         if o and p and p["per_message_ms_p50"]
         else None
     )
-    _write_json(_derived_path(out, ".timings.json"), side)
+    _write_timings(out, side)
     return out
 
 
@@ -982,9 +950,9 @@ def cmd_active_run(config: RunConfig) -> Path:
         for e in source.log
     ]
     _write_json(out, doc)
-    _write_json(_derived_path(out, ".timings.json"), _timing_json(res, runtime))
+    _write_timings(out, _timing_json(res, runtime))
 
-    extra = dict(loaded.payload.get("metadata", {}))
+    extra = dict(loaded.metadata)
     extra["queries_absorbed"] = int(extra.get("queries_absorbed", 0)) + res.queries
     save_model(model_out, source.op, seed=config.seed, tau=tau, extra=extra)
     return out

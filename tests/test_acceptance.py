@@ -279,7 +279,7 @@ def test_criterion_7_importance_sampling_error_rate():
 def test_criterion_8_operator_speedup_in_ep_run_timings(pipeline):
     out = pipeline.root / "ep_run.json"
     cmd_ep_run(make_config(pipeline.data, {"out": str(out)}))
-    sidecar = json.loads((pipeline.root / "ep_run.timings.json").read_text())
+    sidecar = json.loads((pipeline.root / "ep_run.json.timings.json").read_text())
     speedup = sidecar["logistic_per_message_speedup"]
     oracle_ms = sidecar["oracle"]["per_kind"]["oracle"]["per_message_ms_p50"]
     operator_ms = sidecar["operator"]["per_kind"]["operator"]["per_message_ms_p50"]

@@ -198,9 +198,19 @@ def test_dataset_refuses_non_finite_targets_or_ess_and_empty_samples(tmp_path, c
 def test_gen_data_and_train_write_timing_sidecars(ws):
     # wall-clock time stays out of the dataset and the model file
     root, _ = ws
-    for name in ("data.timings.json", "model.timings.json"):
+    for name in ("data.csv.timings.json", "model.json.timings.json"):
         side = json.loads((root / name).read_text())
         assert list(side) == ["runtime_seconds"] and side["runtime_seconds"] > 0.0
+
+
+def test_gen_data_and_train_sidecars_do_not_clash(tmp_path):
+    # a dataset and a model that share a stem each keep their own sidecar
+    data, model = str(tmp_path / "run.csv"), str(tmp_path / "run.json")
+    assert main(["gen-data", "--n-train", "20", "--n-importance", "200", "--out", data]) == 0
+    assert main(["train", "--dataset", data, "--num-features", "40", "--out", model]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "run.csv", "run.csv.timings.json", "run.json", "run.json.timings.json"
+    ]
 
 
 def test_model_reload_predicts_bit_identically(ws):
@@ -208,12 +218,14 @@ def test_model_reload_predicts_bit_identically(ws):
     pairs = load_dataset(data["dataset"])
     rng = np.random.default_rng(np.random.SeedSequence([BASE["seed"], 1]))
     cv = BASE["cv"]
-    op, _, tau = train_operator(
+    op, report, tau = train_operator(
         pairs, BASE["num_features"], rng, cv["multipliers"], cv["lambdas"], cv["folds"]
     )
     loaded = load_model(data["model"])
     assert loaded.tau == tau
     assert loaded.seed == BASE["seed"]
+    # CV's fold errors are decimal text in the header, and read back exactly
+    assert loaded.metadata["cv_fold_errors"] == report.fold_errors.tolist()
     for p in pairs[:8]:
         a = predict_q(op, p.input)
         b = predict_q(loaded.op, p.input)
@@ -221,84 +233,71 @@ def test_model_reload_predicts_bit_identically(ws):
 
 
 def test_model_payload_fields(ws):
+    # one header line holds the scalars, each array's shape and the
+    # metadata; the width is the weights' second dimension, and no separate
+    # field holds it
     _, data = ws
-    payload = load_model(data["model"]).payload
-    expected = {
-        "seed", "bandwidths", "lambda",
-        "frequencies", "phases", "weights", "triangle", "noise_scale", "tau",
-        "n_train", "metadata", "outer",
-    }
-    # the width is the weights' second dimension; no separate field holds it
-    assert set(payload) == expected
-    assert payload["weights"].shape == (2, BASE["num_features"])
-    assert len(payload["bandwidths"]) == 2
-    assert payload["metadata"]["n_train_cases"] == BASE["n_train"]
+    _, doc, _ = _split(data["model"])
+    assert list(doc) == [
+        "format_version", "checksum", "seed", "tau", "lambda", "noise_scale", "n_train",
+        "shapes", "metadata",
+    ]
+    assert list(doc["shapes"]) == list(_ARRAYS)
+    assert doc["shapes"]["weights"] == [2, BASE["num_features"]]
+    assert doc["shapes"]["bandwidths"] == [2]
+    assert load_model(data["model"]).metadata["n_train_cases"] == BASE["n_train"]
 
 
 def test_model_payload_stores_outer_layer(ws):
     _, data = ws
-    loaded = load_model(data["model"])
-    outer = loaded.payload["outer"]
-    assert set(outer) == {"center", "projection", "frequencies", "phases", "bandwidth"}
-    spec = loaded.op.spec
-    assert len(outer["center"]) == spec.inner.num_features
-    assert len(outer["frequencies"]) == BASE["num_features"]
-    np.testing.assert_array_equal(spec.outer.frequencies, np.array(outer["frequencies"]))
+    arrays = _parts(data["model"])[1]
+    spec = load_model(data["model"]).op.spec
+    k = spec.outer.input_dim
+    assert arrays["center"].shape == (spec.inner.num_features,)
+    assert arrays["projection"].shape == (spec.inner.num_features, k)
+    assert arrays["outer_frequencies"].shape == (BASE["num_features"], k)
+    assert arrays["outer_bandwidth"].shape == (k,)
+    np.testing.assert_array_equal(spec.outer.frequencies, arrays["outer_frequencies"])
 
 
-def _model_file(layout, data: bytes, version=MODEL_FORMAT_VERSION) -> bytes:
-    """A model file of a header layout and a data section, built with json
-    and hashlib alone."""
-    canon = json.dumps(layout, sort_keys=True, separators=(",", ":")).encode()
+# the data section's arrays in file order
+_ARRAYS = (
+    "weights", "frequencies", "phases", "bandwidths", "center", "projection",
+    "outer_frequencies", "outer_phases", "outer_bandwidth", "triangle",
+)
+
+
+def _model_file(fields, data: bytes) -> bytes:
+    """A model file of header fields (all but the checksum) and a data
+    section, built with json and hashlib alone."""
+    canon = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+    checksum = hashlib.sha256(canon + data).hexdigest()
     header = json.dumps(
-        {"format_version": version,
-         "checksum": hashlib.sha256(canon + data).hexdigest(), **layout},
+        {"format_version": fields["format_version"], "checksum": checksum} | fields,
         separators=(",", ":"),
     )
     return (header + " " * (-(len(header) + 1) % 64) + "\n").encode() + data
 
 
-def _model_bytes(payload, version=MODEL_FORMAT_VERSION) -> bytes:
-    """The model file save_model writes for a payload whose arrays are
-    ndarrays: each array's bytes at the next multiple of 64, zeros between.
-    A `triangle` that is a square, or a model's flat buffer of column
-    blocks, is stored as the factor's lower triangle, column by column."""
-    triangle = payload.get("triangle")
-    if isinstance(triangle, np.ndarray) and triangle.ndim == 1:
-        D = _factor_dim(triangle.size)
-        triangle = triangle if D is None else dense_factor(triangle, D)
-    if isinstance(triangle, np.ndarray) and triangle.ndim == 2:
-        payload = payload | {"triangle": triangle.T[np.triu_indices(len(triangle))]}
-    table, data = [], bytearray()
-
-    def records(node):
-        if isinstance(node, np.ndarray):
-            data.extend(bytes(-len(data) % 64))
-            table.append([len(data), node.size * 8])
-            data.extend(node.astype("<f8").tobytes())
-            return {"dtype": "<f8", "shape": list(node.shape), "index": len(table) - 1}
-        if isinstance(node, dict):
-            return {key: records(value) for key, value in node.items()}
-        if isinstance(node, list):
-            return [records(item) for item in node]
-        return node
-
-    payload = records(payload)
-    layout = {"arrays": table, "data_bytes": len(data), "payload": payload}
-    return _model_file(layout, bytes(data), version)
+def _data_section(arrays) -> bytes:
+    """Each array's little-endian bytes from the next multiple of 64 on,
+    zeros between."""
+    data = bytearray()
+    for a in arrays:
+        data.extend(bytes(-len(data) % 64))
+        data.extend(np.asarray(a, dtype="<f8").tobytes())
+    return bytes(data)
 
 
-def _factor_dim(size):
-    """The D whose column-block buffer has `size` values, if any."""
-    D = math.isqrt(size)
-    while factor_size(D) < size:
-        D += 1
-    return D if factor_size(D) == size else None
+def _shapes(arrays) -> dict:
+    return {name: list(a.shape) for name, a in arrays.items()}
 
 
-def _forge(path, payload):
-    """A model file whose checksum matches a hand-made payload."""
-    path.write_bytes(_model_bytes(payload))
+def _forge(path, fields, arrays):
+    """A checksummed model file of header fields and named arrays, whose
+    header states the arrays' own shapes."""
+    fields = fields | {"shapes": _shapes(arrays)}
+    path.write_bytes(_model_file(fields, _data_section(arrays.values())))
     return path
 
 
@@ -309,27 +308,48 @@ def _split(path):
     return line, json.loads(line), raw[len(line) :]
 
 
+def _parts(path):
+    """(header fields but the checksum, name -> array) of a model file, each
+    array found from the shapes alone; the last one ends the file."""
+    _, doc, section = _split(path)
+    arrays, end = {}, 0
+    for name in _ARRAYS:
+        shape = doc["shapes"][name]
+        end += -end % 64
+        arrays[name] = np.frombuffer(section, "<f8", math.prod(shape), end).reshape(shape)
+        end += 8 * math.prod(shape)
+    assert end == len(section)
+    del doc["checksum"]
+    return doc, arrays
+
+
+def _op_arrays(op):
+    """An operator's arrays in file order, the model's M (its column
+    blocks) in the triangle's place."""
+    spec, model = op.spec, op.model
+    return [
+        model.W, spec.inner.frequencies, spec.inner.phases, spec.inner.bandwidth,
+        spec.center, spec.projection,
+        spec.outer.frequencies, spec.outer.phases, spec.outer.bandwidth, model.M,
+    ]
+
+
 def test_model_format_version_one_refused(ws, tmp_path):
     # versions 1 and 2 held decimal arrays and version 3 base64 arrays, each
     # inside one JSON document; no loader for them remains
     _, data = ws
     line, doc, section = _split(data["model"])
+    current = b'"format_version":%d' % MODEL_FORMAT_VERSION
     for version in (1, 2):
         old = tmp_path / f"v{version}.json"
-        old.write_bytes(line.replace(b'"format_version":5', b'"format_version":%d' % version) + section)
+        old.write_bytes(line.replace(current, b'"format_version":%d' % version) + section)
         with pytest.raises(ModelFormatError, match="version"):
             load_model(old)
-    payload = load_model(data["model"]).payload
-
-    def base64_records(node):
-        if isinstance(node, np.ndarray):
-            return {"dtype": "<f8", "shape": list(node.shape),
-                    "data": base64.b64encode(node.tobytes()).decode("ascii")}
-        if isinstance(node, dict):
-            return {key: base64_records(value) for key, value in node.items()}
-        return node
-
-    payload = base64_records(payload)
+    payload = {
+        name: {"dtype": "<f8", "shape": list(a.shape),
+               "data": base64.b64encode(a.tobytes()).decode("ascii")}
+        for name, a in _parts(data["model"])[1].items()
+    }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     v3 = tmp_path / "v3.json"
     v3.write_text(json.dumps(
@@ -339,28 +359,36 @@ def test_model_format_version_one_refused(ws, tmp_path):
         load_model(v3)
 
 
+def test_model_format_version_five_refused(tmp_path):
+    # version 5 stated each array twice, as a payload record and as an
+    # [offset, nbytes] table entry; its files must be retrained
+    layout = {
+        "format_version": 5,
+        "arrays": [[0, 16]],
+        "data_bytes": 16,
+        "payload": {"weights": {"dtype": "<f8", "shape": [2, 1], "index": 0}},
+    }
+    v5 = tmp_path / "v5.json"
+    v5.write_bytes(_model_file(layout, bytes(16)))
+    with pytest.raises(ModelFormatError, match="unsupported model format version 5"):
+        load_model(v5)
+
+
 def test_model_arrays_stored_raw_and_checksummed(ws, tmp_path):
     _, data = ws
     line, doc, section = _split(data["model"])
     assert len(line) % 64 == 0
-    assert doc["data_bytes"] == len(section)
     D = BASE["num_features"]
-    record = doc["payload"]["triangle"]
-    assert record["dtype"] == "<f8"
-    assert record["shape"] == [D * (D + 1) // 2]
-    offset, nbytes = doc["arrays"][record["index"]]
-    assert offset % 64 == 0
-    # the last array: the factor's lower triangle, column by column
-    assert offset + nbytes == len(section)
+    assert doc["shapes"]["triangle"] == [D * (D + 1) // 2]
+    # the last array, which ends the file: the factor's lower triangle,
+    # column by column
+    triangle = _parts(data["model"])[1]["triangle"]
     M = dense_factor(load_model(data["model"]).op.model.M, D)
-    np.testing.assert_array_equal(
-        np.frombuffer(section[offset : offset + nbytes], dtype="<f8"),
-        np.concatenate([M[j:, j] for j in range(D)]),
-    )
+    np.testing.assert_array_equal(triangle, np.concatenate([M[j:, j] for j in range(D)]))
     assert not np.any(np.triu(M, 1))
 
-    # flip one byte in the middle of the array's data
-    pos = offset + nbytes // 2
+    # flip one byte in the middle of the triangle
+    pos = len(section) - triangle.nbytes // 2
     edited = tmp_path / "flipped.json"
     edited.write_bytes(line + section[:pos] + bytes([section[pos] ^ 1]) + section[pos + 1 :])
     with pytest.raises(ModelFormatError, match="checksum"):
@@ -391,15 +419,6 @@ def test_model_header_read_is_bounded(ws, tmp_path, monkeypatch):
     assert parsed == [len(line)] and len(line) <= cli._HEADER_LIMIT
 
 
-def test_model_file_with_a_num_features_key_still_loads(ws, tmp_path):
-    # a payload key that nothing reads, such as the width, does not stop a load
-    _, data = ws
-    loaded = load_model(data["model"])
-    payload = loaded.payload | {"num_features": loaded.op.model.num_features}
-    old = load_model(_forge(tmp_path / "old.json", payload))
-    np.testing.assert_array_equal(old.op.model.W, loaded.op.model.W)
-
-
 def test_model_corruption_detected(ws, tmp_path):
     _, data = ws
     line, _, section = _split(data["model"])
@@ -423,78 +442,82 @@ def test_model_corruption_detected(ws, tmp_path):
         load_model(edited)
 
     versioned = tmp_path / "version.json"
+    current = b'"format_version":%d' % MODEL_FORMAT_VERSION
     bumped = b'"format_version":%d' % (MODEL_FORMAT_VERSION + 1)
-    versioned.write_bytes(line.replace(b'"format_version":5', bumped, 1) + section)
+    versioned.write_bytes(line.replace(current, bumped, 1) + section)
     with pytest.raises(ModelFormatError, match="version"):
         load_model(versioned)
 
 
-def test_model_product_kind_payload_refused(tmp_path):
-    # a well-formed model file of the former product kind: two 1-dim sides
-    # of width 6 whose Kronecker product gives the model's 36 features
-    rng = np.random.default_rng(3)
-    payload = {
-        "seed": 0, "feature_kind": "product", "recipient": "x", "tau": 0.1,
-        "lambda": 1e-6, "num_features": 36, "noise_scale": 1.0, "n_train": 10,
-        "weights": rng.normal(size=(2, 36)),
-        "bandwidths": np.array([1.0, 0.25]),
-        "frequencies": {"x": rng.normal(size=(6, 1)), "z": rng.normal(size=(6, 1))},
-        "phases": {"x": rng.uniform(0, 6, 6), "z": rng.uniform(0, 6, 6)},
-        "metadata": {}, "triangle": np.eye(36),
-    }
-    assert MODEL_FORMAT_VERSION == 5
-    with pytest.raises(ModelFormatError, match="malformed"):
-        load_model(_forge(tmp_path / "product.json", payload))
-
-
 def test_model_inconsistent_arrays_refused(ws, tmp_path):
-    # checksummed files whose arrays do not fit together, or do not fit the
-    # data section, are refused on load, not by a numpy error at the first
-    # message
+    # checksummed files whose arrays do not fit together are refused on
+    # load, not by a numpy error at the first message
     _, data = ws
-    payload = load_model(data["model"]).payload
-    D = payload["weights"].shape[1]
-    outer = payload["outer"]
+    fields, arrays = _parts(data["model"])
+    D = arrays["weights"].shape[1]
+    assert MODEL_FORMAT_VERSION == 6
     forged = {
-        "small_triangle": {"triangle": np.eye(5)},
+        "small_triangle": {"triangle": np.ones(15)},
         "flat_triangle": {"triangle": np.ones(D)},
         "scalar_triangle": {"triangle": np.array(1.0)},
         "three_outputs": {"weights": np.zeros((3, D))},
         "one_output": {"weights": np.zeros((1, D))},
         "flat_weights": {"weights": np.zeros(D)},
         "short_phases": {"phases": np.zeros(3)},
-        "flat_outer_frequencies": {"outer": outer | {"frequencies": np.zeros(D)}},
+        "flat_outer_frequencies": {"outer_frequencies": np.zeros(D)},
     }
     for name, change in forged.items():
         with pytest.raises(ModelFormatError, match="malformed"):
-            load_model(_forge(tmp_path / f"{name}.json", payload | change))
+            load_model(_forge(tmp_path / f"{name}.json", fields, arrays | change))
+    listed = fields | {"metadata": [["n_train_cases", 80]]}
+    with pytest.raises(ModelFormatError, match="malformed: metadata is a list"):
+        load_model(_forge(tmp_path / "listed.json", listed, arrays))
 
-    _, doc, section = _split(data["model"])
-    layout = {key: doc[key] for key in ("arrays", "data_bytes", "payload")}
-    k = doc["payload"]["triangle"]["index"]
-    offset, nbytes = doc["arrays"][k]
-    tables = {
-        "unaligned": {k: [offset + 8, nbytes - 8]},
-        "short_extent": {k: [offset, nbytes - 8]},
-        "past_the_end": {k: [len(section) + 64, nbytes]},
-        "negative_offset": {k: [-64, nbytes]},
+
+def test_model_triangle_count_must_be_triangular(ws, tmp_path):
+    # D (D + 1) / 2 values and one more: the loader names the count before
+    # it reads any data
+    _, data = ws
+    fields, arrays = _parts(data["model"])
+    triangle = np.append(arrays["triangle"], 0.0)
+    path = _forge(tmp_path / "m.json", fields, arrays | {"triangle": triangle})
+    with pytest.raises(ModelFormatError, match=f"malformed: {triangle.size} values are no triangle"):
+        load_model(path)
+
+
+def test_model_shapes_must_give_the_data_section(ws, tmp_path):
+    # every offset follows from the shapes, so a data section of another
+    # length than theirs is refused before any of it is read
+    _, data = ws
+    fields, arrays = _parts(data["model"])
+    section = _data_section(arrays.values())
+    D = arrays["weights"].shape[1]
+    wider = fields | {"shapes": fields["shapes"] | {"weights": [2, D + 1]}}
+    cases = {
+        "longer": (fields, section + bytes(64)),
+        "shorter": (fields, section[:-64]),
+        "wider_weights": (wider, section),
     }
-    records = {
-        "missing_index": {"index": len(doc["arrays"])},
-        "float32": {"dtype": "<f4"},
-        "wrong_shape": {"shape": [D, D + 1]},
-        "inferred_shape": {"shape": [-1, -D]},
-    }
-    cases = [(change, {}) for change in tables.values()]
-    cases += [({}, change) for change in records.values()]
-    for i, (table, record) in enumerate(cases):
-        arrays = [table.get(j, extent) for j, extent in enumerate(doc["arrays"])]
-        triangle = doc["payload"]["triangle"] | record
-        bad = layout | {"arrays": arrays, "payload": doc["payload"] | {"triangle": triangle}}
-        path = tmp_path / f"layout{i}.json"
-        path.write_bytes(_model_file(bad, section))
-        with pytest.raises(ModelFormatError, match="malformed"):
+    for name, (header, data_section) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(_model_file(header, data_section))
+        with pytest.raises(ModelFormatError, match="malformed: .* data bytes, shapes give"):
             load_model(path)
+
+
+@pytest.mark.parametrize("shape", [[True, 40], [2, -40], [2.0, 40], [2, "40"], 80, None])
+def test_model_shapes_must_be_lists_of_sizes(ws, tmp_path, shape):
+    # a bool, a negative number or a non-integer is no dimension, and every
+    # array needs a shape: the loader names the array before it reads data
+    _, data = ws
+    fields, arrays = _parts(data["model"])
+    shapes = fields["shapes"] | {"weights": shape}
+    if shape is None:
+        del shapes["weights"]
+    path = tmp_path / "m.json"
+    path.write_bytes(_model_file(fields | {"shapes": shapes}, _data_section(arrays.values())))
+    with pytest.raises(ModelFormatError, match="malformed: .*weights"):
+        load_model(path)
 
 
 def test_save_model_refuses_plain_rff_operator():
@@ -520,28 +543,20 @@ def wide_op():
     return _wide_op(200)
 
 
-def _reference_payload(op, seed, tau, metadata):
-    """The payload save_model stores, arrays as ndarrays."""
+def _reference_fields(op, seed, tau, metadata):
+    """The header fields (all but the checksum) and the arrays save_model
+    stores for an operator, the factor as its lower triangle column by
+    column."""
     spec, model = op.spec, op.model
-    return {
-        "seed": seed, "tau": tau, "lambda": model.lam,
-        "noise_scale": model.noise_scale, "n_train": model.n_train,
-        "weights": model.W,
-        "bandwidths": spec.inner.bandwidth,
-        "frequencies": spec.inner.frequencies, "phases": spec.inner.phases,
-        "outer": {
-            "center": spec.center, "projection": spec.projection,
-            "frequencies": spec.outer.frequencies,
-            "phases": spec.outer.phases, "bandwidth": spec.outer.bandwidth,
-        },
-        "metadata": metadata,
-        "triangle": model.M,
+    square = dense_factor(folded_factor(model), model.num_features)
+    arrays = dict(zip(_ARRAYS, _op_arrays(op)[:-1]))
+    arrays["triangle"] = square.T[np.triu_indices(len(square))]
+    fields = {
+        "format_version": MODEL_FORMAT_VERSION, "seed": seed, "tau": tau,
+        "lambda": model.lam, "noise_scale": model.noise_scale, "n_train": model.n_train,
+        "shapes": _shapes(arrays), "metadata": metadata,
     }
-
-
-def _metadata_text(metadata):
-    """Metadata as comparable text: NaN == NaN, arrays by shape and bits."""
-    return json.dumps(metadata, default=lambda a: [a.shape, a.tobytes().hex()])
+    return fields, arrays
 
 
 _TRICKY_TEXT = st.text(
@@ -557,18 +572,18 @@ _METADATA = st.recursive(
 
 @given(metadata=st.dictionaries(_TRICKY_TEXT, _METADATA, max_size=5))
 @example(metadata={"long": '"\\\x01é😀' * 2**15, "x": [1.5, -0.0]})
-@example(metadata={"errors": np.arange(6.0).reshape(2, 3),
-                   "nested": [np.zeros(0), {"eye": np.eye(2)}, np.float64(2.5)]})
 def test_model_writer_matches_json_dumps(wide_op, metadata):
     # save_model writes the bytes of the json-and-hashlib reference, and the
     # loader gives back every array and every metadata value
     with tempfile.TemporaryDirectory() as tmp:
         path = save_model(Path(tmp) / "m.json", wide_op, seed=3, tau=0.25, extra=metadata)
-        assert path.read_bytes() == _model_bytes(_reference_payload(wide_op, 3, 0.25, metadata))
+        fields, arrays = _reference_fields(wide_op, 3, 0.25, metadata)
+        assert path.read_bytes() == _model_file(fields, _data_section(arrays.values()))
         loaded = load_model(path)
     np.testing.assert_array_equal(loaded.op.model.M, wide_op.model.M)
     np.testing.assert_array_equal(loaded.op.model.W, wide_op.model.W)
-    assert _metadata_text(loaded.payload["metadata"]) == _metadata_text(metadata)
+    # as text, so that NaN equals NaN
+    assert json.dumps(loaded.metadata) == json.dumps(metadata)
 
 
 def test_model_bytes_repeat_across_saves(wide_op, tmp_path):
@@ -578,11 +593,12 @@ def test_model_bytes_repeat_across_saves(wide_op, tmp_path):
 
 
 @pytest.mark.parametrize("metadata", [
-    {"note": {"dtype": "<f8", "shape": [1], "index": 0}},  # read back as an array
+    {"errors": np.arange(3.0)},  # metadata is plain JSON, with no arrays
     {"counts": {1: "one"}},  # JSON would write the key as "1"
+    {"nested": [{"counts": {2.5: "x"}}]},
 ])
 def test_save_model_refuses_metadata_that_would_not_load_back(wide_op, tmp_path, metadata):
-    with pytest.raises(TypeError, match="model file dicts"):
+    with pytest.raises(TypeError):
         save_model(tmp_path / "m.json", wide_op, seed=1, tau=0.5, extra=metadata)
     assert list(tmp_path.iterdir()) == []
 
@@ -601,8 +617,7 @@ def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
     # or a second copy of any array would overrun the 1 MB allowance below
     D = 512
     path = save_model(tmp_path / "m.json", _wide_op(D), seed=1, tau=0.5)
-    doc = _split(path)[1]
-    before_triangle = doc["arrays"][doc["payload"]["triangle"]["index"]][0]
+    before_triangle = len(_split(path)[2]) - 8 * D * (D + 1) // 2
     tracemalloc.start()
     try:
         loaded = load_model(path)
@@ -611,27 +626,19 @@ def test_loaded_arrays_are_aligned_read_only_views_of_one_buffer(tmp_path):
         tracemalloc.stop()
     assert peak <= 8 * D * D + before_triangle + 2**20
 
-    def leaves(node):
-        if isinstance(node, dict):
-            for value in node.values():
-                yield from leaves(value)
-        elif isinstance(node, np.ndarray):
-            yield node
-
     def owner(array):
         while isinstance(array.base, np.ndarray):
             array = array.base
         return array
 
     M = loaded.op.model.M
-    assert loaded.payload["triangle"] is M
     assert M.shape == (factor_size(D),) and M.flags.c_contiguous and not M.flags.writeable
     model_arrays = (loaded.op.model.W, M, loaded.op.model.C)
     assert [a.size == D * D for a in model_arrays] == [False, True, False]
-    arrays = list(leaves(loaded.payload))
-    assert len(arrays) == 10
-    views = [a for a in arrays if a is not M]
-    assert len(views) == 9 and all(a.size < D * D for a in views)
+    arrays = _op_arrays(loaded.op)
+    assert len(arrays) == 10 and arrays[-1] is M
+    views = arrays[:-1]
+    assert all(a.size < D * D for a in views)
     assert len({id(owner(a)) for a in views}) == 1
     buffer = owner(views[0])
     assert not np.shares_memory(M, buffer)
@@ -657,9 +664,15 @@ def test_loaded_model_holds_no_square(tmp_path):
     assert all(a.size < D * D for a in (model.W, model.M, model.C))
 
 
+def _exact_square(D):
+    """A D x D lower-triangular factor of exact binary fractions."""
+    i, j = np.indices((D, D))
+    return np.where(i >= j, ((i - j) % 11 - 5) / 32 + (i == j), 0.0)
+
+
 def _exact_op(D):
-    """An operator whose arrays are all exact binary fractions, with a
-    D x D lower-triangular factor, so its model file's bytes depend on the
+    """An operator whose arrays are all exact binary fractions, with
+    _exact_square(D) as its factor, so its model file's bytes depend on the
     writer alone and not on any arithmetic."""
     k = np.arange
     inner = RffSpec((k(16.0).reshape(8, 2) % 5 - 2) / 4, k(8.0) / 8, np.array([0.5, 0.25]))
@@ -667,25 +680,27 @@ def _exact_op(D):
         (k(3.0 * D).reshape(D, 3) % 7 - 3) / 8, k(float(D)) % 16 / 4, np.array([2.0, 1.0, 0.5])
     )
     spec = TwoStageSpec(inner, k(8.0) / 16, np.eye(8)[:, :3], outer)
-    i, j = np.indices((D, D))
-    square = np.where(i >= j, ((i - j) % 11 - 5) / 32 + (i == j), 0.0)
     W = (k(2.0 * D).reshape(2, D) % 9 - 4) / 16
-    return MessageOperator(spec, RidgeModel(W, 0.125, packed_factor(square), 0.5, 7))
+    return MessageOperator(spec, RidgeModel(W, 0.125, packed_factor(_exact_square(D)), 0.5, 7))
 
 
 def test_model_file_bytes_are_pinned(tmp_path):
-    # the sha256 of this file as written when models held their factor as
-    # one D x D square; D = 600 spans two column blocks, so the writer must
-    # give the same bytes from blocks as it did from the square
-    path = save_model(tmp_path / "m.json", _exact_op(600), seed=5, tau=0.375,
+    # D = 600 spans two column blocks, so the writer must give from the
+    # blocks the same triangle bytes as from the square: the data section
+    # ends with the square's lower triangle, column by column
+    D = 600
+    path = save_model(tmp_path / "m.json", _exact_op(D), seed=5, tau=0.375,
                       extra={"note": "pinned"})
     raw = path.read_bytes()
-    assert len(raw) == 1472672
+    square = _exact_square(D)
+    triangle = np.concatenate([square[j:, j] for j in range(D)]).astype("<f8").tobytes()
+    assert raw[-len(triangle) :] == triangle
+    assert len(raw) == 1472224
     assert hashlib.sha256(raw).hexdigest() == (
-        "7087c7364910251f29f09e664affc10f3d13ccd8ae6af387d3de48ef7a73bd9e"
+        "04e4079c047e8a64988ee474ee12a9f3ab4e00fb094c82b72f61534425106503"
     )
     loaded = load_model(path).op.model
-    assert loaded.M.tobytes() == _exact_op(600).model.M.tobytes()
+    assert loaded.M.tobytes() == _exact_op(D).model.M.tobytes()
 
 
 def _modules_exit(*prefixes: str) -> str:
@@ -746,27 +761,14 @@ def test_train_loads_no_scipy_spatial(ws, tmp_path):
 
 
 def test_model_round_trip_keeps_every_array_bit_for_bit(wide_op, tmp_path):
-    path = save_model(tmp_path / "m.json", wide_op, seed=3, tau=0.25, extra={"k": np.arange(3.0)})
+    metadata = {"k": [0.5, 1e-300, None]}
+    path = save_model(tmp_path / "m.json", wide_op, seed=3, tau=0.25, extra=metadata)
     loaded = load_model(path)
-    saved = _reference_payload(wide_op, 3, 0.25, {"k": np.arange(3.0)})
-
-    def pairs(a, b):
-        if isinstance(a, dict):
-            assert set(a) == set(b)
-            for key in a:
-                yield from pairs(a[key], b[key])
-        else:
-            yield a, b
-
-    for got, want in pairs(loaded.payload, saved):
-        if isinstance(want, np.ndarray):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        else:
-            assert got == want
+    for got, want in zip(_op_arrays(loaded.op), _op_arrays(wide_op)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (loaded.seed, loaded.tau, loaded.metadata) == (3, 0.25, metadata)
     model = loaded.op.model
-    assert model.M.tobytes() == wide_op.model.M.tobytes()
     assert not np.any(np.triu(dense_factor(model.M, model.num_features), 1))
-    assert model.W.tobytes() == wide_op.model.W.tobytes()
     assert (model.lam, model.noise_scale, model.n_train) == (
         wide_op.model.lam, wide_op.model.noise_scale, wide_op.model.n_train
     )
@@ -775,12 +777,12 @@ def test_model_round_trip_keeps_every_array_bit_for_bit(wide_op, tmp_path):
 def test_model_format_version_four_refused(wide_op, tmp_path):
     # version 4 stored the explicit D x D inverse Gram under `a_inv`
     model = wide_op.model
-    payload = _reference_payload(wide_op, 3, 0.25, {})
-    del payload["triangle"]
+    fields, arrays = _reference_fields(wide_op, 3, 0.25, {})
+    del arrays["triangle"]
     M = dense_factor(model.M, model.num_features)
-    payload["a_inv"] = M.T @ M
+    arrays["a_inv"] = M.T @ M
     v4 = tmp_path / "v4.json"
-    v4.write_bytes(_model_bytes(payload, version=4))
+    v4.write_bytes(_model_file(fields | {"format_version": 4}, _data_section(arrays.values())))
     with pytest.raises(ModelFormatError, match="unsupported model format version 4"):
         load_model(v4)
 
@@ -938,7 +940,7 @@ def test_ep_run_demo_graph(ws, ep_doc):
     kl = ep_doc["kl_oracle_vs_operator"]
     assert kl["x"] >= 0.0
     assert kl["z1"] == 0.0 and kl["z2"] == 0.0 and kl["z3"] == 0.0
-    side = json.loads((root / "ep.timings.json").read_text())
+    side = json.loads((root / "ep.json.timings.json").read_text())
     assert "oracle" in side["oracle"]["per_kind"]
     assert "operator" in side["operator"]["per_kind"]
     oracle_p50 = side["oracle"]["per_kind"]["oracle"]["per_message_ms_p50"]
@@ -1025,12 +1027,12 @@ def test_active_run_budget_and_updated_model(ws, tmp_path):
     assert all(e["tau"] == 1e-12 for e in log)
     updated = load_model(tmp_path / "active.model.json")
     assert updated.op.model.n_train == BASE["n_train"] + 4
-    assert updated.payload["metadata"]["queries_absorbed"] == 4
-    # the carried-over metadata keeps its arrays: CV's fold errors are one
-    # (grid points x folds) array record, not decimal text
-    errors = load_model(data["model"]).payload["metadata"]["cv_fold_errors"]
-    assert errors.shape == (9, BASE["cv"]["folds"])
-    np.testing.assert_array_equal(updated.payload["metadata"]["cv_fold_errors"], errors)
+    assert updated.metadata["queries_absorbed"] == 4
+    # the carried-over metadata keeps CV's fold errors: (grid points x
+    # folds) nested lists of floats, exact through their decimal text
+    errors = load_model(data["model"]).metadata["cv_fold_errors"]
+    assert np.shape(errors) == (9, BASE["cv"]["folds"])
+    assert updated.metadata["cv_fold_errors"] == errors
 
 
 def test_active_run_variance_decreases_without_cavity_drift(ws, tmp_path):
