@@ -581,6 +581,14 @@ def save_model(path, op: MessageOperator, *, seed: int, tau: float, extra: dict 
     return _write(path, itertools.chain([line.encode("ascii")], _data_pieces(pieces, offsets)))
 
 
+def _positive(doc: dict, name: str) -> float:
+    """The header's scalar `name`: a finite number (errors.real) above 0."""
+    value = real(name, doc[name])
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
 def load_model(path) -> SavedModel:
     """Load and integrity-check a model file.
 
@@ -590,7 +598,9 @@ def load_model(path) -> SavedModel:
     array but the triangle is a read-only view into it.  The triangle's
     columns are read straight into the column blocks of a zeroed buffer
     (regress.factor_columns), which is the model's M, so the model holds the
-    triangle once and no D x D array.
+    triangle once and no D x D array.  The header's lambda, noise_scale and
+    tau must be finite numbers above 0, n_train an integer from 1 and seed
+    one from 0 (errors.real and errors.integer); anything else is malformed.
     """
     with open(path, "rb") as handle:
         line = handle.readline(_HEADER_LIMIT)
@@ -639,14 +649,13 @@ def load_model(path) -> SavedModel:
         spec = TwoStageSpec(
             RffSpec(frequencies, phases, bandwidths), center, projection, RffSpec(*outer)
         )
-        model = RidgeModel(
-            W, float(doc["lambda"]), M, float(doc["noise_scale"]), int(doc["n_train"])
-        )
+        lam, noise_scale, tau = (_positive(doc, name) for name in ("lambda", "noise_scale", "tau"))
+        model = RidgeModel(W, lam, M, noise_scale, integer("n_train", doc["n_train"], 1))
         metadata = doc["metadata"]
         if not isinstance(metadata, dict):
             raise TypeError(f"metadata is a {type(metadata).__name__}")
         op = MessageOperator(spec, model)
-        return SavedModel(op, float(doc["tau"]), int(doc["seed"]), metadata)
+        return SavedModel(op, tau, integer("seed", doc["seed"], 0), metadata)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file malformed: {exc}") from None
 

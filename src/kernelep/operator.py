@@ -32,6 +32,7 @@ from .errors import DomainError, PredictionError, integer, real
 from .expfam import BetaDist, Gaussian1D, divide
 from .factors import IncomingTuple, TrainingPair, regression_target
 from .kernels import (
+    PointFeatures,
     TwoStageSpec,
     _beta_side,
     beta_cf,
@@ -43,7 +44,6 @@ from .kernels import (
     median_heuristic,
     principal_projection,
     rescale,
-    rff_point,
 )
 from .regress import (
     DEFAULT_LAMBDAS,
@@ -251,10 +251,12 @@ def absorb(op: MessageOperator, phi: np.ndarray, q: Gaussian1D) -> MessageOperat
 def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
     """Calibrated threshold: 90th percentile of training predictive variances.
 
-    The columns of Phi are scored TAU_SLICE at a time through
-    predictive_variance.  A column's products with the factor do not depend
-    on the columns beside it, so the variances are one batch's, bit for
-    bit, and a slice's temporaries, not a whole batch's, count towards
+    Phi is a D x N array or a lazy feature matrix (kernels.PointFeatures),
+    and its columns are taken and scored TAU_SLICE at a time through
+    predictive_variance: views of an array, slices a lazy matrix builds.  A
+    column's products with the factor do not depend on the columns beside
+    it, so the variances are one batch's, bit for bit, and one slice and
+    its temporaries, not a whole batch or the whole matrix, count towards
     training's peak memory.
     """
     variances = np.empty(Phi.shape[1])
@@ -297,10 +299,10 @@ def train_operator(
     K-fold cross-validation on the pairs chooses just (m, lambda) from the
     product of the two axes, and the final model refits on all of them.
     Only each multiplier's spec and its n x k projected embeddings are kept,
-    not its n x D_in embedding: its D x n features are rebuilt from them
-    when cross-validation reaches it and freed before the next
-    multiplier's, and the chosen multiplier's once more for the refit, so
-    one feature matrix is alive at a time.
+    not its n x D_in embedding.  Its D x n features are a lazy
+    PointFeatures matrix over them, which cross-validation, the refit and
+    tau read a block at a time, so no whole feature matrix is alive unless
+    cross-validation takes the eigen route.
     Returns the operator, the CV report, and the calibrated tau.
     """
     tuples = [p.input for p in pairs]
@@ -324,7 +326,7 @@ def train_operator(
         specs[m] = TwoStageSpec(inner, center, projection, outer)
 
     def features(m):
-        return rff_point(specs[m].outer, projected[m]).T
+        return PointFeatures(specs[m].outer, projected[m])
 
     cv_rng = rng.spawn(1)[0]
     report = cross_validate(features, Y, multipliers, lambdas, folds, cv_rng)

@@ -13,6 +13,14 @@ Learning, 2006, Algorithm 2.1).  M is held as column blocks of its triangle
 (scipy.linalg) is imported only inside the functions that factor (fit,
 _fold and cross-validation's two routes), so inference never loads it.
 
+Training reads its features a block at a time.  A feature matrix is an
+array, or a lazy matrix such as kernels.PointFeatures that builds the block
+Phi[rows, cols] when indexed; both go through the same code, and an
+array's column blocks are views of it.  fit sums the Gram Phi Phi^T and
+Phi Y^T over blocks of _CASES cases into the one D x D buffer it factors,
+and cross-validation's dual route sums K = Phi^T Phi over blocks of
+_FEATURES features, so neither holds Phi itself.
+
 Cross-validation scores every fold from the full-data fit.  With no more
 cases than features it factors the N x N dual Gram Phi^T Phi + lambda I
 once per lambda; with more cases, or at a lambda too small for the dual
@@ -52,6 +60,12 @@ _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 
 # elements per step of the in-place reversal in _fold
 _REVERSE_CHUNK = 1 << 16
+
+# training reads a feature matrix in blocks: fit _CASES columns (cases) at
+# a time, cross-validation's dual route _FEATURES rows (features); either is
+# 4 MB at 2000 features or cases
+_CASES = 256
+_FEATURES = 256
 
 # cross-validation's dual route scores a lambda only from this multiple of
 # trace(K) up.  Cholesky's backward error on K + lambda I is about
@@ -247,34 +261,68 @@ class CvReport:
         return self.grid[self.chosen]
 
 
-def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
+def _source(Phi):
+    """Phi as a feature matrix: a lazy one, which builds its blocks when
+    indexed, as it is; anything else as a float array."""
+    if isinstance(Phi, np.ndarray) or not hasattr(Phi, "shape"):
+        return np.asarray(Phi, dtype=float)
+    return Phi
+
+
+def _block(Phi, rows, cols) -> np.ndarray:
+    """Phi[rows, cols]: a view of an array for slices, a copy for an index
+    array, a fresh Fortran-ordered build from a lazy matrix.  A non-finite
+    entry raises DomainError.  BLAS reads a Fortran-ordered block in place;
+    SciPy's wrappers copy any other block into that order first."""
+    block = Phi[rows, cols]
+    if not np.isfinite(block).all():
+        raise DomainError("non-finite training inputs")
+    return block
+
+
+def fit(Phi, Y: np.ndarray, lam: float) -> RidgeModel:
     """Primal ridge fit W = Y Phi^T (Phi Phi^T + lambda I)^{-1}.
 
-    The Gram is exactly symmetric (numpy forms Phi Phi^T as a rank-k update
-    and mirrors one triangle), so its transpose is the same matrix in
-    Fortran order: LAPACK factors it in place as L L^T and zeroes the
-    upper triangle, W comes from two triangular solves with L, and L is
-    inverted in place.  Its columns then move forward, within the same
-    buffer, into the column blocks of the model's M (_pack_in_place), and
-    the buffer shrinks to them.  So the Gram's array is the only D x D
-    array made, and the model keeps only its first factor_size(D) doubles.
-    When the factorization fails, escalating diagonal jitter is added to a
-    fresh Gram, and the model records lambda + jitter, the lambda it solved.
+    Phi is an array or a lazy feature matrix (see the module docstring),
+    read _CASES columns at a time.  Each block B adds B B^T to the lower
+    triangle of the Gram (BLAS dsyrk, in place) and B Y_B^T to Phi Y^T, so
+    the Gram's D x D array and one block are the largest arrays alive while
+    it forms; a block's entries are checked finite as it comes.  LAPACK
+    factors the Gram in place as L L^T and zeroes the upper triangle, W
+    comes from two triangular solves with L, and L is inverted in place.
+    Its columns then move forward, within the same buffer, into the column
+    blocks of the model's M (_pack_in_place), and the buffer shrinks to
+    them.  So the Gram's array is the only D x D array made, and the model
+    keeps only its first factor_size(D) doubles.  The training residual,
+    whose mean square is the model's noise scale, comes from a second pass
+    over the blocks.  When the factorization fails, escalating diagonal
+    jitter is added to a Gram summed afresh, and the model records
+    lambda + jitter, the lambda it solved.
     """
-    Phi = np.asarray(Phi, dtype=float)
+    Phi = _source(Phi)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Phi.ndim != 2 or Y.shape[1] != Phi.shape[1] or Phi.shape[1] < 1:
+    if len(Phi.shape) != 2 or Y.shape[1] != Phi.shape[1] or Phi.shape[1] < 1:
         raise DomainError(f"incompatible shapes Phi {Phi.shape}, Y {Y.shape}")
-    if not (np.all(np.isfinite(Phi)) and np.all(np.isfinite(Y))):
+    if not np.all(np.isfinite(Y)):
         raise DomainError("non-finite training inputs")
     if not real("lambda", lam) > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
+    from scipy.linalg.blas import dsyrk
     from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
     D, N = Phi.shape
     diagonal = np.diag_indices(D)
+    # the Gram in Fortran order is gram.T, which BLAS and LAPACK overwrite in
+    # place; LAPACK's factor and inverse are then gram's own buffer
+    gram = np.empty((D, D))
     for jitter in _JITTERS:
-        gram = Phi @ Phi.T
+        PY = np.zeros((D, len(Y)))
+        for j in range(0, N, _CASES):
+            cases = slice(j, j + _CASES)
+            B = _block(Phi, slice(None), cases)
+            dsyrk(1.0, B, beta=float(j > 0), c=gram.T, lower=1, overwrite_c=1)
+            PY += B @ Y[:, cases].T
+            del B  # before the next block is built
         gram[diagonal] += lam
         if jitter:
             gram[diagonal] += jitter
@@ -283,10 +331,9 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
             break
     else:
         raise DomainError("normal equations singular to working precision")
-    W_t, _ = dpotrs(L, Phi @ Y.T, lower=1, overwrite_b=1)
+    W_t, _ = dpotrs(L, PY, lower=1, overwrite_b=1)
     W = W_t.T
-    # L's diagonal is positive, so the inversion cannot fail; L and its
-    # inverse are gram's own buffer, in Fortran order
+    # L's diagonal is positive, so the inversion cannot fail
     dtrtri(L, lower=1, overwrite_c=1)
     del L
     _pack_in_place(gram.reshape(-1), D)
@@ -297,7 +344,10 @@ def fit(Phi: np.ndarray, Y: np.ndarray, lam: float) -> RidgeModel:
         gram.resize(factor_size(D))
     except ValueError:
         gram = gram.reshape(-1)[: factor_size(D)].copy()
-    residual = Y - W @ Phi
+    residual = np.empty_like(Y)
+    for j in range(0, N, _CASES):
+        cases = slice(j, j + _CASES)
+        residual[:, cases] = Y[:, cases] - W @ _block(Phi, slice(None), cases)
     noise_scale = max(float(np.mean(residual**2)), np.finfo(float).tiny)
     return RidgeModel(W, float(lam + jitter), gram, noise_scale, N)
 
@@ -431,14 +481,16 @@ def cross_validate(
     """K-fold grid search over the product of bandwidth multipliers and lambdas.
 
     `features(m)` gives multiplier m its D x N feature matrix (same case
-    order).  It is called once per entry of `multipliers`, in the order
-    given, so a caller that builds fresh matrices holds one at a time.  A
-    second call for the same m follows the first only when the dual route
-    below leaves some lambda to the eigen route.  The report's grid is the
-    product in that order, multiplier-major.  Fold assignment is a seeded
-    permutation, so the report is deterministic per rng state.  Ties in
-    mean error prefer the larger lambda, then the larger multiplier, then
-    the earlier point.
+    order), an array or a lazy matrix (see the module docstring).  It is
+    called once per entry of `multipliers`, in the order given, so a caller
+    that builds fresh matrices holds one at a time.  A second call for the
+    same m follows the first only when the dual route below leaves some
+    lambda to the eigen route.  The report's grid is the product in that
+    order, multiplier-major.  Fold assignment is a seeded permutation, so
+    the report is deterministic per rng state.  Ties in mean error prefer
+    the larger lambda, then the larger multiplier, then the earlier point.
+    A non-finite target, or a non-finite feature in a block as it is
+    built, raises DomainError.
 
     Every fold's held-out residuals follow from the full-data fit instead
     of a refit per fold, by one of two routes (see _fold_errors):
@@ -448,13 +500,16 @@ def cross_validate(
       A = (K + lambda I)^{-1}, I - H = lambda A, so fold g's held-out
       residuals are A_gg^{-1} (A Y^T)_g: one |g| x |g| Cholesky solve per
       fold (An, Liu & Venkatesh, Pattern Recognition 40, 2007).  No
-      eigendecomposition is made and nothing cancels.
+      eigendecomposition is made and nothing cancels.  K is summed over
+      blocks of _FEATURES features with their cases in fold order, and
+      one N x N array holds K and every lambda's factor (see _dual_rows).
     - Eigen route, when N > D, and for a lambda below
       _DUAL_FLOOR * trace(K) or whose dual factorization fails.  One
       eigendecomposition of the D x D Gram G = Phi Phi^T = P diag(e) P^T
       serves every lambda: with C = Phi^T P and w = 1 / (e + lambda), the
       hat matrix is H = C diag(w) C^T, and refitting without fold g leaves
-      residuals (Y_g - Yhat_g)(I - H_gg)^{-1}.  e is clipped at 0.
+      residuals (Y_g - Yhat_g)(I - H_gg)^{-1}.  e is clipped at 0.  This
+      route builds the whole feature matrix, its cases in fold order.
 
     No jitter is added on either route.  A row depends only on its
     multiplier's features and its own lambda, so the order of either axis
@@ -468,6 +523,8 @@ def cross_validate(
     N = Y.shape[1]
     if N < integer("folds", folds, 2):
         raise DomainError(f"need at least {folds} cases for {folds}-fold CV, got {N}")
+    if not np.all(np.isfinite(Y)):
+        raise DomainError("non-finite training inputs")
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -498,42 +555,73 @@ def _fold_errors(build, mult, by_fold, Y, lams, bounds) -> list[list[float]]:
     whose features build(mult) gives; by_fold orders their columns so that
     fold k is the block bounds[k]:bounds[k + 1] (as Y already is).
 
-    With N <= D the dual Gram K replaces the feature matrix, which goes
-    before any lambda is scored.  A lambda below _DUAL_FLOOR * trace(K), or
-    one where a dual factorization fails, takes its row from the eigen
-    route on a feature matrix built again, after K is freed.  With N > D
-    the eigen route scores every lambda.  Either way each multiplier's
-    arrays are freed before the next multiplier's are formed.
+    With N <= D the dual Gram K is summed from the features' row blocks,
+    and no other array of the features is made.  A lambda below
+    _DUAL_FLOOR * trace(K), or one where a dual factorization fails, takes
+    its row from the eigen route on a feature matrix built again, after K
+    is freed.  With N > D the eigen route scores every lambda.  Either way
+    each multiplier's arrays are freed before the next multiplier's are
+    formed.
     """
-    Phi = _sorted_features(build, mult, by_fold)
+    Phi = _checked_source(build, mult, len(by_fold))
     rows = [None] * len(lams)
     if Phi.shape[1] <= Phi.shape[0]:
-        # numpy forms Phi^T Phi as a symmetric rank-k product
-        K = Phi.T @ Phi
+        K = _dual_gram(Phi, by_fold)
         Phi = None
         rows = _dual_rows(K, Y, lams, bounds)
         del K
     rest = [lam for lam, row in zip(lams, rows) if row is None]
     if rest:
         if Phi is None:
-            Phi = _sorted_features(build, mult, by_fold)
-        e, C = _eigen_basis(Phi)
+            Phi = _checked_source(build, mult, len(by_fold))
+        # the whole matrix, its cases in fold order
+        e, C = _eigen_basis(_block(Phi, slice(None), by_fold))
         del Phi
         eigen = iter(_eigen_rows(e, C, Y, rest, bounds))
         rows = [next(eigen) if row is None else row for row in rows]
     return rows
 
 
-def _sorted_features(build, mult, by_fold) -> np.ndarray:
-    """build(mult) with its columns in fold order; the unsorted matrix goes
-    as soon as the sorted copy exists."""
-    Phi = np.asarray(build(mult), dtype=float)
-    if Phi.ndim != 2 or Phi.shape[1] != len(by_fold):
+def _checked_source(build, mult, N):
+    """build(mult) as a feature matrix (_source) of N cases."""
+    Phi = _source(build(mult))
+    if len(Phi.shape) != 2 or Phi.shape[1] != N:
         raise DomainError(
             f"feature matrix for multiplier {mult} has shape {Phi.shape}, "
-            f"expected {len(by_fold)} cases"
+            f"expected {N} cases"
         )
-    return Phi[:, by_fold]
+    return Phi
+
+
+def _dual_gram(Phi, by_fold) -> np.ndarray:
+    """K = Phi^T Phi with its cases in by_fold's order, as the upper
+    triangle of a fresh Fortran-ordered N x N array whose strict lower
+    triangle is unset.  Each block of _FEATURES rows, its columns in fold
+    order, adds its B^T B in place (BLAS dsyrk), so K and one block are the
+    largest arrays alive."""
+    from scipy.linalg.blas import dsyrk
+
+    N = len(by_fold)
+    K = np.empty((N, N), order="F")
+    for i in range(0, Phi.shape[0], _FEATURES):
+        B = _block(Phi, slice(i, i + _FEATURES), by_fold)
+        dsyrk(1.0, B, beta=float(i > 0), c=K, trans=1, lower=0, overwrite_c=1)
+        del B  # before the next block is built
+    return K
+
+
+def _mirror_upper(K: np.ndarray) -> None:
+    """Copy the strict upper triangle of the Fortran-ordered square K onto
+    its strict lower triangle, one panel of _FEATURES columns at a time:
+    below a panel's diagonal block, a transposed copy of the rows beside
+    it; inside the block, its own upper entries."""
+    N = len(K)
+    for j in range(0, N, _FEATURES):
+        k = min(j + _FEATURES, N)
+        K[k:, j:k] = K[j:k, k:].T
+        square = K[j:k, j:k]
+        below = np.tril_indices(k - j, -1)
+        square[below] = square.T[below]
 
 
 def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
@@ -541,24 +629,28 @@ def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
     cross_validate), or None for a lambda below _DUAL_FLOOR * trace(K) or
     where K + lambda I or a fold's block of its inverse does not factor.
 
-    One N x N work array serves every lambda: LAPACK factors K + lambda I
-    in it (its transpose, the same matrix in Fortran order), solves for
-    A Y^T and overwrites the factor with A's lower triangle, from which
-    each fold's diagonal block is copied and factored.
+    K holds the Gram in its upper triangle (_dual_gram), which nothing
+    below writes, and its diagonal is kept apart.  Each lambda refills the
+    lower triangle from the upper (_mirror_upper) and puts the diagonal
+    plus lambda on it; LAPACK factors K + lambda I in the lower triangle,
+    solves for A Y^T and overwrites the factor with A's lower triangle,
+    from which each fold's diagonal block is copied and factored.  With
+    uplo 'L', dpotrf, dpotrs and dpotri read and write only the lower
+    triangle, so K is the only N x N array.
     """
     from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
-    work = np.empty_like(K)
+    gram_diagonal = K.diagonal().copy()
     diagonal = np.diag_indices(len(K))
-    floor = _DUAL_FLOOR * np.trace(K)
+    floor = _DUAL_FLOOR * gram_diagonal.sum()
     rows = []
     for lam in lams:
         if lam < floor:
             rows.append(None)
             continue
-        np.copyto(work, K)
-        work[diagonal] += lam
-        L, info = dpotrf(work.T, lower=1, clean=0, overwrite_a=1)
+        _mirror_upper(K)
+        K[diagonal] = gram_diagonal + lam
+        L, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
         if info:
             rows.append(None)
             continue
@@ -577,7 +669,7 @@ def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
 
 
 def _eigen_basis(Phi) -> tuple[np.ndarray, np.ndarray]:
-    """(e, C) for the fold-sorted features Phi: G = Phi Phi^T = P diag(e) P^T
+    """(e, C) for the fold-sorted feature array Phi: G = Phi Phi^T = P diag(e) P^T
     with e clipped at 0, and C = Phi^T P.  G and P live only in this call."""
     from scipy.linalg import eigh
 

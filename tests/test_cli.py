@@ -474,6 +474,29 @@ def test_model_inconsistent_arrays_refused(ws, tmp_path):
         load_model(_forge(tmp_path / "listed.json", listed, arrays))
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("lambda", True),
+        ("lambda", "0.125"),
+        ("n_train", 2.7),
+        ("seed", "5"),
+        ("tau", -1.0),
+        ("noise_scale", "nan"),
+    ],
+)
+def test_model_header_scalars_follow_the_numeric_rule(ws, tmp_path, name, value):
+    # checksummed headers whose scalars errors.real or errors.integer refuse,
+    # or that are not above their floor, are malformed; the same file with
+    # the scalar as written loads
+    _, data = ws
+    fields, arrays = _parts(data["model"])
+    load_model(_forge(tmp_path / "as_written.json", fields, arrays))
+    path = _forge(tmp_path / "m.json", fields | {name: value}, arrays)
+    with pytest.raises(ModelFormatError, match=f"malformed: {name}"):
+        load_model(path)
+
+
 def test_model_triangle_count_must_be_triangular(ws, tmp_path):
     # D (D + 1) / 2 values and one more: the loader names the count before
     # it reads any data

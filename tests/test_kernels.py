@@ -16,6 +16,7 @@ from kernelep.errors import DomainError, QuadratureError
 from kernelep.expfam import BetaDist, Gaussian1D
 from kernelep.factors import IncomingPrior, IncomingTuple, sample_incoming
 from kernelep.kernels import (
+    PointFeatures,
     RffSpec,
     TwoStageSpec,
     beta_cf,
@@ -117,6 +118,32 @@ def test_rff_point_shape_and_mismatch():
     np.testing.assert_allclose(batch[3], rff_point(spec, np.zeros(2)))
     with pytest.raises(DomainError):
         rff_point(spec, np.zeros(3))
+
+
+@pytest.mark.parametrize("D, N", [(600, 600), (512, 1000), (2000, 2000)])
+def test_point_features_blocks_are_rff_points_bits(D, N):
+    # every block training takes: 256 features with the points permuted,
+    # 128 and 256 points, every point permuted, and the whole matrix
+    rng = np.random.default_rng(D + N)
+    spec = draw_rff(16, D, 1.3, rng)
+    points = rng.normal(size=(N, 16))
+    full = rff_point(spec, points).T
+    lazy = PointFeatures(spec, points)
+    assert lazy.shape == full.shape
+    whole = np.asarray(lazy)
+    assert whole.tobytes() == full.tobytes() and whole.flags.f_contiguous
+    perm = rng.permutation(N)
+    blocks = [(slice(i, i + 256), perm) for i in range(0, D, 256)]
+    blocks += [(slice(None), slice(j, j + w)) for w in (128, 256) for j in range(0, N, w)]
+    blocks.append((slice(None), perm))
+    for rows, cols in blocks:
+        block = lazy[rows, cols]
+        assert block.flags.f_contiguous
+        assert block.tobytes("F") == full[rows][:, cols].tobytes("F")
+    with pytest.raises(DomainError, match="input dimension"):
+        PointFeatures(spec, points[:, :3])
+    with pytest.raises(ValueError):
+        np.asarray(lazy, copy=False)
 
 
 def test_rescale_matches_fresh_draw():

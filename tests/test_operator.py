@@ -22,7 +22,13 @@ from kernelep.factors import (
     gen_training_set,
     sample_incoming,
 )
-from kernelep.kernels import TwoStageSpec, draw_rff, embedding_features, joint_features_batch
+from kernelep.kernels import (
+    PointFeatures,
+    TwoStageSpec,
+    draw_rff,
+    embedding_features,
+    joint_features_batch,
+)
 from kernelep.operator import (
     PROJECTION_DIM,
     MessageOperator,
@@ -365,6 +371,24 @@ def test_train_operator_holds_one_multipliers_features():
     ten = peak(np.geomspace(0.25, 4.0, 10))
     one = peak([1.0])
     assert ten - one < 2 * width * len(pairs) * 8
+
+
+def test_train_operator_reads_lazy_features_as_their_arrays(monkeypatch):
+    # cross-validation, the refit and tau read each multiplier's lazy
+    # PointFeatures as they read its materialized array: 640 features
+    # against 300 cases keeps cross-validation on the dual route
+    pairs = flat_beta_pairs(300, seed=48)
+    lazy = train_operator(pairs, 640, np.random.default_rng(49))
+    monkeypatch.setattr(
+        operator, "PointFeatures", lambda spec, points: np.asarray(PointFeatures(spec, points))
+    )
+    dense = train_operator(pairs, 640, np.random.default_rng(49))
+    (op_l, report_l, tau_l), (op_d, report_d, tau_d) = lazy, dense
+    assert report_l.fold_errors.tobytes() == report_d.fold_errors.tobytes()
+    assert report_l.chosen == report_d.chosen and tau_l == tau_d
+    for name in ("W", "M"):
+        assert getattr(op_l.model, name).tobytes() == getattr(op_d.model, name).tobytes()
+    assert op_l.model.noise_scale == op_d.model.noise_scale
 
 
 def test_train_operator_deterministic():

@@ -13,8 +13,8 @@ from helpers import dense_factor, fit_dual, inverse_gram, packed_factor
 from kernelep import regress
 from kernelep.cli import load_model, save_model
 from kernelep.errors import DomainError
-from kernelep.kernels import TwoStageSpec, draw_rff
-from kernelep.operator import MessageOperator
+from kernelep.kernels import PointFeatures, TwoStageSpec, draw_rff
+from kernelep.operator import MessageOperator, default_tau
 from kernelep.regress import (
     DEFAULT_LAMBDAS,
     CvReport,
@@ -806,6 +806,91 @@ def test_cross_validate_memory_at_square_features():
         tracemalloc.stop()
     assert report.fold_errors.shape == (len(DEFAULT_LAMBDAS), 5)
     assert peak < 2.5 * 8 * N * N
+
+
+def lazy_features(D, N, seed):
+    """A lazy D x N PointFeatures matrix over N points in 16 dimensions, and
+    targets that depend smoothly on the points."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(N, 16))
+    Y = np.stack([np.sin(points[:, 0]), points[:, 1] * points[:, 2]])
+    Y += 0.1 * rng.normal(size=(2, N))
+    return PointFeatures(draw_rff(16, D, 4.0, rng), points), Y
+
+
+def test_cross_validate_holds_one_square_and_one_block():
+    # D = N = 600 over the default lambda axis, every row on the dual
+    # route: K is the one N x N array, and a block of 256 features with its
+    # cases in fold order is the largest array beside it.  The margin of a
+    # quarter square covers the block's finite check, the mirror's
+    # transposed panel and the folds' copies; a second square, or the
+    # 600 x 600 feature matrix, would not fit under it
+    N = 600
+    lazy, Y = lazy_features(N, N, seed=106)
+    calls = []
+
+    def build(mult):
+        calls.append(mult)
+        return lazy
+
+    tracemalloc.start()
+    try:
+        report = cross_validate(build, Y, [1.0], DEFAULT_LAMBDAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [1.0]
+    assert np.all(np.isfinite(report.fold_errors))
+    assert peak < 8 * N * N + 8 * 256 * N + 2 * N * N
+
+
+def test_fit_and_tau_hold_one_square_and_one_block():
+    # D = N = 600: the Gram is the one D x D array, and a block of 256 cases
+    # (the refit) or 128 (tau) is the largest array beside it; a quarter
+    # square covers the rest, but not the 600 x 600 feature matrix
+    D = 600
+    lazy, Y = lazy_features(D, D, seed=107)
+    tracemalloc.start()
+    try:
+        model = fit(lazy, Y, 1e-3)
+        tau = default_tau(model, lazy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau > 0.0
+    assert peak < 8 * D * D + 8 * D * 256 + 2 * D * D
+
+
+@pytest.mark.parametrize("D, N", [(600, 600), (512, 1000)])
+def test_lazy_features_give_their_arrays_bits(D, N):
+    # the dual route (N <= D) and the eigen route (N > D), the refit and tau
+    # read a lazy matrix's blocks as they read its materialized array's
+    lazy, Y = lazy_features(D, N, seed=D + N)
+    array = np.asarray(lazy)
+    lams = (1e-6, 1e-3, 1.0)
+    got = cross_validate({1.0: lazy}.__getitem__, Y, [1.0], lams, 5, np.random.default_rng(4))
+    want = cross_validate({1.0: array}.__getitem__, Y, [1.0], lams, 5, np.random.default_rng(4))
+    assert got.fold_errors.tobytes() == want.fold_errors.tobytes()
+    assert got.chosen == want.chosen
+    from_lazy, from_array = fit(lazy, Y, 1e-3), fit(array, Y, 1e-3)
+    _assert_same_bytes(from_lazy, from_array)
+    assert from_lazy.noise_scale == from_array.noise_scale
+    assert default_tau(from_lazy, lazy) == default_tau(from_array, array)
+
+
+def test_cross_validate_refuses_non_finite_inputs():
+    # a nan target, a nan feature on the dual route (N <= D) and an inf
+    # feature on the eigen route (N > D) each raise DomainError
+    rng = np.random.default_rng(108)
+    wide, tall = rng.normal(size=(30, 20)), rng.normal(size=(10, 40))
+    Y_wide, Y_tall = rng.normal(size=(2, 20)), rng.normal(size=(2, 40))
+    Y_nan = Y_wide.copy()
+    Y_nan[1, 7] = np.nan
+    wide[4, 11] = np.nan
+    tall[3, 25] = np.inf
+    for Phi, Y in ((rng.normal(size=(30, 20)), Y_nan), (wide, Y_wide), (tall, Y_tall)):
+        with pytest.raises(DomainError, match="non-finite"):
+            cross_validate({1.0: Phi}.__getitem__, Y, [1.0], [1e-3], 5, np.random.default_rng(0))
 
 
 def test_cross_validate_reports_in_grid_order():
