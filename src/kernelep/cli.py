@@ -37,7 +37,7 @@ folded in, as its packed lower triangle column by column; loading reads it
 straight into the model's column blocks, never a D x D array, and every
 other array is a read-only view of one buffer.  Earlier versions are
 refused and must be retrained.
-Exit codes: 0 success, 1 domain or I/O failure, 2 usage error.
+Exit codes: 0 success, 1 domain, I/O or allocation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -1005,7 +1005,7 @@ def main(argv=None) -> int:
     try:
         out = args.func(_args_config(args))
         print(out)
-    except (KernelEpError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KernelEpError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

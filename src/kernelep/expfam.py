@@ -52,10 +52,14 @@ def betaln(a, b):
     Scalars give a numpy float; arrays broadcast and give an array of their
     shape.  Each term is accurate to a few ulps, so the error is a few ulps
     of the largest lgamma term (cancellation between them is not
-    compensated).
+    compensated).  Shapes past about 2.5e305, where lgamma overflows, raise
+    DomainError naming the pair with the largest sum.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    out = [math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) for x, y in zip(a.flat, b.flat)]
+    try:
+        out = [math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y) for x, y in zip(a.flat, b.flat)]
+    except OverflowError:
+        raise DomainError("log B(%s, %s) overflows" % max(zip(a.flat, b.flat), key=sum)) from None
     return np.reshape(out, a.shape)[()]
 
 

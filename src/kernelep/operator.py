@@ -35,6 +35,7 @@ from .kernels import (
     PointFeatures,
     TwoStageSpec,
     _beta_side,
+    _project,
     beta_cf,
     draw_rff,
     embedding_features,
@@ -252,12 +253,10 @@ def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
     """Calibrated threshold: 90th percentile of training predictive variances.
 
     Phi is a D x N array or a lazy feature matrix (kernels.PointFeatures),
-    and its columns are taken and scored TAU_SLICE at a time through
-    predictive_variance: views of an array, slices a lazy matrix builds.  A
-    column's products with the factor do not depend on the columns beside
-    it, so the variances are one batch's, bit for bit, and one slice and
-    its temporaries, not a whole batch or the whole matrix, count towards
-    training's peak memory.
+    scored TAU_SLICE columns at a time through predictive_variance: views of
+    an array, slices a lazy matrix builds, so both give the same bits.  A
+    slice holds a quarter of the memory of predictive_variance's own
+    chunks, whose width EP's batched variances keep.
     """
     variances = np.empty(Phi.shape[1])
     for j in range(0, len(variances), TAU_SLICE):
@@ -318,9 +317,7 @@ def train_operator(
         inner = rescale(base, m)
         emb = joint_features_batch(inner, tuples)
         center, projection = principal_projection(emb, k)
-        # the projection embedding_features applies, so features built from
-        # it equal featurize_batch's output
-        projected[m] = (emb - center) @ projection
+        projected[m] = _project(center, projection, emb)
         del emb  # so no n x D_in embedding outlives its projection
         outer = rescale(base_outer, median_distance(projected[m]))
         specs[m] = TwoStageSpec(inner, center, projection, outer)

@@ -18,8 +18,9 @@ array, or a lazy matrix such as kernels.PointFeatures that builds the block
 Phi[rows, cols] when indexed; both go through the same code, and an
 array's column blocks are views of it.  fit sums the Gram Phi Phi^T and
 Phi Y^T over blocks of _CASES cases into the one D x D buffer it factors,
-and cross-validation's dual route sums K = Phi^T Phi over blocks of
-_FEATURES features, so neither holds Phi itself.
+cross-validation's dual route sums K = Phi^T Phi over blocks of _FEATURES
+features, and predictive_variance scores a batch _BLOCK cases at a time,
+so none of them holds Phi itself.
 
 Cross-validation scores every fold from the full-data fit.  With no more
 cases than features it factors the N x N dual Gram Phi^T Phi + lambda I
@@ -275,8 +276,7 @@ def _block(Phi, rows, cols) -> np.ndarray:
     entry raises DomainError.  BLAS reads a Fortran-ordered block in place;
     SciPy's wrappers copy any other block into that order first."""
     block = Phi[rows, cols]
-    if not np.isfinite(block).all():
-        raise DomainError("non-finite training inputs")
+    _check_finite("features", block)
     return block
 
 
@@ -352,10 +352,11 @@ def fit(Phi, Y: np.ndarray, lam: float) -> RidgeModel:
     return RidgeModel(W, float(lam + jitter), gram, noise_scale, N)
 
 
-def _check_phi(model: RidgeModel, phi, batch: bool) -> np.ndarray:
-    """phi as floats: a (D,) vector, or where batch allows, a nonempty (D, M) batch."""
-    phi = np.asarray(phi, dtype=float)
-    if not (phi.ndim == 1 or batch and phi.ndim == 2 and phi.shape[1] > 0):
+def _check_phi(model: RidgeModel, phi, batch: bool):
+    """phi as floats: a (D,) vector, or where batch allows, a nonempty (D, M) batch (_source)."""
+    phi = _source(phi) if batch else np.asarray(phi, dtype=float)
+    ndim = len(phi.shape)
+    if not (ndim == 1 or batch and ndim == 2 and phi.shape[1] > 0):
         allowed = "a (D,) vector or a nonempty (D, M) batch" if batch else "a (D,) vector"
         raise DomainError(f"features must be {allowed}, got shape {phi.shape}")
     if phi.shape[0] != model.num_features:
@@ -406,11 +407,11 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     With z = M phi it is noise_scale * (||z||^2 - ||C z||^2) (see
     RidgeModel), a sum of squares where nothing is carried.  phi is a
     single (D,) vector, giving a float, or a (D, M) batch, giving the M
-    column variances.  A batch is scored _BLOCK columns at a time: each
-    chunk's transpose, a view, makes one pass over the triangle as matrix
-    products Z^T = X^T M^T (_lower_rows), and Z^T and Z^T C^T are reduced
-    to their row sums of squares, so a chunk holds about two _BLOCK x D
-    arrays however wide the batch is.  Either way each entry of z is a sum
+    column variances.  A batch, an array or a lazy feature matrix, is read
+    _BLOCK columns at a time (_block): each chunk's transpose makes one pass
+    over the triangle as products Z^T = X^T M^T (_lower_rows), and Z^T and
+    Z^T C^T are reduced to their row sums of squares, so a chunk and its
+    Z^T are the largest arrays alive.  Either way each entry of z is a sum
     of dot products with a row of M's blocks, so a batch column's variance
     equals that column scored alone to rounding, not up to a cancelling
     sum.  A single vector's z and C z are kept in the model's memo for
@@ -418,8 +419,8 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     be nan, which a threshold test reads as certain.
     """
     phi = _check_phi(model, phi, batch=True)
-    _check_finite("feature vector", phi)
-    if phi.ndim == 1:
+    if len(phi.shape) == 1:
+        _check_finite("feature vector", phi)
         z, Cz = _apply_factor(model, phi)
         z.setflags(write=False)
         Cz.setflags(write=False)
@@ -427,9 +428,10 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
         return max(float(model.noise_scale * (z @ z - Cz @ Cz)), 0.0)
     squares = np.empty(phi.shape[1])
     for j in range(0, len(squares), _BLOCK):
-        ZT = _lower_rows(model._blocks, phi[:, j : j + _BLOCK].T)
+        ZT = _lower_rows(model._blocks, _block(phi, slice(None), slice(j, j + _BLOCK)).T)
         CZT = ZT @ model.C.T
         squares[j : j + _BLOCK] = np.einsum("ij,ij->i", ZT, ZT) - np.einsum("ij,ij->i", CZT, CZT)
+        del ZT, CZT  # before the next chunk is built
     return np.maximum(model.noise_scale * squares, 0.0)
 
 

@@ -175,7 +175,8 @@ def exact_beta_kernel(b1: BetaDist, b2: BetaDist, gamma: float) -> float:
             )
 
         kmat = np.exp(-((z[:, None] - z[None, :]) ** 2) / (2.0 * gamma**2))
-        return float(weighted_pdf(b1) @ kmat @ weighted_pdf(b2))
+        p1, p2 = weighted_pdf(b1), weighted_pdf(b2)
+        return float(p1 @ kmat @ p2), np.array([p1.sum(), p2.sum()])
 
     return _until_converged(at_order, "Beta kernel quadrature")
 

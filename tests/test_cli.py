@@ -1021,6 +1021,25 @@ def test_active_run_loads_neither_scipy_special_nor_spatial(ws, tmp_path):
     assert json.loads((tmp_path / "active.json").read_text())["queries"] == 2
 
 
+@pytest.mark.parametrize("observation, reason", [
+    ((1e5, 1e5), r"Beta\(100000\.0, 100000\.0\) quadrature did not converge"),
+    ((1e308, 2.0), r"log B\(1e\+308, 2\.0\) overflows"),
+])
+def test_active_run_refuses_a_beta_it_cannot_integrate_on_one_line(
+    ws, tmp_path, capsys, observation, reason
+):
+    # a Beta too sharp for the quadrature, and one whose log B overflows
+    _, data = ws
+    save_graph(tmp_path / "g.json", demo_graph([observation, (4.0, 3.0)]))
+    argv = ["active-run", "--model", data["model"], "--graph", str(tmp_path / "g.json"),
+            "--budget", "0", "--out", str(tmp_path / "active.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert re.search(reason, err)
+    assert not (tmp_path / "active.json").exists()
+
+
 def test_active_run_huge_tau_matches_operator_mode(ws, ep_doc, tmp_path):
     _, data = ws
     out = cmd_active_run(
@@ -1378,6 +1397,24 @@ def test_main_exit_codes(tmp_path):
     assert main(["gen-data", "--config", str(badcfg)]) == 1
     badcfg.write_text(json.dumps({"bogus": 1}))
     assert main(["gen-data", "--config", str(badcfg)]) == 1
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (10, 10)"),
+     "error: Unable to allocate 7.28 TiB for an array with shape (10, 10)\n"),
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_main_reports_running_out_of_memory_on_one_line(tmp_path, capsys, monkeypatch, error, line):
+    # the command raises as numpy does when an allocation fails; nothing is
+    # allocated for real
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "gen_training_set", exhausted)
+    argv = ["gen-data", "--n-train", "2", "--n-importance", "500", "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "d.csv").exists()
 
 
 # each text input with a Latin-1 byte where UTF-8 needs a continuation byte

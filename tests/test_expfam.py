@@ -239,6 +239,17 @@ def test_betaln_matches_scipy_to_a_few_ulps_of_its_terms():
             assert abs(got - want) <= 4e-15 * (1.0 + terms), (a, b)
 
 
+def test_betaln_refuses_shapes_whose_lgamma_overflows():
+    # math.lgamma overflows from about 2.5e305; the error names the pair
+    with pytest.raises(DomainError, match=r"log B\(1e\+308, 2\.0\) overflows"):
+        betaln(1e308, 2.0)
+    with pytest.raises(DomainError, match=r"log B\(2e\+305, 2e\+305\) overflows"):
+        betaln(np.array([3.0, 2e305]), np.array([4.0, 2e305]))
+    with pytest.raises(DomainError, match="overflows"):
+        log_partition(to_natural(BetaDist(1e308, 2.0)), "beta")
+    assert np.isfinite(betaln(1e305, 2.0))
+
+
 def test_betaln_on_arrays_is_the_scalar_elementwise():
     a, b = SPECIAL_GRID[:, None], SPECIAL_GRID[::-1][:7]
     got = betaln(a, b)

@@ -146,6 +146,22 @@ def test_point_features_blocks_are_rff_points_bits(D, N):
         np.asarray(lazy, copy=False)
 
 
+def test_point_features_blocks_of_512_cases_are_embedding_features_rows():
+    # training's lazy blocks of 512 cases at D = 2000 against inference's
+    # outer features of the same embeddings, whole and in 512-row batches
+    rng = np.random.default_rng(2512)
+    inner = draw_rff(2, 200, (1.0, 0.25), rng)
+    emb = joint_features_batch(inner, random_tuples(1200, seed=2513))
+    center, projection = principal_projection(emb, 16)
+    spec = TwoStageSpec(inner, center, projection, draw_rff(16, 2000, 1.0, rng))
+    lazy = PointFeatures(spec.outer, kernels._project(center, projection, emb))
+    rows = embedding_features(spec, emb)
+    for j in range(0, len(emb), 512):
+        block = lazy[:, j : j + 512]
+        assert block.tobytes("F") == rows[j : j + 512].T.tobytes("F")
+        assert block.tobytes("F") == embedding_features(spec, emb[j : j + 512]).T.tobytes("F")
+
+
 def test_rescale_matches_fresh_draw():
     a = rescale(draw_rff(1, 256, 1.0, np.random.default_rng(6)), 2.0)
     b = draw_rff(1, 256, 2.0, np.random.default_rng(6))
@@ -408,6 +424,46 @@ def test_quadrature_cap_raises(monkeypatch):
         beta_cf(np.array([1.0]), [BetaDist(0.5, 0.5), BetaDist(2.0, 3.0)])
     with pytest.raises(QuadratureError):
         exact_beta_kernel(BetaDist(0.5, 0.5), BetaDist(2.0, 3.0), 0.25)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(1e4, 1e4), (1e5, 1e5), (1e6, 1e6), (0.1, 1.0), (0.01, 1.0)]
+)
+def test_beta_cf_refuses_a_rule_that_lost_the_density(alpha, beta):
+    # a sharp Beta falls between the nodes, and a small alpha puts its mass
+    # below z ~ 2e-14, the smallest node: every order integrated it to
+    # about 0 (or short by 4-73%), and successive orders agreed.  Beta(1e4,
+    # 1e4) holds its mass by order 4096 but its orders 2048 and 4096 still
+    # differ past QUAD_TOL, so it is refused too, not answered 0
+    omega = np.array([1.0, 20.0, 60.0])
+    for betas in ([BetaDist(alpha, beta)], [BetaDist(2.0, 3.0), BetaDist(alpha, beta)]):
+        with pytest.raises(QuadratureError, match="by order 4096; mass off 1 by"):
+            beta_cf(omega, betas)
+
+
+def test_beta_cf_mass_rule_moves_no_in_box_order(monkeypatch):
+    # in-box Betas integrate to 1 within about 2e-13 at every order they
+    # reach, so without the mass rule they stop at the same orders with the
+    # same bits; Beta(0.5, 0.5) and Beta(0.3, 2), short by 1.9e-7 and
+    # 1.0e-4 at every order, are inside MASS_TOL
+    rng = np.random.default_rng(2041)
+    omega = rng.normal(0.0, 8.0, size=50)
+    betas = [BetaDist(*rng.uniform(1.0, 10.0, size=2)) for _ in range(100)]
+    betas += [BetaDist(0.5, 0.5), BetaDist(0.3, 2.0)]
+
+    def runs():
+        out = []
+        for b in betas:
+            phases = {}
+            out.append((beta_cf(omega, [b], phases).tobytes(), sorted(phases)))
+        return out, beta_cf(omega, betas).tobytes()
+
+    with_rule = runs()
+    monkeypatch.setattr("kernelep.kernels.MASS_TOL", math.inf)
+    assert runs() == with_rule
+    for b, lost in ((BetaDist(0.5, 0.5), 1.9e-7), (BetaDist(0.3, 2.0), 1.0e-4)):
+        mass = beta_cf(np.zeros(1), [b])[0, 0].real
+        assert lost / 2 < 1.0 - mass < kernels.MASS_TOL
 
 
 def test_gaussian_cf_known_value():

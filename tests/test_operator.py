@@ -352,6 +352,33 @@ def test_default_tau_scores_slices_with_one_batchs_bits(monkeypatch):
     assert tau == float(np.percentile(whole, 90.0))
 
 
+def test_default_tau_and_variances_of_a_lazy_matrix_are_its_arrays():
+    # D = 600 features of N = 3000 points in 16 dimensions: the whole matrix
+    # is 14.4 MB.  tau scores 128-column slices, each with its (M X)^T,
+    # about 1.5 MB with temporaries, under a quarter of the whole matrix;
+    # predictive_variance reads 512-column chunks, about 5.5 MB, under half
+    # of it.  Either bound refuses a build of the whole matrix
+    rng = np.random.default_rng(50)
+    D, N = 600, 3000
+    points = rng.normal(size=(N, 16))
+    lazy = PointFeatures(draw_rff(16, D, 4.0, rng), points)
+    model = fit(lazy, np.stack([np.sin(points[:, 0]), points[:, 1]]), 1e-3)
+    whole = predictive_variance(model, np.asarray(lazy))
+    peaks = []
+    for score in (default_tau, predictive_variance):
+        tracemalloc.start()
+        try:
+            got = score(model, lazy)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if score is default_tau:
+            assert got == float(np.percentile(whole, 90.0))
+        else:
+            assert got.tobytes() == whole.tobytes()
+    assert peaks[0] < 8 * D * N / 4 and peaks[1] < 8 * D * N / 2
+
+
 def test_train_operator_holds_one_multipliers_features():
     # tracemalloc sees numpy's buffers.  Nine more multipliers may add their
     # specs and n x k projections to the peak, but not a D x n feature
