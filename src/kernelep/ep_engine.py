@@ -30,12 +30,12 @@ from .operator import (
     QueryOracle,
     UncertaintyPolicy,
     absorb,
-    batch_variance,
     outgoing_message,
     decide,
     predict_q,  # not called here; perfbench/run.py traces this module's binding
     warm_beta_cache,  # not called here; perfbench/run.py traces this module's binding
 )
+from .regress import _CHUNK, predictive_variance
 
 __all__ = [
     "Variable",
@@ -63,15 +63,6 @@ FACTOR_KINDS = {
 
 # independent oracle draws an OracleSource tries before its message fails
 ORACLE_RETRIES = 3
-
-# budget-spent messages an ActiveSource scores per batched variance call: one
-# pass of matrix products over the model's triangular factor serves them
-# all, where a single message costs a full pass of its own.  Each pass reads
-# the whole triangle, so its cost grows slowly with the batch (width 2000,
-# 2 CPUs: about 3 ms for 20 messages, 21 ms for 256), and at 256 a demo
-# graph's queue (about 84 messages) is scored once, when its log is read
-SCORE_BATCH = 256
-
 
 @dataclass(frozen=True)
 class Variable:
@@ -357,8 +348,12 @@ class ActiveSource:
     Once the budget is spent the model is fixed and every prediction is
     used, so the message is OperatorSource's, and a variance only decides
     whether it is logged as a fallback: the feature vectors wait in a queue
-    and are scored together, SCORE_BATCH at a time and whenever `log` is
-    read, and the fallbacks are logged in visit order.
+    and are scored together, one predictive_variance chunk (regress._CHUNK)
+    at a time and whenever `log` is read, and the fallbacks are logged in
+    visit order.  One pass of matrix products over the model's triangular
+    factor serves a whole chunk, where a single message costs a full pass
+    of its own, and a demo graph's queue (about 84 messages) is scored
+    once, when its log is read.
 
     A query asks `oracle`, an OracleSource, so its message is the one
     OracleSource sends for the same visit, bit for bit.  Its answer is
@@ -385,7 +380,7 @@ class ActiveSource:
     def _score_pending(self):
         if not self._pending:
             return
-        variances = batch_variance(self.op, np.column_stack([p[3] for p in self._pending]))
+        variances = predictive_variance(self.op.model, np.column_stack([p[3] for p in self._pending]))
         for (factor_id, variable_id, visit, _), variance in zip(self._pending, variances):
             if variance > self.tau:
                 # over threshold but out of budget: the prediction was used anyway
@@ -404,7 +399,7 @@ class ActiveSource:
             # OperatorSource's message; its variance waits for a batch
             message, phi = outgoing_message(self.op, m_x, m_z)
             self._pending.append((factor.id, x_id, visit, phi))
-            if len(self._pending) == SCORE_BATCH:
+            if len(self._pending) == _CHUNK:
                 self._score_pending()
             return {x_id: message}
         action = decide(self.op, self.tau, m_x, m_z)

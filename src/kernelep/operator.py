@@ -68,7 +68,6 @@ __all__ = [
     "predict_q",
     "outgoing_message",
     "decide",
-    "batch_variance",
     "absorb",
     "default_tau",
     "train_operator",
@@ -79,8 +78,6 @@ INNER_WIDTH_CAP = 500
 PROJECTION_DIM = 16
 # Beta rows an operator's memo keeps (see MessageOperator).
 BETA_MEMO_CAP = 256
-# training columns default_tau scores per predictive_variance batch
-TAU_SLICE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,13 +229,6 @@ def decide(
     return UsePrediction(_q_from_output(predict(op.model, phi)), variance)
 
 
-def batch_variance(op: MessageOperator, Phi: np.ndarray) -> np.ndarray:
-    """Predictive variances of the columns of a (D, M) feature batch, from
-    matrix products with the model's triangular factor (see
-    predictive_variance)."""
-    return predictive_variance(op.model, Phi)
-
-
 def absorb(op: MessageOperator, phi: np.ndarray, q: Gaussian1D) -> MessageOperator:
     """Fold the oracle's projected q at features phi into the model by
     update_online.  With decide's QueryOracle.phi, the update reuses the
@@ -252,16 +242,11 @@ def absorb(op: MessageOperator, phi: np.ndarray, q: Gaussian1D) -> MessageOperat
 def default_tau(model: RidgeModel, Phi: np.ndarray) -> float:
     """Calibrated threshold: 90th percentile of training predictive variances.
 
-    Phi is a D x N array or a lazy feature matrix (kernels.PointFeatures),
-    scored TAU_SLICE columns at a time through predictive_variance: views of
-    an array, slices a lazy matrix builds, so both give the same bits.  A
-    slice holds a quarter of the memory of predictive_variance's own
-    chunks, whose width EP's batched variances keep.
+    Phi is a D x N array or a lazy feature matrix (kernels.PointFeatures);
+    predictive_variance reads either in the same column chunks, so both
+    give the same bits.
     """
-    variances = np.empty(Phi.shape[1])
-    for j in range(0, len(variances), TAU_SLICE):
-        variances[j : j + TAU_SLICE] = predictive_variance(model, Phi[:, j : j + TAU_SLICE])
-    return float(np.percentile(variances, 90.0))
+    return float(np.percentile(predictive_variance(model, Phi), 90.0))
 
 
 def train_operator(

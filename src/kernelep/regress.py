@@ -19,7 +19,7 @@ Phi[rows, cols] when indexed; both go through the same code, and an
 array's column blocks are views of it.  fit sums the Gram Phi Phi^T and
 Phi Y^T over blocks of _CASES cases into the one D x D buffer it factors,
 cross-validation's dual route sums K = Phi^T Phi over blocks of _FEATURES
-features, and predictive_variance scores a batch _BLOCK cases at a time,
+features, and predictive_variance scores a batch _CHUNK cases at a time,
 so none of them holds Phi itself.
 
 Cross-validation scores every fold from the full-data fit.  With no more
@@ -67,6 +67,12 @@ _REVERSE_CHUNK = 1 << 16
 # 4 MB at 2000 features or cases
 _CASES = 256
 _FEATURES = 256
+
+# columns of a batch that predictive_variance scores per pass over M, in
+# every batch, an array or a lazy matrix, so tau, EP's queued fallbacks and
+# any other caller get the same bits for the same columns.  A chunk and its
+# (M X)^T are 2 MB each at 2000 features, together one of fit's blocks
+_CHUNK = 128
 
 # cross-validation's dual route scores a lambda only from this multiple of
 # trace(K) up.  Cholesky's backward error on K + lambda I is about
@@ -408,7 +414,7 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     RidgeModel), a sum of squares where nothing is carried.  phi is a
     single (D,) vector, giving a float, or a (D, M) batch, giving the M
     column variances.  A batch, an array or a lazy feature matrix, is read
-    _BLOCK columns at a time (_block): each chunk's transpose makes one pass
+    _CHUNK columns at a time (_block): each chunk's transpose makes one pass
     over the triangle as products Z^T = X^T M^T (_lower_rows), and Z^T and
     Z^T C^T are reduced to their row sums of squares, so a chunk and its
     Z^T are the largest arrays alive.  Either way each entry of z is a sum
@@ -427,10 +433,10 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
         object.__setattr__(model, "_memo", (phi.tobytes(), z, Cz))
         return max(float(model.noise_scale * (z @ z - Cz @ Cz)), 0.0)
     squares = np.empty(phi.shape[1])
-    for j in range(0, len(squares), _BLOCK):
-        ZT = _lower_rows(model._blocks, _block(phi, slice(None), slice(j, j + _BLOCK)).T)
+    for j in range(0, len(squares), _CHUNK):
+        ZT = _lower_rows(model._blocks, _block(phi, slice(None), slice(j, j + _CHUNK)).T)
         CZT = ZT @ model.C.T
-        squares[j : j + _BLOCK] = np.einsum("ij,ij->i", ZT, ZT) - np.einsum("ij,ij->i", CZT, CZT)
+        squares[j : j + _CHUNK] = np.einsum("ij,ij->i", ZT, ZT) - np.einsum("ij,ij->i", CZT, CZT)
         del ZT, CZT  # before the next chunk is built
     return np.maximum(model.noise_scale * squares, 0.0)
 

@@ -714,18 +714,18 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     policy = UncertaintyPolicy(tau=tau, budget=3)
     planned = _deferred_messages(op, policy, demo_graph(observations=SIX_OBSERVATIONS), 31)
     assert planned >= 7
-    monkeypatch.setattr(ep_engine, "SCORE_BATCH", (planned - 1) // 2)
+    monkeypatch.setattr(ep_engine, "_CHUNK", (planned - 1) // 2)
     decisions, batches = [], []
-    real_decide, real_batch = ep_engine.decide, ep_engine.batch_variance
+    real_decide = ep_engine.decide
 
     def recording_decide(o, tau, m_x, m_z):
         decisions.append(real_decide(o, tau, m_x, m_z))
         return decisions[-1]
 
-    def recording_batch(o, Phi):
-        assert len(src._pending) == Phi.shape[1] <= ep_engine.SCORE_BATCH
+    def recording_batch(model, Phi):
+        assert len(src._pending) == Phi.shape[1] <= ep_engine._CHUNK
         batches.append(Phi.shape[1])
-        return real_batch(o, Phi)
+        return gate_variance(model, Phi)
 
     def gate_variance(model, phi):
         # a single vector per message while budget lasts, afterwards batches only
@@ -734,7 +734,7 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
 
     real_variance = operator.predictive_variance
     monkeypatch.setattr(ep_engine, "decide", recording_decide)
-    monkeypatch.setattr(ep_engine, "batch_variance", recording_batch)
+    monkeypatch.setattr(ep_engine, "predictive_variance", recording_batch)
     monkeypatch.setattr(operator, "predictive_variance", gate_variance)
     src = ActiveSource(op, policy, n_importance=2000)
     visits, expected, sent = {}, [], []
@@ -742,7 +742,7 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
     def recording(factor, incoming, rng):
         gated, budget, o = len(decisions), src.budget, src.op
         out = src(factor, incoming, rng)
-        assert len(src._pending) < ep_engine.SCORE_BATCH
+        assert len(src._pending) < ep_engine._CHUNK
         visits[factor.id] = visits.get(factor.id, 0) + 1
         x_id, z_id = factor.neighbors
         if out:
@@ -765,8 +765,8 @@ def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):
         rng=np.random.default_rng(31),
     )
     deferred = sent.count(0)
-    assert src.queries == 3 and deferred > 2 * ep_engine.SCORE_BATCH
-    assert batches[:2] == [ep_engine.SCORE_BATCH] * 2 and sum(batches) < deferred
+    assert src.queries == 3 and deferred > 2 * ep_engine._CHUNK
+    assert batches[:2] == [ep_engine._CHUNK] * 2 and sum(batches) < deferred
     log = src.log  # reading the log scores what is still queued
     assert sum(batches) == deferred and not src._pending
     assert 3 < len(log) < len(sent)  # tau picks out some fallbacks, not all

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import packed_factor
-from kernelep import operator
+from kernelep import operator, regress
 from kernelep.errors import DomainError, PredictionError
 from kernelep.expfam import (
     BetaDist,
@@ -45,7 +45,7 @@ from kernelep.operator import (
     train_operator,
     _q_from_output,
 )
-from kernelep.regress import RidgeModel, fit, predictive_variance
+from kernelep.regress import RidgeModel, fit, predictive_variance, update_online
 
 
 def flat_beta_pairs(n, seed):
@@ -331,33 +331,32 @@ def test_train_operator_reports(trained):
     np.testing.assert_array_equal(refit.M, op.model.M)
 
 
-def test_default_tau_scores_slices_with_one_batchs_bits(monkeypatch):
-    # D = 600 puts the factor in two column blocks; N = 2 * TAU_SLICE + 77
-    # leaves a partial last slice
+def test_a_batch_scores_its_chunks_bits_and_tau_is_its_percentile():
+    # D = 600 puts the factor in two column blocks; N = 2 * _CHUNK + 77
+    # leaves a partial last chunk.  Three online updates give the model a
+    # carry, so each chunk passes both products
     rng = np.random.default_rng(49)
-    D, N = 600, 2 * operator.TAU_SLICE + 77
-    Phi = rng.normal(size=(D, N)) / math.sqrt(D)
+    D, chunk = 600, regress._CHUNK
+    N = 2 * chunk + 77
+    lazy = PointFeatures(draw_rff(16, D, 4.0, rng), rng.normal(size=(N, 16)))
+    Phi = np.asarray(lazy)
     model = fit(Phi, rng.normal(size=(2, N)), 1e-3)
-    whole = predictive_variance(model, Phi)
-    slices = []
-
-    def recording(m, phi):
-        slices.append(predictive_variance(m, phi))
-        return slices[-1]
-
-    monkeypatch.setattr(operator, "predictive_variance", recording)
-    tau = default_tau(model, Phi)
-    assert [len(v) for v in slices] == [operator.TAU_SLICE] * 2 + [77]
-    assert np.concatenate(slices).tobytes() == whole.tobytes()
-    assert tau == float(np.percentile(whole, 90.0))
+    for phi in rng.normal(size=(3, D)):
+        model = update_online(model, phi / math.sqrt(D), rng.normal(size=2))
+    chunks = [predictive_variance(model, Phi[:, j : j + chunk]) for j in range(0, N, chunk)]
+    assert [len(v) for v in chunks] == [chunk, chunk, 77]
+    expected = np.concatenate(chunks)
+    for batch in (Phi, lazy):
+        assert predictive_variance(model, batch).tobytes() == expected.tobytes()
+        assert default_tau(model, batch) == float(np.percentile(expected, 90.0))
 
 
 def test_default_tau_and_variances_of_a_lazy_matrix_are_its_arrays():
     # D = 600 features of N = 3000 points in 16 dimensions: the whole matrix
-    # is 14.4 MB.  tau scores 128-column slices, each with its (M X)^T,
-    # about 1.5 MB with temporaries, under a quarter of the whole matrix;
-    # predictive_variance reads 512-column chunks, about 5.5 MB, under half
-    # of it.  Either bound refuses a build of the whole matrix
+    # is 14.4 MB.  Both read 128-column chunks, each with its (M X)^T,
+    # about 1.5 MB with temporaries: under a quarter of the whole matrix
+    # for tau and under half of it for predictive_variance.  Either bound
+    # refuses a build of the whole matrix
     rng = np.random.default_rng(50)
     D, N = 600, 3000
     points = rng.normal(size=(N, 16))
