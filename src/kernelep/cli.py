@@ -37,6 +37,9 @@ folded in, as its packed lower triangle column by column; loading reads it
 straight into the model's column blocks, never a D x D array, and every
 other array is a read-only view of one buffer.  Earlier versions are
 refused and must be retrained.
+A command refuses, before any work, to write an output over one of the
+files it reads (its config_file argument is the --config file, if any) or
+two outputs to one path.
 Exit codes: 0 success, 1 domain, I/O or allocation failure, 2 usage error.
 """
 
@@ -64,6 +67,7 @@ from .errors import (
     GraphFormatError,
     KernelEpError,
     ModelFormatError,
+    QuadratureError,
     integer,
     real,
 )
@@ -77,7 +81,7 @@ from .factors import (
     oracle_to_x,
     sample_incoming,
 )
-from .kernels import RffSpec, TwoStageSpec
+from .kernels import RffSpec, TwoStageSpec, beta_cf
 from .regress import (
     DEFAULT_LAMBDAS,
     DEFAULT_MULTIPLIERS,
@@ -342,10 +346,14 @@ def _write_json(path, obj) -> Path:
     return _write(path, [json.dumps(obj, indent=2).encode() + b"\n"])
 
 
-def _write_timings(out: Path, obj) -> Path:
-    """The timing sidecar, named after the output's whole file name
+def _timings_path(out: Path) -> Path:
+    """The timing sidecar's path, named after the output's whole file name
     (run.csv -> run.csv.timings.json), so no two outputs share one."""
-    return _write_json(out.with_name(out.name + ".timings.json"), obj)
+    return out.with_name(out.name + ".timings.json")
+
+
+def _write_timings(out: Path, obj) -> Path:
+    return _write_json(_timings_path(out), obj)
 
 
 def _read_text(path, error) -> str:
@@ -764,14 +772,61 @@ def _timing_json(res, runtime: float) -> dict:
     return {"runtime_seconds": runtime, "per_kind": per}
 
 
+def _inputs(config: RunConfig, config_file, *fields) -> dict:
+    """Flag -> path of each file a command reads: the RunConfig fields named,
+    and the --config file if there is one."""
+    paths = {"--" + name: getattr(config, name) for name in fields}
+    if config_file:
+        paths["--config"] = config_file
+    return paths
+
+
+def _check_outputs(inputs: dict, outputs: dict, in_place: str = "") -> None:
+    """Refuse, before any work, a run that would write an output over one of
+    its inputs or two outputs to one file.
+
+    inputs maps flags to the paths a command reads, outputs names the paths
+    it writes; paths are compared resolved, so a relative spelling or a
+    symlink matches the file it names.  The output named in_place may
+    replace the --model input: active-run writes its updated model
+    atomically, after the model is loaded.
+    """
+    read = {Path(path).resolve(): flag for flag, path in inputs.items()}
+    written = {}
+    for name, path in outputs.items():
+        key = Path(path).resolve()
+        flag = read.get(key)
+        if flag and (name, flag) != (in_place, "--model"):
+            raise ConfigError(f"the {name} {path} would replace the {flag} input")
+        if key in written:
+            raise ConfigError(f"the {written[key]} and the {name} would both be {path}")
+        written[key] = name
+
+
+def _check_prior(prior: IncomingPrior) -> None:
+    """Refuse a prior box whose Betas the quadrature cannot integrate, before
+    any oracle work: each corner Beta of the alpha x beta box must pass
+    beta_cf's order doubling and mass rule, at w = 0, where the
+    characteristic function is the density's integral."""
+    for a, b in itertools.product(prior.alpha_range, prior.beta_range):
+        try:
+            beta_cf(np.zeros(1), [BetaDist(a, b)])
+        except QuadratureError as exc:
+            message = f"prior box corner Beta({a}, {b}) cannot be integrated: {exc}"
+            raise ConfigError(message) from None
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_gen_data(config: RunConfig) -> Path:
+def cmd_gen_data(config: RunConfig, config_file=None) -> Path:
     """Generate the training dataset CSV; the `.timings.json` sidecar holds
     the sampling's runtime_seconds."""
     out = Path(config.out or config.dataset)
+    outputs = {"dataset": out, "timings sidecar": _timings_path(out)}
+    _check_outputs(_inputs(config, config_file), outputs)
+    _check_prior(config.prior)
     rng = _command_rng(config.seed, 0)
     start = time.perf_counter()
     pairs = gen_training_set(
@@ -783,11 +838,13 @@ def cmd_gen_data(config: RunConfig) -> Path:
     return out
 
 
-def cmd_train(config: RunConfig) -> Path:
+def cmd_train(config: RunConfig, config_file=None) -> Path:
     """Fit the operator on a dataset file and persist it; the `.timings.json`
     sidecar holds the fit's runtime_seconds, cross-validation and tau
     included."""
     out = Path(config.out or config.model)
+    outputs = {"model": out, "timings sidecar": _timings_path(out)}
+    _check_outputs(_inputs(config, config_file, "dataset"), outputs)
     pairs = load_dataset(config.dataset)
     rng = _command_rng(config.seed, 1)
     start = time.perf_counter()
@@ -823,7 +880,7 @@ def _kl_block(kls: list) -> dict:
     }
 
 
-def cmd_eval(config: RunConfig) -> Path:
+def cmd_eval(config: RunConfig, config_file=None) -> Path:
     """Score the operator against the sampling oracle on fresh cases.
 
     Each case draws two independent oracle runs.  The operator and the
@@ -834,6 +891,10 @@ def cmd_eval(config: RunConfig) -> Path:
     whose second run degenerates is left out of the floor alone.
     """
     out = Path(config.out or "eval_report.json")
+    cases = _derived_path(out, ".cases.csv")
+    outputs = {"report": out, "case file": cases, "timings sidecar": _timings_path(out)}
+    _check_outputs(_inputs(config, config_file, "model"), outputs)
+    _check_prior(config.prior)
     op = load_model(config.model).op
     start = time.perf_counter()
     rows, kls, floor_kls = [], [], []
@@ -863,7 +924,7 @@ def cmd_eval(config: RunConfig) -> Path:
         )
     runtime = time.perf_counter() - start
 
-    _write_csv(_derived_path(out, ".cases.csv"), EVAL_CASES_HEADER, rows)
+    _write_csv(cases, EVAL_CASES_HEADER, rows)
     _write_json(
         out,
         {
@@ -878,7 +939,7 @@ def cmd_eval(config: RunConfig) -> Path:
     return out
 
 
-def cmd_ep_run(config: RunConfig) -> Path:
+def cmd_ep_run(config: RunConfig, config_file=None) -> Path:
     """Run EP twice over the same graph: sampling oracle, then operator.
 
     The primary output holds both sets of marginals, their per-variable KL,
@@ -888,6 +949,8 @@ def cmd_ep_run(config: RunConfig) -> Path:
     the ratio of the oracle's median to the operator's.
     """
     out = Path(config.out or "ep_run.json")
+    outputs = {"report": out, "timings sidecar": _timings_path(out)}
+    _check_outputs(_inputs(config, config_file, "model", "graph"), outputs)
     loaded = load_model(config.model)
     graph = load_graph(config.graph)
 
@@ -924,15 +987,18 @@ def cmd_ep_run(config: RunConfig) -> Path:
     return out
 
 
-def cmd_active_run(config: RunConfig) -> Path:
+def cmd_active_run(config: RunConfig, config_file=None) -> Path:
     """Run EP with the operator gated by predictive variance.
 
     Messages whose predictive variance exceeds tau trigger an oracle query
     (while budget lasts) whose answer is absorbed into the model online.  The
-    updated model lands next to the primary output (or at `model_out`).
+    updated model lands next to the primary output (or at `model_out`,
+    which may be the --model file itself).
     """
     out = Path(config.out or "active_run.json")
     model_out = Path(config.model_out) if config.model_out else _derived_path(out, ".model.json")
+    outputs = {"report": out, "timings sidecar": _timings_path(out), "updated model": model_out}
+    _check_outputs(_inputs(config, config_file, "model", "graph"), outputs, "updated model")
     loaded = load_model(config.model)
     graph = load_graph(config.graph)
     tau = config.tau if config.tau is not None else loaded.tau
@@ -1003,7 +1069,7 @@ def _args_config(args) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = args.func(_args_config(args))
+        out = args.func(_args_config(args), args.config)
         print(out)
     except (KernelEpError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

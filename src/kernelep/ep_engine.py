@@ -380,7 +380,8 @@ class ActiveSource:
     def _score_pending(self):
         if not self._pending:
             return
-        variances = predictive_variance(self.op.model, np.column_stack([p[3] for p in self._pending]))
+        Phi = np.column_stack([p[3] for p in self._pending])
+        variances = predictive_variance(self.op.model, Phi)
         for (factor_id, variable_id, visit, _), variance in zip(self._pending, variances):
             if variance > self.tau:
                 # over threshold but out of budget: the prediction was used anyway

@@ -69,6 +69,12 @@ QUAD_ORDER_CAP = 4096
 QUAD_TOL = 1e-8
 # how far from 1 a rule may integrate a density (see _until_converged)
 MASS_TOL = 1e-3
+# highest order whose phase matrix beta_cf keeps in a caller's memo: the
+# highest order Betas of the default prior box reach.  A sharper Beta's
+# higher orders are built for its call alone; kept, the orders 512 to 4096
+# one Beta(7e3, 7e3) reaches would hold 62 MiB for the operator's life at
+# an inner width of 500, beside 3.4 MiB for orders 64 to 256
+PHASE_MEMO_ORDER = 256
 # c of _unit_gl's endpoint-flattening substitution
 _FLATTEN = 3.0
 # rows of one block of _pairwise_distances
@@ -380,8 +386,9 @@ def beta_cf(omega: np.ndarray, betas, phases: dict | None = None) -> np.ndarray:
     escalation past order 4096 raises QuadratureError.  Each order is one
     matrix product of the weighted densities with the phase matrix
     e^{i w z}.  `phases` memoizes those matrices (order -> read-only
-    matrix) for a caller that always passes this same w; None builds them
-    afresh.  An entry costs 16 * len(w) * order bytes.
+    matrix) up to PHASE_MEMO_ORDER for a caller that always passes this
+    same w; None, or a higher order, builds them afresh.  An entry costs
+    16 * len(w) * order bytes.
     """
     if not betas:
         raise DomainError("characteristic function of an empty list of Betas")
@@ -396,10 +403,13 @@ def beta_cf(omega: np.ndarray, betas, phases: dict | None = None) -> np.ndarray:
     def at_order(order):
         z, log_z, log_1mz, w = _unit_gl(order)
         weighted = w * np.exp((alphas - 1.0) * log_z + (bbetas - 1.0) * log_1mz - log_norm)
-        if order not in phases:
-            phases[order] = np.exp(1j * np.outer(omega, z))
-            phases[order].setflags(write=False)
-        return weighted @ phases[order].T, weighted.sum(axis=1)
+        phase = phases.get(order)
+        if phase is None:
+            phase = np.exp(1j * np.outer(omega, z))
+            phase.setflags(write=False)
+            if order <= PHASE_MEMO_ORDER:
+                phases[order] = phase
+        return weighted @ phase.T, weighted.sum(axis=1)
 
     label = (
         f"Beta({alphas[0, 0]}, {bbetas[0, 0]}) quadrature"

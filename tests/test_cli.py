@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1466,3 +1467,79 @@ def test_main_flags_override_config_file(tmp_path):
     assert main(["gen-data", "--seed", "9", "--n-train", "5", "--n-importance", "600",
                  "--out", str(tmp_path / "pure.csv")]) == 0
     assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "pure.csv").read_bytes()
+
+
+def _inputs_in(tmp_path, ws) -> dict:
+    """Copies of the workspace's dataset, model and graph, a small config
+    file and a symlink to the model, under tmp_path: name -> bytes."""
+    root, _ = ws
+    for name in ("data.csv", "model.json", "graph.json"):
+        shutil.copy(root / name, tmp_path / name)
+    settings = {"n_train": 5, "n_test": 3, "n_importance": 200, "num_features": 10, "budget": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps(settings))
+    (tmp_path / "link.json").symlink_to(tmp_path / "model.json")
+    return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["active-run", "--model", "model.json", "--graph", "graph.json", "--out", "model.json"],
+    ["active-run", "--model", "model.json", "--graph", "graph.json", "--out", "link.json"],
+    ["active-run", "--model", "model.json", "--graph", "graph.json",
+     "--out", "x.json", "--model-out", "x.json"],
+    ["active-run", "--model", "model.json", "--graph", "graph.json",
+     "--out", "x.json", "--model-out", "x.json.timings.json"],
+    ["active-run", "--model", "model.json", "--graph", "graph.json", "--model-out", "graph.json"],
+    ["active-run", "--model", "model.json", "--graph", "graph.json", "--model-out", "cfg.json"],
+    ["ep-run", "--model", "model.json", "--graph", "graph.json", "--out", "graph.json"],
+    ["ep-run", "--model", "model.json", "--graph", "graph.json", "--out", "./sub/../model.json"],
+    ["eval", "--model", "model.json", "--out", "model.json"],
+    ["eval", "--model", "model.json", "--out", "cfg.json"],
+    ["eval", "--model", "data.cases.csv", "--out", "data.json"],
+    ["train", "--dataset", "data.csv", "--out", "data.csv"],
+    ["train", "--dataset", "data.csv", "--out", "cfg.json"],
+    ["gen-data", "--out", "cfg.json"],
+    ["gen-data", "--dataset", "cfg.json"],
+])
+def test_commands_refuse_outputs_that_replace_inputs_or_each_other(
+    ws, tmp_path, monkeypatch, capsys, argv
+):
+    # every input is real and small, so a command that did not refuse would
+    # run to the end and write over it
+    shutil.copy(ws[0] / "model.json", tmp_path / "data.cases.csv")
+    before = _inputs_in(tmp_path, ws)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_active_run_may_update_its_model_in_place(ws, tmp_path, monkeypatch):
+    _inputs_in(tmp_path, ws)
+    monkeypatch.chdir(tmp_path)
+    argv = ["active-run", "--model", "model.json", "--graph", "graph.json", "--tau", "1e-12"]
+    assert main([*argv, "--config", "cfg.json", "--model-out", "model.json"]) == 0
+    assert load_model("model.json").metadata["queries_absorbed"] == 1
+    assert json.loads(Path("active_run.json").read_text())["queries"] == 1
+
+
+@pytest.mark.parametrize("command", ["gen-data", "eval"])
+def test_a_prior_box_the_quadrature_cannot_integrate_is_refused_before_the_oracle(
+    ws, tmp_path, monkeypatch, capsys, command
+):
+    # Beta(0.05, 10) keeps about a fifth of its mass below the smallest
+    # node, so train would fail on every dataset drawn from this box
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "gen_training_set", unreachable)
+    monkeypatch.setattr(cli, "oracle_to_x", unreachable)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prior": {"alpha": [0.05, 10.0]}, "n_train": 5, "n_test": 3}))
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(cfg), "--model", ws[1]["model"], "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: prior box corner Beta(0.05, 1.0) cannot be integrated")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import packed_factor
-from kernelep import operator, regress
+from kernelep import kernels, operator, regress
 from kernelep.errors import DomainError, PredictionError
 from kernelep.expfam import (
     BetaDist,
@@ -104,6 +104,29 @@ def test_beta_memo_is_capped_and_recomputes_evicted_rows(trained):
     assert (incs[-1].m_z.alpha, incs[-1].m_z.beta) in op._beta_cache
     np.testing.assert_array_equal(featurize(op, incs[0].m_x, incs[0].m_z), first)
     assert len(op._beta_cache) == operator.BETA_MEMO_CAP
+
+
+def test_phase_memo_keeps_no_order_past_the_box_betas(trained, monkeypatch):
+    # a Beta(7e3, 7e3) cavity escalates past order 256, the highest the
+    # prior box's Betas reach; its higher orders' phase matrices are built
+    # for the call alone, and the features keep a fresh operator's bits
+    _, op, _, _ = trained
+    op = MessageOperator(op.spec, op.model)
+    m_x = Gaussian1D(0.3, 1.2)
+    orders = []
+    unit_gl = kernels._unit_gl
+
+    def recording(order):
+        orders.append(order)
+        return unit_gl(order)
+
+    monkeypatch.setattr(kernels, "_unit_gl", recording)
+    got = [featurize(op, m_x, BetaDist(*ab)) for ab in ((2.0, 3.0), (7e3, 7e3), (10.0, 1.0))]
+    assert max(orders) > kernels.PHASE_MEMO_ORDER
+    assert op._phases and max(op._phases) <= kernels.PHASE_MEMO_ORDER
+    for ab, features in zip(((2.0, 3.0), (7e3, 7e3), (10.0, 1.0)), got):
+        fresh = MessageOperator(op.spec, op.model)
+        assert featurize(fresh, m_x, BetaDist(*ab)).tobytes() == features.tobytes()
 
 
 def test_featurize_rejects_improper(trained):
