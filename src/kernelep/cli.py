@@ -786,15 +786,17 @@ def _check_outputs(inputs: dict, outputs: dict, in_place: str = "") -> None:
     its inputs or two outputs to one file.
 
     inputs maps flags to the paths a command reads, outputs names the paths
-    it writes; paths are compared resolved, so a relative spelling or a
-    symlink matches the file it names.  The output named in_place may
+    it writes; paths are compared by os.path.realpath, so a relative
+    spelling or a symlink matches the file it names (and a symlink loop,
+    which Path.resolve raises on, matches nothing here and fails at its
+    write).  The output named in_place may
     replace the --model input: active-run writes its updated model
     atomically, after the model is loaded.
     """
-    read = {Path(path).resolve(): flag for flag, path in inputs.items()}
+    read = {os.path.realpath(path): flag for flag, path in inputs.items()}
     written = {}
     for name, path in outputs.items():
-        key = Path(path).resolve()
+        key = os.path.realpath(path)
         flag = read.get(key)
         if flag and (name, flag) != (in_place, "--model"):
             raise ConfigError(f"the {name} {path} would replace the {flag} input")

@@ -1514,6 +1514,18 @@ def test_commands_refuse_outputs_that_replace_inputs_or_each_other(
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_an_output_path_on_a_symlink_loop_is_checked_and_written(ws, tmp_path, monkeypatch):
+    # Path.resolve raises on a loop; the check compares real paths, and
+    # the atomic rename replaces the link itself
+    _inputs_in(tmp_path, ws)
+    (tmp_path / "loop_a").symlink_to(tmp_path / "loop_b")
+    (tmp_path / "loop_b").symlink_to(tmp_path / "loop_a")
+    monkeypatch.chdir(tmp_path)
+    argv = ["ep-run", "--model", "model.json", "--graph", "graph.json", "--config", "cfg.json"]
+    assert main([*argv, "--out", "loop_a"]) == 0
+    assert "operator" in json.loads(Path("loop_a").read_text())
+
+
 def test_active_run_may_update_its_model_in_place(ws, tmp_path, monkeypatch):
     _inputs_in(tmp_path, ws)
     monkeypatch.chdir(tmp_path)
@@ -1527,8 +1539,8 @@ def test_active_run_may_update_its_model_in_place(ws, tmp_path, monkeypatch):
 def test_a_prior_box_the_quadrature_cannot_integrate_is_refused_before_the_oracle(
     ws, tmp_path, monkeypatch, capsys, command
 ):
-    # Beta(0.05, 10) keeps about a fifth of its mass below the smallest
-    # node, so train would fail on every dataset drawn from this box
+    # an alpha of 0.05 puts about a fifth of a Beta's mass below the
+    # smallest node, so train would fail on every dataset from this box
     def unreachable(*args, **kwargs):
         raise AssertionError("the oracle ran")
 
