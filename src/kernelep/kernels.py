@@ -19,7 +19,15 @@ Beta characteristic functions, for any number of Betas sharing a frequency
 vector.  Its phase matrix e^{i w z} depends only on the frequencies and the
 order, so a caller whose frequencies are fixed (the operator) passes a memo
 of them per order; a Beta never seen before then costs its density and a
-matrix product.
+matrix product.  A batch of Betas (training's) is worked _BETA_ROWS
+Betas at a time into one result per order, so its working set beside its
+two latest orders is one block, with the bits of one product over the batch.
+
+Training's feature phase frees its large transients before
+cross-validation allocates K: the pair distances, each order's Beta rows,
+the inner embeddings and their centred copies come from ``_transient``,
+an anonymous mapping per array, which gives its pages back when freed
+where a heap block may stay resident.  tracemalloc does not see them.
 
 A joint embedding e(P) is linear in the distribution P, and so is any
 regression on it.  A ``TwoStageSpec`` puts a Gaussian kernel on top,
@@ -41,6 +49,7 @@ bits, so this module imports nothing from SciPy.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -79,6 +88,10 @@ PHASE_MEMO_ORDER = 256
 _FLATTEN = 3.0
 # rows of one block of _pairwise_distances
 _PAIR_ROWS = 64
+# Betas of one block of a batched beta_cf
+_BETA_ROWS = 256
+# smallest array _transient maps; smaller ones come from NumPy's allocator
+_MAPPED_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +237,8 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     cols = [pts] if pts.ndim == 1 else np.ascontiguousarray(pts.T)
-    out = np.empty(n * (n - 1) // 2)
-    work = np.empty((2, min(_PAIR_ROWS, n) * max(n - 1, 0)))
+    out = _transient((n * (n - 1) // 2,))
+    work = _transient((2, min(_PAIR_ROWS, n) * max(n - 1, 0)))
     start = 0
     for i0 in range(0, n - 1, _PAIR_ROWS):
         rows, width = min(_PAIR_ROWS, n - 1 - i0), n - 1 - i0
@@ -244,6 +257,23 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
             out[start : start + width - r] = acc[r, r:]
             start += width - r
     return out
+
+
+def _transient(shape, dtype=float) -> np.ndarray:
+    """An uninitialised array for one of the feature phase's large
+    transients, in an anonymous mapping of its own from _MAPPED_BYTES up.
+
+    Freeing a mapped array unmaps its pages at once.  A freed heap block may
+    stay resident instead: once glibc has freed a block it had mapped, it
+    raises its mmap threshold to that block's size and serves later blocks
+    up to it from the heap, which it shrinks only from the top.  tracemalloc
+    does not see a mapped array.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _MAPPED_BYTES:
+        return np.empty(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
 
 
 def _feature_scale(d: int) -> float:
@@ -370,11 +400,23 @@ def _until_converged(at_order, label: str):
     order = 2 * QUAD_ORDER
     while order <= QUAD_ORDER_CAP:
         cur, masses = at_order(order)
-        if np.max(np.abs(masses - 1.0)) <= MASS_TOL and np.max(np.abs(cur - prev)) <= QUAD_TOL:
+        if np.max(np.abs(masses - 1.0)) <= MASS_TOL and _largest_change(cur, prev) <= QUAD_TOL:
             return cur
         prev, order = cur, 2 * order
     lost = f"mass off 1 by {np.max(np.abs(masses - 1.0)):.3g}"
     raise QuadratureError(f"{label} did not converge by order {QUAD_ORDER_CAP}; {lost}")
+
+
+def _largest_change(cur, prev) -> float:
+    """max |cur - prev| of two results, floats or batches of rows; a batch
+    _BETA_ROWS rows at a time, so no difference array of its size is built
+    (the maximum is exact in any order, and a nan in any block wins)."""
+    cur, prev = np.atleast_2d(cur, prev)
+    return np.max([np.max(np.abs(cur[rows] - prev[rows])) for rows in _row_blocks(len(cur))])
+
+
+def _row_blocks(n: int):
+    return [slice(i, i + _BETA_ROWS) for i in range(0, n, _BETA_ROWS)]
 
 
 def beta_cf(omega: np.ndarray, betas, phases: dict | None = None) -> np.ndarray:
@@ -385,10 +427,12 @@ def beta_cf(omega: np.ndarray, betas, phases: dict | None = None) -> np.ndarray:
     every density integrates to 1 within MASS_TOL (_until_converged);
     escalation past order 4096 raises QuadratureError.  Each order is one
     matrix product of the weighted densities with the phase matrix
-    e^{i w z}.  `phases` memoizes those matrices (order -> read-only
-    matrix) up to PHASE_MEMO_ORDER for a caller that always passes this
-    same w; None, or a higher order, builds them afresh.  An entry costs
-    16 * len(w) * order bytes.
+    e^{i w z}, _BETA_ROWS Betas at a time into one _transient result, so a
+    batch's working set beside its two latest orders is one block.
+    `phases` memoizes those matrices (order -> read-only matrix) up to
+    PHASE_MEMO_ORDER for a caller that always passes this same w; None, or
+    a higher order, builds them afresh.  An entry costs 16 * len(w) * order
+    bytes.
     """
     if not betas:
         raise DomainError("characteristic function of an empty list of Betas")
@@ -402,14 +446,20 @@ def beta_cf(omega: np.ndarray, betas, phases: dict | None = None) -> np.ndarray:
 
     def at_order(order):
         z, log_z, log_1mz, w = _unit_gl(order)
-        weighted = w * np.exp((alphas - 1.0) * log_z + (bbetas - 1.0) * log_1mz - log_norm)
         phase = phases.get(order)
         if phase is None:
             phase = np.exp(1j * np.outer(omega, z))
             phase.setflags(write=False)
             if order <= PHASE_MEMO_ORDER:
                 phases[order] = phase
-        return weighted @ phase.T, weighted.sum(axis=1)
+        out, masses = _transient((len(alphas), len(omega)), complex), np.empty(len(alphas))
+        for rows in _row_blocks(len(alphas)):
+            weighted = w * np.exp(
+                (alphas[rows] - 1.0) * log_z + (bbetas[rows] - 1.0) * log_1mz - log_norm[rows]
+            )
+            np.matmul(weighted, phase.T, out=out[rows])
+            masses[rows] = weighted.sum(axis=1)
+        return out, masses
 
     label = (
         f"Beta({alphas[0, 0]}, {bbetas[0, 0]}) quadrature"
@@ -447,7 +497,9 @@ def joint_features_batch(spec: RffSpec, tuples) -> np.ndarray:
     # peak memory
     for row, t in zip(rows, tuples):
         np.multiply(row, gaussian_cf(spec, t.m_x), out=row)
-    return rows.real.copy()
+    out = _transient(rows.shape)
+    np.copyto(out, rows.real)
+    return out
 
 
 def principal_projection(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +513,7 @@ def principal_projection(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, np
     if emb.ndim != 2 or not 1 <= k <= emb.shape[1]:
         raise DomainError(f"cannot take {k} principal directions of shape {emb.shape}")
     center = emb.mean(axis=0)
-    centred = emb - center
+    centred = np.subtract(emb, center, out=_transient(emb.shape))
     _, vecs = np.linalg.eigh(centred.T @ centred)
     top = vecs[:, ::-1][:, :k]
     lead = top[np.argmax(np.abs(top), axis=0), np.arange(k)]
@@ -490,7 +542,8 @@ def median_distance(points: np.ndarray) -> float:
 def _project(center: np.ndarray, projection: np.ndarray, embeddings) -> np.ndarray:
     """projection^T (e - center) of inner embeddings, (D_in,) -> (k,) or (n, D_in) -> (n, k),
     for training's embeddings and embedding_features' alike."""
-    return (np.asarray(embeddings, dtype=float) - center) @ projection
+    emb = np.asarray(embeddings, dtype=float)
+    return np.subtract(emb, center, out=_transient(emb.shape)) @ projection
 
 
 def embedding_features(spec: TwoStageSpec, embeddings) -> np.ndarray:

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import betaln, expit, logsumexp
 
-from kernelep.errors import DomainError
+from kernelep import expfam, kernels
+from kernelep.errors import DomainError, QuadratureError
 from kernelep.expfam import BetaDist, ExpFamDist, Gaussian1D
 from kernelep.factors import IncomingTuple
 from kernelep.kernels import RffSpec, _feature_scale, _unit_gl, _until_converged, beta_cf
@@ -179,6 +180,30 @@ def exact_beta_kernel(b1: BetaDist, b2: BetaDist, gamma: float) -> float:
         return float(p1 @ kmat @ p2), np.array([p1.sum(), p2.sum()])
 
     return _until_converged(at_order, "Beta kernel quadrature")
+
+
+def whole_batch_beta_cf(omega: np.ndarray, betas) -> tuple[np.ndarray, int]:
+    """kernels.beta_cf as it was written before it blocked its Betas: each
+    order weights every density and multiplies them by the phase matrix in
+    one product, and successive orders are compared through one difference
+    array of the batch's size.  Returns (rows, the order accepted)."""
+    alphas = np.array([[b.alpha] for b in betas])
+    bbetas = np.array([[b.beta] for b in betas])
+    log_norm = expfam.betaln(alphas, bbetas)
+    prev, order = None, kernels.QUAD_ORDER
+    while order <= kernels.QUAD_ORDER_CAP:
+        z, log_z, log_1mz, w = _unit_gl(order)
+        weighted = w * np.exp((alphas - 1.0) * log_z + (bbetas - 1.0) * log_1mz - log_norm)
+        cur = weighted @ np.exp(1j * np.outer(omega, z)).T
+        masses = weighted.sum(axis=1)
+        if (
+            prev is not None
+            and np.max(np.abs(masses - 1.0)) <= kernels.MASS_TOL
+            and np.max(np.abs(cur - prev)) <= kernels.QUAD_TOL
+        ):
+            return cur, order
+        prev, order = cur, 2 * order
+    raise QuadratureError(f"quadrature of {len(betas)} Betas did not converge")
 
 
 def exact_kernel(a: IncomingTuple, b: IncomingTuple, gamma) -> float:

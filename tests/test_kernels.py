@@ -1,4 +1,5 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -464,6 +465,62 @@ def test_beta_cf_mass_rule_moves_no_in_box_order(monkeypatch):
     for b, lost in ((BetaDist(0.5, 0.5), 1.9e-7), (BetaDist(0.3, 2.0), 1.0e-4)):
         mass = beta_cf(np.zeros(1), [b])[0, 0].real
         assert lost / 2 < 1.0 - mass < kernels.MASS_TOL
+
+
+def test_batched_beta_cf_gives_the_whole_batch_rows_and_order(monkeypatch):
+    # 2 blocks of box Betas and 77 more at inner width 500, with the sharp
+    # Beta(900, 800) in the second block to carry the batch past the box
+    # Betas' order 256: the blocked densities, products and order
+    # comparisons give the rows and the accepted order of
+    # helpers.whole_batch_beta_cf bit for bit, and so does one Beta
+    rng = np.random.default_rng(2043)
+    omega = draw_rff(2, 500, (1.0, 0.25), rng).frequencies[:, 1]
+    betas = [BetaDist(*rng.uniform(1.0, 10.0, size=2)) for _ in range(2 * kernels._BETA_ROWS + 77)]
+    betas[300] = BetaDist(900.0, 800.0)
+    orders, accepted = [], []
+    unit_gl = kernels._unit_gl
+
+    def recorded(order):
+        orders.append(order)
+        return unit_gl(order)
+
+    for batch in (betas, betas[:1], betas[300:301]):
+        want, order = helpers.whole_batch_beta_cf(omega, batch)
+        orders.clear()
+        monkeypatch.setattr(kernels, "_unit_gl", recorded)
+        got = beta_cf(omega, batch)
+        monkeypatch.setattr(kernels, "_unit_gl", unit_gl)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert max(orders) == order
+        accepted.append(order)
+    assert accepted == [2048, 256, 2048]
+
+
+def test_float_quadratures_keep_their_convergence_rule():
+    # exact_beta_kernel hands _until_converged a float per order, which is
+    # compared whole; a batch's rows are compared a block at a time, and a
+    # nan in the last block still refuses convergence
+    value = exact_beta_kernel(BetaDist(2.0, 3.0), BetaDist(4.0, 1.5), 0.25)
+    assert isinstance(value, float) and 0.0 < value < 1.0
+    rng = np.random.default_rng(2044)
+    prev = rng.normal(size=(600, 7)) + 1j * rng.normal(size=(600, 7))
+    cur = prev + rng.normal(scale=1e-9, size=prev.shape)
+    assert kernels._largest_change(cur, prev) == np.max(np.abs(cur - prev))
+    assert kernels._largest_change(2.5, 2.0) == 0.5
+    cur[599, 3] = np.nan
+    assert np.isnan(kernels._largest_change(cur, prev))
+
+
+def test_large_transients_are_mapped_and_small_ones_are_not():
+    # a mapped array is unmapped when freed; below _MAPPED_BYTES NumPy
+    # allocates, as an operator's one-message arrays are far below it
+    big = kernels._transient((kernels._MAPPED_BYTES // 16, 2), complex)
+    assert big.shape == (kernels._MAPPED_BYTES // 16, 2) and big.dtype == complex
+    assert big.flags.writeable and big.flags.c_contiguous
+    assert isinstance(big.base.base.obj, mmap.mmap)
+    small = kernels._transient((500,))
+    assert small.base is None and small.dtype == float
+    assert kernels._transient((0, 7)).shape == (0, 7)
 
 
 def test_gaussian_cf_known_value():

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +425,79 @@ def test_train_operator_holds_one_multipliers_features():
     ten = peak(np.geomspace(0.25, 4.0, 10))
     one = peak([1.0])
     assert ten - one < 2 * width * len(pairs) * 8
+
+
+# Runs train_operator's feature phase in a fresh process and stops it at
+# cross_validate's entry.  A 64-pair phase first fills the quadrature nodes
+# and BLAS buffers; then the process reports VmRSS before and at the entry of
+# a phase on argv[1] flat-Beta pairs at width argv[2], with the bytes that
+# tracemalloc sees live at the entry and tracemalloc's own bytes.
+_RESIDENT_PROBE = """
+import json, math, sys, tracemalloc
+import numpy as np
+from kernelep import operator
+from kernelep.expfam import BetaDist, Gaussian1D
+from kernelep.factors import IncomingTuple, TrainingPair
+
+def rss():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+
+class AtCrossValidation(Exception):
+    pass
+
+def stop(*args, **kwargs):
+    raise AtCrossValidation(
+        rss(), tracemalloc.get_traced_memory()[0], tracemalloc.get_tracemalloc_memory()
+    )
+
+def flat_pairs(n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        mean, var = rng.uniform(-5, 5), math.exp(rng.uniform(math.log(0.1), math.log(10)))
+        inc = IncomingTuple(Gaussian1D(mean, var), BetaDist(1.0, 1.0))
+        pairs.append(TrainingPair(inc, np.array([mean, math.log(var)]), 1000.0, 1000))
+    return pairs
+
+def feature_phase(pairs, width):
+    try:
+        operator.train_operator(pairs, width, np.random.default_rng(52))
+    except AtCrossValidation as probe:
+        return probe.args
+    raise AssertionError("train_operator never reached cross_validate")
+
+operator.cross_validate = stop
+n, width = int(sys.argv[1]), int(sys.argv[2])
+feature_phase(flat_pairs(64, 53), width)
+pairs = flat_pairs(n, 54)
+tracemalloc.start()
+before = rss()
+at_entry, live, tracer = feature_phase(pairs, width)
+print(json.dumps({"before": before, "at_entry": at_entry, "live": live, "tracer": tracer}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_feature_phase_returns_its_transients_before_cross_validation():
+    # what stays resident when cross-validation starts is what is live: the
+    # rise in VmRSS over the phase may exceed the live bytes tracemalloc
+    # counts, and its own, by one (n, inner width) complex array at most.
+    # Heap blocks freed after glibc raised its mmap threshold would stay
+    # resident beyond that; the feature phase maps its large transients
+    n, width = 1000, 1000
+    inner = min(width, operator.INNER_WIDTH_CAP)
+    env = dict(os.environ, PYTHONPATH=str(Path(operator.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _RESIDENT_PROBE, str(n), str(width)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout.splitlines()[-1])
+    rise = probe["at_entry"] - probe["before"]
+    assert rise <= probe["live"] + probe["tracer"] + n * inner * 16, probe
 
 
 def test_train_operator_reads_lazy_features_as_their_arrays(monkeypatch):

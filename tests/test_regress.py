@@ -841,7 +841,9 @@ def test_cross_validate_holds_one_square_and_one_block():
         tracemalloc.stop()
     assert calls == [1.0]
     assert np.all(np.isfinite(report.fold_errors))
-    assert peak < 8 * N * N + 8 * 256 * N + 2 * N * N
+    # K comes from NumPy's allocator, which tracemalloc sees: a mapped
+    # square would leave the bound below unchecked
+    assert 8 * N * N <= peak < 8 * N * N + 8 * 256 * N + 2 * N * N
 
 
 def test_fit_and_tau_hold_one_square_and_one_block():
@@ -858,7 +860,8 @@ def test_fit_and_tau_hold_one_square_and_one_block():
     finally:
         tracemalloc.stop()
     assert tau > 0.0
-    assert peak < 8 * D * D + 8 * D * 256 + 2 * D * D
+    # the Gram comes from NumPy's allocator, which tracemalloc sees
+    assert 8 * D * D <= peak < 8 * D * D + 8 * D * 256 + 2 * D * D
 
 
 @pytest.mark.parametrize("D, N", [(600, 600), (512, 1000)])
