@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .buffers import _transient
 from .errors import DomainError, EpSourceError, KernelEpError, integer, real
 from .expfam import (
     BetaDist,
@@ -353,7 +354,10 @@ class ActiveSource:
     visit order.  One pass of matrix products over the model's triangular
     factor serves a whole chunk, where a single message costs a full pass
     of its own, and a demo graph's queue (about 84 messages) is scored
-    once, when its log is read.
+    once, when its log is read.  The queue's D x n feature matrix is
+    _transient: mapped from 1 MiB up (a full chunk from 1,024 features),
+    like the chunk's products and each absorb's carry, so a long stream
+    holds only its live model.
 
     A query asks `oracle`, an OracleSource, so its message is the one
     OracleSource sends for the same visit, bit for bit.  Its answer is
@@ -380,7 +384,8 @@ class ActiveSource:
     def _score_pending(self):
         if not self._pending:
             return
-        Phi = np.column_stack([p[3] for p in self._pending])
+        phis = [p[3] for p in self._pending]
+        Phi = np.stack(phis, axis=1, out=_transient((len(phis[0]), len(phis))))
         variances = predictive_variance(self.op.model, Phi)
         for (factor_id, variable_id, visit, _), variance in zip(self._pending, variances):
             if variance > self.tau:

@@ -25,9 +25,9 @@ two latest orders is one block, with the bits of one product over the batch.
 
 Training's feature phase frees its large transients before
 cross-validation allocates K: the pair distances, each order's Beta rows,
-the inner embeddings and their centred copies come from ``_transient``,
-an anonymous mapping per array, which gives its pages back when freed
-where a heap block may stay resident.  tracemalloc does not see them.
+the inner embeddings and their centred copy come from
+``buffers._transient``, which maps each one of a megabyte or more on its
+own, so its pages go back when it is freed.
 
 A joint embedding e(P) is linear in the distribution P, and so is any
 regression on it.  A ``TwoStageSpec`` puts a Gaussian kernel on top,
@@ -49,12 +49,12 @@ bits, so this module imports nothing from SciPy.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .buffers import _transient
 from .errors import DomainError, QuadratureError, integer, real
 from .expfam import Gaussian1D, betaln
 
@@ -90,8 +90,6 @@ _FLATTEN = 3.0
 _PAIR_ROWS = 64
 # Betas of one block of a batched beta_cf
 _BETA_ROWS = 256
-# smallest array _transient maps; smaller ones come from NumPy's allocator
-_MAPPED_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,23 +255,6 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
             out[start : start + width - r] = acc[r, r:]
             start += width - r
     return out
-
-
-def _transient(shape, dtype=float) -> np.ndarray:
-    """An uninitialised array for one of the feature phase's large
-    transients, in an anonymous mapping of its own from _MAPPED_BYTES up.
-
-    Freeing a mapped array unmaps its pages at once.  A freed heap block may
-    stay resident instead: once glibc has freed a block it had mapped, it
-    raises its mmap threshold to that block's size and serves later blocks
-    up to it from the heap, which it shrinks only from the top.  tracemalloc
-    does not see a mapped array.
-    """
-    dtype = np.dtype(dtype)
-    nbytes = math.prod(shape) * dtype.itemsize
-    if nbytes < _MAPPED_BYTES:
-        return np.empty(shape, dtype)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
 
 
 def _feature_scale(d: int) -> float:
@@ -502,12 +483,17 @@ def joint_features_batch(spec: RffSpec, tuples) -> np.ndarray:
     return out
 
 
-def principal_projection(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and top-k principal directions of (n, D) embeddings.
+def principal_projection(
+    embeddings: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centre and top-k principal directions of (n, D) embeddings, and the
+    centred copy e - center they come from.
 
-    Returns (center (D,), projection (D, k)) with orthonormal columns in
-    order of decreasing variance, each signed so its largest-magnitude entry
-    is positive; the result is a deterministic function of the embeddings.
+    Returns (center (D,), projection (D, k), centred (n, D)): orthonormal
+    columns in order of decreasing variance, each signed so its
+    largest-magnitude entry is positive, a deterministic function of the
+    embeddings; centred is a _transient array, which _project takes with
+    center None, so training centres its embeddings once.
     """
     emb = np.asarray(embeddings, dtype=float)
     if emb.ndim != 2 or not 1 <= k <= emb.shape[1]:
@@ -517,7 +503,7 @@ def principal_projection(embeddings: np.ndarray, k: int) -> tuple[np.ndarray, np
     _, vecs = np.linalg.eigh(centred.T @ centred)
     top = vecs[:, ::-1][:, :k]
     lead = top[np.argmax(np.abs(top), axis=0), np.arange(k)]
-    return center, np.ascontiguousarray(top * np.where(lead < 0.0, -1.0, 1.0))
+    return center, np.ascontiguousarray(top * np.where(lead < 0.0, -1.0, 1.0)), centred
 
 
 def median_distance(points: np.ndarray) -> float:
@@ -539,11 +525,14 @@ def median_distance(points: np.ndarray) -> float:
     return top if top > 0.0 else 1.0
 
 
-def _project(center: np.ndarray, projection: np.ndarray, embeddings) -> np.ndarray:
+def _project(center: np.ndarray | None, projection: np.ndarray, embeddings) -> np.ndarray:
     """projection^T (e - center) of inner embeddings, (D_in,) -> (k,) or (n, D_in) -> (n, k),
-    for training's embeddings and embedding_features' alike."""
+    for training's embeddings and embedding_features' alike.  center None
+    says the embeddings are centred already (principal_projection's copy)."""
     emb = np.asarray(embeddings, dtype=float)
-    return np.subtract(emb, center, out=_transient(emb.shape)) @ projection
+    if center is not None:
+        emb = np.subtract(emb, center, out=_transient(emb.shape))
+    return emb @ projection
 
 
 def embedding_features(spec: TwoStageSpec, embeddings) -> np.ndarray:

@@ -300,10 +300,9 @@ def train_operator(
     specs, projected = {}, {}
     for m in multipliers:
         inner = rescale(base, m)
-        emb = joint_features_batch(inner, tuples)
-        center, projection = principal_projection(emb, k)
-        projected[m] = _project(center, projection, emb)
-        del emb  # so no n x D_in embedding outlives its projection
+        center, projection, centred = principal_projection(joint_features_batch(inner, tuples), k)
+        projected[m] = _project(None, projection, centred)
+        del centred  # so no n x D_in embedding outlives its projection
         outer = rescale(base_outer, median_distance(projected[m]))
         specs[m] = TwoStageSpec(inner, center, projection, outer)
 

@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from .buffers import _transient
 from .errors import DomainError, integer, real
 
 __all__ = [
@@ -162,7 +163,9 @@ class RidgeModel:
     d = 1 + z^T w at the time of the update (k = 0 when omitted).  So a
     predictive variance is noise_scale * (||M phi||^2 - ||C M phi||^2).  C
     is the model's own read-only array: an update builds a fresh one with
-    one more row.  When C reaches D // 2 rows, the point where its k D
+    one more row, mapped on its own from 1 MiB up (buffers._transient), so
+    a stream that drops each model for its update holds only its live
+    carry.  When C reaches D // 2 rows, the point where its k D
     multiply-adds per variance match the triangle's D^2 / 2, update_online
     folds it into a new triangle; save_model folds whatever is carried.
 
@@ -224,12 +227,16 @@ def _fold(panels: tuple, C: np.ndarray) -> np.ndarray:
     U's F-order bytes read backwards are T's, so reversing the buffer gives
     T in F order.  Both factors are lower-triangular, so block b of M' is
     T[b0:, b0:] M_b, one gemm per block into the new buffer.  Apart from
-    C's reversed copy, X and the new blocks are the only arrays allocated.
+    C's reversed copy, X and the new blocks are the only arrays allocated;
+    the copy and X are _transient, so their pages go back when the fold
+    returns.
     """
     from scipy.linalg.lapack import dpotrf
 
-    reversed_C = np.ascontiguousarray(C[:, ::-1])
-    X = reversed_C.T @ reversed_C
+    k, D = C.shape
+    reversed_C = _transient((k, D))
+    reversed_C[...] = C[:, ::-1]
+    X = np.matmul(reversed_C.T, reversed_C, out=_transient((D, D)))
     del reversed_C
     np.negative(X, out=X)
     X[np.diag_indices(len(X))] += 1.0
@@ -240,7 +247,6 @@ def _fold(panels: tuple, C: np.ndarray) -> np.ndarray:
     if info:
         raise DomainError("carried updates lost positive definiteness; cannot fold")
     _reverse_in_place(X.reshape(-1))
-    D = len(X)
     out = np.empty(factor_size(D))
     # as transposes, so that every operand and the output are C-ordered
     # for numpy's BLAS path: new_b^T = M_b^T T[b0:, b0:]^T, and T^T = X
@@ -381,9 +387,15 @@ def _lower_rows(panels: tuple, XT: np.ndarray) -> np.ndarray:
     """(M X)^T = X^T M^T for the column blocks of M and the transpose XT of
     a (D, n) batch X: block 0 writes every column, and each later block b
     adds X[b]^T M_b^T to the columns from b0 on, so each gemm makes n
-    contiguous rows of D - b0 entries."""
-    ZT = np.matmul(XT[:, :_BLOCK], panels[0].T)
-    for j, panel in zip(range(_BLOCK, XT.shape[1], _BLOCK), panels[1:]):
+    contiguous rows of D - b0 entries.  The result is _transient: a full
+    chunk's is mapped from 1,024 features, a single vector's is not.  Each
+    later block's product stays a NumPy temporary: it has the same size in
+    every chunk, so the heap block one chunk frees serves the next; mapped,
+    its fresh pages beside the live result raised the benchmark's
+    active_cold peak RSS by 0.75 MB."""
+    n, D = XT.shape
+    ZT = np.matmul(XT[:, :_BLOCK], panels[0].T, out=_transient((n, D)))
+    for j, panel in zip(range(_BLOCK, D, _BLOCK), panels[1:]):
         ZT[:, j:] += XT[:, j : j + _BLOCK] @ panel.T
     return ZT
 
@@ -417,12 +429,14 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     _CHUNK columns at a time (_block): each chunk's transpose makes one pass
     over the triangle as products Z^T = X^T M^T (_lower_rows), and Z^T and
     Z^T C^T are reduced to their row sums of squares, so a chunk and its
-    Z^T are the largest arrays alive.  Either way each entry of z is a sum
-    of dot products with a row of M's blocks, so a batch column's variance
-    equals that column scored alone to rounding, not up to a cancelling
-    sum.  A single vector's z and C z are kept in the model's memo for
-    update_online.  A non-finite phi raises DomainError: its variance would
-    be nan, which a threshold test reads as certain.
+    Z^T are the largest arrays alive.  Z^T and Z^T C^T are _transient, so
+    from 1 MiB up (Z^T of a full chunk from 1,024 features) they are mapped
+    and give their pages back before the next chunk.  Either way each entry
+    of z is a sum of dot products with a row of M's blocks, so a batch
+    column's variance equals that column scored alone to rounding, not up
+    to a cancelling sum.  A single vector's z and C z are kept in the
+    model's memo for update_online.  A non-finite phi raises DomainError:
+    its variance would be nan, which a threshold test reads as certain.
     """
     phi = _check_phi(model, phi, batch=True)
     if len(phi.shape) == 1:
@@ -435,7 +449,7 @@ def predictive_variance(model: RidgeModel, phi) -> float | np.ndarray:
     squares = np.empty(phi.shape[1])
     for j in range(0, len(squares), _CHUNK):
         ZT = _lower_rows(model._blocks, _block(phi, slice(None), slice(j, j + _CHUNK)).T)
-        CZT = ZT @ model.C.T
+        CZT = np.matmul(ZT, model.C.T, out=_transient((len(ZT), len(model.C))))
         squares[j : j + _CHUNK] = np.einsum("ij,ij->i", ZT, ZT) - np.einsum("ij,ij->i", CZT, CZT)
         del ZT, CZT  # before the next chunk is built
     return np.maximum(model.noise_scale * squares, 0.0)
@@ -448,8 +462,9 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
     loses u u^T / d for u = A_inv phi = M^T w, so W gains
     (y - W phi) u^T / d, and the returned model carries one more row
     w / sqrt(d) of C over the same M (see RidgeModel), in a fresh copy of
-    the carry.  No D x D array is touched unless C reaches D // 2 rows and
-    is folded.  When predictive_variance last scored a phi with the same
+    the carry, concatenated into a _transient array (mapped from 1 MiB
+    up).  No D x D array is touched unless C reaches D // 2 rows and is
+    folded.  When predictive_variance last scored a phi with the same
     bytes on this model, its z and C z are reused (the same bits fresh
     products give), so the update's one pass over M is the transposed
     product that forms u.  noise_scale stays frozen; n_train counts the new
@@ -472,7 +487,8 @@ def update_online(model: RidgeModel, phi_new, y_new) -> RidgeModel:
         raise DomainError(f"rank-1 update breakdown: denominator {denom} <= 0")
     u = _lower_transposed_product(model._blocks, w)
     W = model.W + np.outer((y - model.W @ phi) / denom, u)
-    M, C = model.M, np.concatenate([model.C, (w / np.sqrt(denom))[None]])
+    row = (w / np.sqrt(denom))[None]
+    M, C = model.M, np.concatenate([model.C, row], out=_transient((len(model.C) + 1, len(w))))
     if len(C) >= model.num_features // 2:
         M, C = _fold(model._blocks, C), None
     return RidgeModel(W, model.lam, M, model.noise_scale, model.n_train + 1, C)

@@ -9,10 +9,13 @@ The references of the feature and ridge criteria live here too: per-side
 expected features, exact expected kernels between incoming messages, a
 dual-form ridge regressor, a ridge model's factor assembled as one dense
 square, and the exact posterior of a logistic-regression graph.  The
-package itself runs none of them.
+package itself runs none of them.  ``Mappings`` counts the arrays that
+buffers._transient maps, which tracemalloc does not see.
 """
 
 import math
+import mmap
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import betaln, expit, logsumexp
 
-from kernelep import expfam, kernels
+from kernelep import buffers, expfam, kernels
 from kernelep.errors import DomainError, QuadratureError
 from kernelep.expfam import BetaDist, ExpFamDist, Gaussian1D
 from kernelep.factors import IncomingTuple
@@ -360,3 +363,38 @@ def logistic_regression_posterior(graph, n_nodes=2000, order=96) -> Gaussian1D:
     probs = np.exp(log_mass - logsumexp(log_mass))
     mean = float(probs @ w)
     return Gaussian1D(mean, float(probs @ (w - mean) ** 2))
+
+
+def mapping_of(array: np.ndarray):
+    """The mmap.mmap that holds an array of buffers._transient, or None for
+    an array that NumPy allocated."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    if isinstance(array, memoryview):
+        array = array.obj
+    return array if isinstance(array, mmap.mmap) else None
+
+
+class Mappings:
+    """The mappings buffers._transient makes, as seen from the modules it is
+    patched into: the bytes of each (`sizes`), the bytes mapped now
+    (`live`) and the most mapped at once (`peak`).  A mapping counts as
+    freed when its mmap object is."""
+
+    def __init__(self, monkeypatch, *modules):
+        self.sizes, self.live, self.peak = [], 0, 0
+        for module in modules:
+            monkeypatch.setattr(module, "_transient", self._recording)
+
+    def _recording(self, shape, dtype=float):
+        array = buffers._transient(shape, dtype)
+        mapping = mapping_of(array)
+        if mapping is not None:
+            self.sizes.append(array.nbytes)
+            self.live += array.nbytes
+            self.peak = max(self.peak, self.live)
+            weakref.finalize(mapping, self._freed, array.nbytes)
+        return array
+
+    def _freed(self, nbytes: int) -> None:
+        self.live -= nbytes

@@ -47,7 +47,8 @@ from kernelep.operator import (
     predict_q,
     train_operator,
 )
-from kernelep.regress import RidgeModel, update_online
+from kernelep.kernels import TwoStageSpec, draw_rff
+from kernelep.regress import RidgeModel, fit, update_online
 
 
 def chain_graph():
@@ -704,6 +705,35 @@ def _deferred_messages(op, policy, graph, seed) -> int:
 
     run_ep(graph, sources=default_sources(counting), rng=np.random.default_rng(seed))
     return deferred
+
+
+def test_a_full_queue_is_scored_from_a_mapped_stack(monkeypatch):
+    # at 1,100 features a full queue's D x 128 matrix (1.1 MB) is mapped, as
+    # is its chunk's (M X)^T; the matrix holds np.column_stack's bits, so
+    # the log has the variances of the stacked features
+    D = 1100
+    rng = np.random.default_rng(130)
+    spec = TwoStageSpec(draw_rff(2, 8, 1.0, rng), np.zeros(8), np.eye(8)[:, :3],
+                        draw_rff(3, D, 1.0, rng))
+    op = MessageOperator(spec, fit(rng.normal(size=(D, 40)), rng.normal(size=(2, 40)), 1e-3))
+    phis = [rng.normal(size=D) for _ in range(ep_engine._CHUNK)]
+    stacked = np.column_stack(phis)
+    want = operator.predictive_variance(op.model, stacked)
+    tau = float(np.median(want))
+    src = ActiveSource(op, UncertaintyPolicy(tau=tau, budget=0))
+    mapped = helpers.Mappings(monkeypatch, ep_engine, regress)
+    real_variance, queues = ep_engine.predictive_variance, []
+
+    def scoring(model, Phi):
+        queues.append((helpers.mapping_of(Phi) is not None, Phi.tobytes() == stacked.tobytes()))
+        return real_variance(model, Phi)
+
+    monkeypatch.setattr(ep_engine, "predictive_variance", scoring)
+    src._pending.extend(("f", "x", visit, phi) for visit, phi in enumerate(phis, 1))
+    logged = [(e.iteration, e.variance) for e in src.log]
+    assert queues == [(True, True)]
+    assert logged == [(j + 1, float(v)) for j, v in enumerate(want) if v > tau]
+    assert mapped.sizes == [8 * D * ep_engine._CHUNK] * 2 and mapped.live == 0
 
 
 def test_deferred_fallback_log_equals_eager_scoring(demo_operator, monkeypatch):

@@ -1,5 +1,7 @@
 import math
 import mmap
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from helpers import (
     expected_feature_beta,
     expected_feature_gaussian,
 )
-from kernelep import kernels, operator
+from kernelep import buffers, kernels, operator
 from kernelep.errors import DomainError, QuadratureError
 from kernelep.expfam import BetaDist, Gaussian1D
 from kernelep.factors import IncomingPrior, IncomingTuple, sample_incoming
@@ -153,7 +155,7 @@ def test_point_features_blocks_of_512_cases_are_embedding_features_rows():
     rng = np.random.default_rng(2512)
     inner = draw_rff(2, 200, (1.0, 0.25), rng)
     emb = joint_features_batch(inner, random_tuples(1200, seed=2513))
-    center, projection = principal_projection(emb, 16)
+    center, projection, _ = principal_projection(emb, 16)
     spec = TwoStageSpec(inner, center, projection, draw_rff(16, 2000, 1.0, rng))
     lazy = PointFeatures(spec.outer, kernels._project(center, projection, emb))
     rows = embedding_features(spec, emb)
@@ -514,13 +516,32 @@ def test_float_quadratures_keep_their_convergence_rule():
 def test_large_transients_are_mapped_and_small_ones_are_not():
     # a mapped array is unmapped when freed; below _MAPPED_BYTES NumPy
     # allocates, as an operator's one-message arrays are far below it
-    big = kernels._transient((kernels._MAPPED_BYTES // 16, 2), complex)
-    assert big.shape == (kernels._MAPPED_BYTES // 16, 2) and big.dtype == complex
+    big = buffers._transient((buffers._MAPPED_BYTES // 16, 2), complex)
+    assert big.shape == (buffers._MAPPED_BYTES // 16, 2) and big.dtype == complex
     assert big.flags.writeable and big.flags.c_contiguous
     assert isinstance(big.base.base.obj, mmap.mmap)
-    small = kernels._transient((500,))
+    small = buffers._transient((500,))
     assert small.base is None and small.dtype == float
-    assert kernels._transient((0, 7)).shape == (0, 7)
+    assert buffers._transient((0, 7)).shape == (0, 7)
+    assert kernels._transient is buffers._transient
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_writes_its_own_copy_of_a_transient():
+    # the mapping is private: a shared one would carry the child's writes
+    # into the parent's array
+    mapped = buffers._transient((buffers._MAPPED_BYTES // 8,))
+    mapped[:] = 1.0
+    with warnings.catch_warnings():
+        # Python 3.12 warns when a process with threads (BLAS's) forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        mapped[:] = 2.0
+        os._exit(0 if mapped[-1] == 2.0 else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert np.all(mapped == 1.0)
 
 
 def test_gaussian_cf_known_value():
@@ -580,7 +601,7 @@ def two_stage_spec(inner_width, outer_width, k, seed, n_fit=300):
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     inner = draw_rff(2, inner_width, (1.0, 0.25), rng)
     emb = joint_features_batch(inner, random_tuples(n_fit, seed=seed + 1))
-    center, projection = principal_projection(emb, k)
+    center, projection, _ = principal_projection(emb, k)
     sigma = median_distance((emb - center) @ projection)
     return TwoStageSpec(inner, center, projection, draw_rff(k, outer_width, sigma, rng))
 
@@ -616,8 +637,13 @@ def test_two_stage_batch_matches_single():
 def test_principal_projection_orthonormal_and_ordered():
     rng = np.random.default_rng(56)
     emb = rng.normal(size=(60, 10)) * np.linspace(3.0, 0.1, 10)
-    center, proj = principal_projection(emb, 4)
+    center, proj, centred = principal_projection(emb, 4)
     np.testing.assert_allclose(center, emb.mean(axis=0))
+    # the centred copy is e - center, bit for bit, and leaves emb as it was
+    assert centred.tobytes() == (emb - center).tobytes()
+    assert kernels._project(None, proj, centred).tobytes() == kernels._project(
+        center, proj, emb
+    ).tobytes()
     np.testing.assert_allclose(proj.T @ proj, np.eye(4), atol=1e-12)
     spread = ((emb - center) @ proj).var(axis=0)
     assert np.all(np.diff(spread) <= 0.0)

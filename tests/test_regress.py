@@ -1,15 +1,19 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from helpers import dense_factor, fit_dual, inverse_gram, packed_factor
+from helpers import Mappings, dense_factor, fit_dual, inverse_gram, mapping_of, packed_factor
 from kernelep import regress
 from kernelep.cli import load_model, save_model
 from kernelep.errors import DomainError
@@ -319,13 +323,17 @@ def test_updates_allocate_below_one_square_and_fold_only_at_half_width_or_save(
     tmp_path, monkeypatch
 ):
     # tracemalloc sees numpy's buffers: below the fold point an update
-    # allocates less than one D x D array, and a fold at least one
+    # allocates less than one D x D array, and a fold at least one.  At
+    # D = 400 a carry stays under 1 MiB, so no update below the fold maps
+    # an array; the fold's I - C^T C square is mapped, beside the new
+    # factor that NumPy allocates
     D = 400
     square = 8 * D * D
     rng = np.random.default_rng(93)
     model = fit(rng.normal(size=(D, 500)), rng.normal(size=(2, 500)), 1e-3)
     folds = []
     real_fold = regress._fold
+    mapped = Mappings(monkeypatch, regress)
 
     def counting_fold(M, C):
         folds.append(len(C))
@@ -349,10 +357,10 @@ def test_updates_allocate_below_one_square_and_fold_only_at_half_width_or_save(
         model, used = peak(update_online, model, phi, y)
         if i == D // 2:
             assert folds == [D // 2] and len(model.C) == 0
-            assert used >= square
+            assert used >= square and mapped.sizes == [square]
         else:
             assert len(folds) == (i > D // 2)
-            assert used < square
+            assert used < square and len(mapped.sizes) == (i > D // 2)
     assert len(model.C) == 1
     loaded = _round_trip(model, tmp_path / "model.json")
     assert folds == [D // 2, 1]
@@ -1002,27 +1010,36 @@ def test_block_products_match_a_dense_factor(D):
     _assert_close(update_online(model, phi, y).W, W, rtol=1e-11)
 
 
-def test_wide_batch_is_scored_in_column_chunks():
-    # D = 1100 is three column blocks of M and n = 3000 six chunks of the
+def test_wide_batch_is_scored_in_column_chunks(monkeypatch):
+    # D = 1100 is three column blocks of M and n = 3000 24 chunks of the
     # batch; a batch that formed M phi for every column at once would hold
-    # a D x n array of its own
+    # a D x n array of its own.  A chunk's (M X)^T (1.1 MB) is mapped, where
+    # tracemalloc does not see it, so every mapping is held to one chunk's
+    # size and the two counts together to the whole batch's
     D, n = 1100, 3000
     model, _, rng = _blocked_model(D, 4, seed=104)
     batch = rng.normal(size=(D, n))
+    mapped = Mappings(monkeypatch, regress)
     tracemalloc.start()
     try:
         got = predictive_variance(model, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * D * n
+    # every full chunk's (M X)^T is mapped, the last 56 columns' is not
+    assert mapped.sizes == [8 * D * regress._CHUNK] * (n // regress._CHUNK)
+    assert mapped.live == 0
+    assert peak + mapped.peak < 8 * D * n
     alone = [predictive_variance(model, batch[:, j]) for j in range(n)]
     np.testing.assert_allclose(got, alone, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("D", [513, 1100])
-def test_fold_matches_a_dense_fold_and_holds_no_square(D):
+def test_fold_matches_a_dense_fold_and_holds_no_square(D, monkeypatch):
+    # the fold's I - C^T C square is mapped, where tracemalloc does not see
+    # it: it is the one mapping, and it is gone when the fold returns
     model, dense, _ = _blocked_model(D, 6, seed=D + 1)
+    mapped = Mappings(monkeypatch, regress)
     tracemalloc.start()
     try:
         folded = regress._fold(model._blocks, model.C)
@@ -1030,6 +1047,7 @@ def test_fold_matches_a_dense_fold_and_holds_no_square(D):
     finally:
         tracemalloc.stop()
     assert folded.shape == (regress.factor_size(D),) and not folded.flags.writeable
+    assert mapped.sizes == [8 * D * D] and mapped.live == 0
     assert held < 8 * D * D
     # T lower-triangular with T^T T = I - C^T C, from the Cholesky factor of
     # the matrix with coordinates reversed
@@ -1139,6 +1157,112 @@ def test_update_chain_bits_are_pinned():
     assert digest.hexdigest() == (
         "95e976c9d97ed695a7c49e3818e7adbe8e8d7c19a5a7eaf0038ffae5d8108a45"
     )
+
+
+def test_mapped_update_chain_bits_are_pinned(monkeypatch):
+    # at D = 1100 a carry is mapped from 120 rows (1 MiB), a batch's full
+    # chunks of 128 columns are, and the fold at 550 rows maps the
+    # I - C^T C square and C's reversed copy.  560 seeded updates, every
+    # second one gated by a variance first, and a 200-column batch scored
+    # every 50th: the sha256 of W, M, C and the scored variances is the one
+    # that NumPy-allocated carries (np.concatenate) and products
+    # (np.matmul) gave, with numpy 2.4.6's OpenBLAS on x86-64 (AVX-512)
+    D = 1100
+    Phi, Y, _ = random_problem(D=D, N=100, seed=110, noise=0.3)
+    model = fit(Phi, Y, 1e-3)
+    rng = np.random.default_rng(111)
+    batch = rng.normal(size=(D, 200))
+    mapped = Mappings(monkeypatch, regress)
+    scored = []
+    for i in range(560):
+        phi, y = rng.normal(size=D), rng.normal(size=2)
+        if i % 2:
+            predictive_variance(model, phi)
+        updated = update_online(model, phi, y)
+        if len(updated.C):
+            # the old rows copied in, the new one after them
+            stacked = np.concatenate([model.C, updated.C[-1:]])
+            assert updated.C.tobytes() == stacked.tobytes()
+            assert (mapping_of(updated.C) is not None) == (len(updated.C) >= 120)
+        model = updated
+        if i % 50 == 49:
+            scored.append(predictive_variance(model, batch))
+    assert len(model.C) == 10 and model.n_train == 660
+    assert 8 * D * D in mapped.sizes and 8 * 550 * D in mapped.sizes
+    assert 8 * D * regress._CHUNK in mapped.sizes
+    XT = batch[:, : regress._CHUNK].T
+    want = XT[:, : regress._BLOCK] @ model._blocks[0].T
+    for j, panel in zip(range(regress._BLOCK, D, regress._BLOCK), model._blocks[1:]):
+        want[:, j:] += XT[:, j : j + regress._BLOCK] @ panel.T
+    got = regress._lower_rows(model._blocks, XT)
+    assert mapping_of(got) is not None and got.tobytes() == want.tobytes()
+    digest = hashlib.sha256(b"".join(getattr(model, n).tobytes() for n in ("W", "M", "C")))
+    digest.update(np.concatenate(scored).tobytes())
+    assert digest.hexdigest() == (
+        "ca676896dafd94cf8d2184aaa1f4ee17ff3cfa75b3de42ae2f6edb807be8f766"
+    )
+
+
+# Drives a stream of online updates in a fresh process: argv[2] absorbs at
+# width argv[1], each gated by a single variance first as ActiveSource's
+# decide does, and an argv[4]-column batch scored every argv[3] absorbs.  A
+# freed D x D square first raises glibc's mmap threshold to its 32 MiB
+# ceiling, as dropping a loaded model's factor does, and its product
+# touches the BLAS buffers that the fold's products use.  After each batch
+# the process reports its VmRSS less the model's live W, M and C.
+_STREAM_PROBE = """
+import json, sys
+import numpy as np
+from kernelep.regress import fit, predictive_variance, update_online
+
+def rss():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+
+D, absorbs, every, width = (int(a) for a in sys.argv[1:])
+rng = np.random.default_rng(120)
+model = fit(rng.normal(size=(D, 64)), rng.normal(size=(2, 64)), 1e-3)
+square = np.ones((D, D))
+square = square @ square
+del square
+batch = rng.normal(size=(D, width))
+excess = []
+for i in range(1, absorbs + 1):
+    phi = rng.normal(size=D)
+    predictive_variance(model, phi)
+    model = update_online(model, phi, rng.normal(size=2))
+    if i % every == 0:
+        predictive_variance(model, batch)
+        live = sum(a.nbytes for a in (model.W, model.M, model.C))
+        excess.append((i, len(model.C), rss() - live))
+print(json.dumps(excess))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_long_stream_holds_only_its_live_model():
+    # 1,300 absorbs at D = 2000 with an 80-column batch every 20 fold once,
+    # at 1,000 rows.  From absorb 300 on, resident memory beyond the live
+    # model may grow by 8 MiB at most (2.7 MB measured).  Carries, batch
+    # products and the fold's arrays freed into a heap whose mmap
+    # threshold is raised stay resident: NumPy-allocated ones grew it by
+    # 89 MB over the window, and the fold's square and reversed carry
+    # alone by 48 MB
+    D, absorbs, every, width = 2000, 1300, 20, 80
+    env = dict(os.environ, PYTHONPATH=str(Path(regress.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _STREAM_PROBE, *map(str, (D, absorbs, every, width))],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    samples = [row for row in json.loads(result.stdout) if row[0] >= 300]
+    carried = [k for _, k, _ in samples]
+    assert samples[0][0] == 300 and min(carried) < 300 < max(carried)  # one fold
+    start = samples[0][2]
+    growth = max(extra for _, _, extra in samples) - start
+    assert growth <= 8 * 2**20, samples
 
 
 def test_concurrent_updates_of_one_model_take_distinct_rows():
