@@ -3,14 +3,14 @@
 Training's feature phase and the EP path build arrays of a megabyte or more
 and drop them soon after: pair distances, Beta rows and centred embeddings
 in training; an online update's carry, a batch's (M X)^T and ActiveSource's
-queued features in EP, and a fold's square.  From _MAPPED_BYTES up,
-``_transient`` puts each in a private anonymous mapping of its own, so
-freeing it unmaps its pages at once.  A freed heap block may stay resident
-instead: once glibc has freed a block it had mapped, it raises its mmap
-threshold to that block's size (up to 32 MiB) and serves later blocks up to
-it from the heap, which it shrinks only from the top, so a stream of
-growing blocks keeps every freed one.  tracemalloc does not see a mapped
-array.
+queued features in EP, a fold's square, and its new factor at the
+stream's next fold.  From _MAPPED_BYTES up, ``_transient`` puts each in a
+private anonymous mapping of its own, so freeing it unmaps its pages at
+once.  A freed heap block may stay resident instead: once glibc has freed
+a block it had mapped, it raises its mmap threshold to that block's size
+(up to 32 MiB) and serves later blocks up to it from the heap, which it
+shrinks only from the top, so a stream of growing blocks keeps every freed
+one.  tracemalloc does not see a mapped array.
 """
 
 from __future__ import annotations

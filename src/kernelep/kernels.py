@@ -24,8 +24,8 @@ Betas at a time into one result per order, so its working set beside its
 two latest orders is one block, with the bits of one product over the batch.
 
 Training's feature phase frees its large transients before
-cross-validation allocates K: the pair distances, each order's Beta rows,
-the inner embeddings and their centred copy come from
+cross-validation allocates its Gram (K or G): the pair distances, each
+order's Beta rows, the inner embeddings and their centred copy come from
 ``buffers._transient``, which maps each one of a megabyte or more on its
 own, so its pages go back when it is freed.
 

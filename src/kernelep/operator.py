@@ -285,8 +285,8 @@ def train_operator(
     Only each multiplier's spec and its n x k projected embeddings are kept,
     not its n x D_in embedding.  Its D x n features are a lazy
     PointFeatures matrix over them, which cross-validation, the refit and
-    tau read a block at a time, so no whole feature matrix is alive unless
-    cross-validation takes the eigen route.
+    tau read a block at a time, so no whole feature matrix is alive on
+    either cross-validation route.
     Returns the operator, the CV report, and the calibrated tau.
     """
     tuples = [p.input for p in pairs]

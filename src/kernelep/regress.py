@@ -16,10 +16,11 @@ _fold and cross-validation's two routes), so inference never loads it.
 Training reads its features a block at a time.  A feature matrix is an
 array, or a lazy matrix such as kernels.PointFeatures that builds the block
 Phi[rows, cols] when indexed; both go through the same code, and an
-array's column blocks are views of it.  fit sums the Gram Phi Phi^T and
-Phi Y^T over blocks of _CASES cases into the one D x D buffer it factors,
-cross-validation's dual route sums K = Phi^T Phi over blocks of _FEATURES
-features, and predictive_variance scores a batch _CHUNK cases at a time,
+array's column blocks are views of it.  fit and cross-validation's eigen
+route sum the Gram Phi Phi^T and Phi Y^T over blocks of _CASES cases into
+one D x D buffer (_gram_sums), the dual route sums K = Phi^T Phi over
+blocks of _FEATURES features, the eigen route then reads one fold's cases
+at a time, and predictive_variance scores a batch _CHUNK cases at a time,
 so none of them holds Phi itself.
 
 Cross-validation scores every fold from the full-data fit.  With no more
@@ -63,9 +64,9 @@ _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 # elements per step of the in-place reversal in _fold
 _REVERSE_CHUNK = 1 << 16
 
-# training reads a feature matrix in blocks: fit _CASES columns (cases) at
-# a time, cross-validation's dual route _FEATURES rows (features); either is
-# 4 MB at 2000 features or cases
+# training reads a feature matrix in blocks: fit and cross-validation's
+# eigen route _CASES columns (cases) at a time, the dual route _FEATURES
+# rows (features); either is 4 MB at 2000 features or cases
 _CASES = 256
 _FEATURES = 256
 
@@ -227,9 +228,10 @@ def _fold(panels: tuple, C: np.ndarray) -> np.ndarray:
     U's F-order bytes read backwards are T's, so reversing the buffer gives
     T in F order.  Both factors are lower-triangular, so block b of M' is
     T[b0:, b0:] M_b, one gemm per block into the new buffer.  Apart from
-    C's reversed copy, X and the new blocks are the only arrays allocated;
-    the copy and X are _transient, so their pages go back when the fold
-    returns.
+    C's reversed copy, X and the new blocks are the only arrays allocated,
+    all _transient: the copy's and X's pages go back when the fold returns,
+    and the new blocks' when the last model holding them is freed, so a
+    stream's next fold does not leave them resident in the heap.
     """
     from scipy.linalg.lapack import dpotrf
 
@@ -247,7 +249,7 @@ def _fold(panels: tuple, C: np.ndarray) -> np.ndarray:
     if info:
         raise DomainError("carried updates lost positive definiteness; cannot fold")
     _reverse_in_place(X.reshape(-1))
-    out = np.empty(factor_size(D))
+    out = _transient((factor_size(D),))
     # as transposes, so that every operand and the output are C-ordered
     # for numpy's BLAS path: new_b^T = M_b^T T[b0:, b0:]^T, and T^T = X
     for j, panel, new in zip(range(0, D, _BLOCK), panels, _panels(out, D)):
@@ -292,15 +294,33 @@ def _block(Phi, rows, cols) -> np.ndarray:
     return block
 
 
+def _gram_sums(Phi, Y: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Phi Y^T, after summing the Gram Phi Phi^T into the lower triangle of
+    gram.T, the D x D array gram in Fortran order, which BLAS and LAPACK
+    overwrite in place.  Each block B of _CASES cases adds B B^T (BLAS
+    dsyrk, in place) and B Y_B^T, so the Gram and one block are the
+    largest arrays alive; a block's entries are checked finite as it comes.
+    gram.T's strict upper triangle is never written."""
+    from scipy.linalg.blas import dsyrk
+
+    PY = np.zeros((Phi.shape[0], len(Y)))
+    for j in range(0, Phi.shape[1], _CASES):
+        cases = slice(j, j + _CASES)
+        B = _block(Phi, slice(None), cases)
+        dsyrk(1.0, B, beta=float(j > 0), c=gram.T, lower=1, overwrite_c=1)
+        PY += B @ Y[:, cases].T
+        del B  # before the next block is built
+    return PY
+
+
 def fit(Phi, Y: np.ndarray, lam: float) -> RidgeModel:
     """Primal ridge fit W = Y Phi^T (Phi Phi^T + lambda I)^{-1}.
 
     Phi is an array or a lazy feature matrix (see the module docstring),
-    read _CASES columns at a time.  Each block B adds B B^T to the lower
-    triangle of the Gram (BLAS dsyrk, in place) and B Y_B^T to Phi Y^T, so
-    the Gram's D x D array and one block are the largest arrays alive while
-    it forms; a block's entries are checked finite as it comes.  LAPACK
-    factors the Gram in place as L L^T and zeroes the upper triangle, W
+    read _CASES columns at a time: the Gram and Phi Y^T are summed block by
+    block into the Gram's one D x D array (_gram_sums), so that array and
+    one block are the largest alive while it forms.  LAPACK factors the
+    Gram in place as L L^T and zeroes the upper triangle, W
     comes from two triangular solves with L, and L is inverted in place.
     Its columns then move forward, within the same buffer, into the column
     blocks of the model's M (_pack_in_place), and the buffer shrinks to
@@ -319,22 +339,14 @@ def fit(Phi, Y: np.ndarray, lam: float) -> RidgeModel:
         raise DomainError("non-finite training inputs")
     if not real("lambda", lam) > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
-    from scipy.linalg.blas import dsyrk
     from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
     D, N = Phi.shape
     diagonal = np.diag_indices(D)
-    # the Gram in Fortran order is gram.T, which BLAS and LAPACK overwrite in
-    # place; LAPACK's factor and inverse are then gram's own buffer
+    # LAPACK's factor and inverse are gram's own buffer (see _gram_sums)
     gram = np.empty((D, D))
     for jitter in _JITTERS:
-        PY = np.zeros((D, len(Y)))
-        for j in range(0, N, _CASES):
-            cases = slice(j, j + _CASES)
-            B = _block(Phi, slice(None), cases)
-            dsyrk(1.0, B, beta=float(j > 0), c=gram.T, lower=1, overwrite_c=1)
-            PY += B @ Y[:, cases].T
-            del B  # before the next block is built
+        PY = _gram_sums(Phi, Y, gram)
         gram[diagonal] += lam
         if jitter:
             gram[diagonal] += jitter
@@ -506,15 +518,13 @@ def cross_validate(
 
     `features(m)` gives multiplier m its D x N feature matrix (same case
     order), an array or a lazy matrix (see the module docstring).  It is
-    called once per entry of `multipliers`, in the order given, so a caller
-    that builds fresh matrices holds one at a time.  A second call for the
-    same m follows the first only when the dual route below leaves some
-    lambda to the eigen route.  The report's grid is the product in that
-    order, multiplier-major.  Fold assignment is a seeded permutation, so
-    the report is deterministic per rng state.  Ties in mean error prefer
-    the larger lambda, then the larger multiplier, then the earlier point.
-    A non-finite target, or a non-finite feature in a block as it is
-    built, raises DomainError.
+    called once per entry of `multipliers`, in the order given, on either
+    route, so a caller that builds fresh matrices holds one at a time.  The
+    report's grid is the product in that order, multiplier-major.  Fold
+    assignment is a seeded permutation, so the report is deterministic per
+    rng state.  Ties in mean error prefer the larger lambda, then the larger
+    multiplier, then the earlier point.  A non-finite target, or a
+    non-finite feature in a block as it is built, raises DomainError.
 
     Every fold's held-out residuals follow from the full-data fit instead
     of a refit per fold, by one of two routes (see _fold_errors):
@@ -532,8 +542,9 @@ def cross_validate(
       eigendecomposition of the D x D Gram G = Phi Phi^T = P diag(e) P^T
       serves every lambda: with C = Phi^T P and w = 1 / (e + lambda), the
       hat matrix is H = C diag(w) C^T, and refitting without fold g leaves
-      residuals (Y_g - Yhat_g)(I - H_gg)^{-1}.  e is clipped at 0.  This
-      route builds the whole feature matrix, its cases in fold order.
+      residuals (Y_g - Yhat_g)(I - H_gg)^{-1}.  e is clipped at 0.  G is
+      summed from blocks of cases as fit sums it, and each fold's rows of C
+      are formed from that fold's features alone (see _eigen_rows).
 
     No jitter is added on either route.  A row depends only on its
     multiplier's features and its own lambda, so the order of either axis
@@ -558,11 +569,10 @@ def cross_validate(
     # cases sorted by fold, so every fold is a contiguous block of columns
     by_fold = np.argsort(fold_of, kind="stable")
     bounds = np.searchsorted(fold_of[by_fold], np.arange(folds + 1))
-    Y_sorted = Y[:, by_fold]
 
     rows = []
     for mult in multipliers:
-        rows += _fold_errors(features, mult, by_fold, Y_sorted, lambdas, bounds)
+        rows += _fold_errors(features, mult, Y, by_fold, lambdas, bounds)
     grid = tuple((m, lam) for m in multipliers for lam in lambdas)
     fold_errors = np.array(rows)
     means = fold_errors.mean(axis=1)
@@ -574,47 +584,33 @@ def cross_validate(
     return CvReport(grid, fold_errors, chosen)
 
 
-def _fold_errors(build, mult, by_fold, Y, lams, bounds) -> list[list[float]]:
+def _fold_errors(build, mult, Y, by_fold, lams, bounds) -> list[list[float]]:
     """Held-out mean squared errors per lambda and fold for multiplier mult,
-    whose features build(mult) gives; by_fold orders their columns so that
-    fold k is the block bounds[k]:bounds[k + 1] (as Y already is).
+    whose features build(mult) gives, built once; fold k is the cases
+    by_fold[bounds[k]:bounds[k + 1]].
 
-    With N <= D the dual Gram K is summed from the features' row blocks,
-    and no other array of the features is made.  A lambda below
-    _DUAL_FLOOR * trace(K), or one where a dual factorization fails, takes
-    its row from the eigen route on a feature matrix built again, after K
-    is freed.  With N > D the eigen route scores every lambda.  Either way
-    each multiplier's arrays are freed before the next multiplier's are
-    formed.
+    With N <= D the dual Gram K is summed from the features' row blocks.  A
+    lambda below _DUAL_FLOOR * trace(K), or one where a dual factorization
+    fails, takes its row from the eigen route after K is freed.  With N > D
+    the eigen route scores every lambda.  Either way each multiplier's
+    arrays are freed before the next multiplier's are formed.
     """
-    Phi = _checked_source(build, mult, len(by_fold))
+    Phi = _source(build(mult))
+    if len(Phi.shape) != 2 or Phi.shape[1] != len(by_fold):
+        raise DomainError(
+            f"feature matrix for multiplier {mult} has shape {Phi.shape}, "
+            f"expected {len(by_fold)} cases"
+        )
     rows = [None] * len(lams)
     if Phi.shape[1] <= Phi.shape[0]:
         K = _dual_gram(Phi, by_fold)
-        Phi = None
-        rows = _dual_rows(K, Y, lams, bounds)
+        rows = _dual_rows(K, Y[:, by_fold], lams, bounds)
         del K
     rest = [lam for lam, row in zip(lams, rows) if row is None]
     if rest:
-        if Phi is None:
-            Phi = _checked_source(build, mult, len(by_fold))
-        # the whole matrix, its cases in fold order
-        e, C = _eigen_basis(_block(Phi, slice(None), by_fold))
-        del Phi
-        eigen = iter(_eigen_rows(e, C, Y, rest, bounds))
+        eigen = iter(_eigen_rows(Phi, Y, by_fold, rest, bounds))
         rows = [next(eigen) if row is None else row for row in rows]
     return rows
-
-
-def _checked_source(build, mult, N):
-    """build(mult) as a feature matrix (_source) of N cases."""
-    Phi = _source(build(mult))
-    if len(Phi.shape) != 2 or Phi.shape[1] != N:
-        raise DomainError(
-            f"feature matrix for multiplier {mult} has shape {Phi.shape}, "
-            f"expected {N} cases"
-        )
-    return Phi
 
 
 def _dual_gram(Phi, by_fold) -> np.ndarray:
@@ -692,35 +688,37 @@ def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
     return rows
 
 
-def _eigen_basis(Phi) -> tuple[np.ndarray, np.ndarray]:
-    """(e, C) for the fold-sorted feature array Phi: G = Phi Phi^T = P diag(e) P^T
-    with e clipped at 0, and C = Phi^T P.  G and P live only in this call."""
+def _eigen_rows(Phi, Y, by_fold, lams, bounds) -> list[list[float]]:
+    """Fold errors per lambda by the leave-group-out identity on the hat
+    matrix H = C diag(1 / (e + lambda)) C^T (see cross_validate).
+
+    G = Phi Phi^T and Phi Y^T are summed from blocks of cases (_gram_sums),
+    eigh overwrites G with its eigenvectors P, and Y C = (Phi Y^T)^T P.
+    Each fold g then builds its features Phi_g, forms its rows
+    C_g = Phi_g^T P and scores every lambda on them, so G, P and one
+    fold's Phi_g and C_g are the largest arrays alive.
+    """
     from scipy.linalg import eigh
 
-    # G is exactly symmetric (numpy forms Phi Phi^T as a rank-k update and
-    # mirrors one triangle), so G^T is G in Fortran order: LAPACK overwrites
-    # it in place instead of eigh copying it first
-    G = Phi @ Phi.T
-    e, P = eigh(G.T, overwrite_a=True, driver="evd")
+    D = Phi.shape[0]
+    G = np.empty((D, D))
+    PY = _gram_sums(Phi, Y, G)
+    # G.T's upper triangle is never written, so eigh must not check it for
+    # finite entries; every block was checked as it came
+    e, P = eigh(G.T, overwrite_a=True, check_finite=False, driver="evd")
     del G
     np.maximum(e, 0.0, out=e)
-    return e, Phi.T @ P
-
-
-def _eigen_rows(e, C, Y, lams, bounds) -> list[list[float]]:
-    """Fold errors per lambda by the leave-group-out identity on the hat
-    matrix H = C diag(1 / (e + lambda)) C^T (see cross_validate)."""
-    YC = Y @ C
-    out = []
-    for lam in lams:
-        w = 1.0 / (e + lam)
-        residual = Y - (YC * w) @ C.T
-        root_w = np.sqrt(w)
-        fold_mse = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+    YC = PY.T @ P
+    weights = [1.0 / (e + lam) for lam in lams]
+    errors = np.empty((len(lams), len(bounds) - 1))
+    for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        cases = by_fold[lo:hi]
+        C = _block(Phi, slice(None), cases).T @ P
+        for i, w in enumerate(weights):
+            residual = Y[:, cases] - (YC * w) @ C.T
             # H_gg = B B^T, which numpy forms as a symmetric rank-k product
-            B = C[lo:hi] * root_w
-            held_out = np.linalg.solve(np.eye(hi - lo) - B @ B.T, residual[:, lo:hi].T)
-            fold_mse.append(float(np.mean(held_out**2)))
-        out.append(fold_mse)
-    return out
+            B = C * np.sqrt(w)
+            held_out = np.linalg.solve(np.eye(hi - lo) - B @ B.T, residual.T)
+            errors[i, g] = np.mean(held_out**2)
+        del C, B  # before the next fold's are built
+    return errors.tolist()

@@ -323,10 +323,9 @@ def test_updates_allocate_below_one_square_and_fold_only_at_half_width_or_save(
     tmp_path, monkeypatch
 ):
     # tracemalloc sees numpy's buffers: below the fold point an update
-    # allocates less than one D x D array, and a fold at least one.  At
-    # D = 400 a carry stays under 1 MiB, so no update below the fold maps
-    # an array; the fold's I - C^T C square is mapped, beside the new
-    # factor that NumPy allocates
+    # allocates less than one D x D array.  At D = 400 a carry stays under
+    # 1 MiB, so no update below the fold maps an array; the fold maps two,
+    # its I - C^T C square and the new factor
     D = 400
     square = 8 * D * D
     rng = np.random.default_rng(93)
@@ -357,10 +356,10 @@ def test_updates_allocate_below_one_square_and_fold_only_at_half_width_or_save(
         model, used = peak(update_online, model, phi, y)
         if i == D // 2:
             assert folds == [D // 2] and len(model.C) == 0
-            assert used >= square and mapped.sizes == [square]
+            assert mapped.sizes == [square, 8 * regress.factor_size(D)]
         else:
             assert len(folds) == (i > D // 2)
-            assert used < square and len(mapped.sizes) == (i > D // 2)
+            assert used < square and len(mapped.sizes) == 2 * (i > D // 2)
     assert len(model.C) == 1
     loaded = _round_trip(model, tmp_path / "model.json")
     assert folds == [D // 2, 1]
@@ -758,7 +757,7 @@ def _rank_three_features():
 def test_cross_validate_falls_back_where_the_dual_gram_does_not_factor():
     # rank-3 features with N = 20 < D = 30: K + 1e-14 I is not positive
     # definite to working precision, so that lambda's row comes from the
-    # eigen route on features built a second time, while lambda = 1e-2
+    # eigen route on the same features, built once, while lambda = 1e-2
     # keeps the dual route and its bits
     Phi, Y = _rank_three_features()
     K = Phi.T @ Phi
@@ -770,7 +769,7 @@ def test_cross_validate_falls_back_where_the_dual_gram_does_not_factor():
         return Phi.copy()
 
     report = cross_validate(build, Y, [1.0], [1e-14, 1e-2], 5, np.random.default_rng(7))
-    assert calls == [1.0, 1.0]
+    assert calls == [1.0]
     # the dual row carries about 0.13 eps trace(K) / lambda = 4e-12 (see
     # regress._DUAL_FLOOR); the eigen row stays within 1e-13
     expected = refit_fold_errors({1.0: Phi}, Y, report.grid, 5, 7, svd_ridge_predict)
@@ -852,6 +851,31 @@ def test_cross_validate_holds_one_square_and_one_block():
     # K comes from NumPy's allocator, which tracemalloc sees: a mapped
     # square would leave the bound below unchecked
     assert 8 * N * N <= peak < 8 * N * N + 8 * 256 * N + 2 * N * N
+
+
+def test_cross_validate_eigen_route_reads_its_features_fold_by_fold():
+    # D = 300 < N = 1200 over the default lambda axis, every row on the
+    # eigen route, which builds its features once: G (which eigh overwrites
+    # with P), dsyevd's 2 D^2 workspace and one fold's Phi_g and C_g bound
+    # the peak.  The 300 x 1200 feature matrix beside G would not fit
+    D, N = 300, 1200
+    lazy, Y = lazy_features(D, N, seed=109)
+    calls = []
+
+    def build(mult):
+        calls.append(mult)
+        return lazy
+
+    tracemalloc.start()
+    try:
+        report = cross_validate(build, Y, [1.0], DEFAULT_LAMBDAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [1.0]
+    assert np.all(np.isfinite(report.fold_errors))
+    fold = N // 5
+    assert peak < 8 * (D * D + 2 * D * D + 2 * D * fold)
 
 
 def test_fit_and_tau_hold_one_square_and_one_block():
@@ -1036,8 +1060,9 @@ def test_wide_batch_is_scored_in_column_chunks(monkeypatch):
 
 @pytest.mark.parametrize("D", [513, 1100])
 def test_fold_matches_a_dense_fold_and_holds_no_square(D, monkeypatch):
-    # the fold's I - C^T C square is mapped, where tracemalloc does not see
-    # it: it is the one mapping, and it is gone when the fold returns
+    # the fold's I - C^T C square and the new factor are mapped, where
+    # tracemalloc does not see them: the square is gone when the fold
+    # returns, and the factor's mapping is the only one left
     model, dense, _ = _blocked_model(D, 6, seed=D + 1)
     mapped = Mappings(monkeypatch, regress)
     tracemalloc.start()
@@ -1047,7 +1072,9 @@ def test_fold_matches_a_dense_fold_and_holds_no_square(D, monkeypatch):
     finally:
         tracemalloc.stop()
     assert folded.shape == (regress.factor_size(D),) and not folded.flags.writeable
-    assert mapped.sizes == [8 * D * D] and mapped.live == 0
+    factor = 8 * regress.factor_size(D)
+    assert mapped.sizes == [8 * D * D, factor] and mapped.live == factor
+    assert mapping_of(folded) is not None
     assert held < 8 * D * D
     # T lower-triangular with T^T T = I - C^T C, from the Cholesky factor of
     # the matrix with coordinates reversed
@@ -1243,14 +1270,15 @@ print(json.dumps(excess))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_a_long_stream_holds_only_its_live_model():
-    # 1,300 absorbs at D = 2000 with an 80-column batch every 20 fold once,
-    # at 1,000 rows.  From absorb 300 on, resident memory beyond the live
-    # model may grow by 8 MiB at most (2.7 MB measured).  Carries, batch
-    # products and the fold's arrays freed into a heap whose mmap
-    # threshold is raised stay resident: NumPy-allocated ones grew it by
-    # 89 MB over the window, and the fold's square and reversed carry
-    # alone by 48 MB
-    D, absorbs, every, width = 2000, 1300, 20, 80
+    # 2,300 absorbs at D = 2000 with an 80-column batch every 20 fold
+    # twice, at 1,000 rows each.  From absorb 300 on, resident memory
+    # beyond the live model may grow by 8 MiB at most (2.7 MB measured).
+    # Carries, batch products and the fold's arrays freed into a heap whose
+    # mmap threshold is raised stay resident: NumPy-allocated ones grew it
+    # by 89 MB over a one-fold window, the fold's square and reversed carry
+    # alone by 48 MB, and a NumPy-allocated factor, freed by the second
+    # fold, by 19 MB
+    D, absorbs, every, width = 2000, 2300, 20, 80
     env = dict(os.environ, PYTHONPATH=str(Path(regress.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", _STREAM_PROBE, *map(str, (D, absorbs, every, width))],
@@ -1259,7 +1287,8 @@ def test_a_long_stream_holds_only_its_live_model():
     assert result.returncode == 0, result.stderr
     samples = [row for row in json.loads(result.stdout) if row[0] >= 300]
     carried = [k for _, k, _ in samples]
-    assert samples[0][0] == 300 and min(carried) < 300 < max(carried)  # one fold
+    folds = sum(after < before for before, after in zip(carried, carried[1:]))
+    assert samples[0][0] == 300 and folds == 2
     start = samples[0][2]
     growth = max(extra for _, _, extra in samples) - start
     assert growth <= 8 * 2**20, samples
