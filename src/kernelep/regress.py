@@ -25,7 +25,8 @@ so none of them holds Phi itself.
 
 Cross-validation scores every fold from the full-data fit.  With no more
 cases than features it factors the N x N dual Gram Phi^T Phi + lambda I
-once per lambda; with more cases, or at a lambda too small for the dual
+once per lambda and scores every fold from that Cholesky factor, never
+from an inverse; with more cases, or at a lambda too small for the dual
 Gram to resolve, it eigendecomposes Phi Phi^T once per bandwidth
 multiplier (see cross_validate).
 """
@@ -80,11 +81,19 @@ _CHUNK = 128
 # trace(K) up.  Cholesky's backward error on K + lambda I is about
 # eps * trace(K), which perturbs the directions K nearly annihilates by that
 # much relative to lambda: on rank-3 features (D = 30, N = 20, trace 1408)
-# the dual fold errors sat about 0.13 eps trace(K) / lambda off per-fold SVD
-# refits (3e-6 at lambda = 1e-8, 0.4 at 1e-13), where the eigen route stays
-# within 1e-13.  At the floor that is 3e-5; the acceptance Grams (trace
-# about 2000) put lambda = 1e-8 five times above it
+# the dual fold errors sat 0.06 to 0.17 eps trace(K) / lambda off per-fold
+# SVD refits (2.2e-6 at lambda = 1e-8, 0.48 at 1e-13), where the eigen route
+# stays within 1e-13.  The drift is the factorization's, not the fold
+# scoring's.  At the floor that is at most 4e-5; the acceptance Grams
+# (trace about 2000) put lambda = 1e-8 five times above it
 _DUAL_FLOOR = 1e-12
+
+# cross-validation's dual route solves a run of consecutive folds together,
+# on one copy of at most _RUN of the factor's columns (see _run_errors), so
+# leave-one-out at N = 2000 makes 16 triangular solves per lambda with 128
+# right-hand sides, not 2000 with one; the copy is 2 MB at 2000 cases.  A
+# fold wider than _RUN is solved in place
+_RUN = 128
 
 # width of the column blocks that hold M.  Block b, for b0 = b * _BLOCK and
 # w = min(_BLOCK, D - b0), is the Fortran-ordered (D - b0) x w panel
@@ -529,14 +538,16 @@ def cross_validate(
     Every fold's held-out residuals follow from the full-data fit instead
     of a refit per fold, by one of two routes (see _fold_errors):
 
-    - Dual route, when N <= D.  Each lambda factors K + lambda I, for the
-      N x N dual Gram K = Phi^T Phi, by Cholesky.  With
+    - Dual route, when N <= D.  Each lambda factors K + lambda I = L L^T,
+      for the N x N dual Gram K = Phi^T Phi, by Cholesky.  With
       A = (K + lambda I)^{-1}, I - H = lambda A, so fold g's held-out
-      residuals are A_gg^{-1} (A Y^T)_g: one |g| x |g| Cholesky solve per
-      fold (An, Liu & Venkatesh, Pattern Recognition 40, 2007).  No
-      eigendecomposition is made and nothing cancels.  K is summed over
-      blocks of _FEATURES features with their cases in fold order, and
-      one N x N array holds K and every lambda's factor (see _dual_rows).
+      residuals are A_gg^{-1} (A Y^T)_g (An, Liu & Venkatesh, Pattern
+      Recognition 40, 2007).  A_gg^{-1} is read from L, with one
+      triangular solve against the factor of the cases after fold g, and
+      A itself is never formed (see _run_errors).  No eigendecomposition is
+      made and nothing cancels.  K is summed over blocks of _FEATURES
+      features with their cases in fold order, and one N x N array holds K
+      and every lambda's factor (see _dual_rows).
     - Eigen route, when N > D, and for a lambda below
       _DUAL_FLOOR * trace(K) or whose dual factorization fails.  One
       eigendecomposition of the D x D Gram G = Phi Phi^T = P diag(e) P^T
@@ -590,8 +601,8 @@ def _fold_errors(build, mult, Y, by_fold, lams, bounds) -> list[list[float]]:
     by_fold[bounds[k]:bounds[k + 1]].
 
     With N <= D the dual Gram K is summed from the features' row blocks.  A
-    lambda below _DUAL_FLOOR * trace(K), or one where a dual factorization
-    fails, takes its row from the eigen route after K is freed.  With N > D
+    lambda below _DUAL_FLOOR * trace(K), or one where K + lambda I does not
+    factor, takes its row from the eigen route after K is freed.  With N > D
     the eigen route scores every lambda.  Either way each multiplier's
     arrays are freed before the next multiplier's are formed.
     """
@@ -603,9 +614,9 @@ def _fold_errors(build, mult, Y, by_fold, lams, bounds) -> list[list[float]]:
         )
     rows = [None] * len(lams)
     if Phi.shape[1] <= Phi.shape[0]:
-        K = _dual_gram(Phi, by_fold)
-        rows = _dual_rows(K, Y[:, by_fold], lams, bounds)
-        del K
+        gram = _dual_gram(Phi, by_fold)
+        rows = _dual_rows(gram, Y[:, by_fold], lams, bounds)
+        del gram
     rest = [lam for lam, row in zip(lams, rows) if row is None]
     if rest:
         eigen = iter(_eigen_rows(Phi, Y, by_fold, rest, bounds))
@@ -615,19 +626,34 @@ def _fold_errors(build, mult, Y, by_fold, lams, bounds) -> list[list[float]]:
 
 def _dual_gram(Phi, by_fold) -> np.ndarray:
     """K = Phi^T Phi with its cases in by_fold's order, as the upper
-    triangle of a fresh Fortran-ordered N x N array whose strict lower
-    triangle is unset.  Each block of _FEATURES rows, its columns in fold
-    order, adds its B^T B in place (BLAS dsyrk), so K and one block are the
-    largest arrays alive."""
+    triangle of the Fortran-ordered N x N square in the first N * N entries
+    of a fresh flat buffer of N * N + N doubles; the square's strict lower
+    triangle and the N spare doubles are unset (see _columns).  Each block
+    of _FEATURES rows, its columns in fold order, adds its B^T B in place
+    (BLAS dsyrk), so K and one block are the largest arrays alive."""
     from scipy.linalg.blas import dsyrk
 
     N = len(by_fold)
-    K = np.empty((N, N), order="F")
+    flat = np.empty(N * N + N)
+    K = _columns(flat, N, 0, 0, N)
     for i in range(0, Phi.shape[0], _FEATURES):
         B = _block(Phi, slice(i, i + _FEATURES), by_fold)
         dsyrk(1.0, B, beta=float(i > 0), c=K, trans=1, lower=0, overwrite_c=1)
         del B  # before the next block is built
-    return K
+    return flat
+
+
+def _columns(flat: np.ndarray, N: int, i: int, j: int, n: int) -> np.ndarray:
+    """Rows i to N - 1 of columns j to j + n - 1 of the Fortran-ordered
+    N x N square in flat, as the first N - i rows of an F-contiguous N x n
+    view with leading dimension N; each of its columns runs on into the top
+    of the square's next column.  LAPACK and BLAS read and write only the
+    rows a call gives them the count of, so they take the view in place.
+    The view ends (j + n) N + i doubles into flat, at most N past the
+    square for j + n <= N and i <= N, which _dual_gram's spare doubles
+    hold."""
+    start = j * N + i
+    return flat[start : start + N * n].reshape((N, n), order="F")
 
 
 def _mirror_upper(K: np.ndarray) -> None:
@@ -644,25 +670,51 @@ def _mirror_upper(K: np.ndarray) -> None:
         square[below] = square.T[below]
 
 
-def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
-    """Fold errors per lambda from the N x N dual Gram K (see
-    cross_validate), or None for a lambda below _DUAL_FLOOR * trace(K) or
-    where K + lambda I or a fold's block of its inverse does not factor.
+def _runs(bounds) -> list:
+    """The fold bounds split into runs of consecutive folds, each as its own
+    bounds: a fold joins the run before it while the run stays within _RUN
+    cases, and a wider fold is a run of its own."""
+    runs, first = [], 0
+    for last in range(1, len(bounds) - 1):
+        if bounds[last + 1] - bounds[first] > _RUN:
+            runs.append(bounds[first : last + 1])
+            first = last
+    runs.append(bounds[first:])
+    return runs
 
-    K holds the Gram in its upper triangle (_dual_gram), which nothing
-    below writes, and its diagonal is kept apart.  Each lambda refills the
-    lower triangle from the upper (_mirror_upper) and puts the diagonal
-    plus lambda on it; LAPACK factors K + lambda I in the lower triangle,
-    solves for A Y^T and overwrites the factor with A's lower triangle,
-    from which each fold's diagonal block is copied and factored.  With
-    uplo 'L', dpotrf, dpotrs and dpotri read and write only the lower
-    triangle, so K is the only N x N array.
+
+def _block_diagonal(square: np.ndarray, edges) -> None:
+    """Zero the lower triangle of square outside the diagonal blocks that
+    the run's fold bounds edges (from 0) mark."""
+    for lo, hi in zip(edges[:-2], edges[1:-1]):
+        square[hi:, lo:hi] = 0.0
+
+
+def _dual_rows(flat, Y, lams, bounds) -> list[list[float] | None]:
+    """Fold errors per lambda from the N x N dual Gram K in flat (see
+    _dual_gram and cross_validate), or None for a lambda below
+    _DUAL_FLOOR * trace(K) or where K + lambda I does not factor.
+
+    K holds the Gram in its upper triangle, which nothing below writes, and
+    its diagonal is kept apart.  Each lambda refills the lower triangle from
+    the upper (_mirror_upper) and puts the diagonal plus lambda on it;
+    LAPACK factors K + lambda I = L L^T in the lower triangle and solves for
+    A Y^T, A = (K + lambda I)^{-1}.  The fold blocks of A follow from L
+    (_run_errors), so A itself is never formed.  With uplo 'L' every call
+    reads only the lower triangle, and each writes only the lower triangle
+    or an array of its own, so K's square is the only N x N array.  Every
+    BLAS and LAPACK call here is SciPy's: a NumPy product between them
+    switches to NumPy's OpenBLAS pool, whose idle threads slow the next
+    SciPy call several times over.
     """
-    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
+    N = Y.shape[1]
+    K = _columns(flat, N, 0, 0, N)
     gram_diagonal = K.diagonal().copy()
-    diagonal = np.diag_indices(len(K))
+    diagonal = np.diag_indices(N)
     floor = _DUAL_FLOOR * gram_diagonal.sum()
+    runs = _runs(bounds)
     rows = []
     for lam in lams:
         if lam < floor:
@@ -670,22 +722,64 @@ def _dual_rows(K, Y, lams, bounds) -> list[list[float] | None]:
             continue
         _mirror_upper(K)
         K[diagonal] = gram_diagonal + lam
-        L, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
+        _, info = dpotrf(K, lower=1, clean=0, overwrite_a=1)
         if info:
             rows.append(None)
             continue
-        AY, _ = dpotrs(L, Y.T, lower=1)
-        A, _ = dpotri(L, lower=1, overwrite_c=1)
-        fold_mse = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            L_g, info = dpotrf(A[lo:hi, lo:hi], lower=1, clean=0)
-            if info:
-                fold_mse = None
-                break
-            held_out, _ = dpotrs(L_g, AY[lo:hi], lower=1)
-            fold_mse.append(float(np.mean(held_out**2)))
-        rows.append(fold_mse)
+        AY, _ = dpotrs(K, Y.T, lower=1)
+        rows.append([mse for edges in runs for mse in _run_errors(flat, N, AY, edges)])
     return rows
+
+
+def _run_errors(flat, N, AY, edges) -> list[float]:
+    """Held-out mean squared errors of the folds whose bounds are edges, a
+    run of _runs, from the Cholesky factor L of K + lambda I in the lower
+    triangle of flat's square and AY = A Y^T.
+
+    For fold g, with R the cases after it, A_gg = L_gg^{-T} S_g L_gg^{-1}
+    for S_g = I + Z_g^T Z_g and Z_g = L_RR^{-1} L_Rg, so the held-out
+    residuals A_gg^{-1} (A Y^T)_g are L_gg S_g^{-1} L_gg^T (A Y^T)_g, and
+    S_g >= I always factors.  A run of one fold solves for Z_g in place of
+    L_Rg (LAPACK dtrtrs on _columns views), which nothing later reads, since
+    the runs go in order and each reads only the columns from its own on.
+    A run of several folds copies its columns from its first case down, with
+    each fold's entries above its last case zeroed; one solve with the
+    trailing factor from that case then leaves each fold's Z_g below its
+    last case and zeros above, so the run's folds make one BLAS-3 solve
+    whatever their width.  Afterwards the run's square block of L and
+    S = I + Z^T Z, summed by SciPy's dsyrk over _FEATURES rows at a time,
+    are cut to their fold blocks (_block_diagonal), and every fold of the
+    run is scored by one triangular product, one Cholesky solve and another
+    triangular product on the run's own columns.
+    """
+    from scipy.linalg.blas import dsyrk, dtrmm
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
+    lo, hi = int(edges[0]), int(edges[-1])
+    edges = [int(e) - lo for e in edges]
+    if len(edges) == 2:
+        Z = _columns(flat, N, hi, lo, hi - lo)
+        if hi < N:
+            dtrtrs(_columns(flat, N, hi, hi, N - hi), Z, lower=1, overwrite_b=1)
+        Z = Z[: N - hi]
+    else:
+        Z = _columns(flat, N, lo, lo, hi - lo)[: N - lo].copy(order="F")
+        for a, b in zip(edges[:-1], edges[1:]):
+            Z[:b, a:b] = 0.0
+        dtrtrs(_columns(flat, N, lo, lo, N - lo), Z, lower=1, overwrite_b=1)
+    factor = _columns(flat, N, lo, lo, hi - lo)
+    _block_diagonal(factor[: hi - lo], edges)
+    S = np.eye(hi - lo, order="F")
+    for r in range(0, len(Z), _FEATURES):
+        dsyrk(1.0, Z[r : r + _FEATURES], beta=1.0, c=S, trans=1, lower=1, overwrite_c=1)
+    del Z
+    _block_diagonal(S, edges)
+    # S >= I, so its factorization cannot fail
+    dpotrf(S, lower=1, clean=0, overwrite_a=1)
+    held_out = dtrmm(1.0, factor, AY[lo:hi], lower=1, trans_a=1)
+    held_out, _ = dpotrs(S, held_out, lower=1, overwrite_b=1)
+    held_out = dtrmm(1.0, factor, held_out, lower=1, overwrite_b=1)
+    return [float(np.mean(held_out[a:b] ** 2)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _eigen_rows(Phi, Y, by_fold, lams, bounds) -> list[list[float]]:

@@ -14,7 +14,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from helpers import Mappings, dense_factor, fit_dual, inverse_gram, mapping_of, packed_factor
-from kernelep import regress
+from kernelep import buffers, regress
 from kernelep.cli import load_model, save_model
 from kernelep.errors import DomainError
 from kernelep.kernels import PointFeatures, TwoStageSpec, draw_rff
@@ -688,6 +688,9 @@ def svd_ridge_predict(Phi_in, Y_in, lam, Phi_out):
         (20, 20, 4),  # N = D, N divisible by folds
         (23, 23, 5),  # N = D, uneven folds
         (12, 9, 9),  # leave-one-out: folds == N
+        (40, 30, 10),  # N < D, many small folds
+        (40, 31, 10),  # N < D, many small uneven folds
+        (40, 30, 30),  # N < D, leave-one-out
     ],
 )
 def test_cross_validate_matches_per_fold_refit(D, N, folds):
@@ -700,6 +703,50 @@ def test_cross_validate_matches_per_fold_refit(D, N, folds):
     expected = refit_fold_errors(features, Y, report.grid, folds, 3, fit_and_predict)
     np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
     assert report.chosen == int(np.argmin(expected.mean(axis=1)))
+
+
+@pytest.mark.parametrize("run", [1, 4, 7, 30])
+def test_dual_route_scores_folds_alone_and_in_runs_alike(run, monkeypatch):
+    # ten folds of 3 or 4 cases: with runs of at most 1 or 4 cases every
+    # fold is solved in place alone, with 7 folds go in pairs on masked
+    # copies, with 30 all ten go in one; each matches the per-fold refits
+    monkeypatch.setattr(regress, "_RUN", run)
+    rng = np.random.default_rng(107)
+    Phi = rng.normal(size=(40, 33))
+    Y = rng.normal(size=(2, 40)) @ Phi + 0.3 * rng.normal(size=(2, 33))
+    grid = (1e-3, 1e-1, 10.0)
+    report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], grid, 10, np.random.default_rng(4))
+    expected = refit_fold_errors({1.0: Phi}, Y, report.grid, 10, 4, fit_and_predict)
+    np.testing.assert_allclose(report.fold_errors, expected, rtol=1e-9, atol=0)
+
+
+def test_dual_route_neither_inverts_nor_eigendecomposes(monkeypatch):
+    # above the floor every lambda's row comes from the Cholesky factor of
+    # K + lambda I: no inverse (dpotri) and no eigendecomposition
+    import scipy.linalg
+    import scipy.linalg.lapack
+
+    calls = []
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotri", counted("dpotri", scipy.linalg.lapack.dpotri))
+    monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
+    rng = np.random.default_rng(108)
+    Phi = rng.normal(size=(40, 30))
+    Y = rng.normal(size=(2, 30))
+    for folds in (5, 30):
+        report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], DEFAULT_LAMBDAS, folds)
+        assert np.all(np.isfinite(report.fold_errors))
+    assert calls == []
+    # the counters see a call where one is made: the eigen route's eigh
+    cross_validate({1.0: Phi[:20]}.__getitem__, Y, [1.0], [1.0], 5)
+    assert calls == ["eigh"]
 
 
 def test_cross_validate_rank_deficient_matches_svd_refit():
@@ -770,7 +817,7 @@ def test_cross_validate_falls_back_where_the_dual_gram_does_not_factor():
 
     report = cross_validate(build, Y, [1.0], [1e-14, 1e-2], 5, np.random.default_rng(7))
     assert calls == [1.0]
-    # the dual row carries about 0.13 eps trace(K) / lambda = 4e-12 (see
+    # the dual row carries about 0.06 eps trace(K) / lambda = 2e-12 (see
     # regress._DUAL_FLOOR); the eigen row stays within 1e-13
     expected = refit_fold_errors({1.0: Phi}, Y, report.grid, 5, 7, svd_ridge_predict)
     np.testing.assert_allclose(report.fold_errors[0], expected[0], rtol=1e-12, atol=0)
@@ -785,7 +832,7 @@ def test_cross_validate_falls_back_where_the_dual_gram_does_not_factor():
 def test_cross_validate_leaves_lambdas_below_the_dual_floor_to_the_eigen_route(lam):
     # K + lambda I factors at these lambdas, but Cholesky's backward error
     # (about eps trace(K) = 3e-13 here) is a large share of lambda in the
-    # directions K annihilates: the dual route read 0.4, 3e-2 and 5e-4
+    # directions K annihilates: the dual route read 0.48, 3.4e-2 and 3.3e-4
     # relative off the SVD refits, the eigen route stays within 1e-13
     Phi, Y = _rank_three_features()
     K = Phi.T @ Phi
@@ -813,6 +860,31 @@ def test_cross_validate_memory_at_square_features():
         tracemalloc.stop()
     assert report.fold_errors.shape == (len(DEFAULT_LAMBDAS), 5)
     assert peak < 2.5 * 8 * N * N
+
+
+def test_cross_validate_leave_one_out_holds_one_square_and_bounded_copies():
+    # D = N = 600 with leave-one-out over the default lambda axis: the
+    # folds go in runs of regress._RUN cases, each solved on one masked
+    # copy of at most N x _RUN doubles, so the peak keeps the bound of
+    # five folds' in-place solves below; an inverse beside K would not fit
+    # under it, and a copy of all N columns would be mapped out of
+    # tracemalloc's sight, which the size check below rules out
+    N = 600
+    rng = np.random.default_rng(110)
+    Phi = rng.normal(size=(N, N)) / np.sqrt(N)
+    Y = rng.normal(size=(2, N))
+    tracemalloc.start()
+    try:
+        report = cross_validate({1.0: Phi}.__getitem__, Y, [1.0], DEFAULT_LAMBDAS, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.fold_errors.shape == (len(DEFAULT_LAMBDAS), N)
+    assert np.all(np.isfinite(report.fold_errors))
+    # K comes from NumPy's allocator, and so does each copy, 8 * N * _RUN
+    # bytes, below buffers._MAPPED_BYTES here: tracemalloc sees both
+    assert 8 * N * regress._RUN < buffers._MAPPED_BYTES
+    assert 8 * N * N <= peak < 8 * N * N + 8 * 256 * N + 2 * N * N
 
 
 def lazy_features(D, N, seed):
