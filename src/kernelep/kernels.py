@@ -90,6 +90,17 @@ _FLATTEN = 3.0
 _PAIR_ROWS = 64
 # Betas of one block of a batched beta_cf
 _BETA_ROWS = 256
+# OpenBLAS runs a matrix product on the calling thread while M * N * K is
+# at most SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4 (its
+# interface/gemm.c); above that it hands the product to its thread pool,
+# whose idle workers then spin for a while beside whatever follows
+_SERIAL_GEMM = 4 * 65536
+# rows per slice of _serial_matmul are a multiple of this, so a row sits
+# at the same place in BLAS's register tiles as in one product over every
+# row: against one product on one thread, slices of 27 rows changed bits
+# at 600 features under OpenBLAS's Haswell kernels, and slices of 52 and 54
+# rows at 300 features under its AVX-512 ones, where slices of 48 kept them
+_SLICE_ALIGN = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,10 +285,42 @@ def rff_point(spec: RffSpec, x) -> np.ndarray:
     return _point_features(spec, pts)
 
 
+def _serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b written into the C-ordered out, in slices of a's rows small
+    enough that OpenBLAS runs each product on the calling thread
+    (_SERIAL_GEMM), and returned.
+
+    Slices are a multiple of _SLICE_ALIGN rows, and a last single row joins
+    the slice before it: alone it would be a matrix-vector product, whose
+    bits differ.  When even _SLICE_ALIGN rows are too many, it is one
+    product.  So out holds the bits of one product over every row wherever
+    BLAS rounds an entry of a slice as it does in the whole (see
+    PointFeatures).
+    """
+    rows = _SERIAL_GEMM // max(b.size, 1) // _SLICE_ALIGN * _SLICE_ALIGN or max(len(a), 1)
+    start = 0
+    for stop in [*range(rows, len(a) - 1, rows), len(a)]:
+        np.matmul(a[start:stop], b, out=out[start:stop])
+        start = stop
+    return out
+
+
 def _point_features(spec: RffSpec, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
     """sqrt(2/d) cos(pts w^T + b) at the features `rows` picks, unchecked;
-    in place, as the operator's outer features run it once per message."""
-    out = pts @ spec.frequencies[rows].T
+    in place, as the operator's outer features run it once per message.
+
+    A batch's product has 16 multiply-adds per entry at the outer stage's
+    16 inputs, against about 25 ns for its cosine, so threading it never
+    paid.  It goes through _serial_matmul, which keeps NumPy's OpenBLAS
+    pool asleep; a training block of 256 x 2000 entries would wake it, and
+    its idle worker would spin for about 0.1 s beside the single-threaded
+    cosine and SciPy's dsyrk and dpotrf after it.  A single point's product,
+    which featurize and every EP message take, is one matrix-vector call."""
+    freqs = spec.frequencies[rows].T
+    if pts.ndim == 1:
+        out = pts @ freqs
+    else:
+        out = _serial_matmul(pts, freqs, np.empty((len(pts), freqs.shape[1])))
     out += spec.phases[rows]
     np.cos(out, out=out)
     out *= _feature_scale(spec.num_features)
@@ -292,12 +335,18 @@ class PointFeatures:
     index array, builds that block alone, a fresh Fortran-ordered array:
     _point_features of the points cols picks (a gathered copy for an index
     array, so a permutation gives the fold-permuted columns) at the
-    features rows picks, transposed.  Its entries are rff_point's bits
-    wherever BLAS rounds a block's product as it rounds them in the whole
-    one: it did for blocks of 128 and 256 points or features and permuted
-    points at 16 inputs and D = 512, 600 and 2000, and for 512 points at
-    D = 2000; not at D = 300, and a block of one point (a matrix-vector
-    product) can differ in the last bit too.
+    features rows picks, transposed.  Block and whole matrix alike form
+    their products in slices of points that OpenBLAS runs on the calling
+    thread (_serial_matmul), so up to 2,048 features at 16 inputs building
+    a block does not wake NumPy's OpenBLAS pool between the SciPy calls
+    that read it.  Its entries are
+    rff_point's bits wherever BLAS rounds a block's product as it rounds
+    them in the whole one: it did for blocks of 128 and 256 points or
+    features and permuted points at 16 inputs and D = 512, 600 and 2000,
+    and for 512 points at D = 2000; not at D = 300 or 500, where the last
+    four features of the block after the first 256 round otherwise than in
+    the whole, and a block of one point (a matrix-vector product) can
+    differ in the last bit too.
     """
 
     def __init__(self, spec: RffSpec, points):

@@ -40,6 +40,7 @@ import numpy as np
 
 from .buffers import _transient
 from .errors import DomainError, integer, real
+from .kernels import _serial_matmul
 
 __all__ = [
     "RidgeModel",
@@ -309,15 +310,20 @@ def _gram_sums(Phi, Y: np.ndarray, gram: np.ndarray) -> np.ndarray:
     overwrite in place.  Each block B of _CASES cases adds B B^T (BLAS
     dsyrk, in place) and B Y_B^T, so the Gram and one block are the
     largest arrays alive; a block's entries are checked finite as it comes.
-    gram.T's strict upper triangle is never written."""
+    gram.T's strict upper triangle is never written.  B Y_B^T, 2 x 256 x D
+    multiply-adds for the operator's two targets, is formed in row slices
+    that OpenBLAS keeps on the calling thread (kernels._serial_matmul), with
+    the bits of one product: whole, it would wake NumPy's OpenBLAS pool
+    between two SciPy dsyrk calls."""
     from scipy.linalg.blas import dsyrk
 
     PY = np.zeros((Phi.shape[0], len(Y)))
+    BY = np.empty_like(PY)
     for j in range(0, Phi.shape[1], _CASES):
         cases = slice(j, j + _CASES)
         B = _block(Phi, slice(None), cases)
         dsyrk(1.0, B, beta=float(j > 0), c=gram.T, lower=1, overwrite_c=1)
-        PY += B @ Y[:, cases].T
+        PY += _serial_matmul(B, Y[:, cases].T, BY)
         del B  # before the next block is built
     return PY
 
@@ -630,7 +636,12 @@ def _dual_gram(Phi, by_fold) -> np.ndarray:
     of a fresh flat buffer of N * N + N doubles; the square's strict lower
     triangle and the N spare doubles are unset (see _columns).  Each block
     of _FEATURES rows, its columns in fold order, adds its B^T B in place
-    (BLAS dsyrk), so K and one block are the largest arrays alive."""
+    (BLAS dsyrk), so K and one block are the largest arrays alive.  A lazy
+    matrix builds each block in slices that OpenBLAS runs on the calling
+    thread (kernels._serial_matmul): built whole, a 256 x 2000 block at 16
+    inputs woke NumPy's OpenBLAS pool, whose idle worker spun beside the
+    cosine and the dsyrk that followed: on a 2-CPU host the loop took
+    1.5-1.6 s of a seed-42 train whole and 0.87-0.94 s in slices."""
     from scipy.linalg.blas import dsyrk
 
     N = len(by_fold)
@@ -703,9 +714,12 @@ def _dual_rows(flat, Y, lams, bounds) -> list[list[float] | None]:
     (_run_errors), so A itself is never formed.  With uplo 'L' every call
     reads only the lower triangle, and each writes only the lower triangle
     or an array of its own, so K's square is the only N x N array.  Every
-    BLAS and LAPACK call here is SciPy's: a NumPy product between them
-    switches to NumPy's OpenBLAS pool, whose idle threads slow the next
-    SciPy call several times over.
+    BLAS and LAPACK call here is SciPy's: a threaded NumPy product between
+    them wakes NumPy's OpenBLAS pool, whose idle worker spins beside the
+    next SciPy call and slows it several times over: on a 2-CPU host each
+    multiplier's first dpotrf took 96-104 ms after _dual_gram's blocks were
+    built by threaded products, and 45-47 ms, as the later ones take, after
+    serial slices.
     """
     from scipy.linalg.lapack import dpotrf, dpotrs
 

@@ -165,6 +165,55 @@ def test_point_features_blocks_of_512_cases_are_embedding_features_rows():
         assert block.tobytes("F") == embedding_features(spec, emb[j : j + 512]).T.tobytes("F")
 
 
+@pytest.mark.parametrize(
+    "points, features, slices, over",
+    [
+        (2000, 256, [64] * 31 + [16], 0),  # a cross-validation block
+        (256, 2000, [8] * 32, 0),  # a refit block
+        (128, 2000, [8] * 16, 0),  # a tau chunk
+        (2001, 2000, [8] * 249 + [9], 1),  # a last row joins the slice before it
+        (2003, 2000, [8] * 250 + [3], 0),
+        (256, 2048, [8] * 32, 0),  # the narrowest slices
+        (64, 20000, [64], 1),  # 8 rows would wake the pool: one product
+    ],
+)
+def test_serial_matmul_has_one_products_bits(monkeypatch, points, features, slices, over):
+    # training's block shapes at 16 inputs, the points fold-permuted: the
+    # slices stay within OpenBLAS's serial threshold, but for `over` of
+    # them, and hold the bits of one product over the same rows at any BLAS
+    # thread count.  The reference is the product over the rows up to a
+    # multiple of 8: a threaded product over 2001 or 2003 rows splits them
+    # off that grid under OpenBLAS's Haswell kernels, so its own bits depend
+    # on the thread count
+    rng = np.random.default_rng(points + features)
+    pts = rng.normal(size=(max(points, 2000), 16))[rng.permutation(max(points, 2000))[:points]]
+    freqs = rng.normal(size=(features, 16)).T
+    aligned = points // 8 * 8
+    want = pts[:aligned] @ freqs
+    seen, matmul = [], np.matmul
+
+    def counting(a, b, out):
+        seen.append((len(a), len(a) * b.size))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(kernels.np, "matmul", counting)
+    got = kernels._serial_matmul(pts, freqs, np.empty((points, features)))
+    monkeypatch.undo()
+    assert got[:aligned].tobytes() == want.tobytes()
+    assert [rows for rows, _ in seen] == slices
+    assert sum(mnk > kernels._SERIAL_GEMM for _, mnk in seen) == over
+
+
+def test_serial_matmul_of_a_refit_block_and_its_targets():
+    # _gram_sums' B Y_B^T: a Fortran-ordered block of 256 cases at
+    # D = 2000 against two targets, in slices of 512 rows
+    rng = np.random.default_rng(2256)
+    block = np.asfortranarray(rng.normal(size=(2000, 256)))
+    targets = rng.normal(size=(2, 256)).T
+    want = block @ targets
+    assert kernels._serial_matmul(block, targets, np.empty(want.shape)).tobytes() == want.tobytes()
+
+
 def test_rescale_matches_fresh_draw():
     a = rescale(draw_rff(1, 256, 1.0, np.random.default_rng(6)), 2.0)
     b = draw_rff(1, 256, 2.0, np.random.default_rng(6))
